@@ -35,6 +35,7 @@ from .diagrams import (
     diagram_iso,
     empty_diagram,
     normalize_diagram,
+    plus_one_surgery,
     remove_component,
     set_coeff,
     smooth_framing,
@@ -61,6 +62,7 @@ from .floer import (
     TriangleInstance,
     TriangleSolution,
     base_facts,
+    engine_triangles,
     propagate,
     rank_bounds,
     tower_triangles,

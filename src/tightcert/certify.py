@@ -8,33 +8,15 @@ normal form, rank facts by re-running the propagation engine, injectivity
 by re-solving the cited triangle, surgery edges by cancellation and exact
 diagram isomorphism — so a verifier needs no trust in the emitter.
 
-The rule set
-------------
-
-stein_nonzero        Stein fillable structures have nonvanishing class.
-overtwisted_zero     Overtwisted structures have vanishing class (present
-                     for completeness; certificates never apply it).
-nonzero_tight        A nonvanishing class forces tightness.
-plus_one_pullback    The surgery map carries the source class to the result
-                     class, so a nonzero result class forces a nonzero
-                     source class.
-plus_one_pushforward When the surgery map is injective (exact-triangle
-                     ranks), a nonzero source class maps to a nonzero
-                     result class.
-all_minus_one_stein  A presentation whose coefficients are all -1 is Stein
-                     fillable (vacuously, the empty presentation).
-cancel_equivalent    Cancelling a (-1)-knot against its unstabilized (+1)
-                     pushoff preserves the presented structure, so the
-                     class transfers between presentations with the same
-                     cancelled form.
-same_diagram         Isomorphic presentations carry the same class.
-h1_consistency       Audit rule: the presentation's first homology matches
-                     the declared manifold.
+The rule set is the table ``RULES``: for each rule, its statement, the
+kinds of the references a step citing it carries, and the checker that
+re-derives the fact it gives.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 
 from .errors import CalculusError
 from .rationals import (
@@ -48,14 +30,12 @@ from .rationals import (
 from .diagrams import (
     PUSHOFF,
     ContactDiagram,
-    add_unknot,
     cancel_pushoff_pairs,
-    contact_pushoff,
     diagram_iso,
     empty_diagram,
     normalize_diagram,
+    plus_one_surgery,
     remove_component,
-    set_coeff,
     tower_diagram,
     trefoil_surgery_diagram,
 )
@@ -63,43 +43,167 @@ from .topology import HomologyResult, Manifold, h1
 from .floer import (
     TriangleInstance,
     base_facts,
+    engine_triangles,
     propagate,
-    tower_triangles,
     triangle_solve,
-    unknot_triangle,
 )
 
+
+# ---------------------------------------------------------------------------
+# The rule set
+# ---------------------------------------------------------------------------
+
+
+def _entry(table, kind, key):
+    if key not in table:
+        raise CalculusError(f"{kind} {key!r} not present")
+    return table[key]
+
+
+def _triangle(cert, text):
+    try:
+        index = int(text)
+    except ValueError:
+        index = -1
+    if str(index) != text or not 0 <= index < len(cert.triangles):
+        raise CalculusError(f"cited triangle {text!r} not present")
+    return cert.triangles[index]
+
+
+# Reference kind -> resolver from the certificate and the recorded value.
+_RESOLVE = {
+    "node": lambda cert, nid: _entry(cert.nodes, "node", nid),
+    "edge": lambda cert, eid: _entry(cert.edges, "edge", eid),
+    "triangle": _triangle,
+    "group": lambda cert, text: text,
+}
+
+
+def _presentation(node):
+    if node.diagram is None:
+        raise CalculusError(f"node {node.nid} carries no presentation")
+    return node.diagram
+
+
+def _overtwisted_zero(cert, node):
+    raise CalculusError(
+        "rule derives a vanishing class; no tightness certificate may use it"
+    )
+
+
+def _plus_one_pushforward(cert, edge, tri):
+    if tri.informational:
+        raise CalculusError("informational triangle instances cannot justify injectivity")
+    # Every edge was checked before the steps, so both endpoints exist.
+    src, dst = cert.nodes[edge.src], cert.nodes[edge.dst]
+    if tri.a != src.manifold.mirror() or tri.b != dst.manifold.mirror():
+        raise CalculusError("triangle vertices do not match the edge endpoints")
+    ranks = []
+    for m in (tri.a, tri.b, tri.c):
+        value = cert.rank_facts.get(m.text())
+        if value is None:
+            raise CalculusError(f"rank fact for {m.text()} not in the certificate")
+        ranks.append(value)
+    if not triangle_solve(*ranks).f_injective:
+        raise CalculusError(
+            f"triangle ranks {tuple(ranks)} do not make the map injective"
+        )
+    return (("c_nonzero", edge.src),), ("c_nonzero", edge.dst)
+
+
+def _all_minus_one_stein(cert, node):
+    for c in _presentation(node).components:
+        if c.coeff != SurgeryCoeff(-1):
+            raise CalculusError(f"component {c.cid} carries {c.coeff}, not -1")
+    return (), ("stein", node.nid)
+
+
+def _transfer(cert, target, source, cancel=False):
+    a, b = _presentation(target), _presentation(source)
+    if cancel:
+        a, b = cancel_pushoff_pairs(a), cancel_pushoff_pairs(b)
+    if not diagram_iso(a, b):
+        raise CalculusError("presentations do not match")
+    return (("c_nonzero", source.nid),), ("c_nonzero", target.nid)
+
+
+def _h1_consistency(cert, node, recorded):
+    group = h1(_presentation(node))
+    if _group_text(group) != recorded:
+        raise CalculusError(
+            f"presentation has h1 {_group_text(group)}, certificate says {recorded}"
+        )
+    declared = node.manifold.expected_h1_order()
+    if declared is not None and group.cyclic_order() != declared:
+        raise CalculusError(
+            f"declared manifold {node.manifold.text()} has cyclic h1 of "
+            f"order {declared}, presentation gives {_group_text(group)}"
+        )
+    return (), ("h1", node.nid)
+
+
+# Rule id -> (statement, reference kinds, checker).  A step citing the rule
+# carries references of exactly those kinds, in order.  The checker receives
+# the certificate and the resolved references; it returns the facts the step
+# needs and the fact it derives, and raises CalculusError when the cited
+# data do not support the rule.
 RULES = {
-    "stein_nonzero": "a Stein fillable structure has nonvanishing contact class",
-    "overtwisted_zero": "an overtwisted structure has vanishing contact class",
-    "nonzero_tight": "a structure whose contact class does not vanish is tight",
+    "stein_nonzero": (
+        "a Stein fillable structure has nonvanishing contact class",
+        ("node",),
+        lambda cert, node: ((("stein", node.nid),), ("c_nonzero", node.nid)),
+    ),
+    "overtwisted_zero": (
+        "an overtwisted structure has vanishing contact class",
+        ("node",),
+        _overtwisted_zero,
+    ),
+    "nonzero_tight": (
+        "a structure whose contact class does not vanish is tight",
+        ("node",),
+        lambda cert, node: ((("c_nonzero", node.nid),), ("tight", node.nid)),
+    ),
     "plus_one_pullback": (
         "a contact (+1)-surgery maps the source class to the result class, "
-        "so a nonzero result class forces a nonzero source class"
+        "so a nonzero result class forces a nonzero source class",
+        ("edge",),
+        lambda cert, edge: ((("c_nonzero", edge.dst),), ("c_nonzero", edge.src)),
     ),
     "plus_one_pushforward": (
         "when the (+1)-surgery map is injective by the cited exact-triangle "
-        "ranks, a nonzero source class maps to a nonzero result class"
+        "ranks, a nonzero source class maps to a nonzero result class",
+        ("edge", "triangle"),
+        _plus_one_pushforward,
     ),
     "all_minus_one_stein": (
         "a surgery presentation all of whose contact coefficients are -1 "
-        "presents a Stein fillable structure"
+        "presents a Stein fillable structure",
+        ("node",),
+        _all_minus_one_stein,
     ),
     "cancel_equivalent": (
         "presentations with the same fully cancelled form present the same "
-        "contact structure, so the class transfers"
+        "contact structure, so the class transfers",
+        ("node", "node"),
+        partial(_transfer, cancel=True),
     ),
-    "same_diagram": "isomorphic presentations carry the same contact class",
+    "same_diagram": (
+        "isomorphic presentations carry the same contact class",
+        ("node", "node"),
+        _transfer,
+    ),
     "h1_consistency": (
         "the first homology computed from the presentation matches the "
-        "declared manifold"
+        "declared manifold",
+        ("node", "group"),
+        _h1_consistency,
     ),
 }
 
 
 def rules() -> dict[str, str]:
     """The fixed rule set: id -> statement."""
-    return dict(RULES)
+    return {rid: statement for rid, (statement, _, _) in RULES.items()}
 
 
 # ---------------------------------------------------------------------------
@@ -221,11 +325,12 @@ def build_tower_chain(max_stage: int) -> TowerChain:
     stage is reached by (+1)-surgery on a fresh pushoff of the trefoil,
     with injectivity supplied by the consecutive-stage triangle at exact
     ranks.  The circle-bundle edge from the empty presentation is included
-    and checked as well: it is the template the stage maps follow.
+    and checked as well: it is the template the stage maps follow.  Every
+    presentation after stage 1 is built by the surgery its edge records.
     """
     if not isinstance(max_stage, int) or max_stage < 1:
         raise CalculusError(f"tower depth must be a positive integer, got {max_stage!r}")
-    triangles = (unknot_triangle(),) + tuple(tower_triangles(max_stage))
+    triangles = engine_triangles(max_stage)
     run = propagate(base_facts(), triangles)
     if not run.consistent:
         raise CalculusError(f"rank engine contradiction: {run.contradiction.detail}")
@@ -237,16 +342,20 @@ def build_tower_chain(max_stage: int) -> TowerChain:
         m = Manifold.neg_tower(k)
         rank_facts[m.text()] = run.db.exact_value(m)
 
+    std = empty_diagram()
+    eta = SurgeryEdge("e_eta", "std", "eta", "unknot")
+    v = tower_diagram(1)
     nodes = [
-        ContactNode("std", Manifold.s3(), empty_diagram()),
-        ContactNode("eta", Manifold.s1xs2(), _circle_bundle_diagram()),
+        ContactNode("std", Manifold.s3(), std),
+        ContactNode("eta", Manifold.s1xs2(), plus_one_surgery(std, eta.witness)),
+        ContactNode("v1", Manifold.tower(1), v),
     ]
-    edges = [SurgeryEdge("e_eta", "std", "eta", "unknot")]
-    towers = {k: tower_diagram(k) for k in range(1, max_stage + 2)}
-    for k in range(1, max_stage + 2):
-        nodes.append(ContactNode(f"v{k}", Manifold.tower(k), towers[k]))
+    edges = [eta]
     for k in range(1, max_stage + 1):
-        edges.append(SurgeryEdge(f"ev{k}", f"v{k}", f"v{k + 1}", "pushoff:c1"))
+        edge = SurgeryEdge(f"ev{k}", f"v{k}", f"v{k + 1}", "pushoff:c1")
+        v = plus_one_surgery(v, edge.witness)
+        edges.append(edge)
+        nodes.append(ContactNode(f"v{k + 1}", Manifold.tower(k + 1), v))
 
     steps = [
         Step("all_minus_one_stein", (("node", "std"),), ("stein", "std")),
@@ -273,9 +382,13 @@ def build_tower_chain(max_stage: int) -> TowerChain:
     return TowerChain(max_stage, nodes, edges, rank_facts, triangles, steps)
 
 
-def _circle_bundle_diagram() -> ContactDiagram:
-    d, _ = add_unknot(empty_diagram(), coeff=SurgeryCoeff(1))
-    return d
+def _stage(rp: SurgeryCoeff) -> int:
+    """Tower stage a certificate needs for companion coefficient rp: 0 on
+    the Stein route (rp negative or infinite), else the number of unit
+    pushoffs rp splits into."""
+    if rp.is_infinite or rp < 0:
+        return 0
+    return rp.den if rp.num == 1 else min_split_count(rp)
 
 
 # ---------------------------------------------------------------------------
@@ -293,10 +406,11 @@ def certify_tight(r) -> Certificate:
     """
     r = _coerce_coeff(r)
     rp = pushoff_coeff_from_slope(r)  # raises for the excluded slope 1
+    stage = _stage(rp)
     root_manifold = Manifold.trefoil_surgery(r)
     diagram = normalize_diagram(trefoil_surgery_diagram(r))
 
-    if rp.is_infinite or rp < 0:
+    if stage == 0:
         nodes = {"y0": ContactNode("y0", root_manifold, diagram)}
         steps = (
             _h1_step("y0", diagram),
@@ -316,20 +430,15 @@ def certify_tight(r) -> Certificate:
         )
 
     # Positive branch: k unit pushoffs, then a residual (-1)-chain of
-    # length m (m = 0 exactly when rp is a unit fraction).
-    if rp.num == 1:
-        stage = rp.den
-        chain_ids: list[str] = []
-    else:
-        stage = min_split_count(rp)
-        # The chain knots are the (-1)-components other than the trefoil,
-        # in creation order: the original pushoff first, then the knots
-        # appended by the conversion.
-        chain_ids = [
-            c.cid
-            for c in diagram.components
-            if c.kind == PUSHOFF and c.coeff == SurgeryCoeff(-1)
-        ]
+    # length m (m = 0 exactly when rp is a unit fraction).  The chain knots
+    # are the (-1)-components other than the trefoil, in creation order: the
+    # original pushoff first, then the knots appended by the conversion.
+    chain_ids = [
+        c.cid
+        for c in diagram.components
+        if c.kind == PUSHOFF and c.coeff == SurgeryCoeff(-1)
+    ]
+    if rp.num != 1:
         expected_len = len(neg_continued_fraction(residual_coeff(rp, stage)))
         assert len(chain_ids) == expected_len
 
@@ -397,9 +506,10 @@ def certify_tight(r) -> Certificate:
 def check_certificate(cert: Certificate) -> VerificationResult:
     """Re-derive every claim in a certificate; reports the first failure.
 
-    Structural checks first (slope binding, known triangle instances,
-    engine-verified rank facts, validity of every recorded edge), then the
-    steps in order under the premise discipline, then the final conclusion.
+    Structural checks first (slope binding, the stage bound the slope
+    sets, known triangle instances, engine-verified rank facts, validity of
+    every recorded edge), then the steps in order under the premise
+    discipline, then the final conclusion.
     """
     try:
         return _check(cert)
@@ -428,22 +538,27 @@ def _check(cert: Certificate) -> VerificationResult:
             None, "conclusion presentation does not match the declared slope"
         )
 
-    # Triangle instances must come from the engine's known families.
-    known = [unknot_triangle()]
-    if cert.engine_stage >= 1:
-        known += tower_triangles(cert.engine_stage)
-    for tri in cert.triangles:
-        if tri not in known:
-            return _fail(None, f"unknown triangle instance {tri.a.text()} -> "
-                         f"{tri.b.text()} -> {tri.c.text()}")
-
-    # Rank facts must be reproduced exactly by a fresh propagation run.
-    if cert.rank_facts:
-        if cert.engine_stage < 1:
-            return _fail(None, "rank facts cited without an engine stage")
-        run = propagate(
-            base_facts(), (unknot_triangle(),) + tuple(tower_triangles(cert.engine_stage))
+    # The slope bounds the stage, so the work below cannot grow with a
+    # number the certificate merely declares.
+    stage = _stage(pushoff_coeff_from_slope(cert.slope))
+    if not 0 <= cert.engine_stage <= stage:
+        return _fail(
+            None,
+            f"engine stage {cert.engine_stage} is outside 0..{stage}, "
+            f"the stages slope {cert.slope} allows",
         )
+
+    # Triangle instances must come from the engine's known families, and
+    # rank facts must be reproduced exactly by a fresh propagation run.
+    if cert.triangles or cert.rank_facts:
+        if cert.engine_stage < 1:
+            return _fail(None, "triangles or rank facts cited without an engine stage")
+        known = engine_triangles(cert.engine_stage)
+        for tri in cert.triangles:
+            if tri not in known:
+                return _fail(None, f"unknown triangle instance {tri.a.text()} -> "
+                             f"{tri.b.text()} -> {tri.c.text()}")
+        run = propagate(base_facts(), known)
         if not run.consistent:
             return _fail(None, f"rank engine contradiction: {run.contradiction.detail}")
         for text, value in cert.rank_facts.items():
@@ -476,147 +591,38 @@ def _check(cert: Certificate) -> VerificationResult:
 
 def _edge_problem(cert, eid):
     edge = cert.edges[eid]
-    src = cert.nodes.get(edge.src)
-    dst = cert.nodes.get(edge.dst)
-    if src is None or dst is None:
-        return "endpoints not present"
-    if src.diagram is None or dst.diagram is None:
-        return "endpoints carry no presentations"
-    d = src.diagram
-    if edge.witness == "unknot":
-        d, wid = add_unknot(d, tb=-1, rot=0)
-    elif edge.witness.startswith("pushoff:"):
-        cid = edge.witness[len("pushoff:"):]
-        if cid not in d:
-            return f"witness parent {cid!r} missing from the source"
-        d, wid = contact_pushoff(d, cid)
-    else:
-        return f"unknown witness {edge.witness!r}"
-    d = set_coeff(d, wid, SurgeryCoeff(1))
-    if not diagram_iso(cancel_pushoff_pairs(d), cancel_pushoff_pairs(dst.diagram)):
+    try:
+        src = _presentation(_entry(cert.nodes, "node", edge.src))
+        dst = _presentation(_entry(cert.nodes, "node", edge.dst))
+        d = plus_one_surgery(src, edge.witness)
+    except CalculusError as exc:
+        return str(exc)
+    if not diagram_iso(cancel_pushoff_pairs(d), cancel_pushoff_pairs(dst)):
         return "surgered source does not cancel to the target presentation"
     return None
 
 
 def _check_step(cert, step, have):
-    rule = step.rule
-    if rule not in RULES:
-        return f"rule {rule!r} is not in the rule set"
-    if rule == "overtwisted_zero":
-        return "rule derives a vanishing class; no tightness certificate may use it"
-
-    if rule == "h1_consistency":
-        node = cert.nodes.get(step.ref("node"))
-        if node is None or node.diagram is None:
-            return "node has no presentation to audit"
-        group = h1(node.diagram)
-        recorded = step.ref("group")
-        if _group_text(group) != recorded:
-            return (
-                f"presentation has h1 {_group_text(group)}, "
-                f"certificate says {recorded}"
-            )
-        declared = node.manifold.expected_h1_order()
-        if declared is not None and group.cyclic_order() != declared:
-            return (
-                f"declared manifold {node.manifold.text()} has cyclic h1 of "
-                f"order {declared}, presentation gives {_group_text(group)}"
-            )
-        if step.gives != ("h1", node.nid):
-            return "derived fact does not match the audited node"
-        return None
-
-    if rule == "all_minus_one_stein":
-        node = cert.nodes.get(step.ref("node"))
-        if node is None or node.diagram is None:
-            return "node has no presentation"
-        for c in node.diagram.components:
-            if c.coeff != SurgeryCoeff(-1):
-                return f"component {c.cid} carries {c.coeff}, not -1"
-        if step.gives != ("stein", node.nid):
-            return "derived fact does not match the node"
-        return None
-
-    if rule == "stein_nonzero":
-        nid = step.ref("node")
-        if ("stein", nid) not in have:
-            return f"premise stein({nid}) not yet derived"
-        if step.gives != ("c_nonzero", nid):
-            return "derived fact does not match the node"
-        return None
-
-    if rule == "nonzero_tight":
-        nid = step.ref("node")
-        if ("c_nonzero", nid) not in have:
-            return f"premise c_nonzero({nid}) not yet derived"
-        if step.gives != ("tight", nid):
-            return "derived fact does not match the node"
-        return None
-
-    if rule == "plus_one_pullback":
-        edge = cert.edges.get(step.ref("edge"))
-        if edge is None:
-            return "edge not present"
-        if ("c_nonzero", edge.dst) not in have:
-            return f"premise c_nonzero({edge.dst}) not yet derived"
-        if step.gives != ("c_nonzero", edge.src):
-            return "derived fact does not match the edge source"
-        return None
-
-    if rule == "plus_one_pushforward":
-        edge = cert.edges.get(step.ref("edge"))
-        if edge is None:
-            return "edge not present"
-        if ("c_nonzero", edge.src) not in have:
-            return f"premise c_nonzero({edge.src}) not yet derived"
-        try:
-            tri = cert.triangles[int(step.ref("triangle"))]
-        except (IndexError, ValueError):
-            return "cited triangle not present"
-        if tri.informational:
-            return "informational triangle instances cannot justify injectivity"
-        src = cert.nodes[edge.src]
-        dst = cert.nodes[edge.dst]
-        try:
-            if tri.a != src.manifold.mirror() or tri.b != dst.manifold.mirror():
-                return "triangle vertices do not match the edge endpoints"
-        except CalculusError as exc:
-            return str(exc)
-        ranks = []
-        for m in (tri.a, tri.b, tri.c):
-            value = cert.rank_facts.get(m.text())
-            if value is None:
-                return f"rank fact for {m.text()} not in the certificate"
-            ranks.append(value)
-        sol = triangle_solve(*ranks)
-        if not sol.f_injective:
-            return f"triangle ranks {tuple(ranks)} do not make the map injective"
-        if step.gives != ("c_nonzero", edge.dst):
-            return "derived fact does not match the edge target"
-        return None
-
-    if rule in ("cancel_equivalent", "same_diagram"):
-        target_id = step.refs[0][1]
-        source_id = step.refs[1][1]
-        target = cert.nodes.get(target_id)
-        source = cert.nodes.get(source_id)
-        if target is None or source is None:
-            return "nodes not present"
-        if target.diagram is None or source.diagram is None:
-            return "nodes carry no presentations"
-        if ("c_nonzero", source_id) not in have:
-            return f"premise c_nonzero({source_id}) not yet derived"
-        if rule == "same_diagram":
-            same = diagram_iso(target.diagram, source.diagram)
-        else:
-            same = diagram_iso(
-                cancel_pushoff_pairs(target.diagram),
-                cancel_pushoff_pairs(source.diagram),
-            )
-        if not same:
-            return "presentations do not match"
-        if step.gives != ("c_nonzero", target_id):
-            return "derived fact does not match the target node"
-        return None
-
-    return f"rule {rule!r} has no checker"
+    if step.rule not in RULES:
+        return f"rule {step.rule!r} is not in the rule set"
+    _, kinds, check = RULES[step.rule]
+    cited = tuple(kind for kind, _ in step.refs)
+    if cited != kinds:
+        return (
+            f"rule {step.rule} takes references ({', '.join(kinds)}), "
+            f"step cites ({', '.join(cited)})"
+        )
+    try:
+        refs = [_RESOLVE[kind](cert, value) for kind, value in step.refs]
+        premises, gives = check(cert, *refs)
+    except CalculusError as exc:
+        return str(exc)
+    for kind, nid in premises:
+        if (kind, nid) not in have:
+            return f"premise {kind}({nid}) not yet derived"
+    if step.gives != gives:
+        return (
+            f"step gives {step.gives[0]}({step.gives[1]}), "
+            f"rule derives {gives[0]}({gives[1]})"
+        )
+    return None

@@ -20,13 +20,9 @@ from .diagrams import (
     trefoil_surgery_diagram,
 )
 from .topology import FramedLink, det_signed, h1 as _h1, linking_matrix
-from .floer import base_facts, propagate, tower_triangles, triangle_solve, unknot_triangle
+from .floer import base_facts, engine_triangles, propagate, triangle_solve
 from .certify import certify_tight, check_certificate
 from . import serialize
-
-
-def _parse_coeff(text: str) -> SurgeryCoeff:
-    return SurgeryCoeff.parse(text)
 
 
 def _emit(payload, path=None):
@@ -38,18 +34,18 @@ def _emit(payload, path=None):
         sys.stdout.write(text)
 
 
-def _load_diagram(path: str) -> ContactDiagram:
-    return serialize.diagram_from_dict(serialize.load_json(path))
-
-
-def _load_link(path: str) -> FramedLink:
-    return serialize.framed_link_from_dict(serialize.load_json(path))
-
-
 def _normalized_from_args(args) -> ContactDiagram:
     if args.slope is not None:
-        return normalize_diagram(trefoil_surgery_diagram(_parse_coeff(args.slope)))
-    return normalize_diagram(_load_diagram(args.diagram))
+        return normalize_diagram(trefoil_surgery_diagram(SurgeryCoeff.parse(args.slope)))
+    return normalize_diagram(
+        serialize.diagram_from_dict(serialize.load_json(args.diagram))
+    )
+
+
+def _link_from_args(args) -> FramedLink:
+    if args.link is not None:
+        return serialize.framed_link_from_dict(serialize.load_json(args.link))
+    return linking_matrix(_normalized_from_args(args))
 
 
 # ---------------------------------------------------------------------------
@@ -58,11 +54,7 @@ def _normalized_from_args(args) -> ContactDiagram:
 
 
 def _cmd_convert(args) -> int:
-    if args.slope is not None:
-        diagram = trefoil_surgery_diagram(_parse_coeff(args.slope))
-    else:
-        diagram = _load_diagram(args.diagram)
-    normalized = normalize_diagram(diagram)
+    normalized = _normalized_from_args(args)
     payload = serialize.diagram_to_dict(normalized)
     if args.json or args.out:
         _emit(payload, args.out)
@@ -82,10 +74,7 @@ def _cmd_convert(args) -> int:
 
 
 def _cmd_h1(args) -> int:
-    if args.link is not None:
-        group = _h1(_load_link(args.link))
-    else:
-        group = _h1(linking_matrix(_normalized_from_args(args)))
+    group = _h1(_link_from_args(args))
     if args.json:
         _emit(
             {
@@ -103,10 +92,7 @@ def _cmd_h1(args) -> int:
 
 
 def _cmd_det(args) -> int:
-    if args.link is not None:
-        value = det_signed(_load_link(args.link))
-    else:
-        value = det_signed(linking_matrix(_normalized_from_args(args)))
+    value = det_signed(_link_from_args(args))
     if args.json:
         _emit({"det": value})
     else:
@@ -115,7 +101,7 @@ def _cmd_det(args) -> int:
 
 
 def _cmd_count(args) -> int:
-    count = count_presentations(_parse_coeff(args.coeff))
+    count = count_presentations(SurgeryCoeff.parse(args.coeff))
     if args.json:
         _emit({"coeff": args.coeff, "presentations": count})
     else:
@@ -124,8 +110,7 @@ def _cmd_count(args) -> int:
 
 
 def _cmd_ranks(args) -> int:
-    triangles = (unknot_triangle(),) + tuple(tower_triangles(args.max_k))
-    run = propagate(base_facts(), triangles)
+    run = propagate(base_facts(), engine_triangles(args.max_k))
     if args.json:
         payload = serialize.rank_table_to_dict(run.db)
         payload["rounds"] = run.rounds
@@ -173,25 +158,20 @@ def _cmd_triangle(args) -> int:
     return 0
 
 
-def _certify_one(slope_text: str):
-    cert = certify_tight(SurgeryCoeff.parse(slope_text))
-    verdict = check_certificate(cert)
-    return cert, verdict
-
-
 def _cmd_certify(args) -> int:
     slopes = [args.r] if args.r is not None else _read_batch(args.batch)
     failures = 0
     results = []
     for i, slope_text in enumerate(slopes):
         try:
-            cert, verdict = _certify_one(slope_text)
+            cert = certify_tight(SurgeryCoeff.parse(slope_text))
         except CalculusError as exc:
             failures += 1
             results.append({"slope": slope_text, "error": str(exc)})
             if not args.json:
                 print(f"slope {slope_text}: REFUSED ({exc})")
             continue
+        verdict = check_certificate(cert)
         payload = serialize.certificate_to_dict(cert)
         if args.emit:
             path = args.emit if len(slopes) == 1 else _numbered(args.emit, i)

@@ -286,6 +286,19 @@ def contact_pushoff(d, cid: str):
     return _with_component(d, comp, links), new_id
 
 
+def plus_one_surgery(d, witness: str) -> ContactDiagram:
+    """Contact (+1)-surgery on the fresh knot named by ``witness``:
+    "unknot" for a standard (tb -1, rot 0) Legendrian unknot, or
+    "pushoff:<cid>" for a contact pushoff of component cid."""
+    if witness == "unknot":
+        d, wid = add_unknot(d)
+    elif witness.startswith("pushoff:"):
+        d, wid = contact_pushoff(d, witness[len("pushoff:"):])
+    else:
+        raise CalculusError(f"unknown witness {witness!r}")
+    return set_coeff(d, wid, SurgeryCoeff(1))
+
+
 def smooth_framing(comp: LegendrianComponent) -> SurgeryCoeff:
     """Smooth surgery coefficient tb + contact coefficient of a component."""
     if comp.coeff is None:
@@ -399,8 +412,7 @@ def convert_positive(d, cid: str, k: int) -> ContactDiagram:
         raise CalculusError(f"pushoff count must be a positive integer, got {k!r}")
     residual = residual_coeff(comp.coeff, k)
     for _ in range(k):
-        d, pid = contact_pushoff(d, cid)
-        d = set_coeff(d, pid, SurgeryCoeff(1))
+        d = plus_one_surgery(d, f"pushoff:{cid}")
     if residual.is_infinite:
         return remove_component(d, cid)
     return set_coeff(d, cid, residual)
@@ -515,8 +527,7 @@ def tower_diagram(k: int) -> ContactDiagram:
         raise CalculusError(f"tower stage must be a positive integer, got {k!r}")
     d, tid = add_trefoil(empty_diagram(), coeff=SurgeryCoeff(-1))
     for _ in range(k):
-        d, pid = contact_pushoff(d, tid)
-        d = set_coeff(d, pid, SurgeryCoeff(1))
+        d = plus_one_surgery(d, f"pushoff:{tid}")
     return d
 
 

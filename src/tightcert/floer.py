@@ -292,6 +292,12 @@ def tower_triangles(max_stage: int) -> list[TriangleInstance]:
     return out
 
 
+def engine_triangles(max_stage: int) -> tuple[TriangleInstance, ...]:
+    """Every triangle the rank engine runs on up to tower stage max_stage:
+    the unknot triangle, then both tower families."""
+    return (unknot_triangle(),) + tuple(tower_triangles(max_stage))
+
+
 # ---------------------------------------------------------------------------
 # Propagation
 # ---------------------------------------------------------------------------

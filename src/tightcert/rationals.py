@@ -20,10 +20,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import total_ordering
 
 from .errors import CalculusError, ExcludedSlopeError, ParseError
 
 
+@total_ordering
 @dataclass(frozen=True)
 class SurgeryCoeff:
     """A surgery coefficient: reduced rational with den > 0, or (1, 0) = inf.
@@ -104,17 +106,6 @@ class SurgeryCoeff:
             return SurgeryCoeff(other)
         return NotImplemented
 
-    def _cmp(self, other: "SurgeryCoeff") -> int:
-        if self.is_infinite and other.is_infinite:
-            return 0
-        if self.is_infinite:
-            return 1
-        if other.is_infinite:
-            return -1
-        lhs = self.num * other.den
-        rhs = other.num * self.den
-        return (lhs > rhs) - (lhs < rhs)
-
     def __eq__(self, other) -> bool:
         o = self._coerce(other)
         if o is NotImplemented:
@@ -128,25 +119,9 @@ class SurgeryCoeff:
         o = self._coerce(other)
         if o is NotImplemented:
             return NotImplemented
-        return self._cmp(o) < 0
-
-    def __le__(self, other):
-        o = self._coerce(other)
-        if o is NotImplemented:
-            return NotImplemented
-        return self._cmp(o) <= 0
-
-    def __gt__(self, other):
-        o = self._coerce(other)
-        if o is NotImplemented:
-            return NotImplemented
-        return self._cmp(o) > 0
-
-    def __ge__(self, other):
-        o = self._coerce(other)
-        if o is NotImplemented:
-            return NotImplemented
-        return self._cmp(o) >= 0
+        if self.is_infinite or o.is_infinite:
+            return o.is_infinite and not self.is_infinite
+        return self.num * o.den < o.num * self.den
 
     def __neg__(self) -> "SurgeryCoeff":
         if self.is_infinite:

@@ -185,6 +185,33 @@ def _mut_forge_triangle(data):
     return True
 
 
+def _mut_short_refs(data):
+    for step in data["steps"]:
+        if step["rule"] in ("cancel_equivalent", "same_diagram"):
+            step["refs"] = step["refs"][:1]
+            return True
+    return False
+
+
+def _mut_negative_triangle_index(data):
+    for step in data["steps"]:
+        for ref in step["refs"]:
+            if ref[0] == "triangle":
+                ref[1] = str(int(ref[1]) - len(data["triangles"]))
+                return True
+    return False
+
+
+def _mut_stage_inflate(data):
+    data["engine_stage"] += 30
+    return True
+
+
+def _mut_stage_negative(data):
+    data["engine_stage"] = -1
+    return True
+
+
 _MUTATIONS = [
     _mut_rank_bump,
     _mut_rank_forge,
@@ -199,6 +226,10 @@ _MUTATIONS = [
     _mut_slope_header,
     _mut_stage_demote,
     _mut_forge_triangle,
+    _mut_short_refs,
+    _mut_negative_triangle_index,
+    _mut_stage_inflate,
+    _mut_stage_negative,
 ]
 
 

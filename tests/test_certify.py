@@ -310,6 +310,25 @@ def test_reject_h1_group_forgery():
     assert result.step == idx
 
 
+@pytest.mark.parametrize(
+    "form",
+    ["{neg}", "+{i}", " {i}", "0{i}", "{i}.0", "99"],
+    ids=["negative", "plus", "space", "leading_zero", "decimal", "out_of_range"],
+)
+def test_reject_noncanonical_triangle_index(form):
+    cert = fresh(certify_tight(SurgeryCoeff(5, 2)))
+    idx, step = [
+        (i, s) for i, s in enumerate(cert.steps) if s.rule == "plus_one_pushforward"
+    ][-1]
+    i = int(step.ref("triangle"))
+    index = form.format(i=i, neg=i - len(cert.triangles))
+    refs = tuple((k, index if k == "triangle" else v) for k, v in step.refs)
+    cert.steps = cert.steps[:idx] + (Step(step.rule, refs, step.gives),) + cert.steps[idx + 1 :]
+    result = check_certificate(cert)
+    assert not result.ok
+    assert result.step == idx and "triangle" in result.reason
+
+
 def test_reject_premise_reordering():
     cert = fresh(certify_tight(SurgeryCoeff(1, 2)))
     steps = list(cert.steps)

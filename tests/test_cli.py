@@ -227,6 +227,18 @@ def test_verify_json_reports_reason(tmp_path, capsys):
     assert payload["ok"] is False and "slope" in payload["reason"]
 
 
+def test_verify_short_refs_rejected_without_traceback(tmp_path, capsys):
+    path = tmp_path / "cert.json"
+    run_cli(capsys, "certify", "--r", "5/2", "--emit", str(path))
+    data = load_json(str(path))
+    idx = next(i for i, s in enumerate(data["steps"]) if s["rule"] == "cancel_equivalent")
+    data["steps"][idx]["refs"] = []
+    dump_json(data, str(path))
+    code, out, err = run_cli(capsys, "verify", str(path))
+    assert code == 3 and err == ""
+    assert f"REJECTED at step {idx}" in out
+
+
 def test_verify_malformed_file_exits_2(tmp_path, capsys):
     path = tmp_path / "broken.json"
     path.write_text("{not json")
