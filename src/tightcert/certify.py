@@ -22,10 +22,10 @@ from .errors import CalculusError
 from .rationals import (
     SurgeryCoeff,
     coeff as _coerce_coeff,
-    min_split_count,
     neg_continued_fraction,
     pushoff_coeff_from_slope,
     residual_coeff,
+    split_count,
 )
 from .diagrams import (
     PUSHOFF,
@@ -47,6 +47,8 @@ from .floer import (
     propagate,
     triangle_solve,
 )
+
+_MINUS_ONE = SurgeryCoeff(-1)
 
 
 # ---------------------------------------------------------------------------
@@ -113,7 +115,7 @@ def _plus_one_pushforward(cert, edge, tri):
 
 def _all_minus_one_stein(cert, node):
     for c in _presentation(node).components:
-        if c.coeff != SurgeryCoeff(-1):
+        if c.coeff != _MINUS_ONE:
             raise CalculusError(f"component {c.cid} carries {c.coeff}, not -1")
     return (), ("stein", node.nid)
 
@@ -388,7 +390,7 @@ def _stage(rp: SurgeryCoeff) -> int:
     pushoffs rp splits into."""
     if rp.is_infinite or rp < 0:
         return 0
-    return rp.den if rp.num == 1 else min_split_count(rp)
+    return split_count(rp)
 
 
 # ---------------------------------------------------------------------------
@@ -436,7 +438,7 @@ def certify_tight(r) -> Certificate:
     chain_ids = [
         c.cid
         for c in diagram.components
-        if c.kind == PUSHOFF and c.coeff == SurgeryCoeff(-1)
+        if c.kind == PUSHOFF and c.coeff == _MINUS_ONE
     ]
     if rp.num != 1:
         expected_len = len(neg_continued_fraction(residual_coeff(rp, stage)))

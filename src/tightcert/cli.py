@@ -65,10 +65,7 @@ def _cmd_convert(args) -> int:
             f"{comp.cid}: {comp.smooth_type}{parent} "
             f"tb {comp.tb} rot {comp.rot} coeff {comp.coeff}"
         )
-    links = sorted(
-        (sorted(pair), v) for pair, v in normalized.linking_pairs().items()
-    )
-    for (a, b), v in links:
+    for a, b, v in payload["linkings"]:
         print(f"lk({a},{b}) = {v}")
     return 0
 

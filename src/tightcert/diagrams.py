@@ -26,6 +26,25 @@ Diagrams are immutable; every operation returns a fresh diagram.  Component
 ids are strings; freshly created components get ids "c1", "c2", ... in
 creation order, and the component tuple preserves creation order, which
 makes the rewrite scans below deterministic.
+
+Storage
+-------
+
+Linking numbers are kept by position in lower-triangular rows: row i is a
+tuple of i integers, lk(component i, component j) for j < i.  Rows are
+append-only and shared: a diagram made by a move reuses every row of its
+source that the move leaves alone.  With n components:
+
+* adding an unknot or a trefoil appends a row of zeros, O(n);
+* a contact pushoff appends one row read off its parent's row and column,
+  O(n);
+* stabilizing or changing a coefficient shares all rows, O(n) for the
+  component tuple and id maps;
+* removing component i keeps rows 0..i-1 and slices entry i out of each
+  later row;
+* ``linking`` is one tuple lookup, and ``linking_rows`` builds the full
+  symmetric matrix in O(n^2), which ``diagram_iso``, ``linking_matrix``
+  and the JSON form read instead of asking for pairs one by one.
 """
 
 from __future__ import annotations
@@ -41,10 +60,10 @@ from .errors import (
 from .rationals import (
     SurgeryCoeff,
     coeff as _coerce_coeff,
-    min_split_count,
     neg_continued_fraction,
     pushoff_coeff_from_slope,
     residual_coeff,
+    split_count,
 )
 
 UNKNOT = "unknot"
@@ -52,6 +71,8 @@ RH_TREFOIL = "rhtrefoil"
 PUSHOFF = "pushoff"
 
 _BENNEQUIN_BOUND = {UNKNOT: -1, RH_TREFOIL: 1}
+_PLUS_ONE = SurgeryCoeff(1)
+_MINUS_ONE = SurgeryCoeff(-1)
 
 
 @dataclass(frozen=True)
@@ -108,11 +129,14 @@ class LegendrianComponent:
 class ContactDiagram:
     """An immutable contact surgery diagram.
 
-    ``components`` is a tuple in creation order; pairwise linking numbers
-    live in a map from unordered id pairs to integers (absent = 0).
+    ``components`` is a tuple in creation order; ``_index`` maps each id
+    to its component and ``_pos`` to its position.  ``_rows[i][j]``
+    (j < i) is lk(components[i], components[j]).  Rows are tuples, never
+    rewritten, and shared with every diagram a move makes from this one;
+    the Storage section of the module docstring gives each move's cost.
     """
 
-    __slots__ = ("components", "_links", "_index")
+    __slots__ = ("components", "_index", "_pos", "_rows")
 
     def __init__(self, components=(), linkings=None):
         comps = tuple(components)
@@ -128,7 +152,8 @@ class ContactDiagram:
                 raise CalculusError(
                     f"pushoff {c.cid} names missing parent {c.parent!r}"
                 )
-        links = {}
+        pos = {c.cid: i for i, c in enumerate(comps)}
+        rows = [[0] * i for i in range(len(comps))]
         for pair, value in (linkings or {}).items():
             a, b = tuple(pair)
             if a == b or a not in index or b not in index:
@@ -136,22 +161,28 @@ class ContactDiagram:
             if not isinstance(value, int):
                 raise CalculusError(f"linking number for {(a, b)!r} must be an int")
             if value:
-                links[frozenset((a, b))] = value
+                i, j = pos[a], pos[b]
+                if i > j:
+                    rows[i][j] = value
+                else:
+                    rows[j][i] = value
         object.__setattr__(self, "components", comps)
-        object.__setattr__(self, "_links", links)
         object.__setattr__(self, "_index", index)
+        object.__setattr__(self, "_pos", pos)
+        object.__setattr__(self, "_rows", tuple(map(tuple, rows)))
 
     @classmethod
-    def _trusted(cls, components, links, index):
+    def _trusted(cls, components, rows, index, pos):
         """Internal constructor for moves that preserve the invariants.
 
-        ``components`` must be a tuple, ``links`` a frozenset-keyed dict with
-        no zero values, ``index`` the matching id map; nothing is rechecked.
+        ``components`` and ``rows`` must be tuples, row i holding i ints;
+        ``index`` and ``pos`` the matching id maps; nothing is rechecked.
         """
         self = object.__new__(cls)
         object.__setattr__(self, "components", components)
-        object.__setattr__(self, "_links", links)
         object.__setattr__(self, "_index", index)
+        object.__setattr__(self, "_pos", pos)
+        object.__setattr__(self, "_rows", rows)
         return self
 
     # -- queries -----------------------------------------------------------
@@ -176,18 +207,34 @@ class ContactDiagram:
             raise CalculusError(f"no such components {a!r}, {b!r}")
         if a == b:
             raise CalculusError("self-linking is not stored; use smooth_framing")
-        return self._links.get(frozenset((a, b)), 0)
+        i, j = self._pos[a], self._pos[b]
+        return self._rows[i][j] if j < i else self._rows[j][i]
+
+    def linking_rows(self) -> list[list[int]]:
+        """The full symmetric linking matrix by position, 0 on the diagonal;
+        fresh lists the caller may overwrite."""
+        full = [list(row) + [0] for row in self._rows]
+        for row in self._rows:
+            for i, value in enumerate(row):
+                full[i].append(value)
+        return full
 
     def linking_pairs(self) -> dict[frozenset, int]:
-        return dict(self._links)
+        ids = self.ids()
+        return {
+            frozenset((ids[i], ids[j])): value
+            for i, row in enumerate(self._rows)
+            for j, value in enumerate(row)
+            if value
+        }
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, ContactDiagram):
             return NotImplemented
-        return self.components == other.components and self._links == other._links
+        return self.components == other.components and self._rows == other._rows
 
     def __hash__(self):
-        return hash((self.components, frozenset(self._links.items())))
+        return hash((self.components, self._rows))
 
     def __repr__(self) -> str:
         parts = ", ".join(
@@ -213,34 +260,33 @@ def _fresh_id(d: ContactDiagram) -> str:
     return f"c{n}"
 
 
-def _with_component(d, comp, links=None):
+def _with_component(d, comp, row):
+    """Append comp with ``row``, its linking with every earlier component."""
     if comp.cid in d._index:
         raise CalculusError(f"duplicate component id {comp.cid!r}")
     if comp.kind == PUSHOFF and comp.parent not in d._index:
         raise CalculusError(f"pushoff {comp.cid} names missing parent {comp.parent!r}")
-    linkings = dict(d._links)
-    for other, value in (links or {}).items():
-        if other == comp.cid or other not in d._index:
-            raise CalculusError(f"bad linking pair {(comp.cid, other)!r}")
-        if value:
-            linkings[frozenset((comp.cid, other))] = value
     index = dict(d._index)
     index[comp.cid] = comp
-    return ContactDiagram._trusted(d.components + (comp,), linkings, index)
+    pos = dict(d._pos)
+    pos[comp.cid] = len(d.components)
+    return ContactDiagram._trusted(
+        d.components + (comp,), d._rows + (row,), index, pos
+    )
 
 
 def add_unknot(d, tb: int = -1, rot: int = 0, coeff=None):
     """Append a standard Legendrian unknot; returns (diagram, new id)."""
     cid = _fresh_id(d)
     c = LegendrianComponent(cid, UNKNOT, None, UNKNOT, tb, rot, _opt_coeff(coeff))
-    return _with_component(d, c), cid
+    return _with_component(d, c, (0,) * len(d)), cid
 
 
 def add_trefoil(d, tb: int = 1, rot: int = 0, coeff=None):
     """Append a Legendrian right-handed trefoil; returns (diagram, new id)."""
     cid = _fresh_id(d)
     c = LegendrianComponent(cid, RH_TREFOIL, None, RH_TREFOIL, tb, rot, _opt_coeff(coeff))
-    return _with_component(d, c), cid
+    return _with_component(d, c, (0,) * len(d)), cid
 
 
 def _opt_coeff(value):
@@ -248,10 +294,11 @@ def _opt_coeff(value):
 
 
 def _with_replaced(d, comp):
-    comps = tuple(comp if c.cid == comp.cid else c for c in d.components)
+    i = d._pos[comp.cid]
+    comps = d.components[:i] + (comp,) + d.components[i + 1:]
     index = dict(d._index)
     index[comp.cid] = comp
-    return ContactDiagram._trusted(comps, d._links, index)
+    return ContactDiagram._trusted(comps, d._rows, index, d._pos)
 
 
 def set_coeff(d, cid: str, coeff) -> ContactDiagram:
@@ -279,11 +326,9 @@ def contact_pushoff(d, cid: str):
     comp = LegendrianComponent(
         new_id, PUSHOFF, cid, parent.smooth_type, parent.tb, parent.rot, None
     )
-    links = {cid: parent.tb}
-    for other in d.ids():
-        if other != cid:
-            links[other] = d.linking(cid, other)
-    return _with_component(d, comp, links), new_id
+    i, rows = d._pos[cid], d._rows
+    row = rows[i] + (parent.tb,) + tuple(r[i] for r in rows[i + 1:])
+    return _with_component(d, comp, row), new_id
 
 
 def plus_one_surgery(d, witness: str) -> ContactDiagram:
@@ -296,7 +341,7 @@ def plus_one_surgery(d, witness: str) -> ContactDiagram:
         d, wid = contact_pushoff(d, witness[len("pushoff:"):])
     else:
         raise CalculusError(f"unknown witness {witness!r}")
-    return set_coeff(d, wid, SurgeryCoeff(1))
+    return set_coeff(d, wid, _PLUS_ONE)
 
 
 def smooth_framing(comp: LegendrianComponent) -> SurgeryCoeff:
@@ -337,9 +382,13 @@ def remove_component(d, cid: str) -> ContactDiagram:
             else:
                 c = replace(c, kind=c.smooth_type, parent=None)
         new_comps.append(c)
-    linkings = {pair: v for pair, v in d._links.items() if cid not in pair}
+    i, rows = d._pos[cid], d._rows
+    rows = rows[:i] + tuple(r[:i] + r[i + 1:] for r in rows[i + 1:])
     return ContactDiagram._trusted(
-        tuple(new_comps), linkings, {c.cid: c for c in new_comps}
+        tuple(new_comps),
+        rows,
+        {c.cid: c for c in new_comps},
+        {c.cid: k for k, c in enumerate(new_comps)},
     )
 
 
@@ -368,15 +417,15 @@ def convert_negative(d, cid: str, choice=None) -> ContactDiagram:
     counts = cf.stabilization_counts()
     vectors = _check_choice(choice, counts, cid)
     cur = cid
-    for signs in vectors[:1]:
-        for s in signs:
-            d = stabilize(d, cur, s)
-    d = set_coeff(d, cur, SurgeryCoeff(-1))
-    for signs in vectors[1:]:
-        d, cur = contact_pushoff(d, cur)
-        for s in signs:
-            d = stabilize(d, cur, s)
-        d = set_coeff(d, cur, SurgeryCoeff(-1))
+    for i, signs in enumerate(vectors):
+        if i:
+            d, cur = contact_pushoff(d, cur)
+        # All of a knot's stabilizations in one move: each lowers tb + |rot|
+        # by 0 or 2, so the Bennequin check on the final values covers them.
+        c = d.component(cur)
+        d = _with_replaced(
+            d, replace(c, tb=c.tb - len(signs), rot=c.rot + sum(signs), coeff=_MINUS_ONE)
+        )
     return d
 
 
@@ -437,8 +486,7 @@ def normalize_diagram(d, choices=None) -> ContactDiagram:
     for cid in list(d.ids()):
         c = d.component(cid)
         if c.coeff is not None and c.coeff > 0 and c.coeff != 1:
-            k = c.coeff.den if c.coeff.num == 1 else min_split_count(c.coeff)
-            d = convert_positive(d, cid, k)
+            d = convert_positive(d, cid, split_count(c.coeff))
     for cid in list(d.ids()):
         if cid not in d:
             continue
@@ -462,12 +510,10 @@ def count_presentations(r) -> int:
         raise NoTightExtensionError(
             "contact coefficient 0 admits no tight extension"
         )
-    if r.is_infinite or r == 1 or r == -1:
+    if not r.is_infinite and r > 0:
+        r = residual_coeff(r, split_count(r))
+    if r.is_infinite:
         return 1
-    if r > 0:
-        if r.num == 1:
-            return 1
-        r = residual_coeff(r, min_split_count(r))
     counts = neg_continued_fraction(r).stabilization_counts()
     return math.prod(s + 1 for s in counts)
 
@@ -498,13 +544,13 @@ def cancel_pushoff_pairs(d) -> ContactDiagram:
 
 def _find_cancelling_pair(d):
     for k in d.components:
-        if k.coeff != SurgeryCoeff(-1):
+        if k.coeff != _MINUS_ONE:
             continue
         for p in d.components:
             if (
                 p.kind == PUSHOFF
                 and p.parent == k.cid
-                and p.coeff == SurgeryCoeff(1)
+                and p.coeff == _PLUS_ONE
                 and p.tb == k.tb == d.linking(p.cid, k.cid)
             ):
                 assert p.rot == k.rot
@@ -525,7 +571,7 @@ def tower_diagram(k: int) -> ContactDiagram:
     """
     if not isinstance(k, int) or k < 1:
         raise CalculusError(f"tower stage must be a positive integer, got {k!r}")
-    d, tid = add_trefoil(empty_diagram(), coeff=SurgeryCoeff(-1))
+    d, tid = add_trefoil(empty_diagram(), coeff=_MINUS_ONE)
     for _ in range(k):
         d = plus_one_surgery(d, f"pushoff:{tid}")
     return d
@@ -544,7 +590,7 @@ def trefoil_surgery_diagram(r) -> ContactDiagram:
             "becomes 0, which admits no tight extension"
         )
     rp = pushoff_coeff_from_slope(r)
-    d, tid = add_trefoil(empty_diagram(), coeff=SurgeryCoeff(-1))
+    d, tid = add_trefoil(empty_diagram(), coeff=_MINUS_ONE)
     d, pid = contact_pushoff(d, tid)
     if rp.is_infinite:
         return remove_component(d, pid)
@@ -561,19 +607,20 @@ def diagram_iso(a: ContactDiagram, b: ContactDiagram) -> bool:
     type, tb, rot, coefficient, parent relations and all linking numbers."""
     if len(a) != len(b):
         return False
-    sig_a = {c.cid: _iso_signature(a, c) for c in a.components}
-    sig_b = {c.cid: _iso_signature(b, c) for c in b.components}
-    if sorted(sig_a.values()) != sorted(sig_b.values()):
+    par_a, par_b = _parents(a), _parents(b)
+    kids_a, kids_b = _children(par_a), _children(par_b)
+    rows_a, rows_b = a.linking_rows(), b.linking_rows()
+    sig_a = [_iso_signature(*x) for x in zip(a.components, rows_a, kids_a)]
+    sig_b = [_iso_signature(*x) for x in zip(b.components, rows_b, kids_b)]
+    if sorted(sig_a) != sorted(sig_b):
         return False
-    order = [c.cid for c in a.components]
-    candidates = {
-        x: [y for y in b.ids() if sig_b[y] == sig_a[x]] for x in order
-    }
-    return _match(a, b, order, candidates, {}, set())
+    candidates = [[y for y, s in enumerate(sig_b) if s == sx] for sx in sig_a]
+    return _match(rows_a, rows_b, par_a, par_b, kids_a, candidates, [], set())
 
 
-def _iso_signature(d, c):
-    profile = sorted(d.linking(c.cid, other) for other in d.ids() if other != c.cid)
+def _iso_signature(c, row, kids):
+    # Every row holds its own diagonal 0, so the sorted rows compare as
+    # the sorted off-diagonal linking profiles do.
     return (
         c.kind,
         c.smooth_type,
@@ -581,31 +628,47 @@ def _iso_signature(d, c):
         c.rot,
         str(c.coeff),
         c.parent is None,
-        tuple(profile),
+        len(kids),
+        tuple(sorted(row)),
     )
 
 
-def _match(a, b, order, candidates, mapping, used):
-    if len(mapping) == len(order):
-        for x, y in mapping.items():
-            pa = a.component(x).parent
-            pb = b.component(y).parent
-            if (pa is None) != (pb is None) or (pa is not None and mapping[pa] != pb):
-                return False
+def _parents(d):
+    """Position of each component's parent, None for a root."""
+    return [None if c.parent is None else d._pos[c.parent] for c in d.components]
+
+
+def _children(parents):
+    """Positions of each component's children."""
+    kids = [[] for _ in parents]
+    for z, p in enumerate(parents):
+        if p is not None:
+            kids[p].append(z)
+    return kids
+
+
+def _match(rows_a, rows_b, par_a, par_b, kids_a, candidates, mapping, used):
+    """Extend ``mapping`` (a position of b for each of a's first positions)
+    to a bijection preserving linking rows and parents.  A parent edge is
+    checked as soon as both its ends are mapped, whichever comes first."""
+    x = len(mapping)
+    if x == len(candidates):
         return True
-    x = order[len(mapping)]
+    row_x, pa = rows_a[x], par_a[x]
     for y in candidates[x]:
         if y in used:
             continue
-        if any(a.linking(x, px) != b.linking(y, py) for px, py in mapping.items()):
+        row_y = rows_b[y]
+        if any(row_x[px] != row_y[py] for px, py in enumerate(mapping)):
             continue
-        pa = a.component(x).parent
-        if pa in mapping and mapping[pa] != b.component(y).parent:
+        if pa is not None and pa < x and mapping[pa] != par_b[y]:
             continue
-        mapping[x] = y
+        if any(z < x and par_b[mapping[z]] != y for z in kids_a[x]):
+            continue
+        mapping.append(y)
         used.add(y)
-        if _match(a, b, order, candidates, mapping, used):
+        if _match(rows_a, rows_b, par_a, par_b, kids_a, candidates, mapping, used):
             return True
-        del mapping[x]
+        mapping.pop()
         used.discard(y)
     return False

@@ -291,3 +291,12 @@ def min_split_count(rp) -> int:
     if rp.is_infinite or rp <= 0:
         raise CalculusError(f"minimal split count needs finite rp > 0, got {rp}")
     return rp.den // rp.num + 1
+
+
+def split_count(rp: SurgeryCoeff) -> int:
+    """Number of unit (+1) pushoffs a finite rp > 0 is split into: j for a
+    unit fraction 1/j (infinite residual, the knot is removed), else
+    min_split_count(rp) (negative residual)."""
+    if rp.num == 1 and rp.den:
+        return rp.den
+    return min_split_count(rp)

@@ -8,7 +8,7 @@ matching ``*_from_dict``):
   "linkings": [[a, b, lk]]}, where "type" is "unknot", "rhtrefoil" or
   "pushoff:<parent id>", "coeff" may be null, components are listed in
   creation order and only nonzero linkings appear, each pair once with
-  a < b.
+  a < b; a pair given twice, in either order, is rejected on reading.
 * framed link: {"n", "matrix" (row-major flat list of n*n ints), "tags"}.
 * rank table: {"facts": [{"manifold", "rank"} or {"manifold", "lo", "hi"}]}
   with "hi" null when unbounded.
@@ -114,8 +114,12 @@ def diagram_to_dict(d: ContactDiagram) -> dict:
                 "coeff": coeff_to_str(c.coeff),
             }
         )
+    ids = d.ids()
     linkings = sorted(
-        [sorted(pair) + [value] for pair, value in d.linking_pairs().items()]
+        [ids[i], ids[j], value] if ids[i] < ids[j] else [ids[j], ids[i], value]
+        for i, row in enumerate(d.linking_rows())
+        for j, value in enumerate(row[i + 1:], i + 1)
+        if value
     )
     return {"components": components, "linkings": linkings}
 
@@ -162,7 +166,10 @@ def diagram_from_dict(data: dict, where: str = "diagram") -> ContactDiagram:
         if not isinstance(item, list) or len(item) != 3:
             raise ParseError("linking entries are [a, b, lk]", location=at)
         a, b, lk = _str(item[0], at), _str(item[1], at), _int(item[2], at)
-        links[(a, b)] = lk
+        pair = (a, b) if a <= b else (b, a)
+        if pair in links:
+            raise ParseError(f"linking of {a!r} and {b!r} given twice", location=at)
+        links[pair] = lk
     try:
         return ContactDiagram(comps, links)
     except ValueError as exc:

@@ -221,17 +221,11 @@ def linking_matrix(d: ContactDiagram) -> FramedLink:
                 f"component {c.cid} has coefficient {c.coeff}; "
                 "a +1/-1 presentation is required"
             )
-    ids = d.ids()
-    rows = []
-    for a in ids:
-        comp = d.component(a)
-        framing = smooth_framing(comp)
-        row = [
-            framing.num if a == b else d.linking(a, b) for b in ids
-        ]
-        rows.append(tuple(row))
-    tags = tuple(d.component(a).smooth_type for a in ids)
-    return FramedLink(tuple(rows), tags)
+    rows = d.linking_rows()
+    for i, c in enumerate(d.components):
+        rows[i][i] = smooth_framing(c).num
+    tags = tuple(c.smooth_type for c in d.components)
+    return FramedLink(tuple(map(tuple, rows)), tags)
 
 
 # ---------------------------------------------------------------------------

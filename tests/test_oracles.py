@@ -1,0 +1,290 @@
+"""Independent oracles for the diagram representation.
+
+``diagram_iso`` is checked against networkx's VF2 matcher on labelled
+graphs, and the linking rows behind every move against the public
+constructor and entry-by-entry linking matrices.  Each test is skipped when
+its library is missing.
+"""
+
+from __future__ import annotations
+
+import random
+from collections import Counter
+
+import pytest
+
+from tightcert.certify import certify_tight
+from tightcert.diagrams import (
+    ContactDiagram,
+    LegendrianComponent,
+    add_trefoil,
+    add_unknot,
+    cancel_pushoff_pairs,
+    contact_pushoff,
+    convert_negative,
+    diagram_iso,
+    empty_diagram,
+    normalize_diagram,
+    remove_component,
+    set_coeff,
+    smooth_framing,
+    stabilize,
+    tower_diagram,
+    trefoil_surgery_diagram,
+)
+from tightcert.rationals import SurgeryCoeff
+from tightcert.topology import linking_matrix
+
+
+def shuffled_copy(d, rng, bump=None, reparent=None):
+    """d rebuilt with fresh names in a random order (parents may follow
+    their children); ``bump`` = (a, b, delta) also shifts lk(a, b), and
+    ``reparent`` = (c, p) makes pushoff c name p as its parent."""
+    comps = list(d.components)
+    rng.shuffle(comps)
+    names = {c.cid: f"x{rng.randrange(10**6)}_{i}" for i, c in enumerate(comps)}
+    links = {
+        frozenset(names[x] for x in pair): v for pair, v in d.linking_pairs().items()
+    }
+    if bump is not None:
+        a, b, delta = bump
+        key = frozenset((names[a], names[b]))
+        links[key] = links.get(key, 0) + delta
+    parents = {c.cid: c.parent for c in comps}
+    if reparent is not None:
+        parents[reparent[0]] = reparent[1]
+    out = [
+        LegendrianComponent(
+            names[c.cid], c.kind, parents[c.cid] and names[parents[c.cid]],
+            c.smooth_type, c.tb, c.rot, c.coeff,
+        )
+        for c in comps
+    ]
+    return ContactDiagram(out, links)
+
+
+def other_parent(d, rng):
+    """(c, p): a pushoff c and a component p, neither c, c's parent nor
+    one of c's descendants; None when there is no such pair."""
+    choices = []
+    for c in d.components:
+        if c.parent is None:
+            continue
+        below = {c.cid}
+        for x in d.components:  # creation order: parents come first
+            if x.parent in below:
+                below.add(x.cid)
+        choices += [(c.cid, p) for p in d.ids() if p not in below and p != c.parent]
+    return rng.choice(choices) if choices else None
+
+
+def as_graph(nx, d):
+    """Complete directed graph: a node per component labelled by its knot
+    data, an edge per ordered pair labelled (lk, whether the source is the
+    target's parent).  Nodes go in parent-first breadth-first order, so
+    that VF2, which extends its match in the second graph's node order,
+    meets every pushoff after its parent: on a (-1)-chain of identical
+    knots any other order makes it search exponentially."""
+    children = {c.cid: [] for c in d.components}
+    for c in d.components:
+        if c.parent is not None:
+            children[c.parent].append(c.cid)
+    order = [c.cid for c in d.components if c.parent is None]
+    for cid in order:
+        order += children[cid]
+    g = nx.DiGraph()
+    for cid in order:
+        c = d.component(cid)
+        g.add_node(cid, label=(c.kind, c.smooth_type, c.tb, c.rot, str(c.coeff)))
+        # The number of children is an invariant; as a label it spares VF2
+        # a factorial search when a pushoff has moved to another parent.
+        g.nodes[cid]["label"] += (len(children[cid]),)
+    for a in order:
+        for b in order:
+            if a != b:
+                g.add_edge(a, b, label=(d.linking(a, b), d.component(b).parent == a))
+    return g
+
+
+def oracle_iso(nx, a, b):
+    ga, gb = as_graph(nx, a), as_graph(nx, b)
+    # Equal label multisets are necessary; checking them first keeps VF2
+    # from searching the symmetric tower stages on a mismatch.
+    for attr in ("nodes", "edges"):
+        la = Counter(label for *_, label in getattr(ga, attr)(data="label"))
+        lb = Counter(label for *_, label in getattr(gb, attr)(data="label"))
+        if la != lb:
+            return False
+    same = lambda x, y: x["label"] == y["label"]  # noqa: E731
+    return nx.is_isomorphic(ga, gb, node_match=same, edge_match=same)
+
+
+def oracle_pool(rng):
+    """Tower stages, (-1)-chains and cancelled forms, up to 40 components."""
+    pool = [tower_diagram(k) for k in (1, 2, 3, 5, 8, 13, 21, 30, 39)]
+    for n in (3, 7, 15, 25, 39):
+        d, u = add_unknot(empty_diagram(), coeff=SurgeryCoeff(-(2 * n + 1), 2))
+        pool.append(convert_negative(d, u))
+        d, u = add_unknot(empty_diagram(), coeff=SurgeryCoeff(-(n + 1), n))
+        pool.append(convert_negative(d, u))
+    for r in ("5/2", "13/8", "-7/2", "-1/20", "34/21", "17/16"):
+        cert = certify_tight(SurgeryCoeff.parse(r))
+        for node in cert.nodes.values():
+            pool.append(cancel_pushoff_pairs(node.diagram))
+    for _ in range(12):
+        r = SurgeryCoeff(rng.randrange(-40, 41), rng.randrange(1, 25))
+        if r != 1 and r.num != 0:
+            d = normalize_diagram(trefoil_surgery_diagram(r))
+            pool += [d, cancel_pushoff_pairs(d)]
+    return [d for d in pool if len(d) <= 40]
+
+
+def _unknots(n, links, parents=None):
+    """n unknots with coefficient -1, linked by ``links`` ((i, j) -> lk);
+    ``parents`` maps a position to its parent's, making it a pushoff."""
+    parents = parents or {}
+    comps = [
+        LegendrianComponent(
+            f"u{i}", "pushoff" if i in parents else "unknot",
+            f"u{parents[i]}" if i in parents else None, "unknot", -1, 0,
+            SurgeryCoeff(-1),
+        )
+        for i in range(n)
+    ]
+    return ContactDiagram(
+        comps, {frozenset((f"u{i}", f"u{j}")): v for (i, j), v in links.items()}
+    )
+
+
+def hard_pairs():
+    """Non-isomorphic pairs whose components all have matching signatures,
+    so only the match itself can tell them apart."""
+    hexagon = {(i, (i + 1) % 6): 1 for i in range(6)}
+    triangles = {(0, 1): 1, (1, 2): 1, (2, 0): 1, (3, 4): 1, (4, 5): 1, (5, 3): 1}
+    yield _unknots(6, hexagon), _unknots(6, triangles)
+    # Each pushoff links its own parent, or the other root instead.
+    links = {(0, 2): -1, (1, 3): -1}
+    yield _unknots(4, links, {2: 0, 3: 1}), _unknots(4, links, {2: 1, 3: 0})
+    # Pushoffs listed before their parents.
+    links = {(0, 2): -1, (1, 3): -1}
+    yield _unknots(4, links, {0: 2, 1: 3}), _unknots(4, links, {0: 3, 1: 2})
+
+
+def test_diagram_iso_hard_pairs():
+    nx = pytest.importorskip("networkx")
+    rng = random.Random(9312)
+    for a, b in hard_pairs():
+        assert not oracle_iso(nx, a, b)
+        for _ in range(5):
+            a2, b2 = shuffled_copy(a, rng), shuffled_copy(b, rng)
+            assert diagram_iso(a, a2) and diagram_iso(a2, a)
+            assert not diagram_iso(a2, b) and not diagram_iso(b, a2)
+            assert not diagram_iso(a, b2) and not diagram_iso(b2, a)
+
+
+def test_diagram_iso_matches_networkx():
+    nx = pytest.importorskip("networkx")
+    rng = random.Random(9311)
+    pool = oracle_pool(rng)
+    assert max(len(d) for d in pool) == 40
+    for d in pool:
+        twin = shuffled_copy(d, rng)
+        assert diagram_iso(d, twin) and oracle_iso(nx, d, twin)
+        if len(d) <= 10:
+            # With children before their parents in the first argument;
+            # the match follows that order, so keep the search small.
+            assert diagram_iso(twin, d)
+        if len(d) >= 2:
+            a, b = rng.sample(d.ids(), 2)
+            off = shuffled_copy(d, rng, bump=(a, b, rng.choice((1, -1))))
+            assert not diagram_iso(d, off) and not oracle_iso(nx, d, off)
+        moved = other_parent(d, rng)
+        if moved is not None:
+            off = shuffled_copy(d, rng, reparent=moved)
+            expected = oracle_iso(nx, d, off)
+            assert diagram_iso(d, off) == expected
+            if len(d) <= 10:
+                assert diagram_iso(off, d) == expected
+    # Every same-size pair of the pool, one side shuffled.
+    by_size = {}
+    for d in pool:
+        by_size.setdefault(len(d), []).append(d)
+    for group in by_size.values():
+        for a in group:
+            for b in group:
+                b = shuffled_copy(b, rng)
+                assert diagram_iso(a, b) == oracle_iso(nx, a, b)
+
+
+def _expected_matrix(d):
+    ids = d.ids()
+    return tuple(
+        tuple(
+            smooth_framing(d.component(a)).num if a == b else d.linking(a, b)
+            for b in ids
+        )
+        for a in ids
+    )
+
+
+def _check_rows(d):
+    assert d == ContactDiagram(d.components, d.linking_pairs())
+    assert hash(d) == hash(ContactDiagram(d.components, d.linking_pairs()))
+    for a in d.ids():
+        for b in d.ids():
+            if a != b:
+                assert d.linking(a, b) == d.linking(b, a)
+    if len(d):
+        signed = d
+        for c in d.components:
+            signed = set_coeff(signed, c.cid, SurgeryCoeff(1 if c.tb % 2 else -1))
+        assert linking_matrix(signed).matrix == _expected_matrix(signed)
+
+
+def test_linking_rows_under_random_moves():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+
+    move = st.tuples(
+        st.sampled_from(
+            ("unknot", "trefoil", "pushoff", "stabilize", "coeff", "remove", "cancel")
+        ),
+        st.integers(0, 10**6),
+        st.sampled_from((-3, -1, 1, 2)),
+    )
+
+    @hypothesis.settings(max_examples=150, deadline=None, derandomize=True)
+    @hypothesis.given(st.lists(move, max_size=30))
+    def run(moves):
+        # ``model`` keeps the nonzero linkings by unordered id pair, updated
+        # by the rules in the diagrams module docstring.
+        d, model = empty_diagram(), {}
+        for kind, pick, value in moves:
+            cid = d.ids()[pick % len(d)] if len(d) else None
+            if kind == "unknot" or (cid is None and kind != "trefoil"):
+                d, _ = add_unknot(d, tb=-1 - abs(value), coeff=SurgeryCoeff(-1))
+            elif kind == "trefoil":
+                d, _ = add_trefoil(d, tb=2 - abs(value), coeff=SurgeryCoeff(-1))
+            elif kind == "pushoff":
+                tb = d.component(cid).tb
+                d, new = contact_pushoff(d, cid)
+                d = set_coeff(d, new, SurgeryCoeff(1 if value > 0 else -1))
+                for pair, v in list(model.items()):
+                    if cid in pair:
+                        (other,) = pair - {cid}
+                        model[frozenset((new, other))] = v
+                if tb:
+                    model[frozenset((new, cid))] = tb
+            elif kind == "stabilize":
+                d = stabilize(d, cid, 1 if value > 0 else -1)
+            elif kind == "coeff":
+                d = set_coeff(d, cid, SurgeryCoeff(value))
+            elif kind == "remove":
+                d = remove_component(d, cid)
+            else:
+                d = cancel_pushoff_pairs(d)
+            model = {pair: v for pair, v in model.items() if pair <= set(d.ids())}
+            assert d.linking_pairs() == model
+            _check_rows(d)
+
+    run()

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import json
 import random
 
@@ -117,6 +118,36 @@ def test_diagram_from_dict_rejects():
     bad5["components"][0]["tb"] = "x"
     with pytest.raises(ParseError):
         diagram_from_dict(bad5)
+
+    # A pair may be given once, in either order.
+    a, b, lk = good["linkings"][0]
+    for extra in ([b, a, lk + 5], [a, b, lk]):
+        bad6 = json.loads(json.dumps(good))
+        bad6["linkings"].append(extra)
+        with pytest.raises(ParseError) as err6:
+            diagram_from_dict(bad6)
+        assert err6.value.location == f"diagram.linkings[{len(good['linkings'])}]"
+
+
+# Certificate bytes as ``dump_json`` writes them; a change of representation
+# or of move order inside the package must leave every one unchanged.
+GOLDEN_SHA256 = {
+    "5/2": "1444d7cecfc9fbe60d27a8ff6449eb714dc7ad05e6b54d51ebb700351220cffa",
+    "17/16": "654bc95c6dcf60cf4ec5b171c53f693545fd19ac71a19ffee8501e2db6626320",
+    "-7/2": "55b4e8da85ab93bdd12705a096e9b48c50fc02601a241f3e85d17f164c97e8be",
+    "13/8": "4c967fd8b5b4adac123fd080885103b1e4a7727f709118a7dbf1b4017a46e4df",
+    "0": "503536ab0e371b878c58d114e9d6ffa1f1d5e4cd77ed6e5ea0ac569cf2a74dfb",
+    "-1/20": "aac4a6d8c48a2fca8055ccb9c7c0c12125d8b4facaba39ec247b6783694fa27f",
+    "-4000": "17cae221578355e607e86c27b3c476139068c2146adc62e6f6b5f056278dcd07",
+    "233/144": "7d9a35fed86ccca5eaa1927a7e0cf043aa0c19b01782d1c57c6a19ef4e4c96b9",
+}
+
+
+@pytest.mark.parametrize("slope", sorted(GOLDEN_SHA256))
+def test_certificate_golden_bytes(slope, tmp_path):
+    path = tmp_path / "cert.json"
+    dump_json(certificate_to_dict(certify_tight(SurgeryCoeff.parse(slope))), str(path))
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == GOLDEN_SHA256[slope]
 
 
 # ---------------------------------------------------------------------------
