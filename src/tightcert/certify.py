@@ -8,6 +8,13 @@ normal form, rank facts by re-running the propagation engine, injectivity
 by re-solving the cited triangle, surgery edges by cancellation and exact
 diagram isomorphism — so a verifier needs no trust in the emitter.
 
+A node either carries its presentation inline or is *derived*: its ``via``
+names the edge whose (+1)-surgery on the source presentation builds it.
+The verifier builds every derived node itself (``node_presentations``), so
+that construction is the check of its edge.  The tower ladder (``eta`` and
+the stages after the first) is derived; the root, the empty presentation,
+stage 1 and the reduction path are inline.
+
 The rule set is the table ``RULES``: for each rule, its statement, the
 kinds of the references a step citing it carries, and the checker that
 re-derives the fact it gives.
@@ -15,7 +22,7 @@ re-derives the fact it gives.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import partial
 
 from .errors import CalculusError
@@ -216,11 +223,15 @@ def rules() -> dict[str, str]:
 @dataclass(frozen=True)
 class ContactNode:
     """A contact structure under discussion: an id, the manifold it lives
-    on, and (when available) a surgery presentation of it."""
+    on, and either an inline surgery presentation of it or, in ``via``, the
+    id of the edge whose (+1)-surgery builds that presentation.  A derived
+    node in a certificate carries no diagram; the emitter's ladder keeps
+    both for its own audits."""
 
     nid: str
     manifold: Manifold
     diagram: ContactDiagram | None = None
+    via: str | None = None
 
 
 @dataclass(frozen=True)
@@ -328,7 +339,8 @@ def build_tower_chain(max_stage: int) -> TowerChain:
     with injectivity supplied by the consecutive-stage triangle at exact
     ranks.  The circle-bundle edge from the empty presentation is included
     and checked as well: it is the template the stage maps follow.  Every
-    presentation after stage 1 is built by the surgery its edge records.
+    presentation after stage 1, and eta, is built by the surgery its edge
+    records, and its node is derived via that edge.
     """
     if not isinstance(max_stage, int) or max_stage < 1:
         raise CalculusError(f"tower depth must be a positive integer, got {max_stage!r}")
@@ -349,7 +361,9 @@ def build_tower_chain(max_stage: int) -> TowerChain:
     v = tower_diagram(1)
     nodes = [
         ContactNode("std", Manifold.s3(), std),
-        ContactNode("eta", Manifold.s1xs2(), plus_one_surgery(std, eta.witness)),
+        ContactNode(
+            "eta", Manifold.s1xs2(), plus_one_surgery(std, eta.witness), eta.eid
+        ),
         ContactNode("v1", Manifold.tower(1), v),
     ]
     edges = [eta]
@@ -357,7 +371,7 @@ def build_tower_chain(max_stage: int) -> TowerChain:
         edge = SurgeryEdge(f"ev{k}", f"v{k}", f"v{k + 1}", "pushoff:c1")
         v = plus_one_surgery(v, edge.witness)
         edges.append(edge)
-        nodes.append(ContactNode(f"v{k + 1}", Manifold.tower(k + 1), v))
+        nodes.append(ContactNode(f"v{k + 1}", Manifold.tower(k + 1), v, edge.eid))
 
     steps = [
         Step("all_minus_one_stein", (("node", "std"),), ("stein", "std")),
@@ -492,7 +506,7 @@ def certify_tight(r) -> Certificate:
         slope=r,
         conclusion=("tight", "y0"),
         engine_stage=stage,
-        nodes=nodes,
+        nodes={nid: replace(n, diagram=None) if n.via else n for nid, n in nodes.items()},
         edges=edges,
         rank_facts=chain.rank_facts,
         triangles=chain.triangles,
@@ -509,9 +523,10 @@ def check_certificate(cert: Certificate) -> VerificationResult:
     """Re-derive every claim in a certificate; reports the first failure.
 
     Structural checks first (slope binding, the stage bound the slope
-    sets, known triangle instances, engine-verified rank facts, validity of
-    every recorded edge), then the steps in order under the premise
-    discipline, then the final conclusion.
+    sets, known triangle instances, engine-verified rank facts, the
+    construction of every derived node, validity of every other recorded
+    edge), then the steps in order under the premise discipline, then the
+    final conclusion.
     """
     try:
         return _check(cert)
@@ -572,9 +587,22 @@ def _check(cert: Certificate) -> VerificationResult:
                     f"rank fact {text} = {value} is not engine-verified (engine: {got})",
                 )
 
-    # Every recorded edge must be a valid single (+1)-surgery.
+    # Build every derived node; from here on each node carries the
+    # presentation the verifier holds for it.
+    try:
+        built = node_presentations(cert)
+    except CalculusError as exc:
+        return _fail(None, str(exc))
+    derived = {n.via for n in cert.nodes.values() if n.via is not None}
+    cert = replace(
+        cert,
+        nodes={nid: replace(n, diagram=built[nid]) for nid, n in cert.nodes.items()},
+    )
+
+    # Every other recorded edge must be a valid single (+1)-surgery; an
+    # edge that derives a node was checked by building that node.
     for eid in cert.edges:
-        problem = _edge_problem(cert, eid)
+        problem = None if eid in derived else _edge_problem(cert, eid)
         if problem:
             return _fail(None, f"edge {eid}: {problem}")
 
@@ -589,6 +617,49 @@ def _check(cert: Certificate) -> VerificationResult:
     if not cert.steps or cert.steps[-1].gives != cert.conclusion:
         return _fail(None, "final step does not establish the conclusion")
     return VerificationResult(True)
+
+
+def node_presentations(cert: Certificate) -> dict[str, ContactDiagram | None]:
+    """Every node's presentation, in node order: the inline diagram, or for
+    a derived node the (+1)-surgery its ``via`` edge records, performed on
+    the presentation of the edge's source.
+
+    The source must be declared before the node.  A derived node may not
+    also carry a diagram, and there may be at most ``engine_stage + 1`` of
+    them (eta and one per ladder stage), so the work is bounded by the
+    slope.  Raises CalculusError naming the first node that breaks a rule.
+    """
+    derived = [n for n in cert.nodes.values() if n.via is not None]
+    if len(derived) > cert.engine_stage + 1:
+        raise CalculusError(
+            f"{len(derived)} derived nodes, engine stage "
+            f"{cert.engine_stage} allows at most {cert.engine_stage + 1}"
+        )
+    built: dict[str, ContactDiagram | None] = {}
+    for n in cert.nodes.values():
+        if n.via is None:
+            built[n.nid] = n.diagram
+            continue
+        edge = cert.edges.get(n.via)
+        if n.diagram is not None:
+            problem = "it also carries an inline presentation"
+        elif edge is None:
+            problem = f"edge {n.via!r} not present"
+        elif edge.dst != n.nid:
+            problem = f"edge {edge.eid} leads to {edge.dst!r}"
+        elif built.get(edge.src) is None:
+            problem = (
+                f"source {edge.src!r} of edge {edge.eid} has no presentation "
+                "declared before it"
+            )
+        else:
+            try:
+                built[n.nid] = plus_one_surgery(built[edge.src], edge.witness)
+                continue
+            except CalculusError as exc:
+                problem = str(exc)
+        raise CalculusError(f"node {n.nid} derived via {n.via!r}: {problem}")
+    return built
 
 
 def _edge_problem(cert, eid):

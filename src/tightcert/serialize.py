@@ -13,9 +13,12 @@ matching ``*_from_dict``):
 * rank table: {"facts": [{"manifold", "rank"} or {"manifold", "lo", "hi"}]}
   with "hi" null when unbounded.
 * triangles: [{"a", "b", "c", "provenance", "informational"}].
-* certificate: {"format": "tightness-certificate", "version": 1, "slope",
+* certificate: {"format": "tightness-certificate", "version": 2, "slope",
   "conclusion": [kind, node], "engine_stage", "nodes", "edges",
-  "rank_facts", "triangles", "steps"}.
+  "rank_facts", "triangles", "steps"}.  A node is {"id", "manifold",
+  "diagram"}, or, when derived, {"id", "manifold", "diagram": null,
+  "via": <edge id>}: the verifier builds its presentation by the (+1)-surgery
+  that edge records.  Version 1, which inlined every diagram, is refused.
 
 ``load_json`` attaches file/line/column positions to malformed input;
 structural errors carry a JSON-path-style location instead.
@@ -39,7 +42,7 @@ from .floer import Interval, RankDb, TriangleInstance
 from .certify import Certificate, ContactNode, Step, SurgeryEdge
 
 CERTIFICATE_FORMAT = "tightness-certificate"
-FORMAT_VERSION = 1
+FORMAT_VERSION = 2
 
 
 def load_json(path: str):
@@ -281,6 +284,17 @@ def triangles_from_list(data, where: str = "triangles") -> tuple:
 # ---------------------------------------------------------------------------
 
 
+def _node_to_dict(n: ContactNode) -> dict:
+    out = {
+        "id": n.nid,
+        "manifold": n.manifold.text(),
+        "diagram": None if n.diagram is None else diagram_to_dict(n.diagram),
+    }
+    if n.via is not None:
+        out["via"] = n.via
+    return out
+
+
 def certificate_to_dict(cert: Certificate) -> dict:
     return {
         "format": CERTIFICATE_FORMAT,
@@ -288,14 +302,7 @@ def certificate_to_dict(cert: Certificate) -> dict:
         "slope": str(cert.slope),
         "conclusion": list(cert.conclusion),
         "engine_stage": cert.engine_stage,
-        "nodes": [
-            {
-                "id": n.nid,
-                "manifold": n.manifold.text(),
-                "diagram": None if n.diagram is None else diagram_to_dict(n.diagram),
-            }
-            for n in cert.nodes.values()
-        ],
+        "nodes": [_node_to_dict(n) for n in cert.nodes.values()],
         "edges": [
             {"id": e.eid, "src": e.src, "dst": e.dst, "witness": e.witness}
             for e in cert.edges.values()
@@ -342,9 +349,12 @@ def certificate_from_dict(data: dict) -> Certificate:
         diagram = item.get("diagram")
         if diagram is not None:
             diagram = diagram_from_dict(diagram, at + ".diagram")
+        via = item.get("via")
+        if via is not None:
+            _str(via, at + ".via")
         if nid in nodes:
             raise ParseError(f"duplicate node id {nid!r}", location=at)
-        nodes[nid] = ContactNode(nid, manifold, diagram)
+        nodes[nid] = ContactNode(nid, manifold, diagram, via)
 
     edges = {}
     for i, item in enumerate(_need(data, "edges", where)):

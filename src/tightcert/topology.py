@@ -20,7 +20,7 @@ from .errors import (
     ParseError,
 )
 from .rationals import SurgeryCoeff, coeff as _coerce_coeff
-from .diagrams import ContactDiagram, smooth_framing
+from .diagrams import ContactDiagram
 
 
 # ---------------------------------------------------------------------------
@@ -204,6 +204,15 @@ class FramedLink:
         object.__setattr__(self, "matrix", rows)
         object.__setattr__(self, "tags", tags)
 
+    @classmethod
+    def _trusted(cls, matrix, tags):
+        """Internal constructor for a matrix built symmetric, as tuples of
+        ints with one tag per row; nothing is rechecked."""
+        self = object.__new__(cls)
+        object.__setattr__(self, "matrix", matrix)
+        object.__setattr__(self, "tags", tags)
+        return self
+
     @property
     def size(self) -> int:
         return len(self.matrix)
@@ -215,17 +224,17 @@ def linking_matrix(d: ContactDiagram) -> FramedLink:
     Every component must carry coefficient +1 or -1 (run normalize_diagram
     first); diagonal entries are the smooth framings tb + coeff.
     """
-    for c in d.components:
-        if c.coeff is None or not (c.coeff == 1 or c.coeff == -1):
-            raise NormalizationRequiredError(
-                f"component {c.cid} has coefficient {c.coeff}; "
-                "a +1/-1 presentation is required"
-            )
     rows = d.linking_rows()
     for i, c in enumerate(d.components):
-        rows[i][i] = smooth_framing(c).num
+        k = c.coeff
+        if k is None or k.den != 1 or k.num not in (1, -1):
+            raise NormalizationRequiredError(
+                f"component {c.cid} has coefficient {k}; "
+                "a +1/-1 presentation is required"
+            )
+        rows[i][i] = c.tb + k.num
     tags = tuple(c.smooth_type for c in d.components)
-    return FramedLink(tuple(map(tuple, rows)), tags)
+    return FramedLink._trusted(tuple(map(tuple, rows)), tags)
 
 
 # ---------------------------------------------------------------------------

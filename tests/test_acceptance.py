@@ -16,7 +16,7 @@ from itertools import product
 
 import pytest
 
-from tightcert.certify import certify_tight, check_certificate
+from tightcert.certify import certify_tight, check_certificate, node_presentations
 from tightcert.diagrams import (
     add_unknot,
     convert_negative,
@@ -244,6 +244,91 @@ def _mut_h1_forge(data):
 
 
 _MUTATIONS.append(_mut_h1_forge)
+
+
+# Derived nodes: a node whose "via" names the edge that builds it.
+
+
+def _derived(data):
+    return [n for n in data["nodes"] if n.get("via") is not None]
+
+
+def _edge(data, eid):
+    return next(e for e in data["edges"] if e["id"] == eid)
+
+
+def _mut_via_missing_edge(data):
+    derived = _derived(data)
+    if not derived:
+        return False
+    derived[-1]["via"] = "e_missing"
+    return True
+
+
+def _mut_via_path_edge(data):
+    path = [e["id"] for e in data["edges"] if e["id"].startswith("ey")]
+    derived = _derived(data)
+    if not path or not derived:
+        return False
+    derived[0]["via"] = path[0]
+    return True
+
+
+def _mut_via_later_node(data):
+    # The last derived node moves to the front, before its edge's source.
+    derived = _derived(data)
+    if not derived:
+        return False
+    data["nodes"].remove(derived[-1])
+    data["nodes"].insert(0, derived[-1])
+    return True
+
+
+def _mut_via_itself(data):
+    derived = _derived(data)
+    if not derived:
+        return False
+    _edge(data, derived[-1]["via"])["src"] = derived[-1]["id"]
+    return True
+
+
+def _mut_via_shared_edge(data):
+    derived = _derived(data)
+    if len(derived) < 2:
+        return False
+    derived[-1]["via"] = derived[-2]["via"]
+    return True
+
+
+def _mut_derived_inline_diagram(data):
+    # The inline diagram is the very one the verifier would build.
+    derived = _derived(data)
+    if not derived:
+        return False
+    built = node_presentations(certificate_from_dict(data))
+    derived[-1]["diagram"] = diagram_to_dict(built[derived[-1]["id"]])
+    return True
+
+
+def _mut_stage_demote_past_derived(data):
+    # Stage 0 cites no triangles or rank facts, and allows one derived node.
+    if not _derived(data):
+        return False
+    data["engine_stage"] = 0
+    data["triangles"] = []
+    data["rank_facts"] = {}
+    return True
+
+
+_MUTATIONS += [
+    _mut_via_missing_edge,
+    _mut_via_path_edge,
+    _mut_via_later_node,
+    _mut_via_itself,
+    _mut_via_shared_edge,
+    _mut_derived_inline_diagram,
+    _mut_stage_demote_past_derived,
+]
 
 
 def test_criterion_3_certificates():

@@ -7,8 +7,11 @@ acceptance checks.
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import pytest
 
+from tightcert import certify
 from tightcert.certify import (
     Certificate,
     ContactNode,
@@ -18,6 +21,7 @@ from tightcert.certify import (
     build_tower_chain,
     certify_tight,
     check_certificate,
+    node_presentations,
     rules,
 )
 from tightcert.diagrams import ContactDiagram, set_coeff, stabilize, tower_diagram
@@ -173,12 +177,77 @@ def test_reject_edge_reversal():
 
 
 def test_reject_witness_retarget():
+    # ey1 is checked by surgery and cancellation.  ev1 derives v2, so a
+    # retargeted witness builds another v2, whose h1 audit then fails.
+    for eid in ("ey1", "ev1"):
+        cert = fresh(certify_tight(SurgeryCoeff(5, 2)))
+        edge = cert.edges[eid]
+        cert.edges[eid] = SurgeryEdge(edge.eid, edge.src, edge.dst, "unknot")
+        result = check_certificate(cert)
+        assert not result.ok
+        if eid == "ey1":
+            assert "cancel" in result.reason
+        else:
+            step = cert.steps[result.step]
+            assert step.rule == "h1_consistency" and step.ref("node") == "v2"
+            assert "h1" in result.reason
+
+
+def test_derived_nodes_are_tower_stages():
+    cert = certify_tight(SurgeryCoeff(5, 2))
+    derived = {n.nid: n.via for n in cert.nodes.values() if n.via is not None}
+    assert derived == {"eta": "e_eta", "v2": "ev1", "v3": "ev2"}
+    assert all(cert.nodes[nid].diagram is None for nid in derived)
+    built = node_presentations(cert)
+    for k in (1, 2, 3):
+        assert built[f"v{k}"] == tower_diagram(k)
+    assert built["y0"] is cert.nodes["y0"].diagram
+
+
+def _set_via(cert, nid, eid):
+    cert.nodes[nid] = replace(cert.nodes[nid], via=eid)
+
+
+def _move_v3_first(cert):
+    cert.nodes = {"v3": cert.nodes["v3"], **cert.nodes}
+
+
+def _reroute_ev2_from_v3(cert):
+    e = cert.edges["ev2"]
+    cert.edges["ev2"] = SurgeryEdge(e.eid, "v3", e.dst, e.witness)
+
+
+def _inline_v3(cert):
+    v3 = cert.nodes["v3"]
+    cert.nodes["v3"] = replace(v3, diagram=node_presentations(cert)["v3"])
+
+
+def _demote_to_stage_0(cert):
+    cert.engine_stage, cert.triangles, cert.rank_facts = 0, (), {}
+
+
+@pytest.mark.parametrize(
+    "mutate, reason",
+    [
+        (lambda c: _set_via(c, "v3", "e_missing"), "'e_missing' not present"),
+        (lambda c: _set_via(c, "eta", "ey1"), "edge ey1 leads to 'y1'"),
+        (lambda c: _set_via(c, "v3", "ev1"), "edge ev1 leads to 'v2'"),
+        (_move_v3_first, "source 'v2' of edge ev2 has no presentation declared before"),
+        (_reroute_ev2_from_v3, "source 'v3' of edge ev2 has no presentation"),
+        (_inline_v3, "also carries an inline presentation"),
+        (_demote_to_stage_0, "3 derived nodes, engine stage 0 allows at most 1"),
+    ],
+    ids=["missing", "path_edge", "shared_edge", "later", "itself", "inline", "bound"],
+)
+def test_reject_via_misuse(mutate, reason, monkeypatch):
     cert = fresh(certify_tight(SurgeryCoeff(5, 2)))
-    edge = cert.edges["ev1"]
-    cert.edges["ev1"] = SurgeryEdge(edge.eid, edge.src, edge.dst, "unknot")
+    mutate(cert)
+    if reason.endswith("at most 1"):
+        # The bound is checked before any derived node is built.
+        monkeypatch.setattr(certify, "plus_one_surgery", None)
     result = check_certificate(cert)
-    assert not result.ok
-    assert "cancel" in result.reason
+    assert not result.ok and result.step is None
+    assert reason in result.reason
 
 
 def test_reject_conclusion_retarget():

@@ -239,6 +239,25 @@ def test_verify_short_refs_rejected_without_traceback(tmp_path, capsys):
     assert f"REJECTED at step {idx}" in out
 
 
+@pytest.mark.parametrize("edit", ["missing_edge", "inline_diagram", "later_node"])
+def test_verify_derived_node_misuse_rejected_without_traceback(edit, tmp_path, capsys):
+    path = tmp_path / "cert.json"
+    run_cli(capsys, "certify", "--r", "5/2", "--emit", str(path))
+    data = load_json(str(path))
+    nodes = data["nodes"]
+    i = next(i for i, n in enumerate(nodes) if n.get("via") == "ev1")
+    if edit == "missing_edge":
+        nodes[i]["via"] = "e_missing"
+    elif edit == "inline_diagram":
+        nodes[i]["diagram"] = nodes[i - 1]["diagram"]
+    else:
+        nodes.insert(0, nodes.pop(i))
+    dump_json(data, str(path))
+    code, out, err = run_cli(capsys, "verify", str(path))
+    assert code == 3 and err == ""
+    assert "REJECTED: node v2 derived via" in out
+
+
 def test_verify_malformed_file_exits_2(tmp_path, capsys):
     path = tmp_path / "broken.json"
     path.write_text("{not json")

@@ -13,7 +13,7 @@ from collections import Counter
 
 import pytest
 
-from tightcert.certify import certify_tight
+from tightcert.certify import certify_tight, node_presentations
 from tightcert.diagrams import (
     ContactDiagram,
     LegendrianComponent,
@@ -128,9 +128,8 @@ def oracle_pool(rng):
         d, u = add_unknot(empty_diagram(), coeff=SurgeryCoeff(-(n + 1), n))
         pool.append(convert_negative(d, u))
     for r in ("5/2", "13/8", "-7/2", "-1/20", "34/21", "17/16"):
-        cert = certify_tight(SurgeryCoeff.parse(r))
-        for node in cert.nodes.values():
-            pool.append(cancel_pushoff_pairs(node.diagram))
+        for d in node_presentations(certify_tight(SurgeryCoeff.parse(r))).values():
+            pool.append(cancel_pushoff_pairs(d))
     for _ in range(12):
         r = SurgeryCoeff(rng.randrange(-40, 41), rng.randrange(1, 25))
         if r != 1 and r.num != 0:

@@ -2,13 +2,14 @@
 
 from __future__ import annotations
 
+import copy
 import hashlib
 import json
 import random
 
 import pytest
 
-from tightcert.certify import build_tower_chain, certify_tight
+from tightcert.certify import build_tower_chain, certify_tight, node_presentations
 from tightcert.diagrams import (
     add_unknot,
     convert_negative,
@@ -129,8 +130,28 @@ def test_diagram_from_dict_rejects():
         assert err6.value.location == f"diagram.linkings[{len(good['linkings'])}]"
 
 
-# Certificate bytes as ``dump_json`` writes them; a change of representation
-# or of move order inside the package must leave every one unchanged.
+def expand_to_v1(payload):
+    """The version-1 form of a certificate payload: every derived node gets
+    the JSON form of the presentation the verifier builds for it, in place
+    of its ``via``."""
+    built = node_presentations(certificate_from_dict(payload))
+    out = copy.deepcopy(payload)
+    out["version"] = 1
+    for node in out["nodes"]:
+        if node.pop("via", None) is not None:
+            node["diagram"] = diagram_to_dict(built[node["id"]])
+    return out
+
+
+def _sha256_of_dump(payload, path):
+    dump_json(payload, str(path))
+    return hashlib.sha256(path.read_bytes()).hexdigest()
+
+
+# Version-1 certificate bytes as ``dump_json`` writes them, every diagram
+# inline; a change of representation or of move order inside the package
+# must leave every one unchanged.  Version-2 certificates are compared
+# after ``expand_to_v1``.
 GOLDEN_SHA256 = {
     "5/2": "1444d7cecfc9fbe60d27a8ff6449eb714dc7ad05e6b54d51ebb700351220cffa",
     "17/16": "654bc95c6dcf60cf4ec5b171c53f693545fd19ac71a19ffee8501e2db6626320",
@@ -143,11 +164,31 @@ GOLDEN_SHA256 = {
 }
 
 
+# Version-2 certificate bytes, derived ladder nodes by ``via``.
+GOLDEN_V2_SHA256 = {
+    "5/2": "c33fcc06d7e81a77800af060f11a40c55e03644f7a8cf43b8b01e329a2a8da86",
+    "17/16": "3ad7477f6b6509a049cfeb7f41204772c8f24a00201b08d81e5d46b358166f1b",
+    "-7/2": "c27dd4f397d093936c3be7444977b654a4fd0d411b25fdc59f22009df496c7f6",
+    "13/8": "e48759262c287abfa32fc9e4f561d672398342d4450b99223265d82f1882806f",
+    "0": "1759d0b07b68f0d4e8ce54378aa22a8dfe5fd45de813c310fbaa405c655e4fb2",
+    "-1/20": "6ca0106ca86cf21bbe8535c9d0844ba85684374b285ca6a57b2dd5a37338d1fe",
+    "-4000": "5798bdf6edbe8029d4530ab4c77667be87ca2b03072f16efd82a8d6c4ca1fffc",
+    "233/144": "01948eb2c612452a0e7a92aac6018f8dd7721969a579606658f04d30d1cc7666",
+}
+
+
 @pytest.mark.parametrize("slope", sorted(GOLDEN_SHA256))
 def test_certificate_golden_bytes(slope, tmp_path):
-    path = tmp_path / "cert.json"
-    dump_json(certificate_to_dict(certify_tight(SurgeryCoeff.parse(slope))), str(path))
-    assert hashlib.sha256(path.read_bytes()).hexdigest() == GOLDEN_SHA256[slope]
+    payload = certificate_to_dict(certify_tight(SurgeryCoeff.parse(slope)))
+    expanded = expand_to_v1(payload)
+    assert _sha256_of_dump(expanded, tmp_path / "cert.json") == GOLDEN_SHA256[slope]
+
+
+@pytest.mark.parametrize("slope", sorted(GOLDEN_V2_SHA256))
+def test_certificate_v2_golden_bytes(slope, tmp_path):
+    payload = certificate_to_dict(certify_tight(SurgeryCoeff.parse(slope)))
+    assert payload["version"] == FORMAT_VERSION == 2
+    assert _sha256_of_dump(payload, tmp_path / "cert.json") == GOLDEN_V2_SHA256[slope]
 
 
 # ---------------------------------------------------------------------------
@@ -230,6 +271,28 @@ def test_certificate_round_trip_both_branches():
         json.dumps(data)
         back = certificate_from_dict(json.loads(json.dumps(data)))
         assert certificate_to_dict(back) == data
+
+
+def test_certificate_version_1_refused():
+    payload = expand_to_v1(certificate_to_dict(certify_tight(SurgeryCoeff(5, 2))))
+    assert not any("via" in n for n in payload["nodes"])
+    with pytest.raises(ParseError) as err:
+        certificate_from_dict(payload)
+    assert "unsupported certificate version 1" in str(err.value)
+
+
+def test_certificate_derived_node_form():
+    data = certificate_to_dict(certify_tight(SurgeryCoeff(5, 2)))
+    by_id = {n["id"]: n for n in data["nodes"]}
+    assert by_id["v2"] == {
+        "id": "v2", "manifold": "tower(2)", "diagram": None, "via": "ev1"
+    }
+    assert list(by_id["v1"]) == ["id", "manifold", "diagram"]
+    bad = json.loads(json.dumps(data))
+    bad["nodes"][1]["via"] = 7
+    with pytest.raises(ParseError) as err:
+        certificate_from_dict(bad)
+    assert err.value.location == "certificate.nodes[1].via"
 
 
 def test_certificate_header_rejections():

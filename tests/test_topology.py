@@ -228,6 +228,18 @@ def test_linking_matrix_requires_normalization():
         linking_matrix(d2)
 
 
+def test_linking_matrix_rejects_unit_fractions_and_inf():
+    base = tower_diagram(2)
+    cid = base.ids()[1]
+    for k in (SurgeryCoeff(1, 2), SurgeryCoeff(-1, 3), INF, SurgeryCoeff(2)):
+        with pytest.raises(NormalizationRequiredError):
+            linking_matrix(set_coeff(base, cid, k))
+    # The unchecked construction agrees with the validating constructor.
+    link = linking_matrix(set_coeff(base, cid, SurgeryCoeff(-1)))
+    assert FramedLink(link.matrix, link.tags) == link
+    assert link.matrix[1][1] == base.component(cid).tb - 1
+
+
 def test_linking_matrix_tower_frozen():
     link = linking_matrix(tower_diagram(2))
     assert link.matrix == ((0, 1, 1), (1, 2, 1), (1, 1, 2))
