@@ -10,10 +10,10 @@ diagram isomorphism — so a verifier needs no trust in the emitter.
 
 A node either carries its presentation inline or is *derived*: its ``via``
 names the edge whose (+1)-surgery on the source presentation builds it.
-The verifier builds every derived node itself (``node_presentations``), so
-that construction is the check of its edge.  The tower ladder (``eta`` and
-the stages after the first) is derived; the root, the empty presentation,
-stage 1 and the reduction path are inline.
+Emitter and verifier build every derived node with ``node_presentations``,
+and for the verifier that construction is the check of its edge.  The tower
+ladder (``eta`` and the stages after the first) is derived; the root, the
+empty presentation, stage 1 and the reduction path are inline.
 
 The rule set is the table ``RULES``: for each rule, its statement, the
 kinds of the references a step citing it carries, and the checker that
@@ -24,12 +24,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from functools import partial
+from itertools import islice
 
 from .errors import CalculusError
 from .rationals import (
     SurgeryCoeff,
     coeff as _coerce_coeff,
-    neg_continued_fraction,
+    neg_cf_terms,
     pushoff_coeff_from_slope,
     residual_coeff,
     split_count,
@@ -223,10 +224,9 @@ def rules() -> dict[str, str]:
 @dataclass(frozen=True)
 class ContactNode:
     """A contact structure under discussion: an id, the manifold it lives
-    on, and either an inline surgery presentation of it or, in ``via``, the
-    id of the edge whose (+1)-surgery builds that presentation.  A derived
-    node in a certificate carries no diagram; the emitter's ladder keeps
-    both for its own audits."""
+    on, and exactly one of an inline surgery presentation of it or, in
+    ``via``, the id of the edge whose (+1)-surgery builds that presentation
+    (see ``node_presentations``)."""
 
     nid: str
     manifold: Manifold
@@ -303,11 +303,11 @@ def _group_text(group: HomologyResult) -> str:
     return f"{group.free_rank}:{','.join(str(t) for t in group.torsion)}"
 
 
-def _h1_step(nid: str, diagram: ContactDiagram) -> Step:
+def _pushforward(edge: SurgeryEdge, triangle: int) -> Step:
     return Step(
-        "h1_consistency",
-        (("node", nid), ("group", _group_text(h1(diagram)))),
-        ("h1", nid),
+        "plus_one_pushforward",
+        (("edge", edge.eid), ("triangle", str(triangle))),
+        ("c_nonzero", edge.dst),
     )
 
 
@@ -338,9 +338,10 @@ def build_tower_chain(max_stage: int) -> TowerChain:
     stage is reached by (+1)-surgery on a fresh pushoff of the trefoil,
     with injectivity supplied by the consecutive-stage triangle at exact
     ranks.  The circle-bundle edge from the empty presentation is included
-    and checked as well: it is the template the stage maps follow.  Every
-    presentation after stage 1, and eta, is built by the surgery its edge
-    records, and its node is derived via that edge.
+    and checked as well: it is the template the stage maps follow.  Only
+    the empty presentation and stage 1 are inline; eta and every later
+    stage are declared derived via their edge and built, by emitter and
+    verifier alike, in ``node_presentations``.
     """
     if not isinstance(max_stage, int) or max_stage < 1:
         raise CalculusError(f"tower depth must be a positive integer, got {max_stage!r}")
@@ -356,45 +357,23 @@ def build_tower_chain(max_stage: int) -> TowerChain:
         m = Manifold.neg_tower(k)
         rank_facts[m.text()] = run.db.exact_value(m)
 
-    std = empty_diagram()
-    eta = SurgeryEdge("e_eta", "std", "eta", "unknot")
-    v = tower_diagram(1)
     nodes = [
-        ContactNode("std", Manifold.s3(), std),
-        ContactNode(
-            "eta", Manifold.s1xs2(), plus_one_surgery(std, eta.witness), eta.eid
-        ),
-        ContactNode("v1", Manifold.tower(1), v),
+        ContactNode("std", Manifold.s3(), empty_diagram()),
+        ContactNode("eta", Manifold.s1xs2(), via="e_eta"),
+        ContactNode("v1", Manifold.tower(1), tower_diagram(1)),
     ]
-    edges = [eta]
+    edges = [SurgeryEdge("e_eta", "std", "eta", "unknot")]
     for k in range(1, max_stage + 1):
-        edge = SurgeryEdge(f"ev{k}", f"v{k}", f"v{k + 1}", "pushoff:c1")
-        v = plus_one_surgery(v, edge.witness)
-        edges.append(edge)
-        nodes.append(ContactNode(f"v{k + 1}", Manifold.tower(k + 1), v, edge.eid))
+        edges.append(SurgeryEdge(f"ev{k}", f"v{k}", f"v{k + 1}", "pushoff:c1"))
+        nodes.append(ContactNode(f"v{k + 1}", Manifold.tower(k + 1), via=f"ev{k}"))
 
     steps = [
         Step("all_minus_one_stein", (("node", "std"),), ("stein", "std")),
         Step("stein_nonzero", (("node", "std"),), ("c_nonzero", "std")),
-        Step(
-            "plus_one_pushforward",
-            (("edge", "e_eta"), ("triangle", "0")),
-            ("c_nonzero", "eta"),
-        ),
-        Step(
-            "cancel_equivalent",
-            (("node", "v1"), ("node", "std")),
-            ("c_nonzero", "v1"),
-        ),
+        _pushforward(edges[0], 0),
+        Step("cancel_equivalent", (("node", "v1"), ("node", "std")), ("c_nonzero", "v1")),
     ]
-    for k in range(1, max_stage):
-        steps.append(
-            Step(
-                "plus_one_pushforward",
-                (("edge", f"ev{k}"), ("triangle", str(k))),
-                ("c_nonzero", f"v{k + 1}"),
-            )
-        )
+    steps += [_pushforward(edges[k], k) for k in range(1, max_stage)]
     return TowerChain(max_stage, nodes, edges, rank_facts, triangles, steps)
 
 
@@ -407,6 +386,17 @@ def _stage(rp: SurgeryCoeff) -> int:
     return split_count(rp)
 
 
+def _root_size(rp: SurgeryCoeff, stage: int, limit: int) -> int:
+    """Components of the normalized presentation with companion coefficient
+    rp at ``stage``: the trefoil, ``stage`` unit pushoffs and the (-1)-chain
+    of the residual (of rp itself on the Stein route), whose continued
+    fraction terms are counted only up to ``limit``."""
+    residual = residual_coeff(rp, stage) if stage else rp
+    if residual.is_infinite:
+        return 1 + stage
+    return 1 + stage + sum(1 for _ in islice(neg_cf_terms(residual), limit))
+
+
 # ---------------------------------------------------------------------------
 # Emission
 # ---------------------------------------------------------------------------
@@ -417,101 +407,71 @@ def certify_tight(r) -> Certificate:
 
     Slope 1 is excluded (no tight extension exists there).  Companion
     coefficients that are negative or infinite give the direct Stein-
-    fillability derivation; positive ones are split into unit pushoffs,
-    reduced along the (-1)-chain, and bridged to the tower ladder.
+    fillability derivation (stage 0: no ladder and no reduction path);
+    positive ones are split into unit pushoffs, reduced along the
+    (-1)-chain, and bridged to the tower ladder.  The certificate opens
+    with an ``h1_consistency`` audit of every node, in node order, on the
+    presentations ``node_presentations`` gives.
     """
     r = _coerce_coeff(r)
     rp = pushoff_coeff_from_slope(r)  # raises for the excluded slope 1
     stage = _stage(rp)
-    root_manifold = Manifold.trefoil_surgery(r)
     diagram = normalize_diagram(trefoil_surgery_diagram(r))
-
+    path = [ContactNode("y0", Manifold.trefoil_surgery(r), diagram)]
+    path_edges = []
     if stage == 0:
-        nodes = {"y0": ContactNode("y0", root_manifold, diagram)}
-        steps = (
-            _h1_step("y0", diagram),
+        ladder, ladder_edges, rank_facts, triangles = [], [], {}, ()
+        steps = [
             Step("all_minus_one_stein", (("node", "y0"),), ("stein", "y0")),
             Step("stein_nonzero", (("node", "y0"),), ("c_nonzero", "y0")),
-            Step("nonzero_tight", (("node", "y0"),), ("tight", "y0")),
-        )
-        return Certificate(
-            slope=r,
-            conclusion=("tight", "y0"),
-            engine_stage=0,
-            nodes=nodes,
-            edges={},
-            rank_facts={},
-            triangles=(),
-            steps=steps,
-        )
-
-    # Positive branch: k unit pushoffs, then a residual (-1)-chain of
-    # length m (m = 0 exactly when rp is a unit fraction).  The chain knots
-    # are the (-1)-components other than the trefoil, in creation order: the
-    # original pushoff first, then the knots appended by the conversion.
-    chain_ids = [
-        c.cid
-        for c in diagram.components
-        if c.kind == PUSHOFF and c.coeff == _MINUS_ONE
-    ]
-    if rp.num != 1:
-        expected_len = len(neg_continued_fraction(residual_coeff(rp, stage)))
-        assert len(chain_ids) == expected_len
-
-    chain = build_tower_chain(stage)
-    nodes = {n.nid: n for n in chain.nodes}
-    edges = {e.eid: e for e in chain.edges}
-
-    path_nodes = [ContactNode("y0", root_manifold, diagram)]
-    path_edges = []
-    cur = diagram
-    for i, cid in enumerate(reversed(chain_ids), start=1):
-        cur = remove_component(cur, cid)
-        path_nodes.append(
-            ContactNode(
-                f"y{i}",
-                Manifold.opaque(f"reduction stage {i} of trefoil surgery {r}"),
-                cur,
-            )
-        )
-        path_edges.append(
-            SurgeryEdge(f"ey{i}", f"y{i - 1}", f"y{i}", f"pushoff:{cid}")
-        )
-    m = len(path_edges)
-    for n in path_nodes:
-        nodes[n.nid] = n
-    for e in path_edges:
-        edges[e.eid] = e
-
-    steps = list(chain.steps)
-    steps.append(
-        Step(
-            "same_diagram",
-            (("node", f"y{m}"), ("node", chain.top())),
-            ("c_nonzero", f"y{m}"),
-        )
-    )
-    for i in range(m, 0, -1):
-        steps.append(
+        ]
+    else:
+        # k unit pushoffs, then a residual (-1)-chain of length m (m = 0
+        # exactly when rp is a unit fraction).  The chain knots are the
+        # (-1)-components other than the trefoil, in creation order: the
+        # original pushoff first, then the knots appended by the conversion.
+        # Removing them last to first reduces the root to tower stage k.
+        chain_ids = [
+            c.cid for c in diagram.components if c.kind == PUSHOFF and c.coeff == _MINUS_ONE
+        ]
+        assert 1 + stage + len(chain_ids) == _root_size(rp, stage, len(diagram))
+        for i, cid in enumerate(reversed(chain_ids), start=1):
+            diagram = remove_component(diagram, cid)
+            reduced = Manifold.opaque(f"reduction stage {i} of trefoil surgery {r}")
+            path.append(ContactNode(f"y{i}", reduced, diagram))
+            path_edges.append(SurgeryEdge(f"ey{i}", f"y{i - 1}", f"y{i}", f"pushoff:{cid}"))
+        chain = build_tower_chain(stage)
+        ladder, ladder_edges = chain.nodes, chain.edges
+        rank_facts, triangles = chain.rank_facts, chain.triangles
+        bottom = path[-1].nid
+        steps = chain.steps + [
             Step(
-                "plus_one_pullback",
-                (("edge", f"ey{i}"),),
-                ("c_nonzero", f"y{i - 1}"),
+                "same_diagram",
+                (("node", bottom), ("node", chain.top())),
+                ("c_nonzero", bottom),
             )
-        )
+        ]
+        steps += [
+            Step("plus_one_pullback", (("edge", e.eid),), ("c_nonzero", e.src))
+            for e in reversed(path_edges)
+        ]
     steps.append(Step("nonzero_tight", (("node", "y0"),), ("tight", "y0")))
 
-    audit = [_h1_step(n.nid, n.diagram) for n in nodes.values() if n.diagram is not None]
-    return Certificate(
+    cert = Certificate(
         slope=r,
         conclusion=("tight", "y0"),
         engine_stage=stage,
-        nodes={nid: replace(n, diagram=None) if n.via else n for nid, n in nodes.items()},
-        edges=edges,
-        rank_facts=chain.rank_facts,
-        triangles=chain.triangles,
-        steps=tuple(audit) + tuple(steps),
+        nodes={n.nid: n for n in ladder + path},
+        edges={e.eid: e for e in ladder_edges + path_edges},
+        rank_facts=rank_facts,
+        triangles=triangles,
+        steps=tuple(steps),
     )
+    cert.steps = tuple(
+        Step("h1_consistency", (("node", nid), ("group", _group_text(h1(d)))), ("h1", nid))
+        for nid, d in node_presentations(cert).items()
+    ) + cert.steps
+    return cert
 
 
 # ---------------------------------------------------------------------------
@@ -547,17 +507,25 @@ def _check(cert: Certificate) -> VerificationResult:
 
     # The header must be bound to the content: the conclusion node carries
     # the named trefoil surgery and the canonical presentation of the slope.
+    # The slope's presentation is built only once its size, counted first,
+    # matches the root's, so that work is bounded by the certificate.
     if root.manifold != Manifold.trefoil_surgery(cert.slope):
         return _fail(None, "conclusion node does not carry the declared slope")
-    expected = normalize_diagram(trefoil_surgery_diagram(cert.slope))
-    if root.diagram is None or not diagram_iso(root.diagram, expected):
+    rp = pushoff_coeff_from_slope(cert.slope)
+    stage = _stage(rp)
+    if (
+        root.diagram is None
+        or len(root.diagram) != _root_size(rp, stage, len(root.diagram))
+        or not diagram_iso(
+            root.diagram, normalize_diagram(trefoil_surgery_diagram(cert.slope))
+        )
+    ):
         return _fail(
             None, "conclusion presentation does not match the declared slope"
         )
 
     # The slope bounds the stage, so the work below cannot grow with a
     # number the certificate merely declares.
-    stage = _stage(pushoff_coeff_from_slope(cert.slope))
     if not 0 <= cert.engine_stage <= stage:
         return _fail(
             None,

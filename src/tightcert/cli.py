@@ -25,13 +25,18 @@ from .certify import certify_tight, check_certificate
 from . import serialize
 
 
+# The map properties ``triangle`` reports, as named on TriangleSolution.
+_MAP_PROPERTIES = (
+    "f_injective", "f_surjective", "g_injective",
+    "g_surjective", "h_injective", "h_surjective",
+)
+
+
 def _emit(payload, path=None):
-    text = json.dumps(payload, indent=2, sort_keys=False) + "\n"
     if path:
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        serialize.dump_json(payload, path)
     else:
-        sys.stdout.write(text)
+        sys.stdout.write(json.dumps(payload, indent=2) + "\n")
 
 
 def _normalized_from_args(args) -> ContactDiagram:
@@ -129,28 +134,18 @@ def _cmd_triangle(args) -> int:
     a, b, c = args.solve
     sol = triangle_solve(a, b, c)
     if args.json:
-        _emit(
-            {
-                "dims": list(sol.dims),
-                "rank_f": sol.rank_f,
-                "rank_g": sol.rank_g,
-                "rank_h": sol.rank_h,
-                "f_injective": sol.f_injective,
-                "f_surjective": sol.f_surjective,
-                "g_injective": sol.g_injective,
-                "g_surjective": sol.g_surjective,
-                "h_injective": sol.h_injective,
-                "h_surjective": sol.h_surjective,
-            }
-        )
+        payload = {
+            "dims": list(sol.dims),
+            "rank_f": sol.rank_f,
+            "rank_g": sol.rank_g,
+            "rank_h": sol.rank_h,
+        }
+        payload.update((name, getattr(sol, name)) for name in _MAP_PROPERTIES)
+        _emit(payload)
         return 0
     print(f"dims ({a}, {b}, {c}): rank f = {sol.rank_f}, "
           f"rank g = {sol.rank_g}, rank h = {sol.rank_h}")
-    flags = []
-    for name in ("f_injective", "f_surjective", "g_injective",
-                 "g_surjective", "h_injective", "h_surjective"):
-        if getattr(sol, name):
-            flags.append(name.replace("_", " "))
+    flags = [name.replace("_", " ") for name in _MAP_PROPERTIES if getattr(sol, name)]
     print("; ".join(flags) if flags else "no map is injective or surjective")
     return 0
 

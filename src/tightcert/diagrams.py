@@ -414,24 +414,25 @@ def convert_negative(d, cid: str, choice=None) -> ContactDiagram:
             f"component {cid} needs a finite negative coefficient, got {comp.coeff}"
         )
     cf = neg_continued_fraction(comp.coeff)
-    counts = cf.stabilization_counts()
-    vectors = _check_choice(choice, counts, cid)
+    moves = _check_choice(choice, cf.stabilization_counts(), cid)
     cur = cid
-    for i, signs in enumerate(vectors):
+    for i, (count, shift) in enumerate(moves):
         if i:
             d, cur = contact_pushoff(d, cur)
         # All of a knot's stabilizations in one move: each lowers tb + |rot|
         # by 0 or 2, so the Bennequin check on the final values covers them.
         c = d.component(cur)
         d = _with_replaced(
-            d, replace(c, tb=c.tb - len(signs), rot=c.rot + sum(signs), coeff=_MINUS_ONE)
+            d, replace(c, tb=c.tb - count, rot=c.rot + shift, coeff=_MINUS_ONE)
         )
     return d
 
 
 def _check_choice(choice, counts, cid):
+    """(stabilization count, rotation shift) per chain knot: all negative
+    by default, else read off the given sign vectors."""
     if choice is None:
-        return [[-1] * n for n in counts]
+        return [(n, -n) for n in counts]
     vectors = [list(v) for v in choice]
     if len(vectors) != len(counts):
         raise CalculusError(
@@ -442,7 +443,7 @@ def _check_choice(choice, counts, cid):
             raise CalculusError(
                 f"component {cid}: sign vector {i} must hold {n} entries of +/-1"
             )
-    return vectors
+    return [(len(v), sum(v)) for v in vectors]
 
 
 def convert_positive(d, cid: str, k: int) -> ContactDiagram:

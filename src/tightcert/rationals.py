@@ -205,14 +205,18 @@ def neg_continued_fraction(r) -> NegContinuedFraction:
     r = coeff(r)
     if r.is_infinite or r >= 0:
         raise CalculusError(f"negative continued fraction needs r < 0, got {r}")
+    return NegContinuedFraction(tuple(neg_cf_terms(r)))
+
+
+def neg_cf_terms(r: SurgeryCoeff):
+    """The terms a_1, a_2, ... of the negative continued fraction of a
+    finite r < 0, one at a time, so a caller may stop early."""
     p, q = r.num, r.den
-    out = []
     while q > 1:
         a = p // q
-        out.append(a)
+        yield a
         p, q = -q, p - a * q
-    out.append(p)
-    return NegContinuedFraction(tuple(out))
+    yield p
 
 
 def eval_continued_fraction(coeffs) -> SurgeryCoeff:

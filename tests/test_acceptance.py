@@ -331,6 +331,23 @@ _MUTATIONS += [
 ]
 
 
+# Relabelled to a slope whose presentation is huge (a 10^6-knot chain, a
+# 10^6-stage tower): rejected on the root's size, before it is built.
+
+
+def _relabel(slope):
+    def mutate(data):
+        data["slope"] = slope
+        root = _node(data, data["conclusion"][1])
+        root["manifold"] = Manifold.trefoil_surgery(SurgeryCoeff.parse(slope)).text()
+        return True
+
+    return mutate
+
+
+_MUTATIONS += [_relabel("-1/1000000"), _relabel("1000001/1000000")]
+
+
 def test_criterion_3_certificates():
     slopes = sorted(
         {Fraction(p, q) for p in range(-10, 11) for q in range(1, 11)} - {Fraction(1)}

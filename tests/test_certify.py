@@ -7,6 +7,7 @@ acceptance checks.
 
 from __future__ import annotations
 
+import time
 from dataclasses import replace
 
 import pytest
@@ -191,6 +192,34 @@ def test_reject_witness_retarget():
             step = cert.steps[result.step]
             assert step.rule == "h1_consistency" and step.ref("node") == "v2"
             assert "h1" in result.reason
+
+
+@pytest.mark.parametrize("slope", ["0", "-5/3", "17/16", "5/2", "13/8"])
+def test_emitted_nodes_inline_or_derived_and_audited_in_order(slope):
+    # Stein (0, -5/3), unit-fraction (17/16) and general positive branches.
+    cert = certify_tight(SurgeryCoeff.parse(slope))
+    for n in cert.nodes.values():
+        assert (n.diagram is None) != (n.via is None), n.nid
+    audit = cert.steps[: len(cert.nodes)]
+    assert [s.rule for s in audit] == ["h1_consistency"] * len(cert.nodes)
+    assert [s.ref("node") for s in audit] == list(cert.nodes)
+    assert cert.steps[len(cert.nodes)].rule != "h1_consistency"
+
+
+@pytest.mark.parametrize("slope", ["-1/1000000", "1000001/1000000", "-1/1000000000"])
+def test_relabelled_huge_slope_rejected_quickly(slope):
+    # The declared slope's presentation would have 10^6 or more components;
+    # its size is counted against the 5/2 root before anything is built.
+    cert = fresh(certify_tight(SurgeryCoeff(5, 2)))
+    cert.slope = SurgeryCoeff.parse(slope)
+    cert.nodes["y0"] = replace(
+        cert.nodes["y0"], manifold=Manifold.trefoil_surgery(cert.slope)
+    )
+    start = time.perf_counter()
+    result = check_certificate(cert)
+    assert time.perf_counter() - start < 1.0
+    assert not result.ok
+    assert result.reason == "conclusion presentation does not match the declared slope"
 
 
 def test_derived_nodes_are_tower_stages():

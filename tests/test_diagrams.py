@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import json
 import random
+import tracemalloc
 from fractions import Fraction
 from itertools import product
 
@@ -257,6 +258,23 @@ def test_convert_negative_respects_choice():
     assert [c.rot for c in out2.components] == [-1, 0]
     assert not diagram_iso(out, out2)
     assert linking_matrix(out) == linking_matrix(out2)
+
+
+def test_normalize_huge_negative_slope_in_constant_memory():
+    # Slope -10^9 leaves a residual of -(10^9 + 1): one chain knot with
+    # 10^9 stabilizations, applied as a count, never as a sign vector.
+    tracemalloc.start()
+    try:
+        d = normalize_diagram(trefoil_surgery_diagram(SurgeryCoeff(-10**9)))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+    assert [(c.cid, c.tb, c.rot, str(c.coeff)) for c in d.components] == [
+        ("c1", 1, 0, "-1"),
+        ("c2", 1 - 10**9, -(10**9), "-1"),
+        ("c3", 1, 0, "1"),
+    ]
 
 
 def test_convert_negative_choice_validation():
