@@ -5,15 +5,15 @@ contact surgery presentations (nodes) and single (+1)-surgery moves between
 them (edges).  Every datum a rule consumes is recorded in the certificate,
 and ``check_certificate`` re-derives each one — homology orders by Smith
 normal form, rank facts by re-running the propagation engine, injectivity
-by re-solving the cited triangle, surgery edges by cancellation and exact
-diagram isomorphism — so a verifier needs no trust in the emitter.
+by re-solving the cited triangle, surgery edges by building the node each
+one derives — so a verifier needs no trust in the emitter.
 
 A node either carries its presentation inline or is *derived*: its ``via``
 names the edge whose (+1)-surgery on the source presentation builds it.
-Emitter and verifier build every derived node with ``node_presentations``,
-and for the verifier that construction is the check of its edge.  The tower
-ladder (``eta`` and the stages after the first) is derived; the root, the
-empty presentation, stage 1 and the reduction path are inline.
+Emitter and verifier build every derived node with ``node_presentations``;
+for the verifier that construction is the check of its edge, so every edge
+derives exactly one node.  Only the root, the empty presentation and stage
+1 are inline; the tower ladder and the reduction path are derived.
 
 The rule set is the table ``RULES``: for each rule, its statement, the
 kinds of the references a step citing it carries, and the checker that
@@ -43,7 +43,6 @@ from .diagrams import (
     empty_diagram,
     normalize_diagram,
     plus_one_surgery,
-    remove_component,
     tower_diagram,
     trefoil_surgery_diagram,
 )
@@ -238,9 +237,8 @@ class ContactNode:
 class SurgeryEdge:
     """A single contact (+1)-surgery from node ``src`` to node ``dst``.
 
-    ``witness`` names the surgered knot: "pushoff:<cid>" for a fresh
-    contact pushoff of component cid of the source diagram, or "unknot"
-    for a fresh standard (tb -1, rot 0) Legendrian unknot.
+    ``witness`` names the surgered knot, "unknot", "pushoff:<cid>" or
+    "cancel:<cid>", as ``diagrams.plus_one_surgery`` reads it.
     """
 
     eid: str
@@ -430,16 +428,15 @@ def certify_tight(r) -> Certificate:
         # exactly when rp is a unit fraction).  The chain knots are the
         # (-1)-components other than the trefoil, in creation order: the
         # original pushoff first, then the knots appended by the conversion.
-        # Removing them last to first reduces the root to tower stage k.
+        # Cancelling them last to first reduces the root to tower stage k.
         chain_ids = [
             c.cid for c in diagram.components if c.kind == PUSHOFF and c.coeff == _MINUS_ONE
         ]
         assert 1 + stage + len(chain_ids) == _root_size(rp, stage, len(diagram))
         for i, cid in enumerate(reversed(chain_ids), start=1):
-            diagram = remove_component(diagram, cid)
             reduced = Manifold.opaque(f"reduction stage {i} of trefoil surgery {r}")
-            path.append(ContactNode(f"y{i}", reduced, diagram))
-            path_edges.append(SurgeryEdge(f"ey{i}", f"y{i - 1}", f"y{i}", f"pushoff:{cid}"))
+            path.append(ContactNode(f"y{i}", reduced, via=f"ey{i}"))
+            path_edges.append(SurgeryEdge(f"ey{i}", f"y{i - 1}", f"y{i}", f"cancel:{cid}"))
         chain = build_tower_chain(stage)
         ladder, ladder_edges = chain.nodes, chain.edges
         rank_facts, triangles = chain.rank_facts, chain.triangles
@@ -483,10 +480,10 @@ def check_certificate(cert: Certificate) -> VerificationResult:
     """Re-derive every claim in a certificate; reports the first failure.
 
     Structural checks first (slope binding, the stage bound the slope
-    sets, known triangle instances, engine-verified rank facts, the
-    construction of every derived node, validity of every other recorded
-    edge), then the steps in order under the premise discipline, then the
-    final conclusion.
+    sets, known triangle instances, engine-verified rank facts, the bound
+    on derived nodes the slope and the root set, the construction of every
+    derived node, every edge deriving one), then the steps in order under
+    the premise discipline, then the final conclusion.
     """
     try:
         return _check(cert)
@@ -555,24 +552,32 @@ def _check(cert: Certificate) -> VerificationResult:
                     f"rank fact {text} = {value} is not engine-verified (engine: {got})",
                 )
 
+    # At most one derived node for eta, each ladder stage and each chain
+    # knot of the root, counted before any is built.
+    chain = len(root.diagram) - 1 - stage
+    limit = cert.engine_stage + 1 + chain
+    derived = sum(n.via is not None for n in cert.nodes.values())
+    if derived > limit:
+        return _fail(None, f"{derived} derived nodes, engine stage {cert.engine_stage} "
+                     f"and {chain} chain knots allow at most {limit}")
+
     # Build every derived node; from here on each node carries the
     # presentation the verifier holds for it.
     try:
         built = node_presentations(cert)
     except CalculusError as exc:
         return _fail(None, str(exc))
-    derived = {n.via for n in cert.nodes.values() if n.via is not None}
     cert = replace(
         cert,
         nodes={nid: replace(n, diagram=built[nid]) for nid, n in cert.nodes.items()},
     )
 
-    # Every other recorded edge must be a valid single (+1)-surgery; an
-    # edge that derives a node was checked by building that node.
+    # Building the node an edge derives is the only check of that edge, so
+    # an edge that derives none could justify a step unchecked.
+    named = {n.via for n in cert.nodes.values()}
     for eid in cert.edges:
-        problem = None if eid in derived else _edge_problem(cert, eid)
-        if problem:
-            return _fail(None, f"edge {eid}: {problem}")
+        if eid not in named:
+            return _fail(None, f"edge {eid} derives no node")
 
     # Replay the steps.
     have: set[tuple[str, str]] = set()
@@ -592,17 +597,10 @@ def node_presentations(cert: Certificate) -> dict[str, ContactDiagram | None]:
     a derived node the (+1)-surgery its ``via`` edge records, performed on
     the presentation of the edge's source.
 
-    The source must be declared before the node.  A derived node may not
-    also carry a diagram, and there may be at most ``engine_stage + 1`` of
-    them (eta and one per ladder stage), so the work is bounded by the
-    slope.  Raises CalculusError naming the first node that breaks a rule.
+    The source must be declared before the node, and a derived node may
+    not also carry a diagram.  Raises CalculusError naming the first node
+    that breaks a rule.
     """
-    derived = [n for n in cert.nodes.values() if n.via is not None]
-    if len(derived) > cert.engine_stage + 1:
-        raise CalculusError(
-            f"{len(derived)} derived nodes, engine stage "
-            f"{cert.engine_stage} allows at most {cert.engine_stage + 1}"
-        )
     built: dict[str, ContactDiagram | None] = {}
     for n in cert.nodes.values():
         if n.via is None:
@@ -628,19 +626,6 @@ def node_presentations(cert: Certificate) -> dict[str, ContactDiagram | None]:
                 problem = str(exc)
         raise CalculusError(f"node {n.nid} derived via {n.via!r}: {problem}")
     return built
-
-
-def _edge_problem(cert, eid):
-    edge = cert.edges[eid]
-    try:
-        src = _presentation(_entry(cert.nodes, "node", edge.src))
-        dst = _presentation(_entry(cert.nodes, "node", edge.dst))
-        d = plus_one_surgery(src, edge.witness)
-    except CalculusError as exc:
-        return str(exc)
-    if not diagram_iso(cancel_pushoff_pairs(d), cancel_pushoff_pairs(dst)):
-        return "surgered source does not cancel to the target presentation"
-    return None
 
 
 def _check_step(cert, step, have):

@@ -333,12 +333,19 @@ def contact_pushoff(d, cid: str):
 
 def plus_one_surgery(d, witness: str) -> ContactDiagram:
     """Contact (+1)-surgery on the fresh knot named by ``witness``:
-    "unknot" for a standard (tb -1, rot 0) Legendrian unknot, or
-    "pushoff:<cid>" for a contact pushoff of component cid."""
+    "unknot" for a standard (tb -1, rot 0) Legendrian unknot,
+    "pushoff:<cid>" for a contact pushoff of component cid, or
+    "cancel:<cid>" for a pushoff of the (-1)-component cid, which then
+    cancels against it (Ding-Geiges-Stipsicz), leaving d without cid."""
     if witness == "unknot":
         d, wid = add_unknot(d)
     elif witness.startswith("pushoff:"):
         d, wid = contact_pushoff(d, witness[len("pushoff:"):])
+    elif witness.startswith("cancel:"):
+        k = d.component(witness[len("cancel:"):])
+        if k.coeff != _MINUS_ONE:
+            raise CalculusError(f"component {k.cid} carries {k.coeff}, not -1")
+        return remove_component(d, k.cid)
     else:
         raise CalculusError(f"unknown witness {witness!r}")
     return set_coeff(d, wid, _PLUS_ONE)
@@ -605,7 +612,9 @@ def trefoil_surgery_diagram(r) -> ContactDiagram:
 
 def diagram_iso(a: ContactDiagram, b: ContactDiagram) -> bool:
     """Exact isomorphism: a component bijection preserving kind, smooth
-    type, tb, rot, coefficient, parent relations and all linking numbers."""
+    type, tb, rot, coefficient, parent relations and all linking numbers.
+    Worst-case exponential; the verifier still runs it on presentations a
+    certificate supplies (root check, ``same_diagram``, ``cancel_equivalent``)."""
     if len(a) != len(b):
         return False
     par_a, par_b = _parents(a), _parents(b)
@@ -615,7 +624,10 @@ def diagram_iso(a: ContactDiagram, b: ContactDiagram) -> bool:
     sig_b = [_iso_signature(*x) for x in zip(b.components, rows_b, kids_b)]
     if sorted(sig_a) != sorted(sig_b):
         return False
-    candidates = [[y for y, s in enumerate(sig_b) if s == sx] for sx in sig_a]
+    positions = {}
+    for y, s in enumerate(sig_b):
+        positions.setdefault(s, []).append(y)
+    candidates = [positions[s] for s in sig_a]
     return _match(rows_a, rows_b, par_a, par_b, kids_a, candidates, [], set())
 
 

@@ -13,12 +13,13 @@ matching ``*_from_dict``):
 * rank table: {"facts": [{"manifold", "rank"} or {"manifold", "lo", "hi"}]}
   with "hi" null when unbounded.
 * triangles: [{"a", "b", "c", "provenance", "informational"}].
-* certificate: {"format": "tightness-certificate", "version": 2, "slope",
+* certificate: {"format": "tightness-certificate", "version": 3, "slope",
   "conclusion": [kind, node], "engine_stage", "nodes", "edges",
   "rank_facts", "triangles", "steps"}.  A node is {"id", "manifold",
   "diagram"}, or, when derived, {"id", "manifold", "diagram": null,
   "via": <edge id>}: the verifier builds its presentation by the (+1)-surgery
-  that edge records.  Version 1, which inlined every diagram, is refused.
+  that edge records; every edge derives exactly one node.  Versions 1 and
+  2, which inlined every diagram or the reduction path, are refused.
 
 ``load_json`` attaches file/line/column positions to malformed input;
 structural errors carry a JSON-path-style location instead.
@@ -42,7 +43,7 @@ from .floer import Interval, RankDb, TriangleInstance
 from .certify import Certificate, ContactNode, Step, SurgeryEdge
 
 CERTIFICATE_FORMAT = "tightness-certificate"
-FORMAT_VERSION = 2
+FORMAT_VERSION = 3
 
 
 def load_json(path: str):

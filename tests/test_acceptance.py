@@ -331,6 +331,67 @@ _MUTATIONS += [
 ]
 
 
+# The reduction path: each node yi is derived by "cancel:<cid>", a (+1)-surgery
+# on a pushoff of the (-1)-knot cid that then cancels against it.
+
+
+def _path_edges(data):
+    return [e for e in data["edges"] if e["witness"].startswith("cancel:")]
+
+
+def _mut_cancel_plus_one_knot(data):
+    root = _node(data, data["conclusion"][1])["diagram"]
+    plus = [c["id"] for c in root["components"] if c["coeff"] == "1"]
+    path = _path_edges(data)
+    if not path or not plus:
+        return False
+    path[0]["witness"] = f"cancel:{plus[0]}"
+    return True
+
+
+def _mut_cancel_missing_knot(data):
+    path = _path_edges(data)
+    if not path:
+        return False
+    path[-1]["witness"] = "cancel:ghost"
+    return True
+
+
+def _mut_pullback_by_extra_edge(data):
+    # An edge that derives no node, from the root to the first node with a
+    # nonzero class, cited to give the root its nonzero class.
+    target = next(
+        s["gives"][1] for s in data["steps"] if s["gives"][0] == "c_nonzero"
+    )
+    root = data["conclusion"][1]
+    data["edges"].append({"id": "e_extra", "src": root, "dst": target, "witness": "unknot"})
+    data["steps"].insert(-1, {
+        "rule": "plus_one_pullback",
+        "refs": [["edge", "e_extra"]],
+        "gives": ["c_nonzero", root],
+    })
+    return True
+
+
+def _mut_path_inline_diagram(data):
+    # The first path node carries, beside its via, the very diagram built.
+    path = _path_edges(data)
+    if not path:
+        return False
+    node = _node(data, path[0]["dst"])
+    built = node_presentations(certificate_from_dict(data))
+    node["diagram"] = diagram_to_dict(built[node["id"]])
+    return True
+
+
+_MUTATIONS += [
+    _mut_cancel_plus_one_knot,
+    _mut_cancel_missing_knot,
+    _mut_pullback_by_extra_edge,
+    _mut_path_inline_diagram,
+]
+
+
 # Relabelled to a slope whose presentation is huge (a 10^6-knot chain, a
 # 10^6-stage tower): rejected on the root's size, before it is built.
 

@@ -25,7 +25,13 @@ from tightcert.certify import (
     node_presentations,
     rules,
 )
-from tightcert.diagrams import ContactDiagram, set_coeff, stabilize, tower_diagram
+from tightcert.diagrams import (
+    ContactDiagram,
+    diagram_iso,
+    set_coeff,
+    stabilize,
+    tower_diagram,
+)
 from tightcert.errors import CalculusError, ExcludedSlopeError
 from tightcert.rationals import SurgeryCoeff
 from tightcert.serialize import certificate_from_dict, certificate_to_dict
@@ -178,20 +184,17 @@ def test_reject_edge_reversal():
 
 
 def test_reject_witness_retarget():
-    # ey1 is checked by surgery and cancellation.  ev1 derives v2, so a
-    # retargeted witness builds another v2, whose h1 audit then fails.
-    for eid in ("ey1", "ev1"):
+    # Every edge derives its target, so a retargeted witness builds another
+    # target, whose h1 audit then fails.
+    for eid, nid in (("ey1", "y1"), ("ev1", "v2")):
         cert = fresh(certify_tight(SurgeryCoeff(5, 2)))
         edge = cert.edges[eid]
         cert.edges[eid] = SurgeryEdge(edge.eid, edge.src, edge.dst, "unknot")
         result = check_certificate(cert)
         assert not result.ok
-        if eid == "ey1":
-            assert "cancel" in result.reason
-        else:
-            step = cert.steps[result.step]
-            assert step.rule == "h1_consistency" and step.ref("node") == "v2"
-            assert "h1" in result.reason
+        step = cert.steps[result.step]
+        assert step.rule == "h1_consistency" and step.ref("node") == nid
+        assert "h1" in result.reason
 
 
 @pytest.mark.parametrize("slope", ["0", "-5/3", "17/16", "5/2", "13/8"])
@@ -223,14 +226,17 @@ def test_relabelled_huge_slope_rejected_quickly(slope):
 
 
 def test_derived_nodes_are_tower_stages():
+    # 5/2 needs stage 2 and one reduction step, which ends at stage 2.
     cert = certify_tight(SurgeryCoeff(5, 2))
     derived = {n.nid: n.via for n in cert.nodes.values() if n.via is not None}
-    assert derived == {"eta": "e_eta", "v2": "ev1", "v3": "ev2"}
+    assert derived == {"eta": "e_eta", "v2": "ev1", "v3": "ev2", "y1": "ey1"}
     assert all(cert.nodes[nid].diagram is None for nid in derived)
     built = node_presentations(cert)
     for k in (1, 2, 3):
         assert built[f"v{k}"] == tower_diagram(k)
     assert built["y0"] is cert.nodes["y0"].diagram
+    assert cert.edges["ey1"].witness.startswith("cancel:")
+    assert diagram_iso(built["y1"], tower_diagram(2))
 
 
 def _set_via(cert, nid, eid):
@@ -255,6 +261,24 @@ def _demote_to_stage_0(cert):
     cert.engine_stage, cert.triangles, cert.rank_facts = 0, (), {}
 
 
+def _cancel_witness(cert, cid):
+    e = cert.edges["ey1"]
+    cert.edges["ey1"] = SurgeryEdge(e.eid, e.src, e.dst, f"cancel:{cid}")
+
+
+def _pullback_by_extra_edge(cert):
+    # An edge y0 -> std that no node names; citing it would give y0 a
+    # nonzero class straight from the empty presentation's.
+    cert.edges["e_extra"] = SurgeryEdge("e_extra", "y0", "std", "unknot")
+    pullback = Step("plus_one_pullback", (("edge", "e_extra"),), ("c_nonzero", "y0"))
+    cert.steps = cert.steps[:-1] + (pullback,) + cert.steps[-1:]
+
+
+def _inline_y1(cert):
+    y1 = cert.nodes["y1"]
+    cert.nodes["y1"] = replace(y1, diagram=node_presentations(cert)["y1"])
+
+
 @pytest.mark.parametrize(
     "mutate, reason",
     [
@@ -264,14 +288,24 @@ def _demote_to_stage_0(cert):
         (_move_v3_first, "source 'v2' of edge ev2 has no presentation declared before"),
         (_reroute_ev2_from_v3, "source 'v3' of edge ev2 has no presentation"),
         (_inline_v3, "also carries an inline presentation"),
-        (_demote_to_stage_0, "3 derived nodes, engine stage 0 allows at most 1"),
+        (
+            _demote_to_stage_0,
+            "4 derived nodes, engine stage 0 and 1 chain knots allow at most 2",
+        ),
+        (lambda c: _cancel_witness(c, "c3"), "component c3 carries 1, not -1"),
+        (lambda c: _cancel_witness(c, "c9"), "no component 'c9' in diagram"),
+        (_pullback_by_extra_edge, "edge e_extra derives no node"),
+        (_inline_y1, "node y1 derived via 'ey1': it also carries an inline"),
     ],
-    ids=["missing", "path_edge", "shared_edge", "later", "itself", "inline", "bound"],
+    ids=[
+        "missing", "path_edge", "shared_edge", "later", "itself", "inline", "bound",
+        "cancel_plus_one", "cancel_missing", "unnamed_edge", "path_inline",
+    ],
 )
 def test_reject_via_misuse(mutate, reason, monkeypatch):
     cert = fresh(certify_tight(SurgeryCoeff(5, 2)))
     mutate(cert)
-    if reason.endswith("at most 1"):
+    if reason.endswith("at most 2"):
         # The bound is checked before any derived node is built.
         monkeypatch.setattr(certify, "plus_one_surgery", None)
     result = check_certificate(cert)

@@ -1,4 +1,4 @@
-"""Fuzzing the verifier with mutated version-2 certificates.
+"""Fuzzing the verifier with mutated version-3 certificates.
 
 Whatever a certificate file holds, ``certificate_from_dict`` followed by
 ``check_certificate`` either raises ``ParseError`` or returns a verdict,
@@ -38,9 +38,10 @@ IDS = st.sampled_from(
 TEXTS = st.sampled_from(
     ["0", "-1", "01", "+1", "99", "inf", "1/0", "0/0", "-7/5", "tower(2)",
      "-tower(0)", "s3", "s1xs2", "lens(4,2)", "trefoil(5/2)", "opaque:x",
-     "pushoff:c1", "pushoff:ghost", "unknot", "rhtrefoil", "node", "edge",
-     "triangle", "group", "tight", "c_nonzero", "0:2", "1:", "same_diagram",
-     "cancel_equivalent", "plus_one_pushforward", "h1_consistency"]
+     "pushoff:c1", "pushoff:ghost", "cancel:c1", "cancel:c3", "cancel:ghost",
+     "unknot", "rhtrefoil", "node", "edge", "triangle", "group", "tight",
+     "c_nonzero", "0:2", "1:", "same_diagram", "cancel_equivalent",
+     "plus_one_pushforward", "h1_consistency"]
 )
 SCALARS = st.one_of(st.none(), st.booleans(), st.integers(-6, 6), IDS, TEXTS)
 KEYS = st.sampled_from(

@@ -130,15 +130,24 @@ def test_diagram_from_dict_rejects():
         assert err6.value.location == f"diagram.linkings[{len(good['linkings'])}]"
 
 
-def expand_to_v1(payload):
+def expand_to_v1(payload, version=1):
     """The version-1 form of a certificate payload: every derived node gets
     the JSON form of the presentation the verifier builds for it, in place
-    of its ``via``."""
+    of its ``via``, and each "cancel:<cid>" witness is written as the
+    "pushoff:<cid>" surgery it starts with.  With ``version=2``, the
+    version-2 form: only the nodes derived by a "cancel:" edge, the
+    reduction path, are inlined."""
     built = node_presentations(certificate_from_dict(payload))
     out = copy.deepcopy(payload)
-    out["version"] = 1
+    out["version"] = version
+    cancels = set()
+    for edge in out["edges"]:
+        if edge["witness"].startswith("cancel:"):
+            edge["witness"] = "pushoff:" + edge["witness"][len("cancel:"):]
+            cancels.add(edge["id"])
     for node in out["nodes"]:
-        if node.pop("via", None) is not None:
+        if node.get("via") is not None and (version == 1 or node["via"] in cancels):
+            del node["via"]
             node["diagram"] = diagram_to_dict(built[node["id"]])
     return out
 
@@ -150,7 +159,7 @@ def _sha256_of_dump(payload, path):
 
 # Version-1 certificate bytes as ``dump_json`` writes them, every diagram
 # inline; a change of representation or of move order inside the package
-# must leave every one unchanged.  Version-2 certificates are compared
+# must leave every one unchanged.  Current certificates are compared
 # after ``expand_to_v1``.
 GOLDEN_SHA256 = {
     "5/2": "1444d7cecfc9fbe60d27a8ff6449eb714dc7ad05e6b54d51ebb700351220cffa",
@@ -164,7 +173,9 @@ GOLDEN_SHA256 = {
 }
 
 
-# Version-2 certificate bytes, derived ladder nodes by ``via``.
+# Version-2 certificate bytes, derived ladder nodes by ``via`` and the
+# reduction path inline; current certificates are compared after
+# ``expand_to_v1(payload, version=2)``.
 GOLDEN_V2_SHA256 = {
     "5/2": "c33fcc06d7e81a77800af060f11a40c55e03644f7a8cf43b8b01e329a2a8da86",
     "17/16": "3ad7477f6b6509a049cfeb7f41204772c8f24a00201b08d81e5d46b358166f1b",
@@ -174,6 +185,20 @@ GOLDEN_V2_SHA256 = {
     "-1/20": "6ca0106ca86cf21bbe8535c9d0844ba85684374b285ca6a57b2dd5a37338d1fe",
     "-4000": "5798bdf6edbe8029d4530ab4c77667be87ca2b03072f16efd82a8d6c4ca1fffc",
     "233/144": "01948eb2c612452a0e7a92aac6018f8dd7721969a579606658f04d30d1cc7666",
+}
+
+
+# Version-3 certificate bytes as emitted: the ladder and the reduction path
+# derived by ``via``.
+GOLDEN_V3_SHA256 = {
+    "5/2": "63deab9d265bbfb73d2acc2ef645b6dd15c0b09a268094b9fb4854fe62e289ca",
+    "17/16": "593c7c934dd3573475a52a10a6e9602fe5b86fded1a0d814d79a635803066e8a",
+    "-7/2": "80e525e94b211f69599b3ca31788454131b44f183b70d32c9eed651d93fd7688",
+    "13/8": "66b8af997596b4e4c3de3482fb28b11156ce22c9d0058aaa31c7063bb5614ac6",
+    "0": "0e3eca4f9257d2807437d2491377773b3c103cc730144b08f6479796c7bd5f78",
+    "-1/20": "1a7ac69d71d5746e8860b4c6ee2ba65ca79f3d87ffb90d44cac429838b2cff26",
+    "-4000": "10fe996a890cdb9b77c184037ffe5d887be917898393c5e37fda6f36fa50fc10",
+    "233/144": "38102354b2e89b0c20c48ebd3ca55303e9dbdf31ac27628a46a43468a6ba103f",
 }
 
 
@@ -187,8 +212,15 @@ def test_certificate_golden_bytes(slope, tmp_path):
 @pytest.mark.parametrize("slope", sorted(GOLDEN_V2_SHA256))
 def test_certificate_v2_golden_bytes(slope, tmp_path):
     payload = certificate_to_dict(certify_tight(SurgeryCoeff.parse(slope)))
-    assert payload["version"] == FORMAT_VERSION == 2
-    assert _sha256_of_dump(payload, tmp_path / "cert.json") == GOLDEN_V2_SHA256[slope]
+    expanded = expand_to_v1(payload, version=2)
+    assert _sha256_of_dump(expanded, tmp_path / "cert.json") == GOLDEN_V2_SHA256[slope]
+
+
+@pytest.mark.parametrize("slope", sorted(GOLDEN_V3_SHA256))
+def test_certificate_v3_golden_bytes(slope, tmp_path):
+    payload = certificate_to_dict(certify_tight(SurgeryCoeff.parse(slope)))
+    assert payload["version"] == FORMAT_VERSION == 3
+    assert _sha256_of_dump(payload, tmp_path / "cert.json") == GOLDEN_V3_SHA256[slope]
 
 
 # ---------------------------------------------------------------------------
@@ -279,6 +311,13 @@ def test_certificate_version_1_refused():
     with pytest.raises(ParseError) as err:
         certificate_from_dict(payload)
     assert "unsupported certificate version 1" in str(err.value)
+
+
+def test_certificate_version_2_refused():
+    data = certificate_to_dict(certify_tight(SurgeryCoeff(5, 2)))
+    with pytest.raises(ParseError) as err:
+        certificate_from_dict(expand_to_v1(data, version=2))
+    assert err.value.location == "certificate.version"
 
 
 def test_certificate_derived_node_form():
