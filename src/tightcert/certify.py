@@ -8,12 +8,13 @@ normal form, rank facts by re-running the propagation engine, injectivity
 by re-solving the cited triangle, surgery edges by building the node each
 one derives — so a verifier needs no trust in the emitter.
 
-A node either carries its presentation inline or is *derived*: its ``via``
-names the edge whose (+1)-surgery on the source presentation builds it.
-Emitter and verifier build every derived node with ``node_presentations``;
-for the verifier that construction is the check of its edge, so every edge
-derives exactly one node.  Only the root, the empty presentation and stage
-1 are inline; the tower ladder and the reduction path are derived.
+A node either carries its presentation inline or is *derived*: the one
+edge into it builds its presentation by (+1)-surgery on the presentation of
+the edge's source.  Emitter and verifier build every derived node with
+``node_presentations``, which walks the edges in order; for the verifier
+that construction is the check of each edge, so every edge builds exactly
+one node.  Only the root, the empty presentation and stage 1 are inline;
+the tower ladder and the reduction path are derived.
 
 The rule set is the table ``RULES``: for each rule, its statement, the
 kinds of the references a step citing it carries, and the checker that
@@ -223,14 +224,12 @@ def rules() -> dict[str, str]:
 @dataclass(frozen=True)
 class ContactNode:
     """A contact structure under discussion: an id, the manifold it lives
-    on, and exactly one of an inline surgery presentation of it or, in
-    ``via``, the id of the edge whose (+1)-surgery builds that presentation
-    (see ``node_presentations``)."""
+    on, and an inline surgery presentation of it, or None when the one edge
+    into the node builds that presentation (see ``node_presentations``)."""
 
     nid: str
     manifold: Manifold
     diagram: ContactDiagram | None = None
-    via: str | None = None
 
 
 @dataclass(frozen=True)
@@ -338,8 +337,8 @@ def build_tower_chain(max_stage: int) -> TowerChain:
     ranks.  The circle-bundle edge from the empty presentation is included
     and checked as well: it is the template the stage maps follow.  Only
     the empty presentation and stage 1 are inline; eta and every later
-    stage are declared derived via their edge and built, by emitter and
-    verifier alike, in ``node_presentations``.
+    stage are built from the edge into them, by emitter and verifier
+    alike, in ``node_presentations``.
     """
     if not isinstance(max_stage, int) or max_stage < 1:
         raise CalculusError(f"tower depth must be a positive integer, got {max_stage!r}")
@@ -357,13 +356,13 @@ def build_tower_chain(max_stage: int) -> TowerChain:
 
     nodes = [
         ContactNode("std", Manifold.s3(), empty_diagram()),
-        ContactNode("eta", Manifold.s1xs2(), via="e_eta"),
+        ContactNode("eta", Manifold.s1xs2()),
         ContactNode("v1", Manifold.tower(1), tower_diagram(1)),
     ]
     edges = [SurgeryEdge("e_eta", "std", "eta", "unknot")]
     for k in range(1, max_stage + 1):
         edges.append(SurgeryEdge(f"ev{k}", f"v{k}", f"v{k + 1}", "pushoff:c1"))
-        nodes.append(ContactNode(f"v{k + 1}", Manifold.tower(k + 1), via=f"ev{k}"))
+        nodes.append(ContactNode(f"v{k + 1}", Manifold.tower(k + 1)))
 
     steps = [
         Step("all_minus_one_stein", (("node", "std"),), ("stein", "std")),
@@ -435,7 +434,7 @@ def certify_tight(r) -> Certificate:
         assert 1 + stage + len(chain_ids) == _root_size(rp, stage, len(diagram))
         for i, cid in enumerate(reversed(chain_ids), start=1):
             reduced = Manifold.opaque(f"reduction stage {i} of trefoil surgery {r}")
-            path.append(ContactNode(f"y{i}", reduced, via=f"ey{i}"))
+            path.append(ContactNode(f"y{i}", reduced))
             path_edges.append(SurgeryEdge(f"ey{i}", f"y{i - 1}", f"y{i}", f"cancel:{cid}"))
         chain = build_tower_chain(stage)
         ladder, ladder_edges = chain.nodes, chain.edges
@@ -481,9 +480,9 @@ def check_certificate(cert: Certificate) -> VerificationResult:
 
     Structural checks first (slope binding, the stage bound the slope
     sets, known triangle instances, engine-verified rank facts, the bound
-    on derived nodes the slope and the root set, the construction of every
-    derived node, every edge deriving one), then the steps in order under
-    the premise discipline, then the final conclusion.
+    on edges the slope and the root set, every edge building its target
+    node), then the steps in order under the premise discipline, then the
+    final conclusion.
     """
     try:
         return _check(cert)
@@ -503,9 +502,10 @@ def _check(cert: Certificate) -> VerificationResult:
         return _fail(None, f"conclusion names unknown node {cert.conclusion[1]!r}")
 
     # The header must be bound to the content: the conclusion node carries
-    # the named trefoil surgery and the canonical presentation of the slope.
-    # The slope's presentation is built only once its size, counted first,
-    # matches the root's, so that work is bounded by the certificate.
+    # the named trefoil surgery and the verifier's own canonical presentation
+    # of the slope, ids and order included.  That presentation is built only
+    # once its size, counted first, matches the root's, so that work is
+    # bounded by the certificate.
     if root.manifold != Manifold.trefoil_surgery(cert.slope):
         return _fail(None, "conclusion node does not carry the declared slope")
     rp = pushoff_coeff_from_slope(cert.slope)
@@ -513,9 +513,7 @@ def _check(cert: Certificate) -> VerificationResult:
     if (
         root.diagram is None
         or len(root.diagram) != _root_size(rp, stage, len(root.diagram))
-        or not diagram_iso(
-            root.diagram, normalize_diagram(trefoil_surgery_diagram(cert.slope))
-        )
+        or root.diagram != normalize_diagram(trefoil_surgery_diagram(cert.slope))
     ):
         return _fail(
             None, "conclusion presentation does not match the declared slope"
@@ -552,17 +550,16 @@ def _check(cert: Certificate) -> VerificationResult:
                     f"rank fact {text} = {value} is not engine-verified (engine: {got})",
                 )
 
-    # At most one derived node for eta, each ladder stage and each chain
-    # knot of the root, counted before any is built.
+    # At most one edge for eta, each ladder stage and each chain knot of
+    # the root, counted before any node is built.
     chain = len(root.diagram) - 1 - stage
     limit = cert.engine_stage + 1 + chain
-    derived = sum(n.via is not None for n in cert.nodes.values())
-    if derived > limit:
-        return _fail(None, f"{derived} derived nodes, engine stage {cert.engine_stage} "
+    if len(cert.edges) > limit:
+        return _fail(None, f"{len(cert.edges)} edges, engine stage {cert.engine_stage} "
                      f"and {chain} chain knots allow at most {limit}")
 
-    # Build every derived node; from here on each node carries the
-    # presentation the verifier holds for it.
+    # Build every derived node, which checks every edge; from here on each
+    # node carries the presentation the verifier holds for it.
     try:
         built = node_presentations(cert)
     except CalculusError as exc:
@@ -571,13 +568,6 @@ def _check(cert: Certificate) -> VerificationResult:
         cert,
         nodes={nid: replace(n, diagram=built[nid]) for nid, n in cert.nodes.items()},
     )
-
-    # Building the node an edge derives is the only check of that edge, so
-    # an edge that derives none could justify a step unchecked.
-    named = {n.via for n in cert.nodes.values()}
-    for eid in cert.edges:
-        if eid not in named:
-            return _fail(None, f"edge {eid} derives no node")
 
     # Replay the steps.
     have: set[tuple[str, str]] = set()
@@ -594,37 +584,27 @@ def _check(cert: Certificate) -> VerificationResult:
 
 def node_presentations(cert: Certificate) -> dict[str, ContactDiagram | None]:
     """Every node's presentation, in node order: the inline diagram, or for
-    a derived node the (+1)-surgery its ``via`` edge records, performed on
+    a derived node the (+1)-surgery the edge into it records, performed on
     the presentation of the edge's source.
 
-    The source must be declared before the node, and a derived node may
-    not also carry a diagram.  Raises CalculusError naming the first node
-    that breaks a rule.
+    Edges are taken in order.  An edge's source must already have a
+    presentation, and its target must be a declared node that has none
+    yet, so every edge builds exactly one node.  Raises CalculusError
+    naming the first edge that breaks a rule.
     """
-    built: dict[str, ContactDiagram | None] = {}
-    for n in cert.nodes.values():
-        if n.via is None:
-            built[n.nid] = n.diagram
-            continue
-        edge = cert.edges.get(n.via)
-        if n.diagram is not None:
-            problem = "it also carries an inline presentation"
-        elif edge is None:
-            problem = f"edge {n.via!r} not present"
-        elif edge.dst != n.nid:
-            problem = f"edge {edge.eid} leads to {edge.dst!r}"
-        elif built.get(edge.src) is None:
-            problem = (
-                f"source {edge.src!r} of edge {edge.eid} has no presentation "
-                "declared before it"
-            )
+    built = {nid: n.diagram for nid, n in cert.nodes.items()}
+    for e in cert.edges.values():
+        if built.get(e.src) is None:
+            problem = f"source {e.src!r} has no presentation yet"
+        elif e.dst not in built or built[e.dst] is not None:
+            problem = f"target {e.dst!r} is not a declared node without a presentation"
         else:
             try:
-                built[n.nid] = plus_one_surgery(built[edge.src], edge.witness)
+                built[e.dst] = plus_one_surgery(built[e.src], e.witness)
                 continue
             except CalculusError as exc:
                 problem = str(exc)
-        raise CalculusError(f"node {n.nid} derived via {n.via!r}: {problem}")
+        raise CalculusError(f"edge {e.eid}: {problem}")
     return built
 
 

@@ -1,7 +1,9 @@
 """Command-line interface.
 
 Subcommands: convert, h1, det, count, ranks, triangle, certify, verify.
-Exit codes: 0 success, 2 domain or input error, 3 verification failure.
+Exit codes: 0 success, 2 domain or input error (including a file that is
+not readable JSON), 3 verification failure (including a JSON file that is
+not a well-formed certificate).
 All output is deterministic for a given invocation.
 """
 
@@ -11,7 +13,7 @@ import argparse
 import json
 import sys
 
-from .errors import CalculusError
+from .errors import CalculusError, ParseError
 from .rationals import SurgeryCoeff
 from .diagrams import (
     ContactDiagram,
@@ -215,7 +217,16 @@ def _read_batch(path: str) -> list[str]:
 
 
 def _cmd_verify(args) -> int:
-    cert = serialize.certificate_from_dict(serialize.load_json(args.certificate))
+    data = serialize.load_json(args.certificate)
+    try:
+        cert = serialize.certificate_from_dict(data)
+    except ParseError as exc:
+        if args.json:
+            _emit({"ok": False, "step": None,
+                   "reason": exc.reason, "location": exc.location})
+        else:
+            print(f"certificate {args.certificate}: REJECTED: {exc}")
+        return 3
     verdict = check_certificate(cert)
     if args.json:
         payload = {

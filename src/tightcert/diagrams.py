@@ -614,7 +614,7 @@ def diagram_iso(a: ContactDiagram, b: ContactDiagram) -> bool:
     """Exact isomorphism: a component bijection preserving kind, smooth
     type, tb, rot, coefficient, parent relations and all linking numbers.
     Worst-case exponential; the verifier still runs it on presentations a
-    certificate supplies (root check, ``same_diagram``, ``cancel_equivalent``)."""
+    certificate supplies (``same_diagram``, ``cancel_equivalent``)."""
     if len(a) != len(b):
         return False
     par_a, par_b = _parents(a), _parents(b)

@@ -31,11 +31,12 @@ class ParseError(CalculusError):
     """Malformed serialized input.
 
     ``location`` is a human-readable position ("file.json: line 3 column 7"
-    or a JSON path such as "components[2].coeff") when one is known.
+    or a JSON path such as "components[2].coeff") when one is known;
+    ``reason`` is the message without it.
     """
 
     def __init__(self, message: str, location: str | None = None):
-        self.location = location
+        self.location, self.reason = location, message
         if location:
             message = f"{location}: {message}"
         super().__init__(message)

@@ -61,10 +61,6 @@ class SurgeryCoeff:
     def is_infinite(self) -> bool:
         return self.den == 0
 
-    @property
-    def is_integer(self) -> bool:
-        return self.den == 1
-
     def as_fraction(self) -> Fraction:
         if self.is_infinite:
             raise CalculusError("infinite coefficient has no rational value")

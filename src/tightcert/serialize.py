@@ -13,13 +13,13 @@ matching ``*_from_dict``):
 * rank table: {"facts": [{"manifold", "rank"} or {"manifold", "lo", "hi"}]}
   with "hi" null when unbounded.
 * triangles: [{"a", "b", "c", "provenance", "informational"}].
-* certificate: {"format": "tightness-certificate", "version": 3, "slope",
+* certificate: {"format": "tightness-certificate", "version": 4, "slope",
   "conclusion": [kind, node], "engine_stage", "nodes", "edges",
   "rank_facts", "triangles", "steps"}.  A node is {"id", "manifold",
-  "diagram"}, or, when derived, {"id", "manifold", "diagram": null,
-  "via": <edge id>}: the verifier builds its presentation by the (+1)-surgery
-  that edge records; every edge derives exactly one node.  Versions 1 and
-  2, which inlined every diagram or the reduction path, are refused.
+  "diagram"}, with "diagram" null when derived: taking the edges in
+  order, each builds its target by the (+1)-surgery it records on the
+  presentation of its source.  Versions 1 to 3, which inlined every
+  diagram or the reduction path or named each node's edge, are refused.
 
 ``load_json`` attaches file/line/column positions to malformed input;
 structural errors carry a JSON-path-style location instead.
@@ -43,7 +43,7 @@ from .floer import Interval, RankDb, TriangleInstance
 from .certify import Certificate, ContactNode, Step, SurgeryEdge
 
 CERTIFICATE_FORMAT = "tightness-certificate"
-FORMAT_VERSION = 3
+FORMAT_VERSION = 4
 
 
 def load_json(path: str):
@@ -285,17 +285,6 @@ def triangles_from_list(data, where: str = "triangles") -> tuple:
 # ---------------------------------------------------------------------------
 
 
-def _node_to_dict(n: ContactNode) -> dict:
-    out = {
-        "id": n.nid,
-        "manifold": n.manifold.text(),
-        "diagram": None if n.diagram is None else diagram_to_dict(n.diagram),
-    }
-    if n.via is not None:
-        out["via"] = n.via
-    return out
-
-
 def certificate_to_dict(cert: Certificate) -> dict:
     return {
         "format": CERTIFICATE_FORMAT,
@@ -303,7 +292,14 @@ def certificate_to_dict(cert: Certificate) -> dict:
         "slope": str(cert.slope),
         "conclusion": list(cert.conclusion),
         "engine_stage": cert.engine_stage,
-        "nodes": [_node_to_dict(n) for n in cert.nodes.values()],
+        "nodes": [
+            {
+                "id": n.nid,
+                "manifold": n.manifold.text(),
+                "diagram": None if n.diagram is None else diagram_to_dict(n.diagram),
+            }
+            for n in cert.nodes.values()
+        ],
         "edges": [
             {"id": e.eid, "src": e.src, "dst": e.dst, "witness": e.witness}
             for e in cert.edges.values()
@@ -350,12 +346,9 @@ def certificate_from_dict(data: dict) -> Certificate:
         diagram = item.get("diagram")
         if diagram is not None:
             diagram = diagram_from_dict(diagram, at + ".diagram")
-        via = item.get("via")
-        if via is not None:
-            _str(via, at + ".via")
         if nid in nodes:
             raise ParseError(f"duplicate node id {nid!r}", location=at)
-        nodes[nid] = ContactNode(nid, manifold, diagram, via)
+        nodes[nid] = ContactNode(nid, manifold, diagram)
 
     edges = {}
     for i, item in enumerate(_need(data, "edges", where)):

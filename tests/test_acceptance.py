@@ -246,57 +246,60 @@ def _mut_h1_forge(data):
 _MUTATIONS.append(_mut_h1_forge)
 
 
-# Derived nodes: a node whose "via" names the edge that builds it.
+# Derived nodes: a node with no inline diagram, built by the one edge into
+# it.  Edges are taken in order; each needs a source that already has a
+# presentation and a declared target that has none yet.
 
 
 def _derived(data):
-    return [n for n in data["nodes"] if n.get("via") is not None]
+    return [n for n in data["nodes"] if n["diagram"] is None]
 
 
-def _edge(data, eid):
-    return next(e for e in data["edges"] if e["id"] == eid)
-
-
-def _mut_via_missing_edge(data):
-    derived = _derived(data)
-    if not derived:
+def _mut_edge_from_undeclared(data):
+    if not data["edges"]:
         return False
-    derived[-1]["via"] = "e_missing"
+    data["edges"][-1]["src"] = "ghost"
     return True
 
 
-def _mut_via_path_edge(data):
-    path = [e["id"] for e in data["edges"] if e["id"].startswith("ey")]
-    derived = _derived(data)
-    if not path or not derived:
+def _mut_edge_into_root(data):
+    if not data["edges"]:
         return False
-    derived[0]["via"] = path[0]
+    data["edges"][-1]["dst"] = data["conclusion"][1]
     return True
 
 
-def _mut_via_later_node(data):
-    # The last derived node moves to the front, before its edge's source.
-    derived = _derived(data)
-    if not derived:
+def _mut_edge_into_std(data):
+    if not data["edges"]:
         return False
-    data["nodes"].remove(derived[-1])
-    data["nodes"].insert(0, derived[-1])
+    data["edges"][0]["dst"] = "std"
     return True
 
 
-def _mut_via_itself(data):
-    derived = _derived(data)
-    if not derived:
+def _mut_edge_shared_target(data):
+    edges = data["edges"]
+    if len(edges) < 2:
         return False
-    _edge(data, derived[-1]["via"])["src"] = derived[-1]["id"]
+    edges[-1]["dst"] = edges[-2]["dst"]
     return True
 
 
-def _mut_via_shared_edge(data):
-    derived = _derived(data)
-    if len(derived) < 2:
+def _mut_edge_source_built_later(data):
+    # The last edge whose source another edge builds moves to the front.
+    edges = data["edges"]
+    targets = {e["dst"] for e in edges}
+    later = [e for e in edges if e["src"] in targets]
+    if not later:
         return False
-    derived[-1]["via"] = derived[-2]["via"]
+    edges.remove(later[-1])
+    edges.insert(0, later[-1])
+    return True
+
+
+def _mut_edge_from_itself(data):
+    if not data["edges"]:
+        return False
+    data["edges"][-1]["src"] = data["edges"][-1]["dst"]
     return True
 
 
@@ -311,7 +314,8 @@ def _mut_derived_inline_diagram(data):
 
 
 def _mut_stage_demote_past_derived(data):
-    # Stage 0 cites no triangles or rank facts, and allows one derived node.
+    # Stage 0 cites no triangles or rank facts, and its edge bound leaves
+    # no room for the ladder's stage edges.
     if not _derived(data):
         return False
     data["engine_stage"] = 0
@@ -321,17 +325,18 @@ def _mut_stage_demote_past_derived(data):
 
 
 _MUTATIONS += [
-    _mut_via_missing_edge,
-    _mut_via_path_edge,
-    _mut_via_later_node,
-    _mut_via_itself,
-    _mut_via_shared_edge,
+    _mut_edge_from_undeclared,
+    _mut_edge_into_root,
+    _mut_edge_into_std,
+    _mut_edge_shared_target,
+    _mut_edge_source_built_later,
+    _mut_edge_from_itself,
     _mut_derived_inline_diagram,
     _mut_stage_demote_past_derived,
 ]
 
 
-# The reduction path: each node yi is derived by "cancel:<cid>", a (+1)-surgery
+# The reduction path: each node yi is built by "cancel:<cid>", a (+1)-surgery
 # on a pushoff of the (-1)-knot cid that then cancels against it.
 
 
@@ -358,8 +363,8 @@ def _mut_cancel_missing_knot(data):
 
 
 def _mut_pullback_by_extra_edge(data):
-    # An edge that derives no node, from the root to the first node with a
-    # nonzero class, cited to give the root its nonzero class.
+    # An extra edge, from the root to the first node with a nonzero class,
+    # cited to give the root its nonzero class.
     target = next(
         s["gives"][1] for s in data["steps"] if s["gives"][0] == "c_nonzero"
     )
@@ -374,7 +379,7 @@ def _mut_pullback_by_extra_edge(data):
 
 
 def _mut_path_inline_diagram(data):
-    # The first path node carries, beside its via, the very diagram built.
+    # The first path node carries the very diagram its edge builds.
     path = _path_edges(data)
     if not path:
         return False

@@ -201,8 +201,10 @@ def test_reject_witness_retarget():
 def test_emitted_nodes_inline_or_derived_and_audited_in_order(slope):
     # Stein (0, -5/3), unit-fraction (17/16) and general positive branches.
     cert = certify_tight(SurgeryCoeff.parse(slope))
+    into = [e.dst for e in cert.edges.values()]
     for n in cert.nodes.values():
-        assert (n.diagram is None) != (n.via is None), n.nid
+        assert (n.diagram is None) == (n.nid in into), n.nid
+    assert len(set(into)) == len(into)
     audit = cert.steps[: len(cert.nodes)]
     assert [s.rule for s in audit] == ["h1_consistency"] * len(cert.nodes)
     assert [s.ref("node") for s in audit] == list(cert.nodes)
@@ -225,12 +227,40 @@ def test_relabelled_huge_slope_rejected_quickly(slope):
     assert result.reason == "conclusion presentation does not match the declared slope"
 
 
+def _rotate_root_ids(data):
+    """Rename the root's components c1 -> c2 -> ... -> c1, consistently in
+    its pushoff types, its linkings and the reduction path's witnesses."""
+    root = next(n for n in data["nodes"] if n["id"] == data["conclusion"][1])
+    ids = [c["id"] for c in root["diagram"]["components"]]
+    new = dict(zip(ids, ids[1:] + ids[:1]))
+    for c in root["diagram"]["components"]:
+        c["id"] = new[c["id"]]
+        if c["type"].startswith("pushoff:"):
+            c["type"] = "pushoff:" + new[c["type"][len("pushoff:"):]]
+    for lk in root["diagram"]["linkings"]:
+        lk[0], lk[1] = new[lk[0]], new[lk[1]]
+    for e in data["edges"]:
+        if e["witness"].startswith("cancel:"):
+            e["witness"] = "cancel:" + new[e["witness"][len("cancel:"):]]
+
+
+@pytest.mark.parametrize("slope", ["5/2", "-5/3"])
+def test_root_with_renamed_ids_rejected(slope):
+    # The renamed root is isomorphic to the slope's presentation, but the
+    # conclusion must be the verifier's own presentation, ids included.
+    data = certificate_to_dict(certify_tight(SurgeryCoeff.parse(slope)))
+    _rotate_root_ids(data)
+    result = check_certificate(certificate_from_dict(data))
+    assert not result.ok and result.step is None
+    assert result.reason == "conclusion presentation does not match the declared slope"
+
+
 def test_derived_nodes_are_tower_stages():
     # 5/2 needs stage 2 and one reduction step, which ends at stage 2.
     cert = certify_tight(SurgeryCoeff(5, 2))
-    derived = {n.nid: n.via for n in cert.nodes.values() if n.via is not None}
+    derived = {e.dst: e.eid for e in cert.edges.values()}
     assert derived == {"eta": "e_eta", "v2": "ev1", "v3": "ev2", "y1": "ey1"}
-    assert all(cert.nodes[nid].diagram is None for nid in derived)
+    assert [nid for nid, n in cert.nodes.items() if n.diagram is None] == list(derived)
     built = node_presentations(cert)
     for k in (1, 2, 3):
         assert built[f"v{k}"] == tower_diagram(k)
@@ -239,17 +269,12 @@ def test_derived_nodes_are_tower_stages():
     assert diagram_iso(built["y1"], tower_diagram(2))
 
 
-def _set_via(cert, nid, eid):
-    cert.nodes[nid] = replace(cert.nodes[nid], via=eid)
+def _set_edge(cert, eid, **fields):
+    cert.edges[eid] = replace(cert.edges[eid], **fields)
 
 
-def _move_v3_first(cert):
-    cert.nodes = {"v3": cert.nodes["v3"], **cert.nodes}
-
-
-def _reroute_ev2_from_v3(cert):
-    e = cert.edges["ev2"]
-    cert.edges["ev2"] = SurgeryEdge(e.eid, "v3", e.dst, e.witness)
+def _move_ev2_first(cert):
+    cert.edges = {"ev2": cert.edges["ev2"], **cert.edges}
 
 
 def _inline_v3(cert):
@@ -262,13 +287,14 @@ def _demote_to_stage_0(cert):
 
 
 def _cancel_witness(cert, cid):
-    e = cert.edges["ey1"]
-    cert.edges["ey1"] = SurgeryEdge(e.eid, e.src, e.dst, f"cancel:{cid}")
+    _set_edge(cert, "ey1", witness=f"cancel:{cid}")
 
 
-def _pullback_by_extra_edge(cert):
-    # An edge y0 -> std that no node names; citing it would give y0 a
-    # nonzero class straight from the empty presentation's.
+def _pullback_by_edge_into_std(cert):
+    # An edge y0 -> std in place of e_eta, so the edge count stays within
+    # the bound; citing it would give y0 a nonzero class straight from the
+    # empty presentation's.
+    del cert.edges["e_eta"]
     cert.edges["e_extra"] = SurgeryEdge("e_extra", "y0", "std", "unknot")
     pullback = Step("plus_one_pullback", (("edge", "e_extra"),), ("c_nonzero", "y0"))
     cert.steps = cert.steps[:-1] + (pullback,) + cert.steps[-1:]
@@ -279,23 +305,29 @@ def _inline_y1(cert):
     cert.nodes["y1"] = replace(y1, diagram=node_presentations(cert)["y1"])
 
 
+_TAKEN = "is not a declared node without a presentation"
+
+
+# Each edge builds the node it leads to, in edge order: its source must
+# already have a presentation and its target must be a declared node that
+# has none yet.  Every case is rejected before any step is replayed.
 @pytest.mark.parametrize(
     "mutate, reason",
     [
-        (lambda c: _set_via(c, "v3", "e_missing"), "'e_missing' not present"),
-        (lambda c: _set_via(c, "eta", "ey1"), "edge ey1 leads to 'y1'"),
-        (lambda c: _set_via(c, "v3", "ev1"), "edge ev1 leads to 'v2'"),
-        (_move_v3_first, "source 'v2' of edge ev2 has no presentation declared before"),
-        (_reroute_ev2_from_v3, "source 'v3' of edge ev2 has no presentation"),
-        (_inline_v3, "also carries an inline presentation"),
+        (lambda c: _set_edge(c, "ev2", src="ghost"), "edge ev2: source 'ghost' has no"),
+        (lambda c: _set_edge(c, "ey1", dst="y0"), f"edge ey1: target 'y0' {_TAKEN}"),
+        (lambda c: _set_edge(c, "ev2", dst="v2"), f"edge ev2: target 'v2' {_TAKEN}"),
+        (_move_ev2_first, "edge ev2: source 'v2' has no presentation yet"),
+        (lambda c: _set_edge(c, "ev2", src="v3"), "edge ev2: source 'v3' has no"),
+        (_inline_v3, f"edge ev2: target 'v3' {_TAKEN}"),
         (
             _demote_to_stage_0,
-            "4 derived nodes, engine stage 0 and 1 chain knots allow at most 2",
+            "4 edges, engine stage 0 and 1 chain knots allow at most 2",
         ),
         (lambda c: _cancel_witness(c, "c3"), "component c3 carries 1, not -1"),
         (lambda c: _cancel_witness(c, "c9"), "no component 'c9' in diagram"),
-        (_pullback_by_extra_edge, "edge e_extra derives no node"),
-        (_inline_y1, "node y1 derived via 'ey1': it also carries an inline"),
+        (_pullback_by_edge_into_std, f"edge e_extra: target 'std' {_TAKEN}"),
+        (_inline_y1, f"edge ey1: target 'y1' {_TAKEN}"),
     ],
     ids=[
         "missing", "path_edge", "shared_edge", "later", "itself", "inline", "bound",

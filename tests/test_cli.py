@@ -244,18 +244,22 @@ def test_verify_derived_node_misuse_rejected_without_traceback(edit, tmp_path, c
     path = tmp_path / "cert.json"
     run_cli(capsys, "certify", "--r", "5/2", "--emit", str(path))
     data = load_json(str(path))
-    nodes = data["nodes"]
-    i = next(i for i, n in enumerate(nodes) if n.get("via") == "ev1")
+    nodes, edges = data["nodes"], data["edges"]
+    i = next(i for i, e in enumerate(edges) if e["dst"] == "v2")
     if edit == "missing_edge":
-        nodes[i]["via"] = "e_missing"
+        del edges[i]
+        expected = "edge ev2: source 'v2' has no presentation yet"
     elif edit == "inline_diagram":
-        nodes[i]["diagram"] = nodes[i - 1]["diagram"]
+        j = next(j for j, n in enumerate(nodes) if n["id"] == "v2")
+        nodes[j]["diagram"] = nodes[j - 1]["diagram"]
+        expected = "edge ev1: target 'v2' is not a declared node without a presentation"
     else:
-        nodes.insert(0, nodes.pop(i))
+        edges.append(edges.pop(i))
+        expected = "edge ev2: source 'v2' has no presentation yet"
     dump_json(data, str(path))
     code, out, err = run_cli(capsys, "verify", str(path))
     assert code == 3 and err == ""
-    assert "REJECTED: node v2 derived via" in out
+    assert f"REJECTED: {expected}" in out
 
 
 def test_verify_malformed_file_exits_2(tmp_path, capsys):
@@ -263,6 +267,20 @@ def test_verify_malformed_file_exits_2(tmp_path, capsys):
     path.write_text("{not json")
     code, _, err = run_cli(capsys, "verify", str(path))
     assert code == 2 and "error:" in err
+
+
+def test_verify_json_that_is_no_certificate_rejected(tmp_path, capsys):
+    path = tmp_path / "bad.json"
+    path.write_text("{}")
+    code, out, err = run_cli(capsys, "verify", str(path))
+    assert code == 3 and err == ""
+    assert out == f"certificate {path}: REJECTED: certificate: missing field 'format'\n"
+    code, out, err = run_cli(capsys, "verify", str(path), "--json")
+    assert code == 3 and err == ""
+    assert json.loads(out) == {
+        "ok": False, "step": None, "reason": "missing field 'format'",
+        "location": "certificate",
+    }
 
 
 def test_certify_batch(tmp_path, capsys):

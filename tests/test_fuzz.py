@@ -1,4 +1,4 @@
-"""Fuzzing the verifier with mutated version-3 certificates.
+"""Fuzzing the verifier with mutated version-4 certificates.
 
 Whatever a certificate file holds, ``certificate_from_dict`` followed by
 ``check_certificate`` either raises ``ParseError`` or returns a verdict,
@@ -45,7 +45,7 @@ TEXTS = st.sampled_from(
 )
 SCALARS = st.one_of(st.none(), st.booleans(), st.integers(-6, 6), IDS, TEXTS)
 KEYS = st.sampled_from(
-    ["id", "via", "diagram", "manifold", "src", "dst", "witness", "components",
+    ["id", "diagram", "manifold", "src", "dst", "witness", "components",
      "linkings", "type", "tb", "rot", "coeff", "rule", "refs", "gives"]
 )
 VALUES = st.recursive(
@@ -68,11 +68,13 @@ def _sites(obj, out):
 
 
 def _edit(cert, draw):
-    kind = draw(st.sampled_from(["replace", "delete", "via", "diagram", "move"]))
-    nodes = cert.get("nodes")
+    kind = draw(st.sampled_from(["replace", "delete", "endpoint", "diagram", "move"]))
+    nodes, edges = cert.get("nodes"), cert.get("edges")
     nodes = [n for n in nodes if isinstance(n, dict)] if isinstance(nodes, list) else []
-    if kind == "via" and nodes:
-        draw(st.sampled_from(nodes))["via"] = draw(st.one_of(IDS, SCALARS))
+    edges = [e for e in edges if isinstance(e, dict)] if isinstance(edges, list) else []
+    if kind == "endpoint" and edges:
+        end = draw(st.sampled_from(["src", "dst"]))
+        draw(st.sampled_from(edges))[end] = draw(st.one_of(IDS, SCALARS))
     elif kind == "diagram" and nodes:
         a, b = draw(st.sampled_from(nodes)), draw(st.sampled_from(nodes))
         a["diagram"] = copy.deepcopy(b.get("diagram"))

@@ -132,23 +132,31 @@ def test_diagram_from_dict_rejects():
 
 def expand_to_v1(payload, version=1):
     """The version-1 form of a certificate payload: every derived node gets
-    the JSON form of the presentation the verifier builds for it, in place
-    of its ``via``, and each "cancel:<cid>" witness is written as the
-    "pushoff:<cid>" surgery it starts with.  With ``version=2``, the
-    version-2 form: only the nodes derived by a "cancel:" edge, the
-    reduction path, are inlined."""
+    the JSON form of the presentation the verifier builds for it, and each
+    "cancel:<cid>" witness is written as the "pushoff:<cid>" surgery it
+    starts with.  With ``version=2``, the version-2 form: only the nodes
+    built by a "cancel:" edge, the reduction path, are inlined.  With
+    ``version=3``, the version-3 form: every derived node names the edge
+    into it as its "via".  A derived node that stays derived gets that
+    "via" in versions 2 and 3."""
     built = node_presentations(certificate_from_dict(payload))
     out = copy.deepcopy(payload)
     out["version"] = version
+    into = {edge["dst"]: edge for edge in out["edges"]}
     cancels = set()
-    for edge in out["edges"]:
-        if edge["witness"].startswith("cancel:"):
-            edge["witness"] = "pushoff:" + edge["witness"][len("cancel:"):]
-            cancels.add(edge["id"])
+    if version < 3:
+        for edge in out["edges"]:
+            if edge["witness"].startswith("cancel:"):
+                edge["witness"] = "pushoff:" + edge["witness"][len("cancel:"):]
+                cancels.add(edge["id"])
     for node in out["nodes"]:
-        if node.get("via") is not None and (version == 1 or node["via"] in cancels):
-            del node["via"]
+        edge = into.get(node["id"])
+        if edge is None:
+            continue
+        if version == 1 or edge["id"] in cancels:
             node["diagram"] = diagram_to_dict(built[node["id"]])
+        else:
+            node["via"] = edge["id"]
     return out
 
 
@@ -188,8 +196,9 @@ GOLDEN_V2_SHA256 = {
 }
 
 
-# Version-3 certificate bytes as emitted: the ladder and the reduction path
-# derived by ``via``.
+# Version-3 certificate bytes: the ladder and the reduction path derived,
+# each node naming the edge into it by ``via``; current certificates are
+# compared after ``expand_to_v1(payload, version=3)``.
 GOLDEN_V3_SHA256 = {
     "5/2": "63deab9d265bbfb73d2acc2ef645b6dd15c0b09a268094b9fb4854fe62e289ca",
     "17/16": "593c7c934dd3573475a52a10a6e9602fe5b86fded1a0d814d79a635803066e8a",
@@ -199,6 +208,20 @@ GOLDEN_V3_SHA256 = {
     "-1/20": "1a7ac69d71d5746e8860b4c6ee2ba65ca79f3d87ffb90d44cac429838b2cff26",
     "-4000": "10fe996a890cdb9b77c184037ffe5d887be917898393c5e37fda6f36fa50fc10",
     "233/144": "38102354b2e89b0c20c48ebd3ca55303e9dbdf31ac27628a46a43468a6ba103f",
+}
+
+
+# Version-4 certificate bytes as emitted: each derived node is built by the
+# one edge into it, in edge order.
+GOLDEN_V4_SHA256 = {
+    "5/2": "3131fb4f24403b1090c50f6bd7f3ca8b9958fdab816d1802568f8869047502a9",
+    "17/16": "ca8da17f232aec8657d38864cd72014449d2346841747fd98e6976a0243ae29f",
+    "-7/2": "64f6f927d73230f7f14679565b3382d4e57a74c338e660dd8c73774b60670263",
+    "13/8": "fd3b83267ab2ee95522e22c5889e76e226eb40b21ba8fdf24941bccd71cd5467",
+    "0": "1f8ff6800be85592f427dc4b1360b306be0f426f60550cb075caf4db796b6ba9",
+    "-1/20": "4bae4fe278b606b074f661d70dbd5f8db89f52fbadb1ddd26bb5805b7428a69a",
+    "-4000": "cf96869cd391d0fa66bd3b926b31bfd50e15621d6f895267d22e48b86be90500",
+    "233/144": "4cb6e005594499c771b47c2501ff14132be0df2669eadf0c0bd0b9482f57e8f0",
 }
 
 
@@ -219,8 +242,15 @@ def test_certificate_v2_golden_bytes(slope, tmp_path):
 @pytest.mark.parametrize("slope", sorted(GOLDEN_V3_SHA256))
 def test_certificate_v3_golden_bytes(slope, tmp_path):
     payload = certificate_to_dict(certify_tight(SurgeryCoeff.parse(slope)))
-    assert payload["version"] == FORMAT_VERSION == 3
-    assert _sha256_of_dump(payload, tmp_path / "cert.json") == GOLDEN_V3_SHA256[slope]
+    expanded = expand_to_v1(payload, version=3)
+    assert _sha256_of_dump(expanded, tmp_path / "cert.json") == GOLDEN_V3_SHA256[slope]
+
+
+@pytest.mark.parametrize("slope", sorted(GOLDEN_V4_SHA256))
+def test_certificate_v4_golden_bytes(slope, tmp_path):
+    payload = certificate_to_dict(certify_tight(SurgeryCoeff.parse(slope)))
+    assert payload["version"] == FORMAT_VERSION == 4
+    assert _sha256_of_dump(payload, tmp_path / "cert.json") == GOLDEN_V4_SHA256[slope]
 
 
 # ---------------------------------------------------------------------------
@@ -320,18 +350,25 @@ def test_certificate_version_2_refused():
     assert err.value.location == "certificate.version"
 
 
+def test_certificate_version_3_refused():
+    data = certificate_to_dict(certify_tight(SurgeryCoeff(5, 2)))
+    with pytest.raises(ParseError) as err:
+        certificate_from_dict(expand_to_v1(data, version=3))
+    assert err.value.location == "certificate.version"
+    assert "unsupported certificate version 3" in str(err.value)
+
+
 def test_certificate_derived_node_form():
     data = certificate_to_dict(certify_tight(SurgeryCoeff(5, 2)))
     by_id = {n["id"]: n for n in data["nodes"]}
-    assert by_id["v2"] == {
-        "id": "v2", "manifold": "tower(2)", "diagram": None, "via": "ev1"
-    }
+    assert by_id["v2"] == {"id": "v2", "manifold": "tower(2)", "diagram": None}
     assert list(by_id["v1"]) == ["id", "manifold", "diagram"]
+    assert [e["dst"] for e in data["edges"]] == ["eta", "v2", "v3", "y1"]
     bad = json.loads(json.dumps(data))
-    bad["nodes"][1]["via"] = 7
+    bad["edges"][1]["dst"] = 7
     with pytest.raises(ParseError) as err:
         certificate_from_dict(bad)
-    assert err.value.location == "certificate.nodes[1].via"
+    assert err.value.location == "certificate.edges[1].dst"
 
 
 def test_certificate_header_rejections():
