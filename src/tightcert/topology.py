@@ -6,12 +6,34 @@ determinants (Bareiss fraction-free elimination), and the blow-down move
 for removing (+/-1)-framed unknotted components.  These computations are
 the independent cross-checks for the contact-level machinery: two routes
 to the same manifold must present the same H1.
+
+H1 of a diagram
+---------------
+
+A contact pushoff P of K links every other component as K does, so row P
+of the linking matrix minus row K is almost all zeros.  ``h1`` slides each
+pushoff over its parent this way (a handle slide: a row operation on the
+presentation matrix), using the parent's original row, but only when the
+parent sits at an earlier position.  The operations then form a lower
+unitriangular integer matrix, which is unimodular and leaves the cokernel
+unchanged whatever linkings a diagram records.  A parent at a later
+position, or in a parent cycle (which the constructor accepts), is left
+alone: two slides along a cycle need not be invertible over Z.
+
+``smith_normal_form`` then works in two phases.  The sparse phase keeps
+rows as dicts, eliminates on +/-1 pivots from short rows (each an
+invariant factor 1) and splits off entries alone in their row and column
+(a summand Z/|v|).  The dense ``_smith_diagonal`` reduces whatever is
+left, and the factors of both phases are merged into one divisibility
+chain.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import compress, count
+from operator import index, sub
 
 from .errors import (
     CalculusError,
@@ -20,7 +42,7 @@ from .errors import (
     ParseError,
 )
 from .rationals import SurgeryCoeff, coeff as _coerce_coeff
-from .diagrams import ContactDiagram
+from .diagrams import ContactDiagram, _parents
 
 
 # ---------------------------------------------------------------------------
@@ -295,15 +317,117 @@ def smith_normal_form(m) -> HomologyResult:
 
     Accepts any rectangular integer matrix (rows x cols) presenting the
     quotient Z^rows / column-span; returns free rank and invariant factors.
+    ``_sparse_phase`` takes every unit pivot and every isolated entry, and
+    the dense ``_smith_diagonal`` reduces what is left.
     """
-    a = _as_rows(m)
-    nrows = len(a)
+    a = m.matrix if isinstance(m, FramedLink) else list(m)
+    units, factors, rest = _sparse_phase(a)
+    diag = _smith_diagonal(rest)
+    torsion = _divisibility_chain(factors + diag)
+    return HomologyResult(len(a) - units - len(factors) - len(diag), torsion)
+
+
+def _sparse_phase(a):
+    """Eliminate on unit pivots, then split off isolated entries.
+
+    Rows are dicts {column: nonzero entry}, and ``cols`` maps each column
+    to the set of rows with an entry there.  Each step takes the shortest
+    live row that holds a +/-1, stopping the search at the first such row
+    of at most two entries (clearing with it adds at most one entry to
+    each row it changes), and in it the unit whose column is shortest.  It
+    clears that column with the pivot row and drops the pivot's row and
+    column: an invariant factor 1.  When no unit is left, an entry alone
+    in its row and its column is a direct summand Z/|v|.
+
+    Returns the number of unit pivots, the orders of the isolated entries,
+    and the rest as a dense block of its nonempty rows and columns.
+    """
     ncols = len(a[0]) if a else 0
-    if any(len(row) != ncols for row in a):
-        raise CalculusError("matrix must be rectangular")
-    diag = _smith_diagonal(a)
-    torsion = tuple(d for d in diag if d > 1)
-    return HomologyResult(nrows - len(diag), torsion)
+    rows = {}
+    cols = {j: set() for j in range(ncols)}
+    for i, row in enumerate(a):
+        if len(row) != ncols:
+            raise CalculusError("matrix must be rectangular")
+        rows[i] = r = {}
+        try:
+            for j in compress(count(), row):
+                r[j] = index(row[j])
+                cols[j].add(i)
+        except TypeError:
+            raise CalculusError("matrix entries must be integers") from None
+    units = 0
+    while True:
+        p, best = None, len(cols) + 1
+        for i, r in rows.items():
+            n = len(r)
+            if n < best:
+                for v in r.values():
+                    if v == 1 or v == -1:
+                        p, best = i, n
+                        break
+                if best <= 2:
+                    break
+        if p is None:
+            break
+        prow = rows.pop(p)
+        c = None
+        for j, v in prow.items():
+            if (v == 1 or v == -1) and (c is None or len(cols[j]) < len(cols[c])):
+                c = j
+        u = prow.pop(c)
+        for j in prow:
+            cols[j].discard(p)
+        units += 1
+        hit = cols.pop(c)
+        hit.discard(p)
+        for i in hit:
+            r = rows[i]
+            f = r.pop(c) * u
+            for j, v in prow.items():
+                w = r.get(j, 0) - f * v
+                if w:
+                    if j not in r:
+                        cols[j].add(i)
+                    r[j] = w
+                else:
+                    del r[j]
+                    cols[j].discard(i)
+    factors = []
+    rest = []
+    for r in rows.values():
+        if len(r) == 1:
+            ((j, v),) = r.items()
+            if len(cols[j]) == 1:
+                factors.append(abs(v))
+                del cols[j]
+                continue
+        if r:
+            rest.append(r)
+    if rest:
+        live = sorted(j for j, on in cols.items() if on)
+        rest = [[r.get(j, 0) for j in live] for r in rest]
+    return units, factors, rest
+
+
+def _divisibility_chain(factors):
+    """Invariant factors (each >= 2, each dividing the next) of the direct
+    sum of the cyclic groups Z/f, f >= 1: Z/a + Z/b = Z/gcd + Z/lcm."""
+    chain = []
+    for x in factors:
+        if x == 1:
+            continue
+        if not chain or x % chain[-1] == 0:
+            chain.append(x)
+            continue
+        merged = []
+        for c in chain:
+            g = math.gcd(c, x)
+            if g > 1:
+                merged.append(g)
+            x = x // g * c
+        merged.append(x)
+        chain = merged
+    return tuple(chain)
 
 
 def _smith_diagonal(a):
@@ -393,10 +517,31 @@ def _reduce_corner(block):
 
 
 def h1(obj) -> HomologyResult:
-    """First homology of a diagram, framed link, or raw linking matrix."""
+    """First homology of a diagram, framed link, or raw linking matrix.
+
+    A diagram's linking matrix is reduced with its pushoffs slid over
+    their parents (``_slid_rows``); a framed link or a matrix is reduced
+    as given.
+    """
     if isinstance(obj, ContactDiagram):
-        obj = linking_matrix(obj)
+        obj = _slid_rows(obj)
     return smith_normal_form(obj)
+
+
+def _slid_rows(d: ContactDiagram):
+    """The linking matrix of ``d`` with each pushoff slid over its parent.
+
+    A pushoff's row minus its parent's row is sparse.  Only a parent at an
+    earlier position is used, so the row operations form a lower
+    unitriangular matrix and leave the cokernel unchanged, whatever
+    linkings the diagram records.
+    """
+    m = linking_matrix(d).matrix
+    rows = list(m)
+    for i, k in enumerate(_parents(d)):
+        if k is not None and k < i:
+            rows[i] = list(map(sub, m[i], m[k]))
+    return rows
 
 
 def det_signed(m) -> int:

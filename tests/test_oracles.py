@@ -1,13 +1,17 @@
-"""Independent oracles for the diagram representation.
+"""Independent oracles for the diagram representation and for H1.
 
 ``diagram_iso`` is checked against networkx's VF2 matcher on labelled
 graphs, and the linking rows behind every move against the public
-constructor and entry-by-entry linking matrices.  Each test is skipped when
-its library is missing.
+constructor and entry-by-entry linking matrices.  ``smith_normal_form`` is
+checked against sympy's, and ``h1`` of a diagram (pushoffs slid over their
+parents, then the sparse phase) against the dense elimination alone on the
+unslid linking matrix.  Each test that needs a library is skipped when it
+is missing.
 """
 
 from __future__ import annotations
 
+import math
 import random
 from collections import Counter
 
@@ -33,7 +37,13 @@ from tightcert.diagrams import (
     trefoil_surgery_diagram,
 )
 from tightcert.rationals import SurgeryCoeff
-from tightcert.topology import linking_matrix
+from tightcert.topology import (
+    HomologyResult,
+    _smith_diagonal,
+    h1,
+    linking_matrix,
+    smith_normal_form,
+)
 
 
 def shuffled_copy(d, rng, bump=None, reparent=None):
@@ -287,3 +297,104 @@ def test_linking_rows_under_random_moves():
             _check_rows(d)
 
     run()
+
+
+# ---------------------------------------------------------------------------
+# H1: sympy's Smith normal form, and the dense path alone
+# ---------------------------------------------------------------------------
+
+
+def sympy_cokernel(sympy, m):
+    """Z^rows / column-span of m, from sympy's invariant factors."""
+    from sympy.matrices.normalforms import invariant_factors
+
+    nrows, ncols = len(m), len(m[0]) if m else 0
+    if not nrows or not ncols:
+        return HomologyResult(nrows, ())
+    factors = [abs(int(f)) for f in invariant_factors(sympy.Matrix(m), domain=sympy.ZZ)]
+    return HomologyResult(
+        nrows - sum(1 for f in factors if f), tuple(sorted(f for f in factors if f > 1))
+    )
+
+
+def dense_h1(d):
+    """H1 of a normalized diagram by the dense elimination alone, on the
+    linking matrix with no slide."""
+    a = [list(row) for row in linking_matrix(d).matrix]
+    diag = _smith_diagonal(a)
+    return HomologyResult(len(a) - len(diag), tuple(x for x in diag if x > 1))
+
+
+def oracle_matrices(rng):
+    """Random rectangular matrices: dense and sparse, with zero rows and
+    columns, and with all entries even (no unit pivot at all)."""
+    for _ in range(150):
+        nrows, ncols = rng.randrange(0, 9), rng.randrange(0, 9)
+        density = rng.choice((0.2, 0.5, 1.0))
+        scale = rng.choice((1, 1, 2))
+        m = [
+            [scale * rng.randrange(-4, 5) if rng.random() < density else 0 for _ in range(ncols)]
+            for _ in range(nrows)
+        ]
+        if nrows and rng.random() < 0.3:
+            m[rng.randrange(nrows)] = [0] * ncols
+        if ncols and rng.random() < 0.3:
+            j = rng.randrange(ncols)
+            for row in m:
+                row[j] = 0
+        yield m
+    # Diagonal-heavy matrices whose entries are mostly isolated.
+    for _ in range(20):
+        n = rng.randrange(2, 12)
+        m = [[rng.choice((2, 3, 4, 6, 9)) if i == j else 0 for j in range(n)] for i in range(n)]
+        for _ in range(rng.randrange(0, 3)):
+            m[rng.randrange(n)][rng.randrange(n)] = rng.choice((2, 4, 6))
+        yield m
+
+
+def test_smith_matches_sympy_on_random_matrices():
+    sympy = pytest.importorskip("sympy")
+    rng = random.Random(8801)
+    for m in oracle_matrices(rng):
+        assert smith_normal_form(m) == sympy_cokernel(sympy, m), m
+
+
+def test_h1_matches_sympy_on_tower_and_root_matrices():
+    sympy = pytest.importorskip("sympy")
+    diagrams = [tower_diagram(k) for k in (1, 2, 3, 5, 8, 13, 34, 99)]
+    for r in ("7/3", "-5/7", "34/21", "-1/40", "101/100"):
+        diagrams.append(normalize_diagram(trefoil_surgery_diagram(SurgeryCoeff.parse(r))))
+    assert max(len(d) for d in diagrams) == 102
+    for d in diagrams:
+        link = linking_matrix(d)
+        expected = sympy_cokernel(sympy, link.matrix)
+        assert h1(d) == smith_normal_form(link) == expected
+
+
+def test_h1_matches_dense_path_on_certificate_presentations():
+    count = 0
+    for p in range(-12, 13):
+        for q in range(1, 13):
+            if math.gcd(p, q) != 1 or (p, q) == (1, 1):
+                continue
+            for d in node_presentations(certify_tight(SurgeryCoeff(p, q))).values():
+                assert h1(d) == dense_h1(d), (p, q)
+                count += 1
+    assert count > 1000
+    for r in ("80/79", "160/159", "-1/150"):
+        d = normalize_diagram(trefoil_surgery_diagram(SurgeryCoeff.parse(r)))
+        assert h1(d) == dense_h1(d), r
+
+
+def test_h1_matches_dense_path_with_parents_after_children():
+    # Shuffled copies list some pushoffs before their parents; those are
+    # left unslid.
+    rng = random.Random(8802)
+    for d in oracle_pool(rng):
+        if not len(d):
+            continue
+        signed = d
+        for c in d.components:
+            signed = set_coeff(signed, c.cid, SurgeryCoeff(rng.choice((1, -1))))
+        twin = shuffled_copy(signed, rng)
+        assert h1(twin) == h1(signed) == dense_h1(signed)

@@ -8,11 +8,14 @@ from __future__ import annotations
 
 import math
 import random
+import time
 from itertools import combinations
 
 import pytest
 
 from tightcert.diagrams import (
+    ContactDiagram,
+    LegendrianComponent,
     add_trefoil,
     add_unknot,
     contact_pushoff,
@@ -39,6 +42,7 @@ from tightcert.topology import (
     smith_normal_form,
     triangle_det_check,
 )
+from tightcert.topology import _smith_diagonal
 
 
 def det_oracle(m):
@@ -151,6 +155,22 @@ def test_smith_rejects_ragged():
         smith_normal_form([[1, 2], [3]])
 
 
+def test_smith_rejects_non_integer_entries():
+    with pytest.raises(CalculusError):
+        smith_normal_form([[1, 0.5], [0, 2]])
+
+
+def test_smith_merges_isolated_entries_into_a_chain():
+    # No unit anywhere: every entry is split off on its own, and the
+    # orders are merged by gcd/lcm.
+    assert smith_normal_form([[2, 0, 0], [0, 3, 0], [0, 0, 4]]) == HomologyResult(0, (2, 12))
+    assert smith_normal_form([[6, 0], [0, 0], [0, 10]]) == HomologyResult(1, (2, 30))
+    assert smith_normal_form([[4, 0, 0, 0], [0, 0, 0, 6]]) == HomologyResult(0, (2, 12))
+    # Isolated entries beside a block only the dense phase can reduce.
+    m = [[2, 0, 0], [0, 4, 2], [0, 2, 4]]
+    assert smith_normal_form(m) == HomologyResult(0, (2, 2, 6))
+
+
 # ---------------------------------------------------------------------------
 # Determinants
 # ---------------------------------------------------------------------------
@@ -261,6 +281,54 @@ def test_h1_dispatches_all_input_kinds():
     raw = [list(row) for row in link.matrix]
     assert h1(d) == h1(link) == h1(raw)
     assert h1(d).cyclic_order() == 3
+
+
+def _dense_h1(d):
+    """H1 of a diagram by the dense elimination alone, with no slide."""
+    a = [list(row) for row in linking_matrix(d).matrix]
+    diag = _smith_diagonal(a)
+    return HomologyResult(len(a) - len(diag), tuple(x for x in diag if x > 1))
+
+
+def _minus_one_unknot(cid, parent=None):
+    kind = "pushoff" if parent else "unknot"
+    return LegendrianComponent(cid, kind, parent, "unknot", -1, 0, SurgeryCoeff(-1))
+
+
+def test_h1_slides_only_over_earlier_parents():
+    # Two (-1)-pushoffs, each the other's parent, linked once: the matrix
+    # ((-2, 1), (1, -2)) presents Z/3.  Sliding both rows over each other
+    # would present Z + Z/3.
+    cycle = ContactDiagram(
+        [_minus_one_unknot("a", "b"), _minus_one_unknot("b", "a")],
+        {frozenset("ab"): 1},
+    )
+    assert h1(cycle) == _dense_h1(cycle) == HomologyResult(0, (3,))
+    # A three-cycle, and pushoffs listed before their parents.
+    cycle3 = ContactDiagram(
+        [_minus_one_unknot("a", "c"), _minus_one_unknot("b", "a"), _minus_one_unknot("c", "b")],
+        {frozenset("ab"): -1, frozenset("bc"): -1, frozenset("ca"): -1},
+    )
+    assert h1(cycle3) == _dense_h1(cycle3) == HomologyResult(0, (4,))
+    later = ContactDiagram(
+        [
+            _minus_one_unknot("p", "k"),
+            _minus_one_unknot("k"),
+            _minus_one_unknot("q", "p"),
+        ],
+        {frozenset("pk"): -1, frozenset("qk"): -1, frozenset("pq"): 2},
+    )
+    assert h1(later) == _dense_h1(later) == HomologyResult(0, (8,))
+
+
+def test_h1_of_unlinked_unknots_is_linear():
+    # No framing is +/-1, so every entry is an isolated summand Z/2.
+    d = ContactDiagram([_minus_one_unknot(f"u{i}") for i in range(400)])
+    start = time.perf_counter()
+    group = h1(d)
+    elapsed = time.perf_counter() - start
+    assert group == HomologyResult(0, (2,) * 400)
+    assert elapsed < 0.5
 
 
 # ---------------------------------------------------------------------------
