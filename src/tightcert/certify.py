@@ -534,8 +534,9 @@ def _check(cert: Certificate) -> VerificationResult:
         if cert.engine_stage < 1:
             return _fail(None, "triangles or rank facts cited without an engine stage")
         known = engine_triangles(cert.engine_stage)
+        family = set(known)
         for tri in cert.triangles:
-            if tri not in known:
+            if tri not in family:
                 return _fail(None, f"unknown triangle instance {tri.a.text()} -> "
                              f"{tri.b.text()} -> {tri.c.text()}")
         run = propagate(base_facts(), known)

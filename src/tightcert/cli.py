@@ -78,7 +78,12 @@ def _cmd_convert(args) -> int:
 
 
 def _cmd_h1(args) -> int:
-    group = _h1(_link_from_args(args))
+    # A diagram is reduced as a diagram, so its pushoffs are slid over
+    # their parents first; a link file is reduced as given.
+    if args.link is not None:
+        group = _h1(_link_from_args(args))
+    else:
+        group = _h1(_normalized_from_args(args))
     if args.json:
         _emit(
             {

@@ -16,6 +16,20 @@ triangle.  Conversely, knowing two of the dimensions confines the third to
 [|a - b|, a + b] with matching parity — that interval arithmetic is what
 ``propagate`` iterates.
 
+``propagate`` narrows a vertex's interval from the other two, L and R:
+its lower end rises to L.lo - R.hi and to R.lo - L.hi, its upper end falls
+to L.hi + R.hi, and when L and R are exact both ends move inward to the
+parity of L + R.  It is an indexed kernel: it numbers each distinct
+manifold once, keeps the interval ends in two int lists, narrows with
+plain ints, and writes back into its database copy only the facts that
+changed.  It visits the triangles in the same round-robin order
+as a loop over ``RankDb`` would and registers each manifold at its first
+touch, so the narrowed database (its order included), the pass count and
+the first contradiction are the same as such a loop gives, also when a
+contradiction stops the first pass partway.  ``engine_triangles`` is
+memoized with a bounded cache; it is a pure function of the stage and
+returns an immutable tuple.
+
 A contradiction (empty interval) is reported as a first-class result with
 the offending triangle attached, not raised.
 """
@@ -23,6 +37,7 @@ the offending triangle attached, not raised.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 from .errors import CalculusError, NoExactTriangleError
 from .topology import Manifold
@@ -136,32 +151,14 @@ def rank_bounds(known1: int, known2: int) -> Interval:
     return Interval(abs(known1 - known2), known1 + known2)
 
 
-def _narrow(current: Interval, left: Interval, right: Interval):
-    """Intersect ``current`` with the constraint from the two other
-    vertices; returns the narrowed interval or None if empty."""
-    lo = current.lo
-    if right.hi is not None:
-        lo = max(lo, left.lo - right.hi)
-    if left.hi is not None:
-        lo = max(lo, right.lo - left.hi)
-    hi = current.hi
-    if left.hi is not None and right.hi is not None:
-        cap = left.hi + right.hi
-        hi = cap if hi is None else min(hi, cap)
-    if left.is_exact and right.is_exact:
-        parity = (left.lo + right.lo) % 2
-        if lo % 2 != parity:
-            lo += 1
-        if hi is not None and hi % 2 != parity:
-            hi -= 1
-    if hi is not None and lo > hi:
-        return None
-    return Interval(lo, hi)
-
-
 # ---------------------------------------------------------------------------
 # The rank database
 # ---------------------------------------------------------------------------
+
+
+def _initial(m: Manifold) -> Interval:
+    """The interval of a manifold the database has not seen."""
+    return Interval.exact(m.p) if m.kind == "lens" else Interval.unknown()
 
 
 class RankDb:
@@ -180,11 +177,7 @@ class RankDb:
     def fact(self, m: Manifold) -> Interval:
         got = self._facts.get(m)
         if got is None:
-            if m.kind == "lens":
-                got = Interval.exact(m.p)
-            else:
-                got = Interval.unknown()
-            self._facts[m] = got
+            got = self._facts[m] = _initial(m)
         return got
 
     def set_fact(self, m: Manifold, interval: Interval):
@@ -292,9 +285,15 @@ def tower_triangles(max_stage: int) -> list[TriangleInstance]:
     return out
 
 
+@lru_cache(maxsize=8, typed=True)
 def engine_triangles(max_stage: int) -> tuple[TriangleInstance, ...]:
     """Every triangle the rank engine runs on up to tower stage max_stage:
-    the unknot triangle, then both tower families."""
+    the unknot triangle, then both tower families.
+
+    Memoized for the 8 most recent stages: the family depends on the
+    stage alone and the tuple and its instances are immutable.  The cache
+    is typed, so a stage of another type (3.0) is never served the family
+    of an int stage and still gets ``tower_triangles``' error."""
     return (unknot_triangle(),) + tuple(tower_triangles(max_stage))
 
 
@@ -334,30 +333,87 @@ def propagate(db: RankDb, triangles) -> Propagation:
     other two, and repeats until a full pass changes nothing.  The fixpoint
     does not depend on the input order; the pass count may.  Informational
     instances are skipped.  The input database is not modified.
+
+    Works on indices: each distinct manifold gets a slot the first time a
+    visited triangle names it (vertices in order a, b, c), and only the
+    slots of triangles visited before a contradiction are registered in
+    the result, in slot order, as a loop over ``RankDb.fact`` would.
     """
     work = db.copy()
-    triangles = list(triangles)
+    facts = work._facts
+    slot: dict[Manifold, int] = {}
+    names: list[Manifold] = []
+    lo: list[int] = []
+    hi: list[int | None] = []
+    live: list[TriangleInstance] = []
+    touched: list[int] = []  # slots registered once live[i] is visited
+    steps: list[tuple[int, int, int, int]] = []  # (live index, target, left, right)
+    for tri in triangles:
+        if tri.informational:
+            continue
+        ids = []
+        for m in (tri.a, tri.b, tri.c):
+            i = slot.get(m)
+            if i is None:
+                i = slot[m] = len(names)
+                names.append(m)
+                got = facts.get(m)
+                if got is None:
+                    got = _initial(m)
+                lo.append(got.lo)
+                hi.append(got.hi)
+            ids.append(i)
+        a, b, c = ids
+        pos = len(live)
+        live.append(tri)
+        touched.append(len(names))
+        steps += ((pos, a, b, c), (pos, b, c, a), (pos, c, a, b))
+
+    def store(count):
+        for i in range(count):
+            m = names[i]
+            got = facts.get(m)
+            if got is None or got.lo != lo[i] or got.hi != hi[i]:
+                facts[m] = Interval(lo[i], hi[i])
+
     rounds = 0
     changed = True
     while changed:
         changed = False
         rounds += 1
-        for tri in triangles:
-            if tri.informational:
-                continue
-            verts = (tri.a, tri.b, tri.c)
-            for idx, target in enumerate(verts):
-                left, right = verts[(idx + 1) % 3], verts[(idx + 2) % 3]
-                cur = work.fact(target)
-                nar = _narrow(cur, work.fact(left), work.fact(right))
-                if nar is None:
-                    detail = (
-                        f"rank of {target.text()} cannot meet "
-                        f"{left.text()} = {work.fact(left)} and "
-                        f"{right.text()} = {work.fact(right)} (current {cur})"
-                    )
-                    return Propagation(work, rounds, Contradiction(tri, target, detail))
-                if nar != cur:
-                    work.set_fact(target, nar)
-                    changed = True
+        for pos, t, l, r in steps:
+            # Narrow t from l and r; None is an unbounded upper end.
+            cur_lo, cur_hi = lo[t], hi[t]
+            l_lo, l_hi = lo[l], hi[l]
+            r_lo, r_hi = lo[r], hi[r]
+            new_lo, new_hi = cur_lo, cur_hi
+            if r_hi is not None and l_lo - r_hi > new_lo:
+                new_lo = l_lo - r_hi
+            if l_hi is not None:
+                if r_lo - l_hi > new_lo:
+                    new_lo = r_lo - l_hi
+                if r_hi is not None:
+                    cap = l_hi + r_hi
+                    if new_hi is None or cap < new_hi:
+                        new_hi = cap
+                    if l_lo == l_hi and r_lo == r_hi:
+                        parity = (l_lo + r_lo) % 2
+                        if new_lo % 2 != parity:
+                            new_lo += 1
+                        if new_hi % 2 != parity:
+                            new_hi -= 1
+            if new_hi is not None and new_lo > new_hi:
+                store(touched[pos] if rounds == 1 else len(names))
+                target, left, right = names[t], names[l], names[r]
+                detail = (
+                    f"rank of {target.text()} cannot meet "
+                    f"{left.text()} = {work.fact(left)} and "
+                    f"{right.text()} = {work.fact(right)} "
+                    f"(current {Interval(cur_lo, cur_hi)})"
+                )
+                return Propagation(work, rounds, Contradiction(live[pos], target, detail))
+            if new_lo != cur_lo or new_hi != cur_hi:
+                lo[t], hi[t] = new_lo, new_hi
+                changed = True
+    store(len(names))
     return Propagation(work, rounds)

@@ -2,10 +2,12 @@
 
 from __future__ import annotations
 
+import hashlib
 import json
 
 import pytest
 
+from tightcert import cli
 from tightcert.cli import main
 from tightcert.serialize import (
     certificate_from_dict,
@@ -14,9 +16,14 @@ from tightcert.serialize import (
     framed_link_to_dict,
     load_json,
 )
-from tightcert.diagrams import add_unknot, empty_diagram, normalize_diagram
+from tightcert.diagrams import (
+    add_unknot,
+    empty_diagram,
+    normalize_diagram,
+    trefoil_surgery_diagram,
+)
 from tightcert.rationals import SurgeryCoeff
-from tightcert.topology import FramedLink
+from tightcert.topology import FramedLink, linking_matrix
 
 
 def run_cli(capsys, *argv):
@@ -101,6 +108,43 @@ def test_h1_from_link_file(tmp_path, capsys):
     assert code == 0 and out == "Z/3\norder 3\n"
 
 
+H1_SLOPES = ("-3", "0", "2", "5/2", "-5/3", "7/3", "13/4", "-7/2", "80/79", "-1/150", "1001/999")
+
+
+def _h1_printed(p):
+    """What ``h1`` prints for slope p/q, whose group is Z/|p| (Z for p = 0)."""
+    p = abs(p)
+    text = {0: "Z", 1: "0"}.get(p, f"Z/{p}") + f"\norder {p}\n"
+    payload = {"free_rank": int(p == 0), "torsion": [p] if p > 1 else [],
+               "order": p, "cyclic": True}
+    return text, json.dumps(payload, indent=2) + "\n"
+
+
+@pytest.mark.parametrize("slope", H1_SLOPES)
+def test_h1_of_a_slope_prints_the_same_bytes(slope, capsys):
+    text, payload = _h1_printed(int(slope.split("/")[0]))
+    assert run_cli(capsys, "h1", "--slope", slope) == (0, text, "")
+    assert run_cli(capsys, "h1", "--slope", slope, "--json") == (0, payload, "")
+
+
+def test_h1_reduces_a_slope_as_a_diagram(monkeypatch, capsys):
+    reduced = []
+    real = cli._h1
+    monkeypatch.setattr(cli, "_h1", lambda obj: reduced.append(obj) or real(obj))
+    run_cli(capsys, "h1", "--slope", "5/4")
+    assert [type(obj).__name__ for obj in reduced] == ["ContactDiagram"]
+
+
+@pytest.mark.parametrize("slope", ["-3", "7/3", "13/4", "-5/3", "9/8"])
+def test_h1_of_a_slope_equals_h1_of_its_link(slope, tmp_path, capsys):
+    d = normalize_diagram(trefoil_surgery_diagram(SurgeryCoeff.parse(slope)))
+    path = tmp_path / "link.json"
+    dump_json(framed_link_to_dict(linking_matrix(d)), str(path))
+    for extra in ((), ("--json",)):
+        by_slope = run_cli(capsys, "h1", "--slope", slope, *extra)
+        assert run_cli(capsys, "h1", "--link", str(path), *extra) == by_slope
+
+
 def test_det_output(capsys):
     code, out, _ = run_cli(capsys, "det", "--slope", "-3")
     assert code == 0
@@ -153,6 +197,30 @@ def test_ranks_json(capsys, tmp_path):
     code, _, _ = run_cli(capsys, "ranks", "--max-k", "3", "--json", "--out", str(out_path))
     assert code == 0
     assert load_json(str(out_path))["consistent"] is True
+
+
+# sha256 of the ``ranks --max-k K`` output, text then --json, as the plain
+# round-robin loop over ``RankDb`` printed it.
+RANKS_SHA256 = {
+    1: ("93661010bd93506e6b3e71e4e108f81cc2f7f295b4ce2da3486bb321bb1e30a1",
+        "d063a38cac1663a2f2f8c35c336e1894ca026303438789f1a5c3dad3694ae9a1"),
+    3: ("342896bc146e79ce5af429642cea90ddb1e0462fedb6073a68582f578931a97b",
+        "07e6c0a2360c46452c2020afb47071cd94660caecfdb1e22c8e5faf2a3c2c151"),
+    12: ("3a8a2dcb77cf97db43ef9109db855a4d9e0d5fb1f783ebc6d132eca8bb6b1ff6",
+         "80d15c6d637ab961d2fd06a2fc664bb107464f93a0b93507a45a1c0a72b7cb13"),
+    40: ("5d3d1b3c5652a654eb7005fc08debf3ffdc311911cbd87d876cd6f659325a240",
+         "abdf081dcc80ebe397f769ba97813d2a34192a12e92d0233e9ded62dfd00c272"),
+}
+
+
+@pytest.mark.parametrize("k", sorted(RANKS_SHA256))
+def test_ranks_output_digests(k, capsys):
+    digests = []
+    for extra in ((), ("--json",)):
+        code, out, _ = run_cli(capsys, "ranks", "--max-k", str(k), *extra)
+        assert code == 0
+        digests.append(hashlib.sha256(out.encode()).hexdigest())
+    assert tuple(digests) == RANKS_SHA256[k]
 
 
 # ---------------------------------------------------------------------------

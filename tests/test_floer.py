@@ -1,12 +1,14 @@
 """Exact-triangle rank arithmetic and interval propagation.
 
 The solver is cross-checked against brute-force enumeration of non-negative
-rank triples, the propagation engine against hand-computed fixpoints.
+rank triples, the propagation engine against hand-computed fixpoints and
+against a plain round-robin loop over ``RankDb`` on random inputs.
 """
 
 from __future__ import annotations
 
 import random
+from dataclasses import replace
 
 import pytest
 
@@ -18,6 +20,7 @@ from tightcert.floer import (
     RankDb,
     TriangleInstance,
     base_facts,
+    engine_triangles,
     propagate,
     rank_bounds,
     tower_triangles,
@@ -262,3 +265,165 @@ def test_propagation_result_shape():
     assert isinstance(run, Propagation)
     assert run.consistent and run.contradiction is None
     assert run.db.exact_value(Manifold.s3()) == 1
+
+
+# ---------------------------------------------------------------------------
+# Propagation against a reference loop
+# ---------------------------------------------------------------------------
+
+
+def reference_narrow(current: Interval, left: Interval, right: Interval):
+    """Intersect ``current`` with the constraint from the two other
+    vertices, on ``Interval`` objects; returns the narrowed interval or
+    None if empty."""
+    lo = current.lo
+    if right.hi is not None:
+        lo = max(lo, left.lo - right.hi)
+    if left.hi is not None:
+        lo = max(lo, right.lo - left.hi)
+    hi = current.hi
+    if left.hi is not None and right.hi is not None:
+        cap = left.hi + right.hi
+        hi = cap if hi is None else min(hi, cap)
+    if left.is_exact and right.is_exact:
+        parity = (left.lo + right.lo) % 2
+        if lo % 2 != parity:
+            lo += 1
+        if hi is not None and hi % 2 != parity:
+            hi -= 1
+    if hi is not None and lo > hi:
+        return None
+    return Interval(lo, hi)
+
+
+def reference_propagate(db, triangles):
+    """Round-robin narrowing written directly over ``RankDb`` and
+    ``Interval``: each visit reads its three facts through ``RankDb.fact``
+    (which registers an unseen manifold) and stores a narrowed interval
+    with ``set_fact``."""
+    work = db.copy()
+    triangles = list(triangles)
+    rounds = 0
+    changed = True
+    while changed:
+        changed = False
+        rounds += 1
+        for tri in triangles:
+            if tri.informational:
+                continue
+            verts = (tri.a, tri.b, tri.c)
+            for idx, target in enumerate(verts):
+                left, right = verts[(idx + 1) % 3], verts[(idx + 2) % 3]
+                cur = work.fact(target)
+                nar = reference_narrow(cur, work.fact(left), work.fact(right))
+                if nar is None:
+                    detail = (
+                        f"rank of {target.text()} cannot meet "
+                        f"{left.text()} = {work.fact(left)} and "
+                        f"{right.text()} = {work.fact(right)} (current {cur})"
+                    )
+                    return Propagation(work, rounds, Contradiction(tri, target, detail))
+                if nar != cur:
+                    work.set_fact(target, nar)
+                    changed = True
+    return Propagation(work, rounds)
+
+
+def _random_case(rng):
+    """A shuffled engine family for a stage up to 12, with some instances
+    flipped to or from informational, an occasional odd-total triangle,
+    and up to three planted facts, exact or open, on family manifolds or
+    on manifolds no triangle names."""
+    stage = rng.randint(1, 12)
+    family = engine_triangles(stage)
+    tris = list(family)
+    rng.shuffle(tris)
+    for i, tri in enumerate(tris):
+        if rng.random() < 0.08:
+            tris[i] = replace(tri, informational=not tri.informational)
+    if rng.random() < 0.15:
+        m = rng.choice([Manifold.s3(), Manifold.poincare(), Manifold.neg_tower(1)])
+        tris.insert(rng.randrange(len(tris) + 1), TriangleInstance(m, m, m, "odd total"))
+    pool = list(dict.fromkeys(v for t in family for v in (t.a, t.b, t.c)))
+    pool += [Manifold.tower(2), Manifold.lens(11, 3)]
+    db = base_facts()
+    for _ in range(rng.randint(0, 3)):
+        lo = rng.randint(0, 2 * stage + 3)
+        shape = rng.random()
+        if shape < 0.4:
+            interval = Interval.exact(lo)
+        elif shape < 0.7:
+            interval = Interval(lo, lo + rng.randint(1, 6))
+        else:
+            interval = Interval(lo, None)
+        db.set_fact(rng.choice(pool), interval)
+    return db, tris
+
+
+def _registers_every_vertex(run, tris):
+    return all(v in run.db for t in tris if not t.informational for v in (t.a, t.b, t.c))
+
+
+def test_propagate_matches_reference_loop():
+    rng = random.Random(9017)
+    seen = {"consistent": 0, "first round, partway": 0, "later round": 0}
+    for _ in range(400):
+        db, tris = _random_case(rng)
+        before = db.items()
+        want = reference_propagate(db, tris)
+        got = propagate(db, tris)
+        assert db.items() == before
+        assert got.db.items() == want.db.items()
+        assert got.rounds == want.rounds
+        if want.contradiction is None:
+            assert got.contradiction is None
+            seen["consistent"] += 1
+            continue
+        assert got.contradiction is not None
+        assert got.contradiction.triangle == want.contradiction.triangle
+        assert got.contradiction.manifold == want.contradiction.manifold
+        assert got.contradiction.detail == want.contradiction.detail
+        if want.rounds > 1:
+            seen["later round"] += 1
+        elif not _registers_every_vertex(want, tris):
+            seen["first round, partway"] += 1
+    assert min(seen.values()) >= 20, seen
+
+
+def test_propagate_stops_partway_through_first_round():
+    bad = TriangleInstance(Manifold.s3(), Manifold.s3(), Manifold.s3())
+    tris = list(engine_triangles(6))
+    tris.insert(4, bad)
+    run = propagate(base_facts(), tris)
+    assert run.rounds == 1
+    assert run.contradiction.triangle == bad
+    assert run.contradiction.detail == (
+        "rank of s3 cannot meet s3 = 1 and s3 = 1 (current 1)"
+    )
+    assert [m.text() for m, _ in run.db.items()] == [
+        "s3", "s1xs2", "poincare", "-tower(1)", "-tower(2)", "-tower(3)", "-tower(4)",
+    ]
+    assert run.db.items() == reference_propagate(base_facts(), tris).db.items()
+
+
+def test_propagate_contradiction_in_a_later_round():
+    db = base_facts()
+    db.set_fact(Manifold.neg_tower(1), Interval.exact(4))
+    run = propagate(db, engine_triangles(4))
+    want = reference_propagate(db, engine_triangles(4))
+    assert run.rounds == want.rounds == 2
+    assert run.contradiction == want.contradiction
+    assert run.contradiction.detail == (
+        "rank of -tower(1) cannot meet -tower(2) = 4 and poincare = 1 (current 4)"
+    )
+    assert run.db.items() == want.db.items()
+
+
+def test_engine_triangles_memoized_and_bounded():
+    assert engine_triangles(7) is engine_triangles(7)
+    assert engine_triangles(7) == (unknot_triangle(),) + tuple(tower_triangles(7))
+    assert engine_triangles.cache_info().maxsize == 8
+    with pytest.raises(CalculusError):
+        engine_triangles(0)
+    with pytest.raises(CalculusError):
+        engine_triangles(7.0)  # not served the cached family of stage 7
