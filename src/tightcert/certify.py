@@ -6,7 +6,9 @@ them (edges).  Every datum a rule consumes is recorded in the certificate,
 and ``check_certificate`` re-derives each one — homology orders by Smith
 normal form, rank facts by re-running the propagation engine, injectivity
 by re-solving the cited triangle, surgery edges by building the node each
-one derives — so a verifier needs no trust in the emitter.
+one derives — so a verifier needs no trust in the emitter.  A step cites
+a triangle by its index in the verifier's own family
+``engine_triangles(engine_stage)``, which the certificate does not carry.
 
 A node either carries its presentation inline or is *derived*: the one
 edge into it builds its presentation by (+1)-surgery on the presentation of
@@ -49,7 +51,6 @@ from .diagrams import (
 )
 from .topology import HomologyResult, Manifold, h1
 from .floer import (
-    TriangleInstance,
     base_facts,
     engine_triangles,
     propagate,
@@ -71,13 +72,15 @@ def _entry(table, kind, key):
 
 
 def _triangle(cert, text):
+    # Steps run only once the engine stage is known to be in range.
+    family = engine_triangles(cert.engine_stage) if cert.engine_stage else ()
     try:
         index = int(text)
     except ValueError:
         index = -1
-    if str(index) != text or not 0 <= index < len(cert.triangles):
+    if str(index) != text or not 0 <= index < len(family):
         raise CalculusError(f"cited triangle {text!r} not present")
-    return cert.triangles[index]
+    return family[index]
 
 
 # Reference kind -> resolver from the certificate and the recorded value.
@@ -248,8 +251,9 @@ class SurgeryEdge:
 
 @dataclass(frozen=True)
 class Step:
-    """One rule application.  ``refs`` are typed references into the
-    certificate ((kind, value) pairs: node, edge, triangle index, order);
+    """One rule application.  ``refs`` are typed references ((kind, value)
+    pairs: node, edge, group, or an index into
+    ``engine_triangles(engine_stage)``);
     ``gives`` is the derived fact (fact kind, node id)."""
 
     rule: str
@@ -273,7 +277,6 @@ class Certificate:
     nodes: dict[str, ContactNode]
     edges: dict[str, SurgeryEdge]
     rank_facts: dict[str, int]
-    triangles: tuple[TriangleInstance, ...]
     steps: tuple[Step, ...]
 
 
@@ -312,15 +315,14 @@ def _pushforward(edge: SurgeryEdge, triangle: int) -> Step:
 class TowerChain:
     """The tower ladder used by every positive-branch certificate: nodes
     for the empty presentation, the circle bundle, and tower stages
-    1..max_stage+1; the (+1)-edges between them; the exact rank facts; the
-    triangle instances; and the steps deriving a nonzero class at every
-    stage up to max_stage."""
+    1..max_stage+1; the (+1)-edges between them; the exact rank facts; and
+    the steps deriving a nonzero class at every stage up to max_stage,
+    citing triangles by their index in ``engine_triangles(max_stage)``."""
 
     stage: int
     nodes: list[ContactNode]
     edges: list[SurgeryEdge]
     rank_facts: dict[str, int]
-    triangles: tuple[TriangleInstance, ...]
     steps: list[Step]
 
     def top(self) -> str:
@@ -342,8 +344,7 @@ def build_tower_chain(max_stage: int) -> TowerChain:
     """
     if not isinstance(max_stage, int) or max_stage < 1:
         raise CalculusError(f"tower depth must be a positive integer, got {max_stage!r}")
-    triangles = engine_triangles(max_stage)
-    run = propagate(base_facts(), triangles)
+    run = propagate(base_facts(), engine_triangles(max_stage))
     if not run.consistent:
         raise CalculusError(f"rank engine contradiction: {run.contradiction.detail}")
 
@@ -371,7 +372,7 @@ def build_tower_chain(max_stage: int) -> TowerChain:
         Step("cancel_equivalent", (("node", "v1"), ("node", "std")), ("c_nonzero", "v1")),
     ]
     steps += [_pushforward(edges[k], k) for k in range(1, max_stage)]
-    return TowerChain(max_stage, nodes, edges, rank_facts, triangles, steps)
+    return TowerChain(max_stage, nodes, edges, rank_facts, steps)
 
 
 def _stage(rp: SurgeryCoeff) -> int:
@@ -417,7 +418,7 @@ def certify_tight(r) -> Certificate:
     path = [ContactNode("y0", Manifold.trefoil_surgery(r), diagram)]
     path_edges = []
     if stage == 0:
-        ladder, ladder_edges, rank_facts, triangles = [], [], {}, ()
+        ladder, ladder_edges, rank_facts = [], [], {}
         steps = [
             Step("all_minus_one_stein", (("node", "y0"),), ("stein", "y0")),
             Step("stein_nonzero", (("node", "y0"),), ("c_nonzero", "y0")),
@@ -437,8 +438,7 @@ def certify_tight(r) -> Certificate:
             path.append(ContactNode(f"y{i}", reduced))
             path_edges.append(SurgeryEdge(f"ey{i}", f"y{i - 1}", f"y{i}", f"cancel:{cid}"))
         chain = build_tower_chain(stage)
-        ladder, ladder_edges = chain.nodes, chain.edges
-        rank_facts, triangles = chain.rank_facts, chain.triangles
+        ladder, ladder_edges, rank_facts = chain.nodes, chain.edges, chain.rank_facts
         bottom = path[-1].nid
         steps = chain.steps + [
             Step(
@@ -460,7 +460,6 @@ def certify_tight(r) -> Certificate:
         nodes={n.nid: n for n in ladder + path},
         edges={e.eid: e for e in ladder_edges + path_edges},
         rank_facts=rank_facts,
-        triangles=triangles,
         steps=tuple(steps),
     )
     cert.steps = tuple(
@@ -479,10 +478,9 @@ def check_certificate(cert: Certificate) -> VerificationResult:
     """Re-derive every claim in a certificate; reports the first failure.
 
     Structural checks first (slope binding, the stage bound the slope
-    sets, known triangle instances, engine-verified rank facts, the bound
-    on edges the slope and the root set, every edge building its target
-    node), then the steps in order under the premise discipline, then the
-    final conclusion.
+    sets, engine-verified rank facts, the bound on edges the slope and
+    the root set, every edge building its target node), then the steps in
+    order under the premise discipline, then the final conclusion.
     """
     try:
         return _check(cert)
@@ -528,18 +526,12 @@ def _check(cert: Certificate) -> VerificationResult:
             f"the stages slope {cert.slope} allows",
         )
 
-    # Triangle instances must come from the engine's known families, and
-    # rank facts must be reproduced exactly by a fresh propagation run.
-    if cert.triangles or cert.rank_facts:
+    # Rank facts must be reproduced exactly by a fresh propagation run over
+    # the engine family, the one the steps' triangle indexes cite.
+    if cert.rank_facts:
         if cert.engine_stage < 1:
-            return _fail(None, "triangles or rank facts cited without an engine stage")
-        known = engine_triangles(cert.engine_stage)
-        family = set(known)
-        for tri in cert.triangles:
-            if tri not in family:
-                return _fail(None, f"unknown triangle instance {tri.a.text()} -> "
-                             f"{tri.b.text()} -> {tri.c.text()}")
-        run = propagate(base_facts(), known)
+            return _fail(None, "rank facts cited without an engine stage")
+        run = propagate(base_facts(), engine_triangles(cert.engine_stage))
         if not run.consistent:
             return _fail(None, f"rank engine contradiction: {run.contradiction.detail}")
         for text, value in cert.rank_facts.items():

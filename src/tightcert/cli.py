@@ -196,7 +196,7 @@ def _cmd_certify(args) -> int:
         if not verdict:
             failures += 1
     if args.json:
-        _emit(results if len(results) > 1 else results[0])
+        _emit(results[0] if len(results) == 1 else results)
     return 2 if failures else 0
 
 

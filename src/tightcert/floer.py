@@ -220,26 +220,22 @@ def base_facts() -> RankDb:
 @dataclass(frozen=True)
 class TriangleInstance:
     """An exact triangle among three named manifolds, in map order
-    a -> b -> c.  ``informational`` instances are recorded for audit but
-    excluded from propagation (used where parameters leave the family's
-    stated range and orders are only correct up to sign)."""
+    a -> b -> c.  ``informational`` instances keep their place in the
+    family, so the indexes certificates cite are stable, but propagation
+    skips them and no certificate step may cite one (used where parameters
+    leave the family's stated range and orders are only correct up to
+    sign)."""
 
     a: Manifold
     b: Manifold
     c: Manifold
-    provenance: str = ""
     informational: bool = False
 
 
 def unknot_triangle() -> TriangleInstance:
     """The surgery triangle of the zero-framed unknot: sphere, circle
     bundle, sphere; dimensions (1, 2, 1) make the first map injective."""
-    return TriangleInstance(
-        Manifold.s3(),
-        Manifold.s1xs2(),
-        Manifold.s3(),
-        provenance="zero-framed unknot surgery triangle",
-    )
+    return TriangleInstance(Manifold.s3(), Manifold.s1xs2(), Manifold.s3())
 
 
 def tower_triangles(max_stage: int) -> list[TriangleInstance]:
@@ -249,20 +245,15 @@ def tower_triangles(max_stage: int) -> list[TriangleInstance]:
     (-tower(k), -tower(k+1), poincare) bounds neighbouring ranks, and the
     lens-space family (lens(7k-9, 7), lens(8k-9, 8), -tower(k)) pins the
     rank from below.  The k = 1 lens instance falls outside the family's
-    parameter range (orders taken by absolute value) and is recorded as
-    informational only.
+    parameter range (orders taken by absolute value) and is marked
+    informational.
     """
     if not isinstance(max_stage, int) or max_stage < 1:
         raise CalculusError(f"max stage must be a positive integer, got {max_stage!r}")
     out = []
     for k in range(1, max_stage + 1):
         out.append(
-            TriangleInstance(
-                Manifold.neg_tower(k),
-                Manifold.neg_tower(k + 1),
-                Manifold.poincare(),
-                provenance=f"tower surgery triangle linking stages {k} and {k + 1}",
-            )
+            TriangleInstance(Manifold.neg_tower(k), Manifold.neg_tower(k + 1), Manifold.poincare())
         )
     for k in range(1, max_stage + 1):
         out.append(
@@ -270,15 +261,6 @@ def tower_triangles(max_stage: int) -> list[TriangleInstance]:
                 Manifold.lens(abs(7 * k - 9), 7),
                 Manifold.lens(abs(8 * k - 9), 8),
                 Manifold.neg_tower(k),
-                provenance=(
-                    f"lens-space triangle at tower stage {k} "
-                    f"(orders {abs(7 * k - 9)} and {abs(8 * k - 9)})"
-                    + (
-                        "; outside the family range, recorded for audit only"
-                        if k == 1
-                        else ""
-                    )
-                ),
                 informational=(k == 1),
             )
         )

@@ -12,14 +12,15 @@ matching ``*_from_dict``):
 * framed link: {"n", "matrix" (row-major flat list of n*n ints), "tags"}.
 * rank table: {"facts": [{"manifold", "rank"} or {"manifold", "lo", "hi"}]}
   with "hi" null when unbounded.
-* triangles: [{"a", "b", "c", "provenance", "informational"}].
-* certificate: {"format": "tightness-certificate", "version": 4, "slope",
+* certificate: {"format": "tightness-certificate", "version": 5, "slope",
   "conclusion": [kind, node], "engine_stage", "nodes", "edges",
-  "rank_facts", "triangles", "steps"}.  A node is {"id", "manifold",
-  "diagram"}, with "diagram" null when derived: taking the edges in
-  order, each builds its target by the (+1)-surgery it records on the
-  presentation of its source.  Versions 1 to 3, which inlined every
-  diagram or the reduction path or named each node's edge, are refused.
+  "rank_facts", "steps"}.  A node is {"id", "manifold", "diagram"}, with
+  "diagram" null when derived: taking the edges in order, each builds its
+  target by the (+1)-surgery it records on the presentation of its
+  source.  A step's ["triangle", i] reference is the index i into the
+  verifier's own ``engine_triangles(engine_stage)``.  Versions 1 to 4,
+  which inlined every diagram or the reduction path, named each node's
+  edge, or listed the triangle instances, are refused.
 
 ``load_json`` attaches file/line/column positions to malformed input;
 structural errors carry a JSON-path-style location instead.
@@ -39,11 +40,11 @@ from .diagrams import (
     LegendrianComponent,
 )
 from .topology import FramedLink, Manifold
-from .floer import Interval, RankDb, TriangleInstance
+from .floer import Interval, RankDb
 from .certify import Certificate, ContactNode, Step, SurgeryEdge
 
 CERTIFICATE_FORMAT = "tightness-certificate"
-FORMAT_VERSION = 4
+FORMAT_VERSION = 5
 
 
 def load_json(path: str):
@@ -80,6 +81,13 @@ def _str(value, where):
     if not isinstance(value, str):
         raise ParseError(f"expected a string, got {value!r}", location=where)
     return value
+
+
+def _manifold(text, where):
+    try:
+        return Manifold.parse(_str(text, where))
+    except ParseError as exc:
+        raise ParseError(exc.reason, location=where) from None
 
 
 # ---------------------------------------------------------------------------
@@ -209,7 +217,7 @@ def framed_link_from_dict(data: dict, where: str = "link") -> FramedLink:
 
 
 # ---------------------------------------------------------------------------
-# Rank tables and triangles
+# Rank tables
 # ---------------------------------------------------------------------------
 
 
@@ -233,7 +241,7 @@ def rank_table_from_dict(data: dict, where: str = "ranks") -> RankDb:
     db = RankDb()
     for i, item in enumerate(facts):
         at = f"{where}.facts[{i}]"
-        manifold = Manifold.parse(_str(_need(item, "manifold", at), at))
+        manifold = _manifold(_need(item, "manifold", at), at)
         try:
             if "rank" in item:
                 interval = Interval.exact(_int(item["rank"], at))
@@ -247,37 +255,6 @@ def rank_table_from_dict(data: dict, where: str = "ranks") -> RankDb:
             raise ParseError(str(exc), location=at) from None
         db.set_fact(manifold, interval)
     return db
-
-
-def triangles_to_list(triangles) -> list:
-    return [
-        {
-            "a": t.a.text(),
-            "b": t.b.text(),
-            "c": t.c.text(),
-            "provenance": t.provenance,
-            "informational": t.informational,
-        }
-        for t in triangles
-    ]
-
-
-def triangles_from_list(data, where: str = "triangles") -> tuple:
-    if not isinstance(data, list):
-        raise ParseError("triangles must be a list", location=where)
-    out = []
-    for i, item in enumerate(data):
-        at = f"{where}[{i}]"
-        out.append(
-            TriangleInstance(
-                Manifold.parse(_str(_need(item, "a", at), at)),
-                Manifold.parse(_str(_need(item, "b", at), at)),
-                Manifold.parse(_str(_need(item, "c", at), at)),
-                provenance=_str(item.get("provenance", ""), at),
-                informational=bool(item.get("informational", False)),
-            )
-        )
-    return tuple(out)
 
 
 # ---------------------------------------------------------------------------
@@ -305,7 +282,6 @@ def certificate_to_dict(cert: Certificate) -> dict:
             for e in cert.edges.values()
         ],
         "rank_facts": dict(cert.rank_facts),
-        "triangles": triangles_to_list(cert.triangles),
         "steps": [
             {"rule": s.rule, "refs": [list(r) for r in s.refs], "gives": list(s.gives)}
             for s in cert.steps
@@ -342,7 +318,7 @@ def certificate_from_dict(data: dict) -> Certificate:
     for i, item in enumerate(_need(data, "nodes", where)):
         at = f"{where}.nodes[{i}]"
         nid = _str(_need(item, "id", at), at + ".id")
-        manifold = Manifold.parse(_str(_need(item, "manifold", at), at + ".manifold"))
+        manifold = _manifold(_need(item, "manifold", at), at + ".manifold")
         diagram = item.get("diagram")
         if diagram is not None:
             diagram = diagram_from_dict(diagram, at + ".diagram")
@@ -368,12 +344,9 @@ def certificate_from_dict(data: dict) -> Certificate:
         raise ParseError("rank_facts must be an object", location=where + ".rank_facts")
     rank_facts = {}
     for key, value in raw_facts.items():
-        Manifold.parse(key)
-        rank_facts[key] = _int(value, f"{where}.rank_facts[{key!r}]")
-
-    triangles = triangles_from_list(
-        _need(data, "triangles", where), where + ".triangles"
-    )
+        at = f"{where}.rank_facts[{key!r}]"
+        _manifold(key, at)
+        rank_facts[key] = _int(value, at)
 
     steps = []
     for i, item in enumerate(_need(data, "steps", where)):
@@ -401,6 +374,5 @@ def certificate_from_dict(data: dict) -> Certificate:
         nodes=nodes,
         edges=edges,
         rank_facts=rank_facts,
-        triangles=triangles,
         steps=tuple(steps),
     )

@@ -30,6 +30,7 @@ from tightcert.errors import CalculusError, ExcludedSlopeError, NoExactTriangleE
 from tightcert.floer import (
     Interval,
     base_facts,
+    engine_triangles,
     propagate,
     tower_triangles,
     triangle_solve,
@@ -178,10 +179,13 @@ def _mut_stage_demote(data):
     return True
 
 
-def _mut_forge_triangle(data):
-    if not data["triangles"]:
+def _mut_cite_informational(data):
+    # Index S + 1 of the stage-S engine family is the k = 1 lens instance,
+    # which is informational only.
+    pushes = [s for s in data["steps"] if s["rule"] == "plus_one_pushforward"]
+    if not pushes:
         return False
-    data["triangles"][-1]["c"] = "s3"
+    pushes[-1]["refs"][1][1] = str(data["engine_stage"] + 1)
     return True
 
 
@@ -197,7 +201,7 @@ def _mut_negative_triangle_index(data):
     for step in data["steps"]:
         for ref in step["refs"]:
             if ref[0] == "triangle":
-                ref[1] = str(int(ref[1]) - len(data["triangles"]))
+                ref[1] = str(int(ref[1]) - len(engine_triangles(data["engine_stage"])))
                 return True
     return False
 
@@ -225,7 +229,7 @@ _MUTATIONS = [
     _mut_tamper_tb,
     _mut_slope_header,
     _mut_stage_demote,
-    _mut_forge_triangle,
+    _mut_cite_informational,
     _mut_short_refs,
     _mut_negative_triangle_index,
     _mut_stage_inflate,
@@ -314,12 +318,11 @@ def _mut_derived_inline_diagram(data):
 
 
 def _mut_stage_demote_past_derived(data):
-    # Stage 0 cites no triangles or rank facts, and its edge bound leaves
-    # no room for the ladder's stage edges.
+    # Stage 0 has no triangle family or rank facts, and its edge bound
+    # leaves no room for the ladder's stage edges.
     if not _derived(data):
         return False
     data["engine_stage"] = 0
-    data["triangles"] = []
     data["rank_facts"] = {}
     return True
 

@@ -33,6 +33,7 @@ from tightcert.diagrams import (
     tower_diagram,
 )
 from tightcert.errors import CalculusError, ExcludedSlopeError
+from tightcert.floer import engine_triangles
 from tightcert.rationals import SurgeryCoeff
 from tightcert.serialize import certificate_from_dict, certificate_to_dict
 from tightcert.topology import Manifold
@@ -80,7 +81,8 @@ def test_build_tower_chain_shape():
     assert chain.rank_facts["s3"] == 1
     assert chain.rank_facts["s1xs2"] == 2
     assert chain.rank_facts["poincare"] == 1
-    assert len(chain.triangles) == 1 + 6
+    cited = [s.ref("triangle") for s in chain.steps if s.rule == "plus_one_pushforward"]
+    assert cited == ["0", "1", "2"]
     rules_used = [s.rule for s in chain.steps]
     assert rules_used == [
         "all_minus_one_stein",
@@ -103,7 +105,7 @@ def test_stein_branch_certificate():
     cert = certify_tight(SurgeryCoeff(1, 2))
     assert cert.engine_stage == 0
     assert list(cert.nodes) == ["y0"]
-    assert cert.edges == {} and cert.rank_facts == {} and cert.triangles == ()
+    assert cert.edges == {} and cert.rank_facts == {}
     assert [s.rule for s in cert.steps] == [
         "h1_consistency",
         "all_minus_one_stein",
@@ -283,7 +285,7 @@ def _inline_v3(cert):
 
 
 def _demote_to_stage_0(cert):
-    cert.engine_stage, cert.triangles, cert.rank_facts = 0, (), {}
+    cert.engine_stage, cert.rank_facts = 0, {}
 
 
 def _cancel_witness(cert, cid):
@@ -369,21 +371,58 @@ def test_reject_dropped_final_step():
 
 
 def test_reject_engine_stage_decrement():
+    # The stage-1 family leaves -tower(2) unpinned.
     cert = fresh(certify_tight(SurgeryCoeff(5, 2)))
     cert.engine_stage -= 1
     result = check_certificate(cert)
-    assert not result.ok
-    assert "unknown triangle" in result.reason
+    assert not result.ok and result.step is None
+    assert result.reason.startswith("rank fact -tower(2) = 2 is not engine-verified")
+
+
+def _cite_triangle(cert, index):
+    """Make the last pushforward step cite ``index``; returns that step's
+    position."""
+    idx, step = [
+        (i, s) for i, s in enumerate(cert.steps) if s.rule == "plus_one_pushforward"
+    ][-1]
+    refs = tuple((k, index if k == "triangle" else v) for k, v in step.refs)
+    cert.steps = cert.steps[:idx] + (Step(step.rule, refs, step.gives),) + cert.steps[idx + 1 :]
+    return idx
 
 
 def test_reject_triangle_vertex_change():
+    # The stage-2 instance in place of the stage-1 one: its vertices are
+    # not the mirrors of the edge v1 -> v2.
     cert = fresh(certify_tight(SurgeryCoeff(5, 2)))
-    tri = cert.triangles[1]
-    forged = type(tri)(tri.a, tri.b, Manifold.s3(), tri.provenance, tri.informational)
-    cert.triangles = (cert.triangles[0], forged) + cert.triangles[2:]
+    idx = _cite_triangle(cert, "2")
     result = check_certificate(cert)
-    assert not result.ok
-    assert "unknown triangle" in result.reason
+    assert not result.ok and result.step == idx
+    assert result.reason == "triangle vertices do not match the edge endpoints"
+
+
+def test_reject_informational_triangle_citation():
+    # Index S + 1 is the k = 1 lens instance, outside its family's range.
+    cert = fresh(certify_tight(SurgeryCoeff(5, 2)))
+    assert engine_triangles(cert.engine_stage)[cert.engine_stage + 1].informational
+    idx = _cite_triangle(cert, str(cert.engine_stage + 1))
+    result = check_certificate(cert)
+    assert not result.ok and result.step == idx
+    assert result.reason == "informational triangle instances cannot justify injectivity"
+
+
+def test_reject_triangle_citation_at_stage_0():
+    # A Stein certificate has no engine family, so no index is present.
+    cert = fresh(certify_tight(SurgeryCoeff(1, 2)))
+    assert cert.engine_stage == 0
+    cert.nodes["z"] = ContactNode("z", Manifold.opaque("z"))
+    cert.edges["e_z"] = SurgeryEdge("e_z", "y0", "z", "unknot")
+    push = Step(
+        "plus_one_pushforward", (("edge", "e_z"), ("triangle", "0")), ("c_nonzero", "z")
+    )
+    cert.steps = cert.steps[:-1] + (push,) + cert.steps[-1:]
+    result = check_certificate(cert)
+    assert not result.ok and result.step == len(cert.steps) - 2
+    assert result.reason == "cited triangle '0' not present"
 
 
 def test_reject_node_manifold_swap():
@@ -481,13 +520,10 @@ def test_reject_h1_group_forgery():
 )
 def test_reject_noncanonical_triangle_index(form):
     cert = fresh(certify_tight(SurgeryCoeff(5, 2)))
-    idx, step = [
-        (i, s) for i, s in enumerate(cert.steps) if s.rule == "plus_one_pushforward"
-    ][-1]
-    i = int(step.ref("triangle"))
-    index = form.format(i=i, neg=i - len(cert.triangles))
-    refs = tuple((k, index if k == "triangle" else v) for k, v in step.refs)
-    cert.steps = cert.steps[:idx] + (Step(step.rule, refs, step.gives),) + cert.steps[idx + 1 :]
+    i = int([s for s in cert.steps if s.rule == "plus_one_pushforward"][-1].ref("triangle"))
+    idx = _cite_triangle(
+        cert, form.format(i=i, neg=i - len(engine_triangles(cert.engine_stage)))
+    )
     result = check_certificate(cert)
     assert not result.ok
     assert result.step == idx and "triangle" in result.reason

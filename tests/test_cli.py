@@ -330,6 +330,29 @@ def test_verify_derived_node_misuse_rejected_without_traceback(edit, tmp_path, c
     assert f"REJECTED: {expected}" in out
 
 
+@pytest.mark.parametrize("field", ["node", "rank_fact"])
+def test_verify_bad_manifold_name_located(field, tmp_path, capsys):
+    path = tmp_path / "cert.json"
+    run_cli(capsys, "certify", "--r", "5/2", "--emit", str(path))
+    data = load_json(str(path))
+    if field == "node":
+        i = next(i for i, n in enumerate(data["nodes"]) if n["id"] == "v2")
+        data["nodes"][i]["manifold"] = "bogus"
+        location = f"certificate.nodes[{i}].manifold"
+    else:
+        data["rank_facts"]["bogus"] = 1
+        location = "certificate.rank_facts['bogus']"
+    dump_json(data, str(path))
+    code, out, err = run_cli(capsys, "verify", str(path))
+    assert code == 3 and err == ""
+    assert out == f"certificate {path}: REJECTED: {location}: bad manifold 'bogus'\n"
+    code, out, err = run_cli(capsys, "verify", str(path), "--json")
+    assert code == 3 and err == ""
+    assert json.loads(out) == {
+        "ok": False, "step": None, "reason": "bad manifold 'bogus'", "location": location,
+    }
+
+
 def test_verify_malformed_file_exits_2(tmp_path, capsys):
     path = tmp_path / "broken.json"
     path.write_text("{not json")
@@ -361,6 +384,26 @@ def test_certify_batch(tmp_path, capsys):
     for i in range(3):
         stored = load_json(str(tmp_path / f"certs.{i}.json"))
         assert stored["format"] == "tightness-certificate"
+
+
+@pytest.mark.parametrize("lines, expected", [
+    ("# only a comment\n\n   \n", []),
+    ("-2\n", "object"),
+    ("-2\n1/2\n", 2),
+], ids=["empty", "one", "two"])
+def test_certify_batch_json_shape(lines, expected, tmp_path, capsys):
+    # An empty batch prints an empty list, one slope its object, more a list.
+    batch = tmp_path / "slopes.txt"
+    batch.write_text(lines)
+    code, out, err = run_cli(capsys, "certify", "--batch", str(batch), "--json")
+    assert code == 0 and err == ""
+    payload = json.loads(out)
+    if expected == "object":
+        assert payload["slope"] == "-2" and payload["verified"] is True
+    elif expected == []:
+        assert payload == []
+    else:
+        assert [entry["slope"] for entry in payload] == ["-2", "1/2"]
 
 
 def test_certify_batch_with_refusal_exits_2(tmp_path, capsys):

@@ -343,7 +343,7 @@ def _random_case(rng):
             tris[i] = replace(tri, informational=not tri.informational)
     if rng.random() < 0.15:
         m = rng.choice([Manifold.s3(), Manifold.poincare(), Manifold.neg_tower(1)])
-        tris.insert(rng.randrange(len(tris) + 1), TriangleInstance(m, m, m, "odd total"))
+        tris.insert(rng.randrange(len(tris) + 1), TriangleInstance(m, m, m))
     pool = list(dict.fromkeys(v for t in family for v in (t.a, t.b, t.c)))
     pool += [Manifold.tower(2), Manifold.lens(11, 3)]
     db = base_facts()

@@ -1,4 +1,4 @@
-"""Fuzzing the verifier with mutated version-4 certificates.
+"""Fuzzing the verifier with mutated version-5 certificates.
 
 Whatever a certificate file holds, ``certificate_from_dict`` followed by
 ``check_certificate`` either raises ``ParseError`` or returns a verdict,

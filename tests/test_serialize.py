@@ -18,7 +18,7 @@ from tightcert.diagrams import (
     trefoil_surgery_diagram,
 )
 from tightcert.errors import ParseError
-from tightcert.floer import Interval, RankDb, base_facts, tower_triangles, unknot_triangle
+from tightcert.floer import Interval, RankDb, base_facts, engine_triangles
 from tightcert.rationals import INF, SurgeryCoeff
 from tightcert.serialize import (
     CERTIFICATE_FORMAT,
@@ -35,8 +35,6 @@ from tightcert.serialize import (
     load_json,
     rank_table_from_dict,
     rank_table_to_dict,
-    triangles_from_list,
-    triangles_to_list,
 )
 from tightcert.topology import Manifold, linking_matrix
 
@@ -130,6 +128,26 @@ def test_diagram_from_dict_rejects():
         assert err6.value.location == f"diagram.linkings[{len(good['linkings'])}]"
 
 
+def _v4_triangles(stage):
+    """The "triangles" list of versions 1 to 4: the stage's engine family,
+    each instance with the provenance text it carried."""
+    stages = range(1, stage + 1)
+    texts = ["zero-framed unknot surgery triangle"]
+    texts += [f"tower surgery triangle linking stages {k} and {k + 1}" for k in stages]
+    texts += [
+        f"lens-space triangle at tower stage {k} "
+        f"(orders {abs(7 * k - 9)} and {abs(8 * k - 9)})"
+        + ("; outside the family range, recorded for audit only" if k == 1 else "")
+        for k in stages
+    ]
+    family = engine_triangles(stage) if stage else ()
+    return [
+        {"a": t.a.text(), "b": t.b.text(), "c": t.c.text(),
+         "provenance": text, "informational": t.informational}
+        for t, text in zip(family, texts)
+    ]
+
+
 def expand_to_v1(payload, version=1):
     """The version-1 form of a certificate payload: every derived node gets
     the JSON form of the presentation the verifier builds for it, and each
@@ -138,10 +156,19 @@ def expand_to_v1(payload, version=1):
     built by a "cancel:" edge, the reduction path, are inlined.  With
     ``version=3``, the version-3 form: every derived node names the edge
     into it as its "via".  A derived node that stays derived gets that
-    "via" in versions 2 and 3."""
+    "via" in versions 2 and 3.  With ``version=4``, the version-4 form,
+    which differs from the current one only by its version.  Every one of
+    these versions lists the engine family after "rank_facts" as
+    "triangles"."""
     built = node_presentations(certificate_from_dict(payload))
-    out = copy.deepcopy(payload)
+    out = {}
+    for key, value in copy.deepcopy(payload).items():
+        out[key] = value
+        if key == "rank_facts":
+            out["triangles"] = _v4_triangles(payload["engine_stage"])
     out["version"] = version
+    if version == 4:
+        return out
     into = {edge["dst"]: edge for edge in out["edges"]}
     cancels = set()
     if version < 3:
@@ -211,8 +238,9 @@ GOLDEN_V3_SHA256 = {
 }
 
 
-# Version-4 certificate bytes as emitted: each derived node is built by the
-# one edge into it, in edge order.
+# Version-4 certificate bytes: each derived node is built by the one edge
+# into it, in edge order, and the engine family is listed; current
+# certificates are compared after ``expand_to_v1(payload, version=4)``.
 GOLDEN_V4_SHA256 = {
     "5/2": "3131fb4f24403b1090c50f6bd7f3ca8b9958fdab816d1802568f8869047502a9",
     "17/16": "ca8da17f232aec8657d38864cd72014449d2346841747fd98e6976a0243ae29f",
@@ -222,6 +250,21 @@ GOLDEN_V4_SHA256 = {
     "-1/20": "4bae4fe278b606b074f661d70dbd5f8db89f52fbadb1ddd26bb5805b7428a69a",
     "-4000": "cf96869cd391d0fa66bd3b926b31bfd50e15621d6f895267d22e48b86be90500",
     "233/144": "4cb6e005594499c771b47c2501ff14132be0df2669eadf0c0bd0b9482f57e8f0",
+}
+
+
+# Version-5 certificate bytes as emitted: the version-4 bytes without the
+# "triangles" list; steps cite triangles by their index in the verifier's
+# own engine family.
+GOLDEN_V5_SHA256 = {
+    "5/2": "25acda1436f596929f7115a00c8cc3b884f0705226c5f7fe5fc8fe03f686fd99",
+    "17/16": "288838db73406ed1c7c98d519c1ed6ef827e82f6e676b797d6b87538b68913df",
+    "-7/2": "719d134775eb235d472f940e87e8a5b73e31c6dbce787f5b20e5bf294ed5ed92",
+    "13/8": "df53c24f5b7d4057c0b22934178cf5aae445bf3f0427f4164750c33cb10a7e10",
+    "0": "3521f6fbbc73b6b3101e5be8d6051a37e797ed08c8cec9ea48072282fd9e0790",
+    "-1/20": "c7dc8a75bef4176b30b5f0fa112dda1e9bf47b8c73e73ed2882f07d16b6b1973",
+    "-4000": "604f20958804b96afb743c5d822ba22735fdc64555f7419260e3109c6a4b17f8",
+    "233/144": "6e0638cf7512da60e0c392a5f0851a6805bee3f4c0f1a6d6a9adda84c1903bb2",
 }
 
 
@@ -249,8 +292,16 @@ def test_certificate_v3_golden_bytes(slope, tmp_path):
 @pytest.mark.parametrize("slope", sorted(GOLDEN_V4_SHA256))
 def test_certificate_v4_golden_bytes(slope, tmp_path):
     payload = certificate_to_dict(certify_tight(SurgeryCoeff.parse(slope)))
-    assert payload["version"] == FORMAT_VERSION == 4
-    assert _sha256_of_dump(payload, tmp_path / "cert.json") == GOLDEN_V4_SHA256[slope]
+    expanded = expand_to_v1(payload, version=4)
+    assert _sha256_of_dump(expanded, tmp_path / "cert.json") == GOLDEN_V4_SHA256[slope]
+
+
+@pytest.mark.parametrize("slope", sorted(GOLDEN_V5_SHA256))
+def test_certificate_v5_golden_bytes(slope, tmp_path):
+    payload = certificate_to_dict(certify_tight(SurgeryCoeff.parse(slope)))
+    assert payload["version"] == FORMAT_VERSION == 5
+    assert "triangles" not in payload
+    assert _sha256_of_dump(payload, tmp_path / "cert.json") == GOLDEN_V5_SHA256[slope]
 
 
 # ---------------------------------------------------------------------------
@@ -280,7 +331,7 @@ def test_framed_link_from_dict_rejects():
 
 
 # ---------------------------------------------------------------------------
-# Rank tables and triangles
+# Rank tables
 # ---------------------------------------------------------------------------
 
 
@@ -302,21 +353,6 @@ def test_rank_table_rejects():
         rank_table_from_dict({"facts": [{"manifold": "s3", "rank": -1}]})
     with pytest.raises(ParseError):
         rank_table_from_dict({})
-
-
-def test_triangles_round_trip():
-    tris = [unknot_triangle()] + tower_triangles(5)
-    data = triangles_to_list(tris)
-    back = triangles_from_list(data)
-    assert back == tuple(tris)
-    assert data[1 + 5]["informational"] is True
-
-
-def test_triangles_reject_bad_manifold():
-    data = triangles_to_list([unknot_triangle()])
-    data[0]["a"] = "lens(4,2)"
-    with pytest.raises(ParseError):
-        triangles_from_list(data)
 
 
 # ---------------------------------------------------------------------------
@@ -356,6 +392,14 @@ def test_certificate_version_3_refused():
         certificate_from_dict(expand_to_v1(data, version=3))
     assert err.value.location == "certificate.version"
     assert "unsupported certificate version 3" in str(err.value)
+
+
+def test_certificate_version_4_refused():
+    data = certificate_to_dict(certify_tight(SurgeryCoeff(5, 2)))
+    with pytest.raises(ParseError) as err:
+        certificate_from_dict(expand_to_v1(data, version=4))
+    assert err.value.location == "certificate.version"
+    assert "unsupported certificate version 4" in str(err.value)
 
 
 def test_certificate_derived_node_form():
