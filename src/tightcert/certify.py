@@ -195,13 +195,15 @@ RULES = {
         _all_minus_one_stein,
     ),
     "cancel_equivalent": (
-        "presentations with the same fully cancelled form present the same "
-        "contact structure, so the class transfers",
+        "presentations whose fully cancelled forms agree component by "
+        "component, in order, present the same contact structure, so the "
+        "class transfers",
         ("node", "node"),
         partial(_transfer, cancel=True),
     ),
     "same_diagram": (
-        "isomorphic presentations carry the same contact class",
+        "presentations that agree component by component, in order, carry "
+        "the same contact class",
         ("node", "node"),
         _transfer,
     ),

@@ -34,6 +34,18 @@ _MAP_PROPERTIES = (
 )
 
 
+# Longest echoed text a reason prints: a reason can quote an input value
+# of any length.
+_CLIP = 200
+
+
+def _clip(text) -> str:
+    text = str(text)
+    if len(text) <= _CLIP:
+        return text
+    return f"{text[:_CLIP]}... ({len(text) - _CLIP} more characters)"
+
+
 def _emit(payload, path=None):
     if path:
         serialize.dump_json(payload, path)
@@ -166,9 +178,9 @@ def _cmd_certify(args) -> int:
             cert = certify_tight(SurgeryCoeff.parse(slope_text))
         except CalculusError as exc:
             failures += 1
-            results.append({"slope": slope_text, "error": str(exc)})
+            results.append({"slope": _clip(slope_text), "error": _clip(exc)})
             if not args.json:
-                print(f"slope {slope_text}: REFUSED ({exc})")
+                print(f"slope {_clip(slope_text)}: REFUSED ({_clip(exc)})")
             continue
         verdict = check_certificate(cert)
         payload = serialize.certificate_to_dict(cert)
@@ -212,7 +224,9 @@ def _read_batch(path: str) -> list[str]:
         with open(path, "r", encoding="utf-8") as fh:
             lines = fh.readlines()
     except OSError as exc:
-        raise CalculusError(str(exc)) from None
+        raise ParseError(str(exc)) from None
+    except UnicodeDecodeError as exc:
+        raise ParseError(str(exc), location=path) from None
     slopes = []
     for line in lines:
         line = line.split("#", 1)[0].strip()
@@ -227,10 +241,10 @@ def _cmd_verify(args) -> int:
         cert = serialize.certificate_from_dict(data)
     except ParseError as exc:
         if args.json:
-            _emit({"ok": False, "step": None,
-                   "reason": exc.reason, "location": exc.location})
+            _emit({"ok": False, "step": None, "reason": _clip(exc.reason),
+                   "location": exc.location and _clip(exc.location)})
         else:
-            print(f"certificate {args.certificate}: REJECTED: {exc}")
+            print(f"certificate {args.certificate}: REJECTED: {_clip(exc)}")
         return 3
     verdict = check_certificate(cert)
     if args.json:
@@ -240,14 +254,15 @@ def _cmd_verify(args) -> int:
         }
         if not verdict.ok:
             payload["step"] = verdict.step
-            payload["reason"] = verdict.reason
+            payload["reason"] = _clip(verdict.reason)
         _emit(payload)
     else:
         if verdict.ok:
             print(f"certificate for slope {cert.slope}: ACCEPTED")
         else:
             at = f" at step {verdict.step}" if verdict.step is not None else ""
-            print(f"certificate for slope {cert.slope}: REJECTED{at}: {verdict.reason}")
+            print(f"certificate for slope {_clip(cert.slope)}: "
+                  f"REJECTED{at}: {_clip(verdict.reason)}")
     return 0 if verdict.ok else 3
 
 
@@ -344,7 +359,7 @@ def main(argv=None) -> int:
     try:
         return args.func(args)
     except CalculusError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        print(f"error: {_clip(exc)}", file=sys.stderr)
         return 2
 
 

@@ -43,8 +43,10 @@ source that the move leaves alone.  With n components:
 * removing component i keeps rows 0..i-1 and slices entry i out of each
   later row;
 * ``linking`` is one tuple lookup, and ``linking_rows`` builds the full
-  symmetric matrix in O(n^2), which ``diagram_iso``, ``linking_matrix``
-  and the JSON form read instead of asking for pairs one by one.
+  symmetric matrix in O(n^2), which ``linking_matrix`` and the JSON form
+  read instead of asking for pairs one by one;
+* ``diagram_iso`` compares two diagrams by position, rows tuple against
+  tuple, in O(n^2) with no search.
 """
 
 from __future__ import annotations
@@ -606,82 +608,31 @@ def trefoil_surgery_diagram(r) -> ContactDiagram:
 
 
 # ---------------------------------------------------------------------------
-# Diagram isomorphism
+# Comparing presentations
 # ---------------------------------------------------------------------------
 
 
 def diagram_iso(a: ContactDiagram, b: ContactDiagram) -> bool:
-    """Exact isomorphism: a component bijection preserving kind, smooth
-    type, tb, rot, coefficient, parent relations and all linking numbers.
-    Worst-case exponential; the verifier still runs it on presentations a
-    certificate supplies (``same_diagram``, ``cancel_equivalent``)."""
-    if len(a) != len(b):
-        return False
-    par_a, par_b = _parents(a), _parents(b)
-    kids_a, kids_b = _children(par_a), _children(par_b)
-    rows_a, rows_b = a.linking_rows(), b.linking_rows()
-    sig_a = [_iso_signature(*x) for x in zip(a.components, rows_a, kids_a)]
-    sig_b = [_iso_signature(*x) for x in zip(b.components, rows_b, kids_b)]
-    if sorted(sig_a) != sorted(sig_b):
-        return False
-    positions = {}
-    for y, s in enumerate(sig_b):
-        positions.setdefault(s, []).append(y)
-    candidates = [positions[s] for s in sig_a]
-    return _match(rows_a, rows_b, par_a, par_b, kids_a, candidates, [], set())
-
-
-def _iso_signature(c, row, kids):
-    # Every row holds its own diagonal 0, so the sorted rows compare as
-    # the sorted off-diagonal linking profiles do.
+    """Positional isomorphism: component i of ``a`` matches component i
+    of ``b`` in kind, smooth type, tb, rot and coefficient, the parents
+    sit at the same positions, and the linking rows are equal.  Ids may
+    differ.  O(n^2) with no search.  Equality by position is a special
+    case of isomorphism, so ``True`` proves the diagrams isomorphic, but
+    ``False`` does not prove them non-isomorphic: a relabelling that also
+    reorders the components is not found.  The verifier runs it on
+    presentations a certificate supplies (``same_diagram``,
+    ``cancel_equivalent``)."""
     return (
-        c.kind,
-        c.smooth_type,
-        c.tb,
-        c.rot,
-        str(c.coeff),
-        c.parent is None,
-        len(kids),
-        tuple(sorted(row)),
+        a._rows == b._rows
+        and _parents(a) == _parents(b)
+        and all(
+            (x.kind, x.smooth_type, x.tb, x.rot, x.coeff)
+            == (y.kind, y.smooth_type, y.tb, y.rot, y.coeff)
+            for x, y in zip(a.components, b.components)
+        )
     )
 
 
 def _parents(d):
     """Position of each component's parent, None for a root."""
     return [None if c.parent is None else d._pos[c.parent] for c in d.components]
-
-
-def _children(parents):
-    """Positions of each component's children."""
-    kids = [[] for _ in parents]
-    for z, p in enumerate(parents):
-        if p is not None:
-            kids[p].append(z)
-    return kids
-
-
-def _match(rows_a, rows_b, par_a, par_b, kids_a, candidates, mapping, used):
-    """Extend ``mapping`` (a position of b for each of a's first positions)
-    to a bijection preserving linking rows and parents.  A parent edge is
-    checked as soon as both its ends are mapped, whichever comes first."""
-    x = len(mapping)
-    if x == len(candidates):
-        return True
-    row_x, pa = rows_a[x], par_a[x]
-    for y in candidates[x]:
-        if y in used:
-            continue
-        row_y = rows_b[y]
-        if any(row_x[px] != row_y[py] for px, py in enumerate(mapping)):
-            continue
-        if pa is not None and pa < x and mapping[pa] != par_b[y]:
-            continue
-        if any(z < x and par_b[mapping[z]] != y for z in kids_a[x]):
-            continue
-        mapping.append(y)
-        used.add(y)
-        if _match(rows_a, rows_b, par_a, par_b, kids_a, candidates, mapping, used):
-            return True
-        mapping.pop()
-        used.discard(y)
-    return False

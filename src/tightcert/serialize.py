@@ -1,7 +1,7 @@
 """JSON forms for every persistent object.
 
-Formats (all returned by the ``*_to_dict`` functions, accepted by the
-matching ``*_from_dict``):
+Formats (all returned by the ``*_to_dict`` functions, and accepted by the
+matching ``*_from_dict`` except the rank table, which is only written):
 
 * coefficient: the string "p/q", "n" or "inf".
 * diagram: {"components": [{"id", "type", "tb", "rot", "coeff"}],
@@ -40,7 +40,7 @@ from .diagrams import (
     LegendrianComponent,
 )
 from .topology import FramedLink, Manifold
-from .floer import Interval, RankDb
+from .floer import RankDb
 from .certify import Certificate, ContactNode, Step, SurgeryEdge
 
 CERTIFICATE_FORMAT = "tightness-certificate"
@@ -57,6 +57,10 @@ def load_json(path: str):
         raise ParseError(
             exc.msg, location=f"{path}: line {exc.lineno} column {exc.colno}"
         ) from None
+    except (ValueError, RecursionError) as exc:
+        # Bytes that are not UTF-8, an integer too long to convert, or
+        # nesting deeper than the decoder's recursion allows.
+        raise ParseError(str(exc), location=path) from None
 
 
 def dump_json(obj, path: str):
@@ -232,29 +236,6 @@ def rank_table_to_dict(db: RankDb) -> dict:
             entry["hi"] = interval.hi
         facts.append(entry)
     return {"facts": facts}
-
-
-def rank_table_from_dict(data: dict, where: str = "ranks") -> RankDb:
-    facts = _need(data, "facts", where)
-    if not isinstance(facts, list):
-        raise ParseError("facts must be a list", location=where)
-    db = RankDb()
-    for i, item in enumerate(facts):
-        at = f"{where}.facts[{i}]"
-        manifold = _manifold(_need(item, "manifold", at), at)
-        try:
-            if "rank" in item:
-                interval = Interval.exact(_int(item["rank"], at))
-            else:
-                hi = item.get("hi")
-                interval = Interval(
-                    _int(_need(item, "lo", at), at),
-                    None if hi is None else _int(hi, at),
-                )
-        except ValueError as exc:
-            raise ParseError(str(exc), location=at) from None
-        db.set_fact(manifold, interval)
-    return db
 
 
 # ---------------------------------------------------------------------------

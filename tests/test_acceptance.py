@@ -417,6 +417,41 @@ def _relabel(slope):
 _MUTATIONS += [_relabel("-1/1000000"), _relabel("1000001/1000000")]
 
 
+# Two extra s3 nodes of 24 (-1)-unknots with random ids in shuffled order,
+# linked in one 24-cycle and in 8 disjoint triangles, compared by a step
+# put first: a backtracking isomorphism search stalls on this pair.
+
+
+def _stall(rule, n=24):
+    def mutate(data):
+        rng = random.Random(n)
+        pairs = {
+            "stall_a": [(i, (i + 1) % n) for i in range(n)],
+            "stall_b": [(i, i + 1 if i % 3 < 2 else i - 2) for i in range(n)],
+        }
+        for nid, links in pairs.items():
+            ids = [f"k{rng.randrange(10**6)}_{i}" for i in range(n)]
+            order = rng.sample(range(n), n)
+            components = [
+                {"id": ids[i], "type": "unknot", "tb": -1, "rot": 0, "coeff": "-1"}
+                for i in order
+            ]
+            linkings = [[ids[i], ids[j], 1] for i, j in links]
+            diagram = {"components": components, "linkings": linkings}
+            data["nodes"].append({"id": nid, "manifold": "s3", "diagram": diagram})
+        data["steps"].insert(0, {
+            "rule": rule,
+            "refs": [["node", "stall_a"], ["node", "stall_b"]],
+            "gives": ["c_nonzero", "stall_a"],
+        })
+        return True
+
+    return mutate
+
+
+_MUTATIONS += [_stall("same_diagram"), _stall("cancel_equivalent")]
+
+
 def test_criterion_3_certificates():
     slopes = sorted(
         {Fraction(p, q) for p in range(-10, 11) for q in range(1, 11)} - {Fraction(1)}
@@ -450,6 +485,7 @@ def test_criterion_3_certificates():
     bases = ["-2", "5/2", "-5/3", "0", "2", "9/4", "-10/9", "7/10", "10/3", "1/2"]
     by_slope = {d["slope"]: d for d in emitted}
     tampered = rejected = 0
+    slowest = 0.0
     for slope in bases:
         original = by_slope[slope]
         for mutate in _MUTATIONS:
@@ -457,13 +493,16 @@ def test_criterion_3_certificates():
             if not mutate(data):
                 continue
             tampered += 1
+            start = time.monotonic()
             if not check_certificate(certificate_from_dict(data)):
                 rejected += 1
-    ok = ok and tampered >= 50 and rejected == tampered
+            slowest = max(slowest, time.monotonic() - start)
+    ok = ok and tampered >= 50 and rejected == tampered and slowest < 1.0
     _report(
         3,
         f"{len(slopes)} slopes certified+verified ({stein} stein, {tower} tower); "
-        f"slope 1 refused; {rejected}/{tampered} tampered certificates rejected",
+        f"slope 1 refused; {rejected}/{tampered} tampered certificates rejected, "
+        f"the slowest in {slowest:.3f}s",
         ok,
     )
 

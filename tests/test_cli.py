@@ -360,6 +360,38 @@ def test_verify_malformed_file_exits_2(tmp_path, capsys):
     assert code == 2 and "error:" in err
 
 
+# Files the JSON decoder cannot read: bytes that are not UTF-8, an integer
+# longer than Python converts (4300 digits), nesting deeper than the
+# decoder's recursion allows.
+_UNREADABLE = {
+    "non_utf8": b'\xff\xfe{"n": 1}',
+    "long_int": b'{"n": 1, "matrix": [' + b"7" * 5000 + b"]}",
+    "deep": b"[" * 200_000 + b"]" * 200_000,
+}
+
+
+@pytest.mark.parametrize("content", sorted(_UNREADABLE))
+@pytest.mark.parametrize(
+    "command", [["verify"], ["h1", "--diagram"], ["det", "--link"], ["certify", "--batch"]]
+)
+def test_unreadable_file_exits_2_without_traceback(command, content, tmp_path, capsys):
+    path = tmp_path / "input.json"
+    path.write_bytes(_UNREADABLE[content])
+    code, out, err = run_cli(capsys, *command, str(path))
+    assert code == 2 and "Traceback" not in err
+    assert len(out) + len(err) < 1024
+
+
+def test_long_slope_is_clipped_where_echoed(capsys):
+    slope = "7" * 5000
+    code, out, err = run_cli(capsys, "certify", "--r", slope)
+    assert code == 2 and "REFUSED" in out
+    assert len((out + err).encode()) < 1024
+    code, out, err = run_cli(capsys, "certify", "--r", slope, "--json")
+    assert code == 2 and len((out + err).encode()) < 1024
+    assert json.loads(out)["slope"].startswith("7" * 200 + "... ")
+
+
 def test_verify_json_that_is_no_certificate_rejected(tmp_path, capsys):
     path = tmp_path / "bad.json"
     path.write_text("{}")

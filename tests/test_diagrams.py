@@ -50,6 +50,7 @@ from tightcert.rationals import (
 )
 from tightcert.serialize import diagram_to_dict
 from tightcert.topology import det_signed, h1, linking_matrix
+from test_oracles import assert_sound
 
 
 def chain_counts(r):
@@ -63,12 +64,14 @@ def random_slope(rng, lo=-25, hi=25, qmax=12):
             return c
 
 
-def relabeled(d, rng):
-    """Rebuild d through the public constructor with shuffled order and
-    fresh component names; the result must be isomorphic, not equal."""
+def relabeled(d, rng, shuffle=True):
+    """Rebuild d through the public constructor with fresh component
+    names, in shuffled order unless ``shuffle`` is false; the result is
+    isomorphic, not equal."""
     ids = list(d.ids())
     shuffled = ids[:]
-    rng.shuffle(shuffled)
+    if shuffle:
+        rng.shuffle(shuffled)
     names = {cid: f"k{i}" for i, cid in enumerate(shuffled)}
     by_pos = {c.cid: c for c in d.components}
     # Parents must be declared before children.
@@ -546,18 +549,22 @@ def test_trefoil_surgery_diagram_branches():
 
 def test_iso_reflexive_and_relabeling_random():
     rng = random.Random(4105)
+    shuffled = []
     for _ in range(25):
         r = random_slope(rng)
         d = normalize_diagram(trefoil_surgery_diagram(r))
         assert diagram_iso(d, d)
-        assert diagram_iso(d, relabeled(d, rng))
+        assert diagram_iso(d, relabeled(d, rng, shuffle=False))
+        shuffled.append((d, relabeled(d, rng)))
+    nx = pytest.importorskip("networkx")
+    for d, other in shuffled:
+        assert_sound(nx, d, other)
 
 
 def test_iso_detects_differences():
     d = normalize_diagram(trefoil_surgery_diagram(SurgeryCoeff(-5, 3)))
     rng = random.Random(4106)
-    other = relabeled(d, rng)
-    assert diagram_iso(d, other)
+    assert diagram_iso(d, relabeled(d, rng, shuffle=False))
 
     chain = [c for c in d.components if c.coeff == SurgeryCoeff(-1)]
     stabbed = stabilize(d, chain[-1].cid, -1)
@@ -569,6 +576,9 @@ def test_iso_detects_differences():
     assert not diagram_iso(d, tower_diagram(len(d) - 1))
     assert not diagram_iso(d, empty_diagram())
     assert diagram_iso(empty_diagram(), empty_diagram())
+
+    nx = pytest.importorskip("networkx")
+    assert_sound(nx, d, relabeled(d, rng))
 
 
 def test_iso_needs_matching_parents_not_just_signatures():
@@ -583,7 +593,7 @@ def test_iso_needs_matching_parents_not_just_signatures():
     d2 = d1
     assert diagram_iso(d1, d2)
     rng = random.Random(4107)
-    assert diagram_iso(d1, relabeled(d1, rng))
+    assert diagram_iso(d1, relabeled(d1, rng, shuffle=False))
 
 
 def test_iso_on_choice_variants():

@@ -1,8 +1,9 @@
 """Independent oracles for the diagram representation and for H1.
 
 ``diagram_iso`` is checked against networkx's VF2 matcher on labelled
-graphs, and the linking rows behind every move against the public
-constructor and entry-by-entry linking matrices.  ``smith_normal_form`` is
+graphs (every pair it accepts must be isomorphic), and the linking rows
+behind every move against the public constructor and entry-by-entry
+linking matrices.  ``smith_normal_form`` is
 checked against sympy's, and ``h1`` of a diagram (pushoffs slid over their
 parents, then the sparse phase) against the dense elimination alone on the
 unslid linking matrix.  Each test that needs a library is skipped when it
@@ -46,12 +47,14 @@ from tightcert.topology import (
 )
 
 
-def shuffled_copy(d, rng, bump=None, reparent=None):
+def shuffled_copy(d, rng, bump=None, reparent=None, shuffle=True):
     """d rebuilt with fresh names in a random order (parents may follow
-    their children); ``bump`` = (a, b, delta) also shifts lk(a, b), and
-    ``reparent`` = (c, p) makes pushoff c name p as its parent."""
+    their children), or in its own order when ``shuffle`` is false;
+    ``bump`` = (a, b, delta) also shifts lk(a, b), and ``reparent`` =
+    (c, p) makes pushoff c name p as its parent."""
     comps = list(d.components)
-    rng.shuffle(comps)
+    if shuffle:
+        rng.shuffle(comps)
     names = {c.cid: f"x{rng.randrange(10**6)}_{i}" for i, c in enumerate(comps)}
     links = {
         frozenset(names[x] for x in pair): v for pair, v in d.linking_pairs().items()
@@ -89,12 +92,13 @@ def other_parent(d, rng):
 
 
 def as_graph(nx, d):
-    """Complete directed graph: a node per component labelled by its knot
-    data, an edge per ordered pair labelled (lk, whether the source is the
-    target's parent).  Nodes go in parent-first breadth-first order, so
-    that VF2, which extends its match in the second graph's node order,
-    meets every pushoff after its parent: on a (-1)-chain of identical
-    knots any other order makes it search exponentially."""
+    """Directed graph: a node per component labelled by its knot data, an
+    edge per ordered pair that links or is a parent and child, labelled
+    (lk, whether the source is the target's parent).  Nodes go in
+    parent-first breadth-first order, so that VF2, which extends its match
+    in the second graph's node order, meets every pushoff after its
+    parent: on a (-1)-chain of identical knots any other order makes it
+    search exponentially."""
     children = {c.cid: [] for c in d.components}
     for c in d.components:
         if c.parent is not None:
@@ -109,10 +113,15 @@ def as_graph(nx, d):
         # The number of children is an invariant; as a label it spares VF2
         # a factorial search when a pushoff has moved to another parent.
         g.nodes[cid]["label"] += (len(children[cid]),)
+    # A pair that neither links nor is a parent and child gets no edge:
+    # VF2 matches edges and non-edges alike, so the isomorphism is the
+    # same, and a sparsely linked diagram stays cheap to match.
     for a in order:
         for b in order:
             if a != b:
-                g.add_edge(a, b, label=(d.linking(a, b), d.component(b).parent == a))
+                lk, parent = d.linking(a, b), d.component(b).parent == a
+                if lk or parent or d.component(a).parent == b:
+                    g.add_edge(a, b, label=(lk, parent))
     return g
 
 
@@ -127,6 +136,13 @@ def oracle_iso(nx, a, b):
             return False
     same = lambda x, y: x["label"] == y["label"]  # noqa: E731
     return nx.is_isomorphic(ga, gb, node_match=same, edge_match=same)
+
+
+def assert_sound(nx, a, b):
+    """``diagram_iso`` compares by position, so it may miss an
+    isomorphism, but every pair it accepts VF2 must accept too."""
+    if diagram_iso(a, b):
+        assert oracle_iso(nx, a, b)
 
 
 def oracle_pool(rng):
@@ -165,12 +181,21 @@ def _unknots(n, links, parents=None):
     )
 
 
+def _cycle_and_triangles(n):
+    """n unknots linked in one n-cycle, and in n/3 disjoint triangles."""
+    cycle = {(i, (i + 1) % n): 1 for i in range(n)}
+    triangles = {(i, i + 1 if i % 3 < 2 else i - 2): 1 for i in range(n)}
+    return _unknots(n, cycle), _unknots(n, triangles)
+
+
 def hard_pairs():
     """Non-isomorphic pairs whose components all have matching signatures,
     so only the match itself can tell them apart."""
-    hexagon = {(i, (i + 1) % 6): 1 for i in range(6)}
-    triangles = {(0, 1): 1, (1, 2): 1, (2, 0): 1, (3, 4): 1, (4, 5): 1, (5, 3): 1}
-    yield _unknots(6, hexagon), _unknots(6, triangles)
+    yield _cycle_and_triangles(6)
+    # Random ids in shuffled order: a backtracking search over the
+    # components stalls on this pair.
+    rng = random.Random(24)
+    yield tuple(shuffled_copy(d, rng) for d in _cycle_and_triangles(24))
     # Each pushoff links its own parent, or the other root instead.
     links = {(0, 2): -1, (1, 3): -1}
     yield _unknots(4, links, {2: 0, 3: 1}), _unknots(4, links, {2: 1, 3: 0})
@@ -184,9 +209,13 @@ def test_diagram_iso_hard_pairs():
     rng = random.Random(9312)
     for a, b in hard_pairs():
         assert not oracle_iso(nx, a, b)
+        assert not diagram_iso(a, shuffled_copy(b, rng, shuffle=False))
         for _ in range(5):
             a2, b2 = shuffled_copy(a, rng), shuffled_copy(b, rng)
-            assert diagram_iso(a, a2) and diagram_iso(a2, a)
+            renamed = shuffled_copy(a, rng, shuffle=False)
+            assert diagram_iso(a, renamed) and diagram_iso(renamed, a)
+            for x, y in ((a, renamed), (a, a2), (a2, a)):
+                assert_sound(nx, x, y)
             assert not diagram_iso(a2, b) and not diagram_iso(b, a2)
             assert not diagram_iso(a, b2) and not diagram_iso(b2, a)
 
@@ -198,31 +227,35 @@ def test_diagram_iso_matches_networkx():
     assert max(len(d) for d in pool) == 40
     for d in pool:
         twin = shuffled_copy(d, rng)
-        assert diagram_iso(d, twin) and oracle_iso(nx, d, twin)
-        if len(d) <= 10:
-            # With children before their parents in the first argument;
-            # the match follows that order, so keep the search small.
-            assert diagram_iso(twin, d)
+        renamed = shuffled_copy(d, rng, shuffle=False)
+        assert diagram_iso(d, renamed) and diagram_iso(renamed, d)
+        assert oracle_iso(nx, d, twin) and oracle_iso(nx, d, renamed)
+        assert_sound(nx, d, twin)
+        assert_sound(nx, twin, d)
         if len(d) >= 2:
             a, b = rng.sample(d.ids(), 2)
-            off = shuffled_copy(d, rng, bump=(a, b, rng.choice((1, -1))))
+            bump = (a, b, rng.choice((1, -1)))
+            off = shuffled_copy(d, rng, bump=bump)
             assert not diagram_iso(d, off) and not oracle_iso(nx, d, off)
+            assert not diagram_iso(d, shuffled_copy(d, rng, bump=bump, shuffle=False))
         moved = other_parent(d, rng)
         if moved is not None:
-            off = shuffled_copy(d, rng, reparent=moved)
-            expected = oracle_iso(nx, d, off)
-            assert diagram_iso(d, off) == expected
-            if len(d) <= 10:
-                assert diagram_iso(off, d) == expected
-    # Every same-size pair of the pool, one side shuffled.
+            for shuffle in (True, False):
+                off = shuffled_copy(d, rng, reparent=moved, shuffle=shuffle)
+                assert_sound(nx, d, off)
+                assert_sound(nx, off, d)
+    # Every same-size pair of the pool, one side renamed: in order, the
+    # verdict is the one for the pair itself; shuffled, it stays sound.
     by_size = {}
     for d in pool:
         by_size.setdefault(len(d), []).append(d)
     for group in by_size.values():
         for a in group:
             for b in group:
-                b = shuffled_copy(b, rng)
-                assert diagram_iso(a, b) == oracle_iso(nx, a, b)
+                renamed = shuffled_copy(b, rng, shuffle=False)
+                assert diagram_iso(a, renamed) == diagram_iso(a, b)
+                assert_sound(nx, a, renamed)
+                assert_sound(nx, a, shuffled_copy(b, rng))
 
 
 def _expected_matrix(d):

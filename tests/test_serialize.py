@@ -18,7 +18,7 @@ from tightcert.diagrams import (
     trefoil_surgery_diagram,
 )
 from tightcert.errors import ParseError
-from tightcert.floer import Interval, RankDb, base_facts, engine_triangles
+from tightcert.floer import engine_triangles
 from tightcert.rationals import INF, SurgeryCoeff
 from tightcert.serialize import (
     CERTIFICATE_FORMAT,
@@ -33,8 +33,6 @@ from tightcert.serialize import (
     framed_link_from_dict,
     framed_link_to_dict,
     load_json,
-    rank_table_from_dict,
-    rank_table_to_dict,
 )
 from tightcert.topology import Manifold, linking_matrix
 
@@ -328,31 +326,6 @@ def test_framed_link_from_dict_rejects():
         framed_link_from_dict({"n": -1, "matrix": []})
     # Tags are optional on input: missing tags read as blank (fail-closed).
     assert framed_link_from_dict({"n": 1, "matrix": [3]}).tags == ("",)
-
-
-# ---------------------------------------------------------------------------
-# Rank tables
-# ---------------------------------------------------------------------------
-
-
-def test_rank_table_round_trip():
-    db = base_facts()
-    db.set_fact(Manifold.neg_tower(4), Interval(2, 6))
-    db.set_fact(Manifold.neg_tower(9), Interval.unknown())
-    data = rank_table_to_dict(db)
-    back = rank_table_from_dict(data)
-    assert isinstance(back, RankDb)
-    for m, interval in db.items():
-        assert back.fact(m) == interval
-
-
-def test_rank_table_rejects():
-    with pytest.raises(ParseError):
-        rank_table_from_dict({"facts": [{"manifold": "s3"}]})
-    with pytest.raises(ParseError):
-        rank_table_from_dict({"facts": [{"manifold": "s3", "rank": -1}]})
-    with pytest.raises(ParseError):
-        rank_table_from_dict({})
 
 
 # ---------------------------------------------------------------------------
