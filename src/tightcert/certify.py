@@ -12,11 +12,18 @@ a triangle by its index in the verifier's own family
 
 A node either carries its presentation inline or is *derived*: the one
 edge into it builds its presentation by (+1)-surgery on the presentation of
-the edge's source.  Emitter and verifier build every derived node with
-``node_presentations``, which walks the edges in order; for the verifier
-that construction is the check of each edge, so every edge builds exactly
-one node.  Only the root, the empty presentation and stage 1 are inline;
-the tower ladder and the reduction path are derived.
+the edge's source.  The verifier builds every derived node with
+``node_presentations``, which walks the edges in order; that construction
+is the check of each edge, so every edge builds exactly one node.  Only the
+root, the empty presentation and stage 1 are inline; the tower ladder and
+the reduction path are derived.
+
+Every node's manifold is bound to its presentation before any step runs.
+An inline node must carry the verifier's own presentation of its manifold.
+A derived node's manifold follows from the edge into it, by the table
+``_DERIVED`` keyed on the source's manifold and the edge's witness.  So the
+``h1_consistency`` audits, which no other rule consumes, are emitted only
+for the inline nodes.
 
 The rule set is the table ``RULES``: for each rule, its statement, the
 kinds of the references a step citing it carries, and the checker that
@@ -305,6 +312,20 @@ def _group_text(group: HomologyResult) -> str:
     return f"{group.free_rank}:{','.join(str(t) for t in group.torsion)}"
 
 
+def _reduction_stage(slope: SurgeryCoeff, i: int) -> Manifold:
+    """The manifold of the i-th node of the reduction path of a slope."""
+    return Manifold.opaque(f"reduction stage {i} of trefoil surgery {slope}")
+
+
+# (kind of the source's manifold, witness) -> the manifold of the target,
+# from the source's.  The i-th "cancel:<cid>" edge, whatever its source,
+# gives ``_reduction_stage(slope, i)`` instead.
+_DERIVED = {
+    ("s3", "unknot"): lambda source: Manifold.s1xs2(),
+    ("tower", "pushoff:c1"): lambda source: Manifold.tower(source.p + 1),
+}
+
+
 def _pushforward(edge: SurgeryEdge, triangle: int) -> Step:
     return Step(
         "plus_one_pushforward",
@@ -340,9 +361,9 @@ def build_tower_chain(max_stage: int) -> TowerChain:
     with injectivity supplied by the consecutive-stage triangle at exact
     ranks.  The circle-bundle edge from the empty presentation is included
     and checked as well: it is the template the stage maps follow.  Only
-    the empty presentation and stage 1 are inline; eta and every later
-    stage are built from the edge into them, by emitter and verifier
-    alike, in ``node_presentations``.
+    the empty presentation and stage 1 are inline; the verifier builds eta
+    and every later stage from the edge into them, in
+    ``node_presentations``, which also gives each its manifold.
     """
     if not isinstance(max_stage, int) or max_stage < 1:
         raise CalculusError(f"tower depth must be a positive integer, got {max_stage!r}")
@@ -410,8 +431,7 @@ def certify_tight(r) -> Certificate:
     fillability derivation (stage 0: no ladder and no reduction path);
     positive ones are split into unit pushoffs, reduced along the
     (-1)-chain, and bridged to the tower ladder.  The certificate opens
-    with an ``h1_consistency`` audit of every node, in node order, on the
-    presentations ``node_presentations`` gives.
+    with an ``h1_consistency`` audit of every inline node, in node order.
     """
     r = _coerce_coeff(r)
     rp = pushoff_coeff_from_slope(r)  # raises for the excluded slope 1
@@ -436,8 +456,7 @@ def certify_tight(r) -> Certificate:
         ]
         assert 1 + stage + len(chain_ids) == _root_size(rp, stage, len(diagram))
         for i, cid in enumerate(reversed(chain_ids), start=1):
-            reduced = Manifold.opaque(f"reduction stage {i} of trefoil surgery {r}")
-            path.append(ContactNode(f"y{i}", reduced))
+            path.append(ContactNode(f"y{i}", _reduction_stage(r, i)))
             path_edges.append(SurgeryEdge(f"ey{i}", f"y{i - 1}", f"y{i}", f"cancel:{cid}"))
         chain = build_tower_chain(stage)
         ladder, ladder_edges, rank_facts = chain.nodes, chain.edges, chain.rank_facts
@@ -455,20 +474,22 @@ def certify_tight(r) -> Certificate:
         ]
     steps.append(Step("nonzero_tight", (("node", "y0"),), ("tight", "y0")))
 
-    cert = Certificate(
+    nodes = ladder + path
+    audits = [
+        Step("h1_consistency", (("node", n.nid), ("group", _group_text(h1(n.diagram)))),
+             ("h1", n.nid))
+        for n in nodes
+        if n.diagram is not None
+    ]
+    return Certificate(
         slope=r,
         conclusion=("tight", "y0"),
         engine_stage=stage,
-        nodes={n.nid: n for n in ladder + path},
+        nodes={n.nid: n for n in nodes},
         edges={e.eid: e for e in ladder_edges + path_edges},
         rank_facts=rank_facts,
-        steps=tuple(steps),
+        steps=tuple(audits + steps),
     )
-    cert.steps = tuple(
-        Step("h1_consistency", (("node", nid), ("group", _group_text(h1(d)))), ("h1", nid))
-        for nid, d in node_presentations(cert).items()
-    ) + cert.steps
-    return cert
 
 
 # ---------------------------------------------------------------------------
@@ -481,8 +502,10 @@ def check_certificate(cert: Certificate) -> VerificationResult:
 
     Structural checks first (slope binding, the stage bound the slope
     sets, engine-verified rank facts, the bound on edges the slope and
-    the root set, every edge building its target node), then the steps in
-    order under the premise discipline, then the final conclusion.
+    the root set, every edge building its target node and giving its
+    manifold, every inline node carrying the verifier's own presentation
+    of its manifold), then the steps in order under the premise
+    discipline, then the final conclusion.
     """
     try:
         return _check(cert)
@@ -553,12 +576,27 @@ def _check(cert: Certificate) -> VerificationResult:
         return _fail(None, f"{len(cert.edges)} edges, engine stage {cert.engine_stage} "
                      f"and {chain} chain knots allow at most {limit}")
 
-    # Build every derived node, which checks every edge; from here on each
-    # node carries the presentation the verifier holds for it.
+    # Build every derived node, which checks every edge and the manifold it
+    # gives.
     try:
         built = node_presentations(cert)
     except CalculusError as exc:
         return _fail(None, str(exc))
+
+    # An inline node carries the verifier's own presentation of its
+    # manifold; a manifold without one may not be inline.
+    own = {
+        Manifold.s3(): empty_diagram(),
+        Manifold.tower(1): tower_diagram(1),
+        root.manifold: root.diagram,
+    }
+    for n in cert.nodes.values():
+        if n.diagram is not None and own.get(n.manifold) != n.diagram:
+            return _fail(None, f"node {n.nid}: inline presentation is not the "
+                         f"verifier's presentation of {n.manifold.text()}")
+
+    # From here on each node carries the presentation the verifier holds
+    # for it.
     cert = replace(
         cert,
         nodes={nid: replace(n, diagram=built[nid]) for nid, n in cert.nodes.items()},
@@ -577,29 +615,49 @@ def _check(cert: Certificate) -> VerificationResult:
     return VerificationResult(True)
 
 
-def node_presentations(cert: Certificate) -> dict[str, ContactDiagram | None]:
+def node_presentations(cert: Certificate) -> dict[str, ContactDiagram]:
     """Every node's presentation, in node order: the inline diagram, or for
     a derived node the (+1)-surgery the edge into it records, performed on
     the presentation of the edge's source.
 
     Edges are taken in order.  An edge's source must already have a
-    presentation, and its target must be a declared node that has none
-    yet, so every edge builds exactly one node.  Raises CalculusError
-    naming the first edge that breaks a rule.
+    presentation, its target must be a declared node that has none yet,
+    and the target's declared manifold must be the one ``_DERIVED`` gives
+    from the source's manifold and the witness; so every edge builds
+    exactly one node and its manifold.  Every node must end up with a
+    presentation.  Raises CalculusError naming the first edge or node
+    that breaks a rule.
     """
     built = {nid: n.diagram for nid, n in cert.nodes.items()}
+    cancels = 0
     for e in cert.edges.values():
         if built.get(e.src) is None:
             problem = f"source {e.src!r} has no presentation yet"
         elif e.dst not in built or built[e.dst] is not None:
             problem = f"target {e.dst!r} is not a declared node without a presentation"
         else:
-            try:
-                built[e.dst] = plus_one_surgery(built[e.src], e.witness)
-                continue
-            except CalculusError as exc:
-                problem = str(exc)
+            source, declared = cert.nodes[e.src].manifold, cert.nodes[e.dst].manifold
+            if e.witness.startswith("cancel:"):
+                cancels += 1
+                gives = _reduction_stage(cert.slope, cancels)
+            else:
+                make = _DERIVED.get((source.kind, e.witness))
+                gives = make and make(source)
+            if gives is None:
+                problem = f"witness {e.witness!r} on {source.text()} gives no manifold"
+            elif gives != declared:
+                problem = (f"target {e.dst!r} is declared {declared.text()}, "
+                           f"the edge gives {gives.text()}")
+            else:
+                try:
+                    built[e.dst] = plus_one_surgery(built[e.src], e.witness)
+                    continue
+                except CalculusError as exc:
+                    problem = str(exc)
         raise CalculusError(f"edge {e.eid}: {problem}")
+    for nid, diagram in built.items():
+        if diagram is None:
+            raise CalculusError(f"node {nid}: no inline presentation and no edge into it")
     return built
 
 

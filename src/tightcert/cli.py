@@ -249,7 +249,7 @@ def _cmd_verify(args) -> int:
     verdict = check_certificate(cert)
     if args.json:
         payload = {
-            "slope": str(cert.slope),
+            "slope": str(cert.slope) if verdict.ok else _clip(cert.slope),
             "ok": verdict.ok,
         }
         if not verdict.ok:

@@ -53,6 +53,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from itertools import zip_longest
 
 from .errors import (
     CalculusError,
@@ -215,11 +216,12 @@ class ContactDiagram:
     def linking_rows(self) -> list[list[int]]:
         """The full symmetric linking matrix by position, 0 on the diagonal;
         fresh lists the caller may overwrite."""
-        full = [list(row) + [0] for row in self._rows]
-        for row in self._rows:
-            for i, value in enumerate(row):
-                full[i].append(value)
-        return full
+        # Column i below the diagonal is entry i of the transposed rows.
+        rows = self._rows
+        return [
+            [*row, 0, *column[i + 1:]]
+            for i, (row, column) in enumerate(zip_longest(rows, zip_longest(*rows), fillvalue=()))
+        ]
 
     def linking_pairs(self) -> dict[frozenset, int]:
         ids = self.ids()

@@ -12,15 +12,18 @@ matching ``*_from_dict`` except the rank table, which is only written):
 * framed link: {"n", "matrix" (row-major flat list of n*n ints), "tags"}.
 * rank table: {"facts": [{"manifold", "rank"} or {"manifold", "lo", "hi"}]}
   with "hi" null when unbounded.
-* certificate: {"format": "tightness-certificate", "version": 5, "slope",
+* certificate: {"format": "tightness-certificate", "version": 6, "slope",
   "conclusion": [kind, node], "engine_stage", "nodes", "edges",
   "rank_facts", "steps"}.  A node is {"id", "manifold", "diagram"}, with
   "diagram" null when derived: taking the edges in order, each builds its
   target by the (+1)-surgery it records on the presentation of its
-  source.  A step's ["triangle", i] reference is the index i into the
-  verifier's own ``engine_triangles(engine_stage)``.  Versions 1 to 4,
-  which inlined every diagram or the reduction path, named each node's
-  edge, or listed the triangle instances, are refused.
+  source, and gives its target's manifold from its source's manifold and
+  its witness.  A step's ["triangle", i] reference is the index i into
+  the verifier's own ``engine_triangles(engine_stage)``.  The steps open
+  with an "h1_consistency" audit of each inline node only.  Versions 1
+  to 5, which inlined every diagram or the reduction path, named each
+  node's edge, listed the triangle instances, or audited every node, are
+  refused.
 
 ``load_json`` attaches file/line/column positions to malformed input;
 structural errors carry a JSON-path-style location instead.
@@ -44,7 +47,7 @@ from .floer import RankDb
 from .certify import Certificate, ContactNode, Step, SurgeryEdge
 
 CERTIFICATE_FORMAT = "tightness-certificate"
-FORMAT_VERSION = 5
+FORMAT_VERSION = 6
 
 
 def load_json(path: str):

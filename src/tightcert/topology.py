@@ -71,6 +71,11 @@ class Manifold:
     def __post_init__(self):
         if self.kind not in self._KINDS:
             raise CalculusError(f"unknown manifold kind {self.kind!r}")
+        # Manifolds key the rank tables, so the hash is computed once.
+        object.__setattr__(self, "_hash", hash((self.kind, self.p, self.q, self.label)))
+
+    def __hash__(self) -> int:
+        return self._hash
 
     @classmethod
     def s3(cls):

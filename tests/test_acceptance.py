@@ -452,6 +452,50 @@ def _stall(rule, n=24):
 _MUTATIONS += [_stall("same_diagram"), _stall("cancel_equivalent")]
 
 
+# Manifold labels: a derived node's label follows from the edge into it,
+# and an inline node carries the verifier's own presentation of its label.
+# Each forgery below is refused before any step runs, with the reason
+# ``_LABEL_REASONS`` gives.
+
+
+def _mut_shift_ladder_labels(data):
+    # Every ladder stage declared one stage higher, each stage edge citing
+    # the triangle of the stages it now claims to join.
+    ladder = [n for n in data["nodes"] if n["manifold"].startswith("tower(")]
+    if not ladder:
+        return False
+    for n in ladder:
+        n["manifold"] = f"tower({int(n['id'][1:]) + 1})"
+    for step in data["steps"]:
+        refs = dict(step["refs"])
+        if step["rule"] == "plus_one_pushforward" and refs["edge"].startswith("ev"):
+            step["refs"][1][1] = str(int(refs["edge"][2:]) + 1)
+    return True
+
+
+def _mut_v1_is_tower_two(data):
+    if not any(n["id"] == "v1" for n in data["nodes"]):
+        return False
+    _node(data, "v1")["diagram"] = diagram_to_dict(tower_diagram(2))
+    return True
+
+
+def _mut_eta_as_s3(data):
+    if not any(n["id"] == "eta" for n in data["nodes"]):
+        return False
+    _node(data, "eta")["manifold"] = "s3"
+    return True
+
+
+_INLINE = "inline presentation is not the verifier's presentation of"
+_LABEL_REASONS = {
+    _mut_shift_ladder_labels: f"node v1: {_INLINE} tower(2)",
+    _mut_v1_is_tower_two: f"node v1: {_INLINE} tower(1)",
+    _mut_eta_as_s3: "edge e_eta: target 'eta' is declared s3, the edge gives s1xs2",
+}
+_MUTATIONS += list(_LABEL_REASONS)
+
+
 def test_criterion_3_certificates():
     slopes = sorted(
         {Fraction(p, q) for p in range(-10, 11) for q in range(1, 11)} - {Fraction(1)}
@@ -494,9 +538,14 @@ def test_criterion_3_certificates():
                 continue
             tampered += 1
             start = time.monotonic()
-            if not check_certificate(certificate_from_dict(data)):
-                rejected += 1
+            result = check_certificate(certificate_from_dict(data))
             slowest = max(slowest, time.monotonic() - start)
+            if mutate in _LABEL_REASONS:
+                # Refused by the label checks, before any step runs.
+                before_steps = (result.step, result.reason) == (None, _LABEL_REASONS[mutate])
+                ok = ok and before_steps
+            if not result:
+                rejected += 1
     ok = ok and tampered >= 50 and rejected == tampered and slowest < 1.0
     _report(
         3,

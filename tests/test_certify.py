@@ -36,7 +36,7 @@ from tightcert.errors import CalculusError, ExcludedSlopeError
 from tightcert.floer import engine_triangles
 from tightcert.rationals import SurgeryCoeff
 from tightcert.serialize import certificate_from_dict, certificate_to_dict
-from tightcert.topology import Manifold
+from tightcert.topology import Manifold, h1
 
 
 def fresh(cert):
@@ -186,31 +186,32 @@ def test_reject_edge_reversal():
 
 
 def test_reject_witness_retarget():
-    # Every edge derives its target, so a retargeted witness builds another
-    # target, whose h1 audit then fails.
-    for eid, nid in (("ey1", "y1"), ("ev1", "v2")):
+    # A derived node's manifold follows from the edge into it, so a
+    # retargeted witness is refused by that edge before any step runs.
+    for eid, source in (("ey1", "trefoil(5/2)"), ("ev1", "tower(1)")):
         cert = fresh(certify_tight(SurgeryCoeff(5, 2)))
         edge = cert.edges[eid]
         cert.edges[eid] = SurgeryEdge(edge.eid, edge.src, edge.dst, "unknot")
         result = check_certificate(cert)
-        assert not result.ok
-        step = cert.steps[result.step]
-        assert step.rule == "h1_consistency" and step.ref("node") == nid
-        assert "h1" in result.reason
+        assert not result.ok and result.step is None
+        assert result.reason == f"edge {eid}: witness 'unknot' on {source} gives no manifold"
 
 
 @pytest.mark.parametrize("slope", ["0", "-5/3", "17/16", "5/2", "13/8"])
 def test_emitted_nodes_inline_or_derived_and_audited_in_order(slope):
     # Stein (0, -5/3), unit-fraction (17/16) and general positive branches.
+    # Only the inline nodes are audited, in node order, and nothing else.
     cert = certify_tight(SurgeryCoeff.parse(slope))
     into = [e.dst for e in cert.edges.values()]
     for n in cert.nodes.values():
         assert (n.diagram is None) == (n.nid in into), n.nid
     assert len(set(into)) == len(into)
-    audit = cert.steps[: len(cert.nodes)]
-    assert [s.rule for s in audit] == ["h1_consistency"] * len(cert.nodes)
-    assert [s.ref("node") for s in audit] == list(cert.nodes)
-    assert cert.steps[len(cert.nodes)].rule != "h1_consistency"
+    inline = [nid for nid, n in cert.nodes.items() if n.diagram is not None]
+    assert inline == (["y0"] if cert.engine_stage == 0 else ["std", "v1", "y0"])
+    audit = cert.steps[: len(inline)]
+    assert [s.rule for s in audit] == ["h1_consistency"] * len(inline)
+    assert [s.ref("node") for s in audit] == inline
+    assert all(s.rule != "h1_consistency" for s in cert.steps[len(inline):])
 
 
 @pytest.mark.parametrize("slope", ["-1/1000000", "1000001/1000000", "-1/1000000000"])
@@ -269,6 +270,21 @@ def test_derived_nodes_are_tower_stages():
     assert built["y0"] is cert.nodes["y0"].diagram
     assert cert.edges["ey1"].witness.startswith("cancel:")
     assert diagram_iso(built["y1"], tower_diagram(2))
+
+
+@pytest.mark.parametrize("slope", ["1001/999", "-1/300"])
+def test_built_presentations_have_the_declared_h1(slope):
+    # The verifier no longer audits the nodes it builds; this checks its
+    # surgery code against its homology code once, at stage 501 and on a
+    # 300-node reduction path.
+    cert = certify_tight(SurgeryCoeff.parse(slope))
+    checked = 0
+    for nid, diagram in node_presentations(cert).items():
+        declared = cert.nodes[nid].manifold.expected_h1_order()
+        if declared is not None:
+            assert h1(diagram).cyclic_order() == declared, nid
+            checked += 1
+    assert checked == {"1001/999": 505, "-1/300": 5}[slope]
 
 
 def _set_edge(cert, eid, **fields):
@@ -347,6 +363,52 @@ def test_reject_via_misuse(mutate, reason, monkeypatch):
     assert reason in result.reason
 
 
+def _relabel(cert, nid, manifold):
+    cert.nodes[nid] = replace(cert.nodes[nid], manifold=manifold)
+
+
+def _add_inline(cert, nid, manifold, diagram):
+    cert.nodes[nid] = ContactNode(nid, manifold, diagram)
+
+
+_NOT_OWN = "inline presentation is not the verifier's presentation of"
+
+
+# A derived node carries the manifold its edge gives from the source's
+# manifold and the witness; an inline node carries the verifier's own
+# presentation of its manifold.  Every case is rejected before any step.
+@pytest.mark.parametrize(
+    "mutate, reason",
+    [
+        (lambda c: _relabel(c, "v3", Manifold.tower(4)),
+         "edge ev2: target 'v3' is declared tower(4), the edge gives tower(3)"),
+        (lambda c: _relabel(c, "y1", certify._reduction_stage(c.slope, 2)),
+         "edge ey1: target 'y1' is declared opaque:reduction stage 2 of trefoil surgery "
+         "5/2, the edge gives opaque:reduction stage 1 of trefoil surgery 5/2"),
+        (lambda c: _set_edge(c, "ev1", witness="pushoff:c2"),
+         "edge ev1: witness 'pushoff:c2' on tower(1) gives no manifold"),
+        (lambda c: c.edges.pop("ev2"),
+         "node v3: no inline presentation and no edge into it"),
+        (lambda c: _relabel(c, "std", Manifold.poincare()),
+         "edge e_eta: witness 'unknot' on poincare gives no manifold"),
+        (lambda c: _add_inline(c, "x", Manifold.lens(5, 1), tower_diagram(1)),
+         f"node x: {_NOT_OWN} lens(5,1)"),
+        (lambda c: _add_inline(c, "x", Manifold.s3(), tower_diagram(1)),
+         f"node x: {_NOT_OWN} s3"),
+        (lambda c: _add_inline(c, "x", Manifold.tower(2), tower_diagram(2)),
+         f"node x: {_NOT_OWN} tower(2)"),
+    ],
+    ids=["stage_skip", "reduction_order", "other_pushoff", "orphan", "std_label",
+         "inline_lens", "inline_s3", "inline_tower_2"],
+)
+def test_reject_label_misuse(mutate, reason):
+    cert = fresh(certify_tight(SurgeryCoeff(5, 2)))
+    mutate(cert)
+    result = check_certificate(cert)
+    assert not result.ok and result.step is None
+    assert result.reason == reason
+
+
 def test_reject_conclusion_retarget():
     cert = fresh(certify_tight(SurgeryCoeff(5, 2)))
     cert.conclusion = ("tight", "v1")
@@ -414,8 +476,10 @@ def test_reject_triangle_citation_at_stage_0():
     # A Stein certificate has no engine family, so no index is present.
     cert = fresh(certify_tight(SurgeryCoeff(1, 2)))
     assert cert.engine_stage == 0
-    cert.nodes["z"] = ContactNode("z", Manifold.opaque("z"))
-    cert.edges["e_z"] = SurgeryEdge("e_z", "y0", "z", "unknot")
+    cid = cert.nodes["y0"].diagram.components[-1].cid
+    reduced = Manifold.opaque("reduction stage 1 of trefoil surgery 1/2")
+    cert.nodes["z"] = ContactNode("z", reduced)
+    cert.edges["e_z"] = SurgeryEdge("e_z", "y0", "z", f"cancel:{cid}")
     push = Step(
         "plus_one_pushforward", (("edge", "e_z"), ("triangle", "0")), ("c_nonzero", "z")
     )
@@ -430,7 +494,8 @@ def test_reject_node_manifold_swap():
     eta = cert.nodes["eta"]
     cert.nodes["eta"] = ContactNode("eta", Manifold.s3(), eta.diagram)
     result = check_certificate(cert)
-    assert not result.ok
+    assert not result.ok and result.step is None
+    assert result.reason == "edge e_eta: target 'eta' is declared s3, the edge gives s1xs2"
 
 
 def test_reject_coefficient_flip_on_root_presentation():

@@ -392,6 +392,21 @@ def test_long_slope_is_clipped_where_echoed(capsys):
     assert json.loads(out)["slope"].startswith("7" * 200 + "... ")
 
 
+def test_rejected_verify_clips_a_long_slope(tmp_path, capsys):
+    path = tmp_path / "cert.json"
+    run_cli(capsys, "certify", "--r", "5/2", "--emit", str(path))
+    data = load_json(str(path))
+    data["slope"] = "7" * 3000
+    dump_json(data, str(path))
+    code, out, err = run_cli(capsys, "verify", str(path))
+    assert code == 3 and err == "" and "REJECTED" in out
+    assert len(out.encode()) < 1024
+    code, out, err = run_cli(capsys, "verify", str(path), "--json")
+    assert code == 3 and err == "" and len(out.encode()) < 1024
+    payload = json.loads(out)
+    assert payload["ok"] is False and payload["slope"].startswith("7" * 200 + "... ")
+
+
 def test_verify_json_that_is_no_certificate_rejected(tmp_path, capsys):
     path = tmp_path / "bad.json"
     path.write_text("{}")

@@ -1,14 +1,17 @@
-"""Fuzzing the verifier with mutated version-5 certificates.
+"""Fuzzing the verifier with mutated certificates, and the CLI with any bytes.
 
 Whatever a certificate file holds, ``certificate_from_dict`` followed by
 ``check_certificate`` either raises ``ParseError`` or returns a verdict,
-and the benchmark's four tamper kinds are always rejected.
+and the benchmark's four tamper kinds are always rejected.  Every command
+that reads a file exits 0, 2 or 3 on any bytes, with no traceback.
 """
 
 from __future__ import annotations
 
+import contextlib
 import copy
 import importlib.util
+import io
 import json
 import sys
 from pathlib import Path
@@ -19,6 +22,7 @@ hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import HealthCheck, given, settings, strategies as st  # noqa: E402
 
 from tightcert.certify import VerificationResult, certify_tight, check_certificate  # noqa: E402
+from tightcert.cli import main  # noqa: E402
 from tightcert.errors import ParseError  # noqa: E402
 from tightcert.rationals import SurgeryCoeff  # noqa: E402
 from tightcert.serialize import certificate_from_dict, certificate_to_dict  # noqa: E402
@@ -132,3 +136,109 @@ def test_benchmark_tamper_kinds_rejected(workloads, slope, subseed):
         workloads.tamper(cert, kind, subseed)
         result = check_certificate(certificate_from_dict(cert))
         assert not result.ok, (slope, kind, subseed)
+
+
+# ---------------------------------------------------------------------------
+# The CLI on any bytes
+# ---------------------------------------------------------------------------
+
+# Every command that reads a file, with its exit codes: 0 success, 2 an
+# input error, 3 a verdict of REJECTED.
+FILE_COMMANDS = (("verify",), ("h1", "--diagram"), ("det", "--link"), ("certify", "--batch"))
+
+# A compact certificate whose bytes the strategy below corrupts, so that
+# some inputs still decode as JSON and reach the verifier.
+_SEED_BYTES = json.dumps(BASES["5/2"], separators=(",", ":")).encode()
+
+
+@st.composite
+def _corrupted(draw):
+    blob = bytearray(_SEED_BYTES)
+    for _ in range(draw(st.integers(1, 4))):
+        i = draw(st.integers(0, len(blob) - 1))
+        op = draw(st.sampled_from(["flip", "insert", "delete"]))
+        if op == "flip":
+            blob[i] = draw(st.integers(0, 255))
+        elif op == "insert":
+            blob[i:i] = draw(st.binary(min_size=1, max_size=4))
+        else:
+            del blob[i : i + draw(st.integers(1, 8))]
+    return bytes(blob)
+
+
+RAW_BYTES = st.one_of(
+    st.binary(max_size=200),
+    st.recursive(SCALARS, lambda inner: st.lists(inner, max_size=4)
+                 | st.dictionaries(KEYS, inner, max_size=4), max_leaves=12)
+    .map(lambda v: json.dumps(v).encode()),
+    _corrupted(),
+)
+
+
+def _run_cli(path, command):
+    """Run one command in-process on ``path``; returns its exit code and
+    everything it printed."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main([*command, str(path)])
+    return code, out.getvalue() + err.getvalue()
+
+
+@pytest.fixture(scope="module")
+def input_path(tmp_path_factory):
+    return tmp_path_factory.mktemp("cli") / "input.json"
+
+
+@settings(
+    max_examples=120, deadline=None, derandomize=True,
+    suppress_health_check=[HealthCheck.too_slow],
+)
+@given(blob=RAW_BYTES, command=st.sampled_from(FILE_COMMANDS))
+def test_cli_exits_0_2_or_3_on_any_bytes(input_path, blob, command):
+    input_path.write_bytes(blob)
+    code, printed = _run_cli(input_path, command)
+    assert code in (0, 2, 3) and "Traceback" not in printed, (command, blob)
+
+
+def _nested(depth, open_, close, leaf=b"0"):
+    return open_ * depth + leaf + close * depth
+
+
+def _wide_certificate(field, count):
+    data = copy.deepcopy(BASES["5/2"])
+    if field == "nodes":
+        data["nodes"] += [{"id": f"n{i}", "manifold": "s3", "diagram": None}
+                          for i in range(count)]
+    elif field == "edges":
+        data["edges"] += [{"id": f"e{i}", "src": "std", "dst": "eta", "witness": "unknot"}
+                          for i in range(count)]
+    else:
+        data["steps"] = [data["steps"][-1]] * count
+    return json.dumps(data).encode()
+
+
+# Trees of extreme depth and width, as JSON text.  Depth past the decoder's
+# recursion limit is an input error; depth below it reaches the parsers.
+_TREES = {
+    "deep_array": _nested(20_000, b"[", b"]"),
+    "deep_object": _nested(20_000, b'{"a":', b"}"),
+    "deep_in_field": b'{"components": ' + _nested(900, b"[", b"]") + b', "n": 1, '
+                     b'"matrix": ' + _nested(900, b"[", b"]") + b"}",
+    "wide_array": b"[" + b",".join([b"0"] * 50_000) + b"]",
+    "wide_object": b"{" + b",".join(b'"k%d": 0' % i for i in range(20_000)) + b"}",
+    "wide_matrix": b'{"n": 1, "matrix": [' + b",".join([b"1"] * 50_000) + b"]}",
+    "wide_nodes": _wide_certificate("nodes", 10_000),
+    "wide_edges": _wide_certificate("edges", 10_000),
+    "wide_steps": _wide_certificate("steps", 10_000),
+    "wide_lines": b"# comment\n" * 20_000 + b"-2\n",
+}
+
+
+@pytest.mark.parametrize("tree", sorted(_TREES))
+@pytest.mark.parametrize("command", FILE_COMMANDS, ids=" ".join)
+def test_cli_exits_0_2_or_3_on_extreme_trees(tree, command, tmp_path):
+    path = tmp_path / "input.json"
+    path.write_bytes(_TREES[tree])
+    code, printed = _run_cli(path, command)
+    assert code in (0, 2, 3) and "Traceback" not in printed
+    assert len(printed) < 4096

@@ -34,7 +34,7 @@ from tightcert.serialize import (
     framed_link_to_dict,
     load_json,
 )
-from tightcert.topology import Manifold, linking_matrix
+from tightcert.topology import Manifold, h1, linking_matrix
 
 
 def random_slope(rng):
@@ -146,6 +146,12 @@ def _v4_triangles(stage):
     ]
 
 
+def _group_text(diagram):
+    """The "free:torsion" text an h1_consistency step records."""
+    group = h1(diagram)
+    return f"{group.free_rank}:{','.join(map(str, group.torsion))}"
+
+
 def expand_to_v1(payload, version=1):
     """The version-1 form of a certificate payload: every derived node gets
     the JSON form of the presentation the verifier builds for it, and each
@@ -155,17 +161,28 @@ def expand_to_v1(payload, version=1):
     ``version=3``, the version-3 form: every derived node names the edge
     into it as its "via".  A derived node that stays derived gets that
     "via" in versions 2 and 3.  With ``version=4``, the version-4 form,
-    which differs from the current one only by its version.  Every one of
-    these versions lists the engine family after "rank_facts" as
-    "triangles"."""
+    which differs from the version-5 one only by its version and by
+    listing the engine family after "rank_facts" as "triangles", as every
+    earlier version does.  With ``version=5``, the version-5 form: the
+    steps open with an "h1_consistency" audit of every node, in node
+    order, where the current form audits the inline nodes only."""
     built = node_presentations(certificate_from_dict(payload))
     out = {}
     for key, value in copy.deepcopy(payload).items():
         out[key] = value
-        if key == "rank_facts":
+        if key == "rank_facts" and version < 5:
             out["triangles"] = _v4_triangles(payload["engine_stage"])
     out["version"] = version
-    if version == 4:
+    steps = out["steps"]
+    while steps[0]["rule"] == "h1_consistency":
+        steps.pop(0)
+    steps[:0] = [
+        {"rule": "h1_consistency",
+         "refs": [["node", nid], ["group", _group_text(diagram)]],
+         "gives": ["h1", nid]}
+        for nid, diagram in built.items()
+    ]
+    if version >= 4:
         return out
     into = {edge["dst"]: edge for edge in out["edges"]}
     cancels = set()
@@ -251,9 +268,10 @@ GOLDEN_V4_SHA256 = {
 }
 
 
-# Version-5 certificate bytes as emitted: the version-4 bytes without the
-# "triangles" list; steps cite triangles by their index in the verifier's
-# own engine family.
+# Version-5 certificate bytes: the version-4 bytes without the "triangles"
+# list; steps cite triangles by their index in the verifier's own engine
+# family.  Current certificates are compared after
+# ``expand_to_v1(payload, version=5)``.
 GOLDEN_V5_SHA256 = {
     "5/2": "25acda1436f596929f7115a00c8cc3b884f0705226c5f7fe5fc8fe03f686fd99",
     "17/16": "288838db73406ed1c7c98d519c1ed6ef827e82f6e676b797d6b87538b68913df",
@@ -263,6 +281,20 @@ GOLDEN_V5_SHA256 = {
     "-1/20": "c7dc8a75bef4176b30b5f0fa112dda1e9bf47b8c73e73ed2882f07d16b6b1973",
     "-4000": "604f20958804b96afb743c5d822ba22735fdc64555f7419260e3109c6a4b17f8",
     "233/144": "6e0638cf7512da60e0c392a5f0851a6805bee3f4c0f1a6d6a9adda84c1903bb2",
+}
+
+
+# Version-6 certificate bytes as emitted: the version-5 bytes with only the
+# inline nodes audited.
+GOLDEN_V6_SHA256 = {
+    "5/2": "a4d56971904d26942bc9529745f0e0aa0c4d65787832d59612b7b8d896f4e5b8",
+    "17/16": "36e5a0feb601deec4c856c71ed79051131a76c51627051e6c982a32fc306892a",
+    "-7/2": "bde1c6601c120b0b127fc5749d30834be168410d5810d53995d7ed0f0abedc12",
+    "13/8": "fc5b0be9fecd58249880ac9cb435f953b5cf735b164ac4da18e37ab43136a863",
+    "0": "cd2e33e61f75b5c962386e068c3dabca7dc1c22bb3fe6e581d592b3593ecfd13",
+    "-1/20": "5a8f2642f6df1a57fcff6d6c69de96bce470479d65d3216030d6e99f68c142ac",
+    "-4000": "53e1789cbf1e5ae64c05e71080cd89df83daa932e49e285b9bff4723cd5b40f4",
+    "233/144": "96452ff91caa9f972792b3d35e8ea4da3f31193edc8d0c1d1cc4d217ca6dcfec",
 }
 
 
@@ -297,9 +329,16 @@ def test_certificate_v4_golden_bytes(slope, tmp_path):
 @pytest.mark.parametrize("slope", sorted(GOLDEN_V5_SHA256))
 def test_certificate_v5_golden_bytes(slope, tmp_path):
     payload = certificate_to_dict(certify_tight(SurgeryCoeff.parse(slope)))
-    assert payload["version"] == FORMAT_VERSION == 5
-    assert "triangles" not in payload
-    assert _sha256_of_dump(payload, tmp_path / "cert.json") == GOLDEN_V5_SHA256[slope]
+    expanded = expand_to_v1(payload, version=5)
+    assert "triangles" not in expanded
+    assert _sha256_of_dump(expanded, tmp_path / "cert.json") == GOLDEN_V5_SHA256[slope]
+
+
+@pytest.mark.parametrize("slope", sorted(GOLDEN_V6_SHA256))
+def test_certificate_v6_golden_bytes(slope, tmp_path):
+    payload = certificate_to_dict(certify_tight(SurgeryCoeff.parse(slope)))
+    assert payload["version"] == FORMAT_VERSION == 6
+    assert _sha256_of_dump(payload, tmp_path / "cert.json") == GOLDEN_V6_SHA256[slope]
 
 
 # ---------------------------------------------------------------------------
@@ -373,6 +412,14 @@ def test_certificate_version_4_refused():
         certificate_from_dict(expand_to_v1(data, version=4))
     assert err.value.location == "certificate.version"
     assert "unsupported certificate version 4" in str(err.value)
+
+
+def test_certificate_version_5_refused():
+    data = certificate_to_dict(certify_tight(SurgeryCoeff(5, 2)))
+    with pytest.raises(ParseError) as err:
+        certificate_from_dict(expand_to_v1(data, version=5))
+    assert err.value.location == "certificate.version"
+    assert "unsupported certificate version 5" in str(err.value)
 
 
 def test_certificate_derived_node_form():

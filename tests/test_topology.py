@@ -6,6 +6,7 @@ factors by gcds of k x k minors -- both independent of the elimination code.
 
 from __future__ import annotations
 
+import copy
 import math
 import random
 import time
@@ -385,6 +386,27 @@ def test_manifold_text_parse_round_trip():
     ]
     for m in cases:
         assert Manifold.parse(m.text()) == m
+
+
+def test_equal_manifolds_hash_equal():
+    # The hash is computed once per instance; equal manifolds built by
+    # different routes, or copied, still hash and compare equal.
+    pairs = [
+        (Manifold.lens(5, 7), Manifold.parse("lens(5,2)")),
+        (Manifold.lens(1, 3), Manifold.s3()),
+        (Manifold.tower(4), Manifold.neg_tower(4).mirror()),
+        (Manifold.trefoil_surgery(SurgeryCoeff(-10, 6)), Manifold.parse("trefoil(-5/3)")),
+        (Manifold.opaque("x"), Manifold.parse("opaque:x")),
+        (Manifold("tower", 4), Manifold.tower(4)),
+    ]
+    for a, b in pairs:
+        assert a == b and hash(a) == hash(b)
+        twin = copy.deepcopy(a)
+        assert twin == a and hash(twin) == hash(a)
+        assert {a: 1}[b] == 1
+    assert Manifold.tower(4) != Manifold.neg_tower(4)
+    assert len({Manifold.tower(k) for k in range(1, 50)} | {Manifold.tower(3)}) == 49
+    assert repr(Manifold.tower(4)) == "Manifold(kind='tower', p=4, q=0, label='')"
 
 
 def test_lens_normalization():
