@@ -15,15 +15,19 @@ edge into it builds its presentation by (+1)-surgery on the presentation of
 the edge's source.  The verifier builds every derived node with
 ``node_presentations``, which walks the edges in order; that construction
 is the check of each edge, so every edge builds exactly one node.  Only the
-root, the empty presentation and stage 1 are inline; the tower ladder and
-the reduction path are derived.
+empty presentation and stage 1 are inline, and the root at stage 0; the
+tower ladder and the reduction path are derived.  At stage >= 1 the root
+carries no diagram either: the verifier builds its own presentation of the
+slope, once it has counted that this presentation has as many components
+as the certificate has edges (one for eta, one per ladder stage and one
+per chain knot), so the work stays bounded by what the certificate holds.
 
 Every node's manifold is bound to its presentation before any step runs.
 An inline node must carry the verifier's own presentation of its manifold.
 A derived node's manifold follows from the edge into it, by the table
 ``_DERIVED`` keyed on the source's manifold and the edge's witness.  So the
 ``h1_consistency`` audits, which no other rule consumes, are emitted only
-for the inline nodes.
+for the nodes that no edge builds: the inline ones and the root.
 
 The rule set is the table ``RULES``: for each rule, its statement, the
 kinds of the references a step citing it carries, and the checker that
@@ -237,7 +241,8 @@ def rules() -> dict[str, str]:
 class ContactNode:
     """A contact structure under discussion: an id, the manifold it lives
     on, and an inline surgery presentation of it, or None when the one edge
-    into the node builds that presentation (see ``node_presentations``)."""
+    into the node builds that presentation, or, for the root, when the
+    verifier derives it from the slope (see ``node_presentations``)."""
 
     nid: str
     manifold: Manifold
@@ -418,6 +423,42 @@ def _root_size(rp: SurgeryCoeff, stage: int, limit: int) -> int:
     return 1 + stage + sum(1 for _ in islice(neg_cf_terms(residual), limit))
 
 
+def _slope_presentation(slope: SurgeryCoeff, size: int) -> ContactDiagram | None:
+    """The verifier's own presentation of the slope, or None when it does
+    not have ``size`` components.  They are counted first, no further than
+    ``size`` chain terms, so nothing larger than ``size`` is built."""
+    rp = pushoff_coeff_from_slope(slope)
+    if _root_size(rp, _stage(rp), size) != size:
+        return None
+    return normalize_diagram(trefoil_surgery_diagram(slope))
+
+
+def _derived_root(cert: Certificate) -> ContactDiagram:
+    """The presentation of a root that carries no diagram: the verifier's
+    own presentation of the slope, which must have exactly as many
+    components as the certificate has edges."""
+    n = len(cert.edges)
+    built = _slope_presentation(cert.slope, n)
+    if built is None:
+        raise CalculusError(
+            f"{n} edges, but slope {cert.slope}'s presentation does not have "
+            f"{n} components"
+        )
+    return built
+
+
+def presentation_bound(slope: SurgeryCoeff, limit: int) -> int:
+    """The most components any presentation the verifier holds for a
+    certificate of ``slope`` has: 2 for tower stage 1, or the root's size,
+    whose chain is counted only up to ``limit`` terms.  The excluded slope
+    1 has no root."""
+    try:
+        rp = pushoff_coeff_from_slope(slope)
+    except CalculusError:
+        return 2
+    return max(2, _root_size(rp, _stage(rp), limit))
+
+
 # ---------------------------------------------------------------------------
 # Emission
 # ---------------------------------------------------------------------------
@@ -430,14 +471,17 @@ def certify_tight(r) -> Certificate:
     coefficients that are negative or infinite give the direct Stein-
     fillability derivation (stage 0: no ladder and no reduction path);
     positive ones are split into unit pushoffs, reduced along the
-    (-1)-chain, and bridged to the tower ladder.  The certificate opens
-    with an ``h1_consistency`` audit of every inline node, in node order.
+    (-1)-chain, and bridged to the tower ladder.  The root carries its
+    presentation inline only at stage 0; at stage >= 1 the verifier
+    derives it from the slope.  The certificate opens with an
+    ``h1_consistency`` audit of each node that no edge builds (the empty
+    presentation, stage 1 and the root), in node order.
     """
     r = _coerce_coeff(r)
     rp = pushoff_coeff_from_slope(r)  # raises for the excluded slope 1
     stage = _stage(rp)
     diagram = normalize_diagram(trefoil_surgery_diagram(r))
-    path = [ContactNode("y0", Manifold.trefoil_surgery(r), diagram)]
+    path = [ContactNode("y0", Manifold.trefoil_surgery(r), None if stage else diagram)]
     path_edges = []
     if stage == 0:
         ladder, ladder_edges, rank_facts = [], [], {}
@@ -454,7 +498,6 @@ def certify_tight(r) -> Certificate:
         chain_ids = [
             c.cid for c in diagram.components if c.kind == PUSHOFF and c.coeff == _MINUS_ONE
         ]
-        assert 1 + stage + len(chain_ids) == _root_size(rp, stage, len(diagram))
         for i, cid in enumerate(reversed(chain_ids), start=1):
             path.append(ContactNode(f"y{i}", _reduction_stage(r, i)))
             path_edges.append(SurgeryEdge(f"ey{i}", f"y{i - 1}", f"y{i}", f"cancel:{cid}"))
@@ -474,19 +517,20 @@ def certify_tight(r) -> Certificate:
         ]
     steps.append(Step("nonzero_tight", (("node", "y0"),), ("tight", "y0")))
 
-    nodes = ladder + path
+    inline = [(n.nid, n.diagram) for n in ladder if n.diagram is not None]
     audits = [
-        Step("h1_consistency", (("node", n.nid), ("group", _group_text(h1(n.diagram)))),
-             ("h1", n.nid))
-        for n in nodes
-        if n.diagram is not None
+        Step("h1_consistency", (("node", nid), ("group", _group_text(h1(d)))), ("h1", nid))
+        for nid, d in inline + [("y0", diagram)]
     ]
+    edges = ladder_edges + path_edges
+    # The verifier's count that lets it derive the root.
+    assert not stage or len(edges) == _root_size(rp, stage, len(diagram))
     return Certificate(
         slope=r,
         conclusion=("tight", "y0"),
         engine_stage=stage,
-        nodes={n.nid: n for n in nodes},
-        edges={e.eid: e for e in ladder_edges + path_edges},
+        nodes={n.nid: n for n in ladder + path},
+        edges={e.eid: e for e in edges},
         rank_facts=rank_facts,
         steps=tuple(audits + steps),
     )
@@ -500,12 +544,14 @@ def certify_tight(r) -> Certificate:
 def check_certificate(cert: Certificate) -> VerificationResult:
     """Re-derive every claim in a certificate; reports the first failure.
 
-    Structural checks first (slope binding, the stage bound the slope
-    sets, engine-verified rank facts, the bound on edges the slope and
-    the root set, every edge building its target node and giving its
-    manifold, every inline node carrying the verifier's own presentation
-    of its manifold), then the steps in order under the premise
-    discipline, then the final conclusion.
+    Structural checks first (slope binding: an inline root must be the
+    verifier's own presentation of the slope, and a root with no diagram
+    gets that presentation, built once the edge count matches its size;
+    the stage bound the slope sets, engine-verified rank facts, the bound
+    on edges the slope and the root set, every edge building its target
+    node and giving its manifold, every inline node carrying the
+    verifier's own presentation of its manifold), then the steps in order
+    under the premise discipline, then the final conclusion.
     """
     try:
         return _check(cert)
@@ -526,21 +572,25 @@ def _check(cert: Certificate) -> VerificationResult:
 
     # The header must be bound to the content: the conclusion node carries
     # the named trefoil surgery and the verifier's own canonical presentation
-    # of the slope, ids and order included.  That presentation is built only
-    # once its size, counted first, matches the root's, so that work is
-    # bounded by the certificate.
+    # of the slope, ids and order included, inline or derived.  That
+    # presentation is built only once its size, counted first, matches the
+    # inline root's or the edge count, so that work is bounded by the
+    # certificate.
     if root.manifold != Manifold.trefoil_surgery(cert.slope):
         return _fail(None, "conclusion node does not carry the declared slope")
     rp = pushoff_coeff_from_slope(cert.slope)
     stage = _stage(rp)
-    if (
-        root.diagram is None
-        or len(root.diagram) != _root_size(rp, stage, len(root.diagram))
-        or root.diagram != normalize_diagram(trefoil_surgery_diagram(cert.slope))
-    ):
-        return _fail(
-            None, "conclusion presentation does not match the declared slope"
-        )
+    if root.diagram is not None:
+        if _slope_presentation(cert.slope, len(root.diagram)) != root.diagram:
+            return _fail(
+                None, "conclusion presentation does not match the declared slope"
+            )
+    else:
+        try:
+            root = replace(root, diagram=_derived_root(cert))
+        except CalculusError as exc:
+            return _fail(None, str(exc))
+        cert = replace(cert, nodes={**cert.nodes, root.nid: root})
 
     # The slope bounds the stage, so the work below cannot grow with a
     # number the certificate merely declares.
@@ -569,7 +619,7 @@ def _check(cert: Certificate) -> VerificationResult:
                 )
 
     # At most one edge for eta, each ladder stage and each chain knot of
-    # the root, counted before any node is built.
+    # the root, counted before any edge builds a node.
     chain = len(root.diagram) - 1 - stage
     limit = cert.engine_stage + 1 + chain
     if len(cert.edges) > limit:
@@ -616,9 +666,11 @@ def _check(cert: Certificate) -> VerificationResult:
 
 
 def node_presentations(cert: Certificate) -> dict[str, ContactDiagram]:
-    """Every node's presentation, in node order: the inline diagram, or for
-    a derived node the (+1)-surgery the edge into it records, performed on
-    the presentation of the edge's source.
+    """Every node's presentation, in node order: the inline diagram; for a
+    root with no diagram the verifier's own presentation of the slope,
+    built only when its size equals the edge count; or for a derived node
+    the (+1)-surgery the edge into it records, performed on the
+    presentation of the edge's source.
 
     Edges are taken in order.  An edge's source must already have a
     presentation, its target must be a declared node that has none yet,
@@ -629,6 +681,9 @@ def node_presentations(cert: Certificate) -> dict[str, ContactDiagram]:
     that breaks a rule.
     """
     built = {nid: n.diagram for nid, n in cert.nodes.items()}
+    root = cert.conclusion[1]
+    if root in built and built[root] is None:
+        built[root] = _derived_root(cert)
     cancels = 0
     for e in cert.edges.values():
         if built.get(e.src) is None:

@@ -12,18 +12,23 @@ matching ``*_from_dict`` except the rank table, which is only written):
 * framed link: {"n", "matrix" (row-major flat list of n*n ints), "tags"}.
 * rank table: {"facts": [{"manifold", "rank"} or {"manifold", "lo", "hi"}]}
   with "hi" null when unbounded.
-* certificate: {"format": "tightness-certificate", "version": 6, "slope",
+* certificate: {"format": "tightness-certificate", "version": 7, "slope",
   "conclusion": [kind, node], "engine_stage", "nodes", "edges",
   "rank_facts", "steps"}.  A node is {"id", "manifold", "diagram"}, with
   "diagram" null when derived: taking the edges in order, each builds its
   target by the (+1)-surgery it records on the presentation of its
   source, and gives its target's manifold from its source's manifold and
-  its witness.  A step's ["triangle", i] reference is the index i into
-  the verifier's own ``engine_triangles(engine_stage)``.  The steps open
-  with an "h1_consistency" audit of each inline node only.  Versions 1
-  to 5, which inlined every diagram or the reduction path, named each
-  node's edge, listed the triangle instances, or audited every node, are
-  refused.
+  its witness.  The root (the conclusion's node) has "diagram" null at
+  engine stage >= 1: the verifier builds its own presentation of the
+  slope, whose component count must equal the number of edges.  A step's
+  ["triangle", i] reference is the index i into the verifier's own
+  ``engine_triangles(engine_stage)``.  The steps open with an
+  "h1_consistency" audit of each node that no edge builds, root included.
+  An inline diagram with more components than any presentation the
+  verifier holds for the slope is refused before it is built.  Versions 1
+  to 6, which inlined every diagram, the reduction path or the root,
+  named each node's edge, listed the triangle instances, or audited every
+  node, are refused.
 
 ``load_json`` attaches file/line/column positions to malformed input;
 structural errors carry a JSON-path-style location instead.
@@ -44,10 +49,10 @@ from .diagrams import (
 )
 from .topology import FramedLink, Manifold
 from .floer import RankDb
-from .certify import Certificate, ContactNode, Step, SurgeryEdge
+from .certify import Certificate, ContactNode, Step, SurgeryEdge, presentation_bound
 
 CERTIFICATE_FORMAT = "tightness-certificate"
-FORMAT_VERSION = 6
+FORMAT_VERSION = 7
 
 
 def load_json(path: str):
@@ -305,6 +310,15 @@ def certificate_from_dict(data: dict) -> Certificate:
         manifold = _manifold(_need(item, "manifold", at), at + ".manifold")
         diagram = item.get("diagram")
         if diagram is not None:
+            # Refused before its linking rows, quadratic in its size, exist.
+            components = diagram.get("components") if isinstance(diagram, dict) else None
+            size = len(components) if isinstance(components, list) else 0
+            if presentation_bound(slope, size) < size:
+                raise ParseError(
+                    f"{size} components, more than any presentation of slope "
+                    f"{slope} has",
+                    location=at + ".diagram",
+                )
             diagram = diagram_from_dict(diagram, at + ".diagram")
         if nid in nodes:
             raise ParseError(f"duplicate node id {nid!r}", location=at)

@@ -16,7 +16,12 @@ from itertools import product
 
 import pytest
 
-from tightcert.certify import certify_tight, check_certificate, node_presentations
+from tightcert.certify import (
+    VerificationResult,
+    certify_tight,
+    check_certificate,
+    node_presentations,
+)
 from tightcert.diagrams import (
     add_unknot,
     convert_negative,
@@ -26,7 +31,12 @@ from tightcert.diagrams import (
     tower_diagram,
     trefoil_surgery_diagram,
 )
-from tightcert.errors import CalculusError, ExcludedSlopeError, NoExactTriangleError
+from tightcert.errors import (
+    CalculusError,
+    ExcludedSlopeError,
+    NoExactTriangleError,
+    ParseError,
+)
 from tightcert.floer import (
     Interval,
     base_facts,
@@ -102,6 +112,16 @@ def _node(data, nid):
     raise AssertionError(f"node {nid} missing")
 
 
+def _inline_root(data):
+    """The root's diagram, after inlining the verifier's own presentation
+    of the slope where the root carries none (engine stage >= 1)."""
+    root = _node(data, data["conclusion"][1])
+    if root["diagram"] is None:
+        built = node_presentations(certificate_from_dict(data))
+        root["diagram"] = diagram_to_dict(built[root["id"]])
+    return root["diagram"]
+
+
 def _mut_rank_bump(data):
     if not data["rank_facts"]:
         return False
@@ -155,14 +175,14 @@ def _mut_reverse_edge(data):
 
 def _mut_tamper_linking(data):
     diagram = _node(data, data["conclusion"][1])["diagram"]
-    if not diagram["linkings"]:
+    if diagram is None or not diagram["linkings"]:
         return False
     diagram["linkings"][0][2] += 1
     return True
 
 
 def _mut_tamper_tb(data):
-    diagram = _node(data, data["conclusion"][1])["diagram"]
+    diagram = _inline_root(data)
     diagram["components"][0]["tb"] -= 1
     return True
 
@@ -256,7 +276,8 @@ _MUTATIONS.append(_mut_h1_forge)
 
 
 def _derived(data):
-    return [n for n in data["nodes"] if n["diagram"] is None]
+    root = data["conclusion"][1]
+    return [n for n in data["nodes"] if n["diagram"] is None and n["id"] != root]
 
 
 def _mut_edge_from_undeclared(data):
@@ -348,8 +369,8 @@ def _path_edges(data):
 
 
 def _mut_cancel_plus_one_knot(data):
-    root = _node(data, data["conclusion"][1])["diagram"]
-    plus = [c["id"] for c in root["components"] if c["coeff"] == "1"]
+    root = node_presentations(certificate_from_dict(data))[data["conclusion"][1]]
+    plus = [c.cid for c in root.components if c.coeff == SurgeryCoeff(1)]
     path = _path_edges(data)
     if not path or not plus:
         return False
@@ -452,6 +473,39 @@ def _stall(rule, n=24):
 _MUTATIONS += [_stall("same_diagram"), _stall("cancel_equivalent")]
 
 
+# The root: inline at stage 0, derived from the slope at stage >= 1 once
+# its size equals the edge count.
+
+
+def _mut_drop_path_edge(data):
+    # The last path edge and the node it builds: one edge short of the
+    # root's size, so the count refuses it before the root is built.
+    path = _path_edges(data)
+    if not path or _node(data, data["conclusion"][1])["diagram"] is not None:
+        return False
+    data["edges"].remove(path[-1])
+    data["nodes"].remove(_node(data, path[-1]["dst"]))
+    return True
+
+
+def _mut_null_stage0_root(data):
+    if data["engine_stage"] != 0:
+        return False
+    _node(data, data["conclusion"][1])["diagram"] = None
+    return True
+
+
+def _mut_reinlined_root_linking(data):
+    if _node(data, data["conclusion"][1])["diagram"] is not None:
+        return False
+    diagram = _inline_root(data)
+    diagram["linkings"][0][2] += 1
+    return True
+
+
+_MUTATIONS += [_mut_drop_path_edge, _mut_null_stage0_root, _mut_reinlined_root_linking]
+
+
 # Manifold labels: a derived node's label follows from the edge into it,
 # and an inline node carries the verifier's own presentation of its label.
 # Each forgery below is refused before any step runs, with the reason
@@ -538,7 +592,12 @@ def test_criterion_3_certificates():
                 continue
             tampered += 1
             start = time.monotonic()
-            result = check_certificate(certificate_from_dict(data))
+            try:
+                result = check_certificate(certificate_from_dict(data))
+            except ParseError as exc:
+                # Refused while reading, which ``tightcert verify`` reports
+                # as REJECTED (exit 3).
+                result = VerificationResult(False, None, str(exc))
             slowest = max(slowest, time.monotonic() - start)
             if mutate in _LABEL_REASONS:
                 # Refused by the label checks, before any step runs.

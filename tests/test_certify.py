@@ -28,14 +28,16 @@ from tightcert.certify import (
 from tightcert.diagrams import (
     ContactDiagram,
     diagram_iso,
+    normalize_diagram,
     set_coeff,
     stabilize,
     tower_diagram,
+    trefoil_surgery_diagram,
 )
 from tightcert.errors import CalculusError, ExcludedSlopeError
 from tightcert.floer import engine_triangles
 from tightcert.rationals import SurgeryCoeff
-from tightcert.serialize import certificate_from_dict, certificate_to_dict
+from tightcert.serialize import certificate_from_dict, certificate_to_dict, diagram_to_dict
 from tightcert.topology import Manifold, h1
 
 
@@ -48,6 +50,19 @@ def with_linking(d, a, b, value):
     links = d.linking_pairs()
     links[frozenset((a, b))] = value
     return ContactDiagram(d.components, links)
+
+
+def root_presentation(cert):
+    """The root's presentation, inline or as the verifier derives it."""
+    return node_presentations(cert)[cert.conclusion[1]]
+
+
+def inline_root(cert, diagram=None):
+    """Give the root ``diagram`` inline, by default its own presentation."""
+    root = cert.nodes[cert.conclusion[1]]
+    if diagram is None:
+        diagram = root_presentation(cert)
+    cert.nodes[root.nid] = replace(root, diagram=diagram)
 
 
 # ---------------------------------------------------------------------------
@@ -204,30 +219,98 @@ def test_emitted_nodes_inline_or_derived_and_audited_in_order(slope):
     cert = certify_tight(SurgeryCoeff.parse(slope))
     into = [e.dst for e in cert.edges.values()]
     for n in cert.nodes.values():
-        assert (n.diagram is None) == (n.nid in into), n.nid
+        derived_root = n.nid == "y0" and cert.engine_stage >= 1
+        assert (n.diagram is None) == (n.nid in into or derived_root), n.nid
     assert len(set(into)) == len(into)
     inline = [nid for nid, n in cert.nodes.items() if n.diagram is not None]
-    assert inline == (["y0"] if cert.engine_stage == 0 else ["std", "v1", "y0"])
-    audit = cert.steps[: len(inline)]
-    assert [s.rule for s in audit] == ["h1_consistency"] * len(inline)
-    assert [s.ref("node") for s in audit] == inline
-    assert all(s.rule != "h1_consistency" for s in cert.steps[len(inline):])
+    assert inline == (["y0"] if cert.engine_stage == 0 else ["std", "v1"])
+    # The root is audited whether it is inline or derived from the slope.
+    audited = [nid for nid, n in cert.nodes.items() if nid not in into]
+    assert audited == (["y0"] if cert.engine_stage == 0 else ["std", "v1", "y0"])
+    audit = cert.steps[: len(audited)]
+    assert [s.rule for s in audit] == ["h1_consistency"] * len(audited)
+    assert [s.ref("node") for s in audit] == audited
+    assert all(s.rule != "h1_consistency" for s in cert.steps[len(audited):])
 
 
-@pytest.mark.parametrize("slope", ["-1/1000000", "1000001/1000000", "-1/1000000000"])
-def test_relabelled_huge_slope_rejected_quickly(slope):
-    # The declared slope's presentation would have 10^6 or more components;
-    # its size is counted against the 5/2 root before anything is built.
-    cert = fresh(certify_tight(SurgeryCoeff(5, 2)))
+def _relabel_to(cert, slope):
     cert.slope = SurgeryCoeff.parse(slope)
     cert.nodes["y0"] = replace(
         cert.nodes["y0"], manifold=Manifold.trefoil_surgery(cert.slope)
     )
+
+
+_HUGE = ["-1/1000000", "1000001/1000000", "-1/1000000000"]
+
+
+@pytest.mark.parametrize("slope", _HUGE)
+def test_relabelled_huge_slope_rejected_quickly(slope, monkeypatch):
+    # The declared slope's presentation would have 10^6 or more components.
+    # A root derived from the slope must have as many components as the
+    # certificate has edges, 4 at 5/2; they are counted no further, and
+    # the presentation is never built.
+    cert = fresh(certify_tight(SurgeryCoeff(5, 2)))
+    _relabel_to(cert, slope)
+    monkeypatch.setattr(certify, "trefoil_surgery_diagram", None)
     start = time.perf_counter()
     result = check_certificate(cert)
     assert time.perf_counter() - start < 1.0
-    assert not result.ok
+    assert not result.ok and result.step is None
+    assert result.reason == (
+        f"4 edges, but slope {slope}'s presentation does not have 4 components"
+    )
+
+
+@pytest.mark.parametrize("slope", _HUGE)
+def test_relabelled_huge_slope_rejected_quickly_inline_root(slope, monkeypatch):
+    # The same, with the 5/2 root inline: its size is counted against the
+    # declared slope's presentation before anything is built.
+    cert = fresh(certify_tight(SurgeryCoeff(5, 2)))
+    inline_root(cert)
+    _relabel_to(cert, slope)
+    monkeypatch.setattr(certify, "trefoil_surgery_diagram", None)
+    start = time.perf_counter()
+    result = check_certificate(cert)
+    assert time.perf_counter() - start < 1.0
+    assert not result.ok and result.step is None
     assert result.reason == "conclusion presentation does not match the declared slope"
+
+
+@pytest.mark.parametrize("slope", ["5/2", "-5/3", "17/16", "2", "-1/20", "233/144"])
+def test_root_derived_at_stage_1_and_accepted_reinlined(slope):
+    cert = certify_tight(SurgeryCoeff.parse(slope))
+    assert cert.engine_stage >= 1 and cert.nodes["y0"].diagram is None
+    own = normalize_diagram(trefoil_surgery_diagram(cert.slope))
+    assert len(own) == len(cert.edges)
+    assert root_presentation(cert) == own
+    assert check_certificate(fresh(cert)).ok
+    inline_root(cert)
+    assert cert.nodes["y0"].diagram == own
+    assert check_certificate(fresh(cert)).ok
+
+
+def test_dropped_path_edge_refused_before_the_root_is_built(monkeypatch):
+    # -5/3 has a reduction path of two nodes; without its last edge and
+    # node the edge count is one short of the root's size.
+    cert = fresh(certify_tight(SurgeryCoeff(-5, 3)))
+    last = [e for e in cert.edges.values() if e.witness.startswith("cancel:")][-1]
+    del cert.edges[last.eid], cert.nodes[last.dst]
+    monkeypatch.setattr(certify, "normalize_diagram", None)
+    result = check_certificate(cert)
+    assert not result.ok and result.step is None
+    n = len(cert.edges)
+    assert result.reason == f"{n} edges, but slope -5/3's presentation does not have {n} components"
+    with pytest.raises(CalculusError, match="presentation does not have"):
+        node_presentations(cert)
+
+
+def test_stage_0_root_without_a_diagram_refused():
+    cert = fresh(certify_tight(SurgeryCoeff(1, 2)))
+    assert cert.engine_stage == 0
+    cert.nodes["y0"] = replace(cert.nodes["y0"], diagram=None)
+    result = check_certificate(cert)
+    assert not result.ok and result.step is None
+    assert result.reason == "0 edges, but slope 1/2's presentation does not have 0 components"
 
 
 def _rotate_root_ids(data):
@@ -251,7 +334,9 @@ def _rotate_root_ids(data):
 def test_root_with_renamed_ids_rejected(slope):
     # The renamed root is isomorphic to the slope's presentation, but the
     # conclusion must be the verifier's own presentation, ids included.
-    data = certificate_to_dict(certify_tight(SurgeryCoeff.parse(slope)))
+    cert = certify_tight(SurgeryCoeff.parse(slope))
+    inline_root(cert)
+    data = certificate_to_dict(cert)
     _rotate_root_ids(data)
     result = check_certificate(certificate_from_dict(data))
     assert not result.ok and result.step is None
@@ -263,11 +348,12 @@ def test_derived_nodes_are_tower_stages():
     cert = certify_tight(SurgeryCoeff(5, 2))
     derived = {e.dst: e.eid for e in cert.edges.values()}
     assert derived == {"eta": "e_eta", "v2": "ev1", "v3": "ev2", "y1": "ey1"}
-    assert [nid for nid, n in cert.nodes.items() if n.diagram is None] == list(derived)
+    no_diagram = [nid for nid, n in cert.nodes.items() if n.diagram is None]
+    assert no_diagram == ["eta", "v2", "v3", "y0", "y1"]
     built = node_presentations(cert)
     for k in (1, 2, 3):
         assert built[f"v{k}"] == tower_diagram(k)
-    assert built["y0"] is cert.nodes["y0"].diagram
+    assert built["y0"] == normalize_diagram(trefoil_surgery_diagram(cert.slope))
     assert cert.edges["ey1"].witness.startswith("cancel:")
     assert diagram_iso(built["y1"], tower_diagram(2))
 
@@ -387,7 +473,7 @@ _NOT_OWN = "inline presentation is not the verifier's presentation of"
          "5/2, the edge gives opaque:reduction stage 1 of trefoil surgery 5/2"),
         (lambda c: _set_edge(c, "ev1", witness="pushoff:c2"),
          "edge ev1: witness 'pushoff:c2' on tower(1) gives no manifold"),
-        (lambda c: c.edges.pop("ev2"),
+        (lambda c: (inline_root(c), c.edges.pop("ev2")),
          "node v3: no inline presentation and no edge into it"),
         (lambda c: _relabel(c, "std", Manifold.poincare()),
          "edge e_eta: witness 'unknot' on poincare gives no manifold"),
@@ -500,30 +586,27 @@ def test_reject_node_manifold_swap():
 
 def test_reject_coefficient_flip_on_root_presentation():
     cert = fresh(certify_tight(SurgeryCoeff(5, 2)))
-    y0 = cert.nodes["y0"]
-    flipped = set_coeff(y0.diagram, y0.diagram.components[0].cid, SurgeryCoeff(1))
-    cert.nodes["y0"] = ContactNode("y0", y0.manifold, flipped)
+    own = root_presentation(cert)
+    inline_root(cert, set_coeff(own, own.components[0].cid, SurgeryCoeff(1)))
     result = check_certificate(cert)
     assert not result.ok
 
 
 def test_reject_rot_tamper_on_chain_knot():
     cert = fresh(certify_tight(SurgeryCoeff(-5, 3)))
-    y0 = cert.nodes["y0"]
-    chain = [c for c in y0.diagram.components if c.coeff == SurgeryCoeff(-1)]
+    own = root_presentation(cert)
+    chain = [c for c in own.components if c.coeff == SurgeryCoeff(-1)]
     target = next(c for c in chain if c.rot != 0)
-    bumped = stabilize(y0.diagram, target.cid, 1)
-    cert.nodes["y0"] = ContactNode("y0", y0.manifold, bumped)
+    inline_root(cert, stabilize(own, target.cid, 1))
     result = check_certificate(cert)
     assert not result.ok
 
 
 def test_reject_linking_tamper():
     cert = fresh(certify_tight(SurgeryCoeff(5, 2)))
-    y0 = cert.nodes["y0"]
-    a, b = y0.diagram.ids()[0], y0.diagram.ids()[1]
-    warped = with_linking(y0.diagram, a, b, y0.diagram.linking(a, b) + 1)
-    cert.nodes["y0"] = ContactNode("y0", y0.manifold, warped)
+    own = root_presentation(cert)
+    a, b = own.ids()[0], own.ids()[1]
+    inline_root(cert, with_linking(own, a, b, own.linking(a, b) + 1))
     result = check_certificate(cert)
     assert not result.ok
 

@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import hashlib
 import json
+import time
+import tracemalloc
 
 import pytest
 
@@ -315,6 +317,12 @@ def test_verify_derived_node_misuse_rejected_without_traceback(edit, tmp_path, c
     nodes, edges = data["nodes"], data["edges"]
     i = next(i for i, e in enumerate(edges) if e["dst"] == "v2")
     if edit == "missing_edge":
+        # The root goes inline, so that its size, not the edge count,
+        # bounds the check and the missing edge is what gets refused.
+        root = next(n for n in nodes if n["id"] == "y0")
+        root["diagram"] = diagram_to_dict(
+            normalize_diagram(trefoil_surgery_diagram(SurgeryCoeff(5, 2)))
+        )
         del edges[i]
         expected = "edge ev2: source 'v2' has no presentation yet"
     elif edit == "inline_diagram":
@@ -405,6 +413,38 @@ def test_rejected_verify_clips_a_long_slope(tmp_path, capsys):
     assert code == 3 and err == "" and len(out.encode()) < 1024
     payload = json.loads(out)
     assert payload["ok"] is False and payload["slope"].startswith("7" * 200 + "... ")
+
+
+def test_oversized_inline_diagram_refused_before_it_is_built(tmp_path, capsys):
+    # A diagram's linking rows take memory quadratic in its size, so an
+    # inline node longer than any presentation the verifier holds for the
+    # slope is refused while reading, before they exist.
+    path = tmp_path / "cert.json"
+    run_cli(capsys, "certify", "--r", "1/2", "--emit", str(path))
+    data = load_json(str(path))
+    assert data["engine_stage"] == 0
+    data["nodes"][0]["diagram"] = {
+        "components": [
+            {"id": f"u{i}", "type": "unknot", "tb": -1, "rot": 0, "coeff": "-1"}
+            for i in range(5000)
+        ],
+        "linkings": [],
+    }
+    dump_json(data, str(path))
+    tracemalloc.start()
+    start = time.perf_counter()
+    try:
+        code, out, err = run_cli(capsys, "verify", str(path))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert time.perf_counter() - start < 1.0
+    assert peak < 20 * 2**20, peak
+    assert code == 3 and err == ""
+    assert out == (
+        f"certificate {path}: REJECTED: certificate.nodes[0].diagram: 5000 "
+        "components, more than any presentation of slope 1/2 has\n"
+    )
 
 
 def test_verify_json_that_is_no_certificate_rejected(tmp_path, capsys):

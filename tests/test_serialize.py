@@ -165,7 +165,10 @@ def expand_to_v1(payload, version=1):
     listing the engine family after "rank_facts" as "triangles", as every
     earlier version does.  With ``version=5``, the version-5 form: the
     steps open with an "h1_consistency" audit of every node, in node
-    order, where the current form audits the inline nodes only."""
+    order, where later forms audit only the nodes no edge builds.  With
+    ``version=6``, the version-6 form, which differs from the current one
+    only by its version and by the root carrying its presentation inline
+    at engine stage >= 1, as every earlier version does."""
     built = node_presentations(certificate_from_dict(payload))
     out = {}
     for key, value in copy.deepcopy(payload).items():
@@ -173,6 +176,11 @@ def expand_to_v1(payload, version=1):
         if key == "rank_facts" and version < 5:
             out["triangles"] = _v4_triangles(payload["engine_stage"])
     out["version"] = version
+    for node in out["nodes"]:
+        if node["id"] == out["conclusion"][1] and node["diagram"] is None:
+            node["diagram"] = diagram_to_dict(built[node["id"]])
+    if version >= 6:
+        return out
     steps = out["steps"]
     while steps[0]["rule"] == "h1_consistency":
         steps.pop(0)
@@ -284,8 +292,9 @@ GOLDEN_V5_SHA256 = {
 }
 
 
-# Version-6 certificate bytes as emitted: the version-5 bytes with only the
-# inline nodes audited.
+# Version-6 certificate bytes: the version-5 bytes with only the inline
+# nodes audited.  Current certificates are compared after
+# ``expand_to_v1(payload, version=6)``.
 GOLDEN_V6_SHA256 = {
     "5/2": "a4d56971904d26942bc9529745f0e0aa0c4d65787832d59612b7b8d896f4e5b8",
     "17/16": "36e5a0feb601deec4c856c71ed79051131a76c51627051e6c982a32fc306892a",
@@ -295,6 +304,20 @@ GOLDEN_V6_SHA256 = {
     "-1/20": "5a8f2642f6df1a57fcff6d6c69de96bce470479d65d3216030d6e99f68c142ac",
     "-4000": "53e1789cbf1e5ae64c05e71080cd89df83daa932e49e285b9bff4723cd5b40f4",
     "233/144": "96452ff91caa9f972792b3d35e8ea4da3f31193edc8d0c1d1cc4d217ca6dcfec",
+}
+
+
+# Version-7 certificate bytes as emitted: the version-6 bytes with the
+# root's diagram null at engine stage >= 1.
+GOLDEN_V7_SHA256 = {
+    "5/2": "1a2ef8d33fb46ca89b58bce5a88317ebce249cf5d80f5fceb40c753c47c00382",
+    "17/16": "317c9a54a2413b5055b38b9179a719192e3c5e2b36ba20f5b5799841eeae2b96",
+    "-7/2": "28519b955728d62855d67630aded0819824593bdd55ece3202f43e254e814ee6",
+    "13/8": "9b0a1f17f640271a2c2e8b5379608ab31d9bfbe7d568d87e2060d9c80ebb2c3e",
+    "0": "9d31b7012bfe0c14860d6160c0d41a7b159f9c413b50a79e50f720f06c44d3c1",
+    "-1/20": "0eece68f7a83540c81a88096752a0900c54b794b4374228bdca492379b621ae7",
+    "-4000": "0741b0556709eb9a8fe6f026cc3e849e6ec577e6dbf0172728d752db2ef97ee8",
+    "233/144": "fc63b1fd1035e537dab61965ef60b8be1e138fdff757eae5db7b8bb0dfc785da",
 }
 
 
@@ -337,8 +360,15 @@ def test_certificate_v5_golden_bytes(slope, tmp_path):
 @pytest.mark.parametrize("slope", sorted(GOLDEN_V6_SHA256))
 def test_certificate_v6_golden_bytes(slope, tmp_path):
     payload = certificate_to_dict(certify_tight(SurgeryCoeff.parse(slope)))
-    assert payload["version"] == FORMAT_VERSION == 6
-    assert _sha256_of_dump(payload, tmp_path / "cert.json") == GOLDEN_V6_SHA256[slope]
+    expanded = expand_to_v1(payload, version=6)
+    assert _sha256_of_dump(expanded, tmp_path / "cert.json") == GOLDEN_V6_SHA256[slope]
+
+
+@pytest.mark.parametrize("slope", sorted(GOLDEN_V7_SHA256))
+def test_certificate_v7_golden_bytes(slope, tmp_path):
+    payload = certificate_to_dict(certify_tight(SurgeryCoeff.parse(slope)))
+    assert payload["version"] == FORMAT_VERSION == 7
+    assert _sha256_of_dump(payload, tmp_path / "cert.json") == GOLDEN_V7_SHA256[slope]
 
 
 # ---------------------------------------------------------------------------
@@ -420,6 +450,14 @@ def test_certificate_version_5_refused():
         certificate_from_dict(expand_to_v1(data, version=5))
     assert err.value.location == "certificate.version"
     assert "unsupported certificate version 5" in str(err.value)
+
+
+def test_certificate_version_6_refused():
+    data = certificate_to_dict(certify_tight(SurgeryCoeff(5, 2)))
+    with pytest.raises(ParseError) as err:
+        certificate_from_dict(expand_to_v1(data, version=6))
+    assert err.value.location == "certificate.version"
+    assert "unsupported certificate version 6" in str(err.value)
 
 
 def test_certificate_derived_node_form():
