@@ -587,7 +587,7 @@ def _check(cert: Certificate) -> VerificationResult:
             )
     else:
         try:
-            root = replace(root, diagram=_derived_root(cert))
+            root = ContactNode(root.nid, root.manifold, _derived_root(cert))
         except CalculusError as exc:
             return _fail(None, str(exc))
         cert = replace(cert, nodes={**cert.nodes, root.nid: root})
@@ -649,7 +649,10 @@ def _check(cert: Certificate) -> VerificationResult:
     # for it.
     cert = replace(
         cert,
-        nodes={nid: replace(n, diagram=built[nid]) for nid, n in cert.nodes.items()},
+        nodes={
+            nid: ContactNode(n.nid, n.manifold, built[nid])
+            for nid, n in cert.nodes.items()
+        },
     )
 
     # Replay the steps.

@@ -33,15 +33,27 @@ Storage
 Linking numbers are kept by position in lower-triangular rows: row i is a
 tuple of i integers, lk(component i, component j) for j < i.  Rows are
 append-only and shared: a diagram made by a move reuses every row of its
-source that the move leaves alone.  With n components:
+source that the move leaves alone.  One id map, ``_pos``, gives each
+component's position, and ``component(cid)`` reads the component tuple at
+it.  A move constructs every new or changed component exactly once, with
+its final tb, rot and coefficient, so each goes through the component
+checks once.  With n components:
 
 * adding an unknot or a trefoil appends a row of zeros, O(n);
 * a contact pushoff appends one row read off its parent's row and column,
-  O(n);
-* stabilizing or changing a coefficient shares all rows, O(n) for the
-  component tuple and id maps;
-* removing component i keeps rows 0..i-1 and slices entry i out of each
-  later row;
+  O(n), and is created already carrying its coefficient (+1 for
+  ``plus_one_surgery``);
+* ``convert_positive`` appends its k unit pushoffs in one move: row j is
+  the first pushoff's row followed by j entries tb(parent), O(k (n + k))
+  for the rows and one copy of the id map;
+* ``convert_negative`` appends its whole (-1)-chain in one move, each
+  chain knot created stabilized and at -1, O(m (n + m)) for m knots;
+* stabilizing or changing a coefficient shares all rows and the id map,
+  O(n) for the component tuple;
+* removing component i keeps rows 0..i-1, slices entry i out of each
+  later row, and rebuilds the id map; it reads the linkings of the
+  removed knot's children by position, wherever they sit, and constructs
+  each reparented or demoted child once;
 * ``linking`` is one tuple lookup, and ``linking_rows`` builds the full
   symmetric matrix in O(n^2), which ``linking_matrix`` and the JSON form
   read instead of asking for pairs one by one;
@@ -52,8 +64,8 @@ source that the move leaves alone.  With n components:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
-from itertools import zip_longest
+from dataclasses import dataclass
+from itertools import islice, zip_longest
 
 from .errors import (
     CalculusError,
@@ -132,34 +144,35 @@ class LegendrianComponent:
 class ContactDiagram:
     """An immutable contact surgery diagram.
 
-    ``components`` is a tuple in creation order; ``_index`` maps each id
-    to its component and ``_pos`` to its position.  ``_rows[i][j]``
-    (j < i) is lk(components[i], components[j]).  Rows are tuples, never
-    rewritten, and shared with every diagram a move makes from this one;
-    the Storage section of the module docstring gives each move's cost.
+    ``components`` is a tuple in creation order and ``_pos`` maps each id
+    to its position, the one id map: ``component(cid)`` is
+    ``components[_pos[cid]]``.  ``_rows[i][j]`` (j < i) is
+    lk(components[i], components[j]).  Rows and the id map are never
+    rewritten, and are shared with every diagram a move makes from this
+    one that leaves them alone; the Storage section of the module
+    docstring gives each move's cost.
     """
 
-    __slots__ = ("components", "_index", "_pos", "_rows")
+    __slots__ = ("components", "_pos", "_rows")
 
     def __init__(self, components=(), linkings=None):
         comps = tuple(components)
-        index = {}
-        for c in comps:
+        pos = {}
+        for i, c in enumerate(comps):
             if not isinstance(c, LegendrianComponent):
                 raise CalculusError("diagram components must be LegendrianComponent")
-            if c.cid in index:
+            if c.cid in pos:
                 raise CalculusError(f"duplicate component id {c.cid!r}")
-            index[c.cid] = c
+            pos[c.cid] = i
         for c in comps:
-            if c.kind == PUSHOFF and c.parent not in index:
+            if c.kind == PUSHOFF and c.parent not in pos:
                 raise CalculusError(
                     f"pushoff {c.cid} names missing parent {c.parent!r}"
                 )
-        pos = {c.cid: i for i, c in enumerate(comps)}
         rows = [[0] * i for i in range(len(comps))]
         for pair, value in (linkings or {}).items():
             a, b = tuple(pair)
-            if a == b or a not in index or b not in index:
+            if a == b or a not in pos or b not in pos:
                 raise CalculusError(f"bad linking pair {(a, b)!r}")
             if not isinstance(value, int):
                 raise CalculusError(f"linking number for {(a, b)!r} must be an int")
@@ -170,20 +183,18 @@ class ContactDiagram:
                 else:
                     rows[j][i] = value
         object.__setattr__(self, "components", comps)
-        object.__setattr__(self, "_index", index)
         object.__setattr__(self, "_pos", pos)
         object.__setattr__(self, "_rows", tuple(map(tuple, rows)))
 
     @classmethod
-    def _trusted(cls, components, rows, index, pos):
+    def _trusted(cls, components, rows, pos):
         """Internal constructor for moves that preserve the invariants.
 
         ``components`` and ``rows`` must be tuples, row i holding i ints;
-        ``index`` and ``pos`` the matching id maps; nothing is rechecked.
+        ``pos`` the matching id map; nothing is rechecked.
         """
         self = object.__new__(cls)
         object.__setattr__(self, "components", components)
-        object.__setattr__(self, "_index", index)
         object.__setattr__(self, "_pos", pos)
         object.__setattr__(self, "_rows", rows)
         return self
@@ -194,19 +205,19 @@ class ContactDiagram:
         return len(self.components)
 
     def __contains__(self, cid: str) -> bool:
-        return cid in self._index
+        return cid in self._pos
 
     def ids(self) -> tuple[str, ...]:
         return tuple(c.cid for c in self.components)
 
     def component(self, cid: str) -> LegendrianComponent:
         try:
-            return self._index[cid]
+            return self.components[self._pos[cid]]
         except KeyError:
             raise CalculusError(f"no component {cid!r} in diagram") from None
 
     def linking(self, a: str, b: str) -> int:
-        if a not in self._index or b not in self._index:
+        if a not in self._pos or b not in self._pos:
             raise CalculusError(f"no such components {a!r}, {b!r}")
         if a == b:
             raise CalculusError("self-linking is not stored; use smooth_framing")
@@ -257,82 +268,111 @@ def empty_diagram() -> ContactDiagram:
     return ContactDiagram()
 
 
-def _fresh_id(d: ContactDiagram) -> str:
-    n = len(d.components) + 1
-    while f"c{n}" in d:
+def _fresh_ids(d: ContactDiagram):
+    """Ids for components appended to d, in creation order: "c<n>" for n
+    from len(d) + 1 up, skipping every id d already holds."""
+    n = len(d.components)
+    while True:
         n += 1
-    return f"c{n}"
+        cid = f"c{n}"
+        if cid not in d._pos:
+            yield cid
 
 
-def _with_component(d, comp, row):
-    """Append comp with ``row``, its linking with every earlier component."""
-    if comp.cid in d._index:
-        raise CalculusError(f"duplicate component id {comp.cid!r}")
-    if comp.kind == PUSHOFF and comp.parent not in d._index:
-        raise CalculusError(f"pushoff {comp.cid} names missing parent {comp.parent!r}")
-    index = dict(d._index)
-    index[comp.cid] = comp
+def _appended(d, comps, rows):
+    """Append ``comps`` in order, row j holding comps[j]'s linking with
+    every component before it."""
     pos = dict(d._pos)
-    pos[comp.cid] = len(d.components)
+    for c in comps:
+        if c.cid in pos:
+            raise CalculusError(f"duplicate component id {c.cid!r}")
+        if c.kind == PUSHOFF and c.parent not in pos:
+            raise CalculusError(f"pushoff {c.cid} names missing parent {c.parent!r}")
+        pos[c.cid] = len(pos)
     return ContactDiagram._trusted(
-        d.components + (comp,), d._rows + (row,), index, pos
+        d.components + tuple(comps), d._rows + tuple(rows), pos
     )
 
 
 def add_unknot(d, tb: int = -1, rot: int = 0, coeff=None):
     """Append a standard Legendrian unknot; returns (diagram, new id)."""
-    cid = _fresh_id(d)
+    cid = next(_fresh_ids(d))
     c = LegendrianComponent(cid, UNKNOT, None, UNKNOT, tb, rot, _opt_coeff(coeff))
-    return _with_component(d, c, (0,) * len(d)), cid
+    return _appended(d, (c,), ((0,) * len(d),)), cid
 
 
 def add_trefoil(d, tb: int = 1, rot: int = 0, coeff=None):
     """Append a Legendrian right-handed trefoil; returns (diagram, new id)."""
-    cid = _fresh_id(d)
+    cid = next(_fresh_ids(d))
     c = LegendrianComponent(cid, RH_TREFOIL, None, RH_TREFOIL, tb, rot, _opt_coeff(coeff))
-    return _with_component(d, c, (0,) * len(d)), cid
+    return _appended(d, (c,), ((0,) * len(d),)), cid
 
 
 def _opt_coeff(value):
     return None if value is None else _coerce_coeff(value)
 
 
+def _restated(c, tb, rot, coeff):
+    """Component c with new tb, rot and coefficient, checked as a new one."""
+    return LegendrianComponent(c.cid, c.kind, c.parent, c.smooth_type, tb, rot, coeff)
+
+
 def _with_replaced(d, comp):
     i = d._pos[comp.cid]
     comps = d.components[:i] + (comp,) + d.components[i + 1:]
-    index = dict(d._index)
-    index[comp.cid] = comp
-    return ContactDiagram._trusted(comps, d._rows, index, d._pos)
+    return ContactDiagram._trusted(comps, d._rows, d._pos)
 
 
 def set_coeff(d, cid: str, coeff) -> ContactDiagram:
     """Return the diagram with cid's surgery coefficient replaced."""
-    return _with_replaced(d, replace(d.component(cid), coeff=_opt_coeff(coeff)))
+    c = d.component(cid)
+    return _with_replaced(d, _restated(c, c.tb, c.rot, _opt_coeff(coeff)))
 
 
 def stabilize(d, cid: str, sign: int) -> ContactDiagram:
     """Stabilize a component: tb drops by one, rot moves by sign (+1/-1)."""
     if sign not in (1, -1):
         raise CalculusError(f"stabilization sign must be +1 or -1, got {sign!r}")
-    old = d.component(cid)
-    return _with_replaced(d, replace(old, tb=old.tb - 1, rot=old.rot + sign))
+    c = d.component(cid)
+    return _with_replaced(d, _restated(c, c.tb - 1, c.rot + sign, c.coeff))
 
 
-def contact_pushoff(d, cid: str):
-    """Append a contact-framed pushoff of cid; returns (diagram, new id).
+def _pushoff_row(d, cid):
+    """The row of a new pushoff of cid: cid's linkings, then tb(cid) for
+    cid itself."""
+    i, rows = d._pos[cid], d._rows
+    return rows[i] + (d.components[i].tb,) + tuple(r[i] for r in rows[i + 1:])
+
+
+def contact_pushoff(d, cid: str, coeff=None):
+    """Append a contact-framed pushoff of cid carrying ``coeff`` (None: no
+    surgery); returns (diagram, new id).
 
     The pushoff starts with the parent's current tb and rot, links the
     parent tb(parent) times and copies the parent's linking with every
     other component, all recorded immediately.
     """
     parent = d.component(cid)
-    new_id = _fresh_id(d)
+    new_id = next(_fresh_ids(d))
     comp = LegendrianComponent(
-        new_id, PUSHOFF, cid, parent.smooth_type, parent.tb, parent.rot, None
+        new_id, PUSHOFF, cid, parent.smooth_type, parent.tb, parent.rot, _opt_coeff(coeff)
     )
-    i, rows = d._pos[cid], d._rows
-    row = rows[i] + (parent.tb,) + tuple(r[i] for r in rows[i + 1:])
-    return _with_component(d, comp, row), new_id
+    return _appended(d, (comp,), (_pushoff_row(d, cid),)), new_id
+
+
+def _unit_pushoffs(d, cid, k):
+    """Append k contact pushoffs of cid, each carrying +1, in one move.
+
+    Each copies cid's linkings and links cid and every earlier one of them
+    tb(cid) times, so row j is the first one's row followed by j entries
+    tb(cid); the ids are the ones k successive ``contact_pushoff`` calls
+    would give."""
+    parent, row = d.component(cid), _pushoff_row(d, cid)
+    pushoffs = [
+        LegendrianComponent(new, PUSHOFF, cid, parent.smooth_type, parent.tb, parent.rot, _PLUS_ONE)
+        for new in islice(_fresh_ids(d), k)
+    ]
+    return _appended(d, pushoffs, [row + (parent.tb,) * j for j in range(k)])
 
 
 def plus_one_surgery(d, witness: str) -> ContactDiagram:
@@ -340,19 +380,18 @@ def plus_one_surgery(d, witness: str) -> ContactDiagram:
     "unknot" for a standard (tb -1, rot 0) Legendrian unknot,
     "pushoff:<cid>" for a contact pushoff of component cid, or
     "cancel:<cid>" for a pushoff of the (-1)-component cid, which then
-    cancels against it (Ding-Geiges-Stipsicz), leaving d without cid."""
+    cancels against it (Ding-Geiges-Stipsicz), leaving d without cid.
+    The surgered knot is created carrying +1."""
     if witness == "unknot":
-        d, wid = add_unknot(d)
-    elif witness.startswith("pushoff:"):
-        d, wid = contact_pushoff(d, witness[len("pushoff:"):])
-    elif witness.startswith("cancel:"):
+        return add_unknot(d, coeff=_PLUS_ONE)[0]
+    if witness.startswith("pushoff:"):
+        return contact_pushoff(d, witness[len("pushoff:"):], _PLUS_ONE)[0]
+    if witness.startswith("cancel:"):
         k = d.component(witness[len("cancel:"):])
         if k.coeff != _MINUS_ONE:
             raise CalculusError(f"component {k.cid} carries {k.coeff}, not -1")
         return remove_component(d, k.cid)
-    else:
-        raise CalculusError(f"unknown witness {witness!r}")
-    return set_coeff(d, wid, _PLUS_ONE)
+    raise CalculusError(f"unknown witness {witness!r}")
 
 
 def smooth_framing(comp: LegendrianComponent) -> SurgeryCoeff:
@@ -365,9 +404,9 @@ def smooth_framing(comp: LegendrianComponent) -> SurgeryCoeff:
 def remove_component(d, cid: str) -> ContactDiagram:
     """Drop a component, repairing pushoff parent references.
 
-    A child pushoff C of the removed component X is reparented to X's own
-    parent Y when the recorded linkings prove C is still an unstabilized
-    contact pushoff of Y as it sits today:
+    A child pushoff C of the removed component X, before or after X in the
+    diagram, is reparented to X's own parent Y when the recorded linkings
+    prove C is still an unstabilized contact pushoff of Y as it sits today:
 
         lk(C, X) == lk(X, Y)   (X was not stabilized between the creations)
         tb(C)    == lk(C, X)   (C was never stabilized)
@@ -378,28 +417,29 @@ def remove_component(d, cid: str) -> ContactDiagram:
     """
     dead = d.component(cid)
     grandparent = dead.parent
+    i, rows = d._pos[cid], d._rows
     new_comps = []
-    for c in d.components:
-        if c.cid == cid:
+    for j, c in enumerate(d.components):
+        if j == i:
             continue
-        if c.kind == PUSHOFF and c.parent == cid:
+        if c.parent == cid:
+            link = rows[j][i] if j > i else rows[i][j]
             if (
                 grandparent is not None
-                and d.linking(c.cid, cid) == d.linking(cid, grandparent)
-                and c.tb == d.linking(c.cid, cid)
-                and d.component(grandparent).tb == d.linking(cid, grandparent)
+                and link == d.linking(cid, grandparent) == c.tb
+                and d.component(grandparent).tb == link
             ):
-                c = replace(c, parent=grandparent)
+                c = LegendrianComponent(
+                    c.cid, PUSHOFF, grandparent, c.smooth_type, c.tb, c.rot, c.coeff
+                )
             else:
-                c = replace(c, kind=c.smooth_type, parent=None)
+                c = LegendrianComponent(
+                    c.cid, c.smooth_type, None, c.smooth_type, c.tb, c.rot, c.coeff
+                )
         new_comps.append(c)
-    i, rows = d._pos[cid], d._rows
     rows = rows[:i] + tuple(r[:i] + r[i + 1:] for r in rows[i + 1:])
     return ContactDiagram._trusted(
-        tuple(new_comps),
-        rows,
-        {c.cid: c for c in new_comps},
-        {c.cid: k for k, c in enumerate(new_comps)},
+        tuple(new_comps), rows, {c.cid: k for k, c in enumerate(new_comps)}
     )
 
 
@@ -420,23 +460,30 @@ def convert_negative(d, cid: str, choice=None) -> ContactDiagram:
     Defaults to all negative stabilizations.
     """
     comp = d.component(cid)
-    if comp.coeff is None or comp.coeff.is_infinite or comp.coeff >= 0:
+    if comp.coeff is None or comp.coeff.is_infinite or comp.coeff.num >= 0:
         raise CalculusError(
             f"component {cid} needs a finite negative coefficient, got {comp.coeff}"
         )
     cf = neg_continued_fraction(comp.coeff)
-    moves = _check_choice(choice, cf.stabilization_counts(), cid)
-    cur = cid
-    for i, (count, shift) in enumerate(moves):
-        if i:
-            d, cur = contact_pushoff(d, cur)
-        # All of a knot's stabilizations in one move: each lowers tb + |rot|
-        # by 0 or 2, so the Bennequin check on the final values covers them.
-        c = d.component(cur)
-        d = _with_replaced(
-            d, replace(c, tb=c.tb - count, rot=c.rot + shift, coeff=_MINUS_ONE)
+    (count, shift), *rest = _check_choice(choice, cf.stabilization_counts(), cid)
+    # Each chain knot is created with all its stabilizations applied: each
+    # lowers tb + |rot| by 0 or 2, so the Bennequin check on the final
+    # values covers them.
+    knot = _restated(comp, comp.tb - count, comp.rot + shift, _MINUS_ONE)
+    d = _with_replaced(d, knot)
+    chain, rows, row = [], [], _pushoff_row(d, cid)
+    for (count, shift), new in zip(rest, _fresh_ids(d)):
+        # A pushoff of the previous chain knot.
+        knot = LegendrianComponent(
+            new, PUSHOFF, knot.cid, knot.smooth_type,
+            knot.tb - count, knot.rot + shift, _MINUS_ONE,
         )
-    return d
+        chain.append(knot)
+        rows.append(row)
+        # The last knot has no later rows, so a pushoff of it links every
+        # earlier knot as it does, and it tb(it) times.
+        row = row + (knot.tb,)
+    return _appended(d, chain, rows)
 
 
 def _check_choice(choice, counts, cid):
@@ -460,23 +507,23 @@ def _check_choice(choice, counts, cid):
 def convert_positive(d, cid: str, k: int) -> ContactDiagram:
     """Split a positive rational surgery on cid into k unit (+1) pushoffs.
 
-    Appends k contact pushoffs of cid, each with coefficient +1, and leaves
-    the residual coefficient rp/(1 - k*rp) on cid itself; if the residual is
-    infinite the component's surgery becomes trivial and it is removed.
+    Appends k contact pushoffs of cid, each with coefficient +1, in one
+    move, and leaves the residual coefficient rp/(1 - k*rp) on cid itself;
+    if the residual is infinite the component's surgery becomes trivial and
+    it is removed.
     """
     comp = d.component(cid)
-    if comp.coeff is None or comp.coeff.is_infinite or comp.coeff <= 0:
+    if comp.coeff is None or comp.coeff.is_infinite or comp.coeff.num <= 0:
         raise CalculusError(
             f"component {cid} needs a finite positive coefficient, got {comp.coeff}"
         )
     if not isinstance(k, int) or k < 1:
         raise CalculusError(f"pushoff count must be a positive integer, got {k!r}")
     residual = residual_coeff(comp.coeff, k)
-    for _ in range(k):
-        d = plus_one_surgery(d, f"pushoff:{cid}")
+    d = _unit_pushoffs(d, cid, k)
     if residual.is_infinite:
         return remove_component(d, cid)
-    return set_coeff(d, cid, residual)
+    return _with_replaced(d, _restated(comp, comp.tb, comp.rot, residual))
 
 
 def normalize_diagram(d, choices=None) -> ContactDiagram:
@@ -491,22 +538,23 @@ def normalize_diagram(d, choices=None) -> ContactDiagram:
     chains.  Auxiliary (unsurgered) components pass through untouched.
     """
     choices = dict(choices or {})
-    for cid in list(d.ids()):
+    for cid in d.ids():
         c = d.component(cid)
         if c.coeff is not None and c.coeff.is_infinite:
             d = remove_component(d, cid)
-    for cid in list(d.ids()):
+    # Every coefficient left is finite, so its sign is its numerator's.
+    for cid in d.ids():
         c = d.component(cid)
-        if c.coeff is not None and c.coeff > 0 and c.coeff != 1:
+        if c.coeff is not None and c.coeff.num > 0 and c.coeff != _PLUS_ONE:
             d = convert_positive(d, cid, split_count(c.coeff))
-    for cid in list(d.ids()):
+    for cid in d.ids():
         if cid not in d:
             continue
         c = d.component(cid)
-        if c.coeff is not None and c.coeff < 0 and c.coeff != -1:
+        if c.coeff is not None and c.coeff.num < 0 and c.coeff != _MINUS_ONE:
             d = convert_negative(d, cid, choices.get(cid))
     for c in d.components:
-        assert c.coeff is None or c.coeff == 1 or c.coeff == -1
+        assert c.coeff in (None, _PLUS_ONE, _MINUS_ONE)
     return d
 
 
@@ -584,9 +632,7 @@ def tower_diagram(k: int) -> ContactDiagram:
     if not isinstance(k, int) or k < 1:
         raise CalculusError(f"tower stage must be a positive integer, got {k!r}")
     d, tid = add_trefoil(empty_diagram(), coeff=_MINUS_ONE)
-    for _ in range(k):
-        d = plus_one_surgery(d, f"pushoff:{tid}")
-    return d
+    return _unit_pushoffs(d, tid, k)
 
 
 def trefoil_surgery_diagram(r) -> ContactDiagram:
@@ -603,10 +649,9 @@ def trefoil_surgery_diagram(r) -> ContactDiagram:
         )
     rp = pushoff_coeff_from_slope(r)
     d, tid = add_trefoil(empty_diagram(), coeff=_MINUS_ONE)
-    d, pid = contact_pushoff(d, tid)
     if rp.is_infinite:
-        return remove_component(d, pid)
-    return set_coeff(d, pid, rp)
+        return d
+    return contact_pushoff(d, tid, rp)[0]
 
 
 # ---------------------------------------------------------------------------

@@ -39,6 +39,7 @@ from tightcert.floer import engine_triangles
 from tightcert.rationals import SurgeryCoeff
 from tightcert.serialize import certificate_from_dict, certificate_to_dict, diagram_to_dict
 from tightcert.topology import Manifold, h1
+from test_diagrams import _child_before_parent, count_constructions
 
 
 def fresh(cert):
@@ -694,3 +695,39 @@ def test_verification_result_booleanness():
     assert not VerificationResult(False, 3, "nope")
     ok = check_certificate(certify_tight(SurgeryCoeff(-1)))
     assert bool(ok) and ok.step is None and ok.reason is None
+
+
+def test_cancel_edge_on_an_inline_parent_listed_after_its_child():
+    # Only a Certificate object can list a pushoff before its parent: the
+    # JSON form declares parents first.  The cancel edge runs before the
+    # inline-node check, so it must leave a diagram whose every pushoff
+    # names a knot that is still there.
+    cert = fresh(certify_tight(SurgeryCoeff(3, 7)))  # stage 0, 4-knot root
+    slope = cert.slope
+    _add_inline(cert, "x", Manifold.s3(), _child_before_parent(1))
+    cert.nodes["x1"] = ContactNode("x1", certify._reduction_stage(slope, 1))
+    cert.edges["ex"] = SurgeryEdge("ex", "x", "x1", "cancel:X")
+    built = node_presentations(cert)["x1"]
+    assert built.ids() == ("C", "Y") and built.component("C").parent == "Y"
+    assert ContactDiagram(built.components, built.linking_pairs()) == built
+    result = check_certificate(cert)
+    assert not result.ok and result.step is None
+    assert result.reason == f"node x: {_NOT_OWN} s3"
+
+
+@pytest.mark.parametrize("slope", ["17/16", "13/8"])
+def test_each_ladder_edge_constructs_one_knot(slope, monkeypatch):
+    cert = fresh(certify_tight(SurgeryCoeff.parse(slope)))
+    built = count_constructions(monkeypatch)
+    surgery, per_edge = certify.plus_one_surgery, []
+
+    def counted(d, witness):
+        before = len(built)
+        out = surgery(d, witness)
+        per_edge.append((witness, len(built) - before))
+        return out
+
+    monkeypatch.setattr(certify, "plus_one_surgery", counted)
+    node_presentations(cert)
+    ladder = [n for witness, n in per_edge if not witness.startswith("cancel:")]
+    assert ladder == [1] * (cert.engine_stage + 1)

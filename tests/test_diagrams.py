@@ -9,6 +9,7 @@ from __future__ import annotations
 import json
 import random
 import tracemalloc
+from dataclasses import replace
 from fractions import Fraction
 from itertools import product
 
@@ -30,6 +31,7 @@ from tightcert.diagrams import (
     diagram_iso,
     empty_diagram,
     normalize_diagram,
+    plus_one_surgery,
     remove_component,
     set_coeff,
     smooth_framing,
@@ -47,6 +49,7 @@ from tightcert.rationals import (
     SurgeryCoeff,
     neg_continued_fraction,
     pushoff_coeff_from_slope,
+    residual_coeff,
 )
 from tightcert.serialize import diagram_to_dict
 from tightcert.topology import det_signed, h1, linking_matrix
@@ -225,6 +228,38 @@ def test_remove_demotes_when_root_parent_dies():
     assert c.parent is None and c.kind == RH_TREFOIL
     assert c.coeff == SurgeryCoeff(1)
     assert d.linking_pairs() == {}
+
+
+def _child_before_parent(child_tb):
+    """Components [C, Y, X]: X a (-1) pushoff of the trefoil Y, and C a
+    (+1) pushoff of X listed before both, stabilized down to ``child_tb``."""
+    comps = (
+        LegendrianComponent("C", PUSHOFF, "X", RH_TREFOIL, child_tb, 1 - child_tb, SurgeryCoeff(1)),
+        LegendrianComponent("Y", RH_TREFOIL, None, RH_TREFOIL, 1, 0, SurgeryCoeff(-1)),
+        LegendrianComponent("X", PUSHOFF, "Y", RH_TREFOIL, 1, 0, SurgeryCoeff(-1)),
+    )
+    links = {frozenset("CX"): 1, frozenset("CY"): 1, frozenset("XY"): 1}
+    return ContactDiagram(comps, links)
+
+
+def test_remove_reparents_child_listed_before_it():
+    d = remove_component(_child_before_parent(1), "X")
+    assert d.ids() == ("C", "Y")
+    c = d.component("C")
+    assert c.kind == PUSHOFF and c.parent == "Y"
+    assert (c.tb, c.rot, c.coeff) == (1, 0, SurgeryCoeff(1))
+    assert d.linking("C", "Y") == 1
+    # The result is a diagram the public constructor accepts as it stands.
+    assert ContactDiagram(d.components, d.linking_pairs()) == d
+
+
+def test_remove_demotes_child_listed_before_it():
+    d = remove_component(_child_before_parent(0), "X")
+    c = d.component("C")
+    assert c.kind == RH_TREFOIL and c.parent is None
+    assert (c.tb, c.rot, c.coeff) == (0, 1, SurgeryCoeff(1))
+    assert d.linking("C", "Y") == 1
+    assert ContactDiagram(d.components, d.linking_pairs()) == d
 
 
 # ---------------------------------------------------------------------------
@@ -606,3 +641,197 @@ def test_iso_on_choice_variants():
     assert not diagram_iso(plus, mixed)
     # Same multiset of stabilization signs -> same rot values -> isomorphic.
     assert diagram_iso(mixed, swapped)
+
+
+# ---------------------------------------------------------------------------
+# Reference moves: one knot and one step at a time
+# ---------------------------------------------------------------------------
+
+
+def _ref_fresh_id(d):
+    n = len(d) + 1
+    while f"c{n}" in d:
+        n += 1
+    return f"c{n}"
+
+
+def _ref_rebuilt(d, comps, drop=None):
+    """comps with d's linkings, less those of ``drop``, through the public
+    constructor, which builds the rows afresh."""
+    pairs = {pair: v for pair, v in d.linking_pairs().items() if drop not in pair}
+    return ContactDiagram(comps, pairs)
+
+
+def reference_replace(d, cid, **changes):
+    """d with component cid changed by ``dataclasses.replace``."""
+    comps = tuple(replace(c, **changes) if c.cid == cid else c for c in d.components)
+    return _ref_rebuilt(d, comps)
+
+
+def reference_pushoff(d, cid):
+    """An uncoefficiented contact pushoff of cid, appended: cid's tb and
+    rot, linking cid tb(cid) times and copying cid's other linkings."""
+    parent = d.component(cid)
+    new = _ref_fresh_id(d)
+    comp = LegendrianComponent(new, PUSHOFF, cid, parent.smooth_type, parent.tb, parent.rot, None)
+    out = _ref_rebuilt(d, d.components + (comp,))
+    pairs = out.linking_pairs()
+    for other in d.ids():
+        if other != cid and d.linking(cid, other):
+            pairs[frozenset((new, other))] = d.linking(cid, other)
+    if parent.tb:
+        pairs[frozenset((new, cid))] = parent.tb
+    return ContactDiagram(out.components, pairs), new
+
+
+def reference_remove(d, cid):
+    """Drop cid; reparent or demote its children by the recorded linkings."""
+    grandparent = d.component(cid).parent
+    comps = []
+    for c in d.components:
+        if c.cid == cid:
+            continue
+        if c.kind == PUSHOFF and c.parent == cid:
+            if (
+                grandparent is not None
+                and d.linking(c.cid, cid) == d.linking(cid, grandparent)
+                and c.tb == d.linking(c.cid, cid)
+                and d.component(grandparent).tb == d.linking(cid, grandparent)
+            ):
+                c = replace(c, parent=grandparent)
+            else:
+                c = replace(c, kind=c.smooth_type, parent=None)
+        comps.append(c)
+    return _ref_rebuilt(d, tuple(comps), drop=cid)
+
+
+def reference_plus_one(d, witness):
+    if witness == "unknot":
+        new = _ref_fresh_id(d)
+        comp = LegendrianComponent(new, UNKNOT, None, UNKNOT, -1, 0, None)
+        d = _ref_rebuilt(d, d.components + (comp,))
+    elif witness.startswith("pushoff:"):
+        d, new = reference_pushoff(d, witness[len("pushoff:"):])
+    else:
+        cid = witness[len("cancel:"):]
+        assert d.component(cid).coeff == SurgeryCoeff(-1)
+        return reference_remove(d, cid)
+    return reference_replace(d, new, coeff=SurgeryCoeff(1))
+
+
+def reference_convert_positive(d, cid, k):
+    residual = residual_coeff(d.component(cid).coeff, k)
+    for _ in range(k):
+        d = reference_plus_one(d, f"pushoff:{cid}")
+    if residual.is_infinite:
+        return reference_remove(d, cid)
+    return reference_replace(d, cid, coeff=residual)
+
+
+def reference_convert_negative(d, cid, choice):
+    counts = neg_continued_fraction(d.component(cid).coeff).stabilization_counts()
+    signs = choice or [[-1] * n for n in counts]
+    cur = cid
+    for i, vector in enumerate(signs):
+        if i:
+            d, cur = reference_pushoff(d, cur)
+        for sign in vector:
+            c = d.component(cur)
+            d = reference_replace(d, cur, tb=c.tb - 1, rot=c.rot + sign)
+        d = reference_replace(d, cur, coeff=SurgeryCoeff(-1))
+    return d
+
+
+def random_diagram(rng):
+    """Random public moves, then the components in shuffled order, so that
+    a pushoff may be listed before its parent."""
+    d = empty_diagram()
+    for _ in range(rng.randrange(1, 9)):
+        kind = rng.choice(("unknot", "trefoil", "pushoff", "pushoff", "stabilize", "coeff"))
+        cid = rng.choice(d.ids()) if len(d) else None
+        if kind == "unknot" or (cid is None and kind != "trefoil"):
+            d, _ = add_unknot(d, tb=-1 - rng.randrange(3))
+        elif kind == "trefoil":
+            d, _ = add_trefoil(d, tb=1 - rng.randrange(3))
+        elif kind == "pushoff":
+            d, _ = contact_pushoff(d, cid)
+        elif kind == "stabilize":
+            d = stabilize(d, cid, rng.choice((1, -1)))
+        else:
+            d = set_coeff(d, cid, SurgeryCoeff(rng.choice((-3, -1, 1, 2))))
+    comps = list(d.components)
+    rng.shuffle(comps)
+    return ContactDiagram(comps, d.linking_pairs())
+
+
+def assert_same(out, ref):
+    assert out.components == ref.components
+    assert out.ids() == ref.ids()
+    assert out._rows == ref._rows
+    assert out._pos == {cid: i for i, cid in enumerate(ref.ids())}
+
+
+def test_moves_match_the_step_by_step_reference():
+    rng = random.Random(4108)
+    for _ in range(150):
+        d = random_diagram(rng)
+        cid = rng.choice(d.ids())
+        assert_same(plus_one_surgery(d, "unknot"), reference_plus_one(d, "unknot"))
+        witness = f"pushoff:{cid}"
+        assert_same(plus_one_surgery(d, witness), reference_plus_one(d, witness))
+        minus = reference_replace(d, cid, coeff=SurgeryCoeff(-1))
+        witness = f"cancel:{cid}"
+        assert_same(plus_one_surgery(minus, witness), reference_plus_one(minus, witness))
+        assert_same(remove_component(d, cid), reference_remove(d, cid))
+
+        k = rng.randrange(1, 5)
+        positive = reference_replace(
+            d, cid, coeff=rng.choice((SurgeryCoeff(1, k), random_slope(rng, 1, 9, 5)))
+        )
+        assert_same(
+            convert_positive(positive, cid, k), reference_convert_positive(positive, cid, k)
+        )
+
+        r = SurgeryCoeff(-rng.randrange(1, 12), rng.randrange(1, 6))
+        negative = reference_replace(d, cid, coeff=r)
+        choice = None
+        if rng.random() < 0.7:
+            choice = [[rng.choice((1, -1)) for _ in range(n)] for n in chain_counts(r)]
+        assert_same(
+            convert_negative(negative, cid, choice),
+            reference_convert_negative(negative, cid, choice),
+        )
+
+
+def test_tower_matches_the_step_by_step_reference():
+    for k in range(1, 9):
+        d, t = add_trefoil(empty_diagram(), coeff=SurgeryCoeff(-1))
+        for _ in range(k):
+            d = reference_plus_one(d, f"pushoff:{t}")
+        assert_same(tower_diagram(k), d)
+
+
+# ---------------------------------------------------------------------------
+# Work bounds, counted without timing
+# ---------------------------------------------------------------------------
+
+
+def count_constructions(monkeypatch):
+    """Patch in a counter of ``LegendrianComponent`` constructions (each
+    runs ``__post_init__`` once); returns the list of constructed ids."""
+    built = []
+    checks = LegendrianComponent.__post_init__
+
+    def counted(self):
+        built.append(self.cid)
+        checks(self)
+
+    monkeypatch.setattr(LegendrianComponent, "__post_init__", counted)
+    return built
+
+
+@pytest.mark.parametrize("slope", ["24/23", "40/39", "-1/40", "299/599"])
+def test_presentation_constructs_each_knot_about_once(slope, monkeypatch):
+    built = count_constructions(monkeypatch)
+    d = normalize_diagram(trefoil_surgery_diagram(SurgeryCoeff.parse(slope)))
+    assert len(built) <= 2 * len(d) + 4
