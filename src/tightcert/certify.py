@@ -115,16 +115,31 @@ def _overtwisted_zero(cert, node):
     )
 
 
+# Kind -> the kind of the same manifold with reversed orientation, for
+# the kinds whose reversal keeps the stage and names no other parameter.
+_REVERSED_KIND = {"s3": "s3", "s1xs2": "s1xs2", "tower": "-tower", "-tower": "tower"}
+
+
+def _reverses(vertex: Manifold, m: Manifold) -> bool:
+    """Whether ``vertex`` is ``m`` with reversed orientation.  Compares kind
+    and stage; only a kind outside ``_REVERSED_KIND`` builds the mirror,
+    which raises CalculusError when this package cannot name it."""
+    kind = _REVERSED_KIND.get(m.kind)
+    if kind is None:
+        return vertex == m.mirror()
+    return vertex.kind == kind and vertex.p == m.p
+
+
 def _plus_one_pushforward(cert, edge, tri):
     if tri.informational:
         raise CalculusError("informational triangle instances cannot justify injectivity")
     # Every edge was checked before the steps, so both endpoints exist.
     src, dst = cert.nodes[edge.src], cert.nodes[edge.dst]
-    if tri.a != src.manifold.mirror() or tri.b != dst.manifold.mirror():
+    if not _reverses(tri.a, src.manifold) or not _reverses(tri.b, dst.manifold):
         raise CalculusError("triangle vertices do not match the edge endpoints")
     ranks = []
     for m in (tri.a, tri.b, tri.c):
-        value = cert.rank_facts.get(m.text())
+        value = cert.rank_facts.get(m)
         if value is None:
             raise CalculusError(f"rank fact for {m.text()} not in the certificate")
         ranks.append(value)
@@ -283,14 +298,18 @@ class Step:
 
 @dataclass
 class Certificate:
-    """A self-contained, machine-checkable tightness derivation."""
+    """A self-contained, machine-checkable tightness derivation.
+
+    ``rank_facts`` maps each manifold a cited triangle names to its exact
+    rank; its keys are ``Manifold`` objects, and their names appear only in
+    the JSON form."""
 
     slope: SurgeryCoeff
     conclusion: tuple[str, str]
     engine_stage: int
     nodes: dict[str, ContactNode]
     edges: dict[str, SurgeryEdge]
-    rank_facts: dict[str, int]
+    rank_facts: dict[Manifold, int]
     steps: tuple[Step, ...]
 
 
@@ -322,12 +341,17 @@ def _reduction_stage(slope: SurgeryCoeff, i: int) -> Manifold:
     return Manifold.opaque(f"reduction stage {i} of trefoil surgery {slope}")
 
 
-# (kind of the source's manifold, witness) -> the manifold of the target,
-# from the source's.  The i-th "cancel:<cid>" edge, whatever its source,
-# gives ``_reduction_stage(slope, i)`` instead.
+def _fields(m: Manifold) -> tuple:
+    """The fields a manifold is compared by, in constructor order."""
+    return (m.kind, m.p, m.q, m.label)
+
+
+# (kind of the source's manifold, witness) -> the ``_fields`` of the
+# target's manifold, from the source's stage.  The i-th "cancel:<cid>"
+# edge, whatever its source, gives ``_reduction_stage(slope, i)`` instead.
 _DERIVED = {
-    ("s3", "unknot"): lambda source: Manifold.s1xs2(),
-    ("tower", "pushoff:c1"): lambda source: Manifold.tower(source.p + 1),
+    ("s3", "unknot"): lambda stage: ("s1xs2", 0, 0, ""),
+    ("tower", "pushoff:c1"): lambda stage: ("tower", stage + 1, 0, ""),
 }
 
 
@@ -350,7 +374,7 @@ class TowerChain:
     stage: int
     nodes: list[ContactNode]
     edges: list[SurgeryEdge]
-    rank_facts: dict[str, int]
+    rank_facts: dict[Manifold, int]
     steps: list[Step]
 
     def top(self) -> str:
@@ -376,12 +400,12 @@ def build_tower_chain(max_stage: int) -> TowerChain:
     if not run.consistent:
         raise CalculusError(f"rank engine contradiction: {run.contradiction.detail}")
 
-    rank_facts: dict[str, int] = {}
+    rank_facts: dict[Manifold, int] = {}
     for m in (Manifold.s3(), Manifold.s1xs2(), Manifold.poincare()):
-        rank_facts[m.text()] = run.db.exact_value(m)
+        rank_facts[m] = run.db.exact_value(m)
     for k in range(1, max_stage + 1):
         m = Manifold.neg_tower(k)
-        rank_facts[m.text()] = run.db.exact_value(m)
+        rank_facts[m] = run.db.exact_value(m)
 
     nodes = [
         ContactNode("std", Manifold.s3(), empty_diagram()),
@@ -609,13 +633,12 @@ def _check(cert: Certificate) -> VerificationResult:
         run = propagate(base_facts(), engine_triangles(cert.engine_stage))
         if not run.consistent:
             return _fail(None, f"rank engine contradiction: {run.contradiction.detail}")
-        for text, value in cert.rank_facts.items():
-            m = Manifold.parse(text)
+        for m, value in cert.rank_facts.items():
             got = run.db.fact(m)
             if not got.is_exact or got.lo != value:
                 return _fail(
                     None,
-                    f"rank fact {text} = {value} is not engine-verified (engine: {got})",
+                    f"rank fact {m.text()} = {value} is not engine-verified (engine: {got})",
                 )
 
     # At most one edge for eta, each ladder stage and each chain knot of
@@ -697,15 +720,15 @@ def node_presentations(cert: Certificate) -> dict[str, ContactDiagram]:
             source, declared = cert.nodes[e.src].manifold, cert.nodes[e.dst].manifold
             if e.witness.startswith("cancel:"):
                 cancels += 1
-                gives = _reduction_stage(cert.slope, cancels)
+                gives = _fields(_reduction_stage(cert.slope, cancels))
             else:
                 make = _DERIVED.get((source.kind, e.witness))
-                gives = make and make(source)
+                gives = make and make(source.p)
             if gives is None:
                 problem = f"witness {e.witness!r} on {source.text()} gives no manifold"
-            elif gives != declared:
+            elif gives != _fields(declared):
                 problem = (f"target {e.dst!r} is declared {declared.text()}, "
-                           f"the edge gives {gives.text()}")
+                           f"the edge gives {Manifold(*gives).text()}")
             else:
                 try:
                     built[e.dst] = plus_one_surgery(built[e.src], e.witness)

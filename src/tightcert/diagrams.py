@@ -151,6 +151,11 @@ class ContactDiagram:
     rewritten, and are shared with every diagram a move makes from this
     one that leaves them alone; the Storage section of the module
     docstring gives each move's cost.
+
+    The constructor refuses a duplicate id, a pushoff whose parent is
+    missing or is the pushoff itself, and a bad linking pair.  A parent
+    listed after its child, and a parent cycle of two or more knots, are
+    accepted.
     """
 
     __slots__ = ("components", "_pos", "_rows")
@@ -169,6 +174,8 @@ class ContactDiagram:
                 raise CalculusError(
                     f"pushoff {c.cid} names missing parent {c.parent!r}"
                 )
+            if c.parent == c.cid:
+                raise CalculusError(f"pushoff {c.cid} names itself as its parent")
         rows = [[0] * i for i in range(len(comps))]
         for pair, value in (linkings or {}).items():
             a, b = tuple(pair)

@@ -20,15 +20,18 @@ triangle.  Conversely, knowing two of the dimensions confines the third to
 its lower end rises to L.lo - R.hi and to R.lo - L.hi, its upper end falls
 to L.hi + R.hi, and when L and R are exact both ends move inward to the
 parity of L + R.  It is an indexed kernel: it numbers each distinct
-manifold once, keeps the interval ends in two int lists, narrows with
-plain ints, and writes back into its database copy only the facts that
-changed.  It visits the triangles in the same round-robin order
-as a loop over ``RankDb`` would and registers each manifold at its first
-touch, so the narrowed database (its order included), the pass count and
-the first contradiction are the same as such a loop gives, also when a
-contradiction stops the first pass partway.  ``engine_triangles`` is
-memoized with a bounded cache; it is a pure function of the stage and
-returns an immutable tuple.
+manifold once, keeps the interval ends in two int lists (a manifold the
+database has not seen starts from the ends ``_start`` gives, with no
+``Interval`` built), narrows with plain ints, passes over a visit whose
+three ranks are exact and already fit, and writes back into its
+database copy only the facts that changed.  It visits the triangles in
+the same round-robin order as a loop over ``RankDb`` would and registers
+each manifold at its first touch, so the narrowed database (its order
+included), the pass count and the first contradiction are the same as
+such a loop gives, also when a contradiction stops the first pass
+partway.  ``engine_triangles`` is memoized with a bounded cache; it is a
+pure function of the stage and returns an immutable tuple, in which
+equal vertices of the instances propagation visits are one object.
 
 A contradiction (empty interval) is reported as a first-class result with
 the offending triangle attached, not raised.
@@ -156,9 +159,9 @@ def rank_bounds(known1: int, known2: int) -> Interval:
 # ---------------------------------------------------------------------------
 
 
-def _initial(m: Manifold) -> Interval:
-    """The interval of a manifold the database has not seen."""
-    return Interval.exact(m.p) if m.kind == "lens" else Interval.unknown()
+def _start(m: Manifold) -> tuple[int, int | None]:
+    """The interval ends of a manifold the database has not seen."""
+    return (m.p, m.p) if m.kind == "lens" else (0, None)
 
 
 class RankDb:
@@ -177,7 +180,7 @@ class RankDb:
     def fact(self, m: Manifold) -> Interval:
         got = self._facts.get(m)
         if got is None:
-            got = self._facts[m] = _initial(m)
+            got = self._facts[m] = Interval(*_start(m))
         return got
 
     def set_fact(self, m: Manifold, interval: Interval):
@@ -235,7 +238,8 @@ class TriangleInstance:
 def unknot_triangle() -> TriangleInstance:
     """The surgery triangle of the zero-framed unknot: sphere, circle
     bundle, sphere; dimensions (1, 2, 1) make the first map injective."""
-    return TriangleInstance(Manifold.s3(), Manifold.s1xs2(), Manifold.s3())
+    s3 = Manifold.s3()
+    return TriangleInstance(s3, Manifold.s1xs2(), s3)
 
 
 def tower_triangles(max_stage: int) -> list[TriangleInstance]:
@@ -246,21 +250,20 @@ def tower_triangles(max_stage: int) -> list[TriangleInstance]:
     lens-space family (lens(7k-9, 7), lens(8k-9, 8), -tower(k)) pins the
     rank from below.  The k = 1 lens instance falls outside the family's
     parameter range (orders taken by absolute value) and is marked
-    informational.
+    informational.  Each reversed stage and the Poincare sphere is one
+    object, shared by every instance that names it.
     """
     if not isinstance(max_stage, int) or max_stage < 1:
         raise CalculusError(f"max stage must be a positive integer, got {max_stage!r}")
-    out = []
-    for k in range(1, max_stage + 1):
-        out.append(
-            TriangleInstance(Manifold.neg_tower(k), Manifold.neg_tower(k + 1), Manifold.poincare())
-        )
+    neg = [Manifold.neg_tower(k) for k in range(1, max_stage + 2)]
+    poincare = Manifold.poincare()
+    out = [TriangleInstance(neg[k - 1], neg[k], poincare) for k in range(1, max_stage + 1)]
     for k in range(1, max_stage + 1):
         out.append(
             TriangleInstance(
                 Manifold.lens(abs(7 * k - 9), 7),
                 Manifold.lens(abs(8 * k - 9), 8),
-                Manifold.neg_tower(k),
+                neg[k - 1],
                 informational=(k == 1),
             )
         )
@@ -317,14 +320,17 @@ def propagate(db: RankDb, triangles) -> Propagation:
     instances are skipped.  The input database is not modified.
 
     Works on indices: each distinct manifold gets a slot the first time a
-    visited triangle names it (vertices in order a, b, c), and only the
-    slots of triangles visited before a contradiction are registered in
-    the result, in slot order, as a loop over ``RankDb.fact`` would.
+    visited triangle names it (vertices in order a, b, c), with the ends
+    of its fact, or of its starting interval when the database has none,
+    and only the slots of triangles visited before a contradiction are
+    registered in the result, in slot order, as a loop over
+    ``RankDb.fact`` would.
     """
     work = db.copy()
     facts = work._facts
     slot: dict[Manifold, int] = {}
     names: list[Manifold] = []
+    given: list[Interval | None] = []  # each slot's fact before the run
     lo: list[int] = []
     hi: list[int | None] = []
     live: list[TriangleInstance] = []
@@ -340,10 +346,13 @@ def propagate(db: RankDb, triangles) -> Propagation:
                 i = slot[m] = len(names)
                 names.append(m)
                 got = facts.get(m)
+                given.append(got)
                 if got is None:
-                    got = _initial(m)
-                lo.append(got.lo)
-                hi.append(got.hi)
+                    start_lo, start_hi = _start(m)
+                else:
+                    start_lo, start_hi = got.lo, got.hi
+                lo.append(start_lo)
+                hi.append(start_hi)
             ids.append(i)
         a, b, c = ids
         pos = len(live)
@@ -353,10 +362,9 @@ def propagate(db: RankDb, triangles) -> Propagation:
 
     def store(count):
         for i in range(count):
-            m = names[i]
-            got = facts.get(m)
+            got = given[i]
             if got is None or got.lo != lo[i] or got.hi != hi[i]:
-                facts[m] = Interval(lo[i], hi[i])
+                facts[names[i]] = Interval(lo[i], hi[i])
 
     rounds = 0
     changed = True
@@ -368,6 +376,12 @@ def propagate(db: RankDb, triangles) -> Propagation:
             cur_lo, cur_hi = lo[t], hi[t]
             l_lo, l_hi = lo[l], hi[l]
             r_lo, r_hi = lo[r], hi[r]
+            if (
+                cur_lo == cur_hi and l_lo == l_hi and r_lo == r_hi
+                and l_lo - r_lo <= cur_lo <= l_lo + r_lo and r_lo - l_lo <= cur_lo
+                and not (cur_lo + l_lo + r_lo) % 2
+            ):
+                continue  # three exact ranks that fit: nothing narrows
             new_lo, new_hi = cur_lo, cur_hi
             if r_hi is not None and l_lo - r_hi > new_lo:
                 new_lo = l_lo - r_hi

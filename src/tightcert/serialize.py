@@ -25,13 +25,18 @@ matching ``*_from_dict`` except the rank table, which is only written):
   ``engine_triangles(engine_stage)``.  The steps open with an
   "h1_consistency" audit of each node that no edge builds, root included.
   An inline diagram with more components than any presentation the
-  verifier holds for the slope is refused before it is built.  Versions 1
-  to 6, which inlined every diagram, the reduction path or the root,
-  named each node's edge, listed the triangle instances, or audited every
-  node, are refused.
+  verifier holds for the slope is refused before it is built.
+  "rank_facts" maps manifold names to ranks; each key must be the
+  canonical name (``Manifold.text``) of the manifold it parses to, and no
+  two keys may name one manifold.  The reader parses each key once and
+  keys ``Certificate.rank_facts`` by the manifold.  Versions 1 to 6,
+  which inlined every diagram, the reduction path or the root, named each
+  node's edge, listed the triangle instances, or audited every node, are
+  refused.
 
 ``load_json`` attaches file/line/column positions to malformed input;
-structural errors carry a JSON-path-style location instead.
+structural errors carry a JSON-path-style location instead, formatted
+only once an error is found.
 """
 
 from __future__ import annotations
@@ -95,11 +100,51 @@ def _str(value, where):
     return value
 
 
-def _manifold(text, where):
+# Readers for the fields of entry i of the list at ``where``.  They check
+# what ``_need`` and ``_str`` check and raise the same errors, but format
+# a location only for an error.
+
+
+def _field(item, key, where, i):
+    if isinstance(item, dict) and key in item:
+        return item[key]
+    return _need(item, key, f"{where}[{i}]")
+
+
+def _field_str(item, key, where, i):
+    if isinstance(item, dict):
+        value = item.get(key)
+        if isinstance(value, str):
+            return value
+    return _str(_field(item, key, where, i), f"{where}[{i}].{key}")
+
+
+def _field_manifold(item, key, where, i):
+    text = _field_str(item, key, where, i)
     try:
-        return Manifold.parse(_str(text, where))
+        return Manifold.parse(text)
     except ParseError as exc:
-        raise ParseError(exc.reason, location=where) from None
+        raise ParseError(exc.reason, location=f"{where}[{i}].{key}") from None
+
+
+def _rank_fact(key, value, given):
+    """The manifold and rank of a rank fact.  Its key must be the canonical
+    name of a manifold that has no fact in ``given`` yet."""
+    m = Manifold.parse(_str(key, None))
+    if m in given:
+        raise ParseError(f"a second rank fact for {m.text()}")
+    if m.text() != key:
+        raise ParseError(f"key is not the canonical name {m.text()!r}")
+    return m, _int(value, None)
+
+
+def _str_pair(value):
+    """A JSON list of two strings as a tuple, else None."""
+    if isinstance(value, list) and len(value) == 2:
+        a, b = value
+        if isinstance(a, str) and isinstance(b, str):
+            return a, b
+    return None
 
 
 # ---------------------------------------------------------------------------
@@ -270,7 +315,7 @@ def certificate_to_dict(cert: Certificate) -> dict:
             {"id": e.eid, "src": e.src, "dst": e.dst, "witness": e.witness}
             for e in cert.edges.values()
         ],
-        "rank_facts": dict(cert.rank_facts),
+        "rank_facts": {m.text(): rank for m, rank in cert.rank_facts.items()},
         "steps": [
             {"rule": s.rule, "refs": [list(r) for r in s.refs], "gives": list(s.gives)}
             for s in cert.steps
@@ -290,12 +335,8 @@ def certificate_from_dict(data: dict) -> Certificate:
     slope = coeff_from_str(
         _str(_need(data, "slope", where), where + ".slope"), where + ".slope"
     )
-    conclusion = _need(data, "conclusion", where)
-    if (
-        not isinstance(conclusion, list)
-        or len(conclusion) != 2
-        or not all(isinstance(x, str) for x in conclusion)
-    ):
+    conclusion = _str_pair(_need(data, "conclusion", where))
+    if conclusion is None:
         raise ParseError("conclusion must be [kind, node]", location=where + ".conclusion")
     stage = _int(_need(data, "engine_stage", where), where + ".engine_stage")
 
@@ -304,10 +345,10 @@ def certificate_from_dict(data: dict) -> Certificate:
             raise ParseError(f"{list_field} must be a list", location=where)
 
     nodes = {}
-    for i, item in enumerate(_need(data, "nodes", where)):
-        at = f"{where}.nodes[{i}]"
-        nid = _str(_need(item, "id", at), at + ".id")
-        manifold = _manifold(_need(item, "manifold", at), at + ".manifold")
+    at = where + ".nodes"
+    for i, item in enumerate(data["nodes"]):
+        nid = _field_str(item, "id", at, i)
+        manifold = _field_manifold(item, "manifold", at, i)
         diagram = item.get("diagram")
         if diagram is not None:
             # Refused before its linking rows, quadratic in its size, exist.
@@ -317,24 +358,24 @@ def certificate_from_dict(data: dict) -> Certificate:
                 raise ParseError(
                     f"{size} components, more than any presentation of slope "
                     f"{slope} has",
-                    location=at + ".diagram",
+                    location=f"{at}[{i}].diagram",
                 )
-            diagram = diagram_from_dict(diagram, at + ".diagram")
+            diagram = diagram_from_dict(diagram, f"{at}[{i}].diagram")
         if nid in nodes:
-            raise ParseError(f"duplicate node id {nid!r}", location=at)
+            raise ParseError(f"duplicate node id {nid!r}", location=f"{at}[{i}]")
         nodes[nid] = ContactNode(nid, manifold, diagram)
 
     edges = {}
-    for i, item in enumerate(_need(data, "edges", where)):
-        at = f"{where}.edges[{i}]"
-        eid = _str(_need(item, "id", at), at + ".id")
+    at = where + ".edges"
+    for i, item in enumerate(data["edges"]):
+        eid = _field_str(item, "id", at, i)
         if eid in edges:
-            raise ParseError(f"duplicate edge id {eid!r}", location=at)
+            raise ParseError(f"duplicate edge id {eid!r}", location=f"{at}[{i}]")
         edges[eid] = SurgeryEdge(
             eid,
-            _str(_need(item, "src", at), at + ".src"),
-            _str(_need(item, "dst", at), at + ".dst"),
-            _str(_need(item, "witness", at), at + ".witness"),
+            _field_str(item, "src", at, i),
+            _field_str(item, "dst", at, i),
+            _field_str(item, "witness", at, i),
         )
 
     raw_facts = _need(data, "rank_facts", where)
@@ -342,32 +383,28 @@ def certificate_from_dict(data: dict) -> Certificate:
         raise ParseError("rank_facts must be an object", location=where + ".rank_facts")
     rank_facts = {}
     for key, value in raw_facts.items():
-        at = f"{where}.rank_facts[{key!r}]"
-        _manifold(key, at)
-        rank_facts[key] = _int(value, at)
+        try:
+            m, rank = _rank_fact(key, value, rank_facts)
+        except ParseError as exc:
+            raise ParseError(exc.reason, location=f"{where}.rank_facts[{key!r}]") from None
+        rank_facts[m] = rank
 
     steps = []
-    for i, item in enumerate(_need(data, "steps", where)):
-        at = f"{where}.steps[{i}]"
-        rule = _str(_need(item, "rule", at), at + ".rule")
-        refs = _need(item, "refs", at)
-        gives = _need(item, "gives", at)
-        if not isinstance(refs, list) or not all(
-            isinstance(r, list) and len(r) == 2 and all(isinstance(x, str) for x in r)
-            for r in refs
-        ):
-            raise ParseError("refs must be [kind, value] pairs", location=at + ".refs")
-        if (
-            not isinstance(gives, list)
-            or len(gives) != 2
-            or not all(isinstance(x, str) for x in gives)
-        ):
-            raise ParseError("gives must be [kind, node]", location=at + ".gives")
-        steps.append(Step(rule, tuple((r[0], r[1]) for r in refs), (gives[0], gives[1])))
+    at = where + ".steps"
+    for i, item in enumerate(data["steps"]):
+        rule = _field_str(item, "rule", at, i)
+        refs = _field(item, "refs", at, i)
+        gives = _str_pair(_field(item, "gives", at, i))
+        pairs = tuple(map(_str_pair, refs)) if isinstance(refs, list) else (None,)
+        if not all(pairs):
+            raise ParseError("refs must be [kind, value] pairs", location=f"{at}[{i}].refs")
+        if gives is None:
+            raise ParseError("gives must be [kind, node]", location=f"{at}[{i}].gives")
+        steps.append(Step(rule, pairs, gives))
 
     return Certificate(
         slope=slope,
-        conclusion=(conclusion[0], conclusion[1]),
+        conclusion=conclusion,
         engine_stage=stage,
         nodes=nodes,
         edges=edges,

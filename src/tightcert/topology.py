@@ -17,8 +17,9 @@ presentation matrix), using the parent's original row, but only when the
 parent sits at an earlier position.  The operations then form a lower
 unitriangular integer matrix, which is unimodular and leaves the cokernel
 unchanged whatever linkings a diagram records.  A parent at a later
-position, or in a parent cycle (which the constructor accepts), is left
-alone: two slides along a cycle need not be invertible over Z.
+position, or in a parent cycle (which the constructor accepts when it has
+two or more knots), is left alone: two slides along a cycle need not be
+invertible over Z.
 
 ``smith_normal_form`` then works in two phases.  The sparse phase keeps
 rows as dicts, eliminates on +/-1 pivots from short rows (each an
@@ -142,31 +143,17 @@ class Manifold:
     @classmethod
     def parse(cls, text: str) -> "Manifold":
         text = text.strip()
-        if text == "s3":
-            return cls.s3()
-        if text == "s1xs2":
-            return cls.s1xs2()
-        if text == "poincare":
-            return cls.poincare()
+        if text in ("s3", "s1xs2", "poincare"):
+            return cls(text)
         if text.startswith("opaque:"):
             return cls.opaque(text[len("opaque:") :])
-        for head, maker in (
-            ("lens(", None),
-            ("tower(", cls.tower),
-            ("-tower(", cls.neg_tower),
-            ("trefoil(", None),
-        ):
-            if text.startswith(head) and text.endswith(")"):
-                body = text[len(head) : -1]
-                try:
-                    if head == "lens(":
-                        p_str, q_str = body.split(",")
-                        return cls.lens(int(p_str), int(q_str))
-                    if head == "trefoil(":
-                        return cls.trefoil_surgery(SurgeryCoeff.parse(body))
-                    return maker(int(body))
-                except (ValueError, CalculusError) as exc:
-                    raise ParseError(f"bad manifold {text!r}: {exc}") from None
+        head, _, body = text.partition("(")
+        maker = _PARAMETRIZED.get(head)
+        if maker is not None and body.endswith(")"):
+            try:
+                return maker(cls, body[:-1])
+            except (ValueError, CalculusError) as exc:
+                raise ParseError(f"bad manifold {text!r}: {exc}") from None
         raise ParseError(f"bad manifold {text!r}")
 
     def mirror(self) -> "Manifold":
@@ -195,6 +182,21 @@ class Manifold:
         if self.kind == "trefoil":
             return abs(self.p)
         return None
+
+
+def _parse_lens(cls, body):
+    p_str, q_str = body.split(",")
+    return cls.lens(int(p_str), int(q_str))
+
+
+# Text before "(" -> the maker of a manifold from the text inside, for the
+# kinds ``Manifold.parse`` reads as "<kind>(<parameters>)".
+_PARAMETRIZED = {
+    "lens": _parse_lens,
+    "tower": lambda cls, body: cls.tower(int(body)),
+    "-tower": lambda cls, body: cls.neg_tower(int(body)),
+    "trefoil": lambda cls, body: cls.trefoil_surgery(SurgeryCoeff.parse(body)),
+}
 
 
 # ---------------------------------------------------------------------------

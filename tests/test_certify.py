@@ -7,6 +7,7 @@ acceptance checks.
 
 from __future__ import annotations
 
+import json
 import time
 from dataclasses import replace
 
@@ -35,7 +36,7 @@ from tightcert.diagrams import (
     trefoil_surgery_diagram,
 )
 from tightcert.errors import CalculusError, ExcludedSlopeError
-from tightcert.floer import engine_triangles
+from tightcert.floer import Interval, engine_triangles
 from tightcert.rationals import SurgeryCoeff
 from tightcert.serialize import certificate_from_dict, certificate_to_dict, diagram_to_dict
 from tightcert.topology import Manifold, h1
@@ -93,10 +94,10 @@ def test_build_tower_chain_shape():
     assert chain.stage == 3 and chain.top() == "v3"
     assert [n.nid for n in chain.nodes] == ["std", "eta", "v1", "v2", "v3", "v4"]
     assert [e.eid for e in chain.edges] == ["e_eta", "ev1", "ev2", "ev3"]
-    assert chain.rank_facts["-tower(3)"] == 3
-    assert chain.rank_facts["s3"] == 1
-    assert chain.rank_facts["s1xs2"] == 2
-    assert chain.rank_facts["poincare"] == 1
+    assert chain.rank_facts[Manifold.neg_tower(3)] == 3
+    assert chain.rank_facts[Manifold.s3()] == 1
+    assert chain.rank_facts[Manifold.s1xs2()] == 2
+    assert chain.rank_facts[Manifold.poincare()] == 1
     cited = [s.ref("triangle") for s in chain.steps if s.rule == "plus_one_pushforward"]
     assert cited == ["0", "1", "2"]
     rules_used = [s.rule for s in chain.steps]
@@ -186,7 +187,7 @@ def test_both_branches_verify_on_sample():
 
 def test_reject_rank_fact_bump():
     cert = fresh(certify_tight(SurgeryCoeff(5, 2)))
-    cert.rank_facts["-tower(2)"] += 1
+    cert.rank_facts[Manifold.neg_tower(2)] += 1
     result = check_certificate(cert)
     assert not result.ok
     assert "not engine-verified" in result.reason
@@ -731,3 +732,45 @@ def test_each_ladder_edge_constructs_one_knot(slope, monkeypatch):
     node_presentations(cert)
     ladder = [n for witness, n in per_edge if not witness.startswith("cancel:")]
     assert ladder == [1] * (cert.engine_stage + 1)
+
+
+def test_verify_parses_each_manifold_once(monkeypatch):
+    # Emission first, so that the memoized engine family of stage 24 is
+    # built before the count starts, as it is in the CLI's verify of a
+    # file emitted in the same process.
+    text = json.dumps(certificate_to_dict(certify_tight(SurgeryCoeff(24, 23))))
+    built = {Manifold: 0, Interval: 0}
+    for cls in built:
+        checks = cls.__post_init__
+
+        def counted(self, cls=cls, checks=checks):
+            built[cls] += 1
+            checks(self)
+
+        monkeypatch.setattr(cls, "__post_init__", counted)
+    assert check_certificate(certificate_from_dict(json.loads(text))).ok
+    # 28 nodes and 27 rank facts are parsed once each; the steps compare
+    # vertices by kind and stage and look rank facts up by manifold.
+    assert built[Manifold] <= 70
+    # Four seed facts and one per vertex the engine registers.
+    assert built[Interval] <= 80
+
+
+def test_reverses_agrees_with_mirror():
+    kinds = [
+        Manifold.s3(), Manifold.s1xs2(), Manifold.poincare(), Manifold.lens(5, 2),
+        Manifold.lens(5, 3), Manifold.tower(2), Manifold.tower(3), Manifold.neg_tower(2),
+        Manifold.neg_tower(3), Manifold.trefoil_surgery(SurgeryCoeff(5, 4)),
+        Manifold.opaque("reduction stage 1 of trefoil surgery 5/2"),
+    ]
+
+    def outcome(compare, vertex, m):
+        try:
+            return compare(vertex, m)
+        except CalculusError as exc:
+            return str(exc)
+
+    for m in kinds:
+        for vertex in kinds:
+            want = outcome(lambda v, n: v == n.mirror(), vertex, m)
+            assert outcome(certify._reverses, vertex, m) == want

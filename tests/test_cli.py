@@ -361,6 +361,18 @@ def test_verify_bad_manifold_name_located(field, tmp_path, capsys):
     }
 
 
+def test_verify_second_rank_fact_for_a_manifold_rejected(tmp_path, capsys):
+    path = tmp_path / "cert.json"
+    run_cli(capsys, "certify", "--r", "5/4", "--emit", str(path))
+    data = load_json(str(path))
+    data["rank_facts"][" s3 "] = 1
+    dump_json(data, str(path))
+    code, out, err = run_cli(capsys, "verify", str(path))
+    assert code == 3 and err == ""
+    location = "certificate.rank_facts[' s3 ']"
+    assert out == f"certificate {path}: REJECTED: {location}: a second rank fact for s3\n"
+
+
 def test_verify_malformed_file_exits_2(tmp_path, capsys):
     path = tmp_path / "broken.json"
     path.write_text("{not json")

@@ -193,6 +193,17 @@ def test_duplicate_and_missing_ids_rejected():
         ContactDiagram((c,), {frozenset(("x", "gone")): 1})
 
 
+def test_pushoff_naming_itself_as_parent_refused():
+    # Such a (-1)-unknot would present h1 of order 2, and remove_component
+    # would drop it without complaint.
+    selfish = LegendrianComponent("p", PUSHOFF, "p", UNKNOT, -1, 0, SurgeryCoeff(-1))
+    with pytest.raises(CalculusError, match="names itself as its parent"):
+        ContactDiagram((selfish,))
+    root = LegendrianComponent("x", UNKNOT, None, UNKNOT, -1, 0, SurgeryCoeff(-1))
+    with pytest.raises(CalculusError, match="names itself as its parent"):
+        ContactDiagram((root, selfish), {frozenset("px"): 1})
+
+
 # ---------------------------------------------------------------------------
 # Removal and reparenting
 # ---------------------------------------------------------------------------

@@ -427,3 +427,28 @@ def test_engine_triangles_memoized_and_bounded():
         engine_triangles(0)
     with pytest.raises(CalculusError):
         engine_triangles(7.0)  # not served the cached family of stage 7
+
+
+def test_engine_family_shares_each_vertex():
+    # A dict lookup tries identity before equality, so propagation finds a
+    # vertex's slot fastest when equal vertices are one object.
+    shared = {}
+    for tri in engine_triangles(9):
+        if not tri.informational:
+            for m in (tri.a, tri.b, tri.c):
+                assert shared.setdefault(m, m) is m
+    assert len(shared) == 3 + 10 + 16
+
+
+@pytest.mark.parametrize("order", [(0, 1, 2), (0, 2, 1), (1, 0, 2), (1, 2, 0), (2, 0, 1), (2, 1, 0)])
+def test_propagate_exact_ranks_that_do_not_fit(order):
+    # Ranks 1, 1 and 4: an even total, but 4 exceeds 1 + 1, so whichever
+    # vertex is visited first cannot meet the other two, also when all
+    # three are exact before the visit.
+    verts = [Manifold.s3(), Manifold.poincare(), Manifold.lens(4, 1)]
+    tri = TriangleInstance(*(verts[i] for i in order))
+    run = propagate(base_facts(), [tri])
+    want = reference_propagate(base_facts(), [tri])
+    assert run.contradiction == want.contradiction
+    assert run.contradiction.manifold == tri.a
+    assert run.db.items() == want.db.items()

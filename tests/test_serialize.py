@@ -6,10 +6,20 @@ import copy
 import hashlib
 import json
 import random
+from itertools import combinations
 
 import pytest
 
-from tightcert.certify import build_tower_chain, certify_tight, node_presentations
+from tightcert import serialize
+from tightcert.certify import (
+    ContactNode,
+    Step,
+    SurgeryEdge,
+    build_tower_chain,
+    certify_tight,
+    node_presentations,
+    presentation_bound,
+)
 from tightcert.diagrams import (
     add_unknot,
     convert_negative,
@@ -510,6 +520,223 @@ def test_certificate_step_and_edge_rejections():
     del bad2["edges"][0]["witness"]
     with pytest.raises(ParseError):
         certificate_from_dict(bad2)
+
+
+@pytest.mark.parametrize(
+    "key, expected",
+    [
+        ("-tower( 2)", "key is not the canonical name '-tower(2)'"),
+        (" s3 ", "a second rank fact for s3"),
+        ("lens(5,7)", "key is not the canonical name 'lens(5,2)'"),
+    ],
+)
+def test_rank_fact_keys_canonical_and_unique(key, expected):
+    data = certificate_to_dict(certify_tight(SurgeryCoeff(5, 2)))
+    if key == "-tower( 2)":
+        # In place of "-tower(2)": the key parses to that manifold but is
+        # not its name.
+        data["rank_facts"] = {
+            (key if k == "-tower(2)" else k): v for k, v in data["rank_facts"].items()
+        }
+    else:
+        data["rank_facts"][key] = 1
+    with pytest.raises(ParseError) as err:
+        certificate_from_dict(data)
+    assert err.value.location == f"certificate.rank_facts[{key!r}]"
+    assert err.value.reason == expected
+
+
+def test_rank_facts_keyed_by_manifold():
+    cert = certificate_from_dict(certificate_to_dict(certify_tight(SurgeryCoeff(5, 2))))
+    assert cert.rank_facts == {
+        Manifold.s3(): 1, Manifold.s1xs2(): 2, Manifold.poincare(): 1,
+        Manifold.neg_tower(1): 1, Manifold.neg_tower(2): 2,
+    }
+
+
+def _reference_manifold(text, where):
+    try:
+        return Manifold.parse(serialize._str(text, where))
+    except ParseError as exc:
+        raise ParseError(exc.reason, location=where) from None
+
+
+def reference_certificate_from_dict(data):
+    """The certificate reader as it was before it formatted locations only
+    for errors: the same checks in the same order, with rank facts keyed
+    by their text.  Returns the fields of the certificate it reads."""
+    where = "certificate"
+    if serialize._need(data, "format", where) != CERTIFICATE_FORMAT:
+        raise ParseError("not a tightness certificate", location=where + ".format")
+    if serialize._need(data, "version", where) != FORMAT_VERSION:
+        raise ParseError(
+            f"unsupported certificate version {data['version']!r}",
+            location=where + ".version",
+        )
+    slope = coeff_from_str(
+        serialize._str(serialize._need(data, "slope", where), where + ".slope"),
+        where + ".slope",
+    )
+    conclusion = serialize._need(data, "conclusion", where)
+    if (
+        not isinstance(conclusion, list)
+        or len(conclusion) != 2
+        or not all(isinstance(x, str) for x in conclusion)
+    ):
+        raise ParseError("conclusion must be [kind, node]", location=where + ".conclusion")
+    stage = serialize._int(serialize._need(data, "engine_stage", where), where + ".engine_stage")
+    for list_field in ("nodes", "edges", "steps"):
+        if not isinstance(serialize._need(data, list_field, where), list):
+            raise ParseError(f"{list_field} must be a list", location=where)
+    nodes = {}
+    for i, item in enumerate(data["nodes"]):
+        at = f"{where}.nodes[{i}]"
+        nid = serialize._str(serialize._need(item, "id", at), at + ".id")
+        manifold = _reference_manifold(serialize._need(item, "manifold", at), at + ".manifold")
+        diagram = item.get("diagram")
+        if diagram is not None:
+            components = diagram.get("components") if isinstance(diagram, dict) else None
+            size = len(components) if isinstance(components, list) else 0
+            if presentation_bound(slope, size) < size:
+                raise ParseError(
+                    f"{size} components, more than any presentation of slope {slope} has",
+                    location=at + ".diagram",
+                )
+            diagram = diagram_from_dict(diagram, at + ".diagram")
+        if nid in nodes:
+            raise ParseError(f"duplicate node id {nid!r}", location=at)
+        nodes[nid] = ContactNode(nid, manifold, diagram)
+    edges = {}
+    for i, item in enumerate(data["edges"]):
+        at = f"{where}.edges[{i}]"
+        eid = serialize._str(serialize._need(item, "id", at), at + ".id")
+        if eid in edges:
+            raise ParseError(f"duplicate edge id {eid!r}", location=at)
+        edges[eid] = SurgeryEdge(
+            eid,
+            serialize._str(serialize._need(item, "src", at), at + ".src"),
+            serialize._str(serialize._need(item, "dst", at), at + ".dst"),
+            serialize._str(serialize._need(item, "witness", at), at + ".witness"),
+        )
+    raw_facts = serialize._need(data, "rank_facts", where)
+    if not isinstance(raw_facts, dict):
+        raise ParseError("rank_facts must be an object", location=where + ".rank_facts")
+    rank_facts = {}
+    for key, value in raw_facts.items():
+        at = f"{where}.rank_facts[{key!r}]"
+        _reference_manifold(key, at)
+        rank_facts[key] = serialize._int(value, at)
+    steps = []
+    for i, item in enumerate(data["steps"]):
+        at = f"{where}.steps[{i}]"
+        rule = serialize._str(serialize._need(item, "rule", at), at + ".rule")
+        refs = serialize._need(item, "refs", at)
+        gives = serialize._need(item, "gives", at)
+        if not isinstance(refs, list) or not all(
+            isinstance(r, list) and len(r) == 2 and all(isinstance(x, str) for x in r)
+            for r in refs
+        ):
+            raise ParseError("refs must be [kind, value] pairs", location=at + ".refs")
+        if (
+            not isinstance(gives, list)
+            or len(gives) != 2
+            or not all(isinstance(x, str) for x in gives)
+        ):
+            raise ParseError("gives must be [kind, node]", location=at + ".gives")
+        steps.append(Step(rule, tuple((r[0], r[1]) for r in refs), (gives[0], gives[1])))
+    return (slope, (conclusion[0], conclusion[1]), stage, nodes, edges, rank_facts,
+            tuple(steps))
+
+
+# Replacement values: wrong types, malformed pairs, and ids and names the
+# certificate already uses, which make duplicates.
+_JUNK = [None, 7, True, "x", "", [], {}, ["a"], ["a", "b"], ["a", 1], [["a", "b"]],
+         [["a"]], {"id": "x"}, "std", "y0", "ev1", "e_eta", "s3", "-tower(1)"]
+
+
+def _paths(value, path=()):
+    """Every path into a JSON value, rank-fact keys left out."""
+    yield path
+    if isinstance(value, dict):
+        for key, item in value.items():
+            if path != ("rank_facts",):
+                yield from _paths(item, path + (key,))
+            else:
+                yield path + (key,)
+    elif isinstance(value, list):
+        for i, item in enumerate(value):
+            yield from _paths(item, path + (i,))
+
+
+def _outcome(read, data):
+    try:
+        return "read", read(data)
+    except ParseError as exc:
+        return "refused", (exc.reason, exc.location)
+
+
+def _same_outcome(data):
+    want = _outcome(reference_certificate_from_dict, data)
+    got = _outcome(certificate_from_dict, data)
+    if got[0] == "read":
+        c = got[1]
+        facts = {m.text(): v for m, v in c.rank_facts.items()}
+        got = ("read", (c.slope, c.conclusion, c.engine_stage, c.nodes, c.edges,
+                        facts, c.steps))
+    assert got == want, data
+    return want[0] == "refused"
+
+
+def _field_pairs(good):
+    """Copies of a certificate with two fields of one node, edge or step
+    broken together, each removed or given a wrong value, and with an id
+    repeated next to a broken field: which error comes first shows the
+    order of the checks."""
+    for section in ("nodes", "edges", "steps"):
+        entry = good[section][1]
+        for first, second in combinations(list(entry), 2):
+            for a, b in ((None, None), (7, "del"), ("del", ["a"]), ([["a"]], 7)):
+                data = copy.deepcopy(good)
+                for key, value in ((first, a), (second, b)):
+                    if value == "del":
+                        del data[section][1][key]
+                    else:
+                        data[section][1][key] = value
+                yield data
+        if "id" in entry:
+            for key in entry:
+                if key != "id":
+                    data = copy.deepcopy(good)
+                    data[section][1]["id"] = good[section][0]["id"]
+                    data[section][1][key] = 7
+                    yield data
+
+
+def test_reader_matches_the_reference_on_mutations():
+    rng = random.Random(15)
+    cases = 0
+    for slope in ("5/2", "1/2", "-5/3", "13/8"):
+        good = certificate_to_dict(certify_tight(SurgeryCoeff.parse(slope)))
+        paths = [p for p in _paths(good) if p]
+        for _ in range(150):
+            data = copy.deepcopy(good)
+            for _ in range(rng.choice((1, 1, 2))):
+                *head, last = rng.choice(paths)
+                holder = data
+                try:
+                    for key in head:
+                        holder = holder[key]
+                    if rng.random() < 0.3:
+                        del holder[last]
+                    else:
+                        holder[last] = copy.deepcopy(rng.choice(_JUNK))
+                except (KeyError, IndexError, TypeError):
+                    pass
+            cases += _same_outcome(data)
+        if len(good["edges"]) > 1:
+            for data in _field_pairs(good):
+                assert _same_outcome(data)
+    assert cases > 400
 
 
 # ---------------------------------------------------------------------------

@@ -30,6 +30,7 @@ from tightcert.errors import (
     CalculusError,
     MoveNotApplicableError,
     NormalizationRequiredError,
+    ParseError,
 )
 from tightcert.rationals import INF, SurgeryCoeff
 from tightcert.topology import (
@@ -456,6 +457,57 @@ def test_manifold_parse_rejects():
             Manifold.parse(text)
     # Slope 1 names a real manifold; only certification excludes it.
     assert Manifold.parse("trefoil(1)").expected_h1_order() == 1
+
+
+def reference_parse(text):
+    """``Manifold.parse`` as it was before it dispatched on the text before
+    "(": each head tried in turn with ``startswith``."""
+    text = text.strip()
+    if text == "s3":
+        return Manifold.s3()
+    if text == "s1xs2":
+        return Manifold.s1xs2()
+    if text == "poincare":
+        return Manifold.poincare()
+    if text.startswith("opaque:"):
+        return Manifold.opaque(text[len("opaque:") :])
+    for head, maker in (
+        ("lens(", None),
+        ("tower(", Manifold.tower),
+        ("-tower(", Manifold.neg_tower),
+        ("trefoil(", None),
+    ):
+        if text.startswith(head) and text.endswith(")"):
+            body = text[len(head) : -1]
+            try:
+                if head == "lens(":
+                    p_str, q_str = body.split(",")
+                    return Manifold.lens(int(p_str), int(q_str))
+                if head == "trefoil(":
+                    return Manifold.trefoil_surgery(SurgeryCoeff.parse(body))
+                return maker(int(body))
+            except (ValueError, CalculusError) as exc:
+                raise ParseError(f"bad manifold {text!r}: {exc}") from None
+    raise ParseError(f"bad manifold {text!r}")
+
+
+def _parsed(parse, text):
+    try:
+        return parse(text)
+    except ParseError as exc:
+        return str(exc)
+
+
+def test_manifold_parse_matches_the_reference():
+    rng = random.Random(15)
+    pieces = ["s3", "s1xs2", "poincare", "opaque:", "lens(", "tower(", "-tower(",
+              "trefoil(", "(", ")", ",", "1", "-3", "7", "0", " ", "/", "x", "inf", "_"]
+    texts = ["tower()", "tower(", "tower)", "-tower( 2)", " s3 ", "lens(5, 2)",
+             "lens(5,2,1)", "trefoil((1/2))", "opaque:x(", "(3)", ""]
+    texts += ["".join(rng.choices(pieces, k=rng.randint(1, 5))) for _ in range(20000)]
+    for text in texts:
+        assert _parsed(Manifold.parse, text) == _parsed(reference_parse, text), text
+    assert sum(isinstance(_parsed(Manifold.parse, t), Manifold) for t in texts) > 1000
 
 
 # ---------------------------------------------------------------------------
