@@ -4,7 +4,6 @@ certificates for rational surgeries on the right-handed trefoil."""
 from .errors import (
     CalculusError,
     ExcludedSlopeError,
-    MoveNotApplicableError,
     NoExactTriangleError,
     NormalizationRequiredError,
     NoTightExtensionError,
@@ -38,7 +37,6 @@ from .diagrams import (
     plus_one_surgery,
     remove_component,
     set_coeff,
-    smooth_framing,
     stabilize,
     tower_diagram,
     trefoil_surgery_diagram,
@@ -47,7 +45,6 @@ from .topology import (
     FramedLink,
     HomologyResult,
     Manifold,
-    blow_down,
     det_signed,
     h1,
     linking_matrix,
@@ -64,7 +61,6 @@ from .floer import (
     base_facts,
     engine_triangles,
     propagate,
-    rank_bounds,
     tower_triangles,
     triangle_solve,
     unknot_triangle,

@@ -650,9 +650,10 @@ def _check(cert: Certificate) -> VerificationResult:
                      f"and {chain} chain knots allow at most {limit}")
 
     # Build every derived node, which checks every edge and the manifold it
-    # gives.
+    # gives, keeping the presentations the steps cite.
+    cited = {value for step in cert.steps for kind, value in step.refs if kind == "node"}
     try:
-        built = node_presentations(cert)
+        built = node_presentations(cert, keep=cited)
     except CalculusError as exc:
         return _fail(None, str(exc))
 
@@ -668,12 +669,12 @@ def _check(cert: Certificate) -> VerificationResult:
             return _fail(None, f"node {n.nid}: inline presentation is not the "
                          f"verifier's presentation of {n.manifold.text()}")
 
-    # From here on each node carries the presentation the verifier holds
-    # for it.
+    # From here on each node a step cites carries the presentation the
+    # verifier holds for it.
     cert = replace(
         cert,
         nodes={
-            nid: ContactNode(n.nid, n.manifold, built[nid])
+            nid: ContactNode(n.nid, n.manifold, built.get(nid))
             for nid, n in cert.nodes.items()
         },
     )
@@ -691,7 +692,11 @@ def _check(cert: Certificate) -> VerificationResult:
     return VerificationResult(True)
 
 
-def node_presentations(cert: Certificate) -> dict[str, ContactDiagram]:
+# Stands in for a presentation that was built and then let go.
+_LET_GO = object()
+
+
+def node_presentations(cert: Certificate, keep=None) -> dict[str, ContactDiagram]:
     """Every node's presentation, in node order: the inline diagram; for a
     root with no diagram the verifier's own presentation of the slope,
     built only when its size equals the edge count; or for a derived node
@@ -705,13 +710,20 @@ def node_presentations(cert: Certificate) -> dict[str, ContactDiagram]:
     exactly one node and its manifold.  Every node must end up with a
     presentation.  Raises CalculusError naming the first edge or node
     that breaks a rule.
+
+    With ``keep``, a set of node ids, only those nodes' presentations are
+    returned, and any other is let go once no later edge starts from it,
+    so a long ladder or reduction path holds a few at a time.
     """
     built = {nid: n.diagram for nid, n in cert.nodes.items()}
+    last = {}
+    if keep is not None:
+        last = {e.src: k for k, e in enumerate(cert.edges.values())}
     root = cert.conclusion[1]
     if root in built and built[root] is None:
         built[root] = _derived_root(cert)
     cancels = 0
-    for e in cert.edges.values():
+    for k, e in enumerate(cert.edges.values()):
         if built.get(e.src) is None:
             problem = f"source {e.src!r} has no presentation yet"
         elif e.dst not in built or built[e.dst] is not None:
@@ -732,14 +744,19 @@ def node_presentations(cert: Certificate) -> dict[str, ContactDiagram]:
             else:
                 try:
                     built[e.dst] = plus_one_surgery(built[e.src], e.witness)
-                    continue
                 except CalculusError as exc:
                     problem = str(exc)
+                else:
+                    if last.get(e.src) == k and e.src not in keep:
+                        built[e.src] = _LET_GO
+                    continue
         raise CalculusError(f"edge {e.eid}: {problem}")
     for nid, diagram in built.items():
         if diagram is None:
             raise CalculusError(f"node {nid}: no inline presentation and no edge into it")
-    return built
+    if keep is None:
+        return built
+    return {nid: built[nid] for nid in keep if nid in built}
 
 
 def _check_step(cert, step, have):

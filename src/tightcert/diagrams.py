@@ -30,42 +30,58 @@ makes the rewrite scans below deterministic.
 Storage
 -------
 
-Linking numbers are kept by position in lower-triangular rows: row i is a
-tuple of i integers, lk(component i, component j) for j < i.  Rows are
-append-only and shared: a diagram made by a move reuses every row of its
-source that the move leaves alone.  One id map, ``_pos``, gives each
-component's position, and ``component(cid)`` reads the component tuple at
-it.  A move constructs every new or changed component exactly once, with
-its final tb, rot and coefficient, so each goes through the component
-checks once.  With n components:
+Linking numbers are kept in one row per component, a dict keyed by the
+ids of earlier components: each pair is stored by the later of its two
+knots.  Call a pushoff whose parent sits at an earlier position a *tree
+pushoff*.  Its row holds its linking with its parent, frozen at creation,
+and its deviations from the pushoff rule: lk(P, z) - lk(parent, z) for
+every other earlier z where that is nonzero.  Every other component, a
+root knot, a pushoff listed before its parent or one in a parent cycle,
+holds its nonzero linkings with earlier components explicitly.  Zero
+entries are never stored, so given the components the rows are unique,
+and comparing rows by position compares the full linking matrices.
 
-* adding an unknot or a trefoil appends a row of zeros, O(n);
-* a contact pushoff appends one row read off its parent's row and column,
-  O(n), and is created already carrying its coefficient (+1 for
-  ``plus_one_surgery``);
-* ``convert_positive`` appends its k unit pushoffs in one move: row j is
-  the first pushoff's row followed by j entries tb(parent), O(k (n + k))
-  for the rows and one copy of the id map;
+In the presentations of a slope, its reduction path and the tower
+ladder, no tree pushoff deviates: a pushoff's row holds one entry, and
+the diagram O(n) entries.  Rows and
+the id map ``_pos`` are never rewritten, and a move shares every row it
+leaves alone.  ``component(cid)`` reads the component tuple at
+``_pos[cid]``.  A move constructs every new or changed component exactly
+once, with its final tb, rot and coefficient.  With n components, in
+linking entries:
+
+* adding an unknot or a trefoil appends an empty row, O(1);
+* a contact pushoff appends the row {parent: tb(parent)}, O(1), created
+  already carrying its coefficient (+1 for ``plus_one_surgery``);
+* ``convert_positive`` appends its k unit pushoffs in one move, all
+  sharing one such row, O(k);
 * ``convert_negative`` appends its whole (-1)-chain in one move, each
-  chain knot created stabilized and at -1, O(m (n + m)) for m knots;
-* stabilizing or changing a coefficient shares all rows and the id map,
-  O(n) for the component tuple;
-* removing component i keeps rows 0..i-1, slices entry i out of each
-  later row, and rebuilds the id map; it reads the linkings of the
-  removed knot's children by position, wherever they sit, and constructs
-  each reparented or demoted child once;
-* ``linking`` is one tuple lookup, and ``linking_rows`` builds the full
-  symmetric matrix in O(n^2), which ``linking_matrix`` and the JSON form
-  read instead of asking for pairs one by one;
-* ``diagram_iso`` compares two diagrams by position, rows tuple against
-  tuple, in O(n^2) with no search.
+  chain knot a pushoff of the previous one, created stabilized and at -1,
+  O(m) for m knots;
+* stabilizing or changing a coefficient shares every row, since the
+  recorded linkings do not move;
+* removing a component drops its row and its entry from the later rows
+  that store one, and rewrites only its children's rows: a child listed
+  after it and reparented to its parent takes the removed knot's
+  deviations and its own, O(children) in emitted presentations.  A child
+  demoted to a root, or any other change of a row's kind, is written out
+  from the sparse rows of the matrix;
+* ``linking`` follows the pushoff rule up the parents, and
+  ``lower_linkings`` lists every nonzero linking in one pass, O(number
+  of nonzero linkings); ``linking_rows`` expands them into the full
+  symmetric matrix in O(n^2);
+* ``diagram_iso`` compares two diagrams by position, row against row, in
+  O(n + stored entries) with no search.
+
+The component tuple and the id map are still copied by every move,
+O(n) in components.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import islice, zip_longest
+from itertools import islice
 
 from .errors import (
     CalculusError,
@@ -146,21 +162,27 @@ class ContactDiagram:
 
     ``components`` is a tuple in creation order and ``_pos`` maps each id
     to its position, the one id map: ``component(cid)`` is
-    ``components[_pos[cid]]``.  ``_rows[i][j]`` (j < i) is
-    lk(components[i], components[j]).  Rows and the id map are never
-    rewritten, and are shared with every diagram a move makes from this
-    one that leaves them alone; the Storage section of the module
-    docstring gives each move's cost.
+    ``components[_pos[cid]]``.  ``_links[i]`` is row i, a dict from the
+    ids of earlier components to nonzero ints: for a tree pushoff (its
+    parent at an earlier position) the frozen linking with its parent and
+    its deviations from the pushoff rule, for any other component its
+    linkings.  Rows and the id map are never rewritten, and are shared
+    with every diagram a move makes from this one that leaves them alone;
+    the Storage section of the module docstring gives each move's cost.
 
     The constructor refuses a duplicate id, a pushoff whose parent is
     missing or is the pushoff itself, and a bad linking pair.  A parent
     listed after its child, and a parent cycle of two or more knots, are
-    accepted.
+    accepted.  With ``limit`` it also refuses linkings whose stored rows
+    would take more than ``limit`` reads of a parent's linkings to derive:
+    a tree pushoff at position i of a parent at p reads the parent's
+    linkings and the i - p - 1 knots between them, and its row can hold as
+    many deviations.
     """
 
-    __slots__ = ("components", "_pos", "_rows")
+    __slots__ = ("components", "_pos", "_links")
 
-    def __init__(self, components=(), linkings=None):
+    def __init__(self, components=(), linkings=None, *, limit=None):
         comps = tuple(components)
         pos = {}
         for i, c in enumerate(comps):
@@ -176,34 +198,44 @@ class ContactDiagram:
                 )
             if c.parent == c.cid:
                 raise CalculusError(f"pushoff {c.cid} names itself as its parent")
-        rows = [[0] * i for i in range(len(comps))]
+        lower = [{} for _ in comps]
         for pair, value in (linkings or {}).items():
-            a, b = tuple(pair)
+            a, b = pair
             if a == b or a not in pos or b not in pos:
                 raise CalculusError(f"bad linking pair {(a, b)!r}")
             if not isinstance(value, int):
                 raise CalculusError(f"linking number for {(a, b)!r} must be an int")
+            i, j = pos[a], pos[b]
+            if i < j:
+                i, j = j, i
             if value:
-                i, j = pos[a], pos[b]
-                if i > j:
-                    rows[i][j] = value
-                else:
-                    rows[j][i] = value
+                lower[i][j] = value
         object.__setattr__(self, "components", comps)
         object.__setattr__(self, "_pos", pos)
-        object.__setattr__(self, "_rows", tuple(map(tuple, rows)))
+        ids, links, work = tuple(pos), [], 0
+        for i, c in enumerate(comps):
+            p = pos[c.parent] if c.kind == PUSHOFF else i
+            if p < i and limit is not None:
+                work += len(lower[p]) + i - p
+                if work > limit:
+                    raise CalculusError(
+                        f"its pushoffs' rows would read over {limit} parent linkings"
+                    )
+            links.append(_stored_row(ids, i, p if p < i else None, lower))
+        object.__setattr__(self, "_links", tuple(links))
 
     @classmethod
-    def _trusted(cls, components, rows, pos):
+    def _trusted(cls, components, links, pos):
         """Internal constructor for moves that preserve the invariants.
 
-        ``components`` and ``rows`` must be tuples, row i holding i ints;
-        ``pos`` the matching id map; nothing is rechecked.
+        ``components`` and ``links`` must be tuples of equal length, each
+        row in the stored form; ``pos`` the matching id map; nothing is
+        rechecked.
         """
         self = object.__new__(cls)
         object.__setattr__(self, "components", components)
         object.__setattr__(self, "_pos", pos)
-        object.__setattr__(self, "_rows", rows)
+        object.__setattr__(self, "_links", links)
         return self
 
     # -- queries -----------------------------------------------------------
@@ -223,40 +255,77 @@ class ContactDiagram:
         except KeyError:
             raise CalculusError(f"no component {cid!r} in diagram") from None
 
+    def _tree_parent(self, i: int) -> int | None:
+        """Position of component i's parent when it sits earlier, else
+        None: row i then holds deviations from the pushoff rule."""
+        c = self.components[i]
+        if c.kind == PUSHOFF:
+            p = self._pos[c.parent]
+            if p < i:
+                return p
+        return None
+
     def linking(self, a: str, b: str) -> int:
-        if a not in self._pos or b not in self._pos:
+        pos = self._pos
+        if a not in pos or b not in pos:
             raise CalculusError(f"no such components {a!r}, {b!r}")
         if a == b:
-            raise CalculusError("self-linking is not stored; use smooth_framing")
-        i, j = self._pos[a], self._pos[b]
-        return self._rows[i][j] if j < i else self._rows[j][i]
+            raise CalculusError(
+                "self-linking is not stored; the framing is tb + coefficient"
+            )
+        i, j = pos[a], pos[b]
+        if i < j:
+            i, j = j, i
+        # lk(i, j), i later: row i's entry, plus lk(parent, j) while row i
+        # is a tree pushoff's and j is not its parent.
+        total = 0
+        while True:
+            total += self._links[i].get(self.components[j].cid, 0)
+            p = self._tree_parent(i)
+            if p is None or p == j:
+                return total
+            i, j = (p, j) if p > j else (j, p)
 
     def linking_rows(self) -> list[list[int]]:
         """The full symmetric linking matrix by position, 0 on the diagonal;
         fresh lists the caller may overwrite."""
-        # Column i below the diagonal is entry i of the transposed rows.
-        rows = self._rows
-        return [
-            [*row, 0, *column[i + 1:]]
-            for i, (row, column) in enumerate(zip_longest(rows, zip_longest(*rows), fillvalue=()))
-        ]
+        n = len(self.components)
+        rows = [[0] * n for _ in range(n)]
+        for i, row in enumerate(self.lower_linkings()):
+            for j, value in row.items():
+                rows[i][j] = rows[j][i] = value
+        return rows
 
-    def linking_pairs(self) -> dict[frozenset, int]:
-        ids = self.ids()
-        return {
-            frozenset((ids[i], ids[j])): value
-            for i, row in enumerate(self._rows)
-            for j, value in enumerate(row)
-            if value
-        }
+    def lower_linkings(self) -> list[dict[int, int]]:
+        """Row i as {j: lk(i, j)} over every earlier position j with a
+        nonzero linking, in one pass over the stored form: O(number of
+        nonzero linkings) in emitted presentations.
+
+        A tree pushoff's row is its parent's row, then the parent's
+        linkings with the knots between the two, each read off that knot's
+        row, with the parent linking and the deviations applied."""
+        pos, lower = self._pos, []
+        for i, (c, row) in enumerate(zip(self.components, self._links)):
+            p = pos[c.parent] if c.kind == PUSHOFF else i
+            if p >= i:
+                new = {pos[k]: v for k, v in row.items()} if row else {}
+            else:
+                new = _rule_row(lower, p, i)
+                for k, v in row.items():
+                    z = pos[k]
+                    new[z] = v if z == p else new.get(z, 0) + v
+                if len(row) > 1:
+                    new = {z: v for z, v in new.items() if v}
+            lower.append(new)
+        return lower
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, ContactDiagram):
             return NotImplemented
-        return self.components == other.components and self._rows == other._rows
+        return self.components == other.components and self._links == other._links
 
     def __hash__(self):
-        return hash((self.components, self._rows))
+        return hash((self.components, tuple(frozenset(r.items()) for r in self._links)))
 
     def __repr__(self) -> str:
         parts = ", ".join(
@@ -264,6 +333,44 @@ class ContactDiagram:
             for c in self.components
         )
         return f"ContactDiagram[{parts}]"
+
+
+def _rule_row(lower, p, i):
+    """What the pushoff rule gives a pushoff at position i of the
+    component at p, read off the lower rows: p's linking with every z < i
+    other than p itself."""
+    rule = dict(lower[p])
+    for z in range(p + 1, i):
+        v = lower[z].get(p)
+        if v:
+            rule[z] = v
+    return rule
+
+
+def _stored_row(ids, i, p, lower, dead=None):
+    """Row i in the stored form, read off the lower rows ``lower`` by
+    position (zero entries absent): a tree pushoff's of the component at
+    position p, or explicit when p is None.  Position ``dead`` is left
+    out."""
+    here = lower[i]
+    if p is None:
+        return {ids[z]: v for z, v in here.items() if z != dead}
+    # With i's parent linking added, the rule's row equals i's exactly
+    # when i does not deviate.
+    rule = _rule_row(lower, p, i)
+    b = here.get(p)
+    if b:
+        rule[p] = b
+    if dead in here:
+        here = {z: v for z, v in here.items() if z != dead}
+    rule.pop(dead, None)
+    row = {ids[p]: b} if b else {}
+    if here != rule:
+        for z in here.keys() | rule.keys():
+            v = here.get(z, 0) - rule.get(z, 0)
+            if v:
+                row[ids[z]] = v
+    return row
 
 
 # ---------------------------------------------------------------------------
@@ -287,8 +394,7 @@ def _fresh_ids(d: ContactDiagram):
 
 
 def _appended(d, comps, rows):
-    """Append ``comps`` in order, row j holding comps[j]'s linking with
-    every component before it."""
+    """Append ``comps`` in order, with stored rows ``rows``."""
     pos = dict(d._pos)
     for c in comps:
         if c.cid in pos:
@@ -297,7 +403,7 @@ def _appended(d, comps, rows):
             raise CalculusError(f"pushoff {c.cid} names missing parent {c.parent!r}")
         pos[c.cid] = len(pos)
     return ContactDiagram._trusted(
-        d.components + tuple(comps), d._rows + tuple(rows), pos
+        d.components + tuple(comps), d._links + tuple(rows), pos
     )
 
 
@@ -305,14 +411,14 @@ def add_unknot(d, tb: int = -1, rot: int = 0, coeff=None):
     """Append a standard Legendrian unknot; returns (diagram, new id)."""
     cid = next(_fresh_ids(d))
     c = LegendrianComponent(cid, UNKNOT, None, UNKNOT, tb, rot, _opt_coeff(coeff))
-    return _appended(d, (c,), ((0,) * len(d),)), cid
+    return _appended(d, (c,), ({},)), cid
 
 
 def add_trefoil(d, tb: int = 1, rot: int = 0, coeff=None):
     """Append a Legendrian right-handed trefoil; returns (diagram, new id)."""
     cid = next(_fresh_ids(d))
     c = LegendrianComponent(cid, RH_TREFOIL, None, RH_TREFOIL, tb, rot, _opt_coeff(coeff))
-    return _appended(d, (c,), ((0,) * len(d),)), cid
+    return _appended(d, (c,), ({},)), cid
 
 
 def _opt_coeff(value):
@@ -327,7 +433,7 @@ def _restated(c, tb, rot, coeff):
 def _with_replaced(d, comp):
     i = d._pos[comp.cid]
     comps = d.components[:i] + (comp,) + d.components[i + 1:]
-    return ContactDiagram._trusted(comps, d._rows, d._pos)
+    return ContactDiagram._trusted(comps, d._links, d._pos)
 
 
 def set_coeff(d, cid: str, coeff) -> ContactDiagram:
@@ -344,11 +450,10 @@ def stabilize(d, cid: str, sign: int) -> ContactDiagram:
     return _with_replaced(d, _restated(c, c.tb - 1, c.rot + sign, c.coeff))
 
 
-def _pushoff_row(d, cid):
-    """The row of a new pushoff of cid: cid's linkings, then tb(cid) for
-    cid itself."""
-    i, rows = d._pos[cid], d._rows
-    return rows[i] + (d.components[i].tb,) + tuple(r[i] for r in rows[i + 1:])
+def _new_pushoff_row(parent):
+    """The stored row of a new, undeviating pushoff of ``parent``: its
+    linking with the parent, tb(parent)."""
+    return {parent.cid: parent.tb} if parent.tb else {}
 
 
 def contact_pushoff(d, cid: str, coeff=None):
@@ -364,22 +469,22 @@ def contact_pushoff(d, cid: str, coeff=None):
     comp = LegendrianComponent(
         new_id, PUSHOFF, cid, parent.smooth_type, parent.tb, parent.rot, _opt_coeff(coeff)
     )
-    return _appended(d, (comp,), (_pushoff_row(d, cid),)), new_id
+    return _appended(d, (comp,), (_new_pushoff_row(parent),)), new_id
 
 
 def _unit_pushoffs(d, cid, k):
     """Append k contact pushoffs of cid, each carrying +1, in one move.
 
     Each copies cid's linkings and links cid and every earlier one of them
-    tb(cid) times, so row j is the first one's row followed by j entries
-    tb(cid); the ids are the ones k successive ``contact_pushoff`` calls
-    would give."""
-    parent, row = d.component(cid), _pushoff_row(d, cid)
+    tb(cid) times, which the pushoff rule implies, so all k share one
+    stored row; the ids are the ones k successive ``contact_pushoff``
+    calls would give."""
+    parent = d.component(cid)
     pushoffs = [
         LegendrianComponent(new, PUSHOFF, cid, parent.smooth_type, parent.tb, parent.rot, _PLUS_ONE)
         for new in islice(_fresh_ids(d), k)
     ]
-    return _appended(d, pushoffs, [row + (parent.tb,) * j for j in range(k)])
+    return _appended(d, pushoffs, (_new_pushoff_row(parent),) * k)
 
 
 def plus_one_surgery(d, witness: str) -> ContactDiagram:
@@ -401,13 +506,6 @@ def plus_one_surgery(d, witness: str) -> ContactDiagram:
     raise CalculusError(f"unknown witness {witness!r}")
 
 
-def smooth_framing(comp: LegendrianComponent) -> SurgeryCoeff:
-    """Smooth surgery coefficient tb + contact coefficient of a component."""
-    if comp.coeff is None:
-        raise CalculusError(f"component {comp.cid} carries no surgery")
-    return comp.tb + comp.coeff
-
-
 def remove_component(d, cid: str) -> ContactDiagram:
     """Drop a component, repairing pushoff parent references.
 
@@ -419,35 +517,117 @@ def remove_component(d, cid: str) -> ContactDiagram:
         tb(C)    == lk(C, X)   (C was never stabilized)
         tb(Y)    == lk(X, Y)   (Y unchanged since X was created)
 
-    Otherwise (and always when X is a root knot) C is demoted to a root of
-    its recorded smooth type, keeping every linking number it already has.
+    Otherwise (and always when X is a root knot, or when C is Y itself, as
+    in a parent cycle of two knots) C is demoted to a root of its recorded
+    smooth type, keeping every linking number it already has.
+
+    Only the children's rows are rewritten, and the later rows that store
+    a linking with X lose that entry.  A child after X, reparented to a Y
+    before X, keeps a tree pushoff's row: lk(C, z) - lk(Y, z) is X's
+    deviation plus C's, with X's slid row (``_slid_after``) standing in
+    for X's deviations at positions after X.  Any other child whose row
+    changes kind is written out from the sparse rows of the matrix.
     """
     dead = d.component(cid)
     grandparent = dead.parent
-    i, rows = d._pos[cid], d._rows
-    new_comps = []
-    for j, c in enumerate(d.components):
-        if j == i:
-            continue
-        if c.parent == cid:
-            link = rows[j][i] if j > i else rows[i][j]
-            if (
-                grandparent is not None
-                and link == d.linking(cid, grandparent) == c.tb
-                and d.component(grandparent).tb == link
-            ):
-                c = LegendrianComponent(
-                    c.cid, PUSHOFF, grandparent, c.smooth_type, c.tb, c.rot, c.coeff
-                )
+    i, comps, links = d._pos[cid], d.components, d._links
+    changed = {}  # position -> the component and row that replace it
+    children = [j for j, c in enumerate(comps) if c.parent == cid]
+    if children and grandparent is not None:
+        y, up = d._pos[grandparent], d.linking(cid, grandparent)
+        ready = d.component(grandparent).tb == up
+    else:
+        ready = False
+    slid = lower = None
+    for j in children:
+        c, row = comps[j], links[j]
+        link = row.get(cid, 0) if j > i else d.linking(c.cid, cid)
+        if ready and c.cid != grandparent and link == up == c.tb:
+            c = LegendrianComponent(
+                c.cid, PUSHOFF, grandparent, c.smooth_type, c.tb, c.rot, c.coeff
+            )
+            tree = y < j
+        else:
+            c = LegendrianComponent(
+                c.cid, c.smooth_type, None, c.smooth_type, c.tb, c.rot, c.coeff
+            )
+            tree = False
+        if tree and y < i < j:
+            if slid is None:
+                slid, shared = _slid_after(d, i, y, children[-1]), {}
+            if slid:
+                row = _reparented_row(d, i, j, slid)
             else:
-                c = LegendrianComponent(
-                    c.cid, c.smooth_type, None, c.smooth_type, c.tb, c.rot, c.coeff
-                )
-        new_comps.append(c)
-    rows = rows[:i] + tuple(r[:i] + r[i + 1:] for r in rows[i + 1:])
-    return ContactDiagram._trusted(
-        tuple(new_comps), rows, {c.cid: k for k, c in enumerate(new_comps)}
-    )
+                # Then the new row depends on the stored row alone, which
+                # unit pushoffs share.
+                if id(row) not in shared:
+                    shared[id(row)] = _reparented_row(d, i, j, slid)
+                row = shared[id(row)]
+        elif tree or j > i:
+            if lower is None:
+                lower, ids = d.lower_linkings(), d.ids()
+            row = _stored_row(ids, j, y if tree else None, lower, dead=i)
+        changed[j] = c, row
+    for j in range(i + 1, len(comps)):
+        row = links[j]
+        if cid in row and j not in changed:
+            changed[j] = comps[j], {k: v for k, v in row.items() if k != cid}
+    new_comps, new_links = comps[:i] + comps[i + 1:], links[:i] + links[i + 1:]
+    if changed:
+        new_comps, new_links = list(new_comps), list(new_links)
+        for j, (c, row) in changed.items():
+            k = j if j < i else j - 1
+            new_comps[k], new_links[k] = c, row
+        new_comps, new_links = tuple(new_comps), tuple(new_links)
+    pos = dict(d._pos)
+    del pos[cid]
+    for c in new_comps[i:]:
+        pos[c.cid] -= 1
+    return ContactDiagram._trusted(new_comps, new_links, pos)
+
+
+def _slid_after(d, i, y, last):
+    """{z: lk(X, z) - lk(Y, z)} at the positions z after X up to ``last``
+    where it is nonzero, in position order; X is component i, a tree
+    pushoff of component y.  Each value is read off z's stored row, plus,
+    when z is a tree pushoff of a knot other than X and Y, the value at
+    that knot: found already, or X's deviation there when it sits before
+    X."""
+    comps, links = d.components, d._links
+    x_id, y_id = comps[i].cid, comps[y].cid
+    bx, deviations = links[i].get(y_id, 0), links[i]
+    slid = {}
+    for z in range(i + 1, last + 1):
+        row = links[z]
+        v = row.get(x_id, 0) - row.get(y_id, 0)
+        l = d._tree_parent(z)
+        if l == i:
+            v -= bx
+        elif l == y:
+            v += bx
+        elif l is not None:
+            v += slid.get(l, 0) if l > i else deviations.get(comps[l].cid, 0)
+        if v:
+            slid[z] = v
+    return slid
+
+
+def _reparented_row(d, i, j, slid):
+    """The stored row of component j, a tree pushoff of component i
+    reparented to i's parent Y: lk(j, Y), and lk(j, z) - lk(Y, z) for
+    every other earlier z, which is i's deviation plus j's own."""
+    comps, links = d.components, d._links
+    x_id, y_id = comps[i].cid, comps[d._tree_parent(i)].cid
+    row = {k: v for k, v in links[i].items() if k != y_id}
+    for z, v in slid.items():
+        if z >= j:
+            break
+        row[comps[z].cid] = v
+    for k, v in links[j].items():
+        if k != x_id:
+            row[k] = row.get(k, 0) + v
+    row[y_id] = row.get(y_id, 0) + links[i].get(y_id, 0)
+    return {k: v for k, v in row.items() if v}
 
 
 # ---------------------------------------------------------------------------
@@ -478,18 +658,15 @@ def convert_negative(d, cid: str, choice=None) -> ContactDiagram:
     # values covers them.
     knot = _restated(comp, comp.tb - count, comp.rot + shift, _MINUS_ONE)
     d = _with_replaced(d, knot)
-    chain, rows, row = [], [], _pushoff_row(d, cid)
+    chain, rows = [], []
     for (count, shift), new in zip(rest, _fresh_ids(d)):
-        # A pushoff of the previous chain knot.
+        # A pushoff of the previous chain knot, which it links tb times.
+        rows.append(_new_pushoff_row(knot))
         knot = LegendrianComponent(
             new, PUSHOFF, knot.cid, knot.smooth_type,
             knot.tb - count, knot.rot + shift, _MINUS_ONE,
         )
         chain.append(knot)
-        rows.append(row)
-        # The last knot has no later rows, so a pushoff of it links every
-        # earlier knot as it does, and it tb(it) times.
-        row = row + (knot.tb,)
     return _appended(d, chain, rows)
 
 
@@ -669,22 +846,30 @@ def trefoil_surgery_diagram(r) -> ContactDiagram:
 def diagram_iso(a: ContactDiagram, b: ContactDiagram) -> bool:
     """Positional isomorphism: component i of ``a`` matches component i
     of ``b`` in kind, smooth type, tb, rot and coefficient, the parents
-    sit at the same positions, and the linking rows are equal.  Ids may
-    differ.  O(n^2) with no search.  Equality by position is a special
-    case of isomorphism, so ``True`` proves the diagrams isomorphic, but
-    ``False`` does not prove them non-isomorphic: a relabelling that also
-    reorders the components is not found.  The verifier runs it on
-    presentations a certificate supplies (``same_diagram``,
-    ``cancel_equivalent``)."""
-    return (
-        a._rows == b._rows
-        and _parents(a) == _parents(b)
-        and all(
-            (x.kind, x.smooth_type, x.tb, x.rot, x.coeff)
-            == (y.kind, y.smooth_type, y.tb, y.rot, y.coeff)
-            for x, y in zip(a.components, b.components)
-        )
-    )
+    sit at the same positions, and the stored rows hold the same entries
+    by position, so the linking matrices are equal.  Ids may differ.
+    O(n + stored entries) with no search.  Equality by position is a
+    special case of isomorphism, so ``True`` proves the diagrams
+    isomorphic, but ``False`` does not prove them non-isomorphic: a
+    relabelling that also reorders the components is not found.  The
+    verifier runs it on presentations a certificate supplies
+    (``same_diagram``, ``cancel_equivalent``)."""
+    if len(a) != len(b) or _parents(a) != _parents(b):
+        return False
+    if not all(
+        (x.kind, x.smooth_type, x.tb, x.rot, x.coeff)
+        == (y.kind, y.smooth_type, y.tb, y.rot, y.coeff)
+        for x, y in zip(a.components, b.components)
+    ):
+        return False
+    pos, ids = a._pos, b.ids()
+    for ra, rb in zip(a._links, b._links):
+        if len(ra) != len(rb):
+            return False
+        for k, v in ra.items():
+            if rb.get(ids[pos[k]]) != v:
+                return False
+    return True
 
 
 def _parents(d):

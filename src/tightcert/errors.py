@@ -19,10 +19,6 @@ class NormalizationRequiredError(CalculusError):
     """Raised when an operation needs every coefficient to be +1 or -1."""
 
 
-class MoveNotApplicableError(CalculusError):
-    """Raised when a framed-link move cannot be justified from recorded tags."""
-
-
 class NoExactTriangleError(CalculusError):
     """Raised when three ranks cannot occur as the vertices of an exact triangle."""
 

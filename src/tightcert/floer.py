@@ -145,15 +145,6 @@ class Interval:
         return f"[{self.lo}, {hi}]"
 
 
-def rank_bounds(known1: int, known2: int) -> Interval:
-    """Interval for the third dimension of an exact triangle whose other two
-    dimensions are known exactly: [|k1 - k2|, k1 + k2], both endpoints in
-    the parity class of k1 + k2."""
-    if known1 < 0 or known2 < 0:
-        raise CalculusError("ranks are non-negative")
-    return Interval(abs(known1 - known2), known1 + known2)
-
-
 # ---------------------------------------------------------------------------
 # The rank database
 # ---------------------------------------------------------------------------

@@ -61,11 +61,6 @@ class SurgeryCoeff:
     def is_infinite(self) -> bool:
         return self.den == 0
 
-    def as_fraction(self) -> Fraction:
-        if self.is_infinite:
-            raise CalculusError("infinite coefficient has no rational value")
-        return Fraction(self.num, self.den)
-
     # -- parsing / formatting --------------------------------------------
 
     @classmethod

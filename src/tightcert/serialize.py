@@ -7,8 +7,9 @@ matching ``*_from_dict`` except the rank table, which is only written):
 * diagram: {"components": [{"id", "type", "tb", "rot", "coeff"}],
   "linkings": [[a, b, lk]]}, where "type" is "unknot", "rhtrefoil" or
   "pushoff:<parent id>", "coeff" may be null, components are listed in
-  creation order and only nonzero linkings appear, each pair once with
-  a < b; a pair given twice, in either order, is rejected on reading.
+  the diagram's order (a parent may follow its child) and only nonzero
+  linkings appear, each pair once with a < b; a pair given twice, in
+  either order, is rejected on reading.
 * framed link: {"n", "matrix" (row-major flat list of n*n ints), "tags"}.
 * rank table: {"facts": [{"manifold", "rank"} or {"manifold", "lo", "hi"}]}
   with "hi" null when unbounded.
@@ -25,7 +26,10 @@ matching ``*_from_dict`` except the rank table, which is only written):
   ``engine_triangles(engine_stage)``.  The steps open with an
   "h1_consistency" audit of each node that no edge builds, root included.
   An inline diagram with more components than any presentation the
-  verifier holds for the slope is refused before it is built.
+  verifier holds for the slope is refused before it is built, and so is
+  one whose stored rows would take more reads of parent linkings than
+  twice its linkings and components (``diagram_from_dict``'s
+  ``bounded``).
   "rank_facts" maps manifold names to ranks; each key must be the
   canonical name (``Manifold.text``) of the manifold it parses to, and no
   two keys may name one manifold.  The reader parses each key once and
@@ -186,73 +190,136 @@ def diagram_to_dict(d: ContactDiagram) -> dict:
     ids = d.ids()
     linkings = sorted(
         [ids[i], ids[j], value] if ids[i] < ids[j] else [ids[j], ids[i], value]
-        for i, row in enumerate(d.linking_rows())
-        for j, value in enumerate(row[i + 1:], i + 1)
-        if value
+        for i, row in enumerate(d.lower_linkings())
+        for j, value in row.items()
     )
     return {"components": components, "linkings": linkings}
 
 
-def diagram_from_dict(data: dict, where: str = "diagram") -> ContactDiagram:
+def diagram_from_dict(data: dict, where: str = "diagram", bounded: bool = False) -> ContactDiagram:
+    """The diagram a ``diagram_to_dict`` form describes, its components in
+    any order.
+
+    A pushoff takes the smooth type of the root knot its parents lead to,
+    resolved once every id is read when its parent is listed after it; a
+    missing parent or a parent cycle is refused at the first component
+    that leads to it.  With ``bounded``, for diagrams a certificate
+    supplies, a diagram is refused before its rows are stored when
+    deriving them would read more than twice as many parent linkings as
+    it lists linkings and components (``ContactDiagram``'s ``limit``): no
+    presentation the verifier holds comes near, and otherwise the
+    deviations stored could grow as the square of the input.
+    """
     raw = _need(data, "components", where)
     if not isinstance(raw, list):
         raise ParseError("components must be a list", location=where)
-    # First pass collects kinds so pushoff smooth types resolve in order.
-    comps = []
-    types: dict[str, str] = {}
+    # Well-formed entries are read directly, each coefficient text parsed
+    # once; any other entry goes through ``_component_fields``, which
+    # raises the located error.  A pushoff listed before its parent waits
+    # in ``pending`` for its smooth type.
+    comps, pending, smooth, coeffs = [], [], {}, {None: None}
     for i, item in enumerate(raw):
-        at = f"{where}.components[{i}]"
-        cid = _str(_need(item, "id", at), at + ".id")
-        ctype = _str(_need(item, "type", at), at + ".type")
-        tb = _int(_need(item, "tb", at), at + ".tb")
-        rot = _int(_need(item, "rot", at), at + ".rot")
-        coeff = coeff_from_str(item.get("coeff"), at + ".coeff")
-        if ctype in (UNKNOT, RH_TREFOIL):
-            kind, parent, smooth = ctype, None, ctype
-        elif ctype.startswith("pushoff:"):
-            kind, parent = PUSHOFF, ctype[len("pushoff:"):]
-            smooth = types.get(parent)
-            if smooth is None:
-                raise ParseError(
-                    f"pushoff parent {parent!r} must be declared earlier",
-                    location=at + ".type",
-                )
-        else:
-            raise ParseError(f"unknown component type {ctype!r}", location=at + ".type")
-        types[cid] = smooth
         try:
-            comps.append(
-                LegendrianComponent(cid, kind, parent, smooth, tb, rot, coeff)
+            cid, ctype, tb, rot = item["id"], item["type"], item["tb"], item["rot"]
+            text = item.get("coeff")
+        except (TypeError, KeyError, AttributeError):
+            cid = None
+        if (type(cid) is str and type(ctype) is str and type(tb) is int
+                and type(rot) is int and (text is None or type(text) is str)):
+            if text not in coeffs:
+                coeffs[text] = coeff_from_str(text, f"{where}.components[{i}].coeff")
+            coeff = coeffs[text]
+        else:
+            cid, ctype, tb, rot, coeff = _component_fields(item, f"{where}.components[{i}]")
+        if ctype in (UNKNOT, RH_TREFOIL):
+            fields = (cid, ctype, None, ctype, tb, rot, coeff)
+        elif ctype.startswith("pushoff:"):
+            parent = ctype[len("pushoff:"):]
+            fields = (cid, PUSHOFF, parent, smooth.get(parent), tb, rot, coeff)
+        else:
+            raise ParseError(
+                f"unknown component type {ctype!r}",
+                location=f"{where}.components[{i}].type",
             )
-        except ValueError as exc:
-            raise ParseError(str(exc), location=at) from None
+        if fields[3] is None:
+            pending.append((i, fields))
+            comps.append(None)
+        else:
+            smooth[cid] = fields[3]
+            comps.append(_component(fields, where, i))
+    if pending:
+        _resolve_smooth_types(pending, smooth, where)
+        for i, fields in pending:
+            comps[i] = _component(fields[:3] + (smooth[fields[0]],) + fields[4:], where, i)
     links = {}
     raw_links = data.get("linkings", [])
     if not isinstance(raw_links, list):
         raise ParseError("linkings must be a list", location=where)
     for i, item in enumerate(raw_links):
-        at = f"{where}.linkings[{i}]"
-        if not isinstance(item, list) or len(item) != 3:
-            raise ParseError("linking entries are [a, b, lk]", location=at)
-        a, b, lk = _str(item[0], at), _str(item[1], at), _int(item[2], at)
+        if type(item) is list and len(item) == 3:
+            a, b, lk = item
+            if type(a) is not str or type(b) is not str or type(lk) is not int:
+                at = f"{where}.linkings[{i}]"
+                a, b, lk = _str(a, at), _str(b, at), _int(lk, at)
+        else:
+            raise ParseError("linking entries are [a, b, lk]", location=f"{where}.linkings[{i}]")
         pair = (a, b) if a <= b else (b, a)
         if pair in links:
-            raise ParseError(f"linking of {a!r} and {b!r} given twice", location=at)
+            raise ParseError(
+                f"linking of {a!r} and {b!r} given twice", location=f"{where}.linkings[{i}]"
+            )
         links[pair] = lk
+    limit = 2 * (len(links) + len(comps)) if bounded else None
     try:
-        return ContactDiagram(comps, links)
+        return ContactDiagram(comps, links, limit=limit)
     except ValueError as exc:
         raise ParseError(str(exc), location=where) from None
+
+
+def _component_fields(item, at):
+    """Id, type, tb, rot and coefficient of the component entry ``item``
+    at ``at``, each checked in that order."""
+    cid = _str(_need(item, "id", at), at + ".id")
+    ctype = _str(_need(item, "type", at), at + ".type")
+    tb = _int(_need(item, "tb", at), at + ".tb")
+    rot = _int(_need(item, "rot", at), at + ".rot")
+    return cid, ctype, tb, rot, coeff_from_str(item.get("coeff"), at + ".coeff")
+
+
+def _component(fields, where, i):
+    try:
+        return LegendrianComponent(*fields)
+    except ValueError as exc:
+        raise ParseError(str(exc), location=f"{where}.components[{i}]") from None
+
+
+def _resolve_smooth_types(pending, smooth, where):
+    """Fill in ``smooth`` (id -> smooth type) for the ``pending`` pushoffs,
+    (position, fields) each, whose parent was not read before them: each
+    takes the type of the root its parents lead to."""
+    parents = {fields[0]: fields[2] for _, fields in pending}
+    for i, fields in pending:
+        cid, path = fields[0], {}  # the ids walked, in order
+        while cid not in smooth:
+            if cid not in parents:
+                raise ParseError(
+                    f"pushoff parent {cid!r} is not a component",
+                    location=f"{where}.components[{i}].type",
+                )
+            if cid in path:
+                raise ParseError(
+                    f"pushoff parents form a cycle through {cid!r}",
+                    location=f"{where}.components[{i}].type",
+                )
+            path[cid] = None
+            cid = parents[cid]
+        for x in path:
+            smooth[x] = smooth[cid]
 
 
 # ---------------------------------------------------------------------------
 # Framed links
 # ---------------------------------------------------------------------------
-
-
-def framed_link_to_dict(link: FramedLink) -> dict:
-    flat = [x for row in link.matrix for x in row]
-    return {"n": link.size, "matrix": flat, "tags": list(link.tags)}
 
 
 def framed_link_from_dict(data: dict, where: str = "link") -> FramedLink:
@@ -351,7 +418,8 @@ def certificate_from_dict(data: dict) -> Certificate:
         manifold = _field_manifold(item, "manifold", at, i)
         diagram = item.get("diagram")
         if diagram is not None:
-            # Refused before its linking rows, quadratic in its size, exist.
+            # Refused before it is built: no presentation the verifier
+            # holds for the slope is that large.
             components = diagram.get("components") if isinstance(diagram, dict) else None
             size = len(components) if isinstance(components, list) else 0
             if presentation_bound(slope, size) < size:
@@ -360,7 +428,7 @@ def certificate_from_dict(data: dict) -> Certificate:
                     f"{slope} has",
                     location=f"{at}[{i}].diagram",
                 )
-            diagram = diagram_from_dict(diagram, f"{at}[{i}].diagram")
+            diagram = diagram_from_dict(diagram, f"{at}[{i}].diagram", bounded=True)
         if nid in nodes:
             raise ParseError(f"duplicate node id {nid!r}", location=f"{at}[{i}]")
         nodes[nid] = ContactNode(nid, manifold, diagram)

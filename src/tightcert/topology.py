@@ -1,9 +1,8 @@
 """Smooth-topology bookkeeping for surgery presentations.
 
 Everything here is exact integer linear algebra: linking matrices of
-surgery presentations, Smith normal form for first homology, signed
-determinants (Bareiss fraction-free elimination), and the blow-down move
-for removing (+/-1)-framed unknotted components.  These computations are
+surgery presentations, Smith normal form for first homology, and signed
+determinants (Bareiss fraction-free elimination).  These computations are
 the independent cross-checks for the contact-level machinery: two routes
 to the same manifold must present the same H1.
 
@@ -19,7 +18,17 @@ unitriangular integer matrix, which is unimodular and leaves the cokernel
 unchanged whatever linkings a diagram records.  A parent at a later
 position, or in a parent cycle (which the constructor accepts when it has
 two or more knots), is left alone: two slides along a cycle need not be
-invertible over Z.
+invertible over Z.  Only rows are slid: sliding the columns as well would
+fill in the tower's rows.
+
+``_slid_rows`` builds the slid rows as dicts straight from the diagram's
+stored form, with no dense matrix.  Below the diagonal a tree pushoff's
+slid row is its stored deviations and its parent linking less the
+parent's framing; above it, column j of the slid matrix is its parent's
+column plus corrections at the parent, the parent's other children and
+the rows that store an entry at the parent or deviate from the rule.  The
+work is the number of nonzero slid entries plus the stored entries: 3 to
+4 a row on average in the presentations the package builds.
 
 ``smith_normal_form`` then works in two phases.  The sparse phase keeps
 rows as dicts, eliminates on +/-1 pivots from short rows (each an
@@ -32,18 +41,18 @@ chain.
 from __future__ import annotations
 
 import math
+from collections import defaultdict, deque
 from dataclasses import dataclass
 from itertools import compress, count
-from operator import index, sub
+from operator import index
 
 from .errors import (
     CalculusError,
-    MoveNotApplicableError,
     NormalizationRequiredError,
     ParseError,
 )
 from .rationals import SurgeryCoeff, coeff as _coerce_coeff
-from .diagrams import ContactDiagram, _parents
+from .diagrams import PUSHOFF, ContactDiagram
 
 
 # ---------------------------------------------------------------------------
@@ -209,8 +218,7 @@ class FramedLink:
     """A framed link presented by its symmetric integer linking matrix.
 
     Diagonal entries are framings.  ``tags`` records the smooth knot type
-    of each component ("unknot", "rhtrefoil", or "" when unknown); moves
-    that need unknottedness consult the tag and refuse without it.
+    of each component ("unknot", "rhtrefoil", or "" when unknown).
     """
 
     matrix: tuple[tuple[int, ...], ...]
@@ -253,17 +261,27 @@ def linking_matrix(d: ContactDiagram) -> FramedLink:
     Every component must carry coefficient +1 or -1 (run normalize_diagram
     first); diagonal entries are the smooth framings tb + coeff.
     """
+    framings = _framings(d)
     rows = d.linking_rows()
-    for i, c in enumerate(d.components):
+    for i, f in enumerate(framings):
+        rows[i][i] = f
+    tags = tuple(c.smooth_type for c in d.components)
+    return FramedLink._trusted(tuple(map(tuple, rows)), tags)
+
+
+def _framings(d: ContactDiagram) -> list[int]:
+    """The smooth framing tb + coefficient of each component, which must
+    carry +1 or -1."""
+    out = []
+    for c in d.components:
         k = c.coeff
         if k is None or k.den != 1 or k.num not in (1, -1):
             raise NormalizationRequiredError(
                 f"component {c.cid} has coefficient {k}; "
                 "a +1/-1 presentation is required"
             )
-        rows[i][i] = c.tb + k.num
-    tags = tuple(c.smooth_type for c in d.components)
-    return FramedLink._trusted(tuple(map(tuple, rows)), tags)
+        out.append(c.tb + k.num)
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -322,8 +340,9 @@ def _as_rows(m):
 def smith_normal_form(m) -> HomologyResult:
     """Cokernel of an integer matrix, read off the Smith normal form.
 
-    Accepts any rectangular integer matrix (rows x cols) presenting the
-    quotient Z^rows / column-span; returns free rank and invariant factors.
+    Accepts any rectangular integer matrix (rows x cols), or a list of
+    dict rows {column: int}, presenting the quotient Z^rows / column-span;
+    returns free rank and invariant factors.
     ``_sparse_phase`` takes every unit pivot and every isolated entry, and
     the dense ``_smith_diagonal`` reduces what is left.
     """
@@ -337,45 +356,59 @@ def smith_normal_form(m) -> HomologyResult:
 def _sparse_phase(a):
     """Eliminate on unit pivots, then split off isolated entries.
 
-    Rows are dicts {column: nonzero entry}, and ``cols`` maps each column
-    to the set of rows with an entry there.  Each step takes the shortest
-    live row that holds a +/-1, stopping the search at the first such row
-    of at most two entries (clearing with it adds at most one entry to
-    each row it changes), and in it the unit whose column is shortest.  It
-    clears that column with the pivot row and drops the pivot's row and
-    column: an invariant factor 1.  When no unit is left, an entry alone
-    in its row and its column is a direct summand Z/|v|.
+    Rows are dicts {column: nonzero entry}, taken as given or read off a
+    dense row, and ``cols`` maps each column to the set of rows with an
+    entry there.  Each step takes a live row of at most two entries that
+    holds a +/-1 (clearing with it adds at most one entry to each row it
+    changes), the first in the order the rows were listed or last
+    changed, or failing one the shortest live row that holds a +/-1; and
+    in it the unit whose column is shortest.  It clears that column with
+    the pivot row and drops the pivot's row and column: an invariant
+    factor 1.  When no unit is left, an entry alone in its row and its
+    column is a direct summand Z/|v|.
 
     Returns the number of unit pivots, the orders of the isolated entries,
     and the rest as a dense block of its nonempty rows and columns.
     """
-    ncols = len(a[0]) if a else 0
-    rows = {}
-    cols = {j: set() for j in range(ncols)}
-    for i, row in enumerate(a):
-        if len(row) != ncols:
-            raise CalculusError("matrix must be rectangular")
-        rows[i] = r = {}
-        try:
-            for j in compress(count(), row):
-                r[j] = index(row[j])
+    rows, cols = {}, defaultdict(set)
+    if a and isinstance(a[0], dict):
+        for i, row in enumerate(a):
+            rows[i] = r = dict(row)
+            if 0 in r.values():
+                rows[i] = r = {j: v for j, v in row.items() if v}
+            for j in r:
                 cols[j].add(i)
-        except TypeError:
-            raise CalculusError("matrix entries must be integers") from None
+    else:
+        ncols = len(a[0]) if a else 0
+        for i, row in enumerate(a):
+            if len(row) != ncols:
+                raise CalculusError("matrix must be rectangular")
+            rows[i] = r = {}
+            try:
+                for j in compress(count(), row):
+                    r[j] = index(row[j])
+                    cols[j].add(i)
+            except TypeError:
+                raise CalculusError("matrix entries must be integers") from None
     units = 0
+    # Rows of at most two entries, in the order they were listed or last
+    # changed; each is checked again when it is taken.
+    short = deque(i for i, r in rows.items() if len(r) <= 2)
     while True:
-        p, best = None, len(cols) + 1
-        for i, r in rows.items():
-            n = len(r)
-            if n < best:
-                for v in r.values():
-                    if v == 1 or v == -1:
-                        p, best = i, n
-                        break
-                if best <= 2:
-                    break
+        p = None
+        while short:
+            r = rows.get(short[0])
+            if r is not None and len(r) <= 2 and _has_unit(r):
+                p = short.popleft()
+                break
+            short.popleft()
         if p is None:
-            break
+            best = len(cols) + 1
+            for i, r in rows.items():
+                if len(r) < best and _has_unit(r):
+                    p, best = i, len(r)
+            if p is None:
+                break
         prow = rows.pop(p)
         c = None
         for j, v in prow.items():
@@ -399,6 +432,8 @@ def _sparse_phase(a):
                 else:
                     del r[j]
                     cols[j].discard(i)
+            if len(r) <= 2:
+                short.append(i)
     factors = []
     rest = []
     for r in rows.values():
@@ -414,6 +449,11 @@ def _sparse_phase(a):
         live = sorted(j for j, on in cols.items() if on)
         rest = [[r.get(j, 0) for j in live] for r in rest]
     return units, factors, rest
+
+
+def _has_unit(row):
+    values = row.values()
+    return 1 in values or -1 in values
 
 
 def _divisibility_chain(factors):
@@ -527,27 +567,91 @@ def h1(obj) -> HomologyResult:
     """First homology of a diagram, framed link, or raw linking matrix.
 
     A diagram's linking matrix is reduced with its pushoffs slid over
-    their parents (``_slid_rows``); a framed link or a matrix is reduced
-    as given.
+    their parents, as the sparse rows ``_slid_rows`` builds; a framed
+    link or a matrix is reduced as given.
     """
     if isinstance(obj, ContactDiagram):
         obj = _slid_rows(obj)
     return smith_normal_form(obj)
 
 
-def _slid_rows(d: ContactDiagram):
-    """The linking matrix of ``d`` with each pushoff slid over its parent.
+def _slid_rows(d: ContactDiagram) -> list[dict[str, int]]:
+    """The linking matrix of ``d``, framings on the diagonal, with each
+    tree pushoff's row minus its parent's row: one dict row per position,
+    keyed by the ids of the columns.
 
-    A pushoff's row minus its parent's row is sparse.  Only a parent at an
-    earlier position is used, so the row operations form a lower
-    unitriangular matrix and leave the cokernel unchanged, whatever
-    linkings the diagram records.
+    Only a parent at an earlier position is used, so the row operations
+    form a lower unitriangular matrix and leave the cokernel unchanged,
+    whatever linkings the diagram records.  With S the slid matrix, M the
+    linking matrix and p(i) the parent of a tree pushoff i, S[i][j] is
+    M[j][i] - M[j][p(i)] above the diagonal.  When j is a tree pushoff
+    of l, M[j][x] = M[l][x] + R_j[x] for x other than l, where R_j is j's
+    stored row and R_j[l] = b_j its frozen linking with l.  So column j
+    is: column l of S above l, copied; -b_l at l when l is a tree
+    pushoff; b_i - b_j at each earlier child i of l, grouped by b_i so
+    that a group with b_i = b_j costs nothing; row i's stored entry at l
+    for every other row i between l and j that has one; then each entry
+    v of R_j at its position x, and -v at every tree child of x before j
+    (but l's).  For j stored explicitly only that last part is there.
+    Raises NormalizationRequiredError unless every coefficient is +1 or
+    -1.
     """
-    m = linking_matrix(d).matrix
-    rows = list(m)
-    for i, k in enumerate(_parents(d)):
-        if k is not None and k < i:
-            rows[i] = list(map(sub, m[i], m[k]))
+    framings = _framings(d)
+    pos = d._pos
+    rows, cols = [], []
+    frozen = []  # each row's frozen parent linking, None for explicit rows
+    # Filled in after each column, so they hold only earlier rows.
+    kids = {}  # position -> {b: its tree children with parent linking b}
+    named = {}  # z -> the rows after z, z's children aside, storing an entry at z
+    for j, (c, row) in enumerate(zip(d.components, d._links)):
+        cid, parent = c.cid, c.parent
+        l = pos[parent] if c.kind == PUSHOFF else j
+        if l < j:
+            col = dict(cols[l])
+            bl = frozen[l]
+            if bl is not None:
+                col[l] = col.get(l, 0) - bl
+            bj = row.get(parent, 0)
+            group = kids.get(l)
+            if group is not None:
+                for b, members in group.items():
+                    if b != bj:
+                        for i in members:
+                            col[i] = col.get(i, 0) + b - bj
+            if l in named:
+                for i in named[l]:
+                    col[i] = col.get(i, 0) + d._links[i][parent]
+            r = {parent: bj - framings[l], cid: framings[j] - bj}
+            if group is None:
+                kids[l] = {bj: [j]}
+            elif bj in group:
+                group[bj].append(j)
+            else:
+                group[bj] = [j]
+        else:
+            l = bj = None
+            col, r = {}, {cid: framings[j]}
+        if len(row) > (parent in row):
+            for k, v in row.items():
+                if k == parent:
+                    continue
+                x = pos[k]
+                r[k] = v
+                named.setdefault(x, []).append(j)
+                col[x] = col.get(x, 0) + v
+                if x in kids:
+                    for members in kids[x].values():
+                        for i in members:
+                            col[i] = col.get(i, 0) - v
+        if l is not None:
+            col[l] = col.get(l, 0) + bj
+        if 0 in col.values():
+            col = {i: v for i, v in col.items() if v}
+        for i, v in col.items():
+            rows[i][cid] = v
+        frozen.append(bj)
+        rows.append(r)
+        cols.append(col)
     return rows
 
 
@@ -579,39 +683,8 @@ def det_signed(m) -> int:
 
 
 # ---------------------------------------------------------------------------
-# Moves and cross-checks
+# Cross-checks
 # ---------------------------------------------------------------------------
-
-
-def blow_down(link: FramedLink, i: int) -> FramedLink:
-    """Remove a (+/-1)-framed unknotted component, reframing the rest.
-
-    With e the framing of component i, every other framing changes by
-    -e * lk(i, j)^2 and every other linking by -e * lk(i, j) * lk(i, k).
-    Requires tags[i] == "unknot"; the move is never applied to a component
-    whose unknottedness is not recorded.
-    """
-    n = link.size
-    if not 0 <= i < n:
-        raise CalculusError(f"component index {i} out of range")
-    e = link.matrix[i][i]
-    if e not in (1, -1):
-        raise MoveNotApplicableError(
-            f"component {i} has framing {e}; blow-down needs +1 or -1"
-        )
-    if link.tags[i] != "unknot":
-        raise MoveNotApplicableError(
-            f"component {i} is not recorded as an unknot; refusing blow-down"
-        )
-    keep = [j for j in range(n) if j != i]
-    rows = []
-    for j in keep:
-        row = []
-        for k in keep:
-            v = link.matrix[j][k] - e * link.matrix[i][j] * link.matrix[i][k]
-            row.append(v)
-        rows.append(tuple(row))
-    return FramedLink(tuple(rows), tuple(link.tags[j] for j in keep))
 
 
 def triangle_det_check(det_a: int, det_b: int, det_c: int) -> bool:

@@ -40,6 +40,7 @@ from tightcert.floer import Interval, engine_triangles
 from tightcert.rationals import SurgeryCoeff
 from tightcert.serialize import certificate_from_dict, certificate_to_dict, diagram_to_dict
 from tightcert.topology import Manifold, h1
+from reference_diagram import linking_pairs
 from test_diagrams import _child_before_parent, count_constructions
 
 
@@ -49,7 +50,7 @@ def fresh(cert):
 
 
 def with_linking(d, a, b, value):
-    links = d.linking_pairs()
+    links = linking_pairs(d)
     links[frozenset((a, b))] = value
     return ContactDiagram(d.components, links)
 
@@ -710,7 +711,7 @@ def test_cancel_edge_on_an_inline_parent_listed_after_its_child():
     cert.edges["ex"] = SurgeryEdge("ex", "x", "x1", "cancel:X")
     built = node_presentations(cert)["x1"]
     assert built.ids() == ("C", "Y") and built.component("C").parent == "Y"
-    assert ContactDiagram(built.components, built.linking_pairs()) == built
+    assert ContactDiagram(built.components, linking_pairs(built)) == built
     result = check_certificate(cert)
     assert not result.ok and result.step is None
     assert result.reason == f"node x: {_NOT_OWN} s3"

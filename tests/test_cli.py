@@ -15,7 +15,6 @@ from tightcert.serialize import (
     certificate_from_dict,
     diagram_to_dict,
     dump_json,
-    framed_link_to_dict,
     load_json,
 )
 from tightcert.diagrams import (
@@ -26,6 +25,7 @@ from tightcert.diagrams import (
 )
 from tightcert.rationals import SurgeryCoeff
 from tightcert.topology import FramedLink, linking_matrix
+from test_serialize import framed_link_dict
 
 
 def run_cli(capsys, *argv):
@@ -105,7 +105,7 @@ def test_h1_text_and_json(capsys):
 def test_h1_from_link_file(tmp_path, capsys):
     link = FramedLink(((2, 1), (1, 2)), ("unknot", "unknot"))
     path = tmp_path / "link.json"
-    dump_json(framed_link_to_dict(link), str(path))
+    dump_json(framed_link_dict(link), str(path))
     code, out, _ = run_cli(capsys, "h1", "--link", str(path))
     assert code == 0 and out == "Z/3\norder 3\n"
 
@@ -141,7 +141,7 @@ def test_h1_reduces_a_slope_as_a_diagram(monkeypatch, capsys):
 def test_h1_of_a_slope_equals_h1_of_its_link(slope, tmp_path, capsys):
     d = normalize_diagram(trefoil_surgery_diagram(SurgeryCoeff.parse(slope)))
     path = tmp_path / "link.json"
-    dump_json(framed_link_to_dict(linking_matrix(d)), str(path))
+    dump_json(framed_link_dict(linking_matrix(d)), str(path))
     for extra in ((), ("--json",)):
         by_slope = run_cli(capsys, "h1", "--slope", slope, *extra)
         assert run_cli(capsys, "h1", "--link", str(path), *extra) == by_slope
@@ -428,9 +428,8 @@ def test_rejected_verify_clips_a_long_slope(tmp_path, capsys):
 
 
 def test_oversized_inline_diagram_refused_before_it_is_built(tmp_path, capsys):
-    # A diagram's linking rows take memory quadratic in its size, so an
-    # inline node longer than any presentation the verifier holds for the
-    # slope is refused while reading, before they exist.
+    # An inline node longer than any presentation the verifier holds for
+    # the slope is refused while reading, before it is built.
     path = tmp_path / "cert.json"
     run_cli(capsys, "certify", "--r", "1/2", "--emit", str(path))
     data = load_json(str(path))
@@ -456,6 +455,100 @@ def test_oversized_inline_diagram_refused_before_it_is_built(tmp_path, capsys):
     assert out == (
         f"certificate {path}: REJECTED: certificate.nodes[0].diagram: 5000 "
         "components, more than any presentation of slope 1/2 has\n"
+    )
+
+
+def _verify_peak(capsys, path):
+    """Exit code, output and tracemalloc peak of ``tightcert verify``."""
+    tracemalloc.start()
+    try:
+        code, out, err = run_cli(capsys, "verify", str(path))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert err == ""
+    return code, out, peak
+
+
+def _stage_0_certificate(tmp_path, capsys, slope):
+    path = tmp_path / "cert.json"
+    run_cli(capsys, "certify", "--r", slope, "--emit", str(path))
+    data = load_json(str(path))
+    assert data["engine_stage"] == 0 and data["nodes"][0]["diagram"] is not None
+    return path, data
+
+
+def test_long_root_of_unlinked_unknots_read_in_linear_memory(tmp_path, capsys):
+    # 3000 components is the size of 2999/5999's root, so the reader builds
+    # them; the stored rows are empty, and the check against the
+    # verifier's own 3000-knot root rejects them.
+    path, data = _stage_0_certificate(tmp_path, capsys, "2999/5999")
+    data["nodes"][0]["diagram"] = {
+        "components": [
+            {"id": f"u{i}", "type": "unknot", "tb": -1, "rot": 0, "coeff": "-1"}
+            for i in range(3000)
+        ],
+        "linkings": [],
+    }
+    dump_json(data, str(path))
+    code, out, peak = _verify_peak(capsys, path)
+    assert peak <= 20 * 2**20, peak
+    assert code == 3
+    assert out == (
+        "certificate for slope 2999/5999: REJECTED: conclusion presentation "
+        "does not match the declared slope\n"
+    )
+
+
+def test_pushoffs_of_a_densely_linked_parent_refused_while_reading(tmp_path, capsys):
+    # Each pushoff links only its parent, so it deviates from the pushoff
+    # rule at every earlier sibling: stored, that is quadratic in the
+    # input.  The reader refuses it before the rows are stored.
+    path, data = _stage_0_certificate(tmp_path, capsys, "2999/5999")
+    data["nodes"][0]["diagram"] = {
+        "components": [{"id": "x", "type": "unknot", "tb": -1, "rot": 0, "coeff": "-1"}]
+        + [
+            {"id": f"p{i}", "type": "pushoff:x", "tb": -1, "rot": 0, "coeff": "-1"}
+            for i in range(2999)
+        ],
+        "linkings": [["p%d" % i, "x", -1] for i in range(2999)],
+    }
+    dump_json(data, str(path))
+    start = time.perf_counter()
+    code, out, peak = _verify_peak(capsys, path)
+    assert time.perf_counter() - start < 2.0
+    assert peak <= 20 * 2**20, peak
+    assert code == 3
+    assert out == (
+        f"certificate {path}: REJECTED: certificate.nodes[0].diagram: its "
+        "pushoffs' rows would read over 11998 parent linkings\n"
+    )
+
+
+def test_inline_parent_listed_after_its_child_read_then_rejected(tmp_path, capsys):
+    # The reader accepts any order of components; the certificate is then
+    # refused because the order is not the verifier's presentation's.
+    path, data = _stage_0_certificate(tmp_path, capsys, "3/7")
+    components = data["nodes"][0]["diagram"]["components"]
+    assert components[1]["type"] == "pushoff:c1"
+    components[0], components[1] = components[1], components[0]
+    dump_json(data, str(path))
+    code, out, _ = _verify_peak(capsys, path)
+    assert code == 3
+    assert out == (
+        "certificate for slope 3/7: REJECTED: conclusion presentation does not "
+        "match the declared slope\n"
+    )
+    run_cli(capsys, "certify", "--r", "5/4", "--emit", str(path))
+    data = load_json(str(path))
+    (v1,) = [n for n in data["nodes"] if n["id"] == "v1"]
+    v1["diagram"]["components"].reverse()
+    dump_json(data, str(path))
+    code, out, _ = _verify_peak(capsys, path)
+    assert code == 3
+    assert out == (
+        "certificate for slope 5/4: REJECTED: node v1: inline presentation is "
+        "not the verifier's presentation of tower(1)\n"
     )
 
 

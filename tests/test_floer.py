@@ -22,7 +22,6 @@ from tightcert.floer import (
     base_facts,
     engine_triangles,
     propagate,
-    rank_bounds,
     tower_triangles,
     triangle_solve,
     unknot_triangle,
@@ -108,19 +107,6 @@ def test_interval_basics():
         Interval(3, 1)
     with pytest.raises(CalculusError):
         Interval(-1, 2)
-
-
-def test_rank_bounds():
-    assert rank_bounds(3, 5) == Interval(2, 8)
-    assert rank_bounds(0, 4) == Interval.exact(4)
-    assert rank_bounds(2, 2) == Interval(0, 4)
-    with pytest.raises(CalculusError):
-        rank_bounds(-1, 2)
-
-
-# ---------------------------------------------------------------------------
-# Rank database
-# ---------------------------------------------------------------------------
 
 
 def test_base_facts_contents():

@@ -27,6 +27,12 @@ from tightcert.rationals import (
 )
 
 
+def as_fraction(c: SurgeryCoeff) -> Fraction:
+    """The value of a finite coefficient as a Fraction."""
+    assert not c.is_infinite
+    return Fraction(c.num, c.den)
+
+
 def frac_eval(coeffs):
     """Independent Fraction-based evaluation of a_1 - 1/(a_2 - ...)."""
     value = Fraction(coeffs[-1])
@@ -115,7 +121,7 @@ def test_comparisons_match_fraction_order():
     for _ in range(300):
         a = SurgeryCoeff(rng.randrange(-30, 31), rng.randrange(1, 9))
         b = SurgeryCoeff(rng.randrange(-30, 31), rng.randrange(1, 9))
-        fa, fb = a.as_fraction(), b.as_fraction()
+        fa, fb = as_fraction(a), as_fraction(b)
         assert (a < b) == (fa < fb)
         assert (a <= b) == (fa <= fb)
         assert (a > b) == (fa > fb)
@@ -141,12 +147,6 @@ def test_int_coercion_in_comparisons_and_sum():
     assert -INF == INF
 
 
-def test_as_fraction_matches_and_rejects_infinite():
-    assert SurgeryCoeff(-9, 6).as_fraction() == Fraction(-3, 2)
-    with pytest.raises(CalculusError):
-        INF.as_fraction()
-
-
 # ---------------------------------------------------------------------------
 # Negative continued fractions
 # ---------------------------------------------------------------------------
@@ -169,14 +169,14 @@ def test_expansion_round_trip_random():
         assert all(a <= -2 for a in cf.coeffs[1:])
         assert len(cf) <= abs(r.num) + r.den
         assert cf.value() == r
-        assert frac_eval(cf.coeffs) == r.as_fraction()
+        assert frac_eval(cf.coeffs) == as_fraction(r)
 
 
 def test_expansion_matches_floor_oracle():
     rng = random.Random(2104)
     for _ in range(200):
         r = random_negative(rng)
-        assert list(neg_continued_fraction(r)) == frac_expand(r.as_fraction())
+        assert list(neg_continued_fraction(r)) == frac_expand(as_fraction(r))
 
 
 def test_leading_minus_one_exactly_on_unit_interval():
@@ -229,7 +229,7 @@ def test_eval_matches_fraction_oracle_random():
     rng = random.Random(2106)
     for _ in range(200):
         coeffs = [rng.randrange(-6, -1) for _ in range(rng.randrange(1, 7))]
-        assert eval_continued_fraction(coeffs).as_fraction() == frac_eval(coeffs)
+        assert as_fraction(eval_continued_fraction(coeffs)) == frac_eval(coeffs)
 
 
 # ---------------------------------------------------------------------------
@@ -264,7 +264,7 @@ def test_transforms_invert_each_other():
         rp = pushoff_coeff_from_slope(r)
         assert slope_from_pushoff_coeff(rp) == r
         if not rp.is_infinite:
-            assert rp.as_fraction() == (r.as_fraction() - 1) / r.as_fraction()
+            assert as_fraction(rp) == (as_fraction(r) - 1) / as_fraction(r)
         seen_both_signs.add(r > 0)
     assert seen_both_signs == {True, False}
 
@@ -297,11 +297,11 @@ def test_residual_matches_fraction_oracle():
         rp = SurgeryCoeff(rng.randrange(1, 30), rng.randrange(1, 30))
         k = rng.randrange(1, 12)
         got = residual_coeff(rp, k)
-        denominator = 1 - k * rp.as_fraction()
+        denominator = 1 - k * as_fraction(rp)
         if denominator == 0:
             assert got.is_infinite
         else:
-            assert got.as_fraction() == rp.as_fraction() / denominator
+            assert as_fraction(got) == as_fraction(rp) / denominator
 
 
 def test_min_split_count_properties():

@@ -1,0 +1,301 @@
+"""The stored form of ``ContactDiagram`` against the dense reference.
+
+``reference_ContactDiagram`` (tests/reference_diagram.py) keeps every
+linking by position, as the package did before its rows became sparse.
+Random diagrams, with parents listed after their children, parent cycles
+and arbitrary linkings, random move sequences, and removals that
+reparent children through the removed knot's slid row are run through
+both; the linking rows, single linkings, ``h1`` and the slid rows it
+reduces, ``==``, ``hash`` and ``diagram_iso`` must agree at every step.
+The JSON form must read back every acyclic diagram the constructor
+accepts.
+"""
+
+from __future__ import annotations
+
+import random
+import re
+from dataclasses import replace
+
+import pytest
+
+import reference_diagram as ref
+from reference_diagram import linking_pairs, reference_ContactDiagram
+from tightcert import diagrams
+from tightcert.diagrams import (
+    PUSHOFF,
+    RH_TREFOIL,
+    UNKNOT,
+    ContactDiagram,
+    LegendrianComponent,
+    diagram_iso,
+)
+from tightcert.errors import CalculusError
+from tightcert.rationals import SurgeryCoeff, neg_continued_fraction
+from tightcert.serialize import diagram_from_dict, diagram_to_dict
+from tightcert.topology import _slid_rows, h1
+
+_MOVES = (
+    "unknot", "trefoil", "pushoff", "pushoff", "stabilize", "coeff", "remove",
+    "plus_one", "cancel", "negative", "positive", "normalize", "cancel_pairs",
+)
+
+
+def both(comps, pairs):
+    return ContactDiagram(comps, pairs), reference_ContactDiagram(comps, pairs)
+
+
+def random_components(rng):
+    """Components and linkings from random public moves, listed in a
+    shuffled order; sometimes with a parent cycle, and sometimes with
+    linkings that break the pushoff rule."""
+    d = diagrams.empty_diagram()
+    for _ in range(rng.randrange(1, 10)):
+        kind = rng.choice(("unknot", "trefoil", "pushoff", "pushoff", "pushoff", "stabilize"))
+        cid = rng.choice(d.ids()) if len(d) else None
+        if kind == "unknot" or (cid is None and kind != "trefoil"):
+            d, _ = diagrams.add_unknot(d, tb=-1 - rng.randrange(3))
+        elif kind == "trefoil":
+            d, _ = diagrams.add_trefoil(d, tb=1 - rng.randrange(3))
+        elif kind == "pushoff":
+            d, _ = diagrams.contact_pushoff(d, cid)
+        else:
+            d = diagrams.stabilize(d, cid, rng.choice((1, -1)))
+    comps = [replace(c, coeff=SurgeryCoeff(rng.choice((-3, -1, 1, 2)))) for c in d.components]
+    pairs = linking_pairs(d)
+    if rng.random() < 0.5:
+        ids = [c.cid for c in comps]
+        for _ in range(rng.randrange(1, 4)):
+            if len(ids) > 1:
+                a, b = rng.sample(ids, 2)
+                pairs[frozenset((a, b))] = rng.randrange(-3, 4)
+    pushoffs = [i for i, c in enumerate(comps) if c.kind == PUSHOFF]
+    if len(pushoffs) >= 2 and rng.random() < 0.3:
+        cycle = rng.sample(pushoffs, rng.randrange(2, len(pushoffs) + 1))
+        for i, j in zip(cycle, cycle[1:] + cycle[:1]):
+            comps[i] = replace(comps[i], parent=comps[j].cid)
+    if rng.random() < 0.8:
+        rng.shuffle(comps)
+    return comps, pairs
+
+
+def signed(d, module, rng_state):
+    """d with every coefficient +1 or -1, the same on both sides."""
+    rng = random.Random(rng_state)
+    for cid in d.ids():
+        d = module.set_coeff(d, cid, SurgeryCoeff(rng.choice((1, -1))))
+    return d
+
+
+def dense_slid_rows(d):
+    rows = _slid_rows(d)
+    pos = d._pos
+    out = [[0] * len(rows) for _ in rows]
+    for i, row in enumerate(rows):
+        for cid, v in row.items():
+            out[i][pos[cid]] = v
+    return out
+
+
+def assert_match(new, old, rng):
+    assert new.components == old.components
+    assert new.linking_rows() == old.linking_rows()
+    # The moves leave the unique stored form the constructor builds.
+    rebuilt = ContactDiagram(new.components, linking_pairs(new))
+    assert rebuilt._links == new._links and hash(rebuilt) == hash(new)
+    ids = new.ids()
+    for _ in range(min(6, len(ids) * (len(ids) - 1))):
+        a, b = rng.sample(ids, 2)
+        assert new.linking(a, b) == old.linking(a, b)
+    if len(new):
+        state = rng.random()
+        s_new, s_old = signed(new, diagrams, state), signed(old, ref, state)
+        assert dense_slid_rows(s_new) == ref.reference_slid_rows(s_old)
+        assert h1(s_new) == ref.reference_h1(s_old)
+
+
+def move(d, module, kind, rng):
+    """One move of ``kind`` on d through ``module`` (the package or the
+    reference), with choices drawn from rng; None when it does not apply."""
+    ids = d.ids()
+    cid = rng.choice(ids) if ids else None
+    if kind == "unknot":
+        return module.add_unknot(d, tb=-1 - rng.randrange(2), coeff=SurgeryCoeff(-1))[0]
+    if kind == "trefoil":
+        return module.add_trefoil(d, coeff=SurgeryCoeff(rng.choice((-1, 1))))[0]
+    if cid is None:
+        return None
+    if kind == "pushoff":
+        return module.contact_pushoff(d, cid, SurgeryCoeff(rng.choice((-1, 1, 3))))[0]
+    if kind == "stabilize":
+        return module.stabilize(d, cid, rng.choice((1, -1)))
+    if kind == "coeff":
+        return module.set_coeff(d, cid, SurgeryCoeff(rng.choice((-7, -3, -1, 1, 2, 5)), rng.choice((1, 2, 3))))
+    if kind == "remove":
+        return module.remove_component(d, cid)
+    if kind == "plus_one":
+        return module.plus_one_surgery(d, rng.choice(("unknot", f"pushoff:{cid}")))
+    if kind == "cancel":
+        return module.plus_one_surgery(module.set_coeff(d, cid, SurgeryCoeff(-1)), f"cancel:{cid}")
+    c = d.component(cid)
+    if kind == "negative" and c.coeff is not None and c.coeff.num < 0 and c.coeff != SurgeryCoeff(-1):
+        counts = neg_continued_fraction(c.coeff).stabilization_counts()
+        choice = [[rng.choice((1, -1)) for _ in range(n)] for n in counts]
+        return module.convert_negative(d, cid, choice if rng.random() < 0.5 else None)
+    if kind == "positive" and c.coeff is not None and c.coeff.num > 0:
+        return module.convert_positive(d, cid, rng.randrange(1, 4))
+    if kind == "normalize":
+        return module.normalize_diagram(d)
+    if kind == "cancel_pairs":
+        return module.cancel_pushoff_pairs(d)
+    return None
+
+
+def test_constructor_matches_the_reference():
+    rng = random.Random(1601)
+    for _ in range(300):
+        comps, pairs = random_components(rng)
+        new, old = both(comps, pairs)
+        assert_match(new, old, rng)
+
+
+def test_moves_match_the_reference():
+    rng = random.Random(1602)
+    steps = 0
+    for _ in range(120):
+        new, old = both(*random_components(rng))
+        for _ in range(rng.randrange(1, 12)):
+            kind = rng.choice(_MOVES)
+            state = rng.random()
+            try:
+                got = move(new, diagrams, kind, random.Random(state))
+            except CalculusError as exc:
+                with pytest.raises(CalculusError, match=re.escape(str(exc))):
+                    move(old, ref, kind, random.Random(state))
+                continue
+            want = move(old, ref, kind, random.Random(state))
+            if got is None:
+                assert want is None
+                continue
+            new, old = got, want
+            assert_match(new, old, rng)
+            steps += 1
+    assert steps > 500
+
+
+def test_equality_and_iso_match_the_reference():
+    rng = random.Random(1603)
+    pool = []
+    for _ in range(60):
+        comps, pairs = random_components(rng)
+        pool.append(both(comps, pairs))
+        # The same diagram renamed, and with one linking bumped.
+        names = {c.cid: f"r{i}" for i, c in enumerate(comps)}
+        renamed = [
+            replace(c, cid=names[c.cid], parent=c.parent and names[c.parent]) for c in comps
+        ]
+        pool.append(both(renamed, {frozenset(names[x] for x in p): v for p, v in pairs.items()}))
+        if len(comps) > 1:
+            a, b = rng.sample([c.cid for c in comps], 2)
+            bumped = dict(pairs)
+            bumped[frozenset((a, b))] = bumped.get(frozenset((a, b)), 0) + 1
+            pool.append(both(comps, bumped))
+    isos = 0
+    for a_new, a_old in pool:
+        for b_new, b_old in pool:
+            if len(a_new) != len(b_new):
+                continue
+            assert (a_new == b_new) == (a_old == b_old)
+            iso = diagram_iso(a_new, b_new)
+            assert iso == ref.diagram_iso(a_old, b_old)
+            isos += iso
+    assert isos > len(pool)
+
+
+def reparenting_removal(rng):
+    """Components and linkings where removing "X", a pushoff of "Y", moves
+    its unstabilized pushoffs to Y, with knots before and between them
+    that link X and Y differently, so X's slid row has entries below
+    its children."""
+    tb = rng.choice((1, 0, -1))
+    comps = [LegendrianComponent("Y", RH_TREFOIL, None, RH_TREFOIL, tb, 0, None)]
+    names = ["Y"]
+    for k in range(rng.randrange(0, 3)):
+        comps.append(LegendrianComponent(f"v{k}", UNKNOT, None, UNKNOT, -1, 0, None))
+        names.append(f"v{k}")
+    comps.append(LegendrianComponent("X", PUSHOFF, "Y", RH_TREFOIL, tb, 0, SurgeryCoeff(-1)))
+    children = []
+    for k in range(rng.randrange(4, 9)):
+        if rng.random() < 0.4:
+            cid, parent = f"x{k}", "X"
+            children.append(cid)
+            comps.append(LegendrianComponent(cid, PUSHOFF, "X", RH_TREFOIL, tb, 0, SurgeryCoeff(1)))
+        elif rng.random() < 0.5:
+            cid, parent = f"w{k}", rng.choice(names)
+            smooth = comps[[c.cid for c in comps].index(parent)].smooth_type
+            comps.append(LegendrianComponent(cid, PUSHOFF, parent, smooth, -3, 0, None))
+        else:
+            cid = f"u{k}"
+            comps.append(LegendrianComponent(cid, UNKNOT, None, UNKNOT, -1, 0, None))
+        names.append(cid)
+    ids = [c.cid for c in comps]
+    pairs = {}
+    for a in range(len(ids)):
+        for b in range(a):
+            if rng.random() < 0.4:
+                pairs[frozenset((ids[a], ids[b]))] = rng.randrange(-2, 3)
+    for cid in ["X"] + children:
+        pairs[frozenset((cid, "Y" if cid == "X" else "X"))] = tb
+    return comps, pairs
+
+
+def test_removal_through_a_slid_row_matches_the_reference():
+    rng = random.Random(1604)
+    reparented = 0
+    for _ in range(300):
+        new, old = both(*reparenting_removal(rng))
+        got, want = diagrams.remove_component(new, "X"), ref.remove_component(old, "X")
+        assert_match(got, want, rng)
+        reparented += sum(c.parent == "Y" for c in got.components)
+    assert reparented > 300
+
+
+def acyclic_diagram(rng):
+    """Components with random kinds, parents that lead to a root, tb and
+    rot within the Bennequin bound, random coefficients and linkings, in
+    a random order."""
+    n = rng.randrange(0, 9)
+    comps, smooth = [], {}
+    for i in range(n):
+        cid = f"k{i}"
+        if i and rng.random() < 0.6:
+            parent = f"k{rng.randrange(i)}"
+            kind, smooth[cid] = PUSHOFF, smooth[parent]
+        else:
+            parent, kind = None, rng.choice((UNKNOT, RH_TREFOIL))
+            smooth[cid] = kind
+        bound = -1 if smooth[cid] == UNKNOT else 1
+        rot = rng.randrange(-2, 3)
+        tb = bound - abs(rot) - rng.randrange(3)
+        coeff = rng.choice((None, SurgeryCoeff(-1), SurgeryCoeff(1), SurgeryCoeff(-5, 3)))
+        comps.append(LegendrianComponent(cid, kind, parent, smooth[cid], tb, rot, coeff))
+    pairs = {}
+    for _ in range(rng.randrange(0, 2 * n + 1) if n > 1 else 0):
+        a, b = rng.sample(range(n), 2)
+        pairs[frozenset((f"k{a}", f"k{b}"))] = rng.randrange(-3, 4)
+    rng.shuffle(comps)
+    return ContactDiagram(comps, pairs)
+
+
+def test_every_acyclic_order_round_trips_through_json():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+
+    @hypothesis.settings(max_examples=200, deadline=None, derandomize=True)
+    @hypothesis.given(st.integers(0, 2**32))
+    def run(seed):
+        d = acyclic_diagram(random.Random(seed))
+        back = diagram_from_dict(diagram_to_dict(d))
+        assert back == d and back.ids() == d.ids()
+
+    run()

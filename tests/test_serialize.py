@@ -41,7 +41,6 @@ from tightcert.serialize import (
     diagram_to_dict,
     dump_json,
     framed_link_from_dict,
-    framed_link_to_dict,
     load_json,
 )
 from tightcert.topology import Manifold, h1, linking_matrix
@@ -101,14 +100,27 @@ def test_diagram_from_dict_rejects():
         diagram_from_dict(bad)
     assert "components[0]" in str(err.value)
 
-    # A pushoff must name an already-declared parent.
-    bad2 = json.loads(json.dumps(good))
-    bad2["components"][0], bad2["components"][1] = (
-        bad2["components"][1],
-        bad2["components"][0],
+    # A pushoff must name a parent that is a component, and its parents
+    # must lead to a root knot; a parent listed after its child is read.
+    swapped = json.loads(json.dumps(good))
+    swapped["components"][0], swapped["components"][1] = (
+        swapped["components"][1],
+        swapped["components"][0],
     )
-    with pytest.raises(ParseError):
+    back = diagram_from_dict(swapped)
+    assert back.ids()[:2] == ("c2", "c1") and back.component("c2").smooth_type == "rhtrefoil"
+    bad2 = json.loads(json.dumps(good))
+    bad2["components"][1]["type"] = "pushoff:ghost"
+    with pytest.raises(ParseError) as err2:
         diagram_from_dict(bad2)
+    assert err2.value.location == "diagram.components[1].type"
+    assert err2.value.reason == "pushoff parent 'ghost' is not a component"
+    cycle = json.loads(json.dumps(good))
+    cycle["components"][0]["type"] = "pushoff:c2"
+    with pytest.raises(ParseError) as err_cycle:
+        diagram_from_dict(cycle)
+    assert err_cycle.value.location == "diagram.components[0].type"
+    assert err_cycle.value.reason == "pushoff parents form a cycle through 'c1'"
 
     bad3 = json.loads(json.dumps(good))
     bad3["linkings"][0] = ["c1", "ghost", 1]
@@ -386,9 +398,16 @@ def test_certificate_v7_golden_bytes(slope, tmp_path):
 # ---------------------------------------------------------------------------
 
 
+def framed_link_dict(link):
+    """The JSON form ``framed_link_from_dict`` reads: n, the row-major
+    matrix and the tags."""
+    return {"n": link.size, "matrix": [x for row in link.matrix for x in row],
+            "tags": list(link.tags)}
+
+
 def test_framed_link_round_trip():
     link = linking_matrix(normalize_diagram(trefoil_surgery_diagram(SurgeryCoeff(7, 2))))
-    data = framed_link_to_dict(link)
+    data = framed_link_dict(link)
     assert data["n"] == link.size
     assert len(data["matrix"]) == link.size**2
     assert framed_link_from_dict(data) == link

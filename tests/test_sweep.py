@@ -1,0 +1,26 @@
+"""Smoke test of tools/sweep.py at tiny sizes."""
+
+from __future__ import annotations
+
+import importlib.util
+import json
+from pathlib import Path
+
+SWEEP = Path(__file__).resolve().parent.parent / "tools" / "sweep.py"
+
+
+def test_sweep_reports_every_figure_at_tiny_sizes():
+    spec = importlib.util.spec_from_file_location("sweep", SWEEP)
+    sweep = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(sweep)
+    out = sweep.sweep(tower=(4, 8), chain=(5, 10), repeat=1)
+    assert list(out) == ["tower", "chain"]
+    assert list(out["tower"]["slopes"]) == ["5/4", "9/8"]
+    assert list(out["chain"]["slopes"]) == ["-1/5", "-1/10"]
+    for axis in out.values():
+        for row in axis["slopes"].values():
+            assert sorted(row) == sorted(sweep.FIGURES)
+            assert row["bytes"] > 0 and row["verify_peak_mb"] > 0
+        for figure in sweep.FIGURES:
+            assert len(axis["exponents"][figure]["steps"]) == 1
+    assert json.loads(json.dumps(out)) == out

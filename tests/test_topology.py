@@ -28,7 +28,6 @@ from tightcert.diagrams import (
 )
 from tightcert.errors import (
     CalculusError,
-    MoveNotApplicableError,
     NormalizationRequiredError,
     ParseError,
 )
@@ -37,7 +36,6 @@ from tightcert.topology import (
     FramedLink,
     HomologyResult,
     Manifold,
-    blow_down,
     det_signed,
     h1,
     linking_matrix,
@@ -331,41 +329,6 @@ def test_h1_of_unlinked_unknots_is_linear():
     elapsed = time.perf_counter() - start
     assert group == HomologyResult(0, (2,) * 400)
     assert elapsed < 0.5
-
-
-# ---------------------------------------------------------------------------
-# Blow-down
-# ---------------------------------------------------------------------------
-
-
-def test_blow_down_frozen_example():
-    link = FramedLink(((1, 2), (2, 5)), ("unknot", "unknot"))
-    down = blow_down(link, 0)
-    assert down.matrix == ((1,),)
-    assert down.tags == ("unknot",)
-
-
-def test_blow_down_preserves_homology():
-    rng = random.Random(3105)
-    for _ in range(80):
-        n = rng.randrange(2, 6)
-        m = random_symmetric(rng, n)
-        i = rng.randrange(n)
-        m[i][i] = rng.choice((1, -1))
-        link = FramedLink(tuple(tuple(r) for r in m), ("unknot",) * n)
-        assert h1(blow_down(link, i)) == h1(link)
-
-
-def test_blow_down_gating():
-    link = FramedLink(((2, 0), (0, 1)), ("unknot", "unknot"))
-    with pytest.raises(MoveNotApplicableError):
-        blow_down(link, 0)
-    trefoil = FramedLink(((1, 0), (0, 1)), ("rhtrefoil", "unknot"))
-    with pytest.raises(MoveNotApplicableError):
-        blow_down(trefoil, 0)
-    blow_down(trefoil, 1)
-    with pytest.raises(CalculusError):
-        blow_down(link, 5)
 
 
 # ---------------------------------------------------------------------------
