@@ -14,7 +14,12 @@ A node either carries its presentation inline or is *derived*: the one
 edge into it builds its presentation by (+1)-surgery on the presentation of
 the edge's source.  The verifier builds every derived node with
 ``node_presentations``, which walks the edges in order; that construction
-is the check of each edge, so every edge builds exactly one node.  Only the
+is the check of each edge, so every edge builds exactly one node.  It
+counts each node's readers first, the later edges and the steps that cite
+it, so an edge whose source nothing else reads performs its move in place:
+a ladder edge costs O(1) amortized and a cancel edge O(children) on an
+emitted reduction path, and only the presentations a step cites are kept,
+as snapshots that the step checkers read directly.  Only the
 empty presentation and stage 1 are inline, and the root at stage 0; the
 tower ladder and the reduction path are derived.  At stage >= 1 the root
 carries no diagram either: the verifier builds its own presentation of the
@@ -36,7 +41,7 @@ re-derives the fact it gives.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import partial
 from itertools import islice
 
@@ -52,6 +57,7 @@ from .rationals import (
 from .diagrams import (
     PUSHOFF,
     ContactDiagram,
+    _Draft,
     cancel_pushoff_pairs,
     diagram_iso,
     empty_diagram,
@@ -103,13 +109,14 @@ _RESOLVE = {
 }
 
 
-def _presentation(node):
-    if node.diagram is None:
+def _presentation(built, node):
+    diagram = built.get(node.nid)
+    if diagram is None:
         raise CalculusError(f"node {node.nid} carries no presentation")
-    return node.diagram
+    return diagram
 
 
-def _overtwisted_zero(cert, node):
+def _overtwisted_zero(cert, built, node):
     raise CalculusError(
         "rule derives a vanishing class; no tightness certificate may use it"
     )
@@ -130,7 +137,7 @@ def _reverses(vertex: Manifold, m: Manifold) -> bool:
     return vertex.kind == kind and vertex.p == m.p
 
 
-def _plus_one_pushforward(cert, edge, tri):
+def _plus_one_pushforward(cert, built, edge, tri):
     if tri.informational:
         raise CalculusError("informational triangle instances cannot justify injectivity")
     # Every edge was checked before the steps, so both endpoints exist.
@@ -150,15 +157,15 @@ def _plus_one_pushforward(cert, edge, tri):
     return (("c_nonzero", edge.src),), ("c_nonzero", edge.dst)
 
 
-def _all_minus_one_stein(cert, node):
-    for c in _presentation(node).components:
+def _all_minus_one_stein(cert, built, node):
+    for c in _presentation(built, node).components:
         if c.coeff != _MINUS_ONE:
             raise CalculusError(f"component {c.cid} carries {c.coeff}, not -1")
     return (), ("stein", node.nid)
 
 
-def _transfer(cert, target, source, cancel=False):
-    a, b = _presentation(target), _presentation(source)
+def _transfer(cert, built, target, source, cancel=False):
+    a, b = _presentation(built, target), _presentation(built, source)
     if cancel:
         a, b = cancel_pushoff_pairs(a), cancel_pushoff_pairs(b)
     if not diagram_iso(a, b):
@@ -166,8 +173,8 @@ def _transfer(cert, target, source, cancel=False):
     return (("c_nonzero", source.nid),), ("c_nonzero", target.nid)
 
 
-def _h1_consistency(cert, node, recorded):
-    group = h1(_presentation(node))
+def _h1_consistency(cert, built, node, recorded):
+    group = h1(_presentation(built, node))
     if _group_text(group) != recorded:
         raise CalculusError(
             f"presentation has h1 {_group_text(group)}, certificate says {recorded}"
@@ -183,14 +190,15 @@ def _h1_consistency(cert, node, recorded):
 
 # Rule id -> (statement, reference kinds, checker).  A step citing the rule
 # carries references of exactly those kinds, in order.  The checker receives
-# the certificate and the resolved references; it returns the facts the step
+# the certificate, the presentations the verifier built for the nodes the
+# steps cite, and the resolved references; it returns the facts the step
 # needs and the fact it derives, and raises CalculusError when the cited
 # data do not support the rule.
 RULES = {
     "stein_nonzero": (
         "a Stein fillable structure has nonvanishing contact class",
         ("node",),
-        lambda cert, node: ((("stein", node.nid),), ("c_nonzero", node.nid)),
+        lambda cert, built, node: ((("stein", node.nid),), ("c_nonzero", node.nid)),
     ),
     "overtwisted_zero": (
         "an overtwisted structure has vanishing contact class",
@@ -200,13 +208,13 @@ RULES = {
     "nonzero_tight": (
         "a structure whose contact class does not vanish is tight",
         ("node",),
-        lambda cert, node: ((("c_nonzero", node.nid),), ("tight", node.nid)),
+        lambda cert, built, node: ((("c_nonzero", node.nid),), ("tight", node.nid)),
     ),
     "plus_one_pullback": (
         "a contact (+1)-surgery maps the source class to the result class, "
         "so a nonzero result class forces a nonzero source class",
         ("edge",),
-        lambda cert, edge: ((("c_nonzero", edge.dst),), ("c_nonzero", edge.src)),
+        lambda cert, built, edge: ((("c_nonzero", edge.dst),), ("c_nonzero", edge.src)),
     ),
     "plus_one_pushforward": (
         "when the (+1)-surgery map is injective by the cited exact-triangle "
@@ -338,7 +346,13 @@ def _group_text(group: HomologyResult) -> str:
 
 def _reduction_stage(slope: SurgeryCoeff, i: int) -> Manifold:
     """The manifold of the i-th node of the reduction path of a slope."""
-    return Manifold.opaque(f"reduction stage {i} of trefoil surgery {slope}")
+    return Manifold(*_reduction_fields(str(slope), i))
+
+
+def _reduction_fields(slope_text: str, i: int) -> tuple:
+    """The ``_fields`` of ``_reduction_stage`` of the slope named
+    ``slope_text``."""
+    return ("opaque", 0, 0, f"reduction stage {i} of trefoil surgery {slope_text}")
 
 
 def _fields(m: Manifold) -> tuple:
@@ -604,17 +618,17 @@ def _check(cert: Certificate) -> VerificationResult:
         return _fail(None, "conclusion node does not carry the declared slope")
     rp = pushoff_coeff_from_slope(cert.slope)
     stage = _stage(rp)
-    if root.diagram is not None:
-        if _slope_presentation(cert.slope, len(root.diagram)) != root.diagram:
+    presentation = root.diagram
+    if presentation is not None:
+        if _slope_presentation(cert.slope, len(presentation)) != presentation:
             return _fail(
                 None, "conclusion presentation does not match the declared slope"
             )
     else:
         try:
-            root = ContactNode(root.nid, root.manifold, _derived_root(cert))
+            presentation = _derived_root(cert)
         except CalculusError as exc:
             return _fail(None, str(exc))
-        cert = replace(cert, nodes={**cert.nodes, root.nid: root})
 
     # The slope bounds the stage, so the work below cannot grow with a
     # number the certificate merely declares.
@@ -643,7 +657,7 @@ def _check(cert: Certificate) -> VerificationResult:
 
     # At most one edge for eta, each ladder stage and each chain knot of
     # the root, counted before any edge builds a node.
-    chain = len(root.diagram) - 1 - stage
+    chain = len(presentation) - 1 - stage
     limit = cert.engine_stage + 1 + chain
     if len(cert.edges) > limit:
         return _fail(None, f"{len(cert.edges)} edges, engine stage {cert.engine_stage} "
@@ -652,8 +666,10 @@ def _check(cert: Certificate) -> VerificationResult:
     # Build every derived node, which checks every edge and the manifold it
     # gives, keeping the presentations the steps cite.
     cited = {value for step in cert.steps for kind, value in step.refs if kind == "node"}
+    start = {nid: n.diagram for nid, n in cert.nodes.items()}
+    start[root.nid] = presentation
     try:
-        built = node_presentations(cert, keep=cited)
+        built = _walk(cert, start, cited)
     except CalculusError as exc:
         return _fail(None, str(exc))
 
@@ -662,27 +678,17 @@ def _check(cert: Certificate) -> VerificationResult:
     own = {
         Manifold.s3(): empty_diagram(),
         Manifold.tower(1): tower_diagram(1),
-        root.manifold: root.diagram,
+        root.manifold: presentation,
     }
     for n in cert.nodes.values():
         if n.diagram is not None and own.get(n.manifold) != n.diagram:
             return _fail(None, f"node {n.nid}: inline presentation is not the "
                          f"verifier's presentation of {n.manifold.text()}")
 
-    # From here on each node a step cites carries the presentation the
-    # verifier holds for it.
-    cert = replace(
-        cert,
-        nodes={
-            nid: ContactNode(n.nid, n.manifold, built.get(nid))
-            for nid, n in cert.nodes.items()
-        },
-    )
-
-    # Replay the steps.
+    # Replay the steps, which read the presentations in ``built``.
     have: set[tuple[str, str]] = set()
     for idx, step in enumerate(cert.steps):
-        verdict = _check_step(cert, step, have)
+        verdict = _check_step(cert, built, step, have)
         if verdict is not None:
             return _fail(idx, verdict)
         have.add(step.gives)
@@ -692,12 +698,9 @@ def _check(cert: Certificate) -> VerificationResult:
     return VerificationResult(True)
 
 
-# Stands in for a presentation that was built and then let go.
-_LET_GO = object()
-
-
 def node_presentations(cert: Certificate, keep=None) -> dict[str, ContactDiagram]:
-    """Every node's presentation, in node order: the inline diagram; for a
+    """The presentations of the nodes in ``keep``, a collection of node
+    ids (default: every node), in its order: the inline diagram; for a
     root with no diagram the verifier's own presentation of the slope,
     built only when its size equals the edge count; or for a derived node
     the (+1)-surgery the edge into it records, performed on the
@@ -711,19 +714,33 @@ def node_presentations(cert: Certificate, keep=None) -> dict[str, ContactDiagram
     presentation.  Raises CalculusError naming the first edge or node
     that breaks a rule.
 
-    With ``keep``, a set of node ids, only those nodes' presentations are
-    returned, and any other is let go once no later edge starts from it,
-    so a long ladder or reduction path holds a few at a time.
+    Each node's readers are counted first: the later edges from it, and
+    ``keep``.  An edge whose source it alone still reads performs the move
+    in place on the source's storage, a ``diagrams._Draft``: a ladder edge
+    then costs O(1) amortized, and a cancel edge O(children + knots after
+    the cancelled one), O(children) on an emitted reduction path, which
+    cancels its last knot each time but the first chain knot.  Any other
+    edge first copies its source, O(n).  A node nothing reads is let go
+    once built, and only the nodes in ``keep`` are frozen into immutable
+    snapshots, O(n) each; so verifying a ladder of S stages or a path of L
+    cancels takes O(S + L + n) time and space for an n-knot root.
     """
     built = {nid: n.diagram for nid, n in cert.nodes.items()}
-    last = {}
-    if keep is not None:
-        last = {e.src: k for k, e in enumerate(cert.edges.values())}
     root = cert.conclusion[1]
     if root in built and built[root] is None:
         built[root] = _derived_root(cert)
-    cancels = 0
-    for k, e in enumerate(cert.edges.values()):
+    return _walk(cert, built, cert.nodes if keep is None else keep)
+
+
+def _walk(cert, built, keep):
+    """``node_presentations`` from ``built``, each node's inline or root
+    presentation or None; edits ``built``."""
+    edges, readers, slope_text, cancels = cert.edges.values(), {}, str(cert.slope), 0
+    for e in edges:
+        readers[e.src] = readers.get(e.src, 0) + 1
+    for nid in keep:
+        readers[nid] = readers.get(nid, 0) + 1
+    for e in edges:
         if built.get(e.src) is None:
             problem = f"source {e.src!r} has no presentation yet"
         elif e.dst not in built or built[e.dst] is not None:
@@ -732,7 +749,7 @@ def node_presentations(cert: Certificate, keep=None) -> dict[str, ContactDiagram
             source, declared = cert.nodes[e.src].manifold, cert.nodes[e.dst].manifold
             if e.witness.startswith("cancel:"):
                 cancels += 1
-                gives = _fields(_reduction_stage(cert.slope, cancels))
+                gives = _reduction_fields(slope_text, cancels)
             else:
                 make = _DERIVED.get((source.kind, e.witness))
                 gives = make and make(source.p)
@@ -742,24 +759,37 @@ def node_presentations(cert: Certificate, keep=None) -> dict[str, ContactDiagram
                 problem = (f"target {e.dst!r} is declared {declared.text()}, "
                            f"the edge gives {Manifold(*gives).text()}")
             else:
+                # A node no later edge or ``keep`` reads is let go: its
+                # entry goes, which refuses a second edge into it as
+                # surely as a presentation would.
+                readers[e.src] -= 1
+                d = built[e.src]
+                if readers[e.src] or type(d) is not _Draft:
+                    d = _Draft(d)
                 try:
-                    built[e.dst] = plus_one_surgery(built[e.src], e.witness)
+                    d = plus_one_surgery(d, e.witness)
                 except CalculusError as exc:
                     problem = str(exc)
                 else:
-                    if last.get(e.src) == k and e.src not in keep:
-                        built[e.src] = _LET_GO
+                    if not readers[e.src]:
+                        del built[e.src]
+                    if readers.get(e.dst):
+                        built[e.dst] = d
+                    else:
+                        del built[e.dst]
                     continue
         raise CalculusError(f"edge {e.eid}: {problem}")
     for nid, diagram in built.items():
         if diagram is None:
             raise CalculusError(f"node {nid}: no inline presentation and no edge into it")
-    if keep is None:
-        return built
-    return {nid: built[nid] for nid in keep if nid in built}
+    return {
+        nid: d.frozen() if isinstance(d, _Draft) else d
+        for nid, d in ((nid, built.get(nid)) for nid in keep)
+        if d is not None
+    }
 
 
-def _check_step(cert, step, have):
+def _check_step(cert, built, step, have):
     if step.rule not in RULES:
         return f"rule {step.rule!r} is not in the rule set"
     _, kinds, check = RULES[step.rule]
@@ -771,7 +801,7 @@ def _check_step(cert, step, have):
         )
     try:
         refs = [_RESOLVE[kind](cert, value) for kind, value in step.refs]
-        premises, gives = check(cert, *refs)
+        premises, gives = check(cert, built, *refs)
     except CalculusError as exc:
         return str(exc)
     for kind, nid in premises:

@@ -22,7 +22,8 @@ Conventions
 * The smooth surgery framing of a surgered component is tb + coefficient
   (infinite when the contact coefficient is infinite).
 
-Diagrams are immutable; every operation returns a fresh diagram.  Component
+Diagrams are immutable; every operation returns a fresh diagram, except on
+a private ``_Draft``, which it edits in place (see Storage).  Component
 ids are strings; freshly created components get ids "c1", "c2", ... in
 creation order, and the component tuple preserves creation order, which
 makes the rewrite scans below deterministic.
@@ -54,7 +55,9 @@ linking entries:
 * a contact pushoff appends the row {parent: tb(parent)}, O(1), created
   already carrying its coefficient (+1 for ``plus_one_surgery``);
 * ``convert_positive`` appends its k unit pushoffs in one move, all
-  sharing one such row, O(k);
+  sharing one such row, O(k); with an infinite residual it builds them
+  where removing their parent would leave them, so each is constructed
+  once;
 * ``convert_negative`` appends its whole (-1)-chain in one move, each
   chain knot a pushoff of the previous one, created stabilized and at -1,
   O(m) for m knots;
@@ -73,14 +76,22 @@ linking entries:
 * ``diagram_iso`` compares two diagrams by position, row against row, in
   O(n + stored entries) with no search.
 
-The component tuple and the id map are still copied by every move,
-O(n) in components.
+Given a ``ContactDiagram``, a move also copies the component tuple and
+the id map, O(n) in components.  Given a ``_Draft``, which holds the same
+storage in lists with an index of each knot's children, it writes into
+the draft and returns it: appending k knots costs O(k) and removing one
+O(children + knots after it), with no scan for its children.  Copying a
+diagram into a draft, and ``_Draft.frozen()``, cost O(n).  The verifier's
+edge walk (``certify.node_presentations``) passes a draft from edge to
+edge while no one else reads the presentation, and ``cancel_pushoff_pairs``
+cancels on one draft.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from heapq import heappop, heappush
 from itertools import islice
 
 from .errors import (
@@ -238,6 +249,47 @@ class ContactDiagram:
         object.__setattr__(self, "_links", links)
         return self
 
+    # -- storage: how a move writes its result ------------------------------
+
+    def _append(self, comps, rows):
+        """A diagram with ``comps`` appended in order, with stored rows
+        ``rows``."""
+        pos = dict(self._pos)
+        for c in comps:
+            _check_appended(pos, c)
+            pos[c.cid] = len(pos)
+        return ContactDiagram._trusted(
+            self.components + tuple(comps), self._links + tuple(rows), pos
+        )
+
+    def _replace(self, comp):
+        """A diagram with ``comp`` in place of the component with its id,
+        which must keep its parent."""
+        i = self._pos[comp.cid]
+        comps = self.components[:i] + (comp,) + self.components[i + 1:]
+        return ContactDiagram._trusted(comps, self._links, self._pos)
+
+    def _children(self, cid):
+        """Positions of cid's children, in order."""
+        return [j for j, c in enumerate(self.components) if c.parent == cid]
+
+    def _removed(self, i, changed):
+        """A diagram without component i, and with the component and row
+        ``changed[j]`` at each position j of ``changed``."""
+        comps, links = self.components, self._links
+        new_comps, new_links = comps[:i] + comps[i + 1:], links[:i] + links[i + 1:]
+        if changed:
+            new_comps, new_links = list(new_comps), list(new_links)
+            for j, (c, row) in changed.items():
+                k = j if j < i else j - 1
+                new_comps[k], new_links[k] = c, row
+            new_comps, new_links = tuple(new_comps), tuple(new_links)
+        pos = dict(self._pos)
+        del pos[comps[i].cid]
+        for c in new_comps[i:]:
+            pos[c.cid] -= 1
+        return ContactDiagram._trusted(new_comps, new_links, pos)
+
     # -- queries -----------------------------------------------------------
 
     def __len__(self) -> int:
@@ -314,7 +366,8 @@ class ContactDiagram:
                 for k, v in row.items():
                     z = pos[k]
                     new[z] = v if z == p else new.get(z, 0) + v
-                if len(row) > 1:
+                if len(row) > (c.parent in row):
+                    # A deviation may cancel the rule's value.
                     new = {z: v for z, v in new.items() if v}
             lower.append(new)
         return lower
@@ -373,6 +426,84 @@ def _stored_row(ids, i, p, lower, dead=None):
     return row
 
 
+def _check_appended(pos, c):
+    """Refuse to append c to a diagram with id map ``pos``."""
+    if c.cid in pos:
+        raise CalculusError(f"duplicate component id {c.cid!r}")
+    if c.kind == PUSHOFF and c.parent not in pos:
+        raise CalculusError(f"pushoff {c.cid} names missing parent {c.parent!r}")
+
+
+class _Draft(ContactDiagram):
+    """A private copy of a diagram that the moves edit in place.
+
+    It holds the stored form of ``ContactDiagram`` in lists, and a
+    children index ``_kids`` from each id to its children's ids, built at
+    the first removal (None until then).  A move
+    given a draft writes into it and returns it: appending k knots costs
+    O(k), replacing one O(1), and removing one O(children + knots after
+    it), with no scan for its children.  Copying a diagram into a draft,
+    and ``frozen()``, the immutable diagram a draft stands for, cost O(n).
+    A draft is never compared or hashed, and a move that raises leaves it
+    unusable.
+    """
+
+    __slots__ = ("_kids",)
+
+    def __init__(self, d):
+        self.components, self._links = list(d.components), list(d._links)
+        self._pos, self._kids = dict(d._pos), None
+
+    def frozen(self) -> ContactDiagram:
+        return ContactDiagram._trusted(
+            tuple(self.components), tuple(self._links), dict(self._pos)
+        )
+
+    def _append(self, comps, rows):
+        pos, kids = self._pos, self._kids
+        for c in comps:
+            _check_appended(pos, c)
+            pos[c.cid] = len(pos)
+            if c.parent is not None and kids is not None:
+                kids.setdefault(c.parent, {})[c.cid] = None
+        self.components.extend(comps)
+        self._links.extend(rows)
+        return self
+
+    def _replace(self, comp):
+        self.components[self._pos[comp.cid]] = comp
+        return self
+
+    def _children(self, cid):
+        if self._kids is None:
+            self._kids = {}
+            for c in self.components:
+                if c.parent is not None:
+                    self._kids.setdefault(c.parent, {})[c.cid] = None
+        kids = self._kids.get(cid)
+        if not kids:
+            return []
+        pos = self._pos
+        return sorted(pos[k] for k in kids)
+
+    def _removed(self, i, changed):
+        # ``remove_component`` asked for the children first, so the index
+        # is built.
+        comps, links, pos, kids = self.components, self._links, self._pos, self._kids
+        dead = comps[i]
+        for j, (c, row) in changed.items():
+            if c.parent is not None and c.parent != comps[j].parent:
+                kids.setdefault(c.parent, {})[c.cid] = None
+            comps[j], links[j] = c, row
+        kids.pop(dead.cid, None)
+        if dead.parent is not None:
+            del kids[dead.parent][dead.cid]
+        del comps[i], links[i], pos[dead.cid]
+        for c in comps[i:]:
+            pos[c.cid] -= 1
+        return self
+
+
 # ---------------------------------------------------------------------------
 # Elementary construction moves
 # ---------------------------------------------------------------------------
@@ -393,32 +524,18 @@ def _fresh_ids(d: ContactDiagram):
             yield cid
 
 
-def _appended(d, comps, rows):
-    """Append ``comps`` in order, with stored rows ``rows``."""
-    pos = dict(d._pos)
-    for c in comps:
-        if c.cid in pos:
-            raise CalculusError(f"duplicate component id {c.cid!r}")
-        if c.kind == PUSHOFF and c.parent not in pos:
-            raise CalculusError(f"pushoff {c.cid} names missing parent {c.parent!r}")
-        pos[c.cid] = len(pos)
-    return ContactDiagram._trusted(
-        d.components + tuple(comps), d._links + tuple(rows), pos
-    )
-
-
 def add_unknot(d, tb: int = -1, rot: int = 0, coeff=None):
     """Append a standard Legendrian unknot; returns (diagram, new id)."""
     cid = next(_fresh_ids(d))
     c = LegendrianComponent(cid, UNKNOT, None, UNKNOT, tb, rot, _opt_coeff(coeff))
-    return _appended(d, (c,), ({},)), cid
+    return d._append((c,), ({},)), cid
 
 
 def add_trefoil(d, tb: int = 1, rot: int = 0, coeff=None):
     """Append a Legendrian right-handed trefoil; returns (diagram, new id)."""
     cid = next(_fresh_ids(d))
     c = LegendrianComponent(cid, RH_TREFOIL, None, RH_TREFOIL, tb, rot, _opt_coeff(coeff))
-    return _appended(d, (c,), ({},)), cid
+    return d._append((c,), ({},)), cid
 
 
 def _opt_coeff(value):
@@ -430,16 +547,10 @@ def _restated(c, tb, rot, coeff):
     return LegendrianComponent(c.cid, c.kind, c.parent, c.smooth_type, tb, rot, coeff)
 
 
-def _with_replaced(d, comp):
-    i = d._pos[comp.cid]
-    comps = d.components[:i] + (comp,) + d.components[i + 1:]
-    return ContactDiagram._trusted(comps, d._links, d._pos)
-
-
 def set_coeff(d, cid: str, coeff) -> ContactDiagram:
     """Return the diagram with cid's surgery coefficient replaced."""
     c = d.component(cid)
-    return _with_replaced(d, _restated(c, c.tb, c.rot, _opt_coeff(coeff)))
+    return d._replace(_restated(c, c.tb, c.rot, _opt_coeff(coeff)))
 
 
 def stabilize(d, cid: str, sign: int) -> ContactDiagram:
@@ -447,7 +558,7 @@ def stabilize(d, cid: str, sign: int) -> ContactDiagram:
     if sign not in (1, -1):
         raise CalculusError(f"stabilization sign must be +1 or -1, got {sign!r}")
     c = d.component(cid)
-    return _with_replaced(d, _restated(c, c.tb - 1, c.rot + sign, c.coeff))
+    return d._replace(_restated(c, c.tb - 1, c.rot + sign, c.coeff))
 
 
 def _new_pushoff_row(parent):
@@ -469,22 +580,22 @@ def contact_pushoff(d, cid: str, coeff=None):
     comp = LegendrianComponent(
         new_id, PUSHOFF, cid, parent.smooth_type, parent.tb, parent.rot, _opt_coeff(coeff)
     )
-    return _appended(d, (comp,), (_new_pushoff_row(parent),)), new_id
+    return d._append((comp,), (_new_pushoff_row(parent),)), new_id
 
 
-def _unit_pushoffs(d, cid, k):
-    """Append k contact pushoffs of cid, each carrying +1, in one move.
+def _unit_pushoffs(d, x, k, parent, row):
+    """Append k contact pushoffs of the knot x, each carrying +1, in one
+    move, as children of ``parent`` sharing the stored row ``row``.
 
-    Each copies cid's linkings and links cid and every earlier one of them
-    tb(cid) times, which the pushoff rule implies, so all k share one
-    stored row; the ids are the ones k successive ``contact_pushoff``
-    calls would give."""
-    parent = d.component(cid)
+    Each copies x's linkings and links x and every earlier one of them
+    tb(x) times, which the pushoff rule implies, so all k share one row:
+    ``_new_pushoff_row(x)`` when ``parent`` is x; the ids are the ones k
+    successive ``contact_pushoff`` calls would give."""
     pushoffs = [
-        LegendrianComponent(new, PUSHOFF, cid, parent.smooth_type, parent.tb, parent.rot, _PLUS_ONE)
+        LegendrianComponent(new, PUSHOFF, parent, x.smooth_type, x.tb, x.rot, _PLUS_ONE)
         for new in islice(_fresh_ids(d), k)
     ]
-    return _appended(d, pushoffs, (_new_pushoff_row(parent),) * k)
+    return d._append(pushoffs, (row,) * k)
 
 
 def plus_one_surgery(d, witness: str) -> ContactDiagram:
@@ -506,20 +617,31 @@ def plus_one_surgery(d, witness: str) -> ContactDiagram:
     raise CalculusError(f"unknown witness {witness!r}")
 
 
-def remove_component(d, cid: str) -> ContactDiagram:
-    """Drop a component, repairing pushoff parent references.
-
-    A child pushoff C of the removed component X, before or after X in the
-    diagram, is reparented to X's own parent Y when the recorded linkings
-    prove C is still an unstabilized contact pushoff of Y as it sits today:
+def _reparents(d, x, cid, tb, link) -> bool:
+    """Whether removing the pushoff parent x reparents its child cid, of
+    Thurston-Bennequin number tb and linking x ``link`` times, to x's own
+    parent Y: when the recorded linkings prove C is still an unstabilized
+    contact pushoff of Y as it sits today,
 
         lk(C, X) == lk(X, Y)   (X was not stabilized between the creations)
         tb(C)    == lk(C, X)   (C was never stabilized)
         tb(Y)    == lk(X, Y)   (Y unchanged since X was created)
 
-    Otherwise (and always when X is a root knot, or when C is Y itself, as
-    in a parent cycle of two knots) C is demoted to a root of its recorded
-    smooth type, keeping every linking number it already has.
+    Never when X is a root knot, or when C is Y itself, as in a parent
+    cycle of two knots."""
+    y = x.parent
+    if y is None or cid == y:
+        return False
+    return link == d.linking(x.cid, y) == tb == d.component(y).tb
+
+
+def remove_component(d, cid: str) -> ContactDiagram:
+    """Drop a component, repairing pushoff parent references.
+
+    A child pushoff C of the removed component X, before or after X in the
+    diagram, is reparented to X's own parent Y when ``_reparents`` says
+    so.  Otherwise C is demoted to a root of its recorded smooth type,
+    keeping every linking number it already has.
 
     Only the children's rows are rewritten, and the later rows that store
     a linking with X lose that entry.  A child after X, reparented to a Y
@@ -532,20 +654,16 @@ def remove_component(d, cid: str) -> ContactDiagram:
     grandparent = dead.parent
     i, comps, links = d._pos[cid], d.components, d._links
     changed = {}  # position -> the component and row that replace it
-    children = [j for j, c in enumerate(comps) if c.parent == cid]
-    if children and grandparent is not None:
-        y, up = d._pos[grandparent], d.linking(cid, grandparent)
-        ready = d.component(grandparent).tb == up
-    else:
-        ready = False
+    children = d._children(cid)
     slid = lower = None
     for j in children:
         c, row = comps[j], links[j]
         link = row.get(cid, 0) if j > i else d.linking(c.cid, cid)
-        if ready and c.cid != grandparent and link == up == c.tb:
+        if _reparents(d, dead, c.cid, c.tb, link):
             c = LegendrianComponent(
                 c.cid, PUSHOFF, grandparent, c.smooth_type, c.tb, c.rot, c.coeff
             )
+            y = d._pos[grandparent]
             tree = y < j
         else:
             c = LegendrianComponent(
@@ -556,12 +674,12 @@ def remove_component(d, cid: str) -> ContactDiagram:
             if slid is None:
                 slid, shared = _slid_after(d, i, y, children[-1]), {}
             if slid:
-                row = _reparented_row(d, i, j, slid)
+                row = _reparented_row(d, i, row, slid, j)
             else:
                 # Then the new row depends on the stored row alone, which
                 # unit pushoffs share.
                 if id(row) not in shared:
-                    shared[id(row)] = _reparented_row(d, i, j, slid)
+                    shared[id(row)] = _reparented_row(d, i, row, slid, j)
                 row = shared[id(row)]
         elif tree or j > i:
             if lower is None:
@@ -572,18 +690,7 @@ def remove_component(d, cid: str) -> ContactDiagram:
         row = links[j]
         if cid in row and j not in changed:
             changed[j] = comps[j], {k: v for k, v in row.items() if k != cid}
-    new_comps, new_links = comps[:i] + comps[i + 1:], links[:i] + links[i + 1:]
-    if changed:
-        new_comps, new_links = list(new_comps), list(new_links)
-        for j, (c, row) in changed.items():
-            k = j if j < i else j - 1
-            new_comps[k], new_links[k] = c, row
-        new_comps, new_links = tuple(new_comps), tuple(new_links)
-    pos = dict(d._pos)
-    del pos[cid]
-    for c in new_comps[i:]:
-        pos[c.cid] -= 1
-    return ContactDiagram._trusted(new_comps, new_links, pos)
+    return d._removed(i, changed)
 
 
 def _slid_after(d, i, y, last):
@@ -612,10 +719,11 @@ def _slid_after(d, i, y, last):
     return slid
 
 
-def _reparented_row(d, i, j, slid):
-    """The stored row of component j, a tree pushoff of component i
-    reparented to i's parent Y: lk(j, Y), and lk(j, z) - lk(Y, z) for
-    every other earlier z, which is i's deviation plus j's own."""
+def _reparented_row(d, i, own, slid, j):
+    """The stored row of a tree pushoff of component i at position j, with
+    stored row ``own``, reparented to i's parent Y: lk(j, Y), and
+    lk(j, z) - lk(Y, z) for every other earlier z, which is i's deviation
+    plus j's own."""
     comps, links = d.components, d._links
     x_id, y_id = comps[i].cid, comps[d._tree_parent(i)].cid
     row = {k: v for k, v in links[i].items() if k != y_id}
@@ -623,7 +731,7 @@ def _reparented_row(d, i, j, slid):
         if z >= j:
             break
         row[comps[z].cid] = v
-    for k, v in links[j].items():
+    for k, v in own.items():
         if k != x_id:
             row[k] = row.get(k, 0) + v
     row[y_id] = row.get(y_id, 0) + links[i].get(y_id, 0)
@@ -657,7 +765,7 @@ def convert_negative(d, cid: str, choice=None) -> ContactDiagram:
     # lowers tb + |rot| by 0 or 2, so the Bennequin check on the final
     # values covers them.
     knot = _restated(comp, comp.tb - count, comp.rot + shift, _MINUS_ONE)
-    d = _with_replaced(d, knot)
+    d = d._replace(knot)
     chain, rows = [], []
     for (count, shift), new in zip(rest, _fresh_ids(d)):
         # A pushoff of the previous chain knot, which it links tb times.
@@ -667,7 +775,7 @@ def convert_negative(d, cid: str, choice=None) -> ContactDiagram:
             knot.tb - count, knot.rot + shift, _MINUS_ONE,
         )
         chain.append(knot)
-    return _appended(d, chain, rows)
+    return d._append(chain, rows)
 
 
 def _check_choice(choice, counts, cid):
@@ -692,9 +800,16 @@ def convert_positive(d, cid: str, k: int) -> ContactDiagram:
     """Split a positive rational surgery on cid into k unit (+1) pushoffs.
 
     Appends k contact pushoffs of cid, each with coefficient +1, in one
-    move, and leaves the residual coefficient rp/(1 - k*rp) on cid itself;
-    if the residual is infinite the component's surgery becomes trivial and
-    it is removed.
+    move, O(k), and leaves the residual coefficient rp/(1 - k*rp) on cid
+    itself.  If the residual is infinite the component's surgery becomes
+    trivial and it is removed.  When ``_reparents`` holds for a fresh
+    pushoff and cid's parent Y sits before cid, that removal would move the
+    pushoffs on to Y, so they are built there, sharing one reparented row,
+    and cid is removed with only its other children: each knot is
+    constructed once, and the result equals appending them to cid and
+    removing cid.  Otherwise (cid a root knot, stabilized since its
+    creation, or listed before Y) they are appended to cid and the removal
+    repairs them.
     """
     comp = d.component(cid)
     if comp.coeff is None or comp.coeff.is_infinite or comp.coeff.num <= 0:
@@ -704,10 +819,20 @@ def convert_positive(d, cid: str, k: int) -> ContactDiagram:
     if not isinstance(k, int) or k < 1:
         raise CalculusError(f"pushoff count must be a positive integer, got {k!r}")
     residual = residual_coeff(comp.coeff, k)
-    d = _unit_pushoffs(d, cid, k)
-    if residual.is_infinite:
-        return remove_component(d, cid)
-    return _with_replaced(d, _restated(comp, comp.tb, comp.rot, residual))
+    if not residual.is_infinite:
+        d = _unit_pushoffs(d, comp, k, cid, _new_pushoff_row(comp))
+        return d._replace(_restated(comp, comp.tb, comp.rot, residual))
+    # A fresh pushoff of cid has its tb and links it tb times; all k are
+    # alike, so the first one's id stands for them.
+    i, y = d._pos[cid], comp.parent
+    if y is not None and d._pos[y] < i and _reparents(
+        d, comp, next(_fresh_ids(d)), comp.tb, comp.tb
+    ):
+        row = _reparented_row(d, i, {}, _slid_after(d, i, d._pos[y], len(d) - 1), len(d))
+        d = _unit_pushoffs(d, comp, k, y, row)
+    else:
+        d = _unit_pushoffs(d, comp, k, cid, _new_pushoff_row(comp))
+    return remove_component(d, cid)
 
 
 def normalize_diagram(d, choices=None) -> ContactDiagram:
@@ -773,32 +898,50 @@ def cancel_pushoff_pairs(d) -> ContactDiagram:
     A pair cancels when P is a (+1) contact pushoff of K, K carries -1, and
     neither has been stabilized since P was created — witnessed by
     tb(P) == tb(K) == lk(P, K).  Both components are removed (pushoff first,
-    so its children can reparent through it); the scan restarts until no
-    pair is left.  Cancelling such a pair does not change the presented
-    contact manifold.
+    so its children can reparent through it), and the next pair is the
+    first one again: the first K in order that has such a P, with its
+    first such P, until no pair is left.  Cancelling such a pair does not
+    change the presented contact manifold.
+
+    Only a (-1)-knot with a (+1) pushoff is looked at, once, and again
+    only when a cancellation hands it children: a removal changes no tb,
+    coefficient or linking, only the parents of the removed knots'
+    children, which pass to the parent of the cancelled K.  Knots keep
+    their relative order, so a heap of their first positions gives the
+    first K.  The removals edit one ``_Draft``, whose children index finds
+    each K's pushoffs.  Finding the pairs costs O(n + stored entries), and
+    each cancellation its two removals.
     """
-    while True:
-        pair = _find_cancelling_pair(d)
-        if pair is None:
-            return d
-        kid, pid = pair
-        d = remove_component(d, pid)
-        d = remove_component(d, kid)
-
-
-def _find_cancelling_pair(d):
-    for k in d.components:
-        if k.coeff != _MINUS_ONE:
+    comps, pos = d.components, d._pos
+    heap = sorted({pos[c.parent] for c in comps if c.parent is not None and c.coeff == _PLUS_ONE})
+    heap = [i for i in heap if comps[i].coeff == _MINUS_ONE]
+    if not heap:
+        return d
+    work = _Draft(d)
+    while heap:
+        kid = comps[heappop(heap)].cid
+        if kid not in work._pos:
             continue
-        for p in d.components:
-            if (
-                p.kind == PUSHOFF
-                and p.parent == k.cid
-                and p.coeff == _PLUS_ONE
-                and p.tb == k.tb == d.linking(p.cid, k.cid)
-            ):
-                assert p.rot == k.rot
-                return k.cid, p.cid
+        pid = _first_pushoff_pair(work, kid)
+        if pid is None:
+            continue
+        work = remove_component(work, pid)
+        parent = work.component(kid).parent
+        work = remove_component(work, kid)
+        if parent is not None and work.component(parent).coeff == _MINUS_ONE:
+            heappush(heap, pos[parent])
+    return work.frozen() if len(work) < len(d) else d
+
+
+def _first_pushoff_pair(d, kid):
+    """The first (+1) pushoff of the (-1)-knot kid that cancels against
+    it, or None."""
+    k = d.component(kid)
+    for j in d._children(kid):
+        p = d.components[j]
+        if p.coeff == _PLUS_ONE and p.tb == k.tb == d.linking(p.cid, kid):
+            assert p.rot == k.rot
+            return p.cid
     return None
 
 
@@ -816,7 +959,8 @@ def tower_diagram(k: int) -> ContactDiagram:
     if not isinstance(k, int) or k < 1:
         raise CalculusError(f"tower stage must be a positive integer, got {k!r}")
     d, tid = add_trefoil(empty_diagram(), coeff=_MINUS_ONE)
-    return _unit_pushoffs(d, tid, k)
+    trefoil = d.component(tid)
+    return _unit_pushoffs(d, trefoil, k, tid, _new_pushoff_row(trefoil))
 
 
 def trefoil_surgery_diagram(r) -> ContactDiagram:

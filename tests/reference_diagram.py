@@ -267,7 +267,14 @@ def normalize_diagram(d, choices=None):
     return d
 
 
-def cancel_pushoff_pairs(d):
+def cancel_pushoff_pairs(d, remove=None):
+    """The cancellation the package made before it indexed each knot's
+    pushoffs: the scan for the first pair starts again from the front
+    after every cancellation.  ``remove`` removes a component, by default
+    this module's ``remove_component``; with
+    ``tightcert.diagrams.remove_component`` it runs on the package's
+    diagrams, as the reference for ``diagrams.cancel_pushoff_pairs``."""
+    remove = remove or remove_component
     while True:
         pair = next(
             (
@@ -284,7 +291,7 @@ def cancel_pushoff_pairs(d):
         )
         if pair is None:
             return d
-        d = remove_component(remove_component(d, pair[1]), pair[0])
+        d = remove(remove(d, pair[1]), pair[0])
 
 
 def _parents(d):

@@ -8,6 +8,7 @@ acceptance checks.
 from __future__ import annotations
 
 import json
+import random
 import time
 from dataclasses import replace
 
@@ -40,6 +41,8 @@ from tightcert.floer import Interval, engine_triangles
 from tightcert.rationals import SurgeryCoeff
 from tightcert.serialize import certificate_from_dict, certificate_to_dict, diagram_to_dict
 from tightcert.topology import Manifold, h1
+from tightcert import diagrams
+from reference_certify import reference_node_presentations
 from reference_diagram import linking_pairs
 from test_diagrams import _child_before_parent, count_constructions
 
@@ -775,3 +778,142 @@ def test_reverses_agrees_with_mirror():
         for vertex in kinds:
             want = outcome(lambda v, n: v == n.mirror(), vertex, m)
             assert outcome(certify._reverses, vertex, m) == want
+
+
+# ---------------------------------------------------------------------------
+# The edge walk against the reference, and the work verify does
+# ---------------------------------------------------------------------------
+
+
+def _cited(cert):
+    return {value for step in cert.steps for kind, value in step.refs if kind == "node"}
+
+
+def _walk_outcome(walk, cert, keep):
+    """The presentations, in order, or the reason the walk refused."""
+    try:
+        return list(walk(cert, keep=keep).items())
+    except CalculusError as exc:
+        return str(exc)
+
+
+# A sample of every benchmark workload's families (tower, grid, chain),
+# and two long ones.
+_WALKED = [
+    "8/7", "16/15", "-28/11", "13/8", "5/2", "-7/2", "0", "2", "-5/3", "1/3",
+    "-1/20", "24/49", "-250", "21/13", "13/21", "1001/999", "-1/150",
+]
+
+
+@pytest.mark.parametrize("slope", _WALKED)
+def test_node_presentations_match_the_reference(slope):
+    cert = fresh(certify_tight(SurgeryCoeff.parse(slope)))
+    for keep in (None, _cited(cert)):
+        got = _walk_outcome(node_presentations, cert, keep)
+        assert got == _walk_outcome(reference_node_presentations, cert, keep)
+        assert not isinstance(got, str)
+
+
+def _mutated(cert, rng, ids):
+    """A copy of cert with one edge dropped, two swapped, one retargeted,
+    or a new edge branching off a node that a step cites."""
+    edges, nodes = list(cert.edges.values()), dict(cert.nodes)
+    kind = rng.choice(("drop", "swap", "src", "dst", "branch", "branch"))
+    if kind == "drop" and edges:
+        del edges[rng.randrange(len(edges))]
+    elif kind == "swap" and len(edges) > 1:
+        i, j = rng.sample(range(len(edges)), 2)
+        edges[i], edges[j] = edges[j], edges[i]
+    elif kind in ("src", "dst") and edges:
+        i = rng.randrange(len(edges))
+        edges[i] = replace(edges[i], **{kind: rng.choice(list(nodes))})
+    else:
+        src = cert.nodes[rng.choice(sorted(_cited(cert)))]
+        m = src.manifold
+        if m.kind == "tower":
+            witness, made = "pushoff:c1", Manifold.tower(m.p + 1)
+        elif m.kind == "s3":
+            witness, made = "unknot", Manifold.s1xs2()
+        else:
+            i = rng.randrange(1, 4)
+            witness, made = f"cancel:{rng.choice(ids)}", certify._reduction_stage(cert.slope, i)
+        nodes["b"] = ContactNode("b", made)
+        edges.insert(rng.randrange(len(edges) + 1), SurgeryEdge("eb", src.nid, "b", witness))
+    return replace(cert, nodes=nodes, edges={e.eid: e for e in edges})
+
+
+@pytest.mark.parametrize("slope", ["5/2", "-28/11", "16/15", "-1/20", "13/8", "21/13", "2"])
+def test_walk_matches_the_reference_on_edge_mutations(slope, monkeypatch):
+    cert = fresh(certify_tight(SurgeryCoeff.parse(slope)))
+    ids = node_presentations(cert)[cert.conclusion[1]].ids()
+    rng, refused = random.Random(slope), 0
+    for _ in range(150):
+        m = _mutated(cert, rng, ids)
+        for keep in (None, _cited(m)):
+            got = _walk_outcome(node_presentations, m, keep)
+            assert got == _walk_outcome(reference_node_presentations, m, keep)
+            refused += isinstance(got, str)
+        verdict = check_certificate(m)
+        with monkeypatch.context() as patch:
+            patch.setattr(
+                certify, "_walk", lambda cert, built, keep: reference_node_presentations(cert, keep)
+            )
+            assert check_certificate(m) == verdict
+    assert refused > 50
+
+
+def _count_held(monkeypatch):
+    """Patch in a count of the components every diagram holds when it is
+    made, and every one a draft takes in place; returns the count."""
+    held = [0]
+    init, trusted = ContactDiagram.__init__, ContactDiagram.__dict__["_trusted"].__func__
+    draft, append = diagrams._Draft.__init__, diagrams._Draft._append
+
+    def counted_init(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        held[0] += len(self.components)
+
+    def counted_trusted(cls, components, *args):
+        held[0] += len(components)
+        return trusted(cls, components, *args)
+
+    def counted_draft(self, d):
+        draft(self, d)
+        held[0] += len(self.components)
+
+    def counted_append(self, comps, rows):
+        held[0] += len(comps)
+        return append(self, comps, rows)
+
+    monkeypatch.setattr(ContactDiagram, "__init__", counted_init)
+    monkeypatch.setattr(ContactDiagram, "_trusted", classmethod(counted_trusted))
+    monkeypatch.setattr(diagrams._Draft, "__init__", counted_draft)
+    monkeypatch.setattr(diagrams._Draft, "_append", counted_append)
+    return held
+
+
+@pytest.mark.parametrize("slope, n", [("400/399", 400), ("-1/400", 400)])
+def test_verify_work_is_linear(slope, n, monkeypatch):
+    # Counted, not timed: copying every presentation along the ladder or
+    # the reduction path holds about n^2/2 components (81,811 and 81,022
+    # here), and building the root's pushoffs twice constructs 1207 knots
+    # at 400/399.
+    text = json.dumps(certificate_to_dict(certify_tight(SurgeryCoeff.parse(slope))))
+    knots, held = count_constructions(monkeypatch), _count_held(monkeypatch)
+    assert check_certificate(certificate_from_dict(json.loads(text))).ok
+    assert len(knots) <= 2 * n + 10
+    assert held[0] <= 8 * n
+
+
+def test_redundant_cancel_steps_stay_cheap():
+    # Each step cancels the 3000-knot root against itself; the search for
+    # cancelling pairs once rescanned every knot against every knot, about
+    # 0.95 s a step.
+    data = certificate_to_dict(certify_tight(SurgeryCoeff(2999, 5999)))
+    step = {"rule": "cancel_equivalent", "refs": [["node", "y0"], ["node", "y0"]],
+            "gives": ["c_nonzero", "y0"]}
+    data["steps"][-1:-1] = [step] * 100
+    cert = certificate_from_dict(data)
+    start = time.thread_time()
+    assert check_certificate(cert).ok
+    assert time.thread_time() - start < 5

@@ -299,3 +299,137 @@ def test_every_acyclic_order_round_trips_through_json():
         assert back == d and back.ids() == d.ids()
 
     run()
+
+
+def nested_pushoffs(rng):
+    """Diagrams of pushoffs of pushoffs at +1 and -1, some stabilized,
+    listed in creation order or shuffled: pairs sit inside pairs, so a
+    cancellation can hand a (-1)-knot a new cancelling pushoff."""
+    d = diagrams.empty_diagram()
+    for _ in range(rng.randrange(1, 3)):
+        d = rng.choice((diagrams.add_trefoil, diagrams.add_unknot))(d, coeff=SurgeryCoeff(-1))[0]
+    for _ in range(rng.randrange(2, 12)):
+        cid = rng.choice(d.ids())
+        if rng.random() < 0.15:
+            d = diagrams.stabilize(d, cid, rng.choice((1, -1)))
+        else:
+            d = diagrams.contact_pushoff(d, cid, SurgeryCoeff(rng.choice((1, -1, -1))))[0]
+    if rng.random() < 0.3:
+        comps = list(d.components)
+        rng.shuffle(comps)
+        d = ContactDiagram(comps, linking_pairs(d))
+    return d
+
+
+def test_cancel_pushoff_pairs_matches_the_rescan():
+    rng = random.Random(1701)
+    exposed = cancelled = 0
+    for _ in range(600):
+        d = nested_pushoffs(rng) if rng.random() < 0.8 else ContactDiagram(*random_components(rng))
+        got = diagrams.cancel_pushoff_pairs(d)
+        want = ref.cancel_pushoff_pairs(d, diagrams.remove_component)
+        assert got == want and got.ids() == want.ids()
+        cancelled += len(d) > len(got)
+        # More pairs cancel than d holds: a cancellation exposed a pair.
+        exposed += _pairs(d) < (len(d) - len(got)) // 2
+    assert cancelled > 300 and exposed > 20
+
+
+def _pairs(d):
+    """The (-1)-knots of d that a pushoff of theirs cancels against."""
+    return sum(
+        1
+        for k in d.components
+        if k.coeff == SurgeryCoeff(-1)
+        and any(
+            p.parent == k.cid and p.coeff == SurgeryCoeff(1)
+            and p.tb == k.tb == d.linking(p.cid, k.cid)
+            for p in d.components
+        )
+    )
+
+
+def unit_fraction_parent(rng):
+    """A diagram where "X", a pushoff of "Y" carrying 1/k, splits into k
+    unit pushoffs and is removed, with the cases that decide where those
+    pushoffs end up: X stabilized after its creation, X deviating from the
+    pushoff rule, X with children of its own, knots between, and Y listed
+    after X; returns the diagram, the ids of X and Y, and k."""
+    tb = rng.choice((1, 0, -1))
+    d, y = diagrams.add_trefoil(diagrams.empty_diagram(), tb=tb, coeff=SurgeryCoeff(-1))
+    for _ in range(rng.randrange(0, 3)):
+        d = diagrams.add_unknot(d, coeff=SurgeryCoeff(-1))[0]
+    d, x = diagrams.contact_pushoff(d, y, SurgeryCoeff(-1))
+    for _ in range(rng.randrange(0, 4)):
+        kind = rng.random()
+        if kind < 0.4:
+            d = diagrams.contact_pushoff(d, x, SurgeryCoeff(rng.choice((1, -1))))[0]
+        elif kind < 0.7:
+            d = diagrams.add_unknot(d, coeff=SurgeryCoeff(-1))[0]
+        else:
+            d = diagrams.contact_pushoff(d, rng.choice(d.ids()), SurgeryCoeff(-1))[0]
+    if rng.random() < 0.25:
+        d = diagrams.stabilize(d, x, rng.choice((1, -1)))
+    pairs = linking_pairs(d)
+    if rng.random() < 0.4:
+        z = rng.choice([cid for cid in d.ids() if cid != x])
+        key = frozenset((x, z))
+        pairs[key] = pairs.get(key, 0) + rng.choice((1, -1))
+    comps = list(d.components)
+    if rng.random() < 0.3:
+        rng.shuffle(comps)
+    k = rng.randrange(1, 5)
+    comps = [replace(c, coeff=SurgeryCoeff(1, k)) if c.cid == x else c for c in comps]
+    return ContactDiagram(comps, pairs), x, y, k
+
+
+def test_convert_positive_builds_pushoffs_on_their_final_parent(monkeypatch):
+    rng = random.Random(1702)
+    seen = {"fast": 0, "appended": 0, "parent after": 0, "stabilized": 0, "deviating": 0, "other children": 0}
+    for _ in range(400):
+        d, x, y, k = unit_fraction_parent(rng)
+        # The path the move took before: append k pushoffs of X, then
+        # remove X, which moves them on to Y or demotes them.
+        appended = diagrams._unit_pushoffs(
+            d, d.component(x), k, x, diagrams._new_pushoff_row(d.component(x))
+        )
+        built = []
+        checks = LegendrianComponent.__post_init__
+        monkeypatch.setattr(
+            LegendrianComponent, "__post_init__", lambda self: (built.append(self.cid), checks(self))
+        )
+        want = diagrams.remove_component(appended, x)
+        old_count, built[:] = len(built) + k, []
+        got = diagrams.convert_positive(d, x, k)
+        monkeypatch.setattr(LegendrianComponent, "__post_init__", checks)
+        assert got == want and got.ids() == want.ids()
+        dense = reference_ContactDiagram(d.components, linking_pairs(d))
+        assert_match(got, ref.convert_positive(dense, x, k), rng)
+        fast = d._pos[y] < d._pos[x] and want.component(appended.components[-1].cid).parent == y
+        seen["fast" if fast else "appended"] += 1
+        # Built on Y, the pushoffs are constructed once each; X's other
+        # children are restated by the removal either way.
+        children = sum(c.parent == x for c in d.components)
+        assert len(built) == (k + children if fast else old_count)
+        seen["parent after"] += d._pos[y] > d._pos[x]
+        seen["stabilized"] += d.component(x).tb != d.component(y).tb
+        seen["deviating"] += any(v for cid, v in d._links[d._pos[x]].items() if cid != y)
+        seen["other children"] += children > 0
+    assert min(seen.values()) > 20, seen
+
+
+def test_lower_linkings_list_only_nonzero_linkings():
+    # A pushoff whose one stored entry is a deviation, not its parent
+    # linking, can cancel the linking the rule gives; the JSON form and
+    # the rows a demoting removal writes are read off these.
+    y = LegendrianComponent("Y", RH_TREFOIL, None, RH_TREFOIL, 0, 0, None)
+    x = LegendrianComponent("X", PUSHOFF, "Y", RH_TREFOIL, 0, 0, None)
+    c = LegendrianComponent("C", PUSHOFF, "X", RH_TREFOIL, 0, 0, None)
+    d = ContactDiagram((y, x, c), {frozenset(("X", "Y")): -1})
+    assert d._links[2] == {"Y": 1}
+    assert d.lower_linkings() == [{}, {0: -1}, {}]
+    assert diagram_to_dict(d)["linkings"] == [["X", "Y", -1]]
+    rng = random.Random(1703)
+    for _ in range(300):
+        d = ContactDiagram(*random_components(rng))
+        assert all(v for row in d.lower_linkings() for v in row.values())
