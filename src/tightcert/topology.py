@@ -13,29 +13,31 @@ A contact pushoff P of K links every other component as K does, so row P
 of the linking matrix minus row K is almost all zeros.  ``h1`` slides each
 pushoff over its parent this way (a handle slide: a row operation on the
 presentation matrix), using the parent's original row, but only when the
-parent sits at an earlier position.  The operations then form a lower
-unitriangular integer matrix, which is unimodular and leaves the cokernel
-unchanged whatever linkings a diagram records.  A parent at a later
-position, or in a parent cycle (which the constructor accepts when it has
-two or more knots), is left alone: two slides along a cycle need not be
-invertible over Z.  Only rows are slid: sliding the columns as well would
-fill in the tower's rows.
+parent sits at an earlier position.  When the pushoff is also the only
+one of its parent's children so placed, its column is slid over the
+parent's column as well.  The row operations form a lower and the column
+operations an upper unitriangular integer matrix, both unimodular, so the
+cokernel is unchanged whatever linkings a diagram records.  A parent at a
+later position, or in a parent cycle (which the constructor accepts when
+it has two or more knots), is left alone: two slides along a cycle need
+not be invertible over Z.  In a nested (-1)-chain, each knot a stabilized
+pushoff of the one before, the slid rows alone hold n^2/2 entries, since
+each frozen parent linking differs from the next; with the columns slid
+too they are tridiagonal.  The columns of several children of one parent,
+such as the tower's, are not slid: that would make the tower dense.
 
 ``_slid_rows`` builds the slid rows as dicts straight from the diagram's
-stored form, with no dense matrix.  Below the diagonal a tree pushoff's
-slid row is its stored deviations and its parent linking less the
-parent's framing; above it, column j of the slid matrix is its parent's
-column plus corrections at the parent, the parent's other children and
-the rows that store an entry at the parent or deviate from the rule.  The
-work is the number of nonzero slid entries plus the stored entries: 3 to
-4 a row on average in the presentations the package builds.
+stored form, with no dense matrix, in time linear in the nonzero slid
+entries plus the stored entries: at most 4 a knot in the presentations
+the package builds.
 
 ``smith_normal_form`` then works in two phases.  The sparse phase keeps
 rows as dicts, eliminates on +/-1 pivots from short rows (each an
 invariant factor 1) and splits off entries alone in their row and column
-(a summand Z/|v|).  The dense ``_smith_diagonal`` reduces whatever is
-left, and the factors of both phases are merged into one divisibility
-chain.
+(a summand Z/|v|); it finds each pivot through a queue of short rows and
+a heap of the others, with no scan of the rows.  The dense
+``_smith_diagonal`` reduces whatever is left, and the factors of both
+phases are merged into one divisibility chain.
 """
 
 from __future__ import annotations
@@ -43,6 +45,7 @@ from __future__ import annotations
 import math
 from collections import defaultdict, deque
 from dataclasses import dataclass
+from heapq import heappop, heappush
 from itertools import compress, count
 from operator import index
 
@@ -52,7 +55,7 @@ from .errors import (
     ParseError,
 )
 from .rationals import SurgeryCoeff, coeff as _coerce_coeff
-from .diagrams import PUSHOFF, ContactDiagram
+from .diagrams import ContactDiagram
 
 
 # ---------------------------------------------------------------------------
@@ -311,6 +314,16 @@ class HomologyResult:
                 raise CalculusError("torsion coefficients must form a divisibility chain")
         object.__setattr__(self, "torsion", tor)
 
+    @classmethod
+    def _trusted(cls, free_rank, torsion):
+        """Internal constructor for a result built valid: a free rank >= 0
+        and a divisibility chain of ints >= 2 as a tuple; nothing is
+        rechecked."""
+        self = object.__new__(cls)
+        object.__setattr__(self, "free_rank", free_rank)
+        object.__setattr__(self, "torsion", torsion)
+        return self
+
     def order(self) -> int:
         """Order of the group; 0 encodes infinite."""
         if self.free_rank:
@@ -330,6 +343,9 @@ class HomologyResult:
         return self.order()
 
 
+_TRIVIAL = HomologyResult(0, ())
+
+
 def _as_rows(m):
     if isinstance(m, FramedLink):
         return [list(row) for row in m.matrix]
@@ -347,10 +363,13 @@ def smith_normal_form(m) -> HomologyResult:
     the dense ``_smith_diagonal`` reduces what is left.
     """
     a = m.matrix if isinstance(m, FramedLink) else list(m)
+    if not a:
+        return _TRIVIAL
     units, factors, rest = _sparse_phase(a)
-    diag = _smith_diagonal(rest)
-    torsion = _divisibility_chain(factors + diag)
-    return HomologyResult(len(a) - units - len(factors) - len(diag), torsion)
+    if rest:
+        factors += _smith_diagonal(rest)
+    free = len(a) - units - len(factors)
+    return HomologyResult._trusted(free, _divisibility_chain(factors))
 
 
 def _sparse_phase(a):
@@ -361,65 +380,89 @@ def _sparse_phase(a):
     entry there.  Each step takes a live row of at most two entries that
     holds a +/-1 (clearing with it adds at most one entry to each row it
     changes), the first in the order the rows were listed or last
-    changed, or failing one the shortest live row that holds a +/-1; and
-    in it the unit whose column is shortest.  It clears that column with
-    the pivot row and drops the pivot's row and column: an invariant
-    factor 1.  When no unit is left, an entry alone in its row and its
-    column is a direct summand Z/|v|.
+    changed, or failing one the shortest live row that holds a +/-1, the
+    first listed among equals; and in it the unit whose column is
+    shortest.  It clears that column with the pivot row and drops the
+    pivot's row and column: an invariant factor 1.  When no unit is left,
+    an entry alone in its row and its column is a direct summand Z/|v|.
+
+    The short rows wait in a queue and the longer ones in a heap keyed by
+    (length, index), pushed again after a change only once the queue runs
+    dry, and each checked when it is taken: a step costs the entries it
+    touches, with no scan of the rows.
 
     Returns the number of unit pivots, the orders of the isolated entries,
     and the rest as a dense block of its nonempty rows and columns.
     """
-    rows, cols = {}, defaultdict(set)
-    if a and isinstance(a[0], dict):
-        for i, row in enumerate(a):
-            rows[i] = r = dict(row)
+    cols = defaultdict(set)
+    if isinstance(a[0], dict):
+        rows = list(map(dict, a))
+        for i, r in enumerate(rows):
             if 0 in r.values():
-                rows[i] = r = {j: v for j, v in row.items() if v}
+                rows[i] = r = {j: v for j, v in r.items() if v}
             for j in r:
                 cols[j].add(i)
     else:
-        ncols = len(a[0]) if a else 0
+        ncols = len(a[0])
+        rows = []
         for i, row in enumerate(a):
             if len(row) != ncols:
                 raise CalculusError("matrix must be rectangular")
-            rows[i] = r = {}
+            r = {}
+            rows.append(r)
             try:
                 for j in compress(count(), row):
                     r[j] = index(row[j])
                     cols[j].add(i)
             except TypeError:
                 raise CalculusError("matrix entries must be integers") from None
-    units = 0
     # Rows of at most two entries, in the order they were listed or last
-    # changed; each is checked again when it is taken.
-    short = deque(i for i, r in rows.items() if len(r) <= 2)
+    # changed; the longer rows, listed or changed since the heap was last
+    # filled; and the heap of those by (length, index).  A pivot's row is
+    # set to None.
+    short, grown, heap = deque(), set(), []
+    for i, r in enumerate(rows):
+        if len(r) <= 2:
+            short.append(i)
+        else:
+            grown.add(i)
+    units = 0
     while True:
         p = None
         while short:
-            r = rows.get(short[0])
-            if r is not None and len(r) <= 2 and _has_unit(r):
-                p = short.popleft()
-                break
-            short.popleft()
+            p = short.popleft()
+            prow = rows[p]
+            if prow is not None and len(prow) <= 2:
+                values = prow.values()
+                if 1 in values or -1 in values:
+                    break
+            p = None
         if p is None:
-            best = len(cols) + 1
-            for i, r in rows.items():
-                if len(r) < best and _has_unit(r):
-                    p, best = i, len(r)
-            if p is None:
+            for i in grown:
+                r = rows[i]
+                if r is not None and len(r) > 2:
+                    heappush(heap, (len(r), i))
+            grown.clear()
+            while heap:
+                n, p = heappop(heap)
+                prow = rows[p]
+                if prow is not None and len(prow) == n:
+                    values = prow.values()
+                    if 1 in values or -1 in values:
+                        break
+                p = None
+            else:
                 break
-        prow = rows.pop(p)
+        rows[p] = None
         c = None
         for j, v in prow.items():
-            if (v == 1 or v == -1) and (c is None or len(cols[j]) < len(cols[c])):
-                c = j
+            on = cols[j]
+            on.discard(p)
+            if (v == 1 or v == -1) and (c is None or len(on) < shortest):
+                c, shortest = j, len(on)
         u = prow.pop(c)
-        for j in prow:
-            cols[j].discard(p)
         units += 1
         hit = cols.pop(c)
-        hit.discard(p)
         for i in hit:
             r = rows[i]
             f = r.pop(c) * u
@@ -434,26 +477,24 @@ def _sparse_phase(a):
                     cols[j].discard(i)
             if len(r) <= 2:
                 short.append(i)
+            else:
+                grown.add(i)
     factors = []
     rest = []
-    for r in rows.values():
+    for r in rows:
+        if not r:
+            continue
         if len(r) == 1:
             ((j, v),) = r.items()
             if len(cols[j]) == 1:
                 factors.append(abs(v))
                 del cols[j]
                 continue
-        if r:
-            rest.append(r)
+        rest.append(r)
     if rest:
         live = sorted(j for j, on in cols.items() if on)
         rest = [[r.get(j, 0) for j in live] for r in rest]
     return units, factors, rest
-
-
-def _has_unit(row):
-    values = row.values()
-    return 1 in values or -1 in values
 
 
 def _divisibility_chain(factors):
@@ -480,10 +521,16 @@ def _divisibility_chain(factors):
 def _smith_diagonal(a):
     """Return the nonzero invariant factors (positive).
 
-    Works on a shrinking block: once a pivot's row and column are cleared,
-    both are dropped, so every elementary operation touches only live
-    entries.
+    A 2 x 2 block has factors g and |det| / g, g the gcd of its entries.
+    A larger one is reduced as a shrinking block: once a pivot's row and
+    column are cleared, both are dropped, so every elementary operation
+    touches only live entries.
     """
+    if len(a) == 2 and len(a[0]) == 2:
+        (w, x), (y, z) = a
+        g = math.gcd(w, x, y, z)
+        det = abs(w * z - x * y)
+        return [g, det // g] if det else [g] if g else []
     diag = []
     block = a
     while block and block[0]:
@@ -566,9 +613,12 @@ def _reduce_corner(block):
 def h1(obj) -> HomologyResult:
     """First homology of a diagram, framed link, or raw linking matrix.
 
-    A diagram's linking matrix is reduced with its pushoffs slid over
-    their parents, as the sparse rows ``_slid_rows`` builds; a framed
-    link or a matrix is reduced as given.
+    A diagram's linking matrix is reduced with its pushoffs' rows slid
+    over their parents' rows, and an only child's column over its
+    parent's column, as the sparse rows ``_slid_rows`` builds: O(n) work
+    for every presentation the package builds.  A framed link or a
+    matrix is reduced as given.  ``smith_normal_form`` is called through
+    the module, where a tracer may have wrapped it.
     """
     if isinstance(obj, ContactDiagram):
         obj = _slid_rows(obj)
@@ -577,51 +627,88 @@ def h1(obj) -> HomologyResult:
 
 def _slid_rows(d: ContactDiagram) -> list[dict[str, int]]:
     """The linking matrix of ``d``, framings on the diagonal, with each
-    tree pushoff's row minus its parent's row: one dict row per position,
-    keyed by the ids of the columns.
+    tree pushoff's row minus its parent's row, and then each only child's
+    column minus its parent's column: one dict row per position, keyed by
+    the ids of the columns.
 
-    Only a parent at an earlier position is used, so the row operations
-    form a lower unitriangular matrix and leave the cokernel unchanged,
-    whatever linkings the diagram records.  With S the slid matrix, M the
-    linking matrix and p(i) the parent of a tree pushoff i, S[i][j] is
-    M[j][i] - M[j][p(i)] above the diagonal.  When j is a tree pushoff
-    of l, M[j][x] = M[l][x] + R_j[x] for x other than l, where R_j is j's
-    stored row and R_j[l] = b_j its frozen linking with l.  So column j
-    is: column l of S above l, copied; -b_l at l when l is a tree
-    pushoff; b_i - b_j at each earlier child i of l, grouped by b_i so
-    that a group with b_i = b_j costs nothing; row i's stored entry at l
-    for every other row i between l and j that has one; then each entry
-    v of R_j at its position x, and -v at every tree child of x before j
-    (but l's).  For j stored explicitly only that last part is there.
-    Raises NormalizationRequiredError unless every coefficient is +1 or
-    -1.
+    A tree pushoff's parent sits at an earlier position; an only child is
+    its parent's one tree child.  With M the linking matrix, p(i) the
+    parent of a tree pushoff i, L = I - sum E[i][p(i)] over the tree
+    pushoffs and U = I - sum E[p(j)][j] over the only children, the rows
+    are S' = L M U.  L is lower and U upper unitriangular, so the cokernel
+    is that of M, whatever linkings the diagram records.
+
+    Row i of D = L M below and on the diagonal is short: b_i - f_p(i) at
+    p(i), f_i - b_i at i (f a framing, b_i = R_i[p(i)] the frozen parent
+    linking, R_i row i's stored form) and R_i's other entries, or, for a
+    row stored explicitly, R_i and f_i.  S'[i][j] = D[i][j] - D[i][p(j)]
+    for an only child j, so row i of S' up to its diagonal is row i of D
+    with each entry v at y less v at y's only child, when that is at most
+    i.  Column j of S' above the diagonal:
+
+    * for an only child j, and for a row stored explicitly, it is
+      E[j][i] - E[j][p(i)], E the transpose of what row j of D (or of M)
+      holds below the diagonal: each such entry v at x, and -v at every
+      tree child of x before j;
+    * for a tree pushoff j with siblings it is column j of D, which is
+      column l = p(j) of D above l, copied; -b_l at l when l is a tree
+      pushoff; b_i - b_j at each earlier child i of l, grouped by b_i so
+      that a group with b_i = b_j costs nothing; row i's stored entry at l
+      for every other row i between l and j that has one; then R_j's
+      entries as in the first case, and b_j at l.  Column l of D is
+      column l of S' unless l is itself an only child, when
+      ``_column_of_d`` adds up the columns of S' along l's chain of only
+      children; such chains never overlap, so each knot is summed once.
+
+    The work is the number of nonzero entries plus the stored entries: at
+    most 4 a knot in the presentations the package builds, nested
+    (-1)-chains included, where the slid rows are tridiagonal.  Raises
+    NormalizationRequiredError unless every coefficient is +1 or -1.
     """
     framings = _framings(d)
-    pos = d._pos
-    rows, cols = [], []
+    pos, comps, links = d._pos, d.components, d._links
+    last = {c.parent: j for j, c in enumerate(comps)}  # id -> its last child
+    only = {}  # position -> its only tree child, once that is seen
+    chained = set()  # the only children seen
+    rows, cols = [], []  # cols[j]: column j of S' above the diagonal
     frozen = []  # each row's frozen parent linking, None for explicit rows
     # Filled in after each column, so they hold only earlier rows.
     kids = {}  # position -> {b: its tree children with parent linking b}
     named = {}  # z -> the rows after z, z's children aside, storing an entry at z
-    for j, (c, row) in enumerate(zip(d.components, d._links)):
+    full = {}  # only child with more tree children -> its column of D above it
+    for j, (c, row) in enumerate(zip(comps, links)):
         cid, parent = c.cid, c.parent
-        l = pos[parent] if c.kind == PUSHOFF else j
+        l = pos.get(parent, j)
         if l < j:
-            col = dict(cols[l])
-            bl = frozen[l]
-            if bl is not None:
-                col[l] = col.get(l, 0) - bl
             bj = row.get(parent, 0)
+            dl = bj - framings[l]
             group = kids.get(l)
-            if group is not None:
-                for b, members in group.items():
-                    if b != bj:
-                        for i in members:
-                            col[i] = col.get(i, 0) + b - bj
-            if l in named:
-                for i in named[l]:
-                    col[i] = col.get(i, 0) + d._links[i][parent]
-            r = {parent: bj - framings[l], cid: framings[j] - bj}
+            if group is None and last[parent] == j:
+                only[l] = j
+                chained.add(j)
+                r = {parent: dl, cid: framings[j] - bj - dl}
+                col = {l: dl}
+            else:
+                r = {parent: dl, cid: framings[j] - bj}
+                if l not in chained:
+                    col = dict(cols[l])
+                elif l in full:
+                    col = dict(full[l])
+                else:
+                    full[l] = _column_of_d(d, l, chained, cols, framings, frozen, named)
+                    col = dict(full[l])
+                bl = frozen[l]
+                if bl is not None:
+                    col[l] = col.get(l, 0) - bl
+                if group is not None:
+                    for b, members in group.items():
+                        if b != bj:
+                            for i in members:
+                                col[i] = col.get(i, 0) + b - bj
+                if l in named:
+                    for i in named[l]:
+                        col[i] = col.get(i, 0) + links[i][parent]
+                col[l] = col.get(l, 0) + bj
             if group is None:
                 kids[l] = {bj: [j]}
             elif bj in group:
@@ -636,15 +723,16 @@ def _slid_rows(d: ContactDiagram) -> list[dict[str, int]]:
                 if k == parent:
                     continue
                 x = pos[k]
-                r[k] = v
+                r[k] = r.get(k, 0) + v
+                if x in only:
+                    y = comps[only[x]].cid
+                    r[y] = r.get(y, 0) - v
                 named.setdefault(x, []).append(j)
                 col[x] = col.get(x, 0) + v
                 if x in kids:
                     for members in kids[x].values():
                         for i in members:
                             col[i] = col.get(i, 0) - v
-        if l is not None:
-            col[l] = col.get(l, 0) + bj
         if 0 in col.values():
             col = {i: v for i, v in col.items() if v}
         for i, v in col.items():
@@ -653,6 +741,31 @@ def _slid_rows(d: ContactDiagram) -> list[dict[str, int]]:
         rows.append(r)
         cols.append(col)
     return rows
+
+
+def _column_of_d(d, l, chained, cols, framings, frozen, named):
+    """Column l of D = L M above the diagonal, for an only child l, from
+    the columns of S' = D U built so far (``_slid_rows``'s names): column
+    l of D is column l of S' plus column p(l) of D, which is column p(l)
+    above p(l), D[p(l)][p(l)] and the stored entries at p(l) of the rows
+    between p(l) and l (p(l) has no other tree child); so walk up l's
+    chain of only children and add the columns back down."""
+    pos, comps, links = d._pos, d.components, d._links
+    chain = []
+    while l in chained:
+        chain.append(l)
+        l = pos[comps[l].parent]
+    col = dict(cols[l])
+    for v in reversed(chain):
+        q = pos[comps[v].parent]
+        col[q] = col.get(q, 0) + framings[q] - (frozen[q] or 0)
+        for i in named.get(q, ()):
+            if i >= v:
+                break
+            col[i] = col.get(i, 0) + links[i][comps[q].cid]
+        for i, e in cols[v].items():
+            col[i] = col.get(i, 0) + e
+    return col
 
 
 def det_signed(m) -> int:

@@ -4,13 +4,15 @@ form of ``tightcert.diagrams``.
 ``reference_ContactDiagram`` keeps every linking by position in
 lower-triangular rows, row i a tuple of i ints, as the package did before
 its rows became sparse; the moves below work on those rows, and
-``reference_h1`` slides each pushoff's dense row over its parent's before
-the Smith normal form.  The components themselves, and the helpers that
-only read them, are the package's own.
+``reference_h1`` slides each pushoff's dense row over its parent's, and an
+only child's column over its parent's, before the Smith normal form.  The
+components themselves, and the helpers that only read them, are the
+package's own.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from itertools import islice, zip_longest
 from operator import sub
 
@@ -312,14 +314,23 @@ def diagram_iso(a, b):
 
 def reference_slid_rows(d):
     """The dense linking matrix, framings on the diagonal, with each
-    pushoff's row minus its parent's row when the parent sits earlier."""
+    pushoff's row minus its parent's row when the parent sits earlier, and
+    then each such pushoff's column minus its parent's column when no
+    other pushoff of that parent sits after the parent."""
     rows = d.linking_rows()
     for i, f in enumerate(_framings(d)):
         rows[i][i] = f
+    tree = [k if k is not None and k < i else None for i, k in enumerate(_parents(d))]
     m = [list(r) for r in rows]
-    for i, k in enumerate(_parents(d)):
-        if k is not None and k < i:
+    for i, k in enumerate(tree):
+        if k is not None:
             rows[i] = list(map(sub, m[i], m[k]))
+    m = [list(r) for r in rows]
+    children = Counter(tree)
+    for i, k in enumerate(tree):
+        if k is not None and children[k] == 1:
+            for row, old in zip(rows, m):
+                row[i] = old[i] - old[k]
     return rows
 
 

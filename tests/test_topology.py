@@ -42,6 +42,7 @@ from tightcert.topology import (
     smith_normal_form,
     triangle_det_check,
 )
+from tightcert import topology
 from tightcert.topology import _smith_diagonal
 
 
@@ -329,6 +330,58 @@ def test_h1_of_unlinked_unknots_is_linear():
     elapsed = time.perf_counter() - start
     assert group == HomologyResult(0, (2,) * 400)
     assert elapsed < 0.5
+
+
+def _fib(k):
+    a, b = 0, 1
+    for _ in range(k):
+        a, b = b, a + b
+    return a
+
+
+# The benchmark's slope sets (perfbench/workloads.py): tower, grid, chain.
+_TOWER_SLOPES = [SurgeryCoeff(s, s - 1) for s in range(8, 41, 8)]
+_GRID_SLOPES = [
+    SurgeryCoeff(p, q)
+    for q in range(1, 31)
+    for p in range(-30, 31)
+    if math.gcd(p, q) == 1 and (p, q) != (1, 1)
+]
+_CHAIN_SLOPES = (
+    [SurgeryCoeff(-1, m) for m in (5, 10, 20, 40)]
+    + [SurgeryCoeff(n - 1, 2 * n - 1) for n in (25, 50, 100, 200, 300)]
+    + [SurgeryCoeff(-a) for a in (250, 500, 1000, 2000, 4000)]
+    + [
+        SurgeryCoeff(*pair)
+        for k in range(5, 41)
+        for pair in ((_fib(k + 1), _fib(k)), (_fib(k), _fib(k + 1)))
+    ]
+)
+
+
+def test_h1_hands_smith_at_most_four_entries_a_knot(monkeypatch):
+    # Rows and columns slid together keep a nested (-1)-chain tridiagonal,
+    # so no presentation the package builds gives the elimination more
+    # than 4 stored entries a knot; the chains alone gave n^2/2.  The rows
+    # are caught at the module attribute that h1 calls.
+    handed = []
+    real = topology.smith_normal_form
+
+    def record(m):
+        handed.append(sum(len(row) for row in m))
+        return real(m)
+
+    monkeypatch.setattr(topology, "smith_normal_form", record)
+    slopes = _TOWER_SLOPES + _GRID_SLOPES + _CHAIN_SLOPES
+    slopes += [SurgeryCoeff(_fib(501), _fib(500)), SurgeryCoeff(_fib(500), _fib(501))]
+    pool = [(str(r), normalize_diagram(trefoil_surgery_diagram(r))) for r in slopes]
+    pool += [(f"tower stage {k}", tower_diagram(k)) for k in range(1, 41)]
+    assert len(pool) == 5 + 1110 + 86 + 2 + 40
+    assert [len(d) for _, d in pool[-42:-40]] == [253, 251]
+    for name, d in pool:
+        handed.clear()
+        topology.h1(d)
+        assert len(handed) == 1 and handed[0] <= 4 * len(d), (name, len(d), handed)
 
 
 # ---------------------------------------------------------------------------

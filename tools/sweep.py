@@ -3,13 +3,15 @@
     python3 tools/sweep.py > sweep.json
 
 Run from the root of a checkout; tightcert is imported from its ``src``.
-For the tower slopes (S+1)/S, S in 320, 640 and 1280, and the chain
-slopes -1/m, m in 600, 1200 and 2400, it prints one JSON object.  Per
-slope: emit and verify time in ms, each the thread CPU time of the best
-of ``REPEAT`` runs; the certificate's bytes; and verify's ``tracemalloc``
-peak in MB, from one more run.  Per axis: the exponent of each figure in
-the size, fitted by least squares on logarithms over all sizes, and
-between each two consecutive sizes.
+For the tower slopes (S+1)/S, S in 320, 640 and 1280, the chain slopes
+-1/m, m in 600, 1200 and 2400, and the nested slopes F(k+1)/F(k) of
+Fibonacci numbers, k in 500, 1000 and 2000 (a root of k/2 + 3 knots, each
+chain knot a stabilized pushoff of the one before), it prints one JSON
+object.  Per slope: emit and verify time in ms, each the thread CPU time
+of the best of ``REPEAT`` runs; the certificate's bytes; and verify's
+``tracemalloc`` peak in MB, from one more run.  Per axis: the exponent of
+each figure in the size, fitted by least squares on logarithms over all
+sizes, and between each two consecutive sizes.
 
 Emit is ``certify_tight``, ``certificate_to_dict`` and ``json.dumps``
 with indent 2; bytes are that text's length.  Verify is ``json.loads``,
@@ -32,6 +34,7 @@ from tightcert.rationals import SurgeryCoeff  # noqa: E402
 
 TOWER = (320, 640, 1280)
 CHAIN = (600, 1200, 2400)
+NESTED = (500, 1000, 2000)
 REPEAT = 3
 FIGURES = ("emit_ms", "verify_ms", "bytes", "verify_peak_mb")
 
@@ -75,10 +78,18 @@ def exponents(sizes, values) -> dict:
     return {"fit": round(fit, 2), "steps": [round(e, 2) for e in steps]}
 
 
-def sweep(tower=TOWER, chain=CHAIN, repeat=REPEAT) -> dict:
+def fib(k: int) -> int:
+    a, b = 0, 1
+    for _ in range(k):
+        a, b = b, a + b
+    return a
+
+
+def sweep(tower=TOWER, chain=CHAIN, nested=NESTED, repeat=REPEAT) -> dict:
     axes = (
         ("tower", tower, lambda s: SurgeryCoeff(s + 1, s)),
         ("chain", chain, lambda m: SurgeryCoeff(-1, m)),
+        ("nested", nested, lambda k: SurgeryCoeff(fib(k + 1), fib(k))),
     )
     out = {}
     for axis, sizes, slope in axes:
