@@ -74,7 +74,11 @@ linking entries:
   of nonzero linkings); ``linking_rows`` expands them into the full
   symmetric matrix in O(n^2);
 * ``diagram_iso`` compares two diagrams by position, row against row, in
-  O(n + stored entries) with no search.
+  O(n + stored entries) with no search;
+* ``stored_entries`` lists the rows as they are, and ``from_stored``
+  builds a diagram from such entries, O(n + stored entries) each: this
+  is the JSON form.  The constructor, given every nonzero linking,
+  derives each tree pushoff's row from its parent's.
 
 Given a ``ContactDiagram``, a move also copies the component tuple and
 the id map, O(n) in components.  Given a ``_Draft``, which holds the same
@@ -181,59 +185,72 @@ class ContactDiagram:
     with every diagram a move makes from this one that leaves them alone;
     the Storage section of the module docstring gives each move's cost.
 
-    The constructor refuses a duplicate id, a pushoff whose parent is
-    missing or is the pushoff itself, and a bad linking pair.  A parent
-    listed after its child, and a parent cycle of two or more knots, are
-    accepted.  With ``limit`` it also refuses linkings whose stored rows
-    would take more than ``limit`` reads of a parent's linkings to derive:
-    a tree pushoff at position i of a parent at p reads the parent's
-    linkings and the i - p - 1 knots between them, and its row can hold as
-    many deviations.
+    The constructor takes every nonzero linking and derives the stored
+    rows from them; ``from_stored`` takes the stored rows themselves, as
+    ``stored_entries`` lists them.  Both refuse a duplicate id, a pushoff
+    whose parent is missing or is the pushoff itself, and a bad linking
+    pair.  A parent listed after its child, and a parent cycle of two or
+    more knots, are accepted.
     """
 
     __slots__ = ("components", "_pos", "_links")
 
-    def __init__(self, components=(), linkings=None, *, limit=None):
+    def __init__(self, components=(), linkings=None):
         comps = tuple(components)
-        pos = {}
-        for i, c in enumerate(comps):
-            if not isinstance(c, LegendrianComponent):
-                raise CalculusError("diagram components must be LegendrianComponent")
-            if c.cid in pos:
-                raise CalculusError(f"duplicate component id {c.cid!r}")
-            pos[c.cid] = i
-        for c in comps:
-            if c.kind == PUSHOFF and c.parent not in pos:
-                raise CalculusError(
-                    f"pushoff {c.cid} names missing parent {c.parent!r}"
-                )
-            if c.parent == c.cid:
-                raise CalculusError(f"pushoff {c.cid} names itself as its parent")
+        pos = _index(comps)
         lower = [{} for _ in comps]
         for pair, value in (linkings or {}).items():
-            a, b = pair
-            if a == b or a not in pos or b not in pos:
-                raise CalculusError(f"bad linking pair {(a, b)!r}")
-            if not isinstance(value, int):
-                raise CalculusError(f"linking number for {(a, b)!r} must be an int")
-            i, j = pos[a], pos[b]
-            if i < j:
-                i, j = j, i
+            i, j = _pair_positions(pos, pair, value)
             if value:
                 lower[i][j] = value
         object.__setattr__(self, "components", comps)
         object.__setattr__(self, "_pos", pos)
-        ids, links, work = tuple(pos), [], 0
+        ids, links = tuple(pos), []
         for i, c in enumerate(comps):
             p = pos[c.parent] if c.kind == PUSHOFF else i
-            if p < i and limit is not None:
-                work += len(lower[p]) + i - p
-                if work > limit:
-                    raise CalculusError(
-                        f"its pushoffs' rows would read over {limit} parent linkings"
-                    )
             links.append(_stored_row(ids, i, p if p < i else None, lower))
         object.__setattr__(self, "_links", tuple(links))
+
+    @classmethod
+    def from_stored(cls, components, entries):
+        """The diagram with ``components`` whose stored rows hold
+        ``entries``, (a, b, value, deviation) each, in O(components +
+        entries) with nothing derived from the pushoff rule.
+
+        Say b is the later of a and b.  An entry with ``deviation`` false
+        is the linking of a and b; b must not be a tree pushoff, or a must
+        be its parent.  An entry with ``deviation`` true is a tree pushoff
+        b's deviation from the pushoff rule at a, which is not its parent.
+        Each pair is given at most once, in either order, and a zero value
+        is dropped.  Raises CalculusError at the first entry that breaks a
+        rule, or on the components as the constructor does.
+        """
+        comps = tuple(components)
+        pos = _index(comps)
+        ids, rows, zeros = tuple(pos), [{} for _ in comps], False
+        for a, b, value, deviation in entries:
+            i, j = _pair_positions(pos, (a, b), value)
+            c = comps[i]
+            p = pos[c.parent] if c.kind == PUSHOFF else i
+            tree = p < i and p != j
+            if deviation != tree:
+                if tree:
+                    raise CalculusError(
+                        f"pushoff {c.cid} links {ids[j]} by the pushoff rule from "
+                        f"{c.parent}: give its deviation, not its linking"
+                    )
+                raise CalculusError(
+                    f"{c.cid} has no deviation at {ids[j]}: only a pushoff deviates, "
+                    "at a knot listed before it other than its parent"
+                )
+            row = rows[i]
+            if ids[j] in row:
+                raise CalculusError(f"linking of {a!r} and {b!r} given twice")
+            row[ids[j]] = value
+            zeros = zeros or not value
+        if zeros:
+            rows = [{k: v for k, v in row.items() if v} for row in rows]
+        return cls._trusted(comps, tuple(rows), pos)
 
     @classmethod
     def _trusted(cls, components, links, pos):
@@ -372,6 +389,18 @@ class ContactDiagram:
             lower.append(new)
         return lower
 
+    def stored_entries(self):
+        """The stored rows as (a, b, value, deviation) entries, a before b,
+        in row order, in O(n + stored entries): a tree pushoff's linking
+        with its parent and every entry of any other row with
+        ``deviation`` false, a tree pushoff's deviations with it true.
+        ``from_stored`` reads them back."""
+        pos = self._pos
+        for i, (c, row) in enumerate(zip(self.components, self._links)):
+            tree = c.kind == PUSHOFF and pos[c.parent] < i
+            for k, v in row.items():
+                yield k, c.cid, v, tree and k != c.parent
+
     def __eq__(self, other) -> bool:
         if not isinstance(other, ContactDiagram):
             return NotImplemented
@@ -386,6 +415,39 @@ class ContactDiagram:
             for c in self.components
         )
         return f"ContactDiagram[{parts}]"
+
+
+def _index(comps):
+    """The id map of ``comps``, refusing a non-component, a duplicate id,
+    and a pushoff whose parent is missing or is the pushoff itself."""
+    pos = {}
+    for i, c in enumerate(comps):
+        if not isinstance(c, LegendrianComponent):
+            raise CalculusError("diagram components must be LegendrianComponent")
+        if c.cid in pos:
+            raise CalculusError(f"duplicate component id {c.cid!r}")
+        pos[c.cid] = i
+    for c in comps:
+        if c.kind == PUSHOFF and c.parent not in pos:
+            raise CalculusError(
+                f"pushoff {c.cid} names missing parent {c.parent!r}"
+            )
+        if c.parent == c.cid:
+            raise CalculusError(f"pushoff {c.cid} names itself as its parent")
+    return pos
+
+
+def _pair_positions(pos, pair, value):
+    """The positions (later, earlier) of the linking pair (a, b) with
+    ``value``; refuses a pair that is not two components, or a value
+    that is not an int."""
+    a, b = pair
+    if a == b or a not in pos or b not in pos:
+        raise CalculusError(f"bad linking pair {(a, b)!r}")
+    if not isinstance(value, int):
+        raise CalculusError(f"linking number for {(a, b)!r} must be an int")
+    i, j = pos[a], pos[b]
+    return (i, j) if i > j else (j, i)
 
 
 def _rule_row(lower, p, i):

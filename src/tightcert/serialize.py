@@ -5,15 +5,27 @@ matching ``*_from_dict`` except the rank table, which is only written):
 
 * coefficient: the string "p/q", "n" or "inf".
 * diagram: {"components": [{"id", "type", "tb", "rot", "coeff"}],
-  "linkings": [[a, b, lk]]}, where "type" is "unknot", "rhtrefoil" or
-  "pushoff:<parent id>", "coeff" may be null, components are listed in
-  the diagram's order (a parent may follow its child) and only nonzero
-  linkings appear, each pair once with a < b; a pair given twice, in
-  either order, is rejected on reading.
+  "linkings": [[a, b, lk]], "deviations": [[knot, pushoff, d]]}, where
+  "type" is "unknot", "rhtrefoil" or "pushoff:<parent id>", "coeff" may
+  be null, and components are listed in the diagram's order (a parent
+  may follow its child).  The linkings are the diagram's stored form
+  (see ``tightcert.diagrams``).  Call a pushoff whose parent is listed
+  before it a tree pushoff.  "linkings" holds the nonzero linkings of
+  each component that is not a tree pushoff with the components before
+  it, and each tree pushoff's linking with its parent: every value there
+  is a linking number.  Any other linking of a tree pushoff with a knot
+  before it is the pushoff rule's value, its parent's linking with that
+  knot, plus the pushoff's deviation there; the nonzero deviations are
+  listed under "deviations", a key written only when it is nonempty.
+  Entries are written in component order, the earlier id first, and
+  read in either order.  A pair given twice, in either list, a linking
+  the pushoff rule implies listed under "linkings" (as version-7 files
+  list them), and a deviation of anything else are refused where they
+  stand; a zero value is read and dropped.
 * framed link: {"n", "matrix" (row-major flat list of n*n ints), "tags"}.
 * rank table: {"facts": [{"manifold", "rank"} or {"manifold", "lo", "hi"}]}
   with "hi" null when unbounded.
-* certificate: {"format": "tightness-certificate", "version": 7, "slope",
+* certificate: {"format": "tightness-certificate", "version": 8, "slope",
   "conclusion": [kind, node], "engine_stage", "nodes", "edges",
   "rank_facts", "steps"}.  A node is {"id", "manifold", "diagram"}, with
   "diagram" null when derived: taking the edges in order, each builds its
@@ -21,22 +33,28 @@ matching ``*_from_dict`` except the rank table, which is only written):
   source, and gives its target's manifold from its source's manifold and
   its witness.  The root (the conclusion's node) has "diagram" null at
   engine stage >= 1: the verifier builds its own presentation of the
-  slope, whose component count must equal the number of edges.  A step's
-  ["triangle", i] reference is the index i into the verifier's own
+  slope, whose component count must equal the number of edges.  A step
+  is {"rule", "refs", "gives": [kind, node]}, where "refs" lists only the
+  values of its references, in the order ``RULES[rule]`` takes them, and
+  the kinds come from that table; an unknown rule, or a count of values
+  other than the rule takes, is refused at the step.  A "triangle" value
+  is the index i into the verifier's own
   ``engine_triangles(engine_stage)``.  The steps open with an
   "h1_consistency" audit of each node that no edge builds, root included.
   An inline diagram with more components than any presentation the
-  verifier holds for the slope is refused before it is built, and so is
-  one whose stored rows would take more reads of parent linkings than
-  twice its linkings and components (``diagram_from_dict``'s
-  ``bounded``).
+  verifier holds for the slope is refused before it is built
+  (``certify.presentation_bound``).
   "rank_facts" maps manifold names to ranks; each key must be the
   canonical name (``Manifold.text``) of the manifold it parses to, and no
   two keys may name one manifold.  The reader parses each key once and
-  keys ``Certificate.rank_facts`` by the manifold.  Versions 1 to 6,
+  keys ``Certificate.rank_facts`` by the manifold.  Versions 1 to 7,
   which inlined every diagram, the reduction path or the root, named each
-  node's edge, listed the triangle instances, or audited every node, are
-  refused.
+  node's edge, listed the triangle instances, audited every node, or
+  listed every nonzero linking and each reference's kind, are refused.
+
+Reading a certificate or a diagram costs O(input): each inline diagram's
+stored rows are built straight from its entries, with no linking derived
+from a parent's.
 
 ``load_json`` attaches file/line/column positions to malformed input;
 structural errors carry a JSON-path-style location instead, formatted
@@ -58,10 +76,14 @@ from .diagrams import (
 )
 from .topology import FramedLink, Manifold
 from .floer import RankDb
-from .certify import Certificate, ContactNode, Step, SurgeryEdge, presentation_bound
+from .certify import RULES, Certificate, ContactNode, Step, SurgeryEdge, presentation_bound
 
 CERTIFICATE_FORMAT = "tightness-certificate"
-FORMAT_VERSION = 7
+FORMAT_VERSION = 8
+
+# Rule id -> the kinds of the references a step citing it carries, in
+# order: a step lists only their values.
+_KINDS = {rule: kinds for rule, (_, kinds, _) in RULES.items()}
 
 
 def load_json(path: str):
@@ -187,28 +209,23 @@ def diagram_to_dict(d: ContactDiagram) -> dict:
                 "coeff": coeff_to_str(c.coeff),
             }
         )
-    ids = d.ids()
-    linkings = sorted(
-        [ids[i], ids[j], value] if ids[i] < ids[j] else [ids[j], ids[i], value]
-        for i, row in enumerate(d.lower_linkings())
-        for j, value in row.items()
-    )
-    return {"components": components, "linkings": linkings}
+    linkings, deviations = [], []
+    for a, b, value, deviation in d.stored_entries():
+        (deviations if deviation else linkings).append([a, b, value])
+    out = {"components": components, "linkings": linkings}
+    if deviations:
+        out["deviations"] = deviations
+    return out
 
 
-def diagram_from_dict(data: dict, where: str = "diagram", bounded: bool = False) -> ContactDiagram:
+def diagram_from_dict(data: dict, where: str = "diagram") -> ContactDiagram:
     """The diagram a ``diagram_to_dict`` form describes, its components in
-    any order.
+    any order, in O(input): the stored rows are read off the entries.
 
     A pushoff takes the smooth type of the root knot its parents lead to,
     resolved once every id is read when its parent is listed after it; a
     missing parent or a parent cycle is refused at the first component
-    that leads to it.  With ``bounded``, for diagrams a certificate
-    supplies, a diagram is refused before its rows are stored when
-    deriving them would read more than twice as many parent linkings as
-    it lists linkings and components (``ContactDiagram``'s ``limit``): no
-    presentation the verifier holds comes near, and otherwise the
-    deviations stored could grow as the square of the input.
+    that leads to it.
     """
     raw = _need(data, "components", where)
     if not isinstance(raw, list):
@@ -251,29 +268,39 @@ def diagram_from_dict(data: dict, where: str = "diagram", bounded: bool = False)
         _resolve_smooth_types(pending, smooth, where)
         for i, fields in pending:
             comps[i] = _component(fields[:3] + (smooth[fields[0]],) + fields[4:], where, i)
-    links = {}
-    raw_links = data.get("linkings", [])
-    if not isinstance(raw_links, list):
-        raise ParseError("linkings must be a list", location=where)
-    for i, item in enumerate(raw_links):
-        if type(item) is list and len(item) == 3:
-            a, b, lk = item
-            if type(a) is not str or type(b) is not str or type(lk) is not int:
-                at = f"{where}.linkings[{i}]"
-                a, b, lk = _str(a, at), _str(b, at), _int(lk, at)
-        else:
-            raise ParseError("linking entries are [a, b, lk]", location=f"{where}.linkings[{i}]")
-        pair = (a, b) if a <= b else (b, a)
-        if pair in links:
-            raise ParseError(
-                f"linking of {a!r} and {b!r} given twice", location=f"{where}.linkings[{i}]"
-            )
-        links[pair] = lk
-    limit = 2 * (len(links) + len(comps)) if bounded else None
+    lists = tuple((key, data.get(key, [])) for key in ("linkings", "deviations"))
+    for key, items in lists:
+        if not isinstance(items, list):
+            raise ParseError(f"{key} must be a list", location=where)
+    spot = []  # the list and index of the entry being read
+
+    def entries():
+        for key, items in lists:
+            deviation = key == "deviations"
+            for i, item in enumerate(items):
+                spot[:] = key, i
+                if type(item) is list and len(item) == 3:
+                    a, b, value = item
+                    if type(a) is not str or type(b) is not str or type(value) is not int:
+                        at = f"{where}.{key}[{i}]"
+                        a, b, value = _str(a, at), _str(b, at), _int(value, at)
+                else:
+                    raise ParseError(_ENTRY_SHAPE[key], location=f"{where}.{key}[{i}]")
+                yield a, b, value, deviation
+
     try:
-        return ContactDiagram(comps, links, limit=limit)
+        return ContactDiagram.from_stored(comps, entries())
+    except ParseError:
+        raise
     except ValueError as exc:
-        raise ParseError(str(exc), location=where) from None
+        at = f"{where}.{spot[0]}[{spot[1]}]" if spot else where
+        raise ParseError(str(exc), location=at) from None
+
+
+_ENTRY_SHAPE = {
+    "linkings": "linking entries are [a, b, lk]",
+    "deviations": "deviation entries are [knot, pushoff, d]",
+}
 
 
 def _component_fields(item, at):
@@ -384,7 +411,7 @@ def certificate_to_dict(cert: Certificate) -> dict:
         ],
         "rank_facts": {m.text(): rank for m, rank in cert.rank_facts.items()},
         "steps": [
-            {"rule": s.rule, "refs": [list(r) for r in s.refs], "gives": list(s.gives)}
+            {"rule": s.rule, "refs": [value for _, value in s.refs], "gives": list(s.gives)}
             for s in cert.steps
         ],
     }
@@ -428,7 +455,7 @@ def certificate_from_dict(data: dict) -> Certificate:
                     f"{slope} has",
                     location=f"{at}[{i}].diagram",
                 )
-            diagram = diagram_from_dict(diagram, f"{at}[{i}].diagram", bounded=True)
+            diagram = diagram_from_dict(diagram, f"{at}[{i}].diagram")
         if nid in nodes:
             raise ParseError(f"duplicate node id {nid!r}", location=f"{at}[{i}]")
         nodes[nid] = ContactNode(nid, manifold, diagram)
@@ -461,14 +488,22 @@ def certificate_from_dict(data: dict) -> Certificate:
     at = where + ".steps"
     for i, item in enumerate(data["steps"]):
         rule = _field_str(item, "rule", at, i)
-        refs = _field(item, "refs", at, i)
+        values = _field(item, "refs", at, i)
         gives = _str_pair(_field(item, "gives", at, i))
-        pairs = tuple(map(_str_pair, refs)) if isinstance(refs, list) else (None,)
-        if not all(pairs):
-            raise ParseError("refs must be [kind, value] pairs", location=f"{at}[{i}].refs")
+        if type(values) is not list or not all(type(v) is str for v in values):
+            raise ParseError("refs must be a list of strings", location=f"{at}[{i}].refs")
+        kinds = _KINDS.get(rule)
+        if kinds is None:
+            raise ParseError(f"rule {rule!r} is not in the rule set", location=f"{at}[{i}].rule")
+        if len(values) != len(kinds):
+            raise ParseError(
+                f"rule {rule} takes references ({', '.join(kinds)}), "
+                f"step cites {len(values)}",
+                location=f"{at}[{i}].refs",
+            )
         if gives is None:
             raise ParseError("gives must be [kind, node]", location=f"{at}[{i}].gives")
-        steps.append(Step(rule, pairs, gives))
+        steps.append(Step(rule, tuple(zip(kinds, values)), gives))
 
     return Certificate(
         slope=slope,

@@ -205,7 +205,7 @@ def _mut_cite_informational(data):
     pushes = [s for s in data["steps"] if s["rule"] == "plus_one_pushforward"]
     if not pushes:
         return False
-    pushes[-1]["refs"][1][1] = str(data["engine_stage"] + 1)
+    pushes[-1]["refs"][1] = str(data["engine_stage"] + 1)
     return True
 
 
@@ -218,11 +218,12 @@ def _mut_short_refs(data):
 
 
 def _mut_negative_triangle_index(data):
+    # A plus_one_pushforward step's values are (edge, triangle).
     for step in data["steps"]:
-        for ref in step["refs"]:
-            if ref[0] == "triangle":
-                ref[1] = str(int(ref[1]) - len(engine_triangles(data["engine_stage"])))
-                return True
+        if step["rule"] == "plus_one_pushforward":
+            refs = step["refs"]
+            refs[1] = str(int(refs[1]) - len(engine_triangles(data["engine_stage"])))
+            return True
     return False
 
 
@@ -258,12 +259,11 @@ _MUTATIONS = [
 
 
 def _mut_h1_forge(data):
+    # An h1_consistency step's values are (node, group).
     for step in data["steps"]:
         if step["rule"] == "h1_consistency":
-            for ref in step["refs"]:
-                if ref[0] == "group":
-                    ref[1] = "9:9"
-                    return True
+            step["refs"][1] = "9:9"
+            return True
     return False
 
 
@@ -396,7 +396,7 @@ def _mut_pullback_by_extra_edge(data):
     data["edges"].append({"id": "e_extra", "src": root, "dst": target, "witness": "unknot"})
     data["steps"].insert(-1, {
         "rule": "plus_one_pullback",
-        "refs": [["edge", "e_extra"]],
+        "refs": ["e_extra"],
         "gives": ["c_nonzero", root],
     })
     return True
@@ -462,7 +462,7 @@ def _stall(rule, n=24):
             data["nodes"].append({"id": nid, "manifold": "s3", "diagram": diagram})
         data["steps"].insert(0, {
             "rule": rule,
-            "refs": [["node", "stall_a"], ["node", "stall_b"]],
+            "refs": ["stall_a", "stall_b"],
             "gives": ["c_nonzero", "stall_a"],
         })
         return True
@@ -521,9 +521,9 @@ def _mut_shift_ladder_labels(data):
     for n in ladder:
         n["manifold"] = f"tower({int(n['id'][1:]) + 1})"
     for step in data["steps"]:
-        refs = dict(step["refs"])
-        if step["rule"] == "plus_one_pushforward" and refs["edge"].startswith("ev"):
-            step["refs"][1][1] = str(int(refs["edge"][2:]) + 1)
+        refs = step["refs"]
+        if step["rule"] == "plus_one_pushforward" and refs[0].startswith("ev"):
+            refs[1] = str(int(refs[0][2:]) + 1)
     return True
 
 

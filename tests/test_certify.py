@@ -910,7 +910,7 @@ def test_redundant_cancel_steps_stay_cheap():
     # cancelling pairs once rescanned every knot against every knot, about
     # 0.95 s a step.
     data = certificate_to_dict(certify_tight(SurgeryCoeff(2999, 5999)))
-    step = {"rule": "cancel_equivalent", "refs": [["node", "y0"], ["node", "y0"]],
+    step = {"rule": "cancel_equivalent", "refs": ["y0", "y0"],
             "gives": ["c_nonzero", "y0"]}
     data["steps"][-1:-1] = [step] * 100
     cert = certificate_from_dict(data)

@@ -21,11 +21,12 @@ from tightcert.diagrams import (
     add_unknot,
     empty_diagram,
     normalize_diagram,
+    tower_diagram,
     trefoil_surgery_diagram,
 )
 from tightcert.rationals import SurgeryCoeff
 from tightcert.topology import FramedLink, linking_matrix
-from test_serialize import framed_link_dict
+from test_serialize import _full_diagram_dict, framed_link_dict
 
 
 def run_cli(capsys, *argv):
@@ -306,7 +307,10 @@ def test_verify_short_refs_rejected_without_traceback(tmp_path, capsys):
     dump_json(data, str(path))
     code, out, err = run_cli(capsys, "verify", str(path))
     assert code == 3 and err == ""
-    assert f"REJECTED at step {idx}" in out
+    assert out == (
+        f"certificate {path}: REJECTED: certificate.steps[{idx}].refs: rule "
+        "cancel_equivalent takes references (node, node), step cites 0\n"
+    )
 
 
 @pytest.mark.parametrize("edit", ["missing_edge", "inline_diagram", "later_node"])
@@ -500,10 +504,12 @@ def test_long_root_of_unlinked_unknots_read_in_linear_memory(tmp_path, capsys):
     )
 
 
-def test_pushoffs_of_a_densely_linked_parent_refused_while_reading(tmp_path, capsys):
-    # Each pushoff links only its parent, so it deviates from the pushoff
-    # rule at every earlier sibling: stored, that is quadratic in the
-    # input.  The reader refuses it before the rows are stored.
+def test_pushoffs_of_a_densely_linked_parent_read_in_linear_memory(tmp_path, capsys):
+    # Each pushoff lists only its linking with its parent, so by the
+    # pushoff rule each links every earlier sibling as the parent does:
+    # the stored rows are the entries, one a pushoff.  A pushoff that
+    # linked its siblings otherwise would list each deviation.  The
+    # presentation is not the verifier's root of 2999/5999.
     path, data = _stage_0_certificate(tmp_path, capsys, "2999/5999")
     data["nodes"][0]["diagram"] = {
         "components": [{"id": "x", "type": "unknot", "tb": -1, "rot": 0, "coeff": "-1"}]
@@ -520,8 +526,8 @@ def test_pushoffs_of_a_densely_linked_parent_refused_while_reading(tmp_path, cap
     assert peak <= 20 * 2**20, peak
     assert code == 3
     assert out == (
-        f"certificate {path}: REJECTED: certificate.nodes[0].diagram: its "
-        "pushoffs' rows would read over 11998 parent linkings\n"
+        "certificate for slope 2999/5999: REJECTED: conclusion presentation "
+        "does not match the declared slope\n"
     )
 
 
@@ -550,6 +556,37 @@ def test_inline_parent_listed_after_its_child_read_then_rejected(tmp_path, capsy
         "certificate for slope 5/4: REJECTED: node v1: inline presentation is "
         "not the verifier's presentation of tower(1)\n"
     )
+
+
+# The version-7 form of tower stage 2 lists the linking of the sibling
+# pushoffs c2 and c3 of c1, which the pushoff rule gives.
+_SIBLING = "pushoff c3 links c2 by the pushoff rule from c1: give its deviation, not its linking"
+
+
+def test_v7_style_sibling_linking_refused_by_verify(tmp_path, capsys):
+    path = tmp_path / "cert.json"
+    run_cli(capsys, "certify", "--r", "5/4", "--emit", str(path))
+    data = load_json(str(path))
+    assert data["nodes"][2]["id"] == "v1"
+    data["nodes"][2]["diagram"] = _full_diagram_dict(tower_diagram(2))
+    assert data["nodes"][2]["diagram"]["linkings"][2] == ["c2", "c3", 1]
+    dump_json(data, str(path))
+    code, out, err = run_cli(capsys, "verify", str(path))
+    assert code == 3 and err == ""
+    assert out == (
+        f"certificate {path}: REJECTED: certificate.nodes[2].diagram.linkings[2]: "
+        f"{_SIBLING}\n"
+    )
+
+
+def test_v7_style_sibling_linking_refused_by_h1(tmp_path, capsys):
+    path = tmp_path / "diagram.json"
+    dump_json(_full_diagram_dict(tower_diagram(2)), str(path))
+    code, out, err = run_cli(capsys, "h1", "--diagram", str(path))
+    assert code == 2 and out == ""
+    assert err == f"error: diagram.linkings[2]: {_SIBLING}\n"
+    dump_json(diagram_to_dict(tower_diagram(2)), str(path))
+    assert run_cli(capsys, "h1", "--diagram", str(path))[0] == 0
 
 
 def test_verify_json_that_is_no_certificate_rejected(tmp_path, capsys):

@@ -50,7 +50,7 @@ TEXTS = st.sampled_from(
 SCALARS = st.one_of(st.none(), st.booleans(), st.integers(-6, 6), IDS, TEXTS)
 KEYS = st.sampled_from(
     ["id", "diagram", "manifold", "src", "dst", "witness", "components",
-     "linkings", "type", "tb", "rot", "coeff", "rule", "refs", "gives"]
+     "linkings", "deviations", "type", "tb", "rot", "coeff", "rule", "refs", "gives"]
 )
 VALUES = st.recursive(
     SCALARS,

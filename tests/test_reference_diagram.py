@@ -13,6 +13,7 @@ accepts.
 
 from __future__ import annotations
 
+import json
 import random
 import re
 from dataclasses import replace
@@ -30,7 +31,7 @@ from tightcert.diagrams import (
     LegendrianComponent,
     diagram_iso,
 )
-from tightcert.errors import CalculusError
+from tightcert.errors import CalculusError, ParseError
 from tightcert.rationals import SurgeryCoeff, neg_continued_fraction
 from tightcert.serialize import diagram_from_dict, diagram_to_dict
 from tightcert.topology import _slid_rows, h1
@@ -301,6 +302,35 @@ def test_every_acyclic_order_round_trips_through_json():
     run()
 
 
+def test_stored_form_round_trips_through_json():
+    # Random diagrams with deviations, parents listed after their children
+    # and parent cycles: ``from_stored`` reads back every diagram from its
+    # stored entries, and the JSON form every acyclic one, with the
+    # reference's linkings.  A cycle leads to no root knot to take a smooth
+    # type from, so its JSON form is refused where the cycle starts.
+    rng = random.Random(1901)
+    seen = {"deviations": 0, "parent after child": 0, "cycle": 0}
+    for _ in range(400):
+        comps, pairs = random_components(rng)
+        new, old = both(comps, pairs)
+        assert ContactDiagram.from_stored(new.components, new.stored_entries()) == new
+        data = json.loads(json.dumps(diagram_to_dict(new)))
+        seen["deviations"] += "deviations" in data
+        pos = new._pos
+        seen["parent after child"] += any(
+            c.kind == PUSHOFF and pos[c.parent] > i for i, c in enumerate(comps)
+        )
+        try:
+            back = diagram_from_dict(data)
+        except ParseError as exc:
+            assert "cycle" in exc.reason and ".type" in exc.location
+            seen["cycle"] += 1
+            continue
+        assert back == new and back.ids() == new.ids()
+        assert back.linking_rows() == old.linking_rows()
+    assert min(seen.values()) > 20, seen
+
+
 def nested_pushoffs(rng):
     """Diagrams of pushoffs of pushoffs at +1 and -1, some stabilized,
     listed in creation order or shuffled: pairs sit inside pairs, so a
@@ -420,15 +450,18 @@ def test_convert_positive_builds_pushoffs_on_their_final_parent(monkeypatch):
 
 def test_lower_linkings_list_only_nonzero_linkings():
     # A pushoff whose one stored entry is a deviation, not its parent
-    # linking, can cancel the linking the rule gives; the JSON form and
-    # the rows a demoting removal writes are read off these.
+    # linking, can cancel the linking the rule gives; the rows a demoting
+    # removal writes are read off these.  The JSON form writes the stored
+    # entries, the deviation apart.
     y = LegendrianComponent("Y", RH_TREFOIL, None, RH_TREFOIL, 0, 0, None)
     x = LegendrianComponent("X", PUSHOFF, "Y", RH_TREFOIL, 0, 0, None)
     c = LegendrianComponent("C", PUSHOFF, "X", RH_TREFOIL, 0, 0, None)
     d = ContactDiagram((y, x, c), {frozenset(("X", "Y")): -1})
     assert d._links[2] == {"Y": 1}
     assert d.lower_linkings() == [{}, {0: -1}, {}]
-    assert diagram_to_dict(d)["linkings"] == [["X", "Y", -1]]
+    data = diagram_to_dict(d)
+    assert data["linkings"] == [["Y", "X", -1]] and data["deviations"] == [["Y", "C", 1]]
+    assert diagram_from_dict(data) == d
     rng = random.Random(1703)
     for _ in range(300):
         d = ContactDiagram(*random_components(rng))

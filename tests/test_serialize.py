@@ -12,11 +12,13 @@ import pytest
 
 from tightcert import serialize
 from tightcert.certify import (
+    RULES,
     ContactNode,
     Step,
     SurgeryEdge,
     build_tower_chain,
     certify_tight,
+    check_certificate,
     node_presentations,
     presentation_bound,
 )
@@ -148,6 +150,42 @@ def test_diagram_from_dict_rejects():
         assert err6.value.location == f"diagram.linkings[{len(good['linkings'])}]"
 
 
+def test_diagram_stored_form_entries():
+    # The root of 3/7 is a chain c1 <- c2 <- c3 <- c4 of pushoffs, each of
+    # the one before; only c2 links its parent.
+    d = normalize_diagram(trefoil_surgery_diagram(SurgeryCoeff(3, 7)))
+    good = diagram_to_dict(d)
+    assert good["linkings"] == [["c1", "c2", 1]] and "deviations" not in good
+
+    def read(linkings=(["c1", "c2", 1],), deviations=None):
+        data = dict(good, linkings=list(linkings))
+        if deviations is not None:
+            data["deviations"] = deviations
+        return diagram_from_dict(json.loads(json.dumps(data)))
+
+    assert read(deviations=[]) == d and read(deviations=[["c3", "c1", 0]]) == d
+    assert read(deviations=[["c1", "c3", 2]]).linking("c1", "c3") == 3
+    assert read([["c2", "c1", 0]]).linking("c1", "c3") == 0
+    cases = [
+        ([["c1", "c2", 1], ["c1", "c3", 1]], None, "diagram.linkings[1]",
+         "pushoff c3 links c1 by the pushoff rule from c2: give its deviation, not its linking"),
+        ([["c2", "c1", 0], ["c1", "c2", 1]], None, "diagram.linkings[1]",
+         "linking of 'c1' and 'c2' given twice"),
+        ([], [["c2", "c3", 1]], "diagram.deviations[0]",
+         "c3 has no deviation at c2: only a pushoff deviates, at a knot listed "
+         "before it other than its parent"),
+        ([], [["c1", "c3", 1], ["c3", "c1", 1]], "diagram.deviations[1]",
+         "linking of 'c3' and 'c1' given twice"),
+        ([], [["c1", "c3"]], "diagram.deviations[0]", "deviation entries are [knot, pushoff, d]"),
+        ([], [["c1", "c3", True]], "diagram.deviations[0]", "expected an integer, got True"),
+        ([], {}, "diagram", "deviations must be a list"),
+    ]
+    for linkings, deviations, location, reason in cases:
+        with pytest.raises(ParseError) as err:
+            read(linkings, deviations)
+        assert (err.value.location, err.value.reason) == (location, reason)
+
+
 def _v4_triangles(stage):
     """The "triangles" list of versions 1 to 4: the stage's engine family,
     each instance with the provenance text it carried."""
@@ -174,6 +212,18 @@ def _group_text(diagram):
     return f"{group.free_rank}:{','.join(map(str, group.torsion))}"
 
 
+def _full_diagram_dict(d):
+    """The diagram form of versions 1 to 7: every nonzero linking, each
+    pair once with a < b, sorted, and no deviations."""
+    ids = d.ids()
+    linkings = sorted(
+        [ids[i], ids[j], value] if ids[i] < ids[j] else [ids[j], ids[i], value]
+        for i, row in enumerate(d.lower_linkings())
+        for j, value in row.items()
+    )
+    return {"components": diagram_to_dict(d)["components"], "linkings": linkings}
+
+
 def expand_to_v1(payload, version=1):
     """The version-1 form of a certificate payload: every derived node gets
     the JSON form of the presentation the verifier builds for it, and each
@@ -188,10 +238,15 @@ def expand_to_v1(payload, version=1):
     earlier version does.  With ``version=5``, the version-5 form: the
     steps open with an "h1_consistency" audit of every node, in node
     order, where later forms audit only the nodes no edge builds.  With
-    ``version=6``, the version-6 form, which differs from the current one
-    only by its version and by the root carrying its presentation inline
-    at engine stage >= 1, as every earlier version does."""
-    built = node_presentations(certificate_from_dict(payload))
+    ``version=6``, the version-6 form, which differs from the version-7
+    one only by its version and by the root carrying its presentation
+    inline at engine stage >= 1, as every earlier version does.  With
+    ``version=7``, the version-7 form, which differs from the current one
+    only by its version, by each inline diagram listing every nonzero
+    linking (``_full_diagram_dict``), and by each reference being a
+    [kind, value] pair, as every earlier version does."""
+    cert = certificate_from_dict(payload)
+    built = node_presentations(cert)
     out = {}
     for key, value in copy.deepcopy(payload).items():
         out[key] = value
@@ -199,8 +254,15 @@ def expand_to_v1(payload, version=1):
             out["triangles"] = _v4_triangles(payload["engine_stage"])
     out["version"] = version
     for node in out["nodes"]:
+        if node["diagram"] is not None:
+            node["diagram"] = _full_diagram_dict(cert.nodes[node["id"]].diagram)
+    for step, read in zip(out["steps"], cert.steps):
+        step["refs"] = [list(ref) for ref in read.refs]
+    if version >= 7:
+        return out
+    for node in out["nodes"]:
         if node["id"] == out["conclusion"][1] and node["diagram"] is None:
-            node["diagram"] = diagram_to_dict(built[node["id"]])
+            node["diagram"] = _full_diagram_dict(built[node["id"]])
     if version >= 6:
         return out
     steps = out["steps"]
@@ -226,7 +288,7 @@ def expand_to_v1(payload, version=1):
         if edge is None:
             continue
         if version == 1 or edge["id"] in cancels:
-            node["diagram"] = diagram_to_dict(built[node["id"]])
+            node["diagram"] = _full_diagram_dict(built[node["id"]])
         else:
             node["via"] = edge["id"]
     return out
@@ -329,8 +391,9 @@ GOLDEN_V6_SHA256 = {
 }
 
 
-# Version-7 certificate bytes as emitted: the version-6 bytes with the
-# root's diagram null at engine stage >= 1.
+# Version-7 certificate bytes: the version-6 bytes with the root's
+# diagram null at engine stage >= 1.  Current certificates are compared
+# after ``expand_to_v1(payload, version=7)``.
 GOLDEN_V7_SHA256 = {
     "5/2": "1a2ef8d33fb46ca89b58bce5a88317ebce249cf5d80f5fceb40c753c47c00382",
     "17/16": "317c9a54a2413b5055b38b9179a719192e3c5e2b36ba20f5b5799841eeae2b96",
@@ -340,6 +403,20 @@ GOLDEN_V7_SHA256 = {
     "-1/20": "0eece68f7a83540c81a88096752a0900c54b794b4374228bdca492379b621ae7",
     "-4000": "0741b0556709eb9a8fe6f026cc3e849e6ec577e6dbf0172728d752db2ef97ee8",
     "233/144": "fc63b1fd1035e537dab61965ef60b8be1e138fdff757eae5db7b8bb0dfc785da",
+}
+
+
+# Version-8 certificate bytes as emitted: the version-7 bytes with each
+# inline diagram in its stored form and each reference as its value.
+GOLDEN_V8_SHA256 = {
+    "5/2": "ac09eaa311396e26ee9ae0362ade4d33674684e36118283271ce2364b3c2908e",
+    "17/16": "51389fbfd7c6d0e0e73ed7292d0f9a74ea297f077219175f667f4a4da5dcf9cf",
+    "-7/2": "10ebbe07cbcae1cb79f74ec91f36a032f8a338c98eb787ddf2dbd11c60033f71",
+    "13/8": "f24ce784270f0f732d0156b9a666852e24613251a82616f49a53a92ce085853e",
+    "0": "3a8894ce28ba5b8a74846241e68742e1c176bac0d52f20e3dae4abf314c6a7b9",
+    "-1/20": "9b5ec630742e58054914d47243e9c41ea16783ec48343292c65bf5a1d8de6ef4",
+    "-4000": "1bda25b21cad8b4e56b00fa72314760830725347a513ac82fefda3e69a792e73",
+    "233/144": "def62c4681d72ae6be98b834ac8a308f9f9c28f5bfe934891c6c1f6f4fdfd816",
 }
 
 
@@ -389,8 +466,15 @@ def test_certificate_v6_golden_bytes(slope, tmp_path):
 @pytest.mark.parametrize("slope", sorted(GOLDEN_V7_SHA256))
 def test_certificate_v7_golden_bytes(slope, tmp_path):
     payload = certificate_to_dict(certify_tight(SurgeryCoeff.parse(slope)))
-    assert payload["version"] == FORMAT_VERSION == 7
-    assert _sha256_of_dump(payload, tmp_path / "cert.json") == GOLDEN_V7_SHA256[slope]
+    expanded = expand_to_v1(payload, version=7)
+    assert _sha256_of_dump(expanded, tmp_path / "cert.json") == GOLDEN_V7_SHA256[slope]
+
+
+@pytest.mark.parametrize("slope", sorted(GOLDEN_V8_SHA256))
+def test_certificate_v8_golden_bytes(slope, tmp_path):
+    payload = certificate_to_dict(certify_tight(SurgeryCoeff.parse(slope)))
+    assert payload["version"] == FORMAT_VERSION == 8
+    assert _sha256_of_dump(payload, tmp_path / "cert.json") == GOLDEN_V8_SHA256[slope]
 
 
 # ---------------------------------------------------------------------------
@@ -489,6 +573,38 @@ def test_certificate_version_6_refused():
     assert "unsupported certificate version 6" in str(err.value)
 
 
+@pytest.mark.parametrize("slope", ["5/4", "24/23", "6765/10946"])  # the last is F(20)/F(21)
+def test_every_inline_linking_bumped_is_read_and_rejected(slope):
+    # Every value under "linkings" is a true linking number, so a bumped
+    # one, a zero dropped from its row included, reads as another diagram
+    # than the verifier's own.
+    good = certificate_to_dict(certify_tight(SurgeryCoeff.parse(slope)))
+    sites = [
+        (n, k)
+        for n, node in enumerate(good["nodes"])
+        if node["diagram"] is not None
+        for k in range(len(node["diagram"]["linkings"]))
+    ]
+    assert sites
+    zeros = 0
+    for n, k in sites:
+        for delta in (1, -1):
+            data = copy.deepcopy(good)
+            entry = data["nodes"][n]["diagram"]["linkings"][k]
+            entry[2] += delta
+            zeros += entry[2] == 0
+            assert not check_certificate(certificate_from_dict(data)).ok, (n, k, delta)
+    assert zeros
+
+
+def test_certificate_version_7_refused():
+    data = certificate_to_dict(certify_tight(SurgeryCoeff(5, 2)))
+    with pytest.raises(ParseError) as err:
+        certificate_from_dict(expand_to_v1(data, version=7))
+    assert err.value.location == "certificate.version"
+    assert "unsupported certificate version 7" in str(err.value)
+
+
 def test_certificate_derived_node_form():
     data = certificate_to_dict(certify_tight(SurgeryCoeff(5, 2)))
     by_id = {n["id"]: n for n in data["nodes"]}
@@ -583,7 +699,8 @@ def _reference_manifold(text, where):
 def reference_certificate_from_dict(data):
     """The certificate reader as it was before it formatted locations only
     for errors: the same checks in the same order, with rank facts keyed
-    by their text.  Returns the fields of the certificate it reads."""
+    by their text, and each step's reference kinds looked up in ``RULES``.
+    Returns the fields of the certificate it reads."""
     where = "certificate"
     if serialize._need(data, "format", where) != CERTIFICATE_FORMAT:
         raise ParseError("not a tightness certificate", location=where + ".format")
@@ -651,18 +768,23 @@ def reference_certificate_from_dict(data):
         rule = serialize._str(serialize._need(item, "rule", at), at + ".rule")
         refs = serialize._need(item, "refs", at)
         gives = serialize._need(item, "gives", at)
-        if not isinstance(refs, list) or not all(
-            isinstance(r, list) and len(r) == 2 and all(isinstance(x, str) for x in r)
-            for r in refs
-        ):
-            raise ParseError("refs must be [kind, value] pairs", location=at + ".refs")
+        if not isinstance(refs, list) or not all(isinstance(x, str) for x in refs):
+            raise ParseError("refs must be a list of strings", location=at + ".refs")
+        if rule not in RULES:
+            raise ParseError(f"rule {rule!r} is not in the rule set", location=at + ".rule")
+        kinds = RULES[rule][1]
+        if len(refs) != len(kinds):
+            raise ParseError(
+                f"rule {rule} takes references ({', '.join(kinds)}), step cites {len(refs)}",
+                location=at + ".refs",
+            )
         if (
             not isinstance(gives, list)
             or len(gives) != 2
             or not all(isinstance(x, str) for x in gives)
         ):
             raise ParseError("gives must be [kind, node]", location=at + ".gives")
-        steps.append(Step(rule, tuple((r[0], r[1]) for r in refs), (gives[0], gives[1])))
+        steps.append(Step(rule, tuple(zip(kinds, refs)), (gives[0], gives[1])))
     return (slope, (conclusion[0], conclusion[1]), stage, nodes, edges, rank_facts,
             tuple(steps))
 
@@ -670,7 +792,8 @@ def reference_certificate_from_dict(data):
 # Replacement values: wrong types, malformed pairs, and ids and names the
 # certificate already uses, which make duplicates.
 _JUNK = [None, 7, True, "x", "", [], {}, ["a"], ["a", "b"], ["a", 1], [["a", "b"]],
-         [["a"]], {"id": "x"}, "std", "y0", "ev1", "e_eta", "s3", "-tower(1)"]
+         [["a"]], {"id": "x"}, "std", "y0", "ev1", "e_eta", "s3", "-tower(1)",
+         "same_diagram", "h1_consistency"]
 
 
 def _paths(value, path=()):

@@ -4,10 +4,11 @@
 
 Run from the root of a checkout; tightcert is imported from its ``src``.
 For the tower slopes (S+1)/S, S in 320, 640 and 1280, the chain slopes
--1/m, m in 600, 1200 and 2400, and the nested slopes F(k+1)/F(k) of
+-1/m, m in 600, 1200 and 2400, the nested slopes F(k+1)/F(k) of
 Fibonacci numbers, k in 500, 1000 and 2000 (a root of k/2 + 3 knots, each
-chain knot a stabilized pushoff of the one before), it prints one JSON
-object.  Per slope: emit and verify time in ms, each the thread CPU time
+chain knot a stabilized pushoff of the one before), and the stage-0
+slopes F(k)/F(k+1), k in 500, 1000 and 2000 (a nested chain as well, its
+root inline in the certificate), it prints one JSON object.  Per slope: emit and verify time in ms, each the thread CPU time
 of the best of ``REPEAT`` runs; the certificate's bytes; and verify's
 ``tracemalloc`` peak in MB, from one more run.  Per axis: the exponent of
 each figure in the size, fitted by least squares on logarithms over all
@@ -35,6 +36,7 @@ from tightcert.rationals import SurgeryCoeff  # noqa: E402
 TOWER = (320, 640, 1280)
 CHAIN = (600, 1200, 2400)
 NESTED = (500, 1000, 2000)
+STAGE0 = (500, 1000, 2000)
 REPEAT = 3
 FIGURES = ("emit_ms", "verify_ms", "bytes", "verify_peak_mb")
 
@@ -85,11 +87,12 @@ def fib(k: int) -> int:
     return a
 
 
-def sweep(tower=TOWER, chain=CHAIN, nested=NESTED, repeat=REPEAT) -> dict:
+def sweep(tower=TOWER, chain=CHAIN, nested=NESTED, stage0=STAGE0, repeat=REPEAT) -> dict:
     axes = (
         ("tower", tower, lambda s: SurgeryCoeff(s + 1, s)),
         ("chain", chain, lambda m: SurgeryCoeff(-1, m)),
         ("nested", nested, lambda k: SurgeryCoeff(fib(k + 1), fib(k))),
+        ("stage0", stage0, lambda k: SurgeryCoeff(fib(k), fib(k + 1))),
     )
     out = {}
     for axis, sizes, slope in axes:
