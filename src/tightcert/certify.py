@@ -66,7 +66,7 @@ from .diagrams import (
     tower_diagram,
     trefoil_surgery_diagram,
 )
-from .topology import HomologyResult, Manifold, h1
+from .topology import MIRROR_KIND, HomologyResult, Manifold, h1
 from .floer import (
     base_facts,
     engine_triangles,
@@ -122,16 +122,11 @@ def _overtwisted_zero(cert, built, node):
     )
 
 
-# Kind -> the kind of the same manifold with reversed orientation, for
-# the kinds whose reversal keeps the stage and names no other parameter.
-_REVERSED_KIND = {"s3": "s3", "s1xs2": "s1xs2", "tower": "-tower", "-tower": "tower"}
-
-
 def _reverses(vertex: Manifold, m: Manifold) -> bool:
     """Whether ``vertex`` is ``m`` with reversed orientation.  Compares kind
-    and stage; only a kind outside ``_REVERSED_KIND`` builds the mirror,
+    and stage; only a kind outside ``MIRROR_KIND`` builds the mirror,
     which raises CalculusError when this package cannot name it."""
-    kind = _REVERSED_KIND.get(m.kind)
+    kind = MIRROR_KIND.get(m.kind)
     if kind is None:
         return vertex == m.mirror()
     return vertex.kind == kind and vertex.p == m.p
@@ -715,12 +710,13 @@ def node_presentations(cert: Certificate, keep=None) -> dict[str, ContactDiagram
     that breaks a rule.
 
     Each node's readers are counted first: the later edges from it, and
-    ``keep``.  An edge whose source it alone still reads performs the move
-    in place on the source's storage, a ``diagrams._Draft``: a ladder edge
-    then costs O(1) amortized, and a cancel edge O(children + knots after
-    the cancelled one), O(children) on an emitted reduction path, which
-    cancels its last knot each time but the first chain knot.  Any other
-    edge first copies its source, O(n).  A node nothing reads is let go
+    ``keep``.  Every built presentation is a ``diagrams._Draft``, which a
+    move edits in place.  An edge whose source it alone still reads runs
+    its move on the source's draft: a ladder edge then costs O(1)
+    amortized, and a cancel edge O(children + knots after the cancelled
+    one), O(children) on an emitted reduction path, which cancels its last
+    knot each time but the first chain knot.  Any other edge first copies
+    its source into a new draft, O(n).  A node nothing reads is let go
     once built, and only the nodes in ``keep`` are frozen into immutable
     snapshots, O(n) each; so verifying a ladder of S stages or a path of L
     cancels takes O(S + L + n) time and space for an n-knot root.
@@ -734,7 +730,8 @@ def node_presentations(cert: Certificate, keep=None) -> dict[str, ContactDiagram
 
 def _walk(cert, built, keep):
     """``node_presentations`` from ``built``, each node's inline or root
-    presentation or None; edits ``built``."""
+    presentation or None; edits ``built``.  An edge's move edits its
+    source's draft in place when no later reader needs it, else a copy."""
     edges, readers, slope_text, cancels = cert.edges.values(), {}, str(cert.slope), 0
     for e in edges:
         readers[e.src] = readers.get(e.src, 0) + 1

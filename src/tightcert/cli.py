@@ -57,7 +57,7 @@ def _normalized_from_args(args) -> ContactDiagram:
     if args.slope is not None:
         return normalize_diagram(trefoil_surgery_diagram(SurgeryCoeff.parse(args.slope)))
     return normalize_diagram(
-        serialize.diagram_from_dict(serialize.load_json(args.diagram))
+        serialize.diagram_file_from_dict(serialize.load_json(args.diagram))
     )
 
 
@@ -74,7 +74,7 @@ def _link_from_args(args) -> FramedLink:
 
 def _cmd_convert(args) -> int:
     normalized = _normalized_from_args(args)
-    payload = serialize.diagram_to_dict(normalized)
+    payload = serialize.diagram_file_to_dict(normalized)
     if args.json or args.out:
         _emit(payload, args.out)
         return 0

@@ -22,11 +22,11 @@ Conventions
 * The smooth surgery framing of a surgered component is tb + coefficient
   (infinite when the contact coefficient is infinite).
 
-Diagrams are immutable; every operation returns a fresh diagram, except on
-a private ``_Draft``, which it edits in place (see Storage).  Component
-ids are strings; freshly created components get ids "c1", "c2", ... in
-creation order, and the component tuple preserves creation order, which
-makes the rewrite scans below deterministic.
+A ``ContactDiagram`` is immutable and holds only queries; the one writer
+of a diagram is the private ``_Draft`` (see Storage).  Component ids are
+strings; freshly created components get ids "c1", "c2", ... in creation
+order, and the component tuple preserves creation order, which makes the
+rewrite scans below deterministic.
 
 Storage
 -------
@@ -44,12 +44,15 @@ and comparing rows by position compares the full linking matrices.
 
 In the presentations of a slope, its reduction path and the tower
 ladder, no tree pushoff deviates: a pushoff's row holds one entry, and
-the diagram O(n) entries.  Rows and
-the id map ``_pos`` are never rewritten, and a move shares every row it
-leaves alone.  ``component(cid)`` reads the component tuple at
-``_pos[cid]``.  A move constructs every new or changed component exactly
-once, with its final tb, rot and coefficient.  With n components, in
-linking entries:
+the diagram O(n) entries.  ``component(cid)`` reads the component tuple
+at ``_pos[cid]``.  Every move edits a ``_Draft``, the same storage in
+lists with an index of each knot's children.  Given a draft, a public
+move edits it and returns it; given a ``ContactDiagram``, it copies it
+into one draft, O(n), and returns the frozen result, O(n).  A row is
+only ever replaced, never written, so the two share every row the move
+leaves alone.  A move constructs every new or changed component exactly
+once, with its final tb, rot and coefficient.  On a draft with n
+components, in linking entries:
 
 * adding an unknot or a trefoil appends an empty row, O(1);
 * a contact pushoff appends the row {parent: tb(parent)}, O(1), created
@@ -64,11 +67,12 @@ linking entries:
 * stabilizing or changing a coefficient shares every row, since the
   recorded linkings do not move;
 * removing a component drops its row and its entry from the later rows
-  that store one, and rewrites only its children's rows: a child listed
-  after it and reparented to its parent takes the removed knot's
-  deviations and its own, O(children) in emitted presentations.  A child
-  demoted to a root, or any other change of a row's kind, is written out
-  from the sparse rows of the matrix;
+  that store one, shifts the position of every knot after it, and
+  rewrites only its children's rows, found in the children index with
+  no scan: a child listed after it and reparented to its parent takes
+  the removed knot's deviations and its own, O(children) in emitted
+  presentations.  A child demoted to a root, or any other change of a
+  row's kind, is written out from the sparse rows of the matrix;
 * ``linking`` follows the pushoff rule up the parents, and
   ``lower_linkings`` lists every nonzero linking in one pass, O(number
   of nonzero linkings); ``linking_rows`` expands them into the full
@@ -80,21 +84,18 @@ linking entries:
   is the JSON form.  The constructor, given every nonzero linking,
   derives each tree pushoff's row from its parent's.
 
-Given a ``ContactDiagram``, a move also copies the component tuple and
-the id map, O(n) in components.  Given a ``_Draft``, which holds the same
-storage in lists with an index of each knot's children, it writes into
-the draft and returns it: appending k knots costs O(k) and removing one
-O(children + knots after it), with no scan for its children.  Copying a
-diagram into a draft, and ``_Draft.frozen()``, cost O(n).  The verifier's
-edge walk (``certify.node_presentations``) passes a draft from edge to
-edge while no one else reads the presentation, and ``cancel_pushoff_pairs``
-cancels on one draft.
+A generator (``tower_diagram``, ``trefoil_surgery_diagram``) and
+``normalize_diagram`` run all their moves on one draft and freeze once.
+The verifier's edge walk (``certify.node_presentations``) passes a draft
+from edge to edge while no one else reads the presentation, and
+``cancel_pushoff_pairs`` cancels on one draft.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import wraps
 from heapq import heappop, heappush
 from itertools import islice
 
@@ -181,9 +182,10 @@ class ContactDiagram:
     ids of earlier components to nonzero ints: for a tree pushoff (its
     parent at an earlier position) the frozen linking with its parent and
     its deviations from the pushoff rule, for any other component its
-    linkings.  Rows and the id map are never rewritten, and are shared
-    with every diagram a move makes from this one that leaves them alone;
-    the Storage section of the module docstring gives each move's cost.
+    linkings.  The class holds queries only: nothing writes a
+    ``ContactDiagram``, and a move runs on a ``_Draft`` copy of it, which
+    shares its rows; the Storage section of the module docstring gives
+    each move's cost.
 
     The constructor takes every nonzero linking and derives the stored
     rows from them; ``from_stored`` takes the stored rows themselves, as
@@ -265,49 +267,6 @@ class ContactDiagram:
         object.__setattr__(self, "_pos", pos)
         object.__setattr__(self, "_links", links)
         return self
-
-    # -- storage: how a move writes its result ------------------------------
-
-    def _append(self, comps, rows):
-        """A diagram with ``comps`` appended in order, with stored rows
-        ``rows``."""
-        pos = dict(self._pos)
-        for c in comps:
-            _check_appended(pos, c)
-            pos[c.cid] = len(pos)
-        return ContactDiagram._trusted(
-            self.components + tuple(comps), self._links + tuple(rows), pos
-        )
-
-    def _replace(self, comp):
-        """A diagram with ``comp`` in place of the component with its id,
-        which must keep its parent."""
-        i = self._pos[comp.cid]
-        comps = self.components[:i] + (comp,) + self.components[i + 1:]
-        return ContactDiagram._trusted(comps, self._links, self._pos)
-
-    def _children(self, cid):
-        """Positions of cid's children, in order."""
-        return [j for j, c in enumerate(self.components) if c.parent == cid]
-
-    def _removed(self, i, changed):
-        """A diagram without component i, and with the component and row
-        ``changed[j]`` at each position j of ``changed``."""
-        comps, links = self.components, self._links
-        new_comps, new_links = comps[:i] + comps[i + 1:], links[:i] + links[i + 1:]
-        if changed:
-            new_comps, new_links = list(new_comps), list(new_links)
-            for j, (c, row) in changed.items():
-                k = j if j < i else j - 1
-                new_comps[k], new_links[k] = c, row
-            new_comps, new_links = tuple(new_comps), tuple(new_links)
-        pos = dict(self._pos)
-        del pos[comps[i].cid]
-        for c in new_comps[i:]:
-            pos[c.cid] -= 1
-        return ContactDiagram._trusted(new_comps, new_links, pos)
-
-    # -- queries -----------------------------------------------------------
 
     def __len__(self) -> int:
         return len(self.components)
@@ -488,26 +447,17 @@ def _stored_row(ids, i, p, lower, dead=None):
     return row
 
 
-def _check_appended(pos, c):
-    """Refuse to append c to a diagram with id map ``pos``."""
-    if c.cid in pos:
-        raise CalculusError(f"duplicate component id {c.cid!r}")
-    if c.kind == PUSHOFF and c.parent not in pos:
-        raise CalculusError(f"pushoff {c.cid} names missing parent {c.parent!r}")
-
-
 class _Draft(ContactDiagram):
-    """A private copy of a diagram that the moves edit in place.
+    """A private copy of a diagram that the moves edit in place: the one
+    writer of a diagram's rows, components and id map.
 
     It holds the stored form of ``ContactDiagram`` in lists, and a
     children index ``_kids`` from each id to its children's ids, built at
-    the first removal (None until then).  A move
-    given a draft writes into it and returns it: appending k knots costs
-    O(k), replacing one O(1), and removing one O(children + knots after
-    it), with no scan for its children.  Copying a diagram into a draft,
-    and ``frozen()``, the immutable diagram a draft stands for, cost O(n).
-    A draft is never compared or hashed, and a move that raises leaves it
-    unusable.
+    the first removal (None until then).  Appending k knots costs O(k),
+    replacing one O(1), and ``remove_component`` O(children + knots after
+    the removed one).  Copying a diagram into a draft, and ``frozen()``,
+    the immutable diagram a draft stands for, cost O(n).  A draft is never
+    compared or hashed, and a move that raises leaves it unusable.
     """
 
     __slots__ = ("_kids",)
@@ -522,9 +472,13 @@ class _Draft(ContactDiagram):
         )
 
     def _append(self, comps, rows):
+        """Append ``comps`` in order, with stored rows ``rows``."""
         pos, kids = self._pos, self._kids
         for c in comps:
-            _check_appended(pos, c)
+            if c.cid in pos:
+                raise CalculusError(f"duplicate component id {c.cid!r}")
+            if c.kind == PUSHOFF and c.parent not in pos:
+                raise CalculusError(f"pushoff {c.cid} names missing parent {c.parent!r}")
             pos[c.cid] = len(pos)
             if c.parent is not None and kids is not None:
                 kids.setdefault(c.parent, {})[c.cid] = None
@@ -533,37 +487,36 @@ class _Draft(ContactDiagram):
         return self
 
     def _replace(self, comp):
+        """Put ``comp`` in place of the component with its id and parent."""
         self.components[self._pos[comp.cid]] = comp
         return self
 
     def _children(self, cid):
+        """Positions of cid's children, in order."""
         if self._kids is None:
             self._kids = {}
             for c in self.components:
                 if c.parent is not None:
                     self._kids.setdefault(c.parent, {})[c.cid] = None
-        kids = self._kids.get(cid)
-        if not kids:
-            return []
         pos = self._pos
-        return sorted(pos[k] for k in kids)
+        return sorted(pos[k] for k in self._kids.get(cid, ()))
 
-    def _removed(self, i, changed):
-        # ``remove_component`` asked for the children first, so the index
-        # is built.
-        comps, links, pos, kids = self.components, self._links, self._pos, self._kids
-        dead = comps[i]
-        for j, (c, row) in changed.items():
-            if c.parent is not None and c.parent != comps[j].parent:
-                kids.setdefault(c.parent, {})[c.cid] = None
-            comps[j], links[j] = c, row
-        kids.pop(dead.cid, None)
-        if dead.parent is not None:
-            del kids[dead.parent][dead.cid]
-        del comps[i], links[i], pos[dead.cid]
-        for c in comps[i:]:
-            pos[c.cid] -= 1
-        return self
+
+def _move(fn):
+    """The public move ``fn``, which edits a ``_Draft``: given a diagram,
+    it runs on a draft of it and returns the frozen result (and the new id
+    where ``fn`` returns one)."""
+
+    @wraps(fn)
+    def move(d, *args, **kwargs):
+        if isinstance(d, _Draft):
+            return fn(d, *args, **kwargs)
+        out = fn(_Draft(d), *args, **kwargs)
+        if type(out) is tuple:
+            return out[0].frozen(), out[1]
+        return out.frozen()
+
+    return move
 
 
 # ---------------------------------------------------------------------------
@@ -586,6 +539,7 @@ def _fresh_ids(d: ContactDiagram):
             yield cid
 
 
+@_move
 def add_unknot(d, tb: int = -1, rot: int = 0, coeff=None):
     """Append a standard Legendrian unknot; returns (diagram, new id)."""
     cid = next(_fresh_ids(d))
@@ -593,6 +547,7 @@ def add_unknot(d, tb: int = -1, rot: int = 0, coeff=None):
     return d._append((c,), ({},)), cid
 
 
+@_move
 def add_trefoil(d, tb: int = 1, rot: int = 0, coeff=None):
     """Append a Legendrian right-handed trefoil; returns (diagram, new id)."""
     cid = next(_fresh_ids(d))
@@ -609,12 +564,14 @@ def _restated(c, tb, rot, coeff):
     return LegendrianComponent(c.cid, c.kind, c.parent, c.smooth_type, tb, rot, coeff)
 
 
+@_move
 def set_coeff(d, cid: str, coeff) -> ContactDiagram:
     """Return the diagram with cid's surgery coefficient replaced."""
     c = d.component(cid)
     return d._replace(_restated(c, c.tb, c.rot, _opt_coeff(coeff)))
 
 
+@_move
 def stabilize(d, cid: str, sign: int) -> ContactDiagram:
     """Stabilize a component: tb drops by one, rot moves by sign (+1/-1)."""
     if sign not in (1, -1):
@@ -629,6 +586,7 @@ def _new_pushoff_row(parent):
     return {parent.cid: parent.tb} if parent.tb else {}
 
 
+@_move
 def contact_pushoff(d, cid: str, coeff=None):
     """Append a contact-framed pushoff of cid carrying ``coeff`` (None: no
     surgery); returns (diagram, new id).
@@ -660,6 +618,7 @@ def _unit_pushoffs(d, x, k, parent, row):
     return d._append(pushoffs, (row,) * k)
 
 
+@_move
 def plus_one_surgery(d, witness: str) -> ContactDiagram:
     """Contact (+1)-surgery on the fresh knot named by ``witness``:
     "unknot" for a standard (tb -1, rot 0) Legendrian unknot,
@@ -697,6 +656,7 @@ def _reparents(d, x, cid, tb, link) -> bool:
     return link == d.linking(x.cid, y) == tb == d.component(y).tb
 
 
+@_move
 def remove_component(d, cid: str) -> ContactDiagram:
     """Drop a component, repairing pushoff parent references.
 
@@ -710,12 +670,13 @@ def remove_component(d, cid: str) -> ContactDiagram:
     before X, keeps a tree pushoff's row: lk(C, z) - lk(Y, z) is X's
     deviation plus C's, with X's slid row (``_slid_after``) standing in
     for X's deviations at positions after X.  Any other child whose row
-    changes kind is written out from the sparse rows of the matrix.
+    changes kind is written out from the sparse rows of the matrix.  Every
+    new row is found before any is written, since each reads the others.
     """
     dead = d.component(cid)
     grandparent = dead.parent
-    i, comps, links = d._pos[cid], d.components, d._links
-    changed = {}  # position -> the component and row that replace it
+    i, comps, links, pos = d._pos[cid], d.components, d._links, d._pos
+    changed = []  # (position, the component and row that replace it)
     children = d._children(cid)
     slid = lower = None
     for j in children:
@@ -725,7 +686,7 @@ def remove_component(d, cid: str) -> ContactDiagram:
             c = LegendrianComponent(
                 c.cid, PUSHOFF, grandparent, c.smooth_type, c.tb, c.rot, c.coeff
             )
-            y = d._pos[grandparent]
+            y = pos[grandparent]
             tree = y < j
         else:
             c = LegendrianComponent(
@@ -747,12 +708,25 @@ def remove_component(d, cid: str) -> ContactDiagram:
             if lower is None:
                 lower, ids = d.lower_linkings(), d.ids()
             row = _stored_row(ids, j, y if tree else None, lower, dead=i)
-        changed[j] = c, row
-    for j in range(i + 1, len(comps)):
+        changed.append((j, c, row))
+    # ``_children`` built the index; each child moves to its new parent's
+    # entry, or to none.
+    kids = d._kids
+    for j, c, row in changed:
+        if c.parent is not None:
+            kids[c.parent][c.cid] = None
+        comps[j], links[j] = c, row
+    kids.pop(cid, None)
+    if grandparent is not None:
+        del kids[grandparent][cid]
+    del comps[i], links[i], pos[cid]
+    # No child's new row stores X, so only the other later rows lose it.
+    for j in range(i, len(comps)):
         row = links[j]
-        if cid in row and j not in changed:
-            changed[j] = comps[j], {k: v for k, v in row.items() if k != cid}
-    return d._removed(i, changed)
+        pos[comps[j].cid] = j
+        if cid in row:
+            links[j] = {k: v for k, v in row.items() if k != cid}
+    return d
 
 
 def _slid_after(d, i, y, last):
@@ -805,6 +779,7 @@ def _reparented_row(d, i, own, slid, j):
 # ---------------------------------------------------------------------------
 
 
+@_move
 def convert_negative(d, cid: str, choice=None) -> ContactDiagram:
     """Replace a negative rational surgery on cid by a (-1)-surgery chain.
 
@@ -827,7 +802,7 @@ def convert_negative(d, cid: str, choice=None) -> ContactDiagram:
     # lowers tb + |rot| by 0 or 2, so the Bennequin check on the final
     # values covers them.
     knot = _restated(comp, comp.tb - count, comp.rot + shift, _MINUS_ONE)
-    d = d._replace(knot)
+    d._replace(knot)
     chain, rows = [], []
     for (count, shift), new in zip(rest, _fresh_ids(d)):
         # A pushoff of the previous chain knot, which it links tb times.
@@ -858,6 +833,7 @@ def _check_choice(choice, counts, cid):
     return [(len(v), sum(v)) for v in vectors]
 
 
+@_move
 def convert_positive(d, cid: str, k: int) -> ContactDiagram:
     """Split a positive rational surgery on cid into k unit (+1) pushoffs.
 
@@ -897,6 +873,7 @@ def convert_positive(d, cid: str, k: int) -> ContactDiagram:
     return remove_component(d, cid)
 
 
+@_move
 def normalize_diagram(d, choices=None) -> ContactDiagram:
     """Rewrite every surgery coefficient to +1 or -1.
 
@@ -919,8 +896,6 @@ def normalize_diagram(d, choices=None) -> ContactDiagram:
         if c.coeff is not None and c.coeff.num > 0 and c.coeff != _PLUS_ONE:
             d = convert_positive(d, cid, split_count(c.coeff))
     for cid in d.ids():
-        if cid not in d:
-            continue
         c = d.component(cid)
         if c.coeff is not None and c.coeff.num < 0 and c.coeff != _MINUS_ONE:
             d = convert_negative(d, cid, choices.get(cid))
@@ -1020,9 +995,9 @@ def tower_diagram(k: int) -> ContactDiagram:
     """
     if not isinstance(k, int) or k < 1:
         raise CalculusError(f"tower stage must be a positive integer, got {k!r}")
-    d, tid = add_trefoil(empty_diagram(), coeff=_MINUS_ONE)
+    d, tid = add_trefoil(_Draft(ContactDiagram()), coeff=_MINUS_ONE)
     trefoil = d.component(tid)
-    return _unit_pushoffs(d, trefoil, k, tid, _new_pushoff_row(trefoil))
+    return _unit_pushoffs(d, trefoil, k, tid, _new_pushoff_row(trefoil)).frozen()
 
 
 def trefoil_surgery_diagram(r) -> ContactDiagram:
@@ -1038,10 +1013,10 @@ def trefoil_surgery_diagram(r) -> ContactDiagram:
             "becomes 0, which admits no tight extension"
         )
     rp = pushoff_coeff_from_slope(r)
-    d, tid = add_trefoil(empty_diagram(), coeff=_MINUS_ONE)
-    if rp.is_infinite:
-        return d
-    return contact_pushoff(d, tid, rp)[0]
+    d, tid = add_trefoil(_Draft(ContactDiagram()), coeff=_MINUS_ONE)
+    if not rp.is_infinite:
+        contact_pushoff(d, tid, rp)
+    return d.frozen()
 
 
 # ---------------------------------------------------------------------------

@@ -22,6 +22,10 @@ matching ``*_from_dict`` except the rank table, which is only written):
   the pushoff rule implies listed under "linkings" (as version-7 files
   list them), and a deviation of anything else are refused where they
   stand; a zero value is read and dropped.
+* diagram file (``convert --out`` writes it, ``--diagram`` reads it):
+  {"format": "contact-diagram", "version": 8} and a diagram's keys; any
+  other header is refused.  A certificate's version covers its inline
+  diagrams, which have no header.
 * framed link: {"n", "matrix" (row-major flat list of n*n ints), "tags"}.
 * rank table: {"facts": [{"manifold", "rank"} or {"manifold", "lo", "hi"}]}
   with "hi" null when unbounded.
@@ -79,6 +83,7 @@ from .floer import RankDb
 from .certify import RULES, Certificate, ContactNode, Step, SurgeryEdge, presentation_bound
 
 CERTIFICATE_FORMAT = "tightness-certificate"
+DIAGRAM_FORMAT = "contact-diagram"
 FORMAT_VERSION = 8
 
 # Rule id -> the kinds of the references a step citing it carries, in
@@ -112,6 +117,16 @@ def _need(mapping, key, where):
     if not isinstance(mapping, dict) or key not in mapping:
         raise ParseError(f"missing field {key!r}", location=where)
     return mapping[key]
+
+
+def _check_header(data, fmt, where):
+    """Refuse ``data`` unless it is of format ``fmt`` and ``FORMAT_VERSION``."""
+    if _need(data, "format", where) != fmt:
+        raise ParseError(f"not a {fmt.replace('-', ' ')}", location=where + ".format")
+    if _need(data, "version", where) != FORMAT_VERSION:
+        raise ParseError(
+            f"unsupported {where} version {data['version']!r}", location=where + ".version"
+        )
 
 
 def _int(value, where):
@@ -297,6 +312,18 @@ def diagram_from_dict(data: dict, where: str = "diagram") -> ContactDiagram:
         raise ParseError(str(exc), location=at) from None
 
 
+def diagram_file_to_dict(d: ContactDiagram) -> dict:
+    """A diagram file: the format and version, then ``diagram_to_dict(d)``."""
+    return {"format": DIAGRAM_FORMAT, "version": FORMAT_VERSION, **diagram_to_dict(d)}
+
+
+def diagram_file_from_dict(data) -> ContactDiagram:
+    """The diagram of a ``diagram_file_to_dict`` form; a missing or other
+    header is refused, so no other version is read as a different diagram."""
+    _check_header(data, DIAGRAM_FORMAT, "diagram")
+    return diagram_from_dict(data)
+
+
 _ENTRY_SHAPE = {
     "linkings": "linking entries are [a, b, lk]",
     "deviations": "deviation entries are [knot, pushoff, d]",
@@ -419,13 +446,7 @@ def certificate_to_dict(cert: Certificate) -> dict:
 
 def certificate_from_dict(data: dict) -> Certificate:
     where = "certificate"
-    if _need(data, "format", where) != CERTIFICATE_FORMAT:
-        raise ParseError("not a tightness certificate", location=where + ".format")
-    if _need(data, "version", where) != FORMAT_VERSION:
-        raise ParseError(
-            f"unsupported certificate version {data['version']!r}",
-            location=where + ".version",
-        )
+    _check_header(data, CERTIFICATE_FORMAT, where)
     slope = coeff_from_str(
         _str(_need(data, "slope", where), where + ".slope"), where + ".slope"
     )

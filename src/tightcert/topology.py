@@ -170,13 +170,10 @@ class Manifold:
 
     def mirror(self) -> "Manifold":
         """The same manifold with reversed orientation, where this package
-        can name it."""
-        if self.kind in ("s3", "s1xs2"):
-            return self
-        if self.kind == "tower":
-            return Manifold.neg_tower(self.p)
-        if self.kind == "-tower":
-            return Manifold.tower(self.p)
+        can name it: by ``MIRROR_KIND`` at the same stage, or lens(p, p - q)."""
+        kind = MIRROR_KIND.get(self.kind)
+        if kind is not None:
+            return Manifold(kind, self.p)
         if self.kind == "lens":
             return Manifold.lens(self.p, self.p - self.q)
         raise CalculusError(f"no reversed-orientation name for {self.text()}")
@@ -194,6 +191,11 @@ class Manifold:
         if self.kind == "trefoil":
             return abs(self.p)
         return None
+
+
+# Kind -> the kind of the same manifold with reversed orientation, for
+# the kinds whose reversal keeps the stage and names no other parameter.
+MIRROR_KIND = {"s3": "s3", "s1xs2": "s1xs2", "tower": "-tower", "-tower": "tower"}
 
 
 def _parse_lens(cls, body):

@@ -13,6 +13,7 @@ from tightcert import cli
 from tightcert.cli import main
 from tightcert.serialize import (
     certificate_from_dict,
+    diagram_file_to_dict,
     diagram_to_dict,
     dump_json,
     load_json,
@@ -52,10 +53,10 @@ def test_convert_json_matches_library(capsys):
     assert code == 0
     from tightcert.diagrams import trefoil_surgery_diagram
 
-    expected = diagram_to_dict(
-        normalize_diagram(trefoil_surgery_diagram(SurgeryCoeff(5, 2)))
-    )
-    assert json.loads(out) == expected
+    diagram = diagram_to_dict(normalize_diagram(trefoil_surgery_diagram(SurgeryCoeff(5, 2))))
+    data = json.loads(out)
+    assert data == {"format": "contact-diagram", "version": 8, **diagram}
+    assert list(data)[:2] == ["format", "version"]
 
 
 def test_convert_negative_slope_inline_value(capsys):
@@ -68,12 +69,48 @@ def test_convert_negative_slope_inline_value(capsys):
 def test_convert_diagram_file_round_trip(tmp_path, capsys):
     d, _ = add_unknot(empty_diagram(), coeff=SurgeryCoeff(-5, 3))
     src = tmp_path / "diagram.json"
-    dump_json(diagram_to_dict(d), str(src))
+    dump_json(diagram_file_to_dict(d), str(src))
     out_path = tmp_path / "normalized.json"
     code, _, _ = run_cli(capsys, "convert", "--diagram", str(src), "--out", str(out_path))
     assert code == 0
     data = load_json(str(out_path))
     assert all(c["coeff"] == "-1" for c in data["components"])
+    # The written file reads back, with the H1 of its source.
+    want = run_cli(capsys, "h1", "--diagram", str(src))
+    assert want[0] == 0 and run_cli(capsys, "h1", "--diagram", str(out_path)) == want
+    code, _, _ = run_cli(capsys, "convert", "--slope", "5/2", "--out", str(out_path))
+    assert code == 0
+    assert run_cli(capsys, "h1", "--diagram", str(out_path)) == run_cli(capsys, "h1", "--slope", "5/2")
+
+
+# The version-7 form of Y (a trefoil), X a pushoff of Y and C a pushoff
+# of X, where lk(C, Y) = 0: the pushoff rule gives C the linking -1 of X
+# and Y, so read as the version-8 form it is a different diagram.
+_V7_YXC = {
+    "components": [
+        {"id": "Y", "type": "rhtrefoil", "tb": 0, "rot": 0, "coeff": "-1"},
+        {"id": "X", "type": "pushoff:Y", "tb": 0, "rot": 0, "coeff": "-1"},
+        {"id": "C", "type": "pushoff:X", "tb": 0, "rot": 0, "coeff": "-1"},
+    ],
+    "linkings": [["X", "Y", -1]],
+}
+
+
+@pytest.mark.parametrize("command", ["h1", "det", "convert"])
+@pytest.mark.parametrize(
+    "header, reason",
+    [
+        ({}, "diagram: missing field 'format'"),
+        ({"format": "tightness-certificate", "version": 8}, "diagram.format: not a contact diagram"),
+        ({"format": "contact-diagram"}, "diagram: missing field 'version'"),
+        ({"format": "contact-diagram", "version": 7}, "diagram.version: unsupported diagram version 7"),
+    ],
+)
+def test_diagram_file_without_its_header_refused(command, header, reason, tmp_path, capsys):
+    path = tmp_path / "diagram.json"
+    dump_json({**header, **_V7_YXC}, str(path))
+    code, out, err = run_cli(capsys, command, "--diagram", str(path))
+    assert (code, out, err) == (2, "", f"error: {reason}\n")
 
 
 def test_convert_excluded_slope_exits_2(capsys):
@@ -581,11 +618,12 @@ def test_v7_style_sibling_linking_refused_by_verify(tmp_path, capsys):
 
 def test_v7_style_sibling_linking_refused_by_h1(tmp_path, capsys):
     path = tmp_path / "diagram.json"
-    dump_json(_full_diagram_dict(tower_diagram(2)), str(path))
+    header = {"format": "contact-diagram", "version": 8}
+    dump_json({**header, **_full_diagram_dict(tower_diagram(2))}, str(path))
     code, out, err = run_cli(capsys, "h1", "--diagram", str(path))
     assert code == 2 and out == ""
     assert err == f"error: diagram.linkings[2]: {_SIBLING}\n"
-    dump_json(diagram_to_dict(tower_diagram(2)), str(path))
+    dump_json(diagram_file_to_dict(tower_diagram(2)), str(path))
     assert run_cli(capsys, "h1", "--diagram", str(path))[0] == 0
 
 

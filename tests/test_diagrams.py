@@ -37,6 +37,7 @@ from tightcert.diagrams import (
     stabilize,
     tower_diagram,
     trefoil_surgery_diagram,
+    _Draft,
 )
 from tightcert.errors import (
     CalculusError,
@@ -838,3 +839,18 @@ def test_presentation_constructs_each_knot_about_once(slope, monkeypatch):
     built = count_constructions(monkeypatch)
     d = normalize_diagram(trefoil_surgery_diagram(SurgeryCoeff.parse(slope)))
     assert len(built) <= 2 * len(d) + 4
+
+
+@pytest.mark.parametrize("slope", ["24/23", "-1/40", "10946/6765", "7/3"])  # F(21)/F(20)
+def test_normalize_edits_one_draft(slope, monkeypatch):
+    # Every move inside runs on the draft ``normalize_diagram`` made.
+    d = trefoil_surgery_diagram(SurgeryCoeff.parse(slope))
+    drafts, init = [], _Draft.__init__
+
+    def counted(self, source):
+        drafts.append(len(source))
+        init(self, source)
+
+    monkeypatch.setattr(_Draft, "__init__", counted)
+    normalize_diagram(d)
+    assert drafts == [len(d)]

@@ -161,6 +161,10 @@ def test_constructor_matches_the_reference():
 
 
 def test_moves_match_the_reference():
+    # Each move also runs on a draft of its input.  Given a diagram, a move
+    # returns a new ContactDiagram and leaves its input as it was; given a
+    # draft, it edits the draft and returns it.  ``cancel_pushoff_pairs``
+    # is no such move: it makes its own draft.
     rng = random.Random(1602)
     steps = 0
     for _ in range(120):
@@ -168,16 +172,27 @@ def test_moves_match_the_reference():
         for _ in range(rng.randrange(1, 12)):
             kind = rng.choice(_MOVES)
             state = rng.random()
+            snapshot = new.components, [dict(row) for row in new._links], dict(new._pos)
+            draft = diagrams._Draft(new)
             try:
                 got = move(new, diagrams, kind, random.Random(state))
             except CalculusError as exc:
-                with pytest.raises(CalculusError, match=re.escape(str(exc))):
-                    move(old, ref, kind, random.Random(state))
+                for d, module in ((old, ref), (draft, diagrams)):
+                    with pytest.raises(CalculusError, match=re.escape(str(exc))):
+                        move(d, module, kind, random.Random(state))
+                assert (new.components, list(new._links), new._pos) == snapshot
                 continue
+            assert (new.components, list(new._links), new._pos) == snapshot
+            edited = move(draft, diagrams, kind, random.Random(state))
             want = move(old, ref, kind, random.Random(state))
             if got is None:
-                assert want is None
+                assert want is None and edited is None
                 continue
+            assert type(got) is ContactDiagram
+            assert edited is draft or kind == "cancel_pairs"
+            if type(edited) is diagrams._Draft:
+                edited = edited.frozen()
+            assert edited == got and edited.ids() == got.ids()
             new, old = got, want
             assert_match(new, old, rng)
             steps += 1
@@ -421,8 +436,8 @@ def test_convert_positive_builds_pushoffs_on_their_final_parent(monkeypatch):
         # The path the move took before: append k pushoffs of X, then
         # remove X, which moves them on to Y or demotes them.
         appended = diagrams._unit_pushoffs(
-            d, d.component(x), k, x, diagrams._new_pushoff_row(d.component(x))
-        )
+            diagrams._Draft(d), d.component(x), k, x, diagrams._new_pushoff_row(d.component(x))
+        ).frozen()
         built = []
         checks = LegendrianComponent.__post_init__
         monkeypatch.setattr(
