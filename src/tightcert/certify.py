@@ -27,10 +27,14 @@ slope, once it has counted that this presentation has as many components
 as the certificate has edges (one for eta, one per ladder stage and one
 per chain knot), so the work stays bounded by what the certificate holds.
 
-Every node's manifold is bound to its presentation before any step runs.
-An inline node must carry the verifier's own presentation of its manifold.
-A derived node's manifold follows from the edge into it, by the table
-``_DERIVED`` keyed on the source's manifold and the edge's witness.  So the
+Every manifold is bound to a presentation before any step runs.  An
+inline node names its manifold and must carry the verifier's own
+presentation of it.  A node that an edge builds names none: the walk
+gives a ladder node its manifold by the table ``_DERIVED``, keyed on the
+source's manifold and the edge's witness, and a "cancel:" edge gives its
+target none, since the reduction path only cancels (-1)-knots against
+their pushoffs and no rule reads a name for its nodes.  A built node that
+names a manifold is refused, so each manifold is stated once.  The
 ``h1_consistency`` audits, which no other rule consumes, are emitted only
 for the nodes that no edge builds: the inline ones and the root.
 
@@ -41,7 +45,7 @@ re-derives the fact it gives.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import partial
 from itertools import islice
 
@@ -137,6 +141,8 @@ def _plus_one_pushforward(cert, built, edge, tri):
         raise CalculusError("informational triangle instances cannot justify injectivity")
     # Every edge was checked before the steps, so both endpoints exist.
     src, dst = cert.nodes[edge.src], cert.nodes[edge.dst]
+    if src.manifold is None or dst.manifold is None:
+        raise CalculusError(f"edge {edge.eid} joins a node that names no manifold")
     if not _reverses(tri.a, src.manifold) or not _reverses(tri.b, dst.manifold):
         raise CalculusError("triangle vertices do not match the edge endpoints")
     ranks = []
@@ -174,11 +180,11 @@ def _h1_consistency(cert, built, node, recorded):
         raise CalculusError(
             f"presentation has h1 {_group_text(group)}, certificate says {recorded}"
         )
-    declared = node.manifold.expected_h1_order()
-    if declared is not None and group.cyclic_order() != declared:
+    m = node.manifold
+    if m is not None and group.cyclic_order() != m.expected_h1_order():
         raise CalculusError(
-            f"declared manifold {node.manifold.text()} has cyclic h1 of "
-            f"order {declared}, presentation gives {_group_text(group)}"
+            f"declared manifold {m.text()} has cyclic h1 of "
+            f"order {m.expected_h1_order()}, presentation gives {_group_text(group)}"
         )
     return (), ("h1", node.nid)
 
@@ -258,12 +264,14 @@ def rules() -> dict[str, str]:
 @dataclass(frozen=True)
 class ContactNode:
     """A contact structure under discussion: an id, the manifold it lives
-    on, and an inline surgery presentation of it, or None when the one edge
-    into the node builds that presentation, or, for the root, when the
-    verifier derives it from the slope (see ``node_presentations``)."""
+    on, and an inline surgery presentation of it.  A node that the one
+    edge into it builds has neither: the verifier builds its presentation
+    and derives its manifold, if any (see ``node_presentations``).  The
+    root names its manifold and, when the verifier derives its
+    presentation from the slope, has no diagram."""
 
     nid: str
-    manifold: Manifold
+    manifold: Manifold | None = None
     diagram: ContactDiagram | None = None
 
 
@@ -339,28 +347,12 @@ def _group_text(group: HomologyResult) -> str:
     return f"{group.free_rank}:{','.join(str(t) for t in group.torsion)}"
 
 
-def _reduction_stage(slope: SurgeryCoeff, i: int) -> Manifold:
-    """The manifold of the i-th node of the reduction path of a slope."""
-    return Manifold(*_reduction_fields(str(slope), i))
-
-
-def _reduction_fields(slope_text: str, i: int) -> tuple:
-    """The ``_fields`` of ``_reduction_stage`` of the slope named
-    ``slope_text``."""
-    return ("opaque", 0, 0, f"reduction stage {i} of trefoil surgery {slope_text}")
-
-
-def _fields(m: Manifold) -> tuple:
-    """The fields a manifold is compared by, in constructor order."""
-    return (m.kind, m.p, m.q, m.label)
-
-
-# (kind of the source's manifold, witness) -> the ``_fields`` of the
-# target's manifold, from the source's stage.  The i-th "cancel:<cid>"
-# edge, whatever its source, gives ``_reduction_stage(slope, i)`` instead.
+# (kind of the source's manifold, witness) -> the target's manifold, from
+# the source's stage.  A "cancel:<cid>" edge, whatever its source, gives
+# its target no manifold.
 _DERIVED = {
-    ("s3", "unknot"): lambda stage: ("s1xs2", 0, 0, ""),
-    ("tower", "pushoff:c1"): lambda stage: ("tower", stage + 1, 0, ""),
+    ("s3", "unknot"): lambda stage: Manifold.s1xs2(),
+    ("tower", "pushoff:c1"): lambda stage: Manifold.tower(stage + 1),
 }
 
 
@@ -401,7 +393,8 @@ def build_tower_chain(max_stage: int) -> TowerChain:
     and checked as well: it is the template the stage maps follow.  Only
     the empty presentation and stage 1 are inline; the verifier builds eta
     and every later stage from the edge into them, in
-    ``node_presentations``, which also gives each its manifold.
+    ``node_presentations``, and gives each its manifold, so those nodes
+    name none.
     """
     if not isinstance(max_stage, int) or max_stage < 1:
         raise CalculusError(f"tower depth must be a positive integer, got {max_stage!r}")
@@ -418,13 +411,13 @@ def build_tower_chain(max_stage: int) -> TowerChain:
 
     nodes = [
         ContactNode("std", Manifold.s3(), empty_diagram()),
-        ContactNode("eta", Manifold.s1xs2()),
+        ContactNode("eta"),
         ContactNode("v1", Manifold.tower(1), tower_diagram(1)),
     ]
     edges = [SurgeryEdge("e_eta", "std", "eta", "unknot")]
     for k in range(1, max_stage + 1):
         edges.append(SurgeryEdge(f"ev{k}", f"v{k}", f"v{k + 1}", "pushoff:c1"))
-        nodes.append(ContactNode(f"v{k + 1}", Manifold.tower(k + 1)))
+        nodes.append(ContactNode(f"v{k + 1}"))
 
     steps = [
         Step("all_minus_one_stein", (("node", "std"),), ("stein", "std")),
@@ -532,7 +525,7 @@ def certify_tight(r) -> Certificate:
             c.cid for c in diagram.components if c.kind == PUSHOFF and c.coeff == _MINUS_ONE
         ]
         for i, cid in enumerate(reversed(chain_ids), start=1):
-            path.append(ContactNode(f"y{i}", _reduction_stage(r, i)))
+            path.append(ContactNode(f"y{i}"))
             path_edges.append(SurgeryEdge(f"ey{i}", f"y{i - 1}", f"y{i}", f"cancel:{cid}"))
         chain = build_tower_chain(stage)
         ladder, ladder_edges, rank_facts = chain.nodes, chain.edges, chain.rank_facts
@@ -582,9 +575,10 @@ def check_certificate(cert: Certificate) -> VerificationResult:
     gets that presentation, built once the edge count matches its size;
     the stage bound the slope sets, engine-verified rank facts, the bound
     on edges the slope and the root set, every edge building its target
-    node and giving its manifold, every inline node carrying the
-    verifier's own presentation of its manifold), then the steps in order
-    under the premise discipline, then the final conclusion.
+    node, which names no manifold, and giving it the manifold
+    ``_DERIVED`` gives, every inline node naming a manifold and carrying
+    the verifier's own presentation of it), then the steps in order under
+    the premise discipline, then the final conclusion.
     """
     try:
         return _check(cert)
@@ -658,29 +652,37 @@ def _check(cert: Certificate) -> VerificationResult:
         return _fail(None, f"{len(cert.edges)} edges, engine stage {cert.engine_stage} "
                      f"and {chain} chain knots allow at most {limit}")
 
-    # Build every derived node, which checks every edge and the manifold it
-    # gives, keeping the presentations the steps cite.
+    # Build every derived node, which checks every edge and gives its
+    # target a manifold, keeping the presentations the steps cite.
     cited = {value for step in cert.steps for kind, value in step.refs if kind == "node"}
     start = {nid: n.diagram for nid, n in cert.nodes.items()}
     start[root.nid] = presentation
     try:
-        built = _walk(cert, start, cited)
+        built, derived = _walk(cert, start, cited)
     except CalculusError as exc:
         return _fail(None, str(exc))
 
-    # An inline node carries the verifier's own presentation of its
-    # manifold; a manifold without one may not be inline.
+    # An inline node names a manifold and carries the verifier's own
+    # presentation of it; a manifold without one may not be inline.
     own = {
         Manifold.s3(): empty_diagram(),
         Manifold.tower(1): tower_diagram(1),
         root.manifold: presentation,
     }
     for n in cert.nodes.values():
-        if n.diagram is not None and own.get(n.manifold) != n.diagram:
+        if n.diagram is None:
+            continue
+        if n.manifold is None:
+            return _fail(None, f"node {n.nid}: inline presentation names no manifold")
+        if own.get(n.manifold) != n.diagram:
             return _fail(None, f"node {n.nid}: inline presentation is not the "
                          f"verifier's presentation of {n.manifold.text()}")
 
-    # Replay the steps, which read the presentations in ``built``.
+    # Replay the steps, which read the presentations in ``built`` and the
+    # ladder nodes' manifolds as the walk derived them.
+    nodes = dict(cert.nodes)
+    nodes.update((nid, ContactNode(nid, m)) for nid, m in derived.items())
+    cert = replace(cert, nodes=nodes)
     have: set[tuple[str, str]] = set()
     for idx, step in enumerate(cert.steps):
         verdict = _check_step(cert, built, step, have)
@@ -702,12 +704,12 @@ def node_presentations(cert: Certificate, keep=None) -> dict[str, ContactDiagram
     presentation of the edge's source.
 
     Edges are taken in order.  An edge's source must already have a
-    presentation, its target must be a declared node that has none yet,
-    and the target's declared manifold must be the one ``_DERIVED`` gives
-    from the source's manifold and the witness; so every edge builds
-    exactly one node and its manifold.  Every node must end up with a
-    presentation.  Raises CalculusError naming the first edge or node
-    that breaks a rule.
+    presentation, and its target must be a declared node that has none
+    yet and names no manifold.  A "cancel:" edge gives its target no
+    manifold; any other edge must give it one by ``_DERIVED``, from the
+    source's manifold and the witness.  So every edge builds exactly one
+    node.  Every node must end up with a presentation.  Raises
+    CalculusError naming the first edge or node that breaks a rule.
 
     Each node's readers are counted first: the later edges from it, and
     ``keep``.  Every built presentation is a ``diagrams._Draft``, which a
@@ -725,14 +727,15 @@ def node_presentations(cert: Certificate, keep=None) -> dict[str, ContactDiagram
     root = cert.conclusion[1]
     if root in built and built[root] is None:
         built[root] = _derived_root(cert)
-    return _walk(cert, built, cert.nodes if keep is None else keep)
+    return _walk(cert, built, cert.nodes if keep is None else keep)[0]
 
 
 def _walk(cert, built, keep):
     """``node_presentations`` from ``built``, each node's inline or root
-    presentation or None; edits ``built``.  An edge's move edits its
-    source's draft in place when no later reader needs it, else a copy."""
-    edges, readers, slope_text, cancels = cert.edges.values(), {}, str(cert.slope), 0
+    presentation or None, and the manifold each edge that gives one gives
+    its target; edits ``built``.  An edge's move edits its source's draft
+    in place when no later reader needs it, else a copy."""
+    edges, readers, derived = cert.edges.values(), {}, {}
     for e in edges:
         readers[e.src] = readers.get(e.src, 0) + 1
     for nid in keep:
@@ -742,19 +745,15 @@ def _walk(cert, built, keep):
             problem = f"source {e.src!r} has no presentation yet"
         elif e.dst not in built or built[e.dst] is not None:
             problem = f"target {e.dst!r} is not a declared node without a presentation"
+        elif cert.nodes[e.dst].manifold is not None:
+            problem = (f"target {e.dst!r} names {cert.nodes[e.dst].manifold.text()}, "
+                       "but a node an edge builds names no manifold")
         else:
-            source, declared = cert.nodes[e.src].manifold, cert.nodes[e.dst].manifold
-            if e.witness.startswith("cancel:"):
-                cancels += 1
-                gives = _reduction_fields(slope_text, cancels)
-            else:
-                make = _DERIVED.get((source.kind, e.witness))
-                gives = make and make(source.p)
-            if gives is None:
-                problem = f"witness {e.witness!r} on {source.text()} gives no manifold"
-            elif gives != _fields(declared):
-                problem = (f"target {e.dst!r} is declared {declared.text()}, "
-                           f"the edge gives {Manifold(*gives).text()}")
+            source = derived.get(e.src, cert.nodes[e.src].manifold)
+            make = _DERIVED.get((source and source.kind, e.witness))
+            if make is None and not e.witness.startswith("cancel:"):
+                name = source.text() if source else "a node that names no manifold"
+                problem = f"witness {e.witness!r} on {name} gives no manifold"
             else:
                 # A node no later edge or ``keep`` reads is let go: its
                 # entry goes, which refuses a second edge into it as
@@ -768,6 +767,8 @@ def _walk(cert, built, keep):
                 except CalculusError as exc:
                     problem = str(exc)
                 else:
+                    if make:
+                        derived[e.dst] = make(source.p)
                     if not readers[e.src]:
                         del built[e.src]
                     if readers.get(e.dst):
@@ -783,7 +784,7 @@ def _walk(cert, built, keep):
         nid: d.frozen() if isinstance(d, _Draft) else d
         for nid, d in ((nid, built.get(nid)) for nid in keep)
         if d is not None
-    }
+    }, derived
 
 
 def _check_step(cert, built, step, have):

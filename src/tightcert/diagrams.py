@@ -472,13 +472,11 @@ class _Draft(ContactDiagram):
         )
 
     def _append(self, comps, rows):
-        """Append ``comps`` in order, with stored rows ``rows``."""
+        """Append ``comps`` in order, with stored rows ``rows``.  Callers
+        take new ids from ``_fresh_ids`` and parents from components
+        already present or appended before, so neither is checked here."""
         pos, kids = self._pos, self._kids
         for c in comps:
-            if c.cid in pos:
-                raise CalculusError(f"duplicate component id {c.cid!r}")
-            if c.kind == PUSHOFF and c.parent not in pos:
-                raise CalculusError(f"pushoff {c.cid} names missing parent {c.parent!r}")
             pos[c.cid] = len(pos)
             if c.parent is not None and kids is not None:
                 kids.setdefault(c.parent, {})[c.cid] = None

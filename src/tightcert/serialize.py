@@ -23,38 +23,41 @@ matching ``*_from_dict`` except the rank table, which is only written):
   list them), and a deviation of anything else are refused where they
   stand; a zero value is read and dropped.
 * diagram file (``convert --out`` writes it, ``--diagram`` reads it):
-  {"format": "contact-diagram", "version": 8} and a diagram's keys; any
+  {"format": "contact-diagram", "version": 9} and a diagram's keys; any
   other header is refused.  A certificate's version covers its inline
   diagrams, which have no header.
 * framed link: {"n", "matrix" (row-major flat list of n*n ints), "tags"}.
 * rank table: {"facts": [{"manifold", "rank"} or {"manifold", "lo", "hi"}]}
   with "hi" null when unbounded.
-* certificate: {"format": "tightness-certificate", "version": 8, "slope",
+* certificate: {"format": "tightness-certificate", "version": 9, "slope",
   "conclusion": [kind, node], "engine_stage", "nodes", "edges",
-  "rank_facts", "steps"}.  A node is {"id", "manifold", "diagram"}, with
-  "diagram" null when derived: taking the edges in order, each builds its
-  target by the (+1)-surgery it records on the presentation of its
-  source, and gives its target's manifold from its source's manifold and
-  its witness.  The root (the conclusion's node) has "diagram" null at
-  engine stage >= 1: the verifier builds its own presentation of the
-  slope, whose component count must equal the number of edges.  A step
-  is {"rule", "refs", "gives": [kind, node]}, where "refs" lists only the
-  values of its references, in the order ``RULES[rule]`` takes them, and
-  the kinds come from that table; an unknown rule, or a count of values
-  other than the rule takes, is refused at the step.  A "triangle" value
-  is the index i into the verifier's own
-  ``engine_triangles(engine_stage)``.  The steps open with an
-  "h1_consistency" audit of each node that no edge builds, root included.
+  "rank_facts", "steps"}.  A node is {"id", "manifold", "diagram"}, or
+  {"id", "diagram"} with "diagram" null when derived: taking the edges in
+  order, each builds its target by the (+1)-surgery it records on the
+  presentation of its source, and the verifier gives a ladder target its
+  manifold from its source's manifold and the witness, so a derived node
+  names none; the reader takes an absent "manifold" as naming none.  The
+  root (the conclusion's node) has "diagram" null at engine stage >= 1:
+  the verifier builds its own presentation of the slope, whose component
+  count must equal the number of edges.  A step is {"rule", "refs",
+  "gives": [kind, node]}, where "refs" lists only the values of its
+  references, in the order ``RULES[rule]`` takes them, and the kinds come
+  from that table; an unknown rule, or a count of values other than the
+  rule takes, is refused at the step.  A "triangle" value is the index i
+  into the verifier's own ``engine_triangles(engine_stage)``.  The steps
+  open with an "h1_consistency" audit of each node that no edge builds,
+  root included.
   An inline diagram with more components than any presentation the
   verifier holds for the slope is refused before it is built
   (``certify.presentation_bound``).
   "rank_facts" maps manifold names to ranks; each key must be the
   canonical name (``Manifold.text``) of the manifold it parses to, and no
   two keys may name one manifold.  The reader parses each key once and
-  keys ``Certificate.rank_facts`` by the manifold.  Versions 1 to 7,
+  keys ``Certificate.rank_facts`` by the manifold.  Versions 1 to 8,
   which inlined every diagram, the reduction path or the root, named each
-  node's edge, listed the triangle instances, audited every node, or
-  listed every nonzero linking and each reference's kind, are refused.
+  node's edge, listed the triangle instances, audited every node, listed
+  every nonzero linking and each reference's kind, or named every derived
+  node's manifold, are refused.
 
 Reading a certificate or a diagram costs O(input): each inline diagram's
 stored rows are built straight from its entries, with no linking derived
@@ -84,7 +87,7 @@ from .certify import RULES, Certificate, ContactNode, Step, SurgeryEdge, present
 
 CERTIFICATE_FORMAT = "tightness-certificate"
 DIAGRAM_FORMAT = "contact-diagram"
-FORMAT_VERSION = 8
+FORMAT_VERSION = 9
 
 # Rule id -> the kinds of the references a step citing it carries, in
 # order: a step lists only their values.
@@ -246,7 +249,7 @@ def diagram_from_dict(data: dict, where: str = "diagram") -> ContactDiagram:
     if not isinstance(raw, list):
         raise ParseError("components must be a list", location=where)
     # Well-formed entries are read directly, each coefficient text parsed
-    # once; any other entry goes through ``_component_fields``, which
+    # once; any other entry goes through ``_component_entry``, which
     # raises the located error.  A pushoff listed before its parent waits
     # in ``pending`` for its smooth type.
     comps, pending, smooth, coeffs = [], [], {}, {None: None}
@@ -262,7 +265,7 @@ def diagram_from_dict(data: dict, where: str = "diagram") -> ContactDiagram:
                 coeffs[text] = coeff_from_str(text, f"{where}.components[{i}].coeff")
             coeff = coeffs[text]
         else:
-            cid, ctype, tb, rot, coeff = _component_fields(item, f"{where}.components[{i}]")
+            cid, ctype, tb, rot, coeff = _component_entry(item, f"{where}.components[{i}]")
         if ctype in (UNKNOT, RH_TREFOIL):
             fields = (cid, ctype, None, ctype, tb, rot, coeff)
         elif ctype.startswith("pushoff:"):
@@ -330,7 +333,7 @@ _ENTRY_SHAPE = {
 }
 
 
-def _component_fields(item, at):
+def _component_entry(item, at):
     """Id, type, tb, rot and coefficient of the component entry ``item``
     at ``at``, each checked in that order."""
     cid = _str(_need(item, "id", at), at + ".id")
@@ -424,14 +427,7 @@ def certificate_to_dict(cert: Certificate) -> dict:
         "slope": str(cert.slope),
         "conclusion": list(cert.conclusion),
         "engine_stage": cert.engine_stage,
-        "nodes": [
-            {
-                "id": n.nid,
-                "manifold": n.manifold.text(),
-                "diagram": None if n.diagram is None else diagram_to_dict(n.diagram),
-            }
-            for n in cert.nodes.values()
-        ],
+        "nodes": [_node_to_dict(n) for n in cert.nodes.values()],
         "edges": [
             {"id": e.eid, "src": e.src, "dst": e.dst, "witness": e.witness}
             for e in cert.edges.values()
@@ -442,6 +438,14 @@ def certificate_to_dict(cert: Certificate) -> dict:
             for s in cert.steps
         ],
     }
+
+
+def _node_to_dict(n: ContactNode) -> dict:
+    out = {"id": n.nid}
+    if n.manifold is not None:
+        out["manifold"] = n.manifold.text()
+    out["diagram"] = None if n.diagram is None else diagram_to_dict(n.diagram)
+    return out
 
 
 def certificate_from_dict(data: dict) -> Certificate:
@@ -463,7 +467,9 @@ def certificate_from_dict(data: dict) -> Certificate:
     at = where + ".nodes"
     for i, item in enumerate(data["nodes"]):
         nid = _field_str(item, "id", at, i)
-        manifold = _field_manifold(item, "manifold", at, i)
+        manifold = None
+        if "manifold" in item:
+            manifold = _field_manifold(item, "manifold", at, i)
         diagram = item.get("diagram")
         if diagram is not None:
             # Refused before it is built: no presentation the verifier

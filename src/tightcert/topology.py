@@ -71,21 +71,21 @@ class Manifold:
     Kinds: "s3", "s1xs2", "poincare" (the positively-oriented Poincare
     sphere), "lens" (lens(p, q), p >= 2, 1 <= q < p coprime), "tower" /
     "-tower" (stage-k tower of trefoil pushoffs and its reverse), "trefoil"
-    (p/q-surgery on the right trefoil), and "opaque" free-form labels.
+    (p/q-surgery on the right trefoil).  Each kind determines the order of
+    H1 (``expected_h1_order``).
     """
 
     kind: str
     p: int = 0
     q: int = 0
-    label: str = ""
 
-    _KINDS = ("s3", "s1xs2", "poincare", "lens", "tower", "-tower", "trefoil", "opaque")
+    _KINDS = ("s3", "s1xs2", "poincare", "lens", "tower", "-tower", "trefoil")
 
     def __post_init__(self):
         if self.kind not in self._KINDS:
             raise CalculusError(f"unknown manifold kind {self.kind!r}")
         # Manifolds key the rank tables, so the hash is computed once.
-        object.__setattr__(self, "_hash", hash((self.kind, self.p, self.q, self.label)))
+        object.__setattr__(self, "_hash", hash((self.kind, self.p, self.q)))
 
     def __hash__(self) -> int:
         return self._hash
@@ -133,10 +133,6 @@ class Manifold:
         r = _coerce_coeff(r)
         return cls("trefoil", r.num, r.den)
 
-    @classmethod
-    def opaque(cls, label: str):
-        return cls("opaque", label=label)
-
     def text(self) -> str:
         if self.kind in ("s3", "s1xs2", "poincare"):
             return self.kind
@@ -146,9 +142,7 @@ class Manifold:
             return f"tower({self.p})"
         if self.kind == "-tower":
             return f"-tower({self.p})"
-        if self.kind == "trefoil":
-            return f"trefoil({SurgeryCoeff(self.p, self.q)})"
-        return f"opaque:{self.label}"
+        return f"trefoil({SurgeryCoeff(self.p, self.q)})"
 
     __str__ = text
 
@@ -157,8 +151,6 @@ class Manifold:
         text = text.strip()
         if text in ("s3", "s1xs2", "poincare"):
             return cls(text)
-        if text.startswith("opaque:"):
-            return cls.opaque(text[len("opaque:") :])
         head, _, body = text.partition("(")
         maker = _PARAMETRIZED.get(head)
         if maker is not None and body.endswith(")"):
@@ -178,19 +170,15 @@ class Manifold:
             return Manifold.lens(self.p, self.p - self.q)
         raise CalculusError(f"no reversed-orientation name for {self.text()}")
 
-    def expected_h1_order(self) -> int | None:
-        """|H1| when the kind determines it (0 = infinite), else None."""
+    def expected_h1_order(self) -> int:
+        """|H1|, which the kind determines (0 = infinite)."""
         if self.kind in ("s3", "poincare"):
             return 1
         if self.kind == "s1xs2":
             return 0
-        if self.kind == "lens":
+        if self.kind in ("lens", "tower", "-tower"):
             return self.p
-        if self.kind in ("tower", "-tower"):
-            return self.p
-        if self.kind == "trefoil":
-            return abs(self.p)
-        return None
+        return abs(self.p)
 
 
 # Kind -> the kind of the same manifold with reversed orientation, for

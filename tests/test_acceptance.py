@@ -506,16 +506,17 @@ def _mut_reinlined_root_linking(data):
 _MUTATIONS += [_mut_drop_path_edge, _mut_null_stage0_root, _mut_reinlined_root_linking]
 
 
-# Manifold labels: a derived node's label follows from the edge into it,
-# and an inline node carries the verifier's own presentation of its label.
-# Each forgery below is refused before any step runs, with the reason
-# ``_LABEL_REASONS`` gives.
+# Manifold labels: a derived node names none, the edge into a ladder node
+# gives it its manifold, and an inline node carries the verifier's own
+# presentation of its label.  Each forgery below is refused before any
+# step runs, with the reason ``_LABEL_REASONS`` gives.
 
 
 def _mut_shift_ladder_labels(data):
-    # Every ladder stage declared one stage higher, each stage edge citing
-    # the triangle of the stages it now claims to join.
-    ladder = [n for n in data["nodes"] if n["manifold"].startswith("tower(")]
+    # Every ladder stage that names its manifold declared one stage
+    # higher, each stage edge citing the triangle of the stages it now
+    # claims to join.
+    ladder = [n for n in data["nodes"] if n.get("manifold", "").startswith("tower(")]
     if not ladder:
         return False
     for n in ladder:
@@ -545,9 +546,62 @@ _INLINE = "inline presentation is not the verifier's presentation of"
 _LABEL_REASONS = {
     _mut_shift_ladder_labels: f"node v1: {_INLINE} tower(2)",
     _mut_v1_is_tower_two: f"node v1: {_INLINE} tower(1)",
-    _mut_eta_as_s3: "edge e_eta: target 'eta' is declared s3, the edge gives s1xs2",
+    _mut_eta_as_s3: "edge e_eta: target 'eta' names s3, but a node an edge builds "
+                    "names no manifold",
 }
 _MUTATIONS += list(_LABEL_REASONS)
+
+
+# What version 9 refuses because a node an edge builds names no manifold:
+# such a node naming one, an inline node naming none, and a step that
+# reads a path node's manifold.  Each is refused with the reason
+# ``_UNNAMED_REASONS`` starts, at a step or, when it says None, before
+# any step runs.
+
+
+def _mut_derived_named(data):
+    # The ladder node names the very manifold its edge gives it.
+    if not any(n["id"] == "v2" for n in data["nodes"]):
+        return False
+    _node(data, "v2")["manifold"] = "tower(2)"
+    return True
+
+
+def _mut_inline_unnamed(data):
+    data["nodes"].append({"id": "x", "diagram": {"components": [], "linkings": []}})
+    return True
+
+
+def _mut_pushforward_on_path(data):
+    path = _path_edges(data)
+    if not path:
+        return False
+    step = {"rule": "plus_one_pushforward", "refs": [path[0]["id"], "0"],
+            "gives": ["c_nonzero", path[0]["dst"]]}
+    data["steps"].insert(-1, step)
+    return True
+
+
+def _mut_h1_on_path(data):
+    # The bottom of the reduction path is a tower stage, so its h1 is
+    # finite cyclic and never "9:9".
+    path = _path_edges(data)
+    if not path:
+        return False
+    nid = path[-1]["dst"]
+    data["steps"].insert(0, {"rule": "h1_consistency", "refs": [nid, "9:9"],
+                             "gives": ["h1", nid]})
+    return True
+
+
+_UNNAMED_REASONS = {
+    _mut_derived_named: (None, "edge ev1: target 'v2' names tower(2), but a node an "
+                               "edge builds names no manifold"),
+    _mut_inline_unnamed: (None, "node x: inline presentation names no manifold"),
+    _mut_pushforward_on_path: (-2, "edge ey1 joins a node that names no manifold"),
+    _mut_h1_on_path: (0, "presentation has h1 0:"),
+}
+_MUTATIONS += list(_UNNAMED_REASONS)
 
 
 def test_criterion_3_certificates():
@@ -603,6 +657,10 @@ def test_criterion_3_certificates():
                 # Refused by the label checks, before any step runs.
                 before_steps = (result.step, result.reason) == (None, _LABEL_REASONS[mutate])
                 ok = ok and before_steps
+            if mutate in _UNNAMED_REASONS:
+                step, reason = _UNNAMED_REASONS[mutate]
+                at = None if step is None else step % len(data["steps"])
+                ok = ok and result.step == at and result.reason.startswith(reason)
             if not result:
                 rejected += 1
     ok = ok and tampered >= 50 and rejected == tampered and slowest < 1.0

@@ -42,9 +42,10 @@ from tightcert.rationals import SurgeryCoeff
 from tightcert.serialize import certificate_from_dict, certificate_to_dict, diagram_to_dict
 from tightcert.topology import Manifold, h1
 from tightcert import diagrams
-from reference_certify import reference_node_presentations
+from reference_certify import reference_node_presentations, reference_walk
 from reference_diagram import linking_pairs
 from test_diagrams import _child_before_parent, count_constructions
+from test_topology import _fib
 
 
 def fresh(cert):
@@ -368,13 +369,14 @@ def test_derived_nodes_are_tower_stages():
 def test_built_presentations_have_the_declared_h1(slope):
     # The verifier no longer audits the nodes it builds; this checks its
     # surgery code against its homology code once, at stage 501 and on a
-    # 300-node reduction path.
+    # 300-node reduction path, whose nodes name no manifold.
     cert = certify_tight(SurgeryCoeff.parse(slope))
+    built, derived = reference_walk(cert)
     checked = 0
-    for nid, diagram in node_presentations(cert).items():
-        declared = cert.nodes[nid].manifold.expected_h1_order()
-        if declared is not None:
-            assert h1(diagram).cyclic_order() == declared, nid
+    for nid, diagram in built.items():
+        m = derived.get(nid, cert.nodes[nid].manifold)
+        if m is not None:
+            assert h1(diagram).cyclic_order() == m.expected_h1_order(), nid
             checked += 1
     assert checked == {"1001/999": 505, "-1/300": 5}[slope]
 
@@ -464,19 +466,22 @@ def _add_inline(cert, nid, manifold, diagram):
 
 
 _NOT_OWN = "inline presentation is not the verifier's presentation of"
+_BUILT = "but a node an edge builds names no manifold"
 
 
-# A derived node carries the manifold its edge gives from the source's
-# manifold and the witness; an inline node carries the verifier's own
-# presentation of its manifold.  Every case is rejected before any step.
+# A derived node names no manifold: the edge into it gives a ladder node
+# its manifold from the source's manifold and the witness.  An inline
+# node names its manifold and carries the verifier's own presentation of
+# it.  Every case is rejected before any step.
 @pytest.mark.parametrize(
     "mutate, reason",
     [
         (lambda c: _relabel(c, "v3", Manifold.tower(4)),
-         "edge ev2: target 'v3' is declared tower(4), the edge gives tower(3)"),
-        (lambda c: _relabel(c, "y1", certify._reduction_stage(c.slope, 2)),
-         "edge ey1: target 'y1' is declared opaque:reduction stage 2 of trefoil surgery "
-         "5/2, the edge gives opaque:reduction stage 1 of trefoil surgery 5/2"),
+         f"edge ev2: target 'v3' names tower(4), {_BUILT}"),
+        (lambda c: _relabel(c, "v3", Manifold.tower(3)),
+         f"edge ev2: target 'v3' names tower(3), {_BUILT}"),
+        (lambda c: _relabel(c, "y1", Manifold.tower(2)),
+         f"edge ey1: target 'y1' names tower(2), {_BUILT}"),
         (lambda c: _set_edge(c, "ev1", witness="pushoff:c2"),
          "edge ev1: witness 'pushoff:c2' on tower(1) gives no manifold"),
         (lambda c: (inline_root(c), c.edges.pop("ev2")),
@@ -489,9 +494,15 @@ _NOT_OWN = "inline presentation is not the verifier's presentation of"
          f"node x: {_NOT_OWN} s3"),
         (lambda c: _add_inline(c, "x", Manifold.tower(2), tower_diagram(2)),
          f"node x: {_NOT_OWN} tower(2)"),
+        (lambda c: _add_inline(c, "x", None, tower_diagram(1)),
+         "node x: inline presentation names no manifold"),
+        (lambda c: (_add_inline(c, "x", None, tower_diagram(1)),
+                    _set_edge(c, "ey1", src="x", witness="pushoff:c1")),
+         "edge ey1: witness 'pushoff:c1' on a node that names no manifold gives no manifold"),
     ],
-    ids=["stage_skip", "reduction_order", "other_pushoff", "orphan", "std_label",
-         "inline_lens", "inline_s3", "inline_tower_2"],
+    ids=["stage_skip", "derived_named", "path_named", "other_pushoff", "orphan",
+         "std_label", "inline_lens", "inline_s3", "inline_tower_2", "inline_unnamed",
+         "from_unnamed"],
 )
 def test_reject_label_misuse(mutate, reason):
     cert = fresh(certify_tight(SurgeryCoeff(5, 2)))
@@ -569,8 +580,7 @@ def test_reject_triangle_citation_at_stage_0():
     cert = fresh(certify_tight(SurgeryCoeff(1, 2)))
     assert cert.engine_stage == 0
     cid = cert.nodes["y0"].diagram.components[-1].cid
-    reduced = Manifold.opaque("reduction stage 1 of trefoil surgery 1/2")
-    cert.nodes["z"] = ContactNode("z", reduced)
+    cert.nodes["z"] = ContactNode("z")
     cert.edges["e_z"] = SurgeryEdge("e_z", "y0", "z", f"cancel:{cid}")
     push = Step(
         "plus_one_pushforward", (("edge", "e_z"), ("triangle", "0")), ("c_nonzero", "z")
@@ -587,7 +597,36 @@ def test_reject_node_manifold_swap():
     cert.nodes["eta"] = ContactNode("eta", Manifold.s3(), eta.diagram)
     result = check_certificate(cert)
     assert not result.ok and result.step is None
-    assert result.reason == "edge e_eta: target 'eta' is declared s3, the edge gives s1xs2"
+    assert result.reason == f"edge e_eta: target 'eta' names s3, {_BUILT}"
+
+
+def _insert_before_last(cert, step):
+    cert.steps = cert.steps[:-1] + (step,) + cert.steps[-1:]
+    return len(cert.steps) - 2
+
+
+def test_reject_pushforward_across_a_path_edge():
+    # The path nodes name no manifold, so no triangle vertex can match.
+    cert = fresh(certify_tight(SurgeryCoeff(5, 2)))
+    idx = _insert_before_last(cert, Step(
+        "plus_one_pushforward", (("edge", "ey1"), ("triangle", "0")), ("c_nonzero", "y1")
+    ))
+    result = check_certificate(cert)
+    assert not result.ok and result.step == idx
+    assert result.reason == "edge ey1 joins a node that names no manifold"
+
+
+def test_h1_consistency_on_a_path_node_checks_only_the_group():
+    cert = fresh(certify_tight(SurgeryCoeff(5, 2)))
+    group = certify._group_text(h1(node_presentations(cert)["y1"]))
+    audit = Step("h1_consistency", (("node", "y1"), ("group", group)), ("h1", "y1"))
+    _insert_before_last(cert, audit)
+    assert check_certificate(cert).ok
+    forged = Step("h1_consistency", (("node", "y1"), ("group", "0:5")), ("h1", "y1"))
+    idx = _insert_before_last(cert, forged)
+    result = check_certificate(cert)
+    assert not result.ok and result.step == idx
+    assert result.reason == f"presentation has h1 {group}, certificate says 0:5"
 
 
 def test_reject_coefficient_flip_on_root_presentation():
@@ -708,9 +747,8 @@ def test_cancel_edge_on_an_inline_parent_listed_after_its_child():
     # inline-node check, so it must leave a diagram whose every pushoff
     # names a knot that is still there.
     cert = fresh(certify_tight(SurgeryCoeff(3, 7)))  # stage 0, 4-knot root
-    slope = cert.slope
     _add_inline(cert, "x", Manifold.s3(), _child_before_parent(1))
-    cert.nodes["x1"] = ContactNode("x1", certify._reduction_stage(slope, 1))
+    cert.nodes["x1"] = ContactNode("x1")
     cert.edges["ex"] = SurgeryEdge("ex", "x", "x1", "cancel:X")
     built = node_presentations(cert)["x1"]
     assert built.ids() == ("C", "Y") and built.component("C").parent == "Y"
@@ -765,7 +803,6 @@ def test_reverses_agrees_with_mirror():
         Manifold.s3(), Manifold.s1xs2(), Manifold.poincare(), Manifold.lens(5, 2),
         Manifold.lens(5, 3), Manifold.tower(2), Manifold.tower(3), Manifold.neg_tower(2),
         Manifold.neg_tower(3), Manifold.trefoil_surgery(SurgeryCoeff(5, 4)),
-        Manifold.opaque("reduction stage 1 of trefoil surgery 5/2"),
     ]
 
     def outcome(compare, vertex, m):
@@ -814,9 +851,11 @@ def test_node_presentations_match_the_reference(slope):
         assert not isinstance(got, str)
 
 
-def _mutated(cert, rng, ids):
+def _mutated(cert, rng, ids, derived):
     """A copy of cert with one edge dropped, two swapped, one retargeted,
-    or a new edge branching off a node that a step cites."""
+    or a new edge branching off a node that a step cites, into a node that
+    now and then names a manifold.  ``derived`` holds the manifolds the
+    edges give."""
     edges, nodes = list(cert.edges.values()), dict(cert.nodes)
     kind = rng.choice(("drop", "swap", "src", "dst", "branch", "branch"))
     if kind == "drop" and edges:
@@ -829,15 +868,10 @@ def _mutated(cert, rng, ids):
         edges[i] = replace(edges[i], **{kind: rng.choice(list(nodes))})
     else:
         src = cert.nodes[rng.choice(sorted(_cited(cert)))]
-        m = src.manifold
-        if m.kind == "tower":
-            witness, made = "pushoff:c1", Manifold.tower(m.p + 1)
-        elif m.kind == "s3":
-            witness, made = "unknot", Manifold.s1xs2()
-        else:
-            i = rng.randrange(1, 4)
-            witness, made = f"cancel:{rng.choice(ids)}", certify._reduction_stage(cert.slope, i)
-        nodes["b"] = ContactNode("b", made)
+        m = derived.get(src.nid, src.manifold)
+        witness = {"tower": "pushoff:c1", "s3": "unknot"}.get(m and m.kind)
+        witness = witness or f"cancel:{rng.choice(ids)}"
+        nodes["b"] = ContactNode("b", rng.choice((None, None, Manifold.tower(2))))
         edges.insert(rng.randrange(len(edges) + 1), SurgeryEdge("eb", src.nid, "b", witness))
     return replace(cert, nodes=nodes, edges={e.eid: e for e in edges})
 
@@ -846,18 +880,17 @@ def _mutated(cert, rng, ids):
 def test_walk_matches_the_reference_on_edge_mutations(slope, monkeypatch):
     cert = fresh(certify_tight(SurgeryCoeff.parse(slope)))
     ids = node_presentations(cert)[cert.conclusion[1]].ids()
+    derived = reference_walk(cert)[1]
     rng, refused = random.Random(slope), 0
     for _ in range(150):
-        m = _mutated(cert, rng, ids)
+        m = _mutated(cert, rng, ids, derived)
         for keep in (None, _cited(m)):
             got = _walk_outcome(node_presentations, m, keep)
             assert got == _walk_outcome(reference_node_presentations, m, keep)
             refused += isinstance(got, str)
         verdict = check_certificate(m)
         with monkeypatch.context() as patch:
-            patch.setattr(
-                certify, "_walk", lambda cert, built, keep: reference_node_presentations(cert, keep)
-            )
+            patch.setattr(certify, "_walk", lambda cert, built, keep: reference_walk(cert, keep))
             assert check_certificate(m) == verdict
     assert refused > 50
 
@@ -917,3 +950,14 @@ def test_redundant_cancel_steps_stay_cheap():
     start = time.thread_time()
     assert check_certificate(cert).ok
     assert time.thread_time() - start < 5
+
+
+def test_nested_certificate_bytes_grow_linearly():
+    # F(k+1)/F(k) has a reduction path of about k/2 nodes.  When each path
+    # node named its stage with the slope's digits, doubling k multiplied
+    # the bytes by 2.30.
+    def size(k):
+        cert = certify_tight(SurgeryCoeff(_fib(k + 1), _fib(k)))
+        return len(json.dumps(certificate_to_dict(cert), indent=2))
+
+    assert size(400) <= 2.05 * size(200)

@@ -12,6 +12,7 @@ import pytest
 from tightcert import cli
 from tightcert.cli import main
 from tightcert.serialize import (
+    FORMAT_VERSION,
     certificate_from_dict,
     diagram_file_to_dict,
     diagram_to_dict,
@@ -27,6 +28,7 @@ from tightcert.diagrams import (
 )
 from tightcert.rationals import SurgeryCoeff
 from tightcert.topology import FramedLink, linking_matrix
+from test_acceptance import _UNNAMED_REASONS
 from test_serialize import _full_diagram_dict, framed_link_dict
 
 
@@ -55,7 +57,7 @@ def test_convert_json_matches_library(capsys):
 
     diagram = diagram_to_dict(normalize_diagram(trefoil_surgery_diagram(SurgeryCoeff(5, 2))))
     data = json.loads(out)
-    assert data == {"format": "contact-diagram", "version": 8, **diagram}
+    assert data == {"format": "contact-diagram", "version": FORMAT_VERSION, **diagram}
     assert list(data)[:2] == ["format", "version"]
 
 
@@ -85,7 +87,7 @@ def test_convert_diagram_file_round_trip(tmp_path, capsys):
 
 # The version-7 form of Y (a trefoil), X a pushoff of Y and C a pushoff
 # of X, where lk(C, Y) = 0: the pushoff rule gives C the linking -1 of X
-# and Y, so read as the version-8 form it is a different diagram.
+# and Y, so read as the current form it is a different diagram.
 _V7_YXC = {
     "components": [
         {"id": "Y", "type": "rhtrefoil", "tb": 0, "rot": 0, "coeff": "-1"},
@@ -104,6 +106,7 @@ _V7_YXC = {
         ({"format": "tightness-certificate", "version": 8}, "diagram.format: not a contact diagram"),
         ({"format": "contact-diagram"}, "diagram: missing field 'version'"),
         ({"format": "contact-diagram", "version": 7}, "diagram.version: unsupported diagram version 7"),
+        ({"format": "contact-diagram", "version": 8}, "diagram.version: unsupported diagram version 8"),
     ],
 )
 def test_diagram_file_without_its_header_refused(command, header, reason, tmp_path, capsys):
@@ -379,6 +382,20 @@ def test_verify_derived_node_misuse_rejected_without_traceback(edit, tmp_path, c
     assert f"REJECTED: {expected}" in out
 
 
+@pytest.mark.parametrize("mutate", list(_UNNAMED_REASONS), ids=lambda m: m.__name__[5:])
+def test_verify_unnamed_node_misuse_located_without_traceback(mutate, tmp_path, capsys):
+    path = tmp_path / "cert.json"
+    run_cli(capsys, "certify", "--r", "5/2", "--emit", str(path))
+    data = load_json(str(path))
+    assert mutate(data)
+    dump_json(data, str(path))
+    code, out, err = run_cli(capsys, "verify", str(path))
+    assert code == 3 and err == ""
+    step, reason = _UNNAMED_REASONS[mutate]
+    at = "" if step is None else f" at step {step % len(data['steps'])}"
+    assert out.startswith(f"certificate for slope 5/2: REJECTED{at}: {reason}")
+
+
 @pytest.mark.parametrize("field", ["node", "rank_fact"])
 def test_verify_bad_manifold_name_located(field, tmp_path, capsys):
     path = tmp_path / "cert.json"
@@ -618,7 +635,7 @@ def test_v7_style_sibling_linking_refused_by_verify(tmp_path, capsys):
 
 def test_v7_style_sibling_linking_refused_by_h1(tmp_path, capsys):
     path = tmp_path / "diagram.json"
-    header = {"format": "contact-diagram", "version": 8}
+    header = {"format": "contact-diagram", "version": FORMAT_VERSION}
     dump_json({**header, **_full_diagram_dict(tower_diagram(2))}, str(path))
     code, out, err = run_cli(capsys, "h1", "--diagram", str(path))
     assert code == 2 and out == ""

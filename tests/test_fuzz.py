@@ -23,9 +23,14 @@ from hypothesis import HealthCheck, given, settings, strategies as st  # noqa: E
 
 from tightcert.certify import VerificationResult, certify_tight, check_certificate  # noqa: E402
 from tightcert.cli import main  # noqa: E402
+from tightcert.diagrams import trefoil_surgery_diagram  # noqa: E402
 from tightcert.errors import ParseError  # noqa: E402
 from tightcert.rationals import SurgeryCoeff  # noqa: E402
-from tightcert.serialize import certificate_from_dict, certificate_to_dict  # noqa: E402
+from tightcert.serialize import (  # noqa: E402
+    certificate_from_dict,
+    certificate_to_dict,
+    diagram_file_to_dict,
+)
 
 # Stein, unit-fraction and reduction-path certificates, all small.
 SLOPES = ("0", "1/2", "-5/3", "-3", "2", "5/2", "13/8", "9/4", "4/3")
@@ -72,7 +77,9 @@ def _sites(obj, out):
 
 
 def _edit(cert, draw):
-    kind = draw(st.sampled_from(["replace", "delete", "endpoint", "diagram", "move"]))
+    kind = draw(st.sampled_from(
+        ["replace", "delete", "endpoint", "diagram", "manifold", "move"]
+    ))
     nodes, edges = cert.get("nodes"), cert.get("edges")
     nodes = [n for n in nodes if isinstance(n, dict)] if isinstance(nodes, list) else []
     edges = [e for e in edges if isinstance(e, dict)] if isinstance(edges, list) else []
@@ -82,6 +89,12 @@ def _edit(cert, draw):
     elif kind == "diagram" and nodes:
         a, b = draw(st.sampled_from(nodes)), draw(st.sampled_from(nodes))
         a["diagram"] = copy.deepcopy(b.get("diagram"))
+    elif kind == "manifold" and nodes:
+        # A node that names a manifold names none, and one that names
+        # none names one.
+        node = draw(st.sampled_from(nodes))
+        if node.pop("manifold", None) is None:
+            node["manifold"] = draw(TEXTS)
     elif kind == "move":
         lists = [c[k] for c, k in _sites(cert, []) if isinstance(c[k], list) and c[k]]
         if lists:
@@ -166,6 +179,24 @@ def _corrupted(draw):
     return bytes(blob)
 
 
+# An unnormalized diagram file with a valid header.
+_DIAGRAM_FILE = diagram_file_to_dict(trefoil_surgery_diagram(SurgeryCoeff(-5, 3)))
+
+
+@st.composite
+def _headed_diagrams(draw):
+    """The diagram file above with up to three coefficients or linking
+    numbers replaced, so that most files still parse and reach normalize
+    and ``h1``."""
+    data = copy.deepcopy(_DIAGRAM_FILE)
+    sites = [(c, "coeff", TEXTS) for c in data["components"]]
+    sites += [(lk, 2, st.integers(-6, 6)) for lk in data["linkings"]]
+    for _ in range(draw(st.integers(0, 3))):
+        container, key, values = draw(st.sampled_from(sites))
+        container[key] = draw(values)
+    return json.dumps(data).encode()
+
+
 RAW_BYTES = st.one_of(
     st.binary(max_size=200),
     st.recursive(SCALARS, lambda inner: st.lists(inner, max_size=4)
@@ -193,8 +224,12 @@ def input_path(tmp_path_factory):
     max_examples=120, deadline=None, derandomize=True,
     suppress_health_check=[HealthCheck.too_slow],
 )
-@given(blob=RAW_BYTES, command=st.sampled_from(FILE_COMMANDS))
-def test_cli_exits_0_2_or_3_on_any_bytes(input_path, blob, command):
+@given(command=st.sampled_from(FILE_COMMANDS), data=st.data())
+def test_cli_exits_0_2_or_3_on_any_bytes(input_path, command, data):
+    # A share of the inputs of a command that reads a diagram file carry
+    # a valid header.
+    diagram = command[-1] == "--diagram"
+    blob = data.draw(st.one_of(_headed_diagrams(), RAW_BYTES) if diagram else RAW_BYTES)
     input_path.write_bytes(blob)
     code, printed = _run_cli(input_path, command)
     assert code in (0, 2, 3) and "Traceback" not in printed, (command, blob)

@@ -212,6 +212,29 @@ def _group_text(diagram):
     return f"{group.free_rank}:{','.join(map(str, group.torsion))}"
 
 
+def _named_nodes(payload):
+    """The nodes of a payload as versions 1 to 8 list them: each derived
+    node names its manifold, "s1xs2" for the circle bundle, "tower(k + 1)"
+    for the stage an edge from "tower(k)" builds, and for the i-th node of
+    the reduction path "opaque:reduction stage i of trefoil surgery
+    <slope>"."""
+    names = {n["id"]: n.get("manifold") for n in payload["nodes"]}
+    cancels = 0
+    for edge in payload["edges"]:
+        source = names[edge["src"]]
+        if edge["witness"].startswith("cancel:"):
+            cancels += 1
+            names[edge["dst"]] = (
+                f"opaque:reduction stage {cancels} of trefoil surgery {payload['slope']}"
+            )
+        elif source == "s3":
+            names[edge["dst"]] = "s1xs2"
+        else:
+            names[edge["dst"]] = f"tower({int(source[len('tower('):-1]) + 1})"
+    return [{"id": n["id"], "manifold": names[n["id"]], "diagram": n["diagram"]}
+            for n in payload["nodes"]]
+
+
 def _full_diagram_dict(d):
     """The diagram form of versions 1 to 7: every nonzero linking, each
     pair once with a < b, sorted, and no deviations."""
@@ -241,10 +264,13 @@ def expand_to_v1(payload, version=1):
     ``version=6``, the version-6 form, which differs from the version-7
     one only by its version and by the root carrying its presentation
     inline at engine stage >= 1, as every earlier version does.  With
-    ``version=7``, the version-7 form, which differs from the current one
-    only by its version, by each inline diagram listing every nonzero
+    ``version=7``, the version-7 form, which differs from the version-8
+    one only by its version, by each inline diagram listing every nonzero
     linking (``_full_diagram_dict``), and by each reference being a
-    [kind, value] pair, as every earlier version does."""
+    [kind, value] pair, as every earlier version does.  With
+    ``version=8``, the version-8 form, which differs from the current one
+    only by its version and by every derived node naming its manifold
+    (``_named_nodes``), as every earlier version does."""
     cert = certificate_from_dict(payload)
     built = node_presentations(cert)
     out = {}
@@ -253,6 +279,9 @@ def expand_to_v1(payload, version=1):
         if key == "rank_facts" and version < 5:
             out["triangles"] = _v4_triangles(payload["engine_stage"])
     out["version"] = version
+    out["nodes"] = _named_nodes(out)
+    if version >= 8:
+        return out
     for node in out["nodes"]:
         if node["diagram"] is not None:
             node["diagram"] = _full_diagram_dict(cert.nodes[node["id"]].diagram)
@@ -406,8 +435,9 @@ GOLDEN_V7_SHA256 = {
 }
 
 
-# Version-8 certificate bytes as emitted: the version-7 bytes with each
-# inline diagram in its stored form and each reference as its value.
+# Version-8 certificate bytes: the version-7 bytes with each inline
+# diagram in its stored form and each reference as its value.  Current
+# certificates are compared after ``expand_to_v1(payload, version=8)``.
 GOLDEN_V8_SHA256 = {
     "5/2": "ac09eaa311396e26ee9ae0362ade4d33674684e36118283271ce2364b3c2908e",
     "17/16": "51389fbfd7c6d0e0e73ed7292d0f9a74ea297f077219175f667f4a4da5dcf9cf",
@@ -417,6 +447,20 @@ GOLDEN_V8_SHA256 = {
     "-1/20": "9b5ec630742e58054914d47243e9c41ea16783ec48343292c65bf5a1d8de6ef4",
     "-4000": "1bda25b21cad8b4e56b00fa72314760830725347a513ac82fefda3e69a792e73",
     "233/144": "def62c4681d72ae6be98b834ac8a308f9f9c28f5bfe934891c6c1f6f4fdfd816",
+}
+
+
+# Version-9 certificate bytes as emitted: the version-8 bytes with no
+# "manifold" on a node an edge builds.
+GOLDEN_V9_SHA256 = {
+    "5/2": "6843508774c2561cd21985341c71984bda2255ebf8c325dca5a2e92fab843fc9",
+    "17/16": "5d7f66f099197f7c3eaf7563015c7c5f9ca81177e1d163c677194d4a77352e55",
+    "-7/2": "126608894625d5b498da00f0d1dc943371ce7884b04c06f6db3e104976bf4fa1",
+    "13/8": "6ccbfd195c0e05aac8c0ebcdfdfd829814eea0eed6c14168a4ec1ae3d86601dd",
+    "0": "922fe78760cc2023ce5fea8ea617954b03945bad90121233ed88519848f8ff5a",
+    "-1/20": "cd214ee8973f5890179605bd902da376213a09003ec503d861b0d0dfec4c599f",
+    "-4000": "7a1f2fe795d1895f778c5ab07f90c250418ee00725c40da3ca489c95eecb0e8c",
+    "233/144": "9564ed3f551cf2f371c87133ef427e3cca0a8a17b21f88bc8512c23cf9d60913",
 }
 
 
@@ -473,8 +517,15 @@ def test_certificate_v7_golden_bytes(slope, tmp_path):
 @pytest.mark.parametrize("slope", sorted(GOLDEN_V8_SHA256))
 def test_certificate_v8_golden_bytes(slope, tmp_path):
     payload = certificate_to_dict(certify_tight(SurgeryCoeff.parse(slope)))
-    assert payload["version"] == FORMAT_VERSION == 8
-    assert _sha256_of_dump(payload, tmp_path / "cert.json") == GOLDEN_V8_SHA256[slope]
+    expanded = expand_to_v1(payload, version=8)
+    assert _sha256_of_dump(expanded, tmp_path / "cert.json") == GOLDEN_V8_SHA256[slope]
+
+
+@pytest.mark.parametrize("slope", sorted(GOLDEN_V9_SHA256))
+def test_certificate_v9_golden_bytes(slope, tmp_path):
+    payload = certificate_to_dict(certify_tight(SurgeryCoeff.parse(slope)))
+    assert payload["version"] == FORMAT_VERSION == 9
+    assert _sha256_of_dump(payload, tmp_path / "cert.json") == GOLDEN_V9_SHA256[slope]
 
 
 # ---------------------------------------------------------------------------
@@ -605,11 +656,23 @@ def test_certificate_version_7_refused():
     assert "unsupported certificate version 7" in str(err.value)
 
 
+def test_certificate_version_8_refused():
+    # Its derived nodes name their manifolds, which version 9 refuses, so
+    # it is refused at the header.
+    data = certificate_to_dict(certify_tight(SurgeryCoeff(5, 2)))
+    with pytest.raises(ParseError) as err:
+        certificate_from_dict(expand_to_v1(data, version=8))
+    assert err.value.location == "certificate.version"
+    assert "unsupported certificate version 8" in str(err.value)
+
+
 def test_certificate_derived_node_form():
     data = certificate_to_dict(certify_tight(SurgeryCoeff(5, 2)))
     by_id = {n["id"]: n for n in data["nodes"]}
-    assert by_id["v2"] == {"id": "v2", "manifold": "tower(2)", "diagram": None}
+    assert by_id["v2"] == {"id": "v2", "diagram": None}
+    assert by_id["y1"] == {"id": "y1", "diagram": None}
     assert list(by_id["v1"]) == ["id", "manifold", "diagram"]
+    assert certificate_from_dict(data).nodes["v2"].manifold is None
     assert [e["dst"] for e in data["edges"]] == ["eta", "v2", "v3", "y1"]
     bad = json.loads(json.dumps(data))
     bad["edges"][1]["dst"] = 7
@@ -728,7 +791,9 @@ def reference_certificate_from_dict(data):
     for i, item in enumerate(data["nodes"]):
         at = f"{where}.nodes[{i}]"
         nid = serialize._str(serialize._need(item, "id", at), at + ".id")
-        manifold = _reference_manifold(serialize._need(item, "manifold", at), at + ".manifold")
+        manifold = None
+        if "manifold" in item:
+            manifold = _reference_manifold(item["manifold"], at + ".manifold")
         diagram = item.get("diagram")
         if diagram is not None:
             components = diagram.get("components") if isinstance(diagram, dict) else None
