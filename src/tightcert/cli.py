@@ -21,7 +21,7 @@ from .diagrams import (
     normalize_diagram,
     trefoil_surgery_diagram,
 )
-from .topology import FramedLink, det_signed, h1 as _h1, linking_matrix
+from .topology import FramedLink, det_signed, h1 as _h1
 from .floer import base_facts, engine_triangles, propagate, triangle_solve
 from .certify import certify_tight, check_certificate
 from . import serialize
@@ -61,10 +61,13 @@ def _normalized_from_args(args) -> ContactDiagram:
     )
 
 
-def _link_from_args(args) -> FramedLink:
+def _presentation_from_args(args) -> FramedLink | ContactDiagram:
+    """A link file's framed link, reduced as given, or the normalized
+    diagram of a slope or a diagram file, whose pushoffs ``h1`` and
+    ``det_signed`` slide over their parents first."""
     if args.link is not None:
         return serialize.framed_link_from_dict(serialize.load_json(args.link))
-    return linking_matrix(_normalized_from_args(args))
+    return _normalized_from_args(args)
 
 
 # ---------------------------------------------------------------------------
@@ -90,12 +93,7 @@ def _cmd_convert(args) -> int:
 
 
 def _cmd_h1(args) -> int:
-    # A diagram is reduced as a diagram, so its pushoffs are slid over
-    # their parents first; a link file is reduced as given.
-    if args.link is not None:
-        group = _h1(_link_from_args(args))
-    else:
-        group = _h1(_normalized_from_args(args))
+    group = _h1(_presentation_from_args(args))
     if args.json:
         _emit(
             {
@@ -113,7 +111,7 @@ def _cmd_h1(args) -> int:
 
 
 def _cmd_det(args) -> int:
-    value = det_signed(_link_from_args(args))
+    value = det_signed(_presentation_from_args(args))
     if args.json:
         _emit({"det": value})
     else:

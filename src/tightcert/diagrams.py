@@ -81,8 +81,8 @@ components, in linking entries:
   O(n + stored entries) with no search;
 * ``stored_entries`` lists the rows as they are, and ``from_stored``
   builds a diagram from such entries, O(n + stored entries) each: this
-  is the JSON form.  The constructor, given every nonzero linking,
-  derives each tree pushoff's row from its parent's.
+  is the JSON form, and the one way to give a diagram linkings.  The
+  constructor takes components alone, unlinked.
 
 A generator (``tower_diagram``, ``trefoil_surgery_diagram``) and
 ``normalize_diagram`` run all their moves on one draft and freeze once.
@@ -187,31 +187,22 @@ class ContactDiagram:
     shares its rows; the Storage section of the module docstring gives
     each move's cost.
 
-    The constructor takes every nonzero linking and derives the stored
-    rows from them; ``from_stored`` takes the stored rows themselves, as
-    ``stored_entries`` lists them.  Both refuse a duplicate id, a pushoff
-    whose parent is missing or is the pushoff itself, and a bad linking
-    pair.  A parent listed after its child, and a parent cycle of two or
-    more knots, are accepted.
+    The constructor takes components alone, every linking zero;
+    ``ContactDiagram()`` is the empty diagram.  ``from_stored`` takes
+    the stored rows, as ``stored_entries`` lists them.  Both refuse a
+    duplicate id and a pushoff whose parent is missing or is the pushoff
+    itself, and ``from_stored`` a bad linking pair.  A parent listed
+    after its child, and a parent cycle of two or more knots, are
+    accepted.
     """
 
     __slots__ = ("components", "_pos", "_links")
 
-    def __init__(self, components=(), linkings=None):
+    def __init__(self, components=()):
         comps = tuple(components)
-        pos = _index(comps)
-        lower = [{} for _ in comps]
-        for pair, value in (linkings or {}).items():
-            i, j = _pair_positions(pos, pair, value)
-            if value:
-                lower[i][j] = value
         object.__setattr__(self, "components", comps)
-        object.__setattr__(self, "_pos", pos)
-        ids, links = tuple(pos), []
-        for i, c in enumerate(comps):
-            p = pos[c.parent] if c.kind == PUSHOFF else i
-            links.append(_stored_row(ids, i, p if p < i else None, lower))
-        object.__setattr__(self, "_links", tuple(links))
+        object.__setattr__(self, "_pos", _index(comps))
+        object.__setattr__(self, "_links", ({},) * len(comps))
 
     @classmethod
     def from_stored(cls, components, entries):

@@ -2,9 +2,9 @@
 
 Everything here is exact integer linear algebra: linking matrices of
 surgery presentations, Smith normal form for first homology, and signed
-determinants (Bareiss fraction-free elimination).  These computations are
-the independent cross-checks for the contact-level machinery: two routes
-to the same manifold must present the same H1.
+determinants.  These computations are the independent cross-checks for
+the contact-level machinery: two routes to the same manifold must
+present the same H1.
 
 H1 of a diagram
 ---------------
@@ -31,13 +31,14 @@ stored form, with no dense matrix, in time linear in the nonzero slid
 entries plus the stored entries: at most 4 a knot in the presentations
 the package builds.
 
-``smith_normal_form`` then works in two phases.  The sparse phase keeps
-rows as dicts, eliminates on +/-1 pivots from short rows (each an
-invariant factor 1) and splits off entries alone in their row and column
-(a summand Z/|v|); it finds each pivot through a queue of short rows and
-a heap of the others, with no scan of the rows.  The dense
-``_smith_diagonal`` reduces whatever is left, and the factors of both
-phases are merged into one divisibility chain.
+``smith_normal_form`` and ``det_signed`` share one elimination.  The
+sparse phase keeps rows as dicts, eliminates on +/-1 pivots from short
+rows (each an invariant factor 1) and splits off entries alone in their
+row and column (a summand Z/|v|), found through a queue of short rows
+and a heap of the others, and records its pivots.  On the dense block
+left, ``_bareiss`` gives the rank r and a nonzero r x r minor D: the
+determinant is the pivots' product times D, signed, and the dense Smith
+phase reduces the block modulo 2|D|, so no entry grows past it.
 """
 
 from __future__ import annotations
@@ -336,13 +337,6 @@ class HomologyResult:
 _TRIVIAL = HomologyResult(0, ())
 
 
-def _as_rows(m):
-    if isinstance(m, FramedLink):
-        return [list(row) for row in m.matrix]
-    rows = [list(int(x) for x in row) for row in m]
-    return rows
-
-
 def smith_normal_form(m) -> HomologyResult:
     """Cokernel of an integer matrix, read off the Smith normal form.
 
@@ -350,16 +344,16 @@ def smith_normal_form(m) -> HomologyResult:
     dict rows {column: int}, presenting the quotient Z^rows / column-span;
     returns free rank and invariant factors.
     ``_sparse_phase`` takes every unit pivot and every isolated entry, and
-    the dense ``_smith_diagonal`` reduces what is left.
+    ``_dense_phase`` reduces what is left.
     """
     a = m.matrix if isinstance(m, FramedLink) else list(m)
     if not a:
         return _TRIVIAL
-    units, factors, rest = _sparse_phase(a)
-    if rest:
-        factors += _smith_diagonal(rest)
-    free = len(a) - units - len(factors)
-    return HomologyResult._trusted(free, _divisibility_chain(factors))
+    pivots, block, _ = _sparse_phase(a)
+    factors = [abs(v) for _, _, v in pivots]
+    if block:
+        factors += _dense_phase(block)
+    return HomologyResult._trusted(len(a) - len(factors), _divisibility_chain(factors))
 
 
 def _sparse_phase(a):
@@ -381,8 +375,13 @@ def _sparse_phase(a):
     dry, and each checked when it is taken: a step costs the entries it
     touches, with no scan of the rows.
 
-    Returns the number of unit pivots, the orders of the isolated entries,
-    and the rest as a dense block of its nonempty rows and columns.
+    Returns the pivots, (row, column, value) each, in the order taken:
+    the units, then the isolated entries.  No row taken after a pivot,
+    and no row of the rest, keeps an entry in its column, so in that
+    order, rows and columns alike, then the rest's, the eliminated matrix
+    is block upper triangular.  The rest is returned as a dense block of
+    its nonempty rows and live columns, with (rows, columns) in the
+    block's order; with nothing left, as [] and None.
     """
     cols = defaultdict(set)
     if isinstance(a[0], dict):
@@ -416,7 +415,7 @@ def _sparse_phase(a):
             short.append(i)
         else:
             grown.add(i)
-    units = 0
+    pivots = []
     while True:
         p = None
         while short:
@@ -451,7 +450,7 @@ def _sparse_phase(a):
             if (v == 1 or v == -1) and (c is None or len(on) < shortest):
                 c, shortest = j, len(on)
         u = prow.pop(c)
-        units += 1
+        pivots.append((p, c, u))
         hit = cols.pop(c)
         for i in hit:
             r = rows[i]
@@ -469,22 +468,21 @@ def _sparse_phase(a):
                 short.append(i)
             else:
                 grown.add(i)
-    factors = []
     rest = []
-    for r in rows:
+    for i, r in enumerate(rows):
         if not r:
             continue
         if len(r) == 1:
             ((j, v),) = r.items()
             if len(cols[j]) == 1:
-                factors.append(abs(v))
+                pivots.append((i, j, v))
                 del cols[j]
                 continue
-        rest.append(r)
-    if rest:
-        live = sorted(j for j, on in cols.items() if on)
-        rest = [[r.get(j, 0) for j in live] for r in rest]
-    return units, factors, rest
+        rest.append(i)
+    if not rest:
+        return pivots, [], None
+    live = sorted(j for j, on in cols.items() if on)
+    return pivots, [[rows[i].get(j, 0) for j in live] for i in rest], (rest, live)
 
 
 def _divisibility_chain(factors):
@@ -508,96 +506,93 @@ def _divisibility_chain(factors):
     return tuple(chain)
 
 
-def _smith_diagonal(a):
-    """Return the nonzero invariant factors (positive).
+def _bareiss(rows):
+    """Fraction-free elimination of a dense integer matrix (Bareiss 1968):
+    each step swaps a row with an entry in the first live column to the
+    top and replaces each row below by (pivot * row - entry * top row) /
+    previous pivot.  Each entry is then a minor, so every division is
+    exact and no entry exceeds Hadamard's bound.
 
-    A 2 x 2 block has factors g and |det| / g, g the gcd of its entries.
-    A larger one is reduced as a shrinking block: once a pivot's row and
-    column are cleared, both are dropped, so every elementary operation
-    touches only live entries.
+    Returns the rank r, the r x r minor D the last pivot is (1 when
+    r = 0) and the sign of the row swaps: a square matrix of full rank
+    has determinant sign * D.
     """
-    if len(a) == 2 and len(a[0]) == 2:
-        (w, x), (y, z) = a
-        g = math.gcd(w, x, y, z)
-        det = abs(w * z - x * y)
-        return [g, det // g] if det else [g] if g else []
-    diag = []
-    block = a
-    while block and block[0]:
-        pivot = _locate_pivot(block)
-        if pivot is None:
-            break
-        i0, j0 = pivot
-        block[0], block[i0] = block[i0], block[0]
-        if j0:
-            for row in block:
-                row[0], row[j0] = row[j0], row[0]
-        _reduce_corner(block)
-        diag.append(abs(block[0][0]))
+    a = list(rows)
+    r, prev, sign = 0, 1, 1
+    while a and a[0]:
+        i = next((i for i, row in enumerate(a) if row[0]), None)
+        if i is None:
+            a = [row[1:] for row in a]
+            continue
+        if i:
+            a[0], a[i] = a[i], a[0]
+            sign = -sign
+        top = a[0][1:]
+        p = a[0][0]
+        a = [[(p * y - row[0] * z) // prev for y, z in zip(row[1:], top)] for row in a[1:]]
+        prev, r = p, r + 1
+    return r, prev, sign
+
+
+def _dense_phase(block):
+    """The nonzero invariant factors of a dense block, some of them 1.
+
+    With r the rank and D the minor ``_bareiss`` gives, each nonzero
+    factor divides the gcd of the r x r minors, so it divides m = 2|D|
+    and is less than m (Domich-Kannan-Trotter 1987).  The block is
+    reduced modulo m one corner at a time, each corner dividing the rest
+    of its block, so the corners' gcds with m form the unique chain of
+    the cokernel modulo m: the r factors, then one m a row.
+    """
+    r, minor, _ = _bareiss(block)
+    m = 2 * abs(minor)
+    block = [[x % m for x in row] for row in block]
+    factors = []
+    for _ in range(r):
+        _reduce_corner(block, m)
+        factors.append(math.gcd(block[0][0], m))
         block = [row[1:] for row in block[1:]]
-    return diag
+    return factors
 
 
-def _locate_pivot(block):
-    best = None
-    best_abs = None
-    for i, row in enumerate(block):
-        for j, v in enumerate(row):
-            if v:
-                av = abs(v)
-                if av == 1:
-                    return i, j
-                if best is None or av < best_abs:
-                    best, best_abs = (i, j), av
-    return best
-
-
-def _reduce_corner(block):
-    """Make block[0][0] the only nonzero entry of its row and column and a
-    divisor of everything else, by elementary row/column operations."""
+def _reduce_corner(block, m):
+    """Make block[0][0] nonzero, the only nonzero entry of its row and
+    column and a divisor of everything else, by elementary row and column
+    operations modulo m.  The block must hold a nonzero entry."""
     while True:
-        p = block[0][0]
         top = block[0]
+        p = top[0]
+        if not p:
+            i, j = next((i, j) for i, row in enumerate(block) for j, v in enumerate(row) if v)
+            block[0], block[i] = block[i], block[0]
+            for row in block:
+                row[0], row[j] = row[j], row[0]
+            continue
         # Clear the first column; a nonzero remainder becomes the new,
         # strictly smaller pivot.
-        swapped = False
         for i in range(1, len(block)):
             v = block[i][0]
             if v:
                 q = v // p
-                block[i] = [x - q * y for x, y in zip(block[i], top)]
-                if v - q * p:
-                    block[0], block[i] = block[i], block[0]
-                    swapped = True
+                block[i] = row = [(x - q * y) % m for x, y in zip(block[i], top)]
+                if row[0]:
+                    block[0], block[i] = row, top
                     break
-        if swapped:
-            continue
-        # The column below the pivot is zero, so clearing the first row by
-        # column operations only changes the first row itself.
-        swapped = False
-        for j in range(1, len(top)):
-            v = top[j]
-            if v:
-                q = v // p
-                top[j] = v - q * p
+        else:
+            # The column below the pivot is zero, so clearing the first row
+            # by column operations only changes the first row itself.
+            for j in range(1, len(top)):
+                top[j] %= p
                 if top[j]:
                     for row in block:
                         row[0], row[j] = row[j], row[0]
-                    swapped = True
                     break
-        if swapped:
-            continue
-        if p in (1, -1):
-            return
-        # The pivot must divide the rest of the block.
-        bad = None
-        for i in range(1, len(block)):
-            if any(x % p for x in block[i][1:]):
-                bad = i
-                break
-        if bad is None:
-            return
-        block[0] = [x + y for x, y in zip(top, block[bad])]
+            else:
+                # The pivot must divide the rest of the block.
+                bad = p > 1 and next((row for row in block[1:] if any(x % p for x in row)), None)
+                if not bad:
+                    return
+                block[0] = [x + y for x, y in zip(top, bad)]
 
 
 def h1(obj) -> HomologyResult:
@@ -605,21 +600,22 @@ def h1(obj) -> HomologyResult:
 
     A diagram's linking matrix is reduced with its pushoffs' rows slid
     over their parents' rows, and an only child's column over its
-    parent's column, as the sparse rows ``_slid_rows`` builds: O(n) work
-    for every presentation the package builds.  A framed link or a
-    matrix is reduced as given.  ``smith_normal_form`` is called through
-    the module, where a tracer may have wrapped it.
+    parent's column, as the sparse rows ``_slid_rows`` builds, keyed by
+    position: O(n) work for every presentation the package builds.  A
+    framed link or a matrix is reduced as given, as in ``det_signed``.
+    ``smith_normal_form`` is called through the module, where a tracer
+    may have wrapped it.
     """
     if isinstance(obj, ContactDiagram):
         obj = _slid_rows(obj)
     return smith_normal_form(obj)
 
 
-def _slid_rows(d: ContactDiagram) -> list[dict[str, int]]:
+def _slid_rows(d: ContactDiagram) -> list[dict[int, int]]:
     """The linking matrix of ``d``, framings on the diagonal, with each
     tree pushoff's row minus its parent's row, and then each only child's
     column minus its parent's column: one dict row per position, keyed by
-    the ids of the columns.
+    the positions of the columns.
 
     A tree pushoff's parent sits at an earlier position; an only child is
     its parent's one tree child.  With M the linking matrix, p(i) the
@@ -667,7 +663,7 @@ def _slid_rows(d: ContactDiagram) -> list[dict[str, int]]:
     named = {}  # z -> the rows after z, z's children aside, storing an entry at z
     full = {}  # only child with more tree children -> its column of D above it
     for j, (c, row) in enumerate(zip(comps, links)):
-        cid, parent = c.cid, c.parent
+        parent = c.parent
         l = pos.get(parent, j)
         if l < j:
             bj = row.get(parent, 0)
@@ -676,10 +672,10 @@ def _slid_rows(d: ContactDiagram) -> list[dict[str, int]]:
             if group is None and last[parent] == j:
                 only[l] = j
                 chained.add(j)
-                r = {parent: dl, cid: framings[j] - bj - dl}
+                r = {l: dl, j: framings[j] - bj - dl}
                 col = {l: dl}
             else:
-                r = {parent: dl, cid: framings[j] - bj}
+                r = {l: dl, j: framings[j] - bj}
                 if l not in chained:
                     col = dict(cols[l])
                 elif l in full:
@@ -707,15 +703,15 @@ def _slid_rows(d: ContactDiagram) -> list[dict[str, int]]:
                 group[bj] = [j]
         else:
             l = bj = None
-            col, r = {}, {cid: framings[j]}
+            col, r = {}, {j: framings[j]}
         if len(row) > (parent in row):
             for k, v in row.items():
                 if k == parent:
                     continue
                 x = pos[k]
-                r[k] = r.get(k, 0) + v
+                r[x] = r.get(x, 0) + v
                 if x in only:
-                    y = comps[only[x]].cid
+                    y = only[x]
                     r[y] = r.get(y, 0) - v
                 named.setdefault(x, []).append(j)
                 col[x] = col.get(x, 0) + v
@@ -726,7 +722,7 @@ def _slid_rows(d: ContactDiagram) -> list[dict[str, int]]:
         if 0 in col.values():
             col = {i: v for i, v in col.items() if v}
         for i, v in col.items():
-            rows[i][cid] = v
+            rows[i][j] = v
         frozen.append(bj)
         rows.append(r)
         cols.append(col)
@@ -759,30 +755,43 @@ def _column_of_d(d, l, chained, cols, framings, frozen, named):
 
 
 def det_signed(m) -> int:
-    """Exact signed determinant by Bareiss fraction-free elimination."""
-    a = _as_rows(m)
-    n = len(a)
-    if any(len(row) != n for row in a):
-        raise CalculusError("determinant needs a square matrix")
-    if n == 0:
+    """Exact signed determinant of the linking matrix of a diagram, a
+    framed link or a square integer matrix.
+
+    A diagram is read as the rows ``_slid_rows`` builds, L M U with L and
+    U unitriangular, so det M.  In ``_sparse_phase``'s pivot order, then
+    the rest's, the eliminated matrix is block upper triangular: det is
+    the sign of that order times the pivots' product times det(rest),
+    sign * D from ``_bareiss`` when the rest has full rank, else 0.
+    """
+    if isinstance(m, ContactDiagram):
+        a = _slid_rows(m)
+    else:
+        a = m.matrix if isinstance(m, FramedLink) else list(m)
+        if any(len(row) != len(a) for row in a):
+            raise CalculusError("determinant needs a square matrix")
+    if not a:
         return 1
-    sign = 1
-    prev = 1
-    for t in range(n - 1):
-        if a[t][t] == 0:
-            swap = next((i for i in range(t + 1, n) if a[i][t]), None)
-            if swap is None:
-                return 0
-            a[t], a[swap] = a[swap], a[t]
-            sign = -sign
-        ptt = a[t][t]
-        for i in range(t + 1, n):
-            ait = a[i][t]
-            row = a[i]
-            prow = a[t]
-            a[i] = [(ptt * row[j] - ait * prow[j]) // prev for j in range(n)]
-        prev = ptt
-    return sign * a[n - 1][n - 1]
+    pivots, block, order = _sparse_phase(a)
+    n = len(a)
+    if len(pivots) + len(block) < n:  # a row eliminated to zero
+        return 0
+    value = math.prod(v for _, _, v in pivots)
+    perm = {i: j for i, j, _ in pivots}  # row -> its column on the diagonal
+    if block:
+        r, minor, sign = _bareiss(block)
+        if r < len(block):
+            return 0
+        value *= sign * minor
+        perm.update(zip(*order))
+    # The sign of perm: -1 to the number of its elements less its cycles.
+    parity = n
+    while perm:
+        start, i = perm.popitem()
+        while i != start:
+            i = perm.pop(i)
+        parity -= 1
+    return -value if parity % 2 else value
 
 
 # ---------------------------------------------------------------------------

@@ -7,7 +7,8 @@ its rows became sparse; the moves below work on those rows, and
 ``reference_h1`` slides each pushoff's dense row over its parent's, and an
 only child's column over its parent's, before the Smith normal form.  The
 components themselves, and the helpers that only read them, are the
-package's own.
+package's own.  ``reference_det`` is the dense Bareiss determinant, and
+``from_linkings`` builds a package diagram from every nonzero linking.
 """
 
 from __future__ import annotations
@@ -20,11 +21,15 @@ from tightcert.diagrams import (
     PUSHOFF,
     RH_TREFOIL,
     UNKNOT,
+    ContactDiagram,
     LegendrianComponent,
     _check_choice,
     _fresh_ids,
+    _index,
     _opt_coeff,
+    _pair_positions,
     _restated,
+    _stored_row,
 )
 from tightcert.errors import CalculusError
 from tightcert.rationals import (
@@ -49,6 +54,27 @@ def linking_pairs(d):
         for j, v in enumerate(row[:i])
         if v
     }
+
+
+def from_linkings(components, linkings=None):
+    """The package diagram with ``components`` and the nonzero linkings
+    ``linkings`` gives by unordered id pair, every other pair unlinked:
+    each tree pushoff's row is derived from its parent's by the pushoff
+    rule and handed to ``ContactDiagram.from_stored``."""
+    comps = tuple(components)
+    pos = _index(comps)
+    lower = [{} for _ in comps]
+    for pair, value in (linkings or {}).items():
+        i, j = _pair_positions(pos, pair, value)
+        if value:
+            lower[i][j] = value
+    ids, entries = tuple(pos), []
+    for i, c in enumerate(comps):
+        p = pos[c.parent] if c.kind == PUSHOFF else i
+        tree = p < i
+        for k, v in _stored_row(ids, i, p if tree else None, lower).items():
+            entries.append((k, c.cid, v, tree and k != c.parent))
+    return ContactDiagram.from_stored(comps, entries)
 
 
 class reference_ContactDiagram:
@@ -336,3 +362,29 @@ def reference_slid_rows(d):
 
 def reference_h1(d):
     return smith_normal_form(reference_slid_rows(d))
+
+
+def reference_det(m):
+    """The determinant of a square integer matrix by dense Bareiss
+    fraction-free elimination, swapping a row up for a zero pivot."""
+    a = [list(row) for row in m]
+    n = len(a)
+    if n == 0:
+        return 1
+    sign = 1
+    prev = 1
+    for t in range(n - 1):
+        if a[t][t] == 0:
+            swap = next((i for i in range(t + 1, n) if a[i][t]), None)
+            if swap is None:
+                return 0
+            a[t], a[swap] = a[swap], a[t]
+            sign = -sign
+        ptt = a[t][t]
+        for i in range(t + 1, n):
+            ait = a[i][t]
+            row = a[i]
+            prow = a[t]
+            a[i] = [(ptt * row[j] - ait * prow[j]) // prev for j in range(n)]
+        prev = ptt
+    return sign * a[n - 1][n - 1]

@@ -39,11 +39,11 @@ from tightcert.diagrams import (
 from tightcert.errors import CalculusError, ExcludedSlopeError
 from tightcert.floer import Interval, engine_triangles
 from tightcert.rationals import SurgeryCoeff
-from tightcert.serialize import certificate_from_dict, certificate_to_dict, diagram_to_dict
+from tightcert.serialize import certificate_from_dict, certificate_to_dict
 from tightcert.topology import Manifold, h1
 from tightcert import diagrams
 from reference_certify import reference_node_presentations, reference_walk
-from reference_diagram import linking_pairs
+from reference_diagram import from_linkings, linking_pairs
 from test_diagrams import _child_before_parent, count_constructions
 from test_topology import _fib
 
@@ -56,7 +56,7 @@ def fresh(cert):
 def with_linking(d, a, b, value):
     links = linking_pairs(d)
     links[frozenset((a, b))] = value
-    return ContactDiagram(d.components, links)
+    return from_linkings(d.components, links)
 
 
 def root_presentation(cert):
@@ -752,7 +752,7 @@ def test_cancel_edge_on_an_inline_parent_listed_after_its_child():
     cert.edges["ex"] = SurgeryEdge("ex", "x", "x1", "cancel:X")
     built = node_presentations(cert)["x1"]
     assert built.ids() == ("C", "Y") and built.component("C").parent == "Y"
-    assert ContactDiagram(built.components, linking_pairs(built)) == built
+    assert from_linkings(built.components, linking_pairs(built)) == built
     result = check_certificate(cert)
     assert not result.ok and result.step is None
     assert result.reason == f"node x: {_NOT_OWN} s3"

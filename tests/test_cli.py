@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import os
 import time
 import tracemalloc
 
@@ -180,12 +181,29 @@ def test_h1_reduces_a_slope_as_a_diagram(monkeypatch, capsys):
 
 @pytest.mark.parametrize("slope", ["-3", "7/3", "13/4", "-5/3", "9/8"])
 def test_h1_of_a_slope_equals_h1_of_its_link(slope, tmp_path, capsys):
+    # det too: a slope is read as its slid rows, a link file as given.
     d = normalize_diagram(trefoil_surgery_diagram(SurgeryCoeff.parse(slope)))
     path = tmp_path / "link.json"
     dump_json(framed_link_dict(linking_matrix(d)), str(path))
-    for extra in ((), ("--json",)):
-        by_slope = run_cli(capsys, "h1", "--slope", slope, *extra)
-        assert run_cli(capsys, "h1", "--link", str(path), *extra) == by_slope
+    for command in ("h1", "det"):
+        for extra in ((), ("--json",)):
+            by_slope = run_cli(capsys, command, "--slope", slope, *extra)
+            assert run_cli(capsys, command, "--link", str(path), *extra) == by_slope
+
+
+# The unslid 25 x 25 linking matrix of a nested (-1)-chain with one
+# linking bumped (``test_oracles.nested_tree`` at seed 8803, iteration 80,
+# the bumped variant): the sparse phase leaves a block with no unit, on
+# which an elimination without a modulus grows entries past a million bits.
+NO_UNIT_LINK = os.path.join(os.path.dirname(__file__), "data", "nested_bumped_link.json")
+
+
+def test_h1_and_det_of_a_link_the_sparse_phase_leaves_dense(capsys):
+    # Z + Z/3 + Z/6 + Z/246 and det 0, as sympy computes them.
+    code, out, _ = run_cli(capsys, "h1", "--link", NO_UNIT_LINK, "--json")
+    assert code == 0
+    assert json.loads(out) == {"free_rank": 1, "torsion": [3, 6, 246], "order": 0, "cyclic": False}
+    assert run_cli(capsys, "det", "--link", NO_UNIT_LINK, "--json") == (0, '{\n  "det": 0\n}\n', "")
 
 
 def test_det_output(capsys):

@@ -53,7 +53,7 @@ from tightcert.rationals import (
 )
 from tightcert.serialize import diagram_to_dict
 from tightcert.topology import det_signed, h1, linking_matrix
-from reference_diagram import linking_pairs
+from reference_diagram import from_linkings, linking_pairs
 from test_oracles import assert_sound
 
 
@@ -69,7 +69,7 @@ def random_slope(rng, lo=-25, hi=25, qmax=12):
 
 
 def relabeled(d, rng, shuffle=True):
-    """Rebuild d through the public constructor with fresh component
+    """Rebuild d through ``from_linkings`` with fresh component
     names, in shuffled order unless ``shuffle`` is false; the result is
     isomorphic, not equal."""
     ids = list(d.ids())
@@ -106,7 +106,7 @@ def relabeled(d, rng, shuffle=True):
         frozenset(names[x] for x in pair): v
         for pair, v in linking_pairs(d).items()
     }
-    return ContactDiagram(tuple(comps), links)
+    return from_linkings(tuple(comps), links)
 
 
 # ---------------------------------------------------------------------------
@@ -183,7 +183,7 @@ def test_duplicate_and_missing_ids_rejected():
     with pytest.raises(CalculusError):
         ContactDiagram((orphan,))
     with pytest.raises(CalculusError):
-        ContactDiagram((c,), {frozenset(("x", "gone")): 1})
+        ContactDiagram.from_stored((c,), [("x", "gone", 1, False)])
 
 
 def test_pushoff_naming_itself_as_parent_refused():
@@ -194,7 +194,7 @@ def test_pushoff_naming_itself_as_parent_refused():
         ContactDiagram((selfish,))
     root = LegendrianComponent("x", UNKNOT, None, UNKNOT, -1, 0, SurgeryCoeff(-1))
     with pytest.raises(CalculusError, match="names itself as its parent"):
-        ContactDiagram((root, selfish), {frozenset("px"): 1})
+        ContactDiagram.from_stored((root, selfish), [("x", "p", 1, False)])
 
 
 # ---------------------------------------------------------------------------
@@ -243,7 +243,7 @@ def _child_before_parent(child_tb):
         LegendrianComponent("X", PUSHOFF, "Y", RH_TREFOIL, 1, 0, SurgeryCoeff(-1)),
     )
     links = {frozenset("CX"): 1, frozenset("CY"): 1, frozenset("XY"): 1}
-    return ContactDiagram(comps, links)
+    return from_linkings(comps, links)
 
 
 def test_remove_reparents_child_listed_before_it():
@@ -253,8 +253,8 @@ def test_remove_reparents_child_listed_before_it():
     assert c.kind == PUSHOFF and c.parent == "Y"
     assert (c.tb, c.rot, c.coeff) == (1, 0, SurgeryCoeff(1))
     assert d.linking("C", "Y") == 1
-    # The result is a diagram the public constructor accepts as it stands.
-    assert ContactDiagram(d.components, linking_pairs(d)) == d
+    # The result is a diagram ``from_linkings`` rebuilds as it stands.
+    assert from_linkings(d.components, linking_pairs(d)) == d
 
 
 def test_remove_demotes_child_listed_before_it():
@@ -263,7 +263,7 @@ def test_remove_demotes_child_listed_before_it():
     assert c.kind == RH_TREFOIL and c.parent is None
     assert (c.tb, c.rot, c.coeff) == (0, 1, SurgeryCoeff(1))
     assert d.linking("C", "Y") == 1
-    assert ContactDiagram(d.components, linking_pairs(d)) == d
+    assert from_linkings(d.components, linking_pairs(d)) == d
 
 
 # ---------------------------------------------------------------------------
@@ -660,10 +660,10 @@ def _ref_fresh_id(d):
 
 
 def _ref_rebuilt(d, comps, drop=None):
-    """comps with d's linkings, less those of ``drop``, through the public
-    constructor, which builds the rows afresh."""
+    """comps with d's linkings, less those of ``drop``, through
+    ``from_linkings``, which builds the rows afresh."""
     pairs = {pair: v for pair, v in linking_pairs(d).items() if drop not in pair}
-    return ContactDiagram(comps, pairs)
+    return from_linkings(comps, pairs)
 
 
 def reference_replace(d, cid, **changes):
@@ -685,7 +685,7 @@ def reference_pushoff(d, cid):
             pairs[frozenset((new, other))] = d.linking(cid, other)
     if parent.tb:
         pairs[frozenset((new, cid))] = parent.tb
-    return ContactDiagram(out.components, pairs), new
+    return from_linkings(out.components, pairs), new
 
 
 def reference_remove(d, cid):
@@ -765,7 +765,7 @@ def random_diagram(rng):
             d = set_coeff(d, cid, SurgeryCoeff(rng.choice((-3, -1, 1, 2))))
     comps = list(d.components)
     rng.shuffle(comps)
-    return ContactDiagram(comps, linking_pairs(d))
+    return from_linkings(comps, linking_pairs(d))
 
 
 def assert_same(out, ref):

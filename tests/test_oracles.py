@@ -2,11 +2,12 @@
 
 ``diagram_iso`` is checked against networkx's VF2 matcher on labelled
 graphs (every pair it accepts must be isomorphic), and the linking rows
-behind every move against the public constructor and entry-by-entry
+behind every move against ``from_linkings`` and entry-by-entry
 linking matrices.  ``smith_normal_form`` is
 checked against sympy's, and ``h1`` of a diagram (pushoffs slid over their
-parents, then the sparse phase) against the dense elimination alone on the
-unslid linking matrix.  Each test that needs a library is skipped when it
+parents, then the sparse phase) against the dense phase alone on the
+unslid linking matrix; ``det_signed`` against sympy's and a dense Bareiss
+reference.  Each test that needs a library is skipped when it
 is missing.
 """
 
@@ -21,7 +22,6 @@ import pytest
 
 from tightcert.certify import certify_tight, node_presentations
 from tightcert.diagrams import (
-    ContactDiagram,
     LegendrianComponent,
     add_trefoil,
     add_unknot,
@@ -40,14 +40,15 @@ from tightcert.diagrams import (
 from tightcert.rationals import SurgeryCoeff
 from tightcert.topology import (
     HomologyResult,
+    _dense_phase,
     _slid_rows,
-    _smith_diagonal,
+    det_signed,
     h1,
     linking_matrix,
     smith_normal_form,
 )
 
-from reference_diagram import linking_pairs, reference_slid_rows
+from reference_diagram import from_linkings, linking_pairs, reference_det, reference_slid_rows
 
 def shuffled_copy(d, rng, bump=None, reparent=None, shuffle=True):
     """d rebuilt with fresh names in a random order (parents may follow
@@ -75,7 +76,7 @@ def shuffled_copy(d, rng, bump=None, reparent=None, shuffle=True):
         )
         for c in comps
     ]
-    return ContactDiagram(out, links)
+    return from_linkings(out, links)
 
 
 def other_parent(d, rng):
@@ -178,7 +179,7 @@ def _unknots(n, links, parents=None):
         )
         for i in range(n)
     ]
-    return ContactDiagram(
+    return from_linkings(
         comps, {frozenset((f"u{i}", f"u{j}")): v for (i, j), v in links.items()}
     )
 
@@ -272,8 +273,8 @@ def _expected_matrix(d):
 
 
 def _check_rows(d):
-    assert d == ContactDiagram(d.components, linking_pairs(d))
-    assert hash(d) == hash(ContactDiagram(d.components, linking_pairs(d)))
+    assert d == from_linkings(d.components, linking_pairs(d))
+    assert hash(d) == hash(from_linkings(d.components, linking_pairs(d)))
     for a in d.ids():
         for b in d.ids():
             if a != b:
@@ -335,7 +336,8 @@ def test_linking_rows_under_random_moves():
 
 
 # ---------------------------------------------------------------------------
-# H1: sympy's Smith normal form, and the dense path alone
+# H1 and det: sympy's Smith normal form and determinant, and the dense
+# phase alone
 # ---------------------------------------------------------------------------
 
 
@@ -353,14 +355,15 @@ def sympy_cokernel(sympy, m):
 
 
 def dense_h1(d):
-    """H1 of a normalized diagram by the dense elimination alone, on the
-    linking matrix with no slide."""
-    return dense_group([list(row) for row in linking_matrix(d).matrix])
+    """H1 of a normalized diagram by the dense phase alone, on the linking
+    matrix with no slide."""
+    return dense_group(linking_matrix(d).matrix)
 
 
 def dense_group(m):
-    """The cokernel of a dense square matrix by ``_smith_diagonal`` alone."""
-    diag = _smith_diagonal(m)
+    """The cokernel of a dense square matrix by ``_dense_phase`` alone;
+    HomologyResult checks that its factors form a divisibility chain."""
+    diag = _dense_phase([list(row) for row in m])
     return HomologyResult(len(m) - len(diag), tuple(x for x in diag if x > 1))
 
 
@@ -398,6 +401,35 @@ def test_smith_matches_sympy_on_random_matrices():
         assert smith_normal_form(m) == sympy_cokernel(sympy, m), m
 
 
+@pytest.mark.parametrize("units", [True, False], ids=["any", "no-unit"])
+def test_smith_and_det_match_sympy_on_large_entries(units):
+    # Up to 8 x 8, entries up to 10^6 in size, mixed with small ones so
+    # that units and zeros turn up; without units the sparse phase can
+    # only split off isolated entries and the dense phase takes the rest.
+    hypothesis = pytest.importorskip("hypothesis")
+    sympy = pytest.importorskip("sympy")
+    st = hypothesis.strategies
+    entry = st.one_of(st.integers(-3, 3), st.integers(-10**6, 10**6))
+    if not units:
+        entry = entry.filter(lambda x: x not in (1, -1))
+    # Square half the time, for det.
+    shape = st.integers(1, 8).flatmap(
+        lambda n: st.tuples(st.just(n), st.one_of(st.just(n), st.integers(1, 8)))
+    )
+    matrices = shape.flatmap(
+        lambda s: st.lists(st.lists(entry, min_size=s[1], max_size=s[1]), min_size=s[0], max_size=s[0])
+    )
+
+    @hypothesis.settings(max_examples=150, deadline=None, derandomize=True)
+    @hypothesis.given(matrices)
+    def run(m):
+        assert smith_normal_form(m) == sympy_cokernel(sympy, m)
+        if len(m) == len(m[0]):
+            assert det_signed(m) == sympy.Matrix(m).det()
+
+    run()
+
+
 def test_h1_matches_sympy_on_tower_and_root_matrices():
     sympy = pytest.importorskip("sympy")
     diagrams = [tower_diagram(k) for k in (1, 2, 3, 5, 8, 13, 34, 99)]
@@ -418,6 +450,7 @@ def test_h1_matches_dense_path_on_certificate_presentations():
                 continue
             for d in node_presentations(certify_tight(SurgeryCoeff(p, q))).values():
                 assert h1(d) == dense_h1(d), (p, q)
+                assert det_signed(d) == reference_det(linking_matrix(d).matrix), (p, q)
                 count += 1
     assert count > 1000
     for r in ("80/79", "160/159", "-1/150"):
@@ -469,16 +502,15 @@ def with_parent_cycle(d, rng, size):
     ring = rng.sample([i for i, c in enumerate(comps) if c.kind == "pushoff"], size)
     for i, j in zip(ring, ring[1:] + ring[:1]):
         comps[i] = replace(comps[i], parent=comps[j].cid)
-    return ContactDiagram(comps, linking_pairs(d))
+    return from_linkings(comps, linking_pairs(d))
 
 
 def dense_slid_rows(d):
-    """The rows ``h1`` reduces, by position."""
-    pos = d._pos
+    """The rows ``h1`` reduces, as a dense matrix."""
     out = [[0] * len(d) for _ in range(len(d))]
     for i, row in enumerate(_slid_rows(d)):
-        for cid, v in row.items():
-            out[i][pos[cid]] = v
+        for j, v in row.items():
+            out[i][j] = v
     return out
 
 
@@ -487,11 +519,10 @@ def test_h1_matches_dense_paths_on_nested_pushoff_trees():
     # breaks the pushoff rule (a deviating row), listed in a random order
     # (parents after children), and with 2- and 3-cycles of parents.  The
     # sparse slid rows must be the dense row-and-column slide exactly, and
-    # h1 the group of the dense slid matrix by the dense elimination alone.
-    # Every other chain as built, and each kind of variant on every 20th
-    # chain, is checked against sympy on the unslid matrix; the dense
-    # elimination alone cannot take that matrix, since its entries grow
-    # without bound on 8 of these 600.
+    # h1 the group of the dense slid matrix by the dense phase alone.  On
+    # every unslid matrix, sympy's group must be that of both
+    # ``smith_normal_form`` and the dense phase alone, and det that of the
+    # dense Bareiss reference.
     sympy = pytest.importorskip("sympy")
     rng = random.Random(8803)
     depths = []
@@ -514,9 +545,8 @@ def test_h1_matches_dense_paths_on_nested_pushoff_trees():
             slid = reference_slid_rows(v)
             assert dense_slid_rows(v) == slid
             assert h1(v) == dense_group(slid)
-        checked = [d] if i % 2 == 0 else []
-        if i % 20 == 0:
-            checked += variants[1:]
-        for v in checked:
-            assert h1(v) == sympy_cokernel(sympy, linking_matrix(v).matrix)
+            unslid = linking_matrix(v).matrix
+            expected = sympy_cokernel(sympy, unslid)
+            assert h1(v) == smith_normal_form(unslid) == dense_group(unslid) == expected
+            assert det_signed(v) == reference_det(unslid)
     assert min(depths) >= 20

@@ -7,8 +7,8 @@ and arbitrary linkings, random move sequences, and removals that
 reparent children through the removed knot's slid row are run through
 both; the linking rows, single linkings, ``h1`` and the slid rows it
 reduces, ``==``, ``hash`` and ``diagram_iso`` must agree at every step.
-The JSON form must read back every acyclic diagram the constructor
-accepts.
+The JSON form must read back every acyclic diagram ``from_linkings``
+builds.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ from dataclasses import replace
 import pytest
 
 import reference_diagram as ref
-from reference_diagram import linking_pairs, reference_ContactDiagram
+from reference_diagram import from_linkings, linking_pairs, reference_ContactDiagram
 from tightcert import diagrams
 from tightcert.diagrams import (
     PUSHOFF,
@@ -43,7 +43,7 @@ _MOVES = (
 
 
 def both(comps, pairs):
-    return ContactDiagram(comps, pairs), reference_ContactDiagram(comps, pairs)
+    return from_linkings(comps, pairs), reference_ContactDiagram(comps, pairs)
 
 
 def random_components(rng):
@@ -90,19 +90,18 @@ def signed(d, module, rng_state):
 
 def dense_slid_rows(d):
     rows = _slid_rows(d)
-    pos = d._pos
     out = [[0] * len(rows) for _ in rows]
     for i, row in enumerate(rows):
-        for cid, v in row.items():
-            out[i][pos[cid]] = v
+        for j, v in row.items():
+            out[i][j] = v
     return out
 
 
 def assert_match(new, old, rng):
     assert new.components == old.components
     assert new.linking_rows() == old.linking_rows()
-    # The moves leave the unique stored form the constructor builds.
-    rebuilt = ContactDiagram(new.components, linking_pairs(new))
+    # The moves leave the unique stored form ``from_linkings`` builds.
+    rebuilt = from_linkings(new.components, linking_pairs(new))
     assert rebuilt._links == new._links and hash(rebuilt) == hash(new)
     ids = new.ids()
     for _ in range(min(6, len(ids) * (len(ids) - 1))):
@@ -152,7 +151,7 @@ def move(d, module, kind, rng):
     return None
 
 
-def test_constructor_matches_the_reference():
+def test_from_linkings_matches_the_reference():
     rng = random.Random(1601)
     for _ in range(300):
         comps, pairs = random_components(rng)
@@ -300,7 +299,7 @@ def acyclic_diagram(rng):
         a, b = rng.sample(range(n), 2)
         pairs[frozenset((f"k{a}", f"k{b}"))] = rng.randrange(-3, 4)
     rng.shuffle(comps)
-    return ContactDiagram(comps, pairs)
+    return from_linkings(comps, pairs)
 
 
 def test_every_acyclic_order_round_trips_through_json():
@@ -362,7 +361,7 @@ def nested_pushoffs(rng):
     if rng.random() < 0.3:
         comps = list(d.components)
         rng.shuffle(comps)
-        d = ContactDiagram(comps, linking_pairs(d))
+        d = from_linkings(comps, linking_pairs(d))
     return d
 
 
@@ -370,7 +369,7 @@ def test_cancel_pushoff_pairs_matches_the_rescan():
     rng = random.Random(1701)
     exposed = cancelled = 0
     for _ in range(600):
-        d = nested_pushoffs(rng) if rng.random() < 0.8 else ContactDiagram(*random_components(rng))
+        d = nested_pushoffs(rng) if rng.random() < 0.8 else from_linkings(*random_components(rng))
         got = diagrams.cancel_pushoff_pairs(d)
         want = ref.cancel_pushoff_pairs(d, diagrams.remove_component)
         assert got == want and got.ids() == want.ids()
@@ -425,7 +424,7 @@ def unit_fraction_parent(rng):
         rng.shuffle(comps)
     k = rng.randrange(1, 5)
     comps = [replace(c, coeff=SurgeryCoeff(1, k)) if c.cid == x else c for c in comps]
-    return ContactDiagram(comps, pairs), x, y, k
+    return from_linkings(comps, pairs), x, y, k
 
 
 def test_convert_positive_builds_pushoffs_on_their_final_parent(monkeypatch):
@@ -471,7 +470,7 @@ def test_lower_linkings_list_only_nonzero_linkings():
     y = LegendrianComponent("Y", RH_TREFOIL, None, RH_TREFOIL, 0, 0, None)
     x = LegendrianComponent("X", PUSHOFF, "Y", RH_TREFOIL, 0, 0, None)
     c = LegendrianComponent("C", PUSHOFF, "X", RH_TREFOIL, 0, 0, None)
-    d = ContactDiagram((y, x, c), {frozenset(("X", "Y")): -1})
+    d = from_linkings((y, x, c), {frozenset(("X", "Y")): -1})
     assert d._links[2] == {"Y": 1}
     assert d.lower_linkings() == [{}, {0: -1}, {}]
     data = diagram_to_dict(d)
@@ -479,5 +478,5 @@ def test_lower_linkings_list_only_nonzero_linkings():
     assert diagram_from_dict(data) == d
     rng = random.Random(1703)
     for _ in range(300):
-        d = ContactDiagram(*random_components(rng))
+        d = from_linkings(*random_components(rng))
         assert all(v for row in d.lower_linkings() for v in row.values())

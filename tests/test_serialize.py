@@ -16,7 +16,6 @@ from tightcert.certify import (
     ContactNode,
     Step,
     SurgeryEdge,
-    build_tower_chain,
     certify_tight,
     check_certificate,
     node_presentations,

@@ -17,7 +17,6 @@ import pytest
 from tightcert.diagrams import (
     ContactDiagram,
     LegendrianComponent,
-    add_trefoil,
     add_unknot,
     contact_pushoff,
     empty_diagram,
@@ -43,7 +42,9 @@ from tightcert.topology import (
     triangle_det_check,
 )
 from tightcert import topology
-from tightcert.topology import _smith_diagonal
+from tightcert.topology import _dense_phase
+
+from reference_diagram import from_linkings
 
 
 def det_oracle(m):
@@ -198,6 +199,11 @@ def test_det_rejects_nonsquare():
         det_signed([[1, 2, 3], [4, 5, 6]])
 
 
+def test_det_rejects_non_integer_entries():
+    with pytest.raises(CalculusError):
+        det_signed([[1, 0.5], [0, 2]])
+
+
 # ---------------------------------------------------------------------------
 # Homology result bookkeeping
 # ---------------------------------------------------------------------------
@@ -285,9 +291,9 @@ def test_h1_dispatches_all_input_kinds():
 
 
 def _dense_h1(d):
-    """H1 of a diagram by the dense elimination alone, with no slide."""
+    """H1 of a diagram by the dense phase alone, with no slide."""
     a = [list(row) for row in linking_matrix(d).matrix]
-    diag = _smith_diagonal(a)
+    diag = _dense_phase(a)
     return HomologyResult(len(a) - len(diag), tuple(x for x in diag if x > 1))
 
 
@@ -300,18 +306,18 @@ def test_h1_slides_only_over_earlier_parents():
     # Two (-1)-pushoffs, each the other's parent, linked once: the matrix
     # ((-2, 1), (1, -2)) presents Z/3.  Sliding both rows over each other
     # would present Z + Z/3.
-    cycle = ContactDiagram(
+    cycle = from_linkings(
         [_minus_one_unknot("a", "b"), _minus_one_unknot("b", "a")],
         {frozenset("ab"): 1},
     )
     assert h1(cycle) == _dense_h1(cycle) == HomologyResult(0, (3,))
     # A three-cycle, and pushoffs listed before their parents.
-    cycle3 = ContactDiagram(
+    cycle3 = from_linkings(
         [_minus_one_unknot("a", "c"), _minus_one_unknot("b", "a"), _minus_one_unknot("c", "b")],
         {frozenset("ab"): -1, frozenset("bc"): -1, frozenset("ca"): -1},
     )
     assert h1(cycle3) == _dense_h1(cycle3) == HomologyResult(0, (4,))
-    later = ContactDiagram(
+    later = from_linkings(
         [
             _minus_one_unknot("p", "k"),
             _minus_one_unknot("k"),
