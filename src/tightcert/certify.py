@@ -166,12 +166,23 @@ def _all_minus_one_stein(cert, built, node):
 
 
 def _transfer(cert, built, target, source, cancel=False):
+    # Isomorphic presentations cancel to isomorphic forms, so only a pair
+    # that differs is cancelled.
     a, b = _presentation(built, target), _presentation(built, source)
-    if cancel:
-        a, b = cancel_pushoff_pairs(a), cancel_pushoff_pairs(b)
+    if cancel and not diagram_iso(a, b):
+        a, b = _cancelled(built, target), _cancelled(built, source)
     if not diagram_iso(a, b):
         raise CalculusError("presentations do not match")
     return (("c_nonzero", source.nid),), ("c_nonzero", target.nid)
+
+
+def _cancelled(built, node):
+    """The cancelled form of node's presentation, kept in ``built`` under
+    ("cancelled", node id): each node is cancelled at most once a verify."""
+    key = ("cancelled", node.nid)
+    if key not in built:
+        built[key] = cancel_pushoff_pairs(_presentation(built, node))
+    return built[key]
 
 
 def _h1_consistency(cert, built, node, recorded):
@@ -192,9 +203,10 @@ def _h1_consistency(cert, built, node, recorded):
 # Rule id -> (statement, reference kinds, checker).  A step citing the rule
 # carries references of exactly those kinds, in order.  The checker receives
 # the certificate, the presentations the verifier built for the nodes the
-# steps cite, and the resolved references; it returns the facts the step
-# needs and the fact it derives, and raises CalculusError when the cited
-# data do not support the rule.
+# steps cite (where ``_cancelled`` also keeps their cancelled forms), and
+# the resolved references; it returns the facts the step needs and the
+# fact it derives, and raises CalculusError when the cited data do not
+# support the rule.
 RULES = {
     "stein_nonzero": (
         "a Stein fillable structure has nonvanishing contact class",

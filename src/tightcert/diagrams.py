@@ -31,19 +31,24 @@ rewrite scans below deterministic.
 Storage
 -------
 
+Every pushoff is listed after its parent: the constructor and
+``from_stored`` refuse any other order, which also refuses a missing
+parent, a pushoff that is its own parent and every parent cycle.  The
+moves keep the order, since each appends its new knots and a removal
+moves a child only to its grandparent, listed earlier still.
+
 Linking numbers are kept in one row per component, a dict keyed by the
 ids of earlier components: each pair is stored by the later of its two
-knots.  Call a pushoff whose parent sits at an earlier position a *tree
-pushoff*.  Its row holds its linking with its parent, frozen at creation,
-and its deviations from the pushoff rule: lk(P, z) - lk(parent, z) for
-every other earlier z where that is nonzero.  Every other component, a
-root knot, a pushoff listed before its parent or one in a parent cycle,
-holds its nonzero linkings with earlier components explicitly.  Zero
-entries are never stored, so given the components the rows are unique,
-and comparing rows by position compares the full linking matrices.
+knots.  A pushoff's row holds its linking with its parent, frozen at
+creation, and its deviations from the pushoff rule: lk(P, z) -
+lk(parent, z) for every other earlier z where that is nonzero.  A root
+knot holds its nonzero linkings with earlier components explicitly.
+Zero entries are never stored, so given the components the rows are
+unique, and comparing rows by position compares the full linking
+matrices.
 
 In the presentations of a slope, its reduction path and the tower
-ladder, no tree pushoff deviates: a pushoff's row holds one entry, and
+ladder, no pushoff deviates: a pushoff's row holds one entry, and
 the diagram O(n) entries.  ``component(cid)`` reads the component tuple
 at ``_pos[cid]``.  Every move edits a ``_Draft``, the same storage in
 lists with an index of each knot's children.  Given a draft, a public
@@ -69,10 +74,10 @@ components, in linking entries:
 * removing a component drops its row and its entry from the later rows
   that store one, shifts the position of every knot after it, and
   rewrites only its children's rows, found in the children index with
-  no scan: a child listed after it and reparented to its parent takes
-  the removed knot's deviations and its own, O(children) in emitted
-  presentations.  A child demoted to a root, or any other change of a
-  row's kind, is written out from the sparse rows of the matrix;
+  no scan: a child reparented to the removed knot's parent takes the
+  removed knot's deviations and its own, O(children) in emitted
+  presentations.  A child demoted to a root is written out from the
+  sparse rows of the matrix;
 * ``linking`` follows the pushoff rule up the parents, and
   ``lower_linkings`` lists every nonzero linking in one pass, O(number
   of nonzero linkings); ``linking_rows`` expands them into the full
@@ -179,10 +184,9 @@ class ContactDiagram:
     ``components`` is a tuple in creation order and ``_pos`` maps each id
     to its position, the one id map: ``component(cid)`` is
     ``components[_pos[cid]]``.  ``_links[i]`` is row i, a dict from the
-    ids of earlier components to nonzero ints: for a tree pushoff (its
-    parent at an earlier position) the frozen linking with its parent and
-    its deviations from the pushoff rule, for any other component its
-    linkings.  The class holds queries only: nothing writes a
+    ids of earlier components to nonzero ints: for a pushoff the frozen
+    linking with its parent and its deviations from the pushoff rule, for
+    a root knot its linkings.  The class holds queries only: nothing writes a
     ``ContactDiagram``, and a move runs on a ``_Draft`` copy of it, which
     shares its rows; the Storage section of the module docstring gives
     each move's cost.
@@ -190,10 +194,8 @@ class ContactDiagram:
     The constructor takes components alone, every linking zero;
     ``ContactDiagram()`` is the empty diagram.  ``from_stored`` takes
     the stored rows, as ``stored_entries`` lists them.  Both refuse a
-    duplicate id and a pushoff whose parent is missing or is the pushoff
-    itself, and ``from_stored`` a bad linking pair.  A parent listed
-    after its child, and a parent cycle of two or more knots, are
-    accepted.
+    duplicate id and a pushoff whose parent is not listed before it, and
+    ``from_stored`` a bad linking pair.
     """
 
     __slots__ = ("components", "_pos", "_links")
@@ -211,9 +213,9 @@ class ContactDiagram:
         entries) with nothing derived from the pushoff rule.
 
         Say b is the later of a and b.  An entry with ``deviation`` false
-        is the linking of a and b; b must not be a tree pushoff, or a must
-        be its parent.  An entry with ``deviation`` true is a tree pushoff
-        b's deviation from the pushoff rule at a, which is not its parent.
+        is the linking of a and b; b must be a root knot, or a must be its
+        parent.  An entry with ``deviation`` true is a pushoff b's
+        deviation from the pushoff rule at a, which is not its parent.
         Each pair is given at most once, in either order, and a zero value
         is dropped.  Raises CalculusError at the first entry that breaks a
         rule, or on the components as the constructor does.
@@ -224,10 +226,9 @@ class ContactDiagram:
         for a, b, value, deviation in entries:
             i, j = _pair_positions(pos, (a, b), value)
             c = comps[i]
-            p = pos[c.parent] if c.kind == PUSHOFF else i
-            tree = p < i and p != j
-            if deviation != tree:
-                if tree:
+            rule = c.parent not in (None, ids[j])
+            if deviation != rule:
+                if rule:
                     raise CalculusError(
                         f"pushoff {c.cid} links {ids[j]} by the pushoff rule from "
                         f"{c.parent}: give its deviation, not its linking"
@@ -274,15 +275,10 @@ class ContactDiagram:
         except KeyError:
             raise CalculusError(f"no component {cid!r} in diagram") from None
 
-    def _tree_parent(self, i: int) -> int | None:
-        """Position of component i's parent when it sits earlier, else
-        None: row i then holds deviations from the pushoff rule."""
-        c = self.components[i]
-        if c.kind == PUSHOFF:
-            p = self._pos[c.parent]
-            if p < i:
-                return p
-        return None
+    def _parent_pos(self, i: int) -> int | None:
+        """Position of component i's parent, or None for a root."""
+        parent = self.components[i].parent
+        return None if parent is None else self._pos[parent]
 
     def linking(self, a: str, b: str) -> int:
         pos = self._pos
@@ -295,12 +291,12 @@ class ContactDiagram:
         i, j = pos[a], pos[b]
         if i < j:
             i, j = j, i
-        # lk(i, j), i later: row i's entry, plus lk(parent, j) while row i
-        # is a tree pushoff's and j is not its parent.
+        # lk(i, j), i later: row i's entry, plus lk(parent, j) while i is
+        # a pushoff and j is not its parent.
         total = 0
         while True:
             total += self._links[i].get(self.components[j].cid, 0)
-            p = self._tree_parent(i)
+            p = self._parent_pos(i)
             if p is None or p == j:
                 return total
             i, j = (p, j) if p > j else (j, p)
@@ -320,15 +316,15 @@ class ContactDiagram:
         nonzero linking, in one pass over the stored form: O(number of
         nonzero linkings) in emitted presentations.
 
-        A tree pushoff's row is its parent's row, then the parent's
-        linkings with the knots between the two, each read off that knot's
-        row, with the parent linking and the deviations applied."""
+        A pushoff's row is its parent's row, then the parent's linkings
+        with the knots between the two, each read off that knot's row, with
+        the parent linking and the deviations applied."""
         pos, lower = self._pos, []
         for i, (c, row) in enumerate(zip(self.components, self._links)):
-            p = pos[c.parent] if c.kind == PUSHOFF else i
-            if p >= i:
+            if c.parent is None:
                 new = {pos[k]: v for k, v in row.items()} if row else {}
             else:
+                p = pos[c.parent]
                 new = _rule_row(lower, p, i)
                 for k, v in row.items():
                     z = pos[k]
@@ -341,15 +337,13 @@ class ContactDiagram:
 
     def stored_entries(self):
         """The stored rows as (a, b, value, deviation) entries, a before b,
-        in row order, in O(n + stored entries): a tree pushoff's linking
-        with its parent and every entry of any other row with
-        ``deviation`` false, a tree pushoff's deviations with it true.
-        ``from_stored`` reads them back."""
-        pos = self._pos
-        for i, (c, row) in enumerate(zip(self.components, self._links)):
-            tree = c.kind == PUSHOFF and pos[c.parent] < i
+        in row order, in O(n + stored entries): a pushoff's linking with
+        its parent and every entry of a root's row with ``deviation``
+        false, a pushoff's deviations with it true.  ``from_stored`` reads
+        them back."""
+        for c, row in zip(self.components, self._links):
             for k, v in row.items():
-                yield k, c.cid, v, tree and k != c.parent
+                yield k, c.cid, v, c.parent not in (None, k)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, ContactDiagram):
@@ -369,21 +363,19 @@ class ContactDiagram:
 
 def _index(comps):
     """The id map of ``comps``, refusing a non-component, a duplicate id,
-    and a pushoff whose parent is missing or is the pushoff itself."""
+    and a pushoff whose parent is not listed before it: so also a missing
+    parent, a pushoff that is its own parent and every parent cycle."""
     pos = {}
     for i, c in enumerate(comps):
         if not isinstance(c, LegendrianComponent):
             raise CalculusError("diagram components must be LegendrianComponent")
         if c.cid in pos:
             raise CalculusError(f"duplicate component id {c.cid!r}")
-        pos[c.cid] = i
-    for c in comps:
-        if c.kind == PUSHOFF and c.parent not in pos:
+        if c.parent is not None and c.parent not in pos:
             raise CalculusError(
-                f"pushoff {c.cid} names missing parent {c.parent!r}"
+                f"pushoff {c.cid} names parent {c.parent!r}, which is not listed before it"
             )
-        if c.parent == c.cid:
-            raise CalculusError(f"pushoff {c.cid} names itself as its parent")
+        pos[c.cid] = i
     return pos
 
 
@@ -410,32 +402,6 @@ def _rule_row(lower, p, i):
         if v:
             rule[z] = v
     return rule
-
-
-def _stored_row(ids, i, p, lower, dead=None):
-    """Row i in the stored form, read off the lower rows ``lower`` by
-    position (zero entries absent): a tree pushoff's of the component at
-    position p, or explicit when p is None.  Position ``dead`` is left
-    out."""
-    here = lower[i]
-    if p is None:
-        return {ids[z]: v for z, v in here.items() if z != dead}
-    # With i's parent linking added, the rule's row equals i's exactly
-    # when i does not deviate.
-    rule = _rule_row(lower, p, i)
-    b = here.get(p)
-    if b:
-        rule[p] = b
-    if dead in here:
-        here = {z: v for z, v in here.items() if z != dead}
-    rule.pop(dead, None)
-    row = {ids[p]: b} if b else {}
-    if here != rule:
-        for z in here.keys() | rule.keys():
-            v = here.get(z, 0) - rule.get(z, 0)
-            if v:
-                row[ids[z]] = v
-    return row
 
 
 class _Draft(ContactDiagram):
@@ -627,8 +593,8 @@ def plus_one_surgery(d, witness: str) -> ContactDiagram:
     raise CalculusError(f"unknown witness {witness!r}")
 
 
-def _reparents(d, x, cid, tb, link) -> bool:
-    """Whether removing the pushoff parent x reparents its child cid, of
+def _reparents(d, x, tb, link) -> bool:
+    """Whether removing the pushoff parent x reparents its child C, of
     Thurston-Bennequin number tb and linking x ``link`` times, to x's own
     parent Y: when the recorded linkings prove C is still an unstabilized
     contact pushoff of Y as it sits today,
@@ -637,30 +603,27 @@ def _reparents(d, x, cid, tb, link) -> bool:
         tb(C)    == lk(C, X)   (C was never stabilized)
         tb(Y)    == lk(X, Y)   (Y unchanged since X was created)
 
-    Never when X is a root knot, or when C is Y itself, as in a parent
-    cycle of two knots."""
+    Never when X is a root knot."""
     y = x.parent
-    if y is None or cid == y:
-        return False
-    return link == d.linking(x.cid, y) == tb == d.component(y).tb
+    return y is not None and link == d.linking(x.cid, y) == tb == d.component(y).tb
 
 
 @_move
 def remove_component(d, cid: str) -> ContactDiagram:
     """Drop a component, repairing pushoff parent references.
 
-    A child pushoff C of the removed component X, before or after X in the
-    diagram, is reparented to X's own parent Y when ``_reparents`` says
-    so.  Otherwise C is demoted to a root of its recorded smooth type,
+    Each child pushoff C of the removed component X, listed after X, is
+    reparented to X's own parent Y, listed before X, when ``_reparents``
+    says so.  Otherwise C is demoted to a root of its recorded smooth type,
     keeping every linking number it already has.
 
     Only the children's rows are rewritten, and the later rows that store
-    a linking with X lose that entry.  A child after X, reparented to a Y
-    before X, keeps a tree pushoff's row: lk(C, z) - lk(Y, z) is X's
-    deviation plus C's, with X's slid row (``_slid_after``) standing in
-    for X's deviations at positions after X.  Any other child whose row
-    changes kind is written out from the sparse rows of the matrix.  Every
-    new row is found before any is written, since each reads the others.
+    a linking with X lose that entry.  A reparented child keeps a
+    pushoff's row: lk(C, z) - lk(Y, z) is X's deviation plus C's, with
+    X's slid row (``_slid_after``) standing in for X's deviations at
+    positions after X.  A demoted child's row is written out from the
+    sparse rows of the matrix.  Every new row is found before any is
+    written, since each reads the others.
     """
     dead = d.component(cid)
     grandparent = dead.parent
@@ -670,21 +633,12 @@ def remove_component(d, cid: str) -> ContactDiagram:
     slid = lower = None
     for j in children:
         c, row = comps[j], links[j]
-        link = row.get(cid, 0) if j > i else d.linking(c.cid, cid)
-        if _reparents(d, dead, c.cid, c.tb, link):
+        if _reparents(d, dead, c.tb, row.get(cid, 0)):
             c = LegendrianComponent(
                 c.cid, PUSHOFF, grandparent, c.smooth_type, c.tb, c.rot, c.coeff
             )
-            y = pos[grandparent]
-            tree = y < j
-        else:
-            c = LegendrianComponent(
-                c.cid, c.smooth_type, None, c.smooth_type, c.tb, c.rot, c.coeff
-            )
-            tree = False
-        if tree and y < i < j:
             if slid is None:
-                slid, shared = _slid_after(d, i, y, children[-1]), {}
+                slid, shared = _slid_after(d, i, pos[grandparent], children[-1]), {}
             if slid:
                 row = _reparented_row(d, i, row, slid, j)
             else:
@@ -693,10 +647,13 @@ def remove_component(d, cid: str) -> ContactDiagram:
                 if id(row) not in shared:
                     shared[id(row)] = _reparented_row(d, i, row, slid, j)
                 row = shared[id(row)]
-        elif tree or j > i:
+        else:
+            c = LegendrianComponent(
+                c.cid, c.smooth_type, None, c.smooth_type, c.tb, c.rot, c.coeff
+            )
             if lower is None:
                 lower, ids = d.lower_linkings(), d.ids()
-            row = _stored_row(ids, j, y if tree else None, lower, dead=i)
+            row = {ids[z]: v for z, v in lower[j].items() if z != i}
         changed.append((j, c, row))
     # ``_children`` built the index; each child moves to its new parent's
     # entry, or to none.
@@ -720,11 +677,10 @@ def remove_component(d, cid: str) -> ContactDiagram:
 
 def _slid_after(d, i, y, last):
     """{z: lk(X, z) - lk(Y, z)} at the positions z after X up to ``last``
-    where it is nonzero, in position order; X is component i, a tree
-    pushoff of component y.  Each value is read off z's stored row, plus,
-    when z is a tree pushoff of a knot other than X and Y, the value at
-    that knot: found already, or X's deviation there when it sits before
-    X."""
+    where it is nonzero, in position order; X is component i, a pushoff
+    of component y.  Each value is read off z's stored row, plus, when z
+    is a pushoff of a knot other than X and Y, the value at that knot:
+    found already, or X's deviation there when it sits before X."""
     comps, links = d.components, d._links
     x_id, y_id = comps[i].cid, comps[y].cid
     bx, deviations = links[i].get(y_id, 0), links[i]
@@ -732,7 +688,7 @@ def _slid_after(d, i, y, last):
     for z in range(i + 1, last + 1):
         row = links[z]
         v = row.get(x_id, 0) - row.get(y_id, 0)
-        l = d._tree_parent(z)
+        l = d._parent_pos(z)
         if l == i:
             v -= bx
         elif l == y:
@@ -745,12 +701,12 @@ def _slid_after(d, i, y, last):
 
 
 def _reparented_row(d, i, own, slid, j):
-    """The stored row of a tree pushoff of component i at position j, with
+    """The stored row of a pushoff of component i at position j, with
     stored row ``own``, reparented to i's parent Y: lk(j, Y), and
     lk(j, z) - lk(Y, z) for every other earlier z, which is i's deviation
     plus j's own."""
     comps, links = d.components, d._links
-    x_id, y_id = comps[i].cid, comps[d._tree_parent(i)].cid
+    x_id, y_id = comps[i].cid, comps[d._parent_pos(i)].cid
     row = {k: v for k, v in links[i].items() if k != y_id}
     for z, v in slid.items():
         if z >= j:
@@ -830,13 +786,12 @@ def convert_positive(d, cid: str, k: int) -> ContactDiagram:
     move, O(k), and leaves the residual coefficient rp/(1 - k*rp) on cid
     itself.  If the residual is infinite the component's surgery becomes
     trivial and it is removed.  When ``_reparents`` holds for a fresh
-    pushoff and cid's parent Y sits before cid, that removal would move the
-    pushoffs on to Y, so they are built there, sharing one reparented row,
-    and cid is removed with only its other children: each knot is
-    constructed once, and the result equals appending them to cid and
-    removing cid.  Otherwise (cid a root knot, stabilized since its
-    creation, or listed before Y) they are appended to cid and the removal
-    repairs them.
+    pushoff, that removal would move the pushoffs on to cid's parent Y, so
+    they are built there, sharing one reparented row, and cid is removed
+    with only its other children: each knot is constructed once, and the
+    result equals appending them to cid and removing cid.  Otherwise (cid
+    a root knot, or stabilized since its creation) they are appended to
+    cid and the removal repairs them.
     """
     comp = d.component(cid)
     if comp.coeff is None or comp.coeff.is_infinite or comp.coeff.num <= 0:
@@ -849,12 +804,9 @@ def convert_positive(d, cid: str, k: int) -> ContactDiagram:
     if not residual.is_infinite:
         d = _unit_pushoffs(d, comp, k, cid, _new_pushoff_row(comp))
         return d._replace(_restated(comp, comp.tb, comp.rot, residual))
-    # A fresh pushoff of cid has its tb and links it tb times; all k are
-    # alike, so the first one's id stands for them.
+    # A fresh pushoff of cid has its tb and links it tb times.
     i, y = d._pos[cid], comp.parent
-    if y is not None and d._pos[y] < i and _reparents(
-        d, comp, next(_fresh_ids(d)), comp.tb, comp.tb
-    ):
+    if _reparents(d, comp, comp.tb, comp.tb):
         row = _reparented_row(d, i, {}, _slid_after(d, i, d._pos[y], len(d) - 1), len(d))
         d = _unit_pushoffs(d, comp, k, y, row)
     else:

@@ -7,16 +7,16 @@ matching ``*_from_dict`` except the rank table, which is only written):
 * diagram: {"components": [{"id", "type", "tb", "rot", "coeff"}],
   "linkings": [[a, b, lk]], "deviations": [[knot, pushoff, d]]}, where
   "type" is "unknot", "rhtrefoil" or "pushoff:<parent id>", "coeff" may
-  be null, and components are listed in the diagram's order (a parent
-  may follow its child).  The linkings are the diagram's stored form
-  (see ``tightcert.diagrams``).  Call a pushoff whose parent is listed
-  before it a tree pushoff.  "linkings" holds the nonzero linkings of
-  each component that is not a tree pushoff with the components before
-  it, and each tree pushoff's linking with its parent: every value there
-  is a linking number.  Any other linking of a tree pushoff with a knot
-  before it is the pushoff rule's value, its parent's linking with that
-  knot, plus the pushoff's deviation there; the nonzero deviations are
-  listed under "deviations", a key written only when it is nonempty.
+  be null, and components are listed in the diagram's order, each
+  pushoff after its parent; a pushoff listed before its parent is refused
+  at its "type".  The linkings are the diagram's stored form (see
+  ``tightcert.diagrams``).  "linkings" holds the nonzero linkings of each
+  root knot with the components before it, and each pushoff's linking
+  with its parent: every value there is a linking number.  Any other
+  linking of a pushoff with a knot before it is the pushoff rule's value,
+  its parent's linking with that knot, plus the pushoff's deviation
+  there; the nonzero deviations are listed under "deviations", a key
+  written only when it is nonempty.
   Entries are written in component order, the earlier id first, and
   read in either order.  A pair given twice, in either list, a linking
   the pushoff rule implies listed under "linkings" (as version-7 files
@@ -237,22 +237,18 @@ def diagram_to_dict(d: ContactDiagram) -> dict:
 
 
 def diagram_from_dict(data: dict, where: str = "diagram") -> ContactDiagram:
-    """The diagram a ``diagram_to_dict`` form describes, its components in
-    any order, in O(input): the stored rows are read off the entries.
-
-    A pushoff takes the smooth type of the root knot its parents lead to,
-    resolved once every id is read when its parent is listed after it; a
-    missing parent or a parent cycle is refused at the first component
-    that leads to it.
+    """The diagram a ``diagram_to_dict`` form describes, in O(input): the
+    stored rows are read off the entries.  A pushoff takes its parent's
+    smooth type; one whose parent is not listed before it is refused at
+    its type.
     """
     raw = _need(data, "components", where)
     if not isinstance(raw, list):
         raise ParseError("components must be a list", location=where)
     # Well-formed entries are read directly, each coefficient text parsed
     # once; any other entry goes through ``_component_entry``, which
-    # raises the located error.  A pushoff listed before its parent waits
-    # in ``pending`` for its smooth type.
-    comps, pending, smooth, coeffs = [], [], {}, {None: None}
+    # raises the located error.
+    comps, smooth, coeffs = [], {}, {None: None}
     for i, item in enumerate(raw):
         try:
             cid, ctype, tb, rot = item["id"], item["type"], item["tb"], item["rot"]
@@ -267,25 +263,21 @@ def diagram_from_dict(data: dict, where: str = "diagram") -> ContactDiagram:
         else:
             cid, ctype, tb, rot, coeff = _component_entry(item, f"{where}.components[{i}]")
         if ctype in (UNKNOT, RH_TREFOIL):
-            fields = (cid, ctype, None, ctype, tb, rot, coeff)
+            parent, kind = None, ctype
         elif ctype.startswith("pushoff:"):
-            parent = ctype[len("pushoff:"):]
-            fields = (cid, PUSHOFF, parent, smooth.get(parent), tb, rot, coeff)
+            parent, kind = ctype[len("pushoff:"):], PUSHOFF
+            if parent not in smooth:
+                raise ParseError(
+                    f"pushoff parent {parent!r} is not listed before it",
+                    location=f"{where}.components[{i}].type",
+                )
         else:
             raise ParseError(
                 f"unknown component type {ctype!r}",
                 location=f"{where}.components[{i}].type",
             )
-        if fields[3] is None:
-            pending.append((i, fields))
-            comps.append(None)
-        else:
-            smooth[cid] = fields[3]
-            comps.append(_component(fields, where, i))
-    if pending:
-        _resolve_smooth_types(pending, smooth, where)
-        for i, fields in pending:
-            comps[i] = _component(fields[:3] + (smooth[fields[0]],) + fields[4:], where, i)
+        smooth[cid] = kind if parent is None else smooth[parent]
+        comps.append(_component((cid, kind, parent, smooth[cid], tb, rot, coeff), where, i))
     lists = tuple((key, data.get(key, [])) for key in ("linkings", "deviations"))
     for key, items in lists:
         if not isinstance(items, list):
@@ -348,30 +340,6 @@ def _component(fields, where, i):
         return LegendrianComponent(*fields)
     except ValueError as exc:
         raise ParseError(str(exc), location=f"{where}.components[{i}]") from None
-
-
-def _resolve_smooth_types(pending, smooth, where):
-    """Fill in ``smooth`` (id -> smooth type) for the ``pending`` pushoffs,
-    (position, fields) each, whose parent was not read before them: each
-    takes the type of the root its parents lead to."""
-    parents = {fields[0]: fields[2] for _, fields in pending}
-    for i, fields in pending:
-        cid, path = fields[0], {}  # the ids walked, in order
-        while cid not in smooth:
-            if cid not in parents:
-                raise ParseError(
-                    f"pushoff parent {cid!r} is not a component",
-                    location=f"{where}.components[{i}].type",
-                )
-            if cid in path:
-                raise ParseError(
-                    f"pushoff parents form a cycle through {cid!r}",
-                    location=f"{where}.components[{i}].type",
-                )
-            path[cid] = None
-            cid = parents[cid]
-        for x in path:
-            smooth[x] = smooth[cid]
 
 
 # ---------------------------------------------------------------------------

@@ -12,15 +12,12 @@ H1 of a diagram
 A contact pushoff P of K links every other component as K does, so row P
 of the linking matrix minus row K is almost all zeros.  ``h1`` slides each
 pushoff over its parent this way (a handle slide: a row operation on the
-presentation matrix), using the parent's original row, but only when the
-parent sits at an earlier position.  When the pushoff is also the only
-one of its parent's children so placed, its column is slid over the
-parent's column as well.  The row operations form a lower and the column
-operations an upper unitriangular integer matrix, both unimodular, so the
-cokernel is unchanged whatever linkings a diagram records.  A parent at a
-later position, or in a parent cycle (which the constructor accepts when
-it has two or more knots), is left alone: two slides along a cycle need
-not be invertible over Z.  In a nested (-1)-chain, each knot a stabilized
+presentation matrix), using the parent's original row; every parent is
+listed before its pushoffs.  When the pushoff is also its parent's only
+child, its column is slid over the parent's column as well.  The row
+operations form a lower and the column operations an upper unitriangular
+integer matrix, both unimodular, so the cokernel is unchanged whatever
+linkings a diagram records.  In a nested (-1)-chain, each knot a stabilized
 pushoff of the one before, the slid rows alone hold n^2/2 entries, since
 each frozen parent linking differs from the next; with the columns slid
 too they are tridiagonal.  The columns of several children of one parent,
@@ -613,31 +610,31 @@ def h1(obj) -> HomologyResult:
 
 def _slid_rows(d: ContactDiagram) -> list[dict[int, int]]:
     """The linking matrix of ``d``, framings on the diagonal, with each
-    tree pushoff's row minus its parent's row, and then each only child's
+    pushoff's row minus its parent's row, and then each only child's
     column minus its parent's column: one dict row per position, keyed by
     the positions of the columns.
 
-    A tree pushoff's parent sits at an earlier position; an only child is
-    its parent's one tree child.  With M the linking matrix, p(i) the
-    parent of a tree pushoff i, L = I - sum E[i][p(i)] over the tree
-    pushoffs and U = I - sum E[p(j)][j] over the only children, the rows
+    A pushoff's parent sits at an earlier position; an only child is its
+    parent's one child.  With M the linking matrix, p(i) the parent of a
+    pushoff i, L = I - sum E[i][p(i)] over the pushoffs and
+    U = I - sum E[p(j)][j] over the only children, the rows
     are S' = L M U.  L is lower and U upper unitriangular, so the cokernel
     is that of M, whatever linkings the diagram records.
 
     Row i of D = L M below and on the diagonal is short: b_i - f_p(i) at
     p(i), f_i - b_i at i (f a framing, b_i = R_i[p(i)] the frozen parent
     linking, R_i row i's stored form) and R_i's other entries, or, for a
-    row stored explicitly, R_i and f_i.  S'[i][j] = D[i][j] - D[i][p(j)]
-    for an only child j, so row i of S' up to its diagonal is row i of D
+    root knot, R_i and f_i.  S'[i][j] = D[i][j] - D[i][p(j)] for an only
+    child j, so row i of S' up to its diagonal is row i of D
     with each entry v at y less v at y's only child, when that is at most
     i.  Column j of S' above the diagonal:
 
-    * for an only child j, and for a row stored explicitly, it is
+    * for an only child j, and for a root knot j, it is
       E[j][i] - E[j][p(i)], E the transpose of what row j of D (or of M)
       holds below the diagonal: each such entry v at x, and -v at every
-      tree child of x before j;
-    * for a tree pushoff j with siblings it is column j of D, which is
-      column l = p(j) of D above l, copied; -b_l at l when l is a tree
+      child of x before j;
+    * for a pushoff j with siblings it is column j of D, which is
+      column l = p(j) of D above l, copied; -b_l at l when l is a
       pushoff; b_i - b_j at each earlier child i of l, grouped by b_i so
       that a group with b_i = b_j costs nothing; row i's stored entry at l
       for every other row i between l and j that has one; then R_j's
@@ -654,18 +651,18 @@ def _slid_rows(d: ContactDiagram) -> list[dict[int, int]]:
     framings = _framings(d)
     pos, comps, links = d._pos, d.components, d._links
     last = {c.parent: j for j, c in enumerate(comps)}  # id -> its last child
-    only = {}  # position -> its only tree child, once that is seen
+    only = {}  # position -> its only child, once that is seen
     chained = set()  # the only children seen
     rows, cols = [], []  # cols[j]: column j of S' above the diagonal
-    frozen = []  # each row's frozen parent linking, None for explicit rows
+    frozen = []  # each row's frozen parent linking, None for a root's
     # Filled in after each column, so they hold only earlier rows.
-    kids = {}  # position -> {b: its tree children with parent linking b}
+    kids = {}  # position -> {b: its children with parent linking b}
     named = {}  # z -> the rows after z, z's children aside, storing an entry at z
-    full = {}  # only child with more tree children -> its column of D above it
+    full = {}  # only child with more children -> its column of D above it
     for j, (c, row) in enumerate(zip(comps, links)):
         parent = c.parent
-        l = pos.get(parent, j)
-        if l < j:
+        if parent is not None:
+            l = pos[parent]
             bj = row.get(parent, 0)
             dl = bj - framings[l]
             group = kids.get(l)
@@ -734,7 +731,7 @@ def _column_of_d(d, l, chained, cols, framings, frozen, named):
     the columns of S' = D U built so far (``_slid_rows``'s names): column
     l of D is column l of S' plus column p(l) of D, which is column p(l)
     above p(l), D[p(l)][p(l)] and the stored entries at p(l) of the rows
-    between p(l) and l (p(l) has no other tree child); so walk up l's
+    between p(l) and l (p(l) has no other child); so walk up l's
     chain of only children and add the columns back down."""
     pos, comps, links = d._pos, d.components, d._links
     chain = []

@@ -7,8 +7,9 @@ its rows became sparse; the moves below work on those rows, and
 ``reference_h1`` slides each pushoff's dense row over its parent's, and an
 only child's column over its parent's, before the Smith normal form.  The
 components themselves, and the helpers that only read them, are the
-package's own.  ``reference_det`` is the dense Bareiss determinant, and
-``from_linkings`` builds a package diagram from every nonzero linking.
+package's own.  ``reference_det`` is the dense Bareiss determinant,
+``from_linkings`` builds a package diagram from every nonzero linking, and
+``parents_first`` draws a component order the package accepts.
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ from tightcert.diagrams import (
     _opt_coeff,
     _pair_positions,
     _restated,
-    _stored_row,
+    _rule_row,
 )
 from tightcert.errors import CalculusError
 from tightcert.rationals import (
@@ -56,11 +57,28 @@ def linking_pairs(d):
     }
 
 
+def parents_first(components, rng):
+    """``components`` in a random order that lists every pushoff after
+    its parent: each place takes, at random, a knot whose parent is
+    placed already."""
+    ready, kids = [], {}
+    for c in components:
+        (ready if c.parent is None else kids.setdefault(c.parent, [])).append(c)
+    out = []
+    while ready:
+        c = ready.pop(rng.randrange(len(ready)))
+        out.append(c)
+        ready += kids.pop(c.cid, ())
+    assert len(out) == len(components), "a parent is missing or on a cycle"
+    return out
+
+
 def from_linkings(components, linkings=None):
-    """The package diagram with ``components`` and the nonzero linkings
-    ``linkings`` gives by unordered id pair, every other pair unlinked:
-    each tree pushoff's row is derived from its parent's by the pushoff
-    rule and handed to ``ContactDiagram.from_stored``."""
+    """The package diagram with ``components``, each pushoff listed after
+    its parent, and the nonzero linkings ``linkings`` gives by unordered
+    id pair, every other pair unlinked: each pushoff's row is derived from
+    its parent's by the pushoff rule and handed to
+    ``ContactDiagram.from_stored``."""
     comps = tuple(components)
     pos = _index(comps)
     lower = [{} for _ in comps]
@@ -70,11 +88,32 @@ def from_linkings(components, linkings=None):
             lower[i][j] = value
     ids, entries = tuple(pos), []
     for i, c in enumerate(comps):
-        p = pos[c.parent] if c.kind == PUSHOFF else i
-        tree = p < i
-        for k, v in _stored_row(ids, i, p if tree else None, lower).items():
-            entries.append((k, c.cid, v, tree and k != c.parent))
+        p = None if c.parent is None else pos[c.parent]
+        for k, v in _stored_row(ids, i, p, lower).items():
+            entries.append((k, c.cid, v, c.parent not in (None, k)))
     return ContactDiagram.from_stored(comps, entries)
+
+
+def _stored_row(ids, i, p, lower):
+    """Row i in the stored form, read off the lower rows ``lower`` by
+    position (zero entries absent): a pushoff's of the component at
+    position p, or a root knot's when p is None."""
+    here = lower[i]
+    if p is None:
+        return {ids[z]: v for z, v in here.items()}
+    # With i's parent linking added, the rule's row equals i's exactly
+    # when i does not deviate.
+    rule = _rule_row(lower, p, i)
+    b = here.get(p)
+    if b:
+        rule[p] = b
+    row = {ids[p]: b} if b else {}
+    if here != rule:
+        for z in here.keys() | rule.keys():
+            v = here.get(z, 0) - rule.get(z, 0)
+            if v:
+                row[ids[z]] = v
+    return row
 
 
 class reference_ContactDiagram:

@@ -36,15 +36,15 @@ from tightcert.diagrams import (
     tower_diagram,
     trefoil_surgery_diagram,
 )
-from tightcert.errors import CalculusError, ExcludedSlopeError
+from tightcert.errors import CalculusError, ExcludedSlopeError, ParseError
 from tightcert.floer import Interval, engine_triangles
 from tightcert.rationals import SurgeryCoeff
-from tightcert.serialize import certificate_from_dict, certificate_to_dict
+from tightcert.serialize import certificate_from_dict, certificate_to_dict, diagram_to_dict
 from tightcert.topology import Manifold, h1
 from tightcert import diagrams
 from reference_certify import reference_node_presentations, reference_walk
 from reference_diagram import from_linkings, linking_pairs
-from test_diagrams import _child_before_parent, count_constructions
+from test_diagrams import _child_of_pushoff, count_constructions
 from test_topology import _fib
 
 
@@ -742,16 +742,26 @@ def test_verification_result_booleanness():
 
 
 def test_cancel_edge_on_an_inline_parent_listed_after_its_child():
-    # Only a Certificate object can list a pushoff before its parent: the
-    # JSON form declares parents first.  The cancel edge runs before the
+    # No diagram lists a pushoff before its parent, in Python or in JSON,
+    # so an inline node cannot.  The cancel edge runs before the
     # inline-node check, so it must leave a diagram whose every pushoff
     # names a knot that is still there.
+    with pytest.raises(CalculusError, match="not listed before it"):
+        _child_of_pushoff(1, first=True)
     cert = fresh(certify_tight(SurgeryCoeff(3, 7)))  # stage 0, 4-knot root
-    _add_inline(cert, "x", Manifold.s3(), _child_before_parent(1))
+    data = certificate_to_dict(cert)
+    inline = diagram_to_dict(_child_of_pushoff(1))
+    inline["components"].reverse()
+    data["nodes"].append({"id": "x", "manifold": "s3", "diagram": inline})
+    with pytest.raises(ParseError) as err:
+        certificate_from_dict(data)
+    at = f"certificate.nodes[{len(data['nodes']) - 1}].diagram.components[0].type"
+    assert err.value.location == at
+    _add_inline(cert, "x", Manifold.s3(), _child_of_pushoff(1))
     cert.nodes["x1"] = ContactNode("x1")
     cert.edges["ex"] = SurgeryEdge("ex", "x", "x1", "cancel:X")
     built = node_presentations(cert)["x1"]
-    assert built.ids() == ("C", "Y") and built.component("C").parent == "Y"
+    assert built.ids() == ("Y", "C") and built.component("C").parent == "Y"
     assert from_linkings(built.components, linking_pairs(built)) == built
     result = check_certificate(cert)
     assert not result.ok and result.step is None
@@ -950,6 +960,30 @@ def test_redundant_cancel_steps_stay_cheap():
     start = time.thread_time()
     assert check_certificate(cert).ok
     assert time.thread_time() - start < 5
+
+
+def test_padded_cancel_steps_cancel_each_cited_node_at_most_once(monkeypatch):
+    # A pair of isomorphic presentations is accepted without cancelling
+    # either, and a node's cancelled form is kept for the rest of the
+    # verify: so 1000 added cancel_equivalent(v400, v400) steps cancel
+    # nothing, and 1000 copies of the emitted (v1, std) step cancel v1 and
+    # std once each.
+    data = certificate_to_dict(certify_tight(SurgeryCoeff(400, 399)))
+    emitted = [s for s in data["steps"] if s["rule"] == "cancel_equivalent"]
+    assert [s["refs"] for s in emitted] == [["v1", "std"]]
+    padding = {"rule": "cancel_equivalent", "refs": ["v400", "v400"],
+               "gives": ["c_nonzero", "v400"]}
+    data["steps"][-1:-1] = [padding] * 1000 + emitted * 1000
+    cert = certificate_from_dict(data)
+    cancelled, cancel = [], certify.cancel_pushoff_pairs
+
+    def counted(d):
+        cancelled.append(len(d))
+        return cancel(d)
+
+    monkeypatch.setattr(certify, "cancel_pushoff_pairs", counted)
+    assert check_certificate(cert).ok
+    assert sorted(cancelled) == [0, 2]  # std, then v1: tower stage 1
 
 
 def test_nested_certificate_bytes_grow_linearly():

@@ -604,8 +604,9 @@ def test_pushoffs_of_a_densely_linked_parent_read_in_linear_memory(tmp_path, cap
 
 
 def test_inline_parent_listed_after_its_child_read_then_rejected(tmp_path, capsys):
-    # The reader accepts any order of components; the certificate is then
-    # refused because the order is not the verifier's presentation's.
+    # An inline diagram must list each pushoff after its parent; the reader
+    # refuses any other order at the pushoff's type, so verify exits 3
+    # before it builds anything.
     path, data = _stage_0_certificate(tmp_path, capsys, "3/7")
     components = data["nodes"][0]["diagram"]["components"]
     assert components[1]["type"] == "pushoff:c1"
@@ -614,8 +615,8 @@ def test_inline_parent_listed_after_its_child_read_then_rejected(tmp_path, capsy
     code, out, _ = _verify_peak(capsys, path)
     assert code == 3
     assert out == (
-        "certificate for slope 3/7: REJECTED: conclusion presentation does not "
-        "match the declared slope\n"
+        f"certificate {path}: REJECTED: certificate.nodes[0].diagram.components[0].type: "
+        "pushoff parent 'c1' is not listed before it\n"
     )
     run_cli(capsys, "certify", "--r", "5/4", "--emit", str(path))
     data = load_json(str(path))
@@ -625,8 +626,8 @@ def test_inline_parent_listed_after_its_child_read_then_rejected(tmp_path, capsy
     code, out, _ = _verify_peak(capsys, path)
     assert code == 3
     assert out == (
-        "certificate for slope 5/4: REJECTED: node v1: inline presentation is "
-        "not the verifier's presentation of tower(1)\n"
+        f"certificate {path}: REJECTED: certificate.nodes[{data['nodes'].index(v1)}]"
+        ".diagram.components[0].type: pushoff parent 'c1' is not listed before it\n"
     )
 
 

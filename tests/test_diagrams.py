@@ -53,7 +53,7 @@ from tightcert.rationals import (
 )
 from tightcert.serialize import diagram_to_dict
 from tightcert.topology import det_signed, h1, linking_matrix
-from reference_diagram import from_linkings, linking_pairs
+from reference_diagram import from_linkings, linking_pairs, parents_first
 from test_oracles import assert_sound
 
 
@@ -186,15 +186,26 @@ def test_duplicate_and_missing_ids_rejected():
         ContactDiagram.from_stored((c,), [("x", "gone", 1, False)])
 
 
+_NOT_BEFORE = "names parent {!r}, which is not listed before it"
+
+
 def test_pushoff_naming_itself_as_parent_refused():
     # Such a (-1)-unknot would present h1 of order 2, and remove_component
-    # would drop it without complaint.
+    # would drop it without complaint.  It is not listed after its parent,
+    # as no pushoff on a parent cycle is.
     selfish = LegendrianComponent("p", PUSHOFF, "p", UNKNOT, -1, 0, SurgeryCoeff(-1))
-    with pytest.raises(CalculusError, match="names itself as its parent"):
+    with pytest.raises(CalculusError, match=_NOT_BEFORE.format("p")):
         ContactDiagram((selfish,))
     root = LegendrianComponent("x", UNKNOT, None, UNKNOT, -1, 0, SurgeryCoeff(-1))
-    with pytest.raises(CalculusError, match="names itself as its parent"):
+    with pytest.raises(CalculusError, match=_NOT_BEFORE.format("p")):
         ContactDiagram.from_stored((root, selfish), [("x", "p", 1, False)])
+    a = LegendrianComponent("a", PUSHOFF, "b", UNKNOT, -1, 0, SurgeryCoeff(-1))
+    b = LegendrianComponent("b", PUSHOFF, "a", UNKNOT, -1, 0, SurgeryCoeff(-1))
+    for comps in ((a, b), (root, b, a)):
+        with pytest.raises(CalculusError, match=_NOT_BEFORE.format(comps[-2].parent)):
+            ContactDiagram(comps)
+        with pytest.raises(CalculusError, match="not listed before it"):
+            ContactDiagram.from_stored(comps, [])
 
 
 # ---------------------------------------------------------------------------
@@ -234,21 +245,28 @@ def test_remove_demotes_when_root_parent_dies():
     assert linking_pairs(d) == {}
 
 
-def _child_before_parent(child_tb):
-    """Components [C, Y, X]: X a (-1) pushoff of the trefoil Y, and C a
-    (+1) pushoff of X listed before both, stabilized down to ``child_tb``."""
-    comps = (
-        LegendrianComponent("C", PUSHOFF, "X", RH_TREFOIL, child_tb, 1 - child_tb, SurgeryCoeff(1)),
+def _child_of_pushoff(child_tb, first=False):
+    """Components [Y, X, C]: X a (-1) pushoff of the trefoil Y, and C a
+    (+1) pushoff of X, stabilized down to ``child_tb``; C listed first,
+    before its parent, when ``first`` is true."""
+    comps = [
         LegendrianComponent("Y", RH_TREFOIL, None, RH_TREFOIL, 1, 0, SurgeryCoeff(-1)),
         LegendrianComponent("X", PUSHOFF, "Y", RH_TREFOIL, 1, 0, SurgeryCoeff(-1)),
-    )
+        LegendrianComponent("C", PUSHOFF, "X", RH_TREFOIL, child_tb, 1 - child_tb, SurgeryCoeff(1)),
+    ]
+    if first:
+        comps.insert(0, comps.pop())
     links = {frozenset("CX"): 1, frozenset("CY"): 1, frozenset("XY"): 1}
     return from_linkings(comps, links)
 
 
 def test_remove_reparents_child_listed_before_it():
-    d = remove_component(_child_before_parent(1), "X")
-    assert d.ids() == ("C", "Y")
+    # A child listed before the knot it names is refused, so a removal
+    # meets each child after the removed knot.
+    with pytest.raises(CalculusError, match=_NOT_BEFORE.format("X")):
+        _child_of_pushoff(1, first=True)
+    d = remove_component(_child_of_pushoff(1), "X")
+    assert d.ids() == ("Y", "C")
     c = d.component("C")
     assert c.kind == PUSHOFF and c.parent == "Y"
     assert (c.tb, c.rot, c.coeff) == (1, 0, SurgeryCoeff(1))
@@ -258,7 +276,9 @@ def test_remove_reparents_child_listed_before_it():
 
 
 def test_remove_demotes_child_listed_before_it():
-    d = remove_component(_child_before_parent(0), "X")
+    with pytest.raises(CalculusError, match=_NOT_BEFORE.format("X")):
+        _child_of_pushoff(0, first=True)
+    d = remove_component(_child_of_pushoff(0), "X")
     c = d.component("C")
     assert c.kind == RH_TREFOIL and c.parent is None
     assert (c.tb, c.rot, c.coeff) == (0, 1, SurgeryCoeff(1))
@@ -747,8 +767,8 @@ def reference_convert_negative(d, cid, choice):
 
 
 def random_diagram(rng):
-    """Random public moves, then the components in shuffled order, so that
-    a pushoff may be listed before its parent."""
+    """Random public moves, then the components in a random order that
+    lists every pushoff after its parent."""
     d = empty_diagram()
     for _ in range(rng.randrange(1, 9)):
         kind = rng.choice(("unknot", "trefoil", "pushoff", "pushoff", "stabilize", "coeff"))
@@ -763,9 +783,7 @@ def random_diagram(rng):
             d = stabilize(d, cid, rng.choice((1, -1)))
         else:
             d = set_coeff(d, cid, SurgeryCoeff(rng.choice((-3, -1, 1, 2))))
-    comps = list(d.components)
-    rng.shuffle(comps)
-    return from_linkings(comps, linking_pairs(d))
+    return from_linkings(parents_first(d.components, rng), linking_pairs(d))
 
 
 def assert_same(out, ref):

@@ -23,7 +23,13 @@ from hypothesis import HealthCheck, given, settings, strategies as st  # noqa: E
 
 from tightcert.certify import VerificationResult, certify_tight, check_certificate  # noqa: E402
 from tightcert.cli import main  # noqa: E402
-from tightcert.diagrams import trefoil_surgery_diagram  # noqa: E402
+from tightcert.diagrams import (  # noqa: E402
+    add_trefoil,
+    add_unknot,
+    contact_pushoff,
+    empty_diagram,
+    trefoil_surgery_diagram,
+)
 from tightcert.errors import ParseError  # noqa: E402
 from tightcert.rationals import SurgeryCoeff  # noqa: E402
 from tightcert.serialize import (  # noqa: E402
@@ -233,6 +239,66 @@ def test_cli_exits_0_2_or_3_on_any_bytes(input_path, command, data):
     input_path.write_bytes(blob)
     code, printed = _run_cli(input_path, command)
     assert code in (0, 2, 3) and "Traceback" not in printed, (command, blob)
+
+
+def _forest_file():
+    """A diagram file of two roots and five pushoffs, two of them nested,
+    at coefficients that normalize converts."""
+    d, t = add_trefoil(empty_diagram(), coeff=SurgeryCoeff(-1))
+    d, u = add_unknot(d, tb=-2, rot=1, coeff=SurgeryCoeff(-2))
+    d, p = contact_pushoff(d, t, SurgeryCoeff(-3, 2))
+    d, _ = contact_pushoff(d, p, SurgeryCoeff(1))
+    d, q = contact_pushoff(d, u, SurgeryCoeff(2))
+    d, _ = contact_pushoff(d, q, SurgeryCoeff(-1))
+    d, _ = contact_pushoff(d, t, SurgeryCoeff(1, 2))
+    return diagram_file_to_dict(d)
+
+
+_FOREST = _forest_file()
+DIAGRAM_COMMANDS = (("h1", "--diagram"), ("det", "--diagram"), ("convert", "--diagram"))
+
+
+def _parent(entry):
+    kind = entry["type"]
+    return kind[len("pushoff:"):] if kind.startswith("pushoff:") else None
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(
+    command=st.sampled_from(DIAGRAM_COMMANDS),
+    order=st.permutations(range(len(_FOREST["components"]))),
+    parents_first=st.booleans(),
+)
+def test_diagram_file_in_any_component_order_exits_0_or_2(
+    input_path, command, order, parents_first
+):
+    # A file that lists a pushoff before its parent is refused at the
+    # first such pushoff's type.  Any other order is read, or refused at a
+    # linking entry that no longer fits the stored form, since which knot
+    # of a pair stores it depends on the order.  Half the orders are made
+    # parents-first: each place takes the first knot of the permutation
+    # whose parent is placed.
+    data = copy.deepcopy(_FOREST)
+    pending = [data["components"][i] for i in order]
+    if parents_first:
+        placed, ordered = {None}, []
+        while pending:
+            c = next(c for c in pending if _parent(c) in placed)
+            pending.remove(c)
+            ordered.append(c)
+            placed.add(c["id"])
+        pending = ordered
+    data["components"] = pending
+    seen, first = {None}, None
+    for i, c in enumerate(pending):
+        if first is None and _parent(c) not in seen:
+            first = i
+        seen.add(c["id"])
+    input_path.write_text(json.dumps(data))
+    code, printed = _run_cli(input_path, command)
+    assert code in (0, 2) and "Traceback" not in printed, (command, order)
+    if first is not None:
+        assert code == 2 and f"diagram.components[{first}].type:" in printed, printed
 
 
 def _nested(depth, open_, close, leaf=b"0"):

@@ -22,6 +22,7 @@ import pytest
 
 from tightcert.certify import certify_tight, node_presentations
 from tightcert.diagrams import (
+    ContactDiagram,
     LegendrianComponent,
     add_trefoil,
     add_unknot,
@@ -37,6 +38,7 @@ from tightcert.diagrams import (
     tower_diagram,
     trefoil_surgery_diagram,
 )
+from tightcert.errors import CalculusError
 from tightcert.rationals import SurgeryCoeff
 from tightcert.topology import (
     HomologyResult,
@@ -48,16 +50,26 @@ from tightcert.topology import (
     smith_normal_form,
 )
 
-from reference_diagram import from_linkings, linking_pairs, reference_det, reference_slid_rows
+from reference_diagram import (
+    from_linkings,
+    linking_pairs,
+    parents_first,
+    reference_det,
+    reference_slid_rows,
+)
 
 def shuffled_copy(d, rng, bump=None, reparent=None, shuffle=True):
-    """d rebuilt with fresh names in a random order (parents may follow
-    their children), or in its own order when ``shuffle`` is false;
-    ``bump`` = (a, b, delta) also shifts lk(a, b), and ``reparent`` =
-    (c, p) makes pushoff c name p as its parent."""
-    comps = list(d.components)
+    """d rebuilt with fresh names in a random order that lists each
+    pushoff after its parent, or in its own order when ``shuffle`` is
+    false; ``bump`` = (a, b, delta) also shifts lk(a, b), and
+    ``reparent`` = (c, p) makes pushoff c name p, listed before it in d,
+    as its parent."""
+    parents = {c.cid: c.parent for c in d.components}
+    if reparent is not None:
+        parents[reparent[0]] = reparent[1]
+    comps = [replace(c, parent=parents[c.cid]) for c in d.components]
     if shuffle:
-        rng.shuffle(comps)
+        comps = parents_first(comps, rng)
     names = {c.cid: f"x{rng.randrange(10**6)}_{i}" for i, c in enumerate(comps)}
     links = {
         frozenset(names[x] for x in pair): v for pair, v in linking_pairs(d).items()
@@ -66,31 +78,21 @@ def shuffled_copy(d, rng, bump=None, reparent=None, shuffle=True):
         a, b, delta = bump
         key = frozenset((names[a], names[b]))
         links[key] = links.get(key, 0) + delta
-    parents = {c.cid: c.parent for c in comps}
-    if reparent is not None:
-        parents[reparent[0]] = reparent[1]
-    out = [
-        LegendrianComponent(
-            names[c.cid], c.kind, parents[c.cid] and names[parents[c.cid]],
-            c.smooth_type, c.tb, c.rot, c.coeff,
-        )
-        for c in comps
-    ]
+    out = [replace(c, cid=names[c.cid], parent=c.parent and names[c.parent]) for c in comps]
     return from_linkings(out, links)
 
 
 def other_parent(d, rng):
-    """(c, p): a pushoff c and a component p, neither c, c's parent nor
-    one of c's descendants; None when there is no such pair."""
-    choices = []
-    for c in d.components:
-        if c.parent is None:
-            continue
-        below = {c.cid}
-        for x in d.components:  # creation order: parents come first
-            if x.parent in below:
-                below.add(x.cid)
-        choices += [(c.cid, p) for p in d.ids() if p not in below and p != c.parent]
+    """(c, p): a pushoff c and a component p listed before it other than
+    c's parent; None when there is no such pair."""
+    ids = d.ids()
+    choices = [
+        (c.cid, p)
+        for i, c in enumerate(d.components)
+        if c.parent is not None
+        for p in ids[:i]
+        if p != c.parent
+    ]
     return rng.choice(choices) if choices else None
 
 
@@ -202,9 +204,6 @@ def hard_pairs():
     # Each pushoff links its own parent, or the other root instead.
     links = {(0, 2): -1, (1, 3): -1}
     yield _unknots(4, links, {2: 0, 3: 1}), _unknots(4, links, {2: 1, 3: 0})
-    # Pushoffs listed before their parents.
-    links = {(0, 2): -1, (1, 3): -1}
-    yield _unknots(4, links, {0: 2, 1: 3}), _unknots(4, links, {0: 3, 1: 2})
 
 
 def test_diagram_iso_hard_pairs():
@@ -459,9 +458,11 @@ def test_h1_matches_dense_path_on_certificate_presentations():
 
 
 def test_h1_matches_dense_path_with_parents_after_children():
-    # Shuffled copies list some pushoffs before their parents; those are
-    # left unslid.
+    # A copy that lists a pushoff before its parent is refused, so ``h1``
+    # slides every pushoff; a copy in another parents-first order presents
+    # the same group.
     rng = random.Random(8802)
+    refused = 0
     for d in oracle_pool(rng):
         if not len(d):
             continue
@@ -470,6 +471,15 @@ def test_h1_matches_dense_path_with_parents_after_children():
             signed = set_coeff(signed, c.cid, SurgeryCoeff(rng.choice((1, -1))))
         twin = shuffled_copy(signed, rng)
         assert h1(twin) == h1(signed) == dense_h1(signed)
+        pushoffs = [i for i, c in enumerate(signed.components) if c.parent is not None]
+        if pushoffs:
+            comps = list(signed.components)
+            i = rng.choice(pushoffs)
+            comps.insert(signed._pos[comps[i].parent], comps.pop(i))
+            with pytest.raises(CalculusError, match="not listed before it"):
+                ContactDiagram(comps)
+            refused += 1
+    assert refused > 20
 
 
 def nested_tree(rng, depth):
@@ -495,16 +505,6 @@ def nested_tree(rng, depth):
     return d
 
 
-def with_parent_cycle(d, rng, size):
-    """d with ``size`` of its pushoffs naming each other as parents in a
-    cycle, every linking kept."""
-    comps = list(d.components)
-    ring = rng.sample([i for i, c in enumerate(comps) if c.kind == "pushoff"], size)
-    for i, j in zip(ring, ring[1:] + ring[:1]):
-        comps[i] = replace(comps[i], parent=comps[j].cid)
-    return from_linkings(comps, linking_pairs(d))
-
-
 def dense_slid_rows(d):
     """The rows ``h1`` reduces, as a dense matrix."""
     out = [[0] * len(d) for _ in range(len(d))]
@@ -514,15 +514,26 @@ def dense_slid_rows(d):
     return out
 
 
+def permuted(m, rng):
+    """P m P^T for a random permutation matrix P: the same cokernel and
+    determinant as m."""
+    order = list(range(len(m)))
+    rng.shuffle(order)
+    return [[m[i][j] for j in order] for i in order]
+
+
 def test_h1_matches_dense_paths_on_nested_pushoff_trees():
-    # 100 nested chains of depth 20 to 30 as built, with a linking that
-    # breaks the pushoff rule (a deviating row), listed in a random order
-    # (parents after children), and with 2- and 3-cycles of parents.  The
-    # sparse slid rows must be the dense row-and-column slide exactly, and
-    # h1 the group of the dense slid matrix by the dense phase alone.  On
-    # every unslid matrix, sympy's group must be that of both
-    # ``smith_normal_form`` and the dense phase alone, and det that of the
-    # dense Bareiss reference.
+    # 100 nested chains of depth 20 to 30 as built and with a linking that
+    # breaks the pushoff rule (a deviating row), each also listed in
+    # another parents-first order.  The sparse slid rows must be the dense
+    # row-and-column slide exactly, h1 the group of the dense slid matrix
+    # by the dense phase alone, and det that of the dense Bareiss
+    # reference.  A reordering permutes the linking matrix, rows and
+    # columns alike, which keeps its group, so sympy runs once for the
+    # chain and once for its bumped copy.  That group must also be the one
+    # ``smith_normal_form`` and the dense phase alone give the unslid
+    # matrix, as built and under a random simultaneous permutation of its
+    # rows and columns.
     sympy = pytest.importorskip("sympy")
     rng = random.Random(8803)
     depths = []
@@ -533,20 +544,15 @@ def test_h1_matches_dense_paths_on_nested_pushoff_trees():
             depth, k = depth + 1, d.component(k.parent)
         depths.append(depth)
         a, b = rng.sample(d.ids(), 2)
-        variants = [
-            d,
-            shuffled_copy(d, rng, bump=(a, b, rng.choice((-2, -1, 1, 3))), shuffle=False),
-            shuffled_copy(d, rng),
-            shuffled_copy(d, rng, bump=(a, b, 1)),
-            with_parent_cycle(d, rng, 2),
-            with_parent_cycle(d, rng, 3),
-        ]
-        for v in variants:
-            slid = reference_slid_rows(v)
-            assert dense_slid_rows(v) == slid
-            assert h1(v) == dense_group(slid)
-            unslid = linking_matrix(v).matrix
+        bumped = shuffled_copy(d, rng, bump=(a, b, rng.choice((-2, -1, 1, 3))), shuffle=False)
+        for built in (d, bumped):
+            unslid = linking_matrix(built).matrix
             expected = sympy_cokernel(sympy, unslid)
-            assert h1(v) == smith_normal_form(unslid) == dense_group(unslid) == expected
-            assert det_signed(v) == reference_det(unslid)
+            for m in (unslid, permuted(unslid, rng)):
+                assert smith_normal_form(m) == dense_group(m) == expected
+            for v in (built, shuffled_copy(built, rng)):
+                slid = reference_slid_rows(v)
+                assert dense_slid_rows(v) == slid
+                assert h1(v) == dense_group(slid) == expected
+                assert det_signed(v) == reference_det(linking_matrix(v).matrix)
     assert min(depths) >= 20

@@ -2,13 +2,13 @@
 
 ``reference_ContactDiagram`` (tests/reference_diagram.py) keeps every
 linking by position, as the package did before its rows became sparse.
-Random diagrams, with parents listed after their children, parent cycles
-and arbitrary linkings, random move sequences, and removals that
-reparent children through the removed knot's slid row are run through
-both; the linking rows, single linkings, ``h1`` and the slid rows it
-reduces, ``==``, ``hash`` and ``diagram_iso`` must agree at every step.
-The JSON form must read back every acyclic diagram ``from_linkings``
-builds.
+Random diagrams, in random orders that list each pushoff after its
+parent and with arbitrary linkings, random move sequences, and removals
+that reparent children through the removed knot's slid row are run
+through both; the linking rows, single linkings, ``h1`` and the slid
+rows it reduces, ``==``, ``hash`` and ``diagram_iso`` must agree at every
+step.  Every move keeps each pushoff after its parent, and the JSON form
+reads back every diagram ``from_linkings`` builds.
 """
 
 from __future__ import annotations
@@ -21,7 +21,12 @@ from dataclasses import replace
 import pytest
 
 import reference_diagram as ref
-from reference_diagram import from_linkings, linking_pairs, reference_ContactDiagram
+from reference_diagram import (
+    from_linkings,
+    linking_pairs,
+    parents_first,
+    reference_ContactDiagram,
+)
 from tightcert import diagrams
 from tightcert.diagrams import (
     PUSHOFF,
@@ -47,9 +52,9 @@ def both(comps, pairs):
 
 
 def random_components(rng):
-    """Components and linkings from random public moves, listed in a
-    shuffled order; sometimes with a parent cycle, and sometimes with
-    linkings that break the pushoff rule."""
+    """Components and linkings from random public moves, mostly listed in
+    a random parents-first order, and sometimes with linkings that break
+    the pushoff rule."""
     d = diagrams.empty_diagram()
     for _ in range(rng.randrange(1, 10)):
         kind = rng.choice(("unknot", "trefoil", "pushoff", "pushoff", "pushoff", "stabilize"))
@@ -70,13 +75,8 @@ def random_components(rng):
             if len(ids) > 1:
                 a, b = rng.sample(ids, 2)
                 pairs[frozenset((a, b))] = rng.randrange(-3, 4)
-    pushoffs = [i for i, c in enumerate(comps) if c.kind == PUSHOFF]
-    if len(pushoffs) >= 2 and rng.random() < 0.3:
-        cycle = rng.sample(pushoffs, rng.randrange(2, len(pushoffs) + 1))
-        for i, j in zip(cycle, cycle[1:] + cycle[:1]):
-            comps[i] = replace(comps[i], parent=comps[j].cid)
     if rng.random() < 0.8:
-        rng.shuffle(comps)
+        comps = parents_first(comps, rng)
     return comps, pairs
 
 
@@ -227,6 +227,70 @@ def test_equality_and_iso_match_the_reference():
     assert isos > len(pool)
 
 
+def test_every_move_keeps_each_pushoff_after_its_parent():
+    # The constructor and ``from_stored`` refuse any other order, so each
+    # move must keep it, and ``from_stored`` must read every result back
+    # from its stored entries.
+    rng = random.Random(1605)
+    done = dict.fromkeys(_MOVES, 0)
+    for _ in range(300):
+        d = from_linkings(*random_components(rng))
+        for _ in range(rng.randrange(1, 12)):
+            kind = rng.choice(_MOVES)
+            try:
+                got = move(d, diagrams, kind, rng)
+            except CalculusError:
+                continue
+            if got is None:
+                continue
+            d, pos = got, got._pos
+            assert all(c.parent is None or pos[c.parent] < i for i, c in enumerate(d.components))
+            assert ContactDiagram.from_stored(d.components, d.stored_entries()) == d
+            done[kind] += 1
+    assert min(done.values()) > 5, done
+
+
+def renamed(d, rng):
+    """d with fresh ids in its own order: isomorphic by position."""
+    names = {cid: f"r{rng.randrange(10**6)}_{i}" for i, cid in enumerate(d.ids())}
+    comps = [
+        replace(c, cid=names[c.cid], parent=c.parent and names[c.parent]) for c in d.components
+    ]
+    pairs = {frozenset(names[x] for x in p): v for p, v in linking_pairs(d).items()}
+    return from_linkings(comps, pairs)
+
+
+def test_isomorphic_diagrams_cancel_to_isomorphic_forms():
+    # ``cancel_equivalent`` accepts a pair of isomorphic presentations
+    # without cancelling them.  That keeps every verdict only because
+    # ``diagram_iso(a, b)`` implies it for the cancelled forms: checked on
+    # random move sequences against renamed copies, and against copies
+    # that differ by one move, which are sometimes isomorphic as well.
+    rng = random.Random(1606)
+    cancelled = isos = 0
+    for _ in range(150):
+        d = nested_pushoffs(rng) if rng.random() < 0.6 else from_linkings(*random_components(rng))
+        for _ in range(rng.randrange(1, 8)):
+            try:
+                got = move(d, diagrams, rng.choice(_MOVES), rng)
+            except CalculusError:
+                continue
+            d = got if got is not None else d
+            twin = renamed(d, rng)
+            try:
+                other = move(twin, diagrams, rng.choice(("stabilize", "coeff", "cancel_pairs")), rng)
+            except CalculusError:
+                other = None
+            for b in (twin, other):
+                if b is None or not diagram_iso(d, b):
+                    continue
+                x, y = diagrams.cancel_pushoff_pairs(d), diagrams.cancel_pushoff_pairs(b)
+                assert diagram_iso(x, y) and diagram_iso(y, x)
+                isos += 1
+                cancelled += len(x) < len(d)
+    assert isos > 500 and cancelled > 100, (isos, cancelled)
+
+
 def reparenting_removal(rng):
     """Components and linkings where removing "X", a pushoff of "Y", moves
     its unstabilized pushoffs to Y, with knots before and between them
@@ -278,7 +342,7 @@ def test_removal_through_a_slid_row_matches_the_reference():
 def acyclic_diagram(rng):
     """Components with random kinds, parents that lead to a root, tb and
     rot within the Bennequin bound, random coefficients and linkings, in
-    a random order."""
+    a random parents-first order."""
     n = rng.randrange(0, 9)
     comps, smooth = [], {}
     for i in range(n):
@@ -298,8 +362,7 @@ def acyclic_diagram(rng):
     for _ in range(rng.randrange(0, 2 * n + 1) if n > 1 else 0):
         a, b = rng.sample(range(n), 2)
         pairs[frozenset((f"k{a}", f"k{b}"))] = rng.randrange(-3, 4)
-    rng.shuffle(comps)
-    return from_linkings(comps, pairs)
+    return from_linkings(parents_first(comps, rng), pairs)
 
 
 def test_every_acyclic_order_round_trips_through_json():
@@ -317,38 +380,41 @@ def test_every_acyclic_order_round_trips_through_json():
 
 
 def test_stored_form_round_trips_through_json():
-    # Random diagrams with deviations, parents listed after their children
-    # and parent cycles: ``from_stored`` reads back every diagram from its
-    # stored entries, and the JSON form every acyclic one, with the
-    # reference's linkings.  A cycle leads to no root knot to take a smooth
-    # type from, so its JSON form is refused where the cycle starts.
+    # Random diagrams with deviations: ``from_stored`` reads back every
+    # diagram from its stored entries, and the JSON form too, with the
+    # reference's linkings.  The same JSON with a pushoff moved in front of
+    # its parent is refused at that pushoff's type.
     rng = random.Random(1901)
-    seen = {"deviations": 0, "parent after child": 0, "cycle": 0}
+    seen = {"deviations": 0, "moved in front": 0}
     for _ in range(400):
         comps, pairs = random_components(rng)
         new, old = both(comps, pairs)
         assert ContactDiagram.from_stored(new.components, new.stored_entries()) == new
         data = json.loads(json.dumps(diagram_to_dict(new)))
         seen["deviations"] += "deviations" in data
-        pos = new._pos
-        seen["parent after child"] += any(
-            c.kind == PUSHOFF and pos[c.parent] > i for i, c in enumerate(comps)
-        )
-        try:
-            back = diagram_from_dict(data)
-        except ParseError as exc:
-            assert "cycle" in exc.reason and ".type" in exc.location
-            seen["cycle"] += 1
-            continue
+        back = diagram_from_dict(data)
         assert back == new and back.ids() == new.ids()
         assert back.linking_rows() == old.linking_rows()
+        pushoffs = [i for i, c in enumerate(comps) if c.kind == PUSHOFF]
+        if pushoffs:
+            i = rng.choice(pushoffs)
+            p = new._pos[comps[i].parent]
+            data["components"].insert(p, data["components"].pop(i))
+            with pytest.raises(ParseError) as err:
+                diagram_from_dict(data)
+            assert err.value.location == f"diagram.components[{p}].type"
+            assert err.value.reason == (
+                f"pushoff parent {comps[i].parent!r} is not listed before it"
+            )
+            seen["moved in front"] += 1
     assert min(seen.values()) > 20, seen
 
 
 def nested_pushoffs(rng):
     """Diagrams of pushoffs of pushoffs at +1 and -1, some stabilized,
-    listed in creation order or shuffled: pairs sit inside pairs, so a
-    cancellation can hand a (-1)-knot a new cancelling pushoff."""
+    listed in creation order or another parents-first order: pairs sit
+    inside pairs, so a cancellation can hand a (-1)-knot a new cancelling
+    pushoff."""
     d = diagrams.empty_diagram()
     for _ in range(rng.randrange(1, 3)):
         d = rng.choice((diagrams.add_trefoil, diagrams.add_unknot))(d, coeff=SurgeryCoeff(-1))[0]
@@ -359,9 +425,7 @@ def nested_pushoffs(rng):
         else:
             d = diagrams.contact_pushoff(d, cid, SurgeryCoeff(rng.choice((1, -1, -1))))[0]
     if rng.random() < 0.3:
-        comps = list(d.components)
-        rng.shuffle(comps)
-        d = from_linkings(comps, linking_pairs(d))
+        d = from_linkings(parents_first(d.components, rng), linking_pairs(d))
     return d
 
 
@@ -397,8 +461,8 @@ def unit_fraction_parent(rng):
     """A diagram where "X", a pushoff of "Y" carrying 1/k, splits into k
     unit pushoffs and is removed, with the cases that decide where those
     pushoffs end up: X stabilized after its creation, X deviating from the
-    pushoff rule, X with children of its own, knots between, and Y listed
-    after X; returns the diagram, the ids of X and Y, and k."""
+    pushoff rule, X with children of its own, and knots between; returns
+    the diagram, the ids of X and Y, and k."""
     tb = rng.choice((1, 0, -1))
     d, y = diagrams.add_trefoil(diagrams.empty_diagram(), tb=tb, coeff=SurgeryCoeff(-1))
     for _ in range(rng.randrange(0, 3)):
@@ -421,7 +485,7 @@ def unit_fraction_parent(rng):
         pairs[key] = pairs.get(key, 0) + rng.choice((1, -1))
     comps = list(d.components)
     if rng.random() < 0.3:
-        rng.shuffle(comps)
+        comps = parents_first(comps, rng)
     k = rng.randrange(1, 5)
     comps = [replace(c, coeff=SurgeryCoeff(1, k)) if c.cid == x else c for c in comps]
     return from_linkings(comps, pairs), x, y, k
@@ -429,7 +493,7 @@ def unit_fraction_parent(rng):
 
 def test_convert_positive_builds_pushoffs_on_their_final_parent(monkeypatch):
     rng = random.Random(1702)
-    seen = {"fast": 0, "appended": 0, "parent after": 0, "stabilized": 0, "deviating": 0, "other children": 0}
+    seen = {"fast": 0, "appended": 0, "stabilized": 0, "deviating": 0, "other children": 0}
     for _ in range(400):
         d, x, y, k = unit_fraction_parent(rng)
         # The path the move took before: append k pushoffs of X, then
@@ -449,13 +513,12 @@ def test_convert_positive_builds_pushoffs_on_their_final_parent(monkeypatch):
         assert got == want and got.ids() == want.ids()
         dense = reference_ContactDiagram(d.components, linking_pairs(d))
         assert_match(got, ref.convert_positive(dense, x, k), rng)
-        fast = d._pos[y] < d._pos[x] and want.component(appended.components[-1].cid).parent == y
+        fast = want.component(appended.components[-1].cid).parent == y
         seen["fast" if fast else "appended"] += 1
         # Built on Y, the pushoffs are constructed once each; X's other
         # children are restated by the removal either way.
         children = sum(c.parent == x for c in d.components)
         assert len(built) == (k + children if fast else old_count)
-        seen["parent after"] += d._pos[y] > d._pos[x]
         seen["stabilized"] += d.component(x).tb != d.component(y).tb
         seen["deviating"] += any(v for cid, v in d._links[d._pos[x]].items() if cid != y)
         seen["other children"] += children > 0

@@ -101,27 +101,22 @@ def test_diagram_from_dict_rejects():
         diagram_from_dict(bad)
     assert "components[0]" in str(err.value)
 
-    # A pushoff must name a parent that is a component, and its parents
-    # must lead to a root knot; a parent listed after its child is read.
+    # A pushoff must name a parent listed before it: so also a parent that
+    # is a component, and no parent cycle.
     swapped = json.loads(json.dumps(good))
     swapped["components"][0], swapped["components"][1] = (
         swapped["components"][1],
         swapped["components"][0],
     )
-    back = diagram_from_dict(swapped)
-    assert back.ids()[:2] == ("c2", "c1") and back.component("c2").smooth_type == "rhtrefoil"
-    bad2 = json.loads(json.dumps(good))
-    bad2["components"][1]["type"] = "pushoff:ghost"
-    with pytest.raises(ParseError) as err2:
-        diagram_from_dict(bad2)
-    assert err2.value.location == "diagram.components[1].type"
-    assert err2.value.reason == "pushoff parent 'ghost' is not a component"
     cycle = json.loads(json.dumps(good))
     cycle["components"][0]["type"] = "pushoff:c2"
-    with pytest.raises(ParseError) as err_cycle:
-        diagram_from_dict(cycle)
-    assert err_cycle.value.location == "diagram.components[0].type"
-    assert err_cycle.value.reason == "pushoff parents form a cycle through 'c1'"
+    ghost = json.loads(json.dumps(good))
+    ghost["components"][1]["type"] = "pushoff:ghost"
+    for data, i, parent in ((swapped, 0, "c1"), (cycle, 0, "c2"), (ghost, 1, "ghost")):
+        with pytest.raises(ParseError) as err2:
+            diagram_from_dict(data)
+        assert err2.value.location == f"diagram.components[{i}].type"
+        assert err2.value.reason == f"pushoff parent {parent!r} is not listed before it"
 
     bad3 = json.loads(json.dumps(good))
     bad3["linkings"][0] = ["c1", "ghost", 1]

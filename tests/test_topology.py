@@ -303,29 +303,23 @@ def _minus_one_unknot(cid, parent=None):
 
 
 def test_h1_slides_only_over_earlier_parents():
-    # Two (-1)-pushoffs, each the other's parent, linked once: the matrix
-    # ((-2, 1), (1, -2)) presents Z/3.  Sliding both rows over each other
-    # would present Z + Z/3.
-    cycle = from_linkings(
+    # Every parent is listed before its pushoffs, so h1 slides each one:
+    # a parent cycle, whose slides need not be invertible over Z, and a
+    # pushoff listed before its parent are refused.  (Two (-1)-pushoffs,
+    # each the other's parent and linked once, present Z/3; sliding both
+    # rows over each other would present Z + Z/3.)
+    for comps in (
         [_minus_one_unknot("a", "b"), _minus_one_unknot("b", "a")],
-        {frozenset("ab"): 1},
-    )
-    assert h1(cycle) == _dense_h1(cycle) == HomologyResult(0, (3,))
-    # A three-cycle, and pushoffs listed before their parents.
-    cycle3 = from_linkings(
         [_minus_one_unknot("a", "c"), _minus_one_unknot("b", "a"), _minus_one_unknot("c", "b")],
-        {frozenset("ab"): -1, frozenset("bc"): -1, frozenset("ca"): -1},
-    )
-    assert h1(cycle3) == _dense_h1(cycle3) == HomologyResult(0, (4,))
-    later = from_linkings(
-        [
-            _minus_one_unknot("p", "k"),
-            _minus_one_unknot("k"),
-            _minus_one_unknot("q", "p"),
-        ],
+        [_minus_one_unknot("p", "k"), _minus_one_unknot("k"), _minus_one_unknot("q", "p")],
+    ):
+        with pytest.raises(CalculusError, match="not listed before it"):
+            ContactDiagram(comps)
+    earlier = from_linkings(
+        [_minus_one_unknot("k"), _minus_one_unknot("p", "k"), _minus_one_unknot("q", "p")],
         {frozenset("pk"): -1, frozenset("qk"): -1, frozenset("pq"): 2},
     )
-    assert h1(later) == _dense_h1(later) == HomologyResult(0, (8,))
+    assert h1(earlier) == _dense_h1(earlier) == HomologyResult(0, (8,))
 
 
 def test_h1_of_unlinked_unknots_is_linear():
