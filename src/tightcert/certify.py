@@ -145,16 +145,18 @@ def _plus_one_pushforward(cert, built, edge, tri):
         raise CalculusError(f"edge {edge.eid} joins a node that names no manifold")
     if not _reverses(tri.a, src.manifold) or not _reverses(tri.b, dst.manifold):
         raise CalculusError("triangle vertices do not match the edge endpoints")
-    ranks = []
-    for m in (tri.a, tri.b, tri.c):
-        value = cert.rank_facts.get(m)
+    facts = cert.rank_facts
+    a, b, c = ranks = facts.get(tri.a), facts.get(tri.b), facts.get(tri.c)
+    for m, value in zip((tri.a, tri.b, tri.c), ranks):
         if value is None:
             raise CalculusError(f"rank fact for {m.text()} not in the certificate")
-        ranks.append(value)
-    if not triangle_solve(*ranks).f_injective:
-        raise CalculusError(
-            f"triangle ranks {tuple(ranks)} do not make the map injective"
-        )
+    # Ints a, c >= 0 with b = a + c have an even total and map ranks a, c
+    # and 0, so the triangle exists and the map is injective; any other
+    # ranks go to ``triangle_solve``, which gives the refusal.
+    if not (type(a) is int and type(b) is int and type(c) is int
+            and a >= 0 and c >= 0 and b == a + c):
+        if not triangle_solve(*ranks).f_injective:
+            raise CalculusError(f"triangle ranks {ranks} do not make the map injective")
     return (("c_nonzero", edge.src),), ("c_nonzero", edge.dst)
 
 
@@ -410,16 +412,20 @@ def build_tower_chain(max_stage: int) -> TowerChain:
     """
     if not isinstance(max_stage, int) or max_stage < 1:
         raise CalculusError(f"tower depth must be a positive integer, got {max_stage!r}")
-    run = propagate(base_facts(), engine_triangles(max_stage))
+    family = engine_triangles(max_stage)
+    run = propagate(base_facts(), family)
     if not run.consistent:
         raise CalculusError(f"rank engine contradiction: {run.contradiction.detail}")
 
-    rank_facts: dict[Manifold, int] = {}
-    for m in (Manifold.s3(), Manifold.s1xs2(), Manifold.poincare()):
-        rank_facts[m] = run.db.exact_value(m)
-    for k in range(1, max_stage + 1):
-        m = Manifold.neg_tower(k)
-        rank_facts[m] = run.db.exact_value(m)
+    # Keyed by the family's own vertices, which the run's database finds
+    # by identity: s3 and s1xs2 from the unknot triangle, then the
+    # Poincare sphere and -tower(k) from the stage-k triangle
+    # (-tower(k), -tower(k + 1), poincare) at index k.
+    unknot, stages = family[0], family[1 : max_stage + 1]
+    rank_facts = {
+        m: run.db.exact_value(m)
+        for m in [unknot.a, unknot.b, stages[0].c] + [tri.a for tri in stages]
+    }
 
     nodes = [
         ContactNode("std", Manifold.s3(), empty_diagram()),
@@ -799,18 +805,28 @@ def _walk(cert, built, keep):
     }, derived
 
 
+def _cites(refs, kinds) -> bool:
+    """Whether the references ``refs`` have exactly the kinds ``kinds``."""
+    if len(refs) != len(kinds):
+        return False
+    for (kind, _), want in zip(refs, kinds):
+        if kind != want:
+            return False
+    return True
+
+
 def _check_step(cert, built, step, have):
     if step.rule not in RULES:
         return f"rule {step.rule!r} is not in the rule set"
     _, kinds, check = RULES[step.rule]
-    cited = tuple(kind for kind, _ in step.refs)
-    if cited != kinds:
+    refs = step.refs
+    if not _cites(refs, kinds):
         return (
             f"rule {step.rule} takes references ({', '.join(kinds)}), "
-            f"step cites ({', '.join(cited)})"
+            f"step cites ({', '.join(kind for kind, _ in refs)})"
         )
     try:
-        refs = [_RESOLVE[kind](cert, value) for kind, value in step.refs]
+        refs = [_RESOLVE[kind](cert, value) for kind, value in refs]
         premises, gives = check(cert, built, *refs)
     except CalculusError as exc:
         return str(exc)

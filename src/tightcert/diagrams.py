@@ -171,7 +171,7 @@ class LegendrianComponent:
         if self.coeff is not None:
             if not isinstance(self.coeff, SurgeryCoeff):
                 raise CalculusError("coefficient must be a SurgeryCoeff or None")
-            if not self.coeff.is_infinite and self.coeff.num == 0:
+            if self.coeff.num == 0 and not self.coeff.is_infinite:
                 raise NoTightExtensionError(
                     f"component {self.cid}: contact coefficient 0 admits "
                     "no tight extension"
@@ -875,11 +875,11 @@ def cancel_pushoff_pairs(d) -> ContactDiagram:
 
     A pair cancels when P is a (+1) contact pushoff of K, K carries -1, and
     neither has been stabilized since P was created — witnessed by
-    tb(P) == tb(K) == lk(P, K).  Both components are removed (pushoff first,
-    so its children can reparent through it), and the next pair is the
-    first one again: the first K in order that has such a P, with its
-    first such P, until no pair is left.  Cancelling such a pair does not
-    change the presented contact manifold.
+    rot(P) == rot(K) and tb(P) == tb(K) == lk(P, K).  Both components are
+    removed (pushoff first, so its children can reparent through it), and
+    the next pair is the first one again: the first K in order that has
+    such a P, with its first such P, until no pair is left.  Cancelling
+    such a pair does not change the presented contact manifold.
 
     Only a (-1)-knot with a (+1) pushoff is looked at, once, and again
     only when a cancellation hands it children: a removal changes no tb,
@@ -917,8 +917,7 @@ def _first_pushoff_pair(d, kid):
     k = d.component(kid)
     for j in d._children(kid):
         p = d.components[j]
-        if p.coeff == _PLUS_ONE and p.tb == k.tb == d.linking(p.cid, kid):
-            assert p.rot == k.rot
+        if p.coeff == _PLUS_ONE and p.rot == k.rot and p.tb == k.tb == d.linking(p.cid, kid):
             return p.cid
     return None
 

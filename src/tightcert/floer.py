@@ -19,17 +19,23 @@ triangle.  Conversely, knowing two of the dimensions confines the third to
 ``propagate`` narrows a vertex's interval from the other two, L and R:
 its lower end rises to L.lo - R.hi and to R.lo - L.hi, its upper end falls
 to L.hi + R.hi, and when L and R are exact both ends move inward to the
-parity of L + R.  It is an indexed kernel: it numbers each distinct
-manifold once, keeps the interval ends in two int lists (a manifold the
-database has not seen starts from the ends ``_start`` gives, with no
-``Interval`` built), narrows with plain ints, passes over a visit whose
-three ranks are exact and already fit, and writes back into its
-database copy only the facts that changed.  It visits the triangles in
-the same round-robin order as a loop over ``RankDb`` would and registers
-each manifold at its first touch, so the narrowed database (its order
-included), the pass count and the first contradiction are the same as
-such a loop gives, also when a contradiction stops the first pass
-partway.  ``engine_triangles`` is memoized with a bounded cache; it is a
+parity of L + R.  It is an indexed kernel over a compiled index of the
+triangles (``_compile``): each distinct manifold's slot, numbered at its
+first touch, the interval a slot starts from when the database has no
+fact for it (``_start``), the live triangles with their three narrowing
+steps, and the slots each one registers.  ``engine_triangles`` is
+memoized with a bounded cache and compiles the index of its family once,
+kept with the family in that cache entry; any other iterable is compiled
+on each call.  No result is kept: every call seeds the slots from its
+database's own facts, narrows with plain ints, passes over a triangle
+whose three ranks are exact and already fit (no vertex of it can
+narrow), and writes back into its database copy only the facts that
+changed; a registered slot that kept its starting interval gets the
+index's own immutable ``Interval``.  It visits the triangles in the same round-robin order as a
+loop over ``RankDb`` would and registers each manifold at its first
+touch, so the narrowed database (its order included), the pass count
+and the first contradiction are the same as such a loop gives, also when
+a contradiction stops the first pass partway.  ``engine_triangles`` is a
 pure function of the stage and returns an immutable tuple, in which
 equal vertices of the instances propagation visits are one object.
 
@@ -261,16 +267,25 @@ def tower_triangles(max_stage: int) -> list[TriangleInstance]:
     return out
 
 
+class _Family(tuple):
+    """An engine family: its triangles, as a tuple, and ``compiled``, the
+    index ``propagate`` runs them by, compiled once with the family."""
+
+
 @lru_cache(maxsize=8, typed=True)
 def engine_triangles(max_stage: int) -> tuple[TriangleInstance, ...]:
     """Every triangle the rank engine runs on up to tower stage max_stage:
     the unknot triangle, then both tower families.
 
     Memoized for the 8 most recent stages: the family depends on the
-    stage alone and the tuple and its instances are immutable.  The cache
-    is typed, so a stage of another type (3.0) is never served the family
-    of an int stage and still gets ``tower_triangles``' error."""
-    return (unknot_triangle(),) + tuple(tower_triangles(max_stage))
+    stage alone and the tuple and its instances are immutable.  Each entry
+    also holds the family's compiled index (``_compile``), which lives and
+    dies with it; no propagation result is kept.  The cache is typed, so a
+    stage of another type (3.0) is never served the family of an int stage
+    and still gets ``tower_triangles``' error."""
+    family = _Family((unknot_triangle(),) + tuple(tower_triangles(max_stage)))
+    family.compiled = _compile(family)
+    return family
 
 
 # ---------------------------------------------------------------------------
@@ -302,31 +317,32 @@ class Propagation:
         return self.contradiction is None
 
 
-def propagate(db: RankDb, triangles) -> Propagation:
-    """Round-robin interval narrowing to a fixpoint.
+@dataclass(frozen=True)
+class _Index:
+    """The part of a propagation over a triangle sequence that no database
+    changes.  ``slot`` numbers each distinct manifold the first time a live
+    (not informational) triangle names it, vertices in order a, b, c, and
+    ``names`` lists them by slot; ``start`` holds the interval each slot
+    starts from when the database has no fact for it (``_start``), and
+    ``lo`` and ``hi`` its ends.
+    ``steps`` holds, per live triangle in order, (live index, slots of a,
+    b and c, its three narrowing steps (target, left, right)); ``live``
+    the triangles and ``touched`` the number of slots registered once
+    each is visited."""
 
-    Visits the triangles in input order, narrowing each vertex from the
-    other two, and repeats until a full pass changes nothing.  The fixpoint
-    does not depend on the input order; the pass count may.  Informational
-    instances are skipped.  The input database is not modified.
+    slot: dict[Manifold, int]
+    names: tuple[Manifold, ...]
+    start: tuple[Interval, ...]
+    lo: tuple[int, ...]
+    hi: tuple[int | None, ...]
+    live: tuple[TriangleInstance, ...]
+    touched: tuple[int, ...]
+    steps: tuple[tuple, ...]
 
-    Works on indices: each distinct manifold gets a slot the first time a
-    visited triangle names it (vertices in order a, b, c), with the ends
-    of its fact, or of its starting interval when the database has none,
-    and only the slots of triangles visited before a contradiction are
-    registered in the result, in slot order, as a loop over
-    ``RankDb.fact`` would.
-    """
-    work = db.copy()
-    facts = work._facts
-    slot: dict[Manifold, int] = {}
-    names: list[Manifold] = []
-    given: list[Interval | None] = []  # each slot's fact before the run
-    lo: list[int] = []
-    hi: list[int | None] = []
-    live: list[TriangleInstance] = []
-    touched: list[int] = []  # slots registered once live[i] is visited
-    steps: list[tuple[int, int, int, int]] = []  # (live index, target, left, right)
+
+def _compile(triangles) -> _Index:
+    """The index of ``triangles``, any iterable of instances."""
+    slot, names, start, live, touched, steps = {}, [], [], [], [], []
     for tri in triangles:
         if tri.informational:
             continue
@@ -336,71 +352,108 @@ def propagate(db: RankDb, triangles) -> Propagation:
             if i is None:
                 i = slot[m] = len(names)
                 names.append(m)
-                got = facts.get(m)
-                given.append(got)
-                if got is None:
-                    start_lo, start_hi = _start(m)
-                else:
-                    start_lo, start_hi = got.lo, got.hi
-                lo.append(start_lo)
-                hi.append(start_hi)
+                start.append(Interval(*_start(m)))
             ids.append(i)
         a, b, c = ids
         pos = len(live)
         live.append(tri)
         touched.append(len(names))
-        steps += ((pos, a, b, c), (pos, b, c, a), (pos, c, a, b))
+        steps.append((pos, a, b, c, ((a, b, c), (b, c, a), (c, a, b))))
+    return _Index(
+        slot, tuple(names), tuple(start), tuple(s.lo for s in start),
+        tuple(s.hi for s in start), tuple(live), tuple(touched), tuple(steps),
+    )
+
+
+def propagate(db: RankDb, triangles) -> Propagation:
+    """Round-robin interval narrowing to a fixpoint.
+
+    Visits the triangles in input order, narrowing each vertex from the
+    other two, and repeats until a full pass changes nothing.  The fixpoint
+    does not depend on the input order; the pass count may.  Informational
+    instances are skipped.  The input database is not modified.
+
+    Works on the slots of the triangles' index: an ``engine_triangles``
+    family carries its own, and any other iterable is compiled on each
+    call.  Each slot starts from the ends of its fact in the database, or
+    of its starting interval when the database has none, and only the
+    slots of triangles visited before a contradiction are registered in
+    the result, in slot order, as a loop over ``RankDb.fact`` would.  The
+    ranks and rounds are computed afresh on every call.
+    """
+    index = triangles.compiled if type(triangles) is _Family else _compile(triangles)
+    names, live, touched, steps = index.names, index.live, index.touched, index.steps
+    work = db.copy()
+    facts = work._facts
+    lo, hi = list(index.lo), list(index.hi)
+    # Each slot's interval before the run, its fact or its start, and
+    # whether the database holds it.
+    given, known = list(index.start), [False] * len(names)
+    slot = index.slot
+    for m, got in facts.items():
+        i = slot.get(m)
+        if i is not None:
+            given[i], known[i] = got, True
+            lo[i], hi[i] = got.lo, got.hi
 
     def store(count):
+        # A slot that kept its start interval registers that (immutable)
+        # object; only a changed slot builds an Interval.
         for i in range(count):
             got = given[i]
-            if got is None or got.lo != lo[i] or got.hi != hi[i]:
+            if got.lo != lo[i] or got.hi != hi[i]:
                 facts[names[i]] = Interval(lo[i], hi[i])
+            elif not known[i]:
+                facts[names[i]] = got
 
     rounds = 0
     changed = True
     while changed:
         changed = False
         rounds += 1
-        for pos, t, l, r in steps:
-            # Narrow t from l and r; None is an unbounded upper end.
-            cur_lo, cur_hi = lo[t], hi[t]
-            l_lo, l_hi = lo[l], hi[l]
-            r_lo, r_hi = lo[r], hi[r]
+        for pos, a, b, c, rotations in steps:
+            a_lo, b_lo, c_lo = lo[a], lo[b], lo[c]
             if (
-                cur_lo == cur_hi and l_lo == l_hi and r_lo == r_hi
-                and l_lo - r_lo <= cur_lo <= l_lo + r_lo and r_lo - l_lo <= cur_lo
-                and not (cur_lo + l_lo + r_lo) % 2
+                a_lo == hi[a] and b_lo == hi[b] and c_lo == hi[c]
+                and b_lo - c_lo <= a_lo <= b_lo + c_lo and c_lo - b_lo <= a_lo
+                and not (a_lo + b_lo + c_lo) % 2
             ):
-                continue  # three exact ranks that fit: nothing narrows
-            new_lo, new_hi = cur_lo, cur_hi
-            if r_hi is not None and l_lo - r_hi > new_lo:
-                new_lo = l_lo - r_hi
-            if l_hi is not None:
-                if r_lo - l_hi > new_lo:
-                    new_lo = r_lo - l_hi
-                if r_hi is not None:
-                    cap = l_hi + r_hi
-                    if new_hi is None or cap < new_hi:
-                        new_hi = cap
-                    if l_lo == l_hi and r_lo == r_hi:
-                        parity = (l_lo + r_lo) % 2
-                        if new_lo % 2 != parity:
-                            new_lo += 1
-                        if new_hi % 2 != parity:
-                            new_hi -= 1
-            if new_hi is not None and new_lo > new_hi:
-                store(touched[pos] if rounds == 1 else len(names))
-                target, left, right = names[t], names[l], names[r]
-                detail = (
-                    f"rank of {target.text()} cannot meet "
-                    f"{left.text()} = {work.fact(left)} and "
-                    f"{right.text()} = {work.fact(right)} "
-                    f"(current {Interval(cur_lo, cur_hi)})"
-                )
-                return Propagation(work, rounds, Contradiction(live[pos], target, detail))
-            if new_lo != cur_lo or new_hi != cur_hi:
-                lo[t], hi[t] = new_lo, new_hi
-                changed = True
+                # Three exact ranks with an even total, each at most the sum
+                # of the other two: no vertex narrows.
+                continue
+            for t, l, r in rotations:
+                # Narrow t from l and r; None is an unbounded upper end.
+                cur_lo, cur_hi = lo[t], hi[t]
+                l_lo, l_hi = lo[l], hi[l]
+                r_lo, r_hi = lo[r], hi[r]
+                new_lo, new_hi = cur_lo, cur_hi
+                if r_hi is not None and l_lo - r_hi > new_lo:
+                    new_lo = l_lo - r_hi
+                if l_hi is not None:
+                    if r_lo - l_hi > new_lo:
+                        new_lo = r_lo - l_hi
+                    if r_hi is not None:
+                        cap = l_hi + r_hi
+                        if new_hi is None or cap < new_hi:
+                            new_hi = cap
+                        if l_lo == l_hi and r_lo == r_hi:
+                            parity = (l_lo + r_lo) % 2
+                            if new_lo % 2 != parity:
+                                new_lo += 1
+                            if new_hi % 2 != parity:
+                                new_hi -= 1
+                if new_hi is not None and new_lo > new_hi:
+                    store(touched[pos] if rounds == 1 else len(names))
+                    target, left, right = names[t], names[l], names[r]
+                    detail = (
+                        f"rank of {target.text()} cannot meet "
+                        f"{left.text()} = {work.fact(left)} and "
+                        f"{right.text()} = {work.fact(right)} "
+                        f"(current {Interval(cur_lo, cur_hi)})"
+                    )
+                    return Propagation(work, rounds, Contradiction(live[pos], target, detail))
+                if new_lo != cur_lo or new_hi != cur_hi:
+                    lo[t], hi[t] = new_lo, new_hi
+                    changed = True
     store(len(names))
     return Propagation(work, rounds)

@@ -431,42 +431,35 @@ def certificate_from_dict(data: dict) -> Certificate:
         if not isinstance(_need(data, list_field, where), list):
             raise ParseError(f"{list_field} must be a list", location=where)
 
+    # Well-formed ladder items (a derived node, an edge, a step) are read
+    # directly; any other item goes through ``_node_entry``,
+    # ``_edge_entry`` or ``_step_entry``, which raise the located error.
     nodes = {}
     at = where + ".nodes"
     for i, item in enumerate(data["nodes"]):
-        nid = _field_str(item, "id", at, i)
-        manifold = None
-        if "manifold" in item:
-            manifold = _field_manifold(item, "manifold", at, i)
-        diagram = item.get("diagram")
-        if diagram is not None:
-            # Refused before it is built: no presentation the verifier
-            # holds for the slope is that large.
-            components = diagram.get("components") if isinstance(diagram, dict) else None
-            size = len(components) if isinstance(components, list) else 0
-            if presentation_bound(slope, size) < size:
-                raise ParseError(
-                    f"{size} components, more than any presentation of slope "
-                    f"{slope} has",
-                    location=f"{at}[{i}].diagram",
-                )
-            diagram = diagram_from_dict(diagram, f"{at}[{i}].diagram")
-        if nid in nodes:
-            raise ParseError(f"duplicate node id {nid!r}", location=f"{at}[{i}]")
-        nodes[nid] = ContactNode(nid, manifold, diagram)
+        try:
+            nid, diagram = item["id"], item["diagram"]
+        except (TypeError, KeyError):
+            nid = None
+        if type(nid) is str and diagram is None and "manifold" not in item and nid not in nodes:
+            nodes[nid] = ContactNode(nid)
+        else:
+            node = _node_entry(item, at, i, slope, nodes)
+            nodes[node.nid] = node
 
     edges = {}
     at = where + ".edges"
     for i, item in enumerate(data["edges"]):
-        eid = _field_str(item, "id", at, i)
-        if eid in edges:
-            raise ParseError(f"duplicate edge id {eid!r}", location=f"{at}[{i}]")
-        edges[eid] = SurgeryEdge(
-            eid,
-            _field_str(item, "src", at, i),
-            _field_str(item, "dst", at, i),
-            _field_str(item, "witness", at, i),
-        )
+        try:
+            eid, src, dst, witness = item["id"], item["src"], item["dst"], item["witness"]
+        except (TypeError, KeyError):
+            eid = None
+        if (type(eid) is str and type(src) is str and type(dst) is str
+                and type(witness) is str and eid not in edges):
+            edges[eid] = SurgeryEdge(eid, src, dst, witness)
+        else:
+            edge = _edge_entry(item, at, i, edges)
+            edges[edge.eid] = edge
 
     raw_facts = _need(data, "rank_facts", where)
     if not isinstance(raw_facts, dict):
@@ -482,23 +475,16 @@ def certificate_from_dict(data: dict) -> Certificate:
     steps = []
     at = where + ".steps"
     for i, item in enumerate(data["steps"]):
-        rule = _field_str(item, "rule", at, i)
-        values = _field(item, "refs", at, i)
-        gives = _str_pair(_field(item, "gives", at, i))
-        if type(values) is not list or not all(type(v) is str for v in values):
-            raise ParseError("refs must be a list of strings", location=f"{at}[{i}].refs")
-        kinds = _KINDS.get(rule)
-        if kinds is None:
-            raise ParseError(f"rule {rule!r} is not in the rule set", location=f"{at}[{i}].rule")
-        if len(values) != len(kinds):
-            raise ParseError(
-                f"rule {rule} takes references ({', '.join(kinds)}), "
-                f"step cites {len(values)}",
-                location=f"{at}[{i}].refs",
-            )
-        if gives is None:
-            raise ParseError("gives must be [kind, node]", location=f"{at}[{i}].gives")
-        steps.append(Step(rule, tuple(zip(kinds, values)), gives))
+        try:
+            rule, values, gives = item["rule"], item["refs"], _str_pair(item["gives"])
+        except (TypeError, KeyError):
+            rule = None
+        kinds = _KINDS.get(rule) if type(rule) is str else None
+        if (kinds is not None and gives is not None and type(values) is list
+                and len(values) == len(kinds) and all(type(v) is str for v in values)):
+            steps.append(Step(rule, tuple(zip(kinds, values)), gives))
+        else:
+            steps.append(_step_entry(item, at, i))
 
     return Certificate(
         slope=slope,
@@ -509,3 +495,65 @@ def certificate_from_dict(data: dict) -> Certificate:
         rank_facts=rank_facts,
         steps=tuple(steps),
     )
+
+
+def _node_entry(item, at, i, slope, nodes):
+    """The node ``item``, entry i of the list at ``at``, its fields checked
+    in order.  An inline diagram larger than any presentation of ``slope``
+    is refused before it is built, and an id already in ``nodes`` after
+    the node is read."""
+    nid = _field_str(item, "id", at, i)
+    manifold = None
+    if "manifold" in item:
+        manifold = _field_manifold(item, "manifold", at, i)
+    diagram = item.get("diagram")
+    if diagram is not None:
+        components = diagram.get("components") if isinstance(diagram, dict) else None
+        size = len(components) if isinstance(components, list) else 0
+        if presentation_bound(slope, size) < size:
+            raise ParseError(
+                f"{size} components, more than any presentation of slope "
+                f"{slope} has",
+                location=f"{at}[{i}].diagram",
+            )
+        diagram = diagram_from_dict(diagram, f"{at}[{i}].diagram")
+    if nid in nodes:
+        raise ParseError(f"duplicate node id {nid!r}", location=f"{at}[{i}]")
+    return ContactNode(nid, manifold, diagram)
+
+
+def _edge_entry(item, at, i, edges):
+    """The edge ``item``, entry i of the list at ``at``, its fields checked
+    in order; an id already in ``edges`` is refused once it is read."""
+    eid = _field_str(item, "id", at, i)
+    if eid in edges:
+        raise ParseError(f"duplicate edge id {eid!r}", location=f"{at}[{i}]")
+    return SurgeryEdge(
+        eid,
+        _field_str(item, "src", at, i),
+        _field_str(item, "dst", at, i),
+        _field_str(item, "witness", at, i),
+    )
+
+
+def _step_entry(item, at, i):
+    """The step ``item``, entry i of the list at ``at``, its fields checked
+    in order: the rule, the reference values and their count, the derived
+    fact."""
+    rule = _field_str(item, "rule", at, i)
+    values = _field(item, "refs", at, i)
+    gives = _str_pair(_field(item, "gives", at, i))
+    if type(values) is not list or not all(type(v) is str for v in values):
+        raise ParseError("refs must be a list of strings", location=f"{at}[{i}].refs")
+    kinds = _KINDS.get(rule)
+    if kinds is None:
+        raise ParseError(f"rule {rule!r} is not in the rule set", location=f"{at}[{i}].rule")
+    if len(values) != len(kinds):
+        raise ParseError(
+            f"rule {rule} takes references ({', '.join(kinds)}), "
+            f"step cites {len(values)}",
+            location=f"{at}[{i}].refs",
+        )
+    if gives is None:
+        raise ParseError("gives must be [kind, node]", location=f"{at}[{i}].gives")
+    return Step(rule, tuple(zip(kinds, values)), gives)

@@ -560,36 +560,59 @@ def _reduce_corner(block, m):
         top = block[0]
         p = top[0]
         if not p:
-            i, j = next((i, j) for i, row in enumerate(block) for j, v in enumerate(row) if v)
+            # The smallest nonzero entry, which divides the most, becomes
+            # the corner.
+            _, i, j = min((v, i, j) for i, row in enumerate(block) for j, v in enumerate(row) if v)
             block[0], block[i] = block[i], block[0]
             for row in block:
                 row[0], row[j] = row[j], row[0]
-            continue
-        # Clear the first column; a nonzero remainder becomes the new,
-        # strictly smaller pivot.
+            top = block[0]
+            p = top[0]
+        # Clear the first column in one pass.  A row whose entry v the
+        # pivot divides loses v / p times the top row; otherwise the top
+        # row and that row are replaced by a unimodular 2 x 2 combination
+        # of the two, which leaves g = gcd(p, v) = s p + t v in the corner
+        # and 0 below it.
         for i in range(1, len(block)):
-            v = block[i][0]
-            if v:
+            row = block[i]
+            v = row[0]
+            if not v:
+                continue
+            if not v % p:
                 q = v // p
-                block[i] = row = [(x - q * y) % m for x, y in zip(block[i], top)]
-                if row[0]:
-                    block[0], block[i] = row, top
-                    break
+                block[i] = [(x - q * y) % m for x, y in zip(row, top)]
+                continue
+            g, s, t = _ext_gcd(p, v)
+            a, b = v // g, p // g
+            block[i] = [(a * y - b * x) % m for x, y in zip(row, top)]
+            block[0] = top = [(s * y + t * x) % m for x, y in zip(row, top)]
+            p = g
+        # The column below the pivot is zero, so clearing the first row by
+        # column operations only changes the first row itself; a nonzero
+        # remainder becomes the new, strictly smaller pivot.
+        for j in range(1, len(top)):
+            top[j] %= p
+            if top[j]:
+                for row in block:
+                    row[0], row[j] = row[j], row[0]
+                break
         else:
-            # The column below the pivot is zero, so clearing the first row
-            # by column operations only changes the first row itself.
-            for j in range(1, len(top)):
-                top[j] %= p
-                if top[j]:
-                    for row in block:
-                        row[0], row[j] = row[j], row[0]
-                    break
-            else:
-                # The pivot must divide the rest of the block.
-                bad = p > 1 and next((row for row in block[1:] if any(x % p for x in row)), None)
-                if not bad:
-                    return
-                block[0] = [x + y for x, y in zip(top, bad)]
+            # The pivot must divide the rest of the block.
+            bad = p > 1 and next((row for row in block[1:] if any(x % p for x in row)), None)
+            if not bad:
+                return
+            block[0] = [x + y for x, y in zip(top, bad)]
+
+
+def _ext_gcd(a, b):
+    """(g, s, t) with g = gcd(a, b) = s a + t b, for a, b >= 0."""
+    s0, s1, t0, t1 = 1, 0, 0, 1
+    while b:
+        q, r = divmod(a, b)
+        a, b = b, r
+        s0, s1 = s1, s0 - q * s1
+        t0, t1 = t1, t0 - q * t1
+    return a, s0, t0
 
 
 def h1(obj) -> HomologyResult:

@@ -616,6 +616,36 @@ def test_reject_pushforward_across_a_path_edge():
     assert result.reason == "edge ey1 joins a node that names no manifold"
 
 
+_NOT_NONNEGATIVE = "dimensions must be non-negative integers, got "
+
+
+@pytest.mark.parametrize("ranks, reason", [
+    ((1, 2, 1), None),
+    ((0, 0, 0), None),
+    ((-1, 2, 3), _NOT_NONNEGATIVE + "(-1, 2, 3)"),
+    ((3, 2, -1), _NOT_NONNEGATIVE + "(3, 2, -1)"),
+    ((1.0, 2, 1), _NOT_NONNEGATIVE + "(1.0, 2, 1)"),
+    ((1, 2.0, 1), _NOT_NONNEGATIVE + "(1, 2.0, 1)"),
+    ((1, 2, "1"), _NOT_NONNEGATIVE + "(1, 2, '1')"),
+    # A bool is an int to the solver, so b = a + c with bools holds as well.
+    ((True, 2, True), None),
+    ((1, True, False), None),
+    ((1, 3, 1), "dimensions (1, 3, 1) have odd total; no exact triangle exists"),
+    ((2, 2, 2), "triangle ranks (2, 2, 2) do not make the map injective"),
+    ((1, 4, 1), "dimensions (1, 4, 1) violate the triangle inequality; no exact triangle exists"),
+])
+def test_pushforward_step_on_cited_ranks(ranks, reason):
+    # Ranks only a certificate built in Python can carry, since rank facts
+    # must match the engine's: ints a, c >= 0 with b = a + c are injective,
+    # and every other triple gets the solver's verdict.
+    cert = fresh(certify_tight(SurgeryCoeff(5, 2)))
+    tri = engine_triangles(cert.engine_stage)[1]
+    cert.rank_facts.update(zip((tri.a, tri.b, tri.c), ranks))
+    cert.nodes["v2"] = ContactNode("v2", Manifold.tower(2))
+    step = Step("plus_one_pushforward", (("edge", "ev1"), ("triangle", "1")), ("c_nonzero", "v2"))
+    assert certify._check_step(cert, {}, step, {("c_nonzero", "v1")}) == reason
+
+
 def test_h1_consistency_on_a_path_node_checks_only_the_group():
     cert = fresh(certify_tight(SurgeryCoeff(5, 2)))
     group = certify._group_text(h1(node_presentations(cert)["y1"]))
@@ -806,6 +836,24 @@ def test_verify_parses_each_manifold_once(monkeypatch):
     assert built[Manifold] <= 70
     # Four seed facts and one per vertex the engine registers.
     assert built[Interval] <= 80
+
+
+def test_emit_and_each_verify_run_the_engine_once(monkeypatch):
+    # The family's index is compiled once, but no propagation result is
+    # kept: the emitter and every verify re-run the engine.
+    calls = []
+
+    def counted(db, triangles):
+        calls.append(len(triangles))
+        return propagate(db, triangles)
+
+    propagate = certify.propagate
+    monkeypatch.setattr(certify, "propagate", counted)
+    text = json.dumps(certificate_to_dict(certify_tight(SurgeryCoeff(40, 39))))
+    assert len(calls) == 1
+    for _ in range(2):
+        assert check_certificate(certificate_from_dict(json.loads(text))).ok
+    assert calls == [len(engine_triangles(40))] * 3
 
 
 def test_reverses_agrees_with_mirror():

@@ -563,6 +563,16 @@ def test_cancel_ignores_non_unit_pairs():
     assert len(cancel_pushoff_pairs(d)) == 2
 
 
+def test_cancel_requires_equal_rotation():
+    # A (+1) knot whose rotation differs from k's is no unstabilized
+    # pushoff of k, even with tb(p) == tb(k) == lk(p, k).
+    k = LegendrianComponent("k", UNKNOT, None, UNKNOT, -2, 1, SurgeryCoeff(-1))
+    p = LegendrianComponent("p", PUSHOFF, "k", UNKNOT, -2, -1, SurgeryCoeff(1))
+    d = ContactDiagram.from_stored([k, p], [("k", "p", -2, False)])
+    assert d.linking("k", "p") == -2
+    assert cancel_pushoff_pairs(d).ids() == ("k", "p")
+
+
 # ---------------------------------------------------------------------------
 # Standard generators
 # ---------------------------------------------------------------------------

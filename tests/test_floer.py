@@ -415,6 +415,51 @@ def test_engine_triangles_memoized_and_bounded():
         engine_triangles(7.0)  # not served the cached family of stage 7
 
 
+def _assert_matches_reference(db, tris):
+    before = db.items()
+    want = reference_propagate(db, tris)
+    got = propagate(db, tris)
+    assert db.items() == before
+    assert got.db.items() == want.db.items()
+    assert got.rounds == want.rounds
+    assert got.contradiction == want.contradiction
+    return got
+
+
+def test_memoized_family_serves_every_database():
+    # The family keeps its compiled index, but each call narrows its own
+    # database afresh: alternating databases never see each other's ranks.
+    rng = random.Random(2503)
+    seen = {"consistent": 0, "contradiction": 0}
+    for stage in (1, 2, 7, 24, 40):
+        family = engine_triangles(stage)
+        pool = list(dict.fromkeys(v for t in family for v in (t.a, t.b, t.c)))
+        planted = base_facts()
+        planted.set_fact(Manifold.neg_tower(1), Interval.exact(4))
+        extra = base_facts()
+        extra.set_fact(Manifold.lens(11, 3), Interval(0, 5))
+        extra.set_fact(rng.choice(pool), Interval(0, None))
+        dbs = [base_facts(), planted, extra]
+        for _ in range(3):
+            for db in dbs:
+                assert engine_triangles(stage) is family
+                got = _assert_matches_reference(db, family)
+                seen["consistent" if got.consistent else "contradiction"] += 1
+    assert min(seen.values()) >= 9, seen
+
+
+def test_adhoc_triangles_compiled_on_each_call():
+    tris = list(engine_triangles(6))
+    db = base_facts()
+    assert _assert_matches_reference(db, tris).consistent
+    bad = TriangleInstance(Manifold.s3(), Manifold.s3(), Manifold.s3())
+    tris.insert(4, bad)
+    assert _assert_matches_reference(db, tris).contradiction.triangle == bad
+    del tris[4]
+    tris.reverse()
+    assert _assert_matches_reference(db, tris).consistent
+
+
 def test_engine_family_shares_each_vertex():
     # A dict lookup tries identity before equality, so propagation finds a
     # vertex's slot fastest when equal vertices are one object.

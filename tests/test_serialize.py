@@ -714,6 +714,27 @@ def test_certificate_step_and_edge_rejections():
         certificate_from_dict(bad2)
 
 
+@pytest.mark.parametrize("section, i, change, reason, location", [
+    # A derived node, an edge and a step that the reader would take
+    # directly but for one field keep the located errors.
+    ("nodes", 1, {"manifold": 5}, "expected a string, got 5", "nodes[1].manifold"),
+    ("nodes", 3, {"id": "v1"}, "duplicate node id 'v1'", "nodes[3]"),
+    ("edges", 1, {"witness": 5}, "expected a string, got 5", "edges[1].witness"),
+    ("edges", 1, {"id": "e_eta", "src": 5}, "duplicate edge id 'e_eta'", "edges[1]"),
+    ("steps", 5, {"refs": ["ev1", 1]}, "refs must be a list of strings", "steps[5].refs"),
+    ("steps", 5, {"gives": ["c_nonzero"]}, "gives must be [kind, node]", "steps[5].gives"),
+    ("steps", 5, {"refs": ["ev1"]},
+     "rule plus_one_pushforward takes references (edge, triangle), step cites 1", "steps[5].refs"),
+    ("steps", 5, {"rule": 5}, "expected a string, got 5", "steps[5].rule"),
+])
+def test_ladder_items_outside_the_direct_read(section, i, change, reason, location):
+    bad = certificate_to_dict(certify_tight(SurgeryCoeff(5, 2)))
+    bad[section][i].update(change)
+    with pytest.raises(ParseError) as err:
+        certificate_from_dict(bad)
+    assert (err.value.reason, err.value.location) == (reason, f"certificate.{location}")
+
+
 @pytest.mark.parametrize(
     "key, expected",
     [
