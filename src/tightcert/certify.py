@@ -36,7 +36,9 @@ target none, since the reduction path only cancels (-1)-knots against
 their pushoffs and no rule reads a name for its nodes.  A built node that
 names a manifold is refused, so each manifold is stated once.  The
 ``h1_consistency`` audits, which no other rule consumes, are emitted only
-for the nodes that no edge builds: the inline ones and the root.
+for the nodes that no edge builds: the inline ones and the root.  Each
+records the group the node's manifold fixes, and the verifier checks it
+against the Smith normal form of the presentation.
 
 The rule set is the table ``RULES``: for each rule, its statement, the
 kinds of the references a step citing it carries, and the checker that
@@ -361,6 +363,13 @@ def _group_text(group: HomologyResult) -> str:
     return f"{group.free_rank}:{','.join(str(t) for t in group.torsion)}"
 
 
+def _cyclic_text(order: int) -> str:
+    """``_group_text`` of the cyclic group of ``order`` (0 = infinite)."""
+    if order == 0:
+        return "1:"
+    return "0:" if order == 1 else f"0:{order}"
+
+
 # (kind of the source's manifold, witness) -> the target's manifold, from
 # the source's stage.  A "cancel:<cid>" edge, whatever its source, gives
 # its target no manifold.
@@ -467,22 +476,24 @@ def _root_size(rp: SurgeryCoeff, stage: int, limit: int) -> int:
     return 1 + stage + sum(1 for _ in islice(neg_cf_terms(residual), limit))
 
 
-def _slope_presentation(slope: SurgeryCoeff, size: int) -> ContactDiagram | None:
-    """The verifier's own presentation of the slope, or None when it does
-    not have ``size`` components.  They are counted first, no further than
-    ``size`` chain terms, so nothing larger than ``size`` is built."""
-    rp = pushoff_coeff_from_slope(slope)
-    if _root_size(rp, _stage(rp), size) != size:
+def _slope_presentation(slope: SurgeryCoeff, rp: SurgeryCoeff, stage: int,
+                        size: int) -> ContactDiagram | None:
+    """The verifier's own presentation of the slope, whose companion
+    coefficient is rp at ``stage``, or None when it does not have ``size``
+    components.  They are counted first, no further than ``size`` chain
+    terms, so nothing larger than ``size`` is built."""
+    if _root_size(rp, stage, size) != size:
         return None
     return normalize_diagram(trefoil_surgery_diagram(slope))
 
 
-def _derived_root(cert: Certificate) -> ContactDiagram:
+def _derived_root(cert: Certificate, rp: SurgeryCoeff, stage: int) -> ContactDiagram:
     """The presentation of a root that carries no diagram: the verifier's
-    own presentation of the slope, which must have exactly as many
-    components as the certificate has edges."""
+    own presentation of the slope, of companion coefficient rp at
+    ``stage``, which must have exactly as many components as the
+    certificate has edges."""
     n = len(cert.edges)
-    built = _slope_presentation(cert.slope, n)
+    built = _slope_presentation(cert.slope, rp, stage, n)
     if built is None:
         raise CalculusError(
             f"{n} edges, but slope {cert.slope}'s presentation does not have "
@@ -491,16 +502,24 @@ def _derived_root(cert: Certificate) -> ContactDiagram:
     return built
 
 
-def presentation_bound(slope: SurgeryCoeff, limit: int) -> int:
-    """The most components any presentation the verifier holds for a
-    certificate of ``slope`` has: 2 for tower stage 1, or the root's size,
-    whose chain is counted only up to ``limit`` terms.  The excluded slope
-    1 has no root."""
+def slope_companion(slope: SurgeryCoeff) -> tuple[SurgeryCoeff | None, int]:
+    """The companion coefficient rp of ``slope`` and the tower stage a
+    certificate of it needs; (None, 0) for the excluded slope 1, which has
+    no root."""
     try:
         rp = pushoff_coeff_from_slope(slope)
     except CalculusError:
-        return 2
-    return max(2, _root_size(rp, _stage(rp), limit))
+        return None, 0
+    return rp, _stage(rp)
+
+
+def presentation_bound(companion: tuple[SurgeryCoeff | None, int], limit: int) -> int:
+    """The most components any presentation the verifier holds for a
+    certificate of a slope whose ``slope_companion`` is ``companion`` has:
+    2 for tower stage 1, or the root's size, whose chain is counted only
+    up to ``limit`` terms.  The excluded slope 1 has no root."""
+    rp, stage = companion
+    return 2 if rp is None else max(2, _root_size(rp, stage, limit))
 
 
 # ---------------------------------------------------------------------------
@@ -519,7 +538,11 @@ def certify_tight(r) -> Certificate:
     presentation inline only at stage 0; at stage >= 1 the verifier
     derives it from the slope.  The certificate opens with an
     ``h1_consistency`` audit of each node that no edge builds (the empty
-    presentation, stage 1 and the root), in node order.
+    presentation, stage 1 and the root), in node order.  Each of these
+    names its manifold, and the audit records the cyclic group of the
+    order that manifold fixes (``Manifold.expected_h1_order``): the
+    emitter computes no homology, and only the verifier runs the Smith
+    normal form of each audited presentation.
     """
     r = _coerce_coeff(r)
     rp = pushoff_coeff_from_slope(r)  # raises for the excluded slope 1
@@ -561,10 +584,16 @@ def certify_tight(r) -> Certificate:
         ]
     steps.append(Step("nonzero_tight", (("node", "y0"),), ("tight", "y0")))
 
-    inline = [(n.nid, n.diagram) for n in ladder if n.diagram is not None]
+    # Each audited node names its manifold, whose H1 is cyclic of the
+    # order the manifold fixes; the verifier computes the group.
+    audited = [n for n in ladder if n.diagram is not None] + [path[0]]
     audits = [
-        Step("h1_consistency", (("node", nid), ("group", _group_text(h1(d)))), ("h1", nid))
-        for nid, d in inline + [("y0", diagram)]
+        Step(
+            "h1_consistency",
+            (("node", n.nid), ("group", _cyclic_text(n.manifold.expected_h1_order()))),
+            ("h1", n.nid),
+        )
+        for n in audited
     ]
     edges = ladder_edges + path_edges
     # The verifier's count that lets it derive the root.
@@ -627,13 +656,13 @@ def _check(cert: Certificate) -> VerificationResult:
     stage = _stage(rp)
     presentation = root.diagram
     if presentation is not None:
-        if _slope_presentation(cert.slope, len(presentation)) != presentation:
+        if _slope_presentation(cert.slope, rp, stage, len(presentation)) != presentation:
             return _fail(
                 None, "conclusion presentation does not match the declared slope"
             )
     else:
         try:
-            presentation = _derived_root(cert)
+            presentation = _derived_root(cert, rp, stage)
         except CalculusError as exc:
             return _fail(None, str(exc))
 
@@ -744,7 +773,8 @@ def node_presentations(cert: Certificate, keep=None) -> dict[str, ContactDiagram
     built = {nid: n.diagram for nid, n in cert.nodes.items()}
     root = cert.conclusion[1]
     if root in built and built[root] is None:
-        built[root] = _derived_root(cert)
+        rp = pushoff_coeff_from_slope(cert.slope)
+        built[root] = _derived_root(cert, rp, _stage(rp))
     return _walk(cert, built, cert.nodes if keep is None else keep)[0]
 
 

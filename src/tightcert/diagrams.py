@@ -177,6 +177,20 @@ class LegendrianComponent:
                     "no tight extension"
                 )
 
+    def _renamed(self, cid: str) -> "LegendrianComponent":
+        """This component under the id ``cid``, nothing rechecked: the
+        checks read the id only to name it."""
+        new = object.__new__(LegendrianComponent)
+        put = object.__setattr__
+        put(new, "cid", cid)
+        put(new, "kind", self.kind)
+        put(new, "parent", self.parent)
+        put(new, "smooth_type", self.smooth_type)
+        put(new, "tb", self.tb)
+        put(new, "rot", self.rot)
+        put(new, "coeff", self.coeff)
+        return new
+
 
 class ContactDiagram:
     """An immutable contact surgery diagram.
@@ -565,12 +579,12 @@ def _unit_pushoffs(d, x, k, parent, row):
     Each copies x's linkings and links x and every earlier one of them
     tb(x) times, which the pushoff rule implies, so all k share one row:
     ``_new_pushoff_row(x)`` when ``parent`` is x; the ids are the ones k
-    successive ``contact_pushoff`` calls would give."""
-    pushoffs = [
-        LegendrianComponent(new, PUSHOFF, parent, x.smooth_type, x.tb, x.rot, _PLUS_ONE)
-        for new in islice(_fresh_ids(d), k)
-    ]
-    return d._append(pushoffs, (row,) * k)
+    successive ``contact_pushoff`` calls would give.  The k pushoffs
+    differ only in id, so the first is checked and the others are copies
+    of it (``LegendrianComponent._renamed``)."""
+    ids = islice(_fresh_ids(d), k)
+    first = LegendrianComponent(next(ids), PUSHOFF, parent, x.smooth_type, x.tb, x.rot, _PLUS_ONE)
+    return d._append([first] + [first._renamed(new) for new in ids], (row,) * k)
 
 
 @_move

@@ -25,15 +25,16 @@ first touch, the interval a slot starts from when the database has no
 fact for it (``_start``), the live triangles with their three narrowing
 steps, and the slots each one registers.  ``engine_triangles`` is
 memoized with a bounded cache and compiles the index of its family once,
-kept with the family in that cache entry; any other iterable is compiled
-on each call.  No result is kept: every call seeds the slots from its
-database's own facts, narrows with plain ints, passes over a triangle
-whose three ranks are exact and already fit (no vertex of it can
-narrow), and writes back into its database copy only the facts that
-changed; a registered slot that kept its starting interval gets the
-index's own immutable ``Interval``.  It visits the triangles in the same round-robin order as a
-loop over ``RankDb`` would and registers each manifold at its first
-touch, so the narrowed database (its order included), the pass count
+kept with the family in that cache entry together with a table of the
+index's manifolds by name, through which the certificate reader resolves
+rank-fact keys; any other iterable is compiled on each call.  No result
+is kept: every call seeds the slots from its database's own facts,
+narrows with plain ints, passes over a triangle whose three ranks are
+exact and already fit (no vertex of it can narrow), and writes back into
+its database copy only the facts that changed; a registered slot that
+kept its starting interval gets the index's own immutable ``Interval``.
+It visits the triangles in the same round-robin order as a loop over
+``RankDb`` would and registers each manifold at its first touch, so the narrowed database (its order included), the pass count
 and the first contradiction are the same as such a loop gives, also when
 a contradiction stops the first pass partway.  ``engine_triangles`` is a
 pure function of the stage and returns an immutable tuple, in which
@@ -268,8 +269,10 @@ def tower_triangles(max_stage: int) -> list[TriangleInstance]:
 
 
 class _Family(tuple):
-    """An engine family: its triangles, as a tuple, and ``compiled``, the
-    index ``propagate`` runs them by, compiled once with the family."""
+    """An engine family: its triangles, as a tuple; ``compiled``, the
+    index ``propagate`` runs them by, compiled once with the family; and
+    ``names``, each manifold that index registers keyed by its canonical
+    name (``Manifold.text``), built once with it."""
 
 
 @lru_cache(maxsize=8, typed=True)
@@ -279,12 +282,14 @@ def engine_triangles(max_stage: int) -> tuple[TriangleInstance, ...]:
 
     Memoized for the 8 most recent stages: the family depends on the
     stage alone and the tuple and its instances are immutable.  Each entry
-    also holds the family's compiled index (``_compile``), which lives and
-    dies with it; no propagation result is kept.  The cache is typed, so a
-    stage of another type (3.0) is never served the family of an int stage
-    and still gets ``tower_triangles``' error."""
+    also holds the family's compiled index (``_compile``) and the table of
+    its manifolds by name, which live and die with it; no propagation
+    result is kept.  The cache is typed, so a stage of another type (3.0)
+    is never served the family of an int stage and still gets
+    ``tower_triangles``' error."""
     family = _Family((unknot_triangle(),) + tuple(tower_triangles(max_stage)))
     family.compiled = _compile(family)
+    family.names = {m.text(): m for m in family.compiled.names}
     return family
 
 

@@ -52,12 +52,16 @@ matching ``*_from_dict`` except the rank table, which is only written):
   (``certify.presentation_bound``).
   "rank_facts" maps manifold names to ranks; each key must be the
   canonical name (``Manifold.text``) of the manifold it parses to, and no
-  two keys may name one manifold.  The reader parses each key once and
-  keys ``Certificate.rank_facts`` by the manifold.  Versions 1 to 8,
-  which inlined every diagram, the reduction path or the root, named each
-  node's edge, listed the triangle instances, audited every node, listed
-  every nonzero linking and each reference's kind, or named every derived
-  node's manifold, are refused.
+  two keys may name one manifold.  The reader keys
+  ``Certificate.rank_facts`` by the manifold.  It resolves a key that
+  names a manifold of the engine family through the family's name table
+  (``engine_triangles(engine_stage).names``), built with the memoized
+  family, when the slope allows the engine stage and the certificate
+  lists at least that many facts; it parses any other key once.
+  Versions 1 to 8, which inlined every diagram, the reduction path or
+  the root, named each node's edge, listed the triangle instances,
+  audited every node, listed every nonzero linking and each reference's
+  kind, or named every derived node's manifold, are refused.
 
 Reading a certificate or a diagram costs O(input): each inline diagram's
 stored rows are built straight from its entries, with no linking derived
@@ -82,8 +86,16 @@ from .diagrams import (
     LegendrianComponent,
 )
 from .topology import FramedLink, Manifold
-from .floer import RankDb
-from .certify import RULES, Certificate, ContactNode, Step, SurgeryEdge, presentation_bound
+from .floer import RankDb, engine_triangles
+from .certify import (
+    RULES,
+    Certificate,
+    ContactNode,
+    Step,
+    SurgeryEdge,
+    presentation_bound,
+    slope_companion,
+)
 
 CERTIFICATE_FORMAT = "tightness-certificate"
 DIAGRAM_FORMAT = "contact-diagram"
@@ -426,6 +438,8 @@ def certificate_from_dict(data: dict) -> Certificate:
     if conclusion is None:
         raise ParseError("conclusion must be [kind, node]", location=where + ".conclusion")
     stage = _int(_need(data, "engine_stage", where), where + ".engine_stage")
+    # The slope fixes its companion coefficient and the stage it allows.
+    companion = slope_companion(slope)
 
     for list_field in ("nodes", "edges", "steps"):
         if not isinstance(_need(data, list_field, where), list):
@@ -444,7 +458,7 @@ def certificate_from_dict(data: dict) -> Certificate:
         if type(nid) is str and diagram is None and "manifold" not in item and nid not in nodes:
             nodes[nid] = ContactNode(nid)
         else:
-            node = _node_entry(item, at, i, slope, nodes)
+            node = _node_entry(item, at, i, slope, companion, nodes)
             nodes[node.nid] = node
 
     edges = {}
@@ -464,13 +478,25 @@ def certificate_from_dict(data: dict) -> Certificate:
     raw_facts = _need(data, "rank_facts", where)
     if not isinstance(raw_facts, dict):
         raise ParseError("rank_facts must be an object", location=where + ".rank_facts")
+    # A ladder certificate's keys name manifolds of the engine family,
+    # whose name table resolves them.  The family is built only for a
+    # stage the slope allows and that is no larger than the number of
+    # facts, so its size is bounded by the input.  Any other key and a
+    # value that is not an int go through ``_rank_fact``, which raises the
+    # located error.  A table key is the canonical name of its manifold,
+    # so a second key for a manifold is never one.
+    names = {}
+    if 1 <= stage <= min(companion[1], len(raw_facts)):
+        names = engine_triangles(stage).names
     rank_facts = {}
     for key, value in raw_facts.items():
-        try:
-            m, rank = _rank_fact(key, value, rank_facts)
-        except ParseError as exc:
-            raise ParseError(exc.reason, location=f"{where}.rank_facts[{key!r}]") from None
-        rank_facts[m] = rank
+        m = names.get(key)
+        if m is None or type(value) is not int:
+            try:
+                m, value = _rank_fact(key, value, rank_facts)
+            except ParseError as exc:
+                raise ParseError(exc.reason, location=f"{where}.rank_facts[{key!r}]") from None
+        rank_facts[m] = value
 
     steps = []
     at = where + ".steps"
@@ -497,11 +523,11 @@ def certificate_from_dict(data: dict) -> Certificate:
     )
 
 
-def _node_entry(item, at, i, slope, nodes):
+def _node_entry(item, at, i, slope, companion, nodes):
     """The node ``item``, entry i of the list at ``at``, its fields checked
     in order.  An inline diagram larger than any presentation of ``slope``
-    is refused before it is built, and an id already in ``nodes`` after
-    the node is read."""
+    (whose ``slope_companion`` is ``companion``) is refused before it is
+    built, and an id already in ``nodes`` after the node is read."""
     nid = _field_str(item, "id", at, i)
     manifold = None
     if "manifold" in item:
@@ -510,7 +536,7 @@ def _node_entry(item, at, i, slope, nodes):
     if diagram is not None:
         components = diagram.get("components") if isinstance(diagram, dict) else None
         size = len(components) if isinstance(components, list) else 0
-        if presentation_bound(slope, size) < size:
+        if presentation_bound(companion, size) < size:
             raise ParseError(
                 f"{size} components, more than any presentation of slope "
                 f"{slope} has",

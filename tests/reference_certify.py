@@ -9,9 +9,10 @@ returns the manifold each edge gives its target, where it gives one.
 
 from __future__ import annotations
 
-from tightcert.certify import _DERIVED, _derived_root
+from tightcert.certify import _DERIVED, _derived_root, _stage
 from tightcert.diagrams import plus_one_surgery
 from tightcert.errors import CalculusError
+from tightcert.rationals import pushoff_coeff_from_slope
 
 # Stands in for a presentation that was built and then let go.
 _LET_GO = object()
@@ -28,7 +29,8 @@ def reference_walk(cert, keep=None):
         last = {e.src: k for k, e in enumerate(cert.edges.values())}
     root = cert.conclusion[1]
     if root in built and built[root] is None:
-        built[root] = _derived_root(cert)
+        rp = pushoff_coeff_from_slope(cert.slope)
+        built[root] = _derived_root(cert, rp, _stage(rp))
     manifolds = {nid: n.manifold for nid, n in cert.nodes.items()}
     derived = {}
     for k, e in enumerate(cert.edges.values()):

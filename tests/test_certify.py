@@ -41,7 +41,7 @@ from tightcert.floer import Interval, engine_triangles
 from tightcert.rationals import SurgeryCoeff
 from tightcert.serialize import certificate_from_dict, certificate_to_dict, diagram_to_dict
 from tightcert.topology import Manifold, h1
-from tightcert import diagrams
+from tightcert import diagrams, topology
 from reference_certify import reference_node_presentations, reference_walk
 from reference_diagram import from_linkings, linking_pairs
 from test_diagrams import _child_of_pushoff, count_constructions
@@ -854,6 +854,56 @@ def test_emit_and_each_verify_run_the_engine_once(monkeypatch):
     for _ in range(2):
         assert check_certificate(certificate_from_dict(json.loads(text))).ok
     assert calls == [len(engine_triangles(40))] * 3
+
+
+def _audit_groups(cert):
+    """Each audit's recorded group, and the verifier's own: the group text
+    of the h1 of the presentation it builds for the audited node."""
+    audits = [s for s in cert.steps if s.rule == "h1_consistency"]
+    built = node_presentations(cert, [s.ref("node") for s in audits])
+    recorded = [s.ref("group") for s in audits]
+    return recorded, [certify._group_text(h1(built[s.ref("node")])) for s in audits]
+
+
+def test_audit_groups_are_the_verifiers_h1_on_every_workload_slope(workloads):
+    for name in workloads.NAMES:
+        for p, q in workloads.spec(name).pairs:
+            if p != q:
+                recorded, computed = _audit_groups(certify_tight(SurgeryCoeff(p, q)))
+                assert recorded == computed, f"{p}/{q}"
+
+
+def test_audit_groups_are_the_verifiers_h1_on_drawn_slopes():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+
+    @hypothesis.settings(max_examples=60, deadline=None, derandomize=True)
+    @hypothesis.given(st.integers(-500, 500), st.integers(1, 500))
+    def run(p, q):
+        hypothesis.assume(p != q)
+        recorded, computed = _audit_groups(certify_tight(SurgeryCoeff(p, q)))
+        assert recorded == computed
+
+    run()
+
+
+@pytest.mark.parametrize("slope", ["40/39", "13/8", "-5/3", "0", "1/2", "inf"])
+def test_only_the_verifier_runs_smith_normal_form(slope, monkeypatch):
+    # The emitter writes each audit group from the node's manifold; the
+    # verifier reduces one presentation per audit.
+    calls = []
+    snf = topology.smith_normal_form
+
+    def counted(m):
+        calls.append(m)
+        return snf(m)
+
+    monkeypatch.setattr(topology, "smith_normal_form", counted)
+    cert = certify_tight(SurgeryCoeff.parse(slope))
+    assert calls == []
+    audits = sum(step.rule == "h1_consistency" for step in cert.steps)
+    assert check_certificate(fresh(cert)).ok
+    assert len(calls) == audits == (3 if cert.engine_stage else 1)
 
 
 def test_reverses_agrees_with_mirror():

@@ -848,17 +848,26 @@ def test_tower_matches_the_step_by_step_reference():
 # ---------------------------------------------------------------------------
 
 
-def count_constructions(monkeypatch):
+def count_constructions(monkeypatch, checked=None):
     """Patch in a counter of ``LegendrianComponent`` constructions (each
-    runs ``__post_init__`` once); returns the list of constructed ids."""
+    checked one runs ``__post_init__`` once, and each copy of a checked
+    one comes from ``_renamed``); returns the list of constructed ids.
+    ``checked``, a list, also gets the ids of the checked ones."""
     built = []
-    checks = LegendrianComponent.__post_init__
+    checks, renamed = LegendrianComponent.__post_init__, LegendrianComponent._renamed
 
     def counted(self):
         built.append(self.cid)
+        if checked is not None:
+            checked.append(self.cid)
         checks(self)
 
+    def counted_copy(self, cid):
+        built.append(cid)
+        return renamed(self, cid)
+
     monkeypatch.setattr(LegendrianComponent, "__post_init__", counted)
+    monkeypatch.setattr(LegendrianComponent, "_renamed", counted_copy)
     return built
 
 
@@ -867,6 +876,16 @@ def test_presentation_constructs_each_knot_about_once(slope, monkeypatch):
     built = count_constructions(monkeypatch)
     d = normalize_diagram(trefoil_surgery_diagram(SurgeryCoeff.parse(slope)))
     assert len(built) <= 2 * len(d) + 4
+
+
+@pytest.mark.parametrize("slope, k", [("40/39", 40), ("24/23", 24), ("7/3", 2), ("-1/40", 0)])
+def test_unit_pushoffs_check_one_knot(slope, k, monkeypatch):
+    # The k unit pushoffs differ only in id: the first is checked, and the
+    # other k - 1 are copies of it.
+    checked = []
+    built = count_constructions(monkeypatch, checked)
+    normalize_diagram(trefoil_surgery_diagram(SurgeryCoeff.parse(slope)))
+    assert len(built) - len(checked) == max(k - 1, 0)
 
 
 @pytest.mark.parametrize("slope", ["24/23", "-1/40", "10946/6765", "7/3"])  # F(21)/F(20)

@@ -10,11 +10,8 @@ from __future__ import annotations
 
 import contextlib
 import copy
-import importlib.util
 import io
 import json
-import sys
-from pathlib import Path
 
 import pytest
 
@@ -131,20 +128,6 @@ def test_mutated_certificate_gets_verdict_or_parse_error(data):
     except ParseError:
         return
     assert isinstance(check_certificate(parsed), VerificationResult)
-
-
-@pytest.fixture(scope="module")
-def workloads():
-    """The benchmark's workload module, loaded from its file."""
-    path = Path(__file__).resolve().parent.parent / "perfbench" / "workloads.py"
-    if not path.is_file():
-        pytest.skip("no perfbench directory")
-    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
-    module = importlib.util.module_from_spec(spec)
-    sys.modules[spec.name] = module  # its dataclasses look their module up
-    spec.loader.exec_module(module)
-    yield module
-    del sys.modules[spec.name]
 
 
 @settings(max_examples=60, deadline=None, derandomize=True)

@@ -501,15 +501,20 @@ def test_convert_positive_builds_pushoffs_on_their_final_parent(monkeypatch):
         appended = diagrams._unit_pushoffs(
             diagrams._Draft(d), d.component(x), k, x, diagrams._new_pushoff_row(d.component(x))
         ).frozen()
+        # A construction is a checked knot or a copy ``_renamed`` makes.
         built = []
-        checks = LegendrianComponent.__post_init__
+        checks, renamed = LegendrianComponent.__post_init__, LegendrianComponent._renamed
         monkeypatch.setattr(
             LegendrianComponent, "__post_init__", lambda self: (built.append(self.cid), checks(self))
+        )
+        monkeypatch.setattr(
+            LegendrianComponent, "_renamed", lambda self, cid: (built.append(cid), renamed(self, cid))[1]
         )
         want = diagrams.remove_component(appended, x)
         old_count, built[:] = len(built) + k, []
         got = diagrams.convert_positive(d, x, k)
         monkeypatch.setattr(LegendrianComponent, "__post_init__", checks)
+        monkeypatch.setattr(LegendrianComponent, "_renamed", renamed)
         assert got == want and got.ids() == want.ids()
         dense = reference_ContactDiagram(d.components, linking_pairs(d))
         assert_match(got, ref.convert_positive(dense, x, k), rng)

@@ -10,7 +10,7 @@ from itertools import combinations
 
 import pytest
 
-from tightcert import serialize
+from tightcert import certify, floer, serialize
 from tightcert.certify import (
     RULES,
     ContactNode,
@@ -20,6 +20,7 @@ from tightcert.certify import (
     check_certificate,
     node_presentations,
     presentation_bound,
+    slope_companion,
 )
 from tightcert.diagrams import (
     add_unknot,
@@ -767,6 +768,94 @@ def test_rank_facts_keyed_by_manifold():
     }
 
 
+class _Unnamed(tuple):
+    """A stand-in engine family whose name table resolves no key."""
+
+    names = {}
+
+
+def test_family_names_read_as_parsing_every_key(workloads, monkeypatch):
+    # Every workload certificate reads to the same certificate through the
+    # engine family's name table as through ``_rank_fact`` alone, and a
+    # ladder certificate's keys resolve to the family's own manifolds.
+    for name in workloads.NAMES:
+        for p, q in workloads.spec(name).pairs:
+            if p == q:
+                continue
+            data = certificate_to_dict(certify_tight(SurgeryCoeff(p, q)))
+            cert = certificate_from_dict(data)
+            if cert.engine_stage:
+                names = engine_triangles(cert.engine_stage).names
+                assert all(names[m.text()] is m for m in cert.rank_facts)
+            with monkeypatch.context() as patch:
+                patch.setattr(serialize, "engine_triangles", lambda stage: _Unnamed())
+                assert certificate_from_dict(data) == cert, f"{p}/{q}"
+
+
+def _renamed_fact(old, new):
+    def change(data):
+        data["rank_facts"] = {(new if k == old else k): v for k, v in data["rank_facts"].items()}
+    return change
+
+
+def _added_fact(key, value):
+    def change(data):
+        data["rank_facts"][key] = value
+    return change
+
+
+@pytest.mark.parametrize("change, outcome", [
+    # At stage 40, each read as ``_rank_fact`` reads it: a located
+    # ParseError, or the verifier's reason.
+    (_renamed_fact("-tower(7)", "-tower(07)"),
+     ("certificate.rank_facts['-tower(07)']", "key is not the canonical name '-tower(7)'")),
+    (_renamed_fact("-tower(3)", "-tower( 3)"),
+     ("certificate.rank_facts['-tower( 3)']", "key is not the canonical name '-tower(3)'")),
+    (_added_fact("lens(5,2)", 1), "rank fact lens(5,2) = 1 is not engine-verified (engine: 5)"),
+    (_added_fact("lens(5,2)", 5), None),
+    (_added_fact("-tower(41)", 41),
+     "rank fact -tower(41) = 41 is not engine-verified (engine: [39, 41])"),
+    (_added_fact("-tower(2)", True),
+     ("certificate.rank_facts['-tower(2)']", "expected an integer, got True")),
+    (_added_fact("-tower(05)", 5),
+     ("certificate.rank_facts['-tower(05)']", "a second rank fact for -tower(5)")),
+    (_added_fact(" s3 ", 1), ("certificate.rank_facts[' s3 ']", "a second rank fact for s3")),
+])
+def test_rank_keys_outside_the_family_table(change, outcome):
+    data = certificate_to_dict(certify_tight(SurgeryCoeff(40, 39)))
+    change(data)
+    if isinstance(outcome, tuple):
+        with pytest.raises(ParseError) as err:
+            certificate_from_dict(data)
+        assert (err.value.location, err.value.reason) == outcome
+    else:
+        assert check_certificate(certificate_from_dict(data)).reason == outcome
+
+
+@pytest.mark.parametrize("slope, stage, allowed", [
+    ("17/16", 10**9, False),
+    ("17/16", 18, False),
+    # The slope allows the stage, but the certificate lists 20 facts.
+    (f"{10**9 + 1}/{10**9}", 10**9, True),
+])
+def test_reader_builds_no_family_the_input_does_not_pay_for(slope, stage, allowed, monkeypatch):
+    assert (slope_companion(SurgeryCoeff.parse(slope))[1] >= stage) == allowed
+    data = certificate_to_dict(certify_tight(SurgeryCoeff(17, 16)))
+    data["slope"], data["engine_stage"] = slope, stage
+    calls = []
+
+    def refused(k):
+        calls.append(k)
+        raise AssertionError(f"an engine family of stage {k} was asked for")
+
+    # ``tower_triangles`` builds each family the cache does not hold.
+    monkeypatch.setattr(floer, "tower_triangles", refused)
+    for module in (serialize, certify):
+        monkeypatch.setattr(module, "engine_triangles", refused)
+    result = check_certificate(certificate_from_dict(data))
+    assert not result.ok and calls == []
+
+
 def _reference_manifold(text, where):
     try:
         return Manifold.parse(serialize._str(text, where))
@@ -813,7 +902,7 @@ def reference_certificate_from_dict(data):
         if diagram is not None:
             components = diagram.get("components") if isinstance(diagram, dict) else None
             size = len(components) if isinstance(components, list) else 0
-            if presentation_bound(slope, size) < size:
+            if presentation_bound(slope_companion(slope), size) < size:
                 raise ParseError(
                     f"{size} components, more than any presentation of slope {slope} has",
                     location=at + ".diagram",
