@@ -26,6 +26,8 @@ carries no diagram either: the verifier builds its own presentation of the
 slope, once it has counted that this presentation has as many components
 as the certificate has edges (one for eta, one per ladder stage and one
 per chain knot), so the work stays bounded by what the certificate holds.
+The emitter builds no presentation there besides the inline ``std`` and
+``v1``: the slope fixes the chain knots' ids (``trefoil_chain_ids``).
 
 Every manifold is bound to a presentation before any step runs.  An
 inline node names its manifold and must carry the verifier's own
@@ -61,7 +63,6 @@ from .rationals import (
     split_count,
 )
 from .diagrams import (
-    PUSHOFF,
     ContactDiagram,
     _Draft,
     cancel_pushoff_pairs,
@@ -70,6 +71,7 @@ from .diagrams import (
     normalize_diagram,
     plus_one_surgery,
     tower_diagram,
+    trefoil_chain_ids,
     trefoil_surgery_diagram,
 )
 from .topology import MIRROR_KIND, HomologyResult, Manifold, h1
@@ -536,7 +538,11 @@ def certify_tight(r) -> Certificate:
     positive ones are split into unit pushoffs, reduced along the
     (-1)-chain, and bridged to the tower ladder.  The root carries its
     presentation inline only at stage 0; at stage >= 1 the verifier
-    derives it from the slope.  The certificate opens with an
+    derives it from the slope, and the emitter builds no presentation
+    besides the inline ``std`` and ``v1``: the ids of the chain knots its
+    ``cancel:`` edges name come from ``diagrams.trefoil_chain_ids``, which
+    reads them off the companion coefficient and the stage.  The
+    certificate opens with an
     ``h1_consistency`` audit of each node that no edge builds (the empty
     presentation, stage 1 and the root), in node order.  Each of these
     names its manifold, and the audit records the cyclic group of the
@@ -547,8 +553,8 @@ def certify_tight(r) -> Certificate:
     r = _coerce_coeff(r)
     rp = pushoff_coeff_from_slope(r)  # raises for the excluded slope 1
     stage = _stage(rp)
-    diagram = normalize_diagram(trefoil_surgery_diagram(r))
-    path = [ContactNode("y0", Manifold.trefoil_surgery(r), None if stage else diagram)]
+    root = None if stage else normalize_diagram(trefoil_surgery_diagram(r))
+    path = [ContactNode("y0", Manifold.trefoil_surgery(r), root)]
     path_edges = []
     if stage == 0:
         ladder, ladder_edges, rank_facts = [], [], {}
@@ -558,14 +564,10 @@ def certify_tight(r) -> Certificate:
         ]
     else:
         # k unit pushoffs, then a residual (-1)-chain of length m (m = 0
-        # exactly when rp is a unit fraction).  The chain knots are the
-        # (-1)-components other than the trefoil, in creation order: the
-        # original pushoff first, then the knots appended by the conversion.
-        # Cancelling them last to first reduces the root to tower stage k.
-        chain_ids = [
-            c.cid for c in diagram.components if c.kind == PUSHOFF and c.coeff == _MINUS_ONE
-        ]
-        for i, cid in enumerate(reversed(chain_ids), start=1):
+        # exactly when rp is a unit fraction), whose ids the slope fixes.
+        # Cancelling the chain knots last to first reduces the root to
+        # tower stage k.
+        for i, cid in enumerate(reversed(trefoil_chain_ids(rp, stage)), start=1):
             path.append(ContactNode(f"y{i}"))
             path_edges.append(SurgeryEdge(f"ey{i}", f"y{i - 1}", f"y{i}", f"cancel:{cid}"))
         chain = build_tower_chain(stage)
@@ -597,7 +599,7 @@ def certify_tight(r) -> Certificate:
     ]
     edges = ladder_edges + path_edges
     # The verifier's count that lets it derive the root.
-    assert not stage or len(edges) == _root_size(rp, stage, len(diagram))
+    assert not stage or len(edges) == _root_size(rp, stage, len(edges))
     return Certificate(
         slope=r,
         conclusion=("tight", "y0"),

@@ -180,8 +180,13 @@ def _cmd_certify(args) -> int:
             if not args.json:
                 print(f"slope {_clip(slope_text)}: REFUSED ({_clip(exc)})")
             continue
-        verdict = check_certificate(cert)
+        # The self-check reads the written form back, so it covers the
+        # writer and the reader as well as the emitter.
         payload = serialize.certificate_to_dict(cert)
+        try:
+            verdict = check_certificate(serialize.certificate_from_dict(payload))
+        except ParseError:
+            verdict = False
         if args.emit:
             path = args.emit if len(slopes) == 1 else _numbered(args.emit, i)
             serialize.dump_json(payload, path)

@@ -112,6 +112,7 @@ from .errors import (
 from .rationals import (
     SurgeryCoeff,
     coeff as _coerce_coeff,
+    neg_cf_terms,
     neg_continued_fraction,
     pushoff_coeff_from_slope,
     residual_coeff,
@@ -857,6 +858,28 @@ def normalize_diagram(d, choices=None) -> ContactDiagram:
     for c in d.components:
         assert c.coeff in (None, _PLUS_ONE, _MINUS_ONE)
     return d
+
+
+def trefoil_chain_ids(rp: SurgeryCoeff, k: int) -> list[str]:
+    """The ids ``normalize_diagram(trefoil_surgery_diagram(r))`` gives its
+    (-1)-chain knots, in creation order, for a slope r whose companion
+    coefficient is the finite rp > 0 and which splits into k =
+    ``split_count(rp)`` unit pushoffs; no diagram is built.
+
+    ``trefoil_surgery_diagram`` creates the trefoil c1 and its pushoff
+    c2.  ``convert_positive`` appends the k unit pushoffs c3 ... c(k+2)
+    and leaves the residual ``residual_coeff(rp, k)`` on c2, or removes c2
+    when the residual is infinite (rp = 1/k): then there is no chain.
+    Otherwise ``convert_negative`` keeps c2 as the first of the m chain
+    knots, one per negative continued fraction term of the residual, and
+    appends the other m - 1, which ``_fresh_ids`` numbers from len + 1 =
+    k + 3 up, since nothing was removed: c2, c(k+3), ..., c(k+m+1).
+    O(m), counting the terms."""
+    residual = residual_coeff(rp, k)
+    if residual.is_infinite:
+        return []
+    m = sum(1 for _ in neg_cf_terms(residual))
+    return ["c2"] + [f"c{n}" for n in range(k + 3, k + m + 2)]
 
 
 def count_presentations(r) -> int:

@@ -42,6 +42,9 @@ class SurgeryCoeff:
         num, den = self.num, self.den
         if not isinstance(num, int) or not isinstance(den, int):
             raise CalculusError("coefficient parts must be integers")
+        # Plain ints, so that a bool or another int subclass prints and
+        # serializes as a number.
+        num, den = int(num), int(den)
         if den == 0:
             if num == 0:
                 raise CalculusError("0/0 is not a surgery coefficient")
@@ -104,6 +107,9 @@ class SurgeryCoeff:
         return self.num == o.num and self.den == o.den
 
     def __hash__(self) -> int:
+        # Equal to an int n exactly when den == 1, so hash as n there.
+        if self.den == 1:
+            return hash(self.num)
         return hash((self.num, self.den))
 
     def __lt__(self, other):

@@ -1,18 +1,30 @@
-"""The edge walk of ``tightcert.certify`` as it was before it counted each
-node's readers, kept as a reference for ``node_presentations``.
+"""Earlier derivations of ``tightcert.certify``, kept as references.
 
-``reference_walk`` performs every edge's move on an immutable copy of
-its source, and lets a presentation go, through the ``_LET_GO`` marker,
-once no later edge starts from it.  Like ``certify._walk`` it also
-returns the manifold each edge gives its target, where it gives one.
+``reference_walk`` is the edge walk as it was before it counted each
+node's readers, a reference for ``node_presentations``.  It performs
+every edge's move on an immutable copy of its source, and lets a
+presentation go, through the ``_LET_GO`` marker, once no later edge starts
+from it.  Like ``certify._walk`` it also returns the manifold each edge
+gives its target, where it gives one.
+
+``reference_chain_ids`` reads the (-1)-chain knots' ids off the built
+root, as the emitter did before ``diagrams.trefoil_chain_ids`` read them
+off the slope.
 """
 
 from __future__ import annotations
 
 from tightcert.certify import _DERIVED, _derived_root, _stage
-from tightcert.diagrams import plus_one_surgery
+from tightcert.diagrams import (
+    PUSHOFF,
+    normalize_diagram,
+    plus_one_surgery,
+    trefoil_surgery_diagram,
+)
 from tightcert.errors import CalculusError
-from tightcert.rationals import pushoff_coeff_from_slope
+from tightcert.rationals import SurgeryCoeff, pushoff_coeff_from_slope
+
+_MINUS_ONE = SurgeryCoeff(-1)
 
 # Stands in for a presentation that was built and then let go.
 _LET_GO = object()
@@ -66,3 +78,10 @@ def reference_walk(cert, keep=None):
     if keep is None:
         return built, derived
     return {nid: built[nid] for nid in keep if nid in built}, derived
+
+
+def reference_chain_ids(r):
+    """The ids of the (-1)-chain knots of slope r's normalized root, in
+    creation order: its (-1)-components other than the trefoil."""
+    diagram = normalize_diagram(trefoil_surgery_diagram(r))
+    return [c.cid for c in diagram.components if c.kind == PUSHOFF and c.coeff == _MINUS_ONE]

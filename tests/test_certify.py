@@ -26,6 +26,7 @@ from tightcert.certify import (
     check_certificate,
     node_presentations,
     rules,
+    slope_companion,
 )
 from tightcert.diagrams import (
     ContactDiagram,
@@ -34,6 +35,7 @@ from tightcert.diagrams import (
     set_coeff,
     stabilize,
     tower_diagram,
+    trefoil_chain_ids,
     trefoil_surgery_diagram,
 )
 from tightcert.errors import CalculusError, ExcludedSlopeError, ParseError
@@ -42,7 +44,7 @@ from tightcert.rationals import SurgeryCoeff
 from tightcert.serialize import certificate_from_dict, certificate_to_dict, diagram_to_dict
 from tightcert.topology import Manifold, h1
 from tightcert import diagrams, topology
-from reference_certify import reference_node_presentations, reference_walk
+from reference_certify import reference_chain_ids, reference_node_presentations, reference_walk
 from reference_diagram import from_linkings, linking_pairs
 from test_diagrams import _child_of_pushoff, count_constructions
 from test_topology import _fib
@@ -904,6 +906,78 @@ def test_only_the_verifier_runs_smith_normal_form(slope, monkeypatch):
     audits = sum(step.rule == "h1_consistency" for step in cert.steps)
     assert check_certificate(fresh(cert)).ok
     assert len(calls) == audits == (3 if cert.engine_stage else 1)
+
+
+def _chain_ids(slope):
+    """The chain knots' ids ``trefoil_chain_ids`` gives a stage >= 1 slope,
+    checked against the reference's scan of the built root; None at
+    stage 0, where the emitter builds the root."""
+    rp, stage = slope_companion(slope)
+    if not stage:
+        return None
+    ids = trefoil_chain_ids(rp, stage)
+    assert ids == reference_chain_ids(slope), str(slope)
+    return ids
+
+
+def test_chain_ids_match_the_reference_on_every_workload_slope(workloads):
+    for name in workloads.NAMES:
+        for p, q in workloads.spec(name).pairs:
+            if p != q:
+                _chain_ids(SurgeryCoeff(p, q))
+
+
+# Long chains, a large stage, and both at once: (slope, stage, chain knots).
+_LONG_CHAINS = [
+    pytest.param(text, stage, knots, id=name or text)
+    for text, stage, knots, name in (
+        ("22501/22351", 151, 149, None),
+        ("60001/59801", 301, 199, None),
+        ("1001/999", 501, 1, None),
+        ("-1/600", 1, 600, None),
+        (f"{_fib(2001)}/{_fib(2000)}", 3, 999, "F(2001)/F(2000)"),
+    )
+]
+
+
+@pytest.mark.parametrize("text, stage, knots", _LONG_CHAINS)
+def test_chain_ids_match_the_reference_on_long_chains(text, stage, knots):
+    slope = SurgeryCoeff.parse(text)
+    assert slope_companion(slope)[1] == stage
+    assert len(_chain_ids(slope)) == knots
+
+
+def test_chain_ids_match_the_reference_on_drawn_slopes():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+
+    @hypothesis.settings(max_examples=200, deadline=None, derandomize=True)
+    @hypothesis.given(st.integers(-2000, 2000), st.integers(1, 2000))
+    def run(p, q):
+        hypothesis.assume(p != q)
+        _chain_ids(SurgeryCoeff(p, q))
+
+    run()
+
+
+@pytest.mark.parametrize("slope", ["40/39", "13/8", "-5/3", "inf", "22501/22351",
+                                   "0", "1/2", "-7/2"])
+def test_only_stage_0_emission_builds_the_root(slope, monkeypatch):
+    # At stage >= 1 the emitter reads the chain knots' ids off the slope;
+    # the verifier still builds its own root, once.
+    counts = {"normalize_diagram": 0, "trefoil_surgery_diagram": 0}
+    for name in counts:
+        def counted(*args, _fn=getattr(diagrams, name), _name=name, **kwargs):
+            counts[_name] += 1
+            return _fn(*args, **kwargs)
+
+        monkeypatch.setattr(diagrams, name, counted)
+        monkeypatch.setattr(certify, name, counted)
+    cert = certify_tight(SurgeryCoeff.parse(slope))
+    emitted = 0 if cert.engine_stage else 1
+    assert counts == dict.fromkeys(counts, emitted)
+    assert check_certificate(fresh(cert)).ok
+    assert counts == dict.fromkeys(counts, emitted + 1)
 
 
 def test_reverses_agrees_with_mirror():

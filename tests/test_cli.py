@@ -326,6 +326,31 @@ def test_certify_excluded_slope_refused(capsys):
     assert "REFUSED" in out
 
 
+def _bump_rank_fact(data):
+    data["rank_facts"]["-tower(1)"] += 4
+
+
+def _unreadable_slope(data):
+    data["slope"] = "True/2"
+
+
+@pytest.mark.parametrize("corrupt", [_bump_rank_fact, _unreadable_slope])
+def test_certify_checks_the_certificate_it_writes(corrupt, tmp_path, monkeypatch, capsys):
+    write = cli.serialize.certificate_to_dict
+
+    def corrupting(cert):
+        data = write(cert)
+        corrupt(data)
+        return data
+
+    monkeypatch.setattr(cli.serialize, "certificate_to_dict", corrupting)
+    path = tmp_path / "cert.json"
+    code, out, _ = run_cli(capsys, "certify", "--r", "-5/3", "--emit", str(path))
+    assert code == 2 and "verified NO" in out
+    code, out, _ = run_cli(capsys, "verify", str(path))
+    assert code == 3 and "REJECTED" in out
+
+
 def test_certify_emit_verify_round_trip(tmp_path, capsys):
     path = tmp_path / "cert.json"
     code, _, _ = run_cli(capsys, "certify", "--r", "-5/3", "--emit", str(path))

@@ -83,6 +83,27 @@ def test_construction_rejects_bad_parts():
         SurgeryCoeff("3", 2)
 
 
+def test_bool_parts_are_stored_as_ints():
+    c = SurgeryCoeff(True, 2)
+    assert type(c.num) is int and type(c.den) is int
+    assert str(c) == "1/2" and c == SurgeryCoeff(1, 2)
+    assert str(SurgeryCoeff(-3, True)) == "-3" and str(SurgeryCoeff(False)) == "0"
+    assert SurgeryCoeff.parse(str(c)) == c
+
+
+def test_hash_agrees_with_equality_to_ints():
+    assert 3 in {SurgeryCoeff(3)} and SurgeryCoeff(3) in {3}
+    assert {SurgeryCoeff(-6, 2): "x"}.get(-3) == "x"
+    assert SurgeryCoeff(1) in {True}
+    rng = random.Random(2103)
+    for _ in range(300):
+        a = SurgeryCoeff(rng.randrange(-30, 31), rng.randrange(1, 9))
+        n = rng.randrange(-30, 31)
+        assert (a == n) == (n in {a}) == (a in {n})
+        b = SurgeryCoeff(a.num * 3, a.den * 3)
+        assert a == b and hash(a) == hash(b)
+
+
 def test_str_and_parse_frozen():
     assert str(SurgeryCoeff(3, 2)) == "3/2"
     assert str(SurgeryCoeff(-7)) == "-7"

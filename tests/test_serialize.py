@@ -1073,3 +1073,11 @@ def test_load_json_error_positions(tmp_path):
     assert "line 3" in str(err.value)
     with pytest.raises(ParseError):
         load_json(str(tmp_path / "missing.json"))
+
+
+def test_a_certificate_of_a_bool_built_slope_reads_back():
+    # SurgeryCoeff(True, 2) is 1/2, and its certificate writes "1/2".
+    cert = certify_tight(SurgeryCoeff(True, 2))
+    data = certificate_to_dict(cert)
+    assert data["slope"] == "1/2"
+    assert check_certificate(certificate_from_dict(data)).ok
