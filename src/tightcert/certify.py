@@ -6,9 +6,12 @@ them (edges).  Every datum a rule consumes is recorded in the certificate,
 and ``check_certificate`` re-derives each one — homology orders by Smith
 normal form, rank facts by re-running the propagation engine, injectivity
 by re-solving the cited triangle, surgery edges by building the node each
-one derives — so a verifier needs no trust in the emitter.  A step cites
-a triangle by its index in the verifier's own family
-``engine_triangles(engine_stage)``, which the certificate does not carry.
+one derives — so a verifier needs no trust in the emitter.  The emitter
+runs neither the Smith normal form nor the rank engine: it writes each
+audit group and each rank fact as the slope and the stage fix it, and
+only the verifier computes them.  A step cites a triangle by its index
+in the verifier's own family ``engine_triangles(engine_stage)``, which
+the certificate does not carry.
 
 A node either carries its presentation inline or is *derived*: the one
 edge into it builds its presentation by (+1)-surgery on the presentation of
@@ -408,35 +411,34 @@ class TowerChain:
 
 
 def build_tower_chain(max_stage: int) -> TowerChain:
-    """Assemble the ladder of tower presentations with a verified nonzero
-    class at every stage 1..max_stage.
+    """Assemble the ladder of tower presentations with the steps deriving
+    a nonzero class at every stage 1..max_stage, for the verifier to check.
 
     Stage 1 cancels to the empty presentation (Stein route); each later
     stage is reached by (+1)-surgery on a fresh pushoff of the trefoil,
     with injectivity supplied by the consecutive-stage triangle at exact
     ranks.  The circle-bundle edge from the empty presentation is included
-    and checked as well: it is the template the stage maps follow.  Only
-    the empty presentation and stage 1 are inline; the verifier builds eta
-    and every later stage from the edge into them, in
-    ``node_presentations``, and gives each its manifold, so those nodes
-    name none.
+    as well: it is the template the stage maps follow.  Only the empty
+    presentation and stage 1 are inline; the verifier builds eta and every
+    later stage from the edge into them, in ``node_presentations``, and
+    gives each its manifold, so those nodes name none.
+
+    The rank facts are the table the stage fixes, written without running
+    the rank engine or a Smith normal form: only the verifier runs
+    ``propagate``, which must reproduce each fact exactly.
     """
     if not isinstance(max_stage, int) or max_stage < 1:
         raise CalculusError(f"tower depth must be a positive integer, got {max_stage!r}")
     family = engine_triangles(max_stage)
-    run = propagate(base_facts(), family)
-    if not run.consistent:
-        raise CalculusError(f"rank engine contradiction: {run.contradiction.detail}")
 
-    # Keyed by the family's own vertices, which the run's database finds
-    # by identity: s3 and s1xs2 from the unknot triangle, then the
-    # Poincare sphere and -tower(k) from the stage-k triangle
-    # (-tower(k), -tower(k + 1), poincare) at index k.
+    # The ranks the seed table and the triangles pin; the verifier's
+    # propagation is the proof.  Keyed by the family's own vertices: s3
+    # and s1xs2 from the unknot triangle, then the Poincare sphere and
+    # -tower(k) from the stage-k triangle (-tower(k), -tower(k + 1),
+    # poincare) at index k.
     unknot, stages = family[0], family[1 : max_stage + 1]
-    rank_facts = {
-        m: run.db.exact_value(m)
-        for m in [unknot.a, unknot.b, stages[0].c] + [tri.a for tri in stages]
-    }
+    rank_facts = {unknot.a: 1, unknot.b: 2, stages[0].c: 1}
+    rank_facts.update((tri.a, k) for k, tri in enumerate(stages, start=1))
 
     nodes = [
         ContactNode("std", Manifold.s3(), empty_diagram()),
@@ -546,9 +548,11 @@ def certify_tight(r) -> Certificate:
     ``h1_consistency`` audit of each node that no edge builds (the empty
     presentation, stage 1 and the root), in node order.  Each of these
     names its manifold, and the audit records the cyclic group of the
-    order that manifold fixes (``Manifold.expected_h1_order``): the
-    emitter computes no homology, and only the verifier runs the Smith
-    normal form of each audited presentation.
+    order that manifold fixes (``Manifold.expected_h1_order``), and the
+    ladder's rank facts are the table the stage fixes
+    (``build_tower_chain``): the emitter runs neither the Smith normal
+    form nor the rank engine, and only the verifier computes the homology
+    of each audited presentation and re-runs ``propagate``.
     """
     r = _coerce_coeff(r)
     rp = pushoff_coeff_from_slope(r)  # raises for the excluded slope 1

@@ -32,7 +32,8 @@ class SurgeryCoeff:
 
     Construction normalizes sign and gcd, so equal values compare equal.
     Comparisons treat ``inf`` as larger than every finite coefficient.
-    Ints coerce on the right-hand side of arithmetic and comparisons.
+    Ints and Fractions coerce on either side of arithmetic and
+    comparisons, and a coefficient hashes as the equal int or Fraction.
     """
 
     num: int
@@ -98,6 +99,8 @@ class SurgeryCoeff:
             return other
         if isinstance(other, int):
             return SurgeryCoeff(other)
+        if isinstance(other, Fraction):
+            return SurgeryCoeff(other.numerator, other.denominator)
         return NotImplemented
 
     def __eq__(self, other) -> bool:
@@ -107,9 +110,12 @@ class SurgeryCoeff:
         return self.num == o.num and self.den == o.den
 
     def __hash__(self) -> int:
-        # Equal to an int n exactly when den == 1, so hash as n there.
+        # Equal to an int n exactly when den == 1, and to a Fraction of
+        # the same parts when finite, so hash as that value.
         if self.den == 1:
             return hash(self.num)
+        if self.den:
+            return hash(Fraction(self.num, self.den))
         return hash((self.num, self.den))
 
     def __lt__(self, other):

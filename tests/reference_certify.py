@@ -10,6 +10,10 @@ gives its target, where it gives one.
 ``reference_chain_ids`` reads the (-1)-chain knots' ids off the built
 root, as the emitter did before ``diagrams.trefoil_chain_ids`` read them
 off the slope.
+
+``reference_rank_facts`` runs the rank engine for the ladder's rank
+facts, as the emitter did before ``build_tower_chain`` wrote the table
+the stage fixes.
 """
 
 from __future__ import annotations
@@ -22,6 +26,7 @@ from tightcert.diagrams import (
     trefoil_surgery_diagram,
 )
 from tightcert.errors import CalculusError
+from tightcert.floer import base_facts, engine_triangles, propagate
 from tightcert.rationals import SurgeryCoeff, pushoff_coeff_from_slope
 
 _MINUS_ONE = SurgeryCoeff(-1)
@@ -85,3 +90,19 @@ def reference_chain_ids(r):
     creation order: its (-1)-components other than the trefoil."""
     diagram = normalize_diagram(trefoil_surgery_diagram(r))
     return [c.cid for c in diagram.components if c.kind == PUSHOFF and c.coeff == _MINUS_ONE]
+
+
+def reference_rank_facts(stage):
+    """The exact rank of each manifold the ladder of ``stage`` cites, from
+    a fresh propagation over ``engine_triangles(stage)``, keyed by the
+    family's own vertices: s3 and s1xs2 from the unknot triangle, then the
+    Poincare sphere and -tower(k) from the stage-k triangle at index k."""
+    family = engine_triangles(stage)
+    run = propagate(base_facts(), family)
+    if not run.consistent:
+        raise CalculusError(f"rank engine contradiction: {run.contradiction.detail}")
+    unknot, stages = family[0], family[1 : stage + 1]
+    return {
+        m: run.db.exact_value(m)
+        for m in [unknot.a, unknot.b, stages[0].c] + [tri.a for tri in stages]
+    }

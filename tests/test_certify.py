@@ -44,7 +44,12 @@ from tightcert.rationals import SurgeryCoeff
 from tightcert.serialize import certificate_from_dict, certificate_to_dict, diagram_to_dict
 from tightcert.topology import Manifold, h1
 from tightcert import diagrams, topology
-from reference_certify import reference_chain_ids, reference_node_presentations, reference_walk
+from reference_certify import (
+    reference_chain_ids,
+    reference_node_presentations,
+    reference_rank_facts,
+    reference_walk,
+)
 from reference_diagram import from_linkings, linking_pairs
 from test_diagrams import _child_of_pushoff, count_constructions
 from test_topology import _fib
@@ -840,9 +845,9 @@ def test_verify_parses_each_manifold_once(monkeypatch):
     assert built[Interval] <= 80
 
 
-def test_emit_and_each_verify_run_the_engine_once(monkeypatch):
-    # The family's index is compiled once, but no propagation result is
-    # kept: the emitter and every verify re-run the engine.
+def test_only_verify_runs_the_engine(monkeypatch):
+    # The emitter writes the rank facts the stage fixes; no propagation
+    # result is kept, so every verify re-runs the engine.
     calls = []
 
     def counted(db, triangles):
@@ -852,10 +857,24 @@ def test_emit_and_each_verify_run_the_engine_once(monkeypatch):
     propagate = certify.propagate
     monkeypatch.setattr(certify, "propagate", counted)
     text = json.dumps(certificate_to_dict(certify_tight(SurgeryCoeff(40, 39))))
-    assert len(calls) == 1
+    assert calls == []
     for _ in range(2):
         assert check_certificate(certificate_from_dict(json.loads(text))).ok
-    assert calls == [len(engine_triangles(40))] * 3
+    assert calls == [len(engine_triangles(40))] * 2
+
+
+def test_rank_facts_are_the_engines_at_every_stage(workloads):
+    # The table the emitter writes, keys and order included, is what a
+    # fresh propagation pins, at every stage to 64 and every workload's.
+    stages = set(range(1, 65))
+    for name in workloads.NAMES:
+        for p, q in workloads.spec(name).pairs:
+            if p != q:
+                stages.add(slope_companion(SurgeryCoeff(p, q))[1])
+    stages.discard(0)
+    for stage in sorted(stages):
+        got = list(build_tower_chain(stage).rank_facts.items())
+        assert got == list(reference_rank_facts(stage).items()), stage
 
 
 def _audit_groups(cert):

@@ -168,6 +168,39 @@ def test_int_coercion_in_comparisons_and_sum():
     assert -INF == INF
 
 
+def test_fraction_coercion_on_both_sides():
+    half = SurgeryCoeff(1, 2)
+    assert half == Fraction(1, 2) and Fraction(1, 2) == half
+    assert half != Fraction(1, 3) and Fraction(1, 3) != half
+    assert half < Fraction(1) and Fraction(1) > half
+    assert half >= Fraction(2, 4) and Fraction(1, 3) <= half
+    assert INF > Fraction(10**9) and Fraction(-(10**9)) < INF
+    assert INF != Fraction(1) and not INF < Fraction(1)
+    assert half + Fraction(1, 3) == SurgeryCoeff(5, 6) == Fraction(1, 3) + half
+    assert Fraction(1, 2) in {half} and half in {Fraction(2, 4)}
+    assert {SurgeryCoeff(6, 4): "x"}.get(Fraction(3, 2)) == "x"
+    assert SurgeryCoeff(4, 2) in {Fraction(2)}
+
+
+def test_fraction_comparisons_and_hash_match_fraction():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    part = st.tuples(st.integers(-40, 40), st.integers(1, 12))
+
+    @hypothesis.settings(max_examples=300, deadline=None, derandomize=True)
+    @hypothesis.given(part, part)
+    def run(a, b):
+        c, fc, fb = SurgeryCoeff(*a), Fraction(*a), Fraction(*b)
+        for x, y, fx, fy in ((c, fb, fc, fb), (fb, c, fb, fc)):
+            assert (x < y) == (fx < fy) and (x <= y) == (fx <= fy)
+            assert (x > y) == (fx > fy) and (x >= y) == (fx >= fy)
+            assert (x == y) == (fx == fy) and (x != y) == (fx != fy)
+        assert hash(c) == hash(fc) and (fb in {c}) == (c == fb)
+        assert c + fb == fc + fb == fb + c
+
+    run()
+
+
 # ---------------------------------------------------------------------------
 # Negative continued fractions
 # ---------------------------------------------------------------------------
