@@ -11,7 +11,9 @@ runs neither the Smith normal form nor the rank engine: it writes each
 audit group and each rank fact as the slope and the stage fix it, and
 only the verifier computes them.  A step cites a triangle by its index
 in the verifier's own family ``engine_triangles(engine_stage)``, which
-the certificate does not carry.
+the certificate does not carry; the verifier looks that family up once a
+verify, after the stage range check, and both the rank-fact check and the
+triangle references read it.
 
 A node either carries its presentation inline or is *derived*: the one
 edge into it builds its presentation by (+1)-surgery on the presentation of
@@ -45,6 +47,17 @@ for the nodes that no edge builds: the inline ones and the root.  Each
 records the group the node's manifold fixes, and the verifier checks it
 against the Smith normal form of the presentation.
 
+The steps read each node's manifold from one map, the inline nodes'
+declared manifolds plus the ones the walk derives (``_Replay``), so the
+certificate is never copied.  The verifier's presentations of the empty
+diagram and of stage 1, and the seed rank table, are built once, at
+import.  A checker is a pure function of the certificate and of what the
+verify built, so a step whose rule and references repeat an accepted
+step takes that step's premises and fact from a table with one lookup;
+it is still held to the facts derived so far and to its own ``gives``.
+A ``same_diagram`` or ``cancel_equivalent`` step whose two references
+name one node compares nothing.
+
 The rule set is the table ``RULES``: for each rule, its statement, the
 kinds of the references a step citing it carries, and the checker that
 re-derives the fact it gives.
@@ -52,7 +65,7 @@ re-derives the fact it gives.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import partial
 from itertools import islice
 
@@ -87,10 +100,33 @@ from .floer import (
 
 _MINUS_ONE = SurgeryCoeff(-1)
 
+# The verifier's own presentations of the inline manifolds other than the
+# root's, and the seed rank table, built once: a presentation is immutable,
+# and ``propagate`` only reads its database.
+_OWN = {Manifold.s3(): empty_diagram(), Manifold.tower(1): tower_diagram(1)}
+_SEED_FACTS = base_facts()
+
 
 # ---------------------------------------------------------------------------
 # The rule set
 # ---------------------------------------------------------------------------
+
+
+class _Replay:
+    """What the steps of one verify read: the certificate, the engine family
+    its triangle indexes cite (resolved once, after the stage range check),
+    each node's manifold (the inline nodes' declared ones plus the ones the
+    walk derives, so the certificate is never cloned), the presentations
+    the walk kept for the cited nodes, where ``_cancelled`` also keeps
+    their cancelled forms, and the (premises, fact) of each accepted step
+    by rule and references, so that a repeated step is checked once."""
+
+    __slots__ = ("cert", "family", "manifolds", "built", "accepted")
+
+    def __init__(self, cert, family, built, derived):
+        self.cert, self.family, self.built, self.accepted = cert, family, built, {}
+        self.manifolds = {nid: n.manifold for nid, n in cert.nodes.items()}
+        self.manifolds.update(derived)
 
 
 def _entry(table, kind, key):
@@ -99,9 +135,8 @@ def _entry(table, kind, key):
     return table[key]
 
 
-def _triangle(cert, text):
-    # Steps run only once the engine stage is known to be in range.
-    family = engine_triangles(cert.engine_stage) if cert.engine_stage else ()
+def _triangle(replay, text):
+    family = replay.family
     try:
         index = int(text)
     except ValueError:
@@ -111,12 +146,13 @@ def _triangle(cert, text):
     return family[index]
 
 
-# Reference kind -> resolver from the certificate and the recorded value.
+# Reference kind -> resolver from the verify's ``_Replay`` and the recorded
+# value.
 _RESOLVE = {
-    "node": lambda cert, nid: _entry(cert.nodes, "node", nid),
-    "edge": lambda cert, eid: _entry(cert.edges, "edge", eid),
+    "node": lambda replay, nid: _entry(replay.cert.nodes, "node", nid),
+    "edge": lambda replay, eid: _entry(replay.cert.edges, "edge", eid),
     "triangle": _triangle,
-    "group": lambda cert, text: text,
+    "group": lambda replay, text: text,
 }
 
 
@@ -127,7 +163,7 @@ def _presentation(built, node):
     return diagram
 
 
-def _overtwisted_zero(cert, built, node):
+def _overtwisted_zero(replay, node):
     raise CalculusError(
         "rule derives a vanishing class; no tightness certificate may use it"
     )
@@ -143,16 +179,16 @@ def _reverses(vertex: Manifold, m: Manifold) -> bool:
     return vertex.kind == kind and vertex.p == m.p
 
 
-def _plus_one_pushforward(cert, built, edge, tri):
+def _plus_one_pushforward(replay, edge, tri):
     if tri.informational:
         raise CalculusError("informational triangle instances cannot justify injectivity")
     # Every edge was checked before the steps, so both endpoints exist.
-    src, dst = cert.nodes[edge.src], cert.nodes[edge.dst]
-    if src.manifold is None or dst.manifold is None:
+    src, dst = replay.manifolds[edge.src], replay.manifolds[edge.dst]
+    if src is None or dst is None:
         raise CalculusError(f"edge {edge.eid} joins a node that names no manifold")
-    if not _reverses(tri.a, src.manifold) or not _reverses(tri.b, dst.manifold):
+    if not _reverses(tri.a, src) or not _reverses(tri.b, dst):
         raise CalculusError("triangle vertices do not match the edge endpoints")
-    facts = cert.rank_facts
+    facts = replay.cert.rank_facts
     a, b, c = ranks = facts.get(tri.a), facts.get(tri.b), facts.get(tri.c)
     for m, value in zip((tri.a, tri.b, tri.c), ranks):
         if value is None:
@@ -167,21 +203,24 @@ def _plus_one_pushforward(cert, built, edge, tri):
     return (("c_nonzero", edge.src),), ("c_nonzero", edge.dst)
 
 
-def _all_minus_one_stein(cert, built, node):
-    for c in _presentation(built, node).components:
+def _all_minus_one_stein(replay, node):
+    for c in _presentation(replay.built, node).components:
         if c.coeff != _MINUS_ONE:
             raise CalculusError(f"component {c.cid} carries {c.coeff}, not -1")
     return (), ("stein", node.nid)
 
 
-def _transfer(cert, built, target, source, cancel=False):
-    # Isomorphic presentations cancel to isomorphic forms, so only a pair
-    # that differs is cancelled.
-    a, b = _presentation(built, target), _presentation(built, source)
-    if cancel and not diagram_iso(a, b):
-        a, b = _cancelled(built, target), _cancelled(built, source)
-    if not diagram_iso(a, b):
-        raise CalculusError("presentations do not match")
+def _transfer(replay, target, source, cancel=False):
+    # A node matches itself, so a self-pair compares nothing; isomorphic
+    # presentations cancel to isomorphic forms, so only a pair that
+    # differs is cancelled.
+    if target.nid != source.nid:
+        built = replay.built
+        a, b = _presentation(built, target), _presentation(built, source)
+        if cancel and not diagram_iso(a, b):
+            a, b = _cancelled(built, target), _cancelled(built, source)
+        if not diagram_iso(a, b):
+            raise CalculusError("presentations do not match")
     return (("c_nonzero", source.nid),), ("c_nonzero", target.nid)
 
 
@@ -194,13 +233,13 @@ def _cancelled(built, node):
     return built[key]
 
 
-def _h1_consistency(cert, built, node, recorded):
-    group = h1(_presentation(built, node))
+def _h1_consistency(replay, node, recorded):
+    group = h1(_presentation(replay.built, node))
     if _group_text(group) != recorded:
         raise CalculusError(
             f"presentation has h1 {_group_text(group)}, certificate says {recorded}"
         )
-    m = node.manifold
+    m = replay.manifolds[node.nid]
     if m is not None and group.cyclic_order() != m.expected_h1_order():
         raise CalculusError(
             f"declared manifold {m.text()} has cyclic h1 of "
@@ -211,16 +250,15 @@ def _h1_consistency(cert, built, node, recorded):
 
 # Rule id -> (statement, reference kinds, checker).  A step citing the rule
 # carries references of exactly those kinds, in order.  The checker receives
-# the certificate, the presentations the verifier built for the nodes the
-# steps cite (where ``_cancelled`` also keeps their cancelled forms), and
-# the resolved references; it returns the facts the step needs and the
-# fact it derives, and raises CalculusError when the cited data do not
-# support the rule.
+# the verify's ``_Replay`` and the resolved references; it returns the facts
+# the step needs and the fact it derives, and raises CalculusError when the
+# cited data do not support the rule.  It is a pure function of these, so
+# ``_check_step`` runs it once per distinct rule and references.
 RULES = {
     "stein_nonzero": (
         "a Stein fillable structure has nonvanishing contact class",
         ("node",),
-        lambda cert, built, node: ((("stein", node.nid),), ("c_nonzero", node.nid)),
+        lambda replay, node: ((("stein", node.nid),), ("c_nonzero", node.nid)),
     ),
     "overtwisted_zero": (
         "an overtwisted structure has vanishing contact class",
@@ -230,13 +268,13 @@ RULES = {
     "nonzero_tight": (
         "a structure whose contact class does not vanish is tight",
         ("node",),
-        lambda cert, built, node: ((("c_nonzero", node.nid),), ("tight", node.nid)),
+        lambda replay, node: ((("c_nonzero", node.nid),), ("tight", node.nid)),
     ),
     "plus_one_pullback": (
         "a contact (+1)-surgery maps the source class to the result class, "
         "so a nonzero result class forces a nonzero source class",
         ("edge",),
-        lambda cert, built, edge: ((("c_nonzero", edge.dst),), ("c_nonzero", edge.src)),
+        lambda replay, edge: ((("c_nonzero", edge.dst),), ("c_nonzero", edge.src)),
     ),
     "plus_one_pushforward": (
         "when the (+1)-surgery map is injective by the cited exact-triangle "
@@ -644,6 +682,12 @@ def _fail(step, reason):
 
 
 def _check(cert: Certificate) -> VerificationResult:
+    """``check_certificate`` but for its guard.  It reads the certificate
+    and never copies it: the engine family is looked up once, after the
+    stage range check; the inline presentations are compared with ``_OWN``
+    and the root's, and the rank engine starts from ``_SEED_FACTS``; the
+    steps read one ``_Replay``, which holds each node's manifold, the
+    presentations the walk kept and the accepted steps."""
     if cert.conclusion[0] != "tight":
         return _fail(None, f"unsupported conclusion kind {cert.conclusion[0]!r}")
     root = cert.nodes.get(cert.conclusion[1])
@@ -681,12 +725,14 @@ def _check(cert: Certificate) -> VerificationResult:
             f"the stages slope {cert.slope} allows",
         )
 
-    # Rank facts must be reproduced exactly by a fresh propagation run over
-    # the engine family, the one the steps' triangle indexes cite.
+    # The engine family, looked up once the stage is known to be in range:
+    # the rank facts must be reproduced exactly by a fresh propagation run
+    # over it, and the steps' triangle indexes cite it.
+    family = engine_triangles(cert.engine_stage) if cert.engine_stage else ()
     if cert.rank_facts:
         if cert.engine_stage < 1:
             return _fail(None, "rank facts cited without an engine stage")
-        run = propagate(base_facts(), engine_triangles(cert.engine_stage))
+        run = propagate(_SEED_FACTS, family)
         if not run.consistent:
             return _fail(None, f"rank engine contradiction: {run.contradiction.detail}")
         for m, value in cert.rank_facts.items():
@@ -717,11 +763,7 @@ def _check(cert: Certificate) -> VerificationResult:
 
     # An inline node names a manifold and carries the verifier's own
     # presentation of it; a manifold without one may not be inline.
-    own = {
-        Manifold.s3(): empty_diagram(),
-        Manifold.tower(1): tower_diagram(1),
-        root.manifold: presentation,
-    }
+    own = {**_OWN, root.manifold: presentation}
     for n in cert.nodes.values():
         if n.diagram is None:
             continue
@@ -733,12 +775,10 @@ def _check(cert: Certificate) -> VerificationResult:
 
     # Replay the steps, which read the presentations in ``built`` and the
     # ladder nodes' manifolds as the walk derived them.
-    nodes = dict(cert.nodes)
-    nodes.update((nid, ContactNode(nid, m)) for nid, m in derived.items())
-    cert = replace(cert, nodes=nodes)
+    replay = _Replay(cert, family, built, derived)
     have: set[tuple[str, str]] = set()
     for idx, step in enumerate(cert.steps):
-        verdict = _check_step(cert, built, step, have)
+        verdict = _check_step(replay, step, have)
         if verdict is not None:
             return _fail(idx, verdict)
         have.add(step.gives)
@@ -774,7 +814,10 @@ def node_presentations(cert: Certificate, keep=None) -> dict[str, ContactDiagram
     its source into a new draft, O(n).  A node nothing reads is let go
     once built, and only the nodes in ``keep`` are frozen into immutable
     snapshots, O(n) each; so verifying a ladder of S stages or a path of L
-    cancels takes O(S + L + n) time and space for an n-knot root.
+    cancels takes O(S + L + n) time and space for an n-knot root.  A
+    ladder edge's pushoff is a copy of the pushoff before it, renamed
+    (``contact_pushoff``), so a ladder of S edges checks at most one new
+    knot.
     """
     built = {nid: n.diagram for nid, n in cert.nodes.items()}
     root = cert.conclusion[1]
@@ -788,7 +831,9 @@ def _walk(cert, built, keep):
     """``node_presentations`` from ``built``, each node's inline or root
     presentation or None, and the manifold each edge that gives one gives
     its target; edits ``built``.  An edge's move edits its source's draft
-    in place when no later reader needs it, else a copy."""
+    in place when no later reader needs it, else a copy.  A source's
+    manifold is the one it declares or the one an earlier edge gave it;
+    the steps read both kinds from one map (``_Replay``)."""
     edges, readers, derived = cert.edges.values(), {}, {}
     for e in edges:
         readers[e.src] = readers.get(e.src, 0) + 1
@@ -851,21 +896,28 @@ def _cites(refs, kinds) -> bool:
     return True
 
 
-def _check_step(cert, built, step, have):
-    if step.rule not in RULES:
-        return f"rule {step.rule!r} is not in the rule set"
-    _, kinds, check = RULES[step.rule]
-    refs = step.refs
-    if not _cites(refs, kinds):
-        return (
-            f"rule {step.rule} takes references ({', '.join(kinds)}), "
-            f"step cites ({', '.join(kind for kind, _ in refs)})"
-        )
-    try:
-        refs = [_RESOLVE[kind](cert, value) for kind, value in refs]
-        premises, gives = check(cert, built, *refs)
-    except CalculusError as exc:
-        return str(exc)
+def _check_step(replay, step, have):
+    """The reason ``step`` fails, or None.  A step whose rule and
+    references an accepted step had takes that step's premises and fact
+    with one lookup, and is still held to ``have`` and its own ``gives``."""
+    key = (step.rule, step.refs)
+    derived = replay.accepted.get(key)
+    if derived is None:
+        if step.rule not in RULES:
+            return f"rule {step.rule!r} is not in the rule set"
+        _, kinds, check = RULES[step.rule]
+        refs = step.refs
+        if not _cites(refs, kinds):
+            return (
+                f"rule {step.rule} takes references ({', '.join(kinds)}), "
+                f"step cites ({', '.join(kind for kind, _ in refs)})"
+            )
+        try:
+            refs = [_RESOLVE[kind](replay, value) for kind, value in refs]
+            derived = check(replay, *refs)
+        except CalculusError as exc:
+            return str(exc)
+    premises, gives = derived
     for kind, nid in premises:
         if (kind, nid) not in have:
             return f"premise {kind}({nid}) not yet derived"
@@ -874,4 +926,5 @@ def _check_step(cert, built, step, have):
             f"step gives {step.gives[0]}({step.gives[1]}), "
             f"rule derives {gives[0]}({gives[1]})"
         )
+    replay.accepted[key] = derived
     return None

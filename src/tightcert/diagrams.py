@@ -61,7 +61,9 @@ components, in linking entries:
 
 * adding an unknot or a trefoil appends an empty row, O(1);
 * a contact pushoff appends the row {parent: tb(parent)}, O(1), created
-  already carrying its coefficient (+1 for ``plus_one_surgery``);
+  already carrying its coefficient (+1 for ``plus_one_surgery``), and
+  copied unchecked from the last knot when that one is a like pushoff
+  of the same parent;
 * ``convert_positive`` appends its k unit pushoffs in one move, all
   sharing one such row, O(k); with an infinite residual it builds them
   where removing their parent would leave them, so each is constructed
@@ -564,12 +566,24 @@ def contact_pushoff(d, cid: str, coeff=None):
     The pushoff starts with the parent's current tb and rot, links the
     parent tb(parent) times and copies the parent's linking with every
     other component, all recorded immediately.
+
+    When the last knot is already a pushoff of cid with the smooth type,
+    tb, rot and coefficient the new one gets, the two differ only in id,
+    so the new one is a copy of it (``LegendrianComponent._renamed``), as
+    in ``_unit_pushoffs``: a ladder of pushoffs checks one knot.
     """
     parent = d.component(cid)
     new_id = next(_fresh_ids(d))
-    comp = LegendrianComponent(
-        new_id, PUSHOFF, cid, parent.smooth_type, parent.tb, parent.rot, _opt_coeff(coeff)
-    )
+    coeff = _opt_coeff(coeff)
+    last = d.components[-1]  # d holds cid, so it has a last knot
+    # Only a pushoff names a parent.
+    if (last.parent == cid and last.smooth_type == parent.smooth_type
+            and last.tb == parent.tb and last.rot == parent.rot and last.coeff == coeff):
+        comp = last._renamed(new_id)
+    else:
+        comp = LegendrianComponent(
+            new_id, PUSHOFF, cid, parent.smooth_type, parent.tb, parent.rot, coeff
+        )
     return d._append((comp,), (_new_pushoff_row(parent),)), new_id
 
 

@@ -103,8 +103,13 @@ class SurgeryCoeff:
             return SurgeryCoeff(other.numerator, other.denominator)
         return NotImplemented
 
+    # An int or a coefficient is compared as it stands, with no coefficient
+    # built; a bool or a Fraction goes through ``_coerce``.
     def __eq__(self, other) -> bool:
-        o = self._coerce(other)
+        t = type(other)
+        if t is int:
+            return self.den == 1 and self.num == other
+        o = other if t is SurgeryCoeff else self._coerce(other)
         if o is NotImplemented:
             return NotImplemented
         return self.num == o.num and self.den == o.den
@@ -119,7 +124,10 @@ class SurgeryCoeff:
         return hash((self.num, self.den))
 
     def __lt__(self, other):
-        o = self._coerce(other)
+        t = type(other)
+        if t is int:
+            return self.den != 0 and self.num < other * self.den
+        o = other if t is SurgeryCoeff else self._coerce(other)
         if o is NotImplemented:
             return NotImplemented
         if self.is_infinite or o.is_infinite:

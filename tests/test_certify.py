@@ -7,6 +7,7 @@ acceptance checks.
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import random
 import time
@@ -43,7 +44,7 @@ from tightcert.floer import Interval, engine_triangles
 from tightcert.rationals import SurgeryCoeff
 from tightcert.serialize import certificate_from_dict, certificate_to_dict, diagram_to_dict
 from tightcert.topology import Manifold, h1
-from tightcert import diagrams, topology
+from tightcert import diagrams, floer, topology
 from reference_certify import (
     reference_chain_ids,
     reference_node_presentations,
@@ -650,7 +651,8 @@ def test_pushforward_step_on_cited_ranks(ranks, reason):
     cert.rank_facts.update(zip((tri.a, tri.b, tri.c), ranks))
     cert.nodes["v2"] = ContactNode("v2", Manifold.tower(2))
     step = Step("plus_one_pushforward", (("edge", "ev1"), ("triangle", "1")), ("c_nonzero", "v2"))
-    assert certify._check_step(cert, {}, step, {("c_nonzero", "v1")}) == reason
+    replay = certify._Replay(cert, engine_triangles(cert.engine_stage), {}, {})
+    assert certify._check_step(replay, step, {("c_nonzero", "v1")}) == reason
 
 
 def test_h1_consistency_on_a_path_node_checks_only_the_group():
@@ -861,6 +863,153 @@ def test_only_verify_runs_the_engine(monkeypatch):
     for _ in range(2):
         assert check_certificate(certificate_from_dict(json.loads(text))).ok
     assert calls == [len(engine_triangles(40))] * 2
+
+
+def _tower_40():
+    """The 40/39 certificate as the CLI's verify reads it from a file."""
+    text = json.dumps(certificate_to_dict(certify_tight(SurgeryCoeff(40, 39))))
+    return certificate_from_dict(json.loads(text))
+
+
+def test_verify_clones_no_certificate(monkeypatch):
+    # The steps read each node's manifold from one map; the certificate
+    # was once copied with ``replace``, building 41 nodes at 40/39.
+    cert, calls = _tower_40(), []
+    init = ContactNode.__init__
+
+    def counted(self, *args, **kwargs):
+        calls.append("node")
+        init(self, *args, **kwargs)
+
+    def replaced(*args, **kwargs):
+        calls.append("replace")
+        return replace(*args, **kwargs)
+
+    monkeypatch.setattr(ContactNode, "__init__", counted)
+    monkeypatch.setattr(dataclasses, "replace", replaced)
+    monkeypatch.setattr(certify, "replace", replaced, raising=False)
+    assert check_certificate(cert).ok
+    assert calls == []
+
+
+def test_verify_looks_up_the_engine_family_once(monkeypatch):
+    # Once for the rank facts and every triangle index, not once a
+    # pushforward step (41 at 40/39).
+    cert, calls, family = _tower_40(), [], certify.engine_triangles
+
+    def counted(stage):
+        calls.append(stage)
+        return family(stage)
+
+    monkeypatch.setattr(certify, "engine_triangles", counted)
+    assert check_certificate(cert).ok
+    assert calls == [40]
+
+
+def test_verify_checks_at_most_one_ladder_knot(monkeypatch):
+    # Each pushoff edge appends a copy of the pushoff before it; only the
+    # eta edge's unknot is checked (41 knots once).
+    cert, checked = _tower_40(), []
+    count_constructions(monkeypatch, checked)
+    surgery, ladder = certify.plus_one_surgery, []
+
+    def counted(d, witness):
+        before = len(checked)
+        out = surgery(d, witness)
+        if not witness.startswith("cancel:"):
+            ladder.append(len(checked) - before)
+        return out
+
+    monkeypatch.setattr(certify, "plus_one_surgery", counted)
+    assert check_certificate(cert).ok
+    assert len(ladder) == 41 and sum(ladder) <= 1
+
+
+def test_verify_builds_no_constant(monkeypatch):
+    # The inline presentations and the seed table are built at import.
+    cert = _tower_40()
+
+    def refused(*args):
+        raise AssertionError("a constant was built during a verify")
+
+    for module in (certify, diagrams, floer):
+        for name in ("empty_diagram", "tower_diagram", "base_facts"):
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, refused)
+    assert check_certificate(cert).ok
+
+
+def test_verify_builds_no_coefficient_to_compare(monkeypatch):
+    # An int or a coefficient is compared as it stands; one verify of 13/8
+    # once built 9 coefficients inside ``_coerce`` from ints.
+    text = json.dumps(certificate_to_dict(certify_tight(SurgeryCoeff(13, 8))))
+    cert, built, coerce = certificate_from_dict(json.loads(text)), [], SurgeryCoeff._coerce
+
+    def counted(other):
+        out = coerce(other)
+        if isinstance(out, SurgeryCoeff) and out is not other:
+            built.append(other)
+        return out
+
+    monkeypatch.setattr(SurgeryCoeff, "_coerce", staticmethod(counted))
+    assert check_certificate(cert).ok
+    assert built == []
+
+
+@pytest.mark.parametrize("slope, step", [
+    ("2/5", {"rule": "all_minus_one_stein", "refs": ["y0"], "gives": ["stein", "y0"]}),
+    ("2/5", {"rule": "h1_consistency", "refs": ["y0", "0:2"], "gives": ["h1", "y0"]}),
+    ("17/16", {"rule": "same_diagram", "refs": ["y0", "v17"], "gives": ["c_nonzero", "y0"]}),
+    ("17/16", {"rule": "plus_one_pushforward", "refs": ["ev8", "8"],
+               "gives": ["c_nonzero", "v9"]}),
+])
+def test_a_repeated_step_is_checked_once(slope, step, monkeypatch):
+    # Each step is one the certificate already makes; 1000 more copies of
+    # it take its premises and fact from the first.
+    data = certificate_to_dict(certify_tight(SurgeryCoeff.parse(slope)))
+    assert step in data["steps"]
+    data["steps"][-1:-1] = [step] * 1000
+    cert, calls = certificate_from_dict(data), []
+    statement, kinds, check = certify.RULES[step["rule"]]
+
+    def counted(replay, first, *rest):
+        calls.append(getattr(first, "nid", None) or first.eid)
+        return check(replay, first, *rest)
+
+    monkeypatch.setitem(certify.RULES, step["rule"], (statement, kinds, counted))
+    assert check_certificate(cert).ok
+    assert calls.count(step["refs"][0]) == 1
+
+
+def test_a_repeated_step_is_still_held_to_its_gives():
+    # The lookup gives the fact the rule derives, not a verdict: a copy
+    # that claims another fact is refused as the first would be.
+    data = certificate_to_dict(certify_tight(SurgeryCoeff(17, 16)))
+    same = next(s for s in data["steps"] if s["rule"] == "same_diagram")
+    k = data["steps"].index(same)
+    data["steps"][k:k + 1] = [same, same, dict(same, gives=["c_nonzero", "y1"])]
+    result = check_certificate(certificate_from_dict(data))
+    assert (result.ok, result.step) == (False, k + 2)
+    assert result.reason == "step gives c_nonzero(y1), rule derives c_nonzero(y0)"
+
+
+@pytest.mark.parametrize("rule", ["same_diagram", "cancel_equivalent"])
+def test_a_self_pair_compares_nothing(rule, monkeypatch):
+    # Stage 0, whose own steps compare nothing: F(20)/F(21), a 12-knot root.
+    data = certificate_to_dict(certify_tight(SurgeryCoeff(6765, 10946)))
+    step = {"rule": rule, "refs": ["y0", "y0"], "gives": ["c_nonzero", "y0"]}
+    data["steps"][-1:-1] = [step]
+    calls = []
+    monkeypatch.setattr(certify, "diagram_iso", lambda a, b: calls.append(a) or True)
+    monkeypatch.setattr(certify, "cancel_pushoff_pairs", lambda d: calls.append(d) or d)
+    assert check_certificate(certificate_from_dict(data)).ok
+    assert calls == []
+
+
+@pytest.mark.parametrize("slope", ["-1/40", "17/16", "13/8", "5/2", "-7/2", "2", "-3"])
+def test_emitted_certificates_repeat_no_step(slope):
+    steps = certify_tight(SurgeryCoeff.parse(slope)).steps
+    assert len({(s.rule, s.refs) for s in steps}) == len(steps)
 
 
 def test_rank_facts_are_the_engines_at_every_stage(workloads):

@@ -201,6 +201,33 @@ def test_fraction_comparisons_and_hash_match_fraction():
     run()
 
 
+def test_int_bool_and_inf_comparisons_match_fraction():
+    # Ints and coefficients are compared without building a coefficient,
+    # bools through ``_coerce``; INF is compared as math.inf.
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    coeffs = st.one_of(
+        st.just(INF), st.builds(SurgeryCoeff, st.integers(-40, 40), st.integers(1, 12))
+    )
+    others = st.one_of(coeffs, st.integers(-60, 60), st.booleans())
+
+    def value(x):
+        if isinstance(x, SurgeryCoeff):
+            return math.inf if x.is_infinite else as_fraction(x)
+        return Fraction(x)
+
+    @hypothesis.settings(max_examples=400, deadline=None, derandomize=True)
+    @hypothesis.given(coeffs, others)
+    def run(c, o):
+        fc, fo = value(c), value(o)
+        for x, y, fx, fy in ((c, o, fc, fo), (o, c, fo, fc)):
+            assert (x < y) == (fx < fy) and (x <= y) == (fx <= fy)
+            assert (x > y) == (fx > fy) and (x >= y) == (fx >= fy)
+            assert (x == y) == (fx == fy) and (x != y) == (fx != fy)
+
+    run()
+
+
 # ---------------------------------------------------------------------------
 # Negative continued fractions
 # ---------------------------------------------------------------------------
