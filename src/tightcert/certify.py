@@ -50,13 +50,21 @@ against the Smith normal form of the presentation.
 The steps read each node's manifold from one map, the inline nodes'
 declared manifolds plus the ones the walk derives (``_Replay``), so the
 certificate is never copied.  The verifier's presentations of the empty
-diagram and of stage 1, and the seed rank table, are built once, at
-import.  A checker is a pure function of the certificate and of what the
-verify built, so a step whose rule and references repeat an accepted
-step takes that step's premises and fact from a table with one lookup;
-it is still held to the facts derived so far and to its own ``gives``.
-A ``same_diagram`` or ``cancel_equivalent`` step whose two references
-name one node compares nothing.
+diagram and of stage 1 (``_OWN``), their groups and cancelled forms, and
+the seed rank table are built once, at import.  The reader hands an
+inline node whose diagram is, type for type, the form of one of these
+presentations that very object, and the ``h1_consistency`` and
+``cancel_equivalent`` checkers read the import-time group and cancelled
+form of a presentation that is one of them, by identity, so a verify
+parses, reduces and cancels neither ``std`` nor ``v1``; any other
+presentation is reduced as it stands.  The walk copies an inline
+presentation into a draft before any move, so these shared objects are
+never edited.  A checker is a pure function of the certificate and of
+what the verify built, so a step whose rule and references repeat an
+accepted step takes that step's premises and fact from a table with one
+lookup; it is still held to the facts derived so far and to its own
+``gives``.  A ``same_diagram`` or ``cancel_equivalent`` step whose two
+references name one node compares nothing.
 
 The rule set is the table ``RULES``: for each rule, its statement, the
 kinds of the references a step citing it carries, and the checker that
@@ -102,8 +110,11 @@ _MINUS_ONE = SurgeryCoeff(-1)
 
 # The verifier's own presentations of the inline manifolds other than the
 # root's, and the seed rank table, built once: a presentation is immutable,
-# and ``propagate`` only reads its database.
+# and ``propagate`` only reads its database.  The reader hands a matching
+# inline node these very objects, so each one's group and cancelled form
+# are kept too, keyed by identity.
 _OWN = {Manifold.s3(): empty_diagram(), Manifold.tower(1): tower_diagram(1)}
+_OWN_REDUCED = {id(d): (h1(d), cancel_pushoff_pairs(d)) for d in _OWN.values()}
 _SEED_FACTS = base_facts()
 
 
@@ -226,15 +237,24 @@ def _transfer(replay, target, source, cancel=False):
 
 def _cancelled(built, node):
     """The cancelled form of node's presentation, kept in ``built`` under
-    ("cancelled", node id): each node is cancelled at most once a verify."""
+    ("cancelled", node id): each node is cancelled at most once a verify,
+    and one of ``_OWN``'s presentations not at all, since its cancelled
+    form was computed at import."""
     key = ("cancelled", node.nid)
     if key not in built:
-        built[key] = cancel_pushoff_pairs(_presentation(built, node))
+        diagram = _presentation(built, node)
+        own = _OWN_REDUCED.get(id(diagram))
+        built[key] = own[1] if own else cancel_pushoff_pairs(diagram)
     return built[key]
 
 
 def _h1_consistency(replay, node, recorded):
-    group = h1(_presentation(replay.built, node))
+    """The group of node's presentation, by Smith normal form or, for one
+    of ``_OWN``'s presentations, as computed at import, must be the
+    recorded one and have the order the node's manifold fixes."""
+    diagram = _presentation(replay.built, node)
+    own = _OWN_REDUCED.get(id(diagram))
+    group = own[0] if own else h1(diagram)
     if _group_text(group) != recorded:
         raise CalculusError(
             f"presentation has h1 {_group_text(group)}, certificate says {recorded}"

@@ -869,8 +869,11 @@ def normalize_diagram(d, choices=None) -> ContactDiagram:
         c = d.component(cid)
         if c.coeff is not None and c.coeff.num < 0 and c.coeff != _MINUS_ONE:
             d = convert_negative(d, cid, choices.get(cid))
+    # Read off the coefficient's fields, with no comparison to coerce.
     for c in d.components:
-        assert c.coeff in (None, _PLUS_ONE, _MINUS_ONE)
+        k = c.coeff
+        if k is not None and not (k.den == 1 and k.num in (1, -1)):
+            raise CalculusError(f"component {c.cid} keeps coefficient {k} after normalizing")
     return d
 
 

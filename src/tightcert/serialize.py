@@ -65,7 +65,13 @@ matching ``*_from_dict`` except the rank table, which is only written):
 
 Reading a certificate or a diagram costs O(input): each inline diagram's
 stored rows are built straight from its entries, with no linking derived
-from a parent's.
+from a parent's.  A certificate node that names ``s3`` or ``tower(1)``
+and whose diagram JSON equals the form of the verifier's own presentation
+of it (``certify._OWN``) type for type, with the same keys, the same list
+lengths and the same type at every leaf, is given that presentation
+object, built once at import, and its JSON is not read again; ``True`` or
+``1.0`` in place of ``1``, an extra key or an empty "deviations" list
+takes the full read, with its errors at their locations.
 
 ``load_json`` attaches file/line/column positions to malformed input;
 structural errors carry a JSON-path-style location instead, formatted
@@ -88,6 +94,7 @@ from .diagrams import (
 from .topology import FramedLink, Manifold
 from .floer import RankDb, engine_triangles
 from .certify import (
+    _OWN,
     RULES,
     Certificate,
     ContactNode,
@@ -523,11 +530,26 @@ def certificate_from_dict(data: dict) -> Certificate:
     )
 
 
+def _same_json(a, b) -> bool:
+    """Whether the JSON values a and b are equal with the same type at
+    every leaf, so that ``True`` or ``1.0`` never stands for ``1``."""
+    if type(a) is not type(b):
+        return False
+    if type(a) is dict:
+        return a.keys() == b.keys() and all(_same_json(a[k], b[k]) for k in a)
+    if type(a) is list:
+        return len(a) == len(b) and all(map(_same_json, a, b))
+    return a == b
+
+
 def _node_entry(item, at, i, slope, companion, nodes):
     """The node ``item``, entry i of the list at ``at``, its fields checked
     in order.  An inline diagram larger than any presentation of ``slope``
     (whose ``slope_companion`` is ``companion``) is refused before it is
-    built, and an id already in ``nodes`` after the node is read."""
+    built, and an id already in ``nodes`` after the node is read.  A
+    diagram whose JSON is, type for type, the form of the verifier's own
+    presentation of the node's manifold (``certify._OWN``) is that
+    presentation object, not built again."""
     nid = _field_str(item, "id", at, i)
     manifold = None
     if "manifold" in item:
@@ -542,10 +564,19 @@ def _node_entry(item, at, i, slope, companion, nodes):
                 f"{slope} has",
                 location=f"{at}[{i}].diagram",
             )
-        diagram = diagram_from_dict(diagram, f"{at}[{i}].diagram")
+        own = _OWN_FORMS.get(manifold)
+        if own is not None and _same_json(diagram, own[0]):
+            diagram = own[1]
+        else:
+            diagram = diagram_from_dict(diagram, f"{at}[{i}].diagram")
     if nid in nodes:
         raise ParseError(f"duplicate node id {nid!r}", location=f"{at}[{i}]")
     return ContactNode(nid, manifold, diagram)
+
+
+# The manifold of each of the verifier's own presentations -> its JSON
+# form and the presentation.
+_OWN_FORMS = {m: (diagram_to_dict(d), d) for m, d in _OWN.items()}
 
 
 def _edge_entry(item, at, i, edges):

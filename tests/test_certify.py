@@ -31,7 +31,9 @@ from tightcert.certify import (
 )
 from tightcert.diagrams import (
     ContactDiagram,
+    cancel_pushoff_pairs,
     diagram_iso,
+    empty_diagram,
     normalize_diagram,
     set_coeff,
     stabilize,
@@ -1060,7 +1062,9 @@ def test_audit_groups_are_the_verifiers_h1_on_drawn_slopes():
 @pytest.mark.parametrize("slope", ["40/39", "13/8", "-5/3", "0", "1/2", "inf"])
 def test_only_the_verifier_runs_smith_normal_form(slope, monkeypatch):
     # The emitter writes each audit group from the node's manifold; the
-    # verifier reduces one presentation per audit.
+    # verifier reduces only the root's presentation: the groups of std and
+    # v1, which the reader hands over as ``certify._OWN``'s own objects,
+    # were computed at import.
     calls = []
     snf = topology.smith_normal_form
 
@@ -1072,8 +1076,13 @@ def test_only_the_verifier_runs_smith_normal_form(slope, monkeypatch):
     cert = certify_tight(SurgeryCoeff.parse(slope))
     assert calls == []
     audits = sum(step.rule == "h1_consistency" for step in cert.steps)
+    assert audits == (3 if cert.engine_stage else 1)
     assert check_certificate(fresh(cert)).ok
-    assert len(calls) == audits == (3 if cert.engine_stage else 1)
+    assert len(calls) == 1
+    # The groups read instead are the ones a fresh reduction gives.
+    monkeypatch.undo()
+    assert [certify._OWN_REDUCED[id(d)][0] for d in certify._OWN.values()] == [
+        h1(empty_diagram()), h1(tower_diagram(1))]
 
 
 def _chain_ids(slope):
@@ -1306,8 +1315,9 @@ def test_padded_cancel_steps_cancel_each_cited_node_at_most_once(monkeypatch):
     # A pair of isomorphic presentations is accepted without cancelling
     # either, and a node's cancelled form is kept for the rest of the
     # verify: so 1000 added cancel_equivalent(v400, v400) steps cancel
-    # nothing, and 1000 copies of the emitted (v1, std) step cancel v1 and
-    # std once each.
+    # nothing.  The cancelled forms of std and v1, which the reader hands
+    # over as ``certify._OWN``'s own objects, were computed at import, so
+    # 1000 copies of the emitted (v1, std) step cancel nothing either.
     data = certificate_to_dict(certify_tight(SurgeryCoeff(400, 399)))
     emitted = [s for s in data["steps"] if s["rule"] == "cancel_equivalent"]
     assert [s["refs"] for s in emitted] == [["v1", "std"]]
@@ -1323,7 +1333,28 @@ def test_padded_cancel_steps_cancel_each_cited_node_at_most_once(monkeypatch):
 
     monkeypatch.setattr(certify, "cancel_pushoff_pairs", counted)
     assert check_certificate(cert).ok
-    assert sorted(cancelled) == [0, 2]  # std, then v1: tower stage 1
+    assert cancelled == []
+    # The forms read instead are the ones a fresh cancellation gives.
+    monkeypatch.undo()
+    assert [certify._OWN_REDUCED[id(d)][1] for d in certify._OWN.values()] == [
+        cancel_pushoff_pairs(empty_diagram()), cancel_pushoff_pairs(tower_diagram(1))]
+
+
+def test_own_presentations_stay_as_built_after_every_workload_verify(workloads):
+    # The reader hands every matching std and v1 node the same two
+    # ``certify._OWN`` objects; no verify may edit them.
+    own = certify._OWN
+    for name in ("tower", "grid"):
+        for p, q in workloads.spec(name).pairs:
+            if p != q:
+                cert = fresh(certify_tight(SurgeryCoeff(p, q)))
+                for node in cert.nodes.values():
+                    if node.manifold in own:
+                        assert node.diagram is own[node.manifold]
+                assert check_certificate(cert).ok, f"{p}/{q}"
+    assert list(certify._OWN.values()) == [empty_diagram(), tower_diagram(1)]
+    assert [diagram_to_dict(d) for d in certify._OWN.values()] == [
+        diagram_to_dict(empty_diagram()), diagram_to_dict(tower_diagram(1))]
 
 
 def test_nested_certificate_bytes_grow_linearly():

@@ -15,6 +15,7 @@ from itertools import product
 
 import pytest
 
+from tightcert import diagrams
 from tightcert.diagrams import (
     ContactDiagram,
     LegendrianComponent,
@@ -451,6 +452,30 @@ def test_normalize_leaves_unsurgered_components():
     d, u = add_unknot(empty_diagram())
     out = normalize_diagram(d)
     assert out.component(u).coeff is None
+
+
+def test_normalize_reads_its_result_without_coercing(monkeypatch):
+    # The closing check reads each coefficient's fields; comparing each
+    # one with None through ``SurgeryCoeff.__eq__`` coerced 41 times here.
+    d = trefoil_surgery_diagram(SurgeryCoeff(40, 39))
+    calls, coerce = [], SurgeryCoeff._coerce
+
+    def counted(other):
+        calls.append(other)
+        return coerce(other)
+
+    monkeypatch.setattr(SurgeryCoeff, "_coerce", staticmethod(counted))
+    out = normalize_diagram(d)
+    assert calls == []
+    assert {str(c.coeff) for c in out.components} == {"1", "-1"}
+
+
+def test_normalize_refuses_a_coefficient_it_did_not_convert(monkeypatch):
+    # The check is a raise, not an assert, so it holds under python -O too.
+    monkeypatch.setattr(diagrams, "convert_negative", lambda d, cid, choice: d)
+    d, u = add_unknot(empty_diagram(), coeff=SurgeryCoeff(-5, 3))
+    with pytest.raises(CalculusError, match=f"component {u} keeps coefficient -5/3"):
+        normalize_diagram(d)
 
 
 def test_normalize_full_slope_pipeline_random():

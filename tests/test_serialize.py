@@ -1050,6 +1050,85 @@ def test_reader_matches_the_reference_on_mutations():
     assert cases > 400
 
 
+def _node(data, nid):
+    return next(n for n in data["nodes"] if n["id"] == nid)
+
+
+def _set(*path, value):
+    """A mutation setting the field at ``path`` in a diagram's JSON."""
+    def change(node, data):
+        holder = node["diagram"]
+        for key in path[:-1]:
+            holder = holder[key]
+        holder[path[-1]] = value
+    return change
+
+
+def _permuted(node, data):
+    d = node["diagram"]
+    d["components"] = [dict(reversed(c.items())) for c in d["components"]]
+    node["diagram"] = dict(reversed(d.items()))
+
+
+def _v1_as_s3(node, data):
+    node["manifold"], node["diagram"] = "s3", copy.deepcopy(_node(data, "v1")["diagram"])
+
+
+# (node, mutation, whether the reader still hands that node
+# ``certify._OWN``'s object).  A leaf of another type than the verifier's
+# form, even one that compares equal to it (True or 1.0 for 1), must take
+# the full read and its error.
+_OWN_FORM_MUTATIONS = [
+    pytest.param("v1", _set("components", 0, "tb", value=True), False, id="tb-true"),
+    pytest.param("v1", _set("components", 0, "tb", value=1.0), False, id="tb-float"),
+    pytest.param("v1", _set("components", 1, "tb", value=True), False, id="pushoff-tb-true"),
+    pytest.param("v1", _set("components", 0, "rot", value=True), False, id="rot-true"),
+    pytest.param("v1", _set("components", 0, "rot", value=1.0), False, id="rot-float"),
+    pytest.param("v1", _set("components", 0, "rot", value=False), False, id="rot-false"),
+    pytest.param("v1", _set("components", 0, "rot", value=0.0), False, id="rot-zero-float"),
+    pytest.param("v1", _set("components", 0, "coeff", value="-2/2"), False, id="coeff-unreduced"),
+    pytest.param("v1", _set("linkings", 0, 2, value=True), False, id="linking-true"),
+    pytest.param("v1", _set("linkings", 0, 2, value=1.0), False, id="linking-float"),
+    pytest.param("v1", _set("extra", value=1), False, id="v1-extra-key"),
+    pytest.param("v1", _set("components", 0, "extra", value=1), False, id="component-extra-key"),
+    pytest.param("std", _set("extra", value=1), False, id="std-extra-key"),
+    pytest.param("v1", _set("deviations", value=[]), False, id="v1-empty-deviations"),
+    pytest.param("std", _set("deviations", value=[]), False, id="std-empty-deviations"),
+    pytest.param("std", _set("linkings", value={}), False, id="std-linkings-object"),
+    pytest.param("v1", _permuted, True, id="v1-permuted-keys"),
+    pytest.param("std", _permuted, True, id="std-permuted-keys"),
+    pytest.param("v1", _v1_as_s3, False, id="v1-named-s3"),
+    pytest.param("std", _v1_as_s3, False, id="std-carries-v1"),
+    pytest.param("v1", lambda node, data: None, True, id="unchanged"),
+]
+
+
+@pytest.mark.parametrize("slope", ["8/7", "5/2"])
+@pytest.mark.parametrize("nid, mutate, shared", _OWN_FORM_MUTATIONS)
+def test_own_forms_match_type_for_type(slope, nid, mutate, shared):
+    # The reader hands a node the verifier's own presentation only when its
+    # JSON is that presentation's form with the same type at every leaf;
+    # the outcome is the one reading every diagram with
+    # ``diagram_from_dict`` gives: the same ParseError at the same
+    # location, or the same nodes, verdict and reason.
+    data = certificate_to_dict(certify_tight(SurgeryCoeff.parse(slope)))
+    mutate(_node(data, nid), data)
+    want = _outcome(reference_certificate_from_dict, data)
+    got = _outcome(certificate_from_dict, data)
+    if want[0] == "refused":
+        assert got == want and not shared
+        return
+    slope_, conclusion, stage, nodes, edges, facts, steps = want[1]
+    facts = {Manifold.parse(key): value for key, value in facts.items()}
+    reference = certify.Certificate(slope_, conclusion, stage, nodes, edges, facts, steps)
+    cert = got[1]
+    assert cert.nodes == nodes
+    own = {id(d) for d in certify._OWN.values()}
+    assert {n for n in ("std", "v1") if id(cert.nodes[n].diagram) in own} == (
+        {"std", "v1"} if shared else {"std", "v1"} - {nid})
+    assert check_certificate(cert) == check_certificate(reference)
+
+
 # ---------------------------------------------------------------------------
 # Files
 # ---------------------------------------------------------------------------
