@@ -661,7 +661,11 @@ def certify_tight(r) -> Certificate:
     ]
     edges = ladder_edges + path_edges
     # The verifier's count that lets it derive the root.
-    assert not stage or len(edges) == _root_size(rp, stage, len(edges))
+    if stage and len(edges) != _root_size(rp, stage, len(edges)):
+        raise CalculusError(
+            f"{len(edges)} edges, but slope {r}'s presentation does not have "
+            f"{len(edges)} components"
+        )
     return Certificate(
         slope=r,
         conclusion=("tight", "y0"),
@@ -906,16 +910,6 @@ def _walk(cert, built, keep):
     }, derived
 
 
-def _cites(refs, kinds) -> bool:
-    """Whether the references ``refs`` have exactly the kinds ``kinds``."""
-    if len(refs) != len(kinds):
-        return False
-    for (kind, _), want in zip(refs, kinds):
-        if kind != want:
-            return False
-    return True
-
-
 def _check_step(replay, step, have):
     """The reason ``step`` fails, or None.  A step whose rule and
     references an accepted step had takes that step's premises and fact
@@ -927,7 +921,7 @@ def _check_step(replay, step, have):
             return f"rule {step.rule!r} is not in the rule set"
         _, kinds, check = RULES[step.rule]
         refs = step.refs
-        if not _cites(refs, kinds):
+        if tuple(kind for kind, _ in refs) != kinds:
             return (
                 f"rule {step.rule} takes references ({', '.join(kinds)}), "
                 f"step cites ({', '.join(kind for kind, _ in refs)})"

@@ -108,11 +108,7 @@ def triangle_solve(a: int, b: int, c: int) -> TriangleSolution:
         raise NoExactTriangleError(
             f"dimensions {dims} violate the triangle inequality; no exact triangle exists"
         )
-    sol = TriangleSolution(dims, f2 // 2, g2 // 2, h2 // 2)
-    assert sol.rank_f + sol.rank_h == a
-    assert sol.rank_f + sol.rank_g == b
-    assert sol.rank_g + sol.rank_h == c
-    return sol
+    return TriangleSolution(dims, f2 // 2, g2 // 2, h2 // 2)
 
 
 # ---------------------------------------------------------------------------

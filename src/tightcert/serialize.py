@@ -73,6 +73,11 @@ object, built once at import, and its JSON is not read again; ``True`` or
 ``1.0`` in place of ``1``, an extra key or an empty "deviations" list
 takes the full read, with its errors at their locations.
 
+A well-formed component, derived node, edge or step is read directly.
+Any other component, edge or step goes to a locator (``_refuse_component``,
+``_refuse_edge``, ``_refuse_step``) that checks its fields in order and
+only raises the first error; any other node goes to ``_node_entry``.
+
 ``load_json`` attaches file/line/column positions to malformed input;
 structural errors carry a JSON-path-style location instead, formatted
 only once an error is found.
@@ -163,33 +168,6 @@ def _str(value, where):
     return value
 
 
-# Readers for the fields of entry i of the list at ``where``.  They check
-# what ``_need`` and ``_str`` check and raise the same errors, but format
-# a location only for an error.
-
-
-def _field(item, key, where, i):
-    if isinstance(item, dict) and key in item:
-        return item[key]
-    return _need(item, key, f"{where}[{i}]")
-
-
-def _field_str(item, key, where, i):
-    if isinstance(item, dict):
-        value = item.get(key)
-        if isinstance(value, str):
-            return value
-    return _str(_field(item, key, where, i), f"{where}[{i}].{key}")
-
-
-def _field_manifold(item, key, where, i):
-    text = _field_str(item, key, where, i)
-    try:
-        return Manifold.parse(text)
-    except ParseError as exc:
-        raise ParseError(exc.reason, location=f"{where}[{i}].{key}") from None
-
-
 def _rank_fact(key, value, given):
     """The manifold and rank of a rank fact.  Its key must be the canonical
     name of a manifold that has no fact in ``given`` yet."""
@@ -265,8 +243,7 @@ def diagram_from_dict(data: dict, where: str = "diagram") -> ContactDiagram:
     if not isinstance(raw, list):
         raise ParseError("components must be a list", location=where)
     # Well-formed entries are read directly, each coefficient text parsed
-    # once; any other entry goes through ``_component_entry``, which
-    # raises the located error.
+    # once; any other entry goes through ``_refuse_component``.
     comps, smooth, coeffs = [], {}, {None: None}
     for i, item in enumerate(raw):
         try:
@@ -274,13 +251,12 @@ def diagram_from_dict(data: dict, where: str = "diagram") -> ContactDiagram:
             text = item.get("coeff")
         except (TypeError, KeyError, AttributeError):
             cid = None
-        if (type(cid) is str and type(ctype) is str and type(tb) is int
+        if not (type(cid) is str and type(ctype) is str and type(tb) is int
                 and type(rot) is int and (text is None or type(text) is str)):
-            if text not in coeffs:
-                coeffs[text] = coeff_from_str(text, f"{where}.components[{i}].coeff")
-            coeff = coeffs[text]
-        else:
-            cid, ctype, tb, rot, coeff = _component_entry(item, f"{where}.components[{i}]")
+            _refuse_component(item, f"{where}.components[{i}]")
+        if text not in coeffs:
+            coeffs[text] = coeff_from_str(text, f"{where}.components[{i}].coeff")
+        coeff = coeffs[text]
         if ctype in (UNKNOT, RH_TREFOIL):
             parent, kind = None, ctype
         elif ctype.startswith("pushoff:"):
@@ -344,14 +320,15 @@ _ENTRY_SHAPE = {
 }
 
 
-def _component_entry(item, at):
-    """Id, type, tb, rot and coefficient of the component entry ``item``
-    at ``at``, each checked in that order."""
-    cid = _str(_need(item, "id", at), at + ".id")
-    ctype = _str(_need(item, "type", at), at + ".type")
-    tb = _int(_need(item, "tb", at), at + ".tb")
-    rot = _int(_need(item, "rot", at), at + ".rot")
-    return cid, ctype, tb, rot, coeff_from_str(item.get("coeff"), at + ".coeff")
+def _refuse_component(item, at):
+    """Raise the located error of the component entry ``item`` at ``at``,
+    which the direct read does not take: its id, type, tb, rot and
+    coefficient checked in that order."""
+    _str(_need(item, "id", at), at + ".id")
+    _str(_need(item, "type", at), at + ".type")
+    _int(_need(item, "tb", at), at + ".tb")
+    _int(_need(item, "rot", at), at + ".rot")
+    coeff_from_str(item.get("coeff"), at + ".coeff")
 
 
 def _component(fields, where, i):
@@ -452,9 +429,8 @@ def certificate_from_dict(data: dict) -> Certificate:
         if not isinstance(_need(data, list_field, where), list):
             raise ParseError(f"{list_field} must be a list", location=where)
 
-    # Well-formed ladder items (a derived node, an edge, a step) are read
-    # directly; any other item goes through ``_node_entry``,
-    # ``_edge_entry`` or ``_step_entry``, which raise the located error.
+    # Well-formed ladder items are read directly; any other goes through
+    # ``_node_entry``, ``_refuse_edge`` or ``_refuse_step``.
     nodes = {}
     at = where + ".nodes"
     for i, item in enumerate(data["nodes"]):
@@ -465,7 +441,7 @@ def certificate_from_dict(data: dict) -> Certificate:
         if type(nid) is str and diagram is None and "manifold" not in item and nid not in nodes:
             nodes[nid] = ContactNode(nid)
         else:
-            node = _node_entry(item, at, i, slope, companion, nodes)
+            node = _node_entry(item, f"{at}[{i}]", slope, companion, nodes)
             nodes[node.nid] = node
 
     edges = {}
@@ -475,12 +451,10 @@ def certificate_from_dict(data: dict) -> Certificate:
             eid, src, dst, witness = item["id"], item["src"], item["dst"], item["witness"]
         except (TypeError, KeyError):
             eid = None
-        if (type(eid) is str and type(src) is str and type(dst) is str
+        if not (type(eid) is str and type(src) is str and type(dst) is str
                 and type(witness) is str and eid not in edges):
-            edges[eid] = SurgeryEdge(eid, src, dst, witness)
-        else:
-            edge = _edge_entry(item, at, i, edges)
-            edges[edge.eid] = edge
+            _refuse_edge(item, f"{at}[{i}]", edges)
+        edges[eid] = SurgeryEdge(eid, src, dst, witness)
 
     raw_facts = _need(data, "rank_facts", where)
     if not isinstance(raw_facts, dict):
@@ -512,12 +486,11 @@ def certificate_from_dict(data: dict) -> Certificate:
             rule, values, gives = item["rule"], item["refs"], _str_pair(item["gives"])
         except (TypeError, KeyError):
             rule = None
-        kinds = _KINDS.get(rule) if type(rule) is str else None
-        if (kinds is not None and gives is not None and type(values) is list
+        kinds = _KINDS.get(rule) if isinstance(rule, str) else None
+        if not (kinds is not None and gives is not None and type(values) is list
                 and len(values) == len(kinds) and all(type(v) is str for v in values)):
-            steps.append(Step(rule, tuple(zip(kinds, values)), gives))
-        else:
-            steps.append(_step_entry(item, at, i))
+            _refuse_step(item, f"{at}[{i}]")
+        steps.append(Step(rule, tuple(zip(kinds, values)), gives))
 
     return Certificate(
         slope=slope,
@@ -542,18 +515,21 @@ def _same_json(a, b) -> bool:
     return a == b
 
 
-def _node_entry(item, at, i, slope, companion, nodes):
-    """The node ``item``, entry i of the list at ``at``, its fields checked
-    in order.  An inline diagram larger than any presentation of ``slope``
-    (whose ``slope_companion`` is ``companion``) is refused before it is
-    built, and an id already in ``nodes`` after the node is read.  A
-    diagram whose JSON is, type for type, the form of the verifier's own
-    presentation of the node's manifold (``certify._OWN``) is that
-    presentation object, not built again."""
-    nid = _field_str(item, "id", at, i)
+def _node_entry(item, at, slope, companion, nodes):
+    """The node ``item``, the entry at ``at``, its fields checked in order.
+    An inline diagram larger than any presentation of ``slope`` (whose
+    ``slope_companion`` is ``companion``) is refused before it is built,
+    and an id already in ``nodes`` after the node is read.  A diagram whose
+    JSON is, type for type, the form of the verifier's own presentation of
+    the node's manifold (``certify._OWN``) is that presentation object, not
+    built again."""
+    nid = _str(_need(item, "id", at), at + ".id")
     manifold = None
     if "manifold" in item:
-        manifold = _field_manifold(item, "manifold", at, i)
+        try:
+            manifold = Manifold.parse(_str(item["manifold"], at + ".manifold"))
+        except ParseError as exc:
+            raise ParseError(exc.reason, location=at + ".manifold") from None
     diagram = item.get("diagram")
     if diagram is not None:
         components = diagram.get("components") if isinstance(diagram, dict) else None
@@ -562,15 +538,15 @@ def _node_entry(item, at, i, slope, companion, nodes):
             raise ParseError(
                 f"{size} components, more than any presentation of slope "
                 f"{slope} has",
-                location=f"{at}[{i}].diagram",
+                location=at + ".diagram",
             )
         own = _OWN_FORMS.get(manifold)
         if own is not None and _same_json(diagram, own[0]):
             diagram = own[1]
         else:
-            diagram = diagram_from_dict(diagram, f"{at}[{i}].diagram")
+            diagram = diagram_from_dict(diagram, at + ".diagram")
     if nid in nodes:
-        raise ParseError(f"duplicate node id {nid!r}", location=f"{at}[{i}]")
+        raise ParseError(f"duplicate node id {nid!r}", location=at)
     return ContactNode(nid, manifold, diagram)
 
 
@@ -579,38 +555,34 @@ def _node_entry(item, at, i, slope, companion, nodes):
 _OWN_FORMS = {m: (diagram_to_dict(d), d) for m, d in _OWN.items()}
 
 
-def _edge_entry(item, at, i, edges):
-    """The edge ``item``, entry i of the list at ``at``, its fields checked
-    in order; an id already in ``edges`` is refused once it is read."""
-    eid = _field_str(item, "id", at, i)
+def _refuse_edge(item, at, edges):
+    """Raise the located error of the edge ``item``, the entry at ``at``,
+    which the direct read does not take: its fields checked in order, and
+    an id already in ``edges`` refused once it is read."""
+    eid = _str(_need(item, "id", at), at + ".id")
     if eid in edges:
-        raise ParseError(f"duplicate edge id {eid!r}", location=f"{at}[{i}]")
-    return SurgeryEdge(
-        eid,
-        _field_str(item, "src", at, i),
-        _field_str(item, "dst", at, i),
-        _field_str(item, "witness", at, i),
-    )
+        raise ParseError(f"duplicate edge id {eid!r}", location=at)
+    for key in ("src", "dst", "witness"):
+        _str(_need(item, key, at), f"{at}.{key}")
 
 
-def _step_entry(item, at, i):
-    """The step ``item``, entry i of the list at ``at``, its fields checked
-    in order: the rule, the reference values and their count, the derived
-    fact."""
-    rule = _field_str(item, "rule", at, i)
-    values = _field(item, "refs", at, i)
-    gives = _str_pair(_field(item, "gives", at, i))
+def _refuse_step(item, at):
+    """Raise the located error of the step ``item``, the entry at ``at``,
+    which the direct read does not take: its fields checked in order, the
+    rule, the reference values and their count, the derived fact."""
+    rule = _str(_need(item, "rule", at), at + ".rule")
+    values = _need(item, "refs", at)
+    gives = _str_pair(_need(item, "gives", at))
     if type(values) is not list or not all(type(v) is str for v in values):
-        raise ParseError("refs must be a list of strings", location=f"{at}[{i}].refs")
+        raise ParseError("refs must be a list of strings", location=at + ".refs")
     kinds = _KINDS.get(rule)
     if kinds is None:
-        raise ParseError(f"rule {rule!r} is not in the rule set", location=f"{at}[{i}].rule")
+        raise ParseError(f"rule {rule!r} is not in the rule set", location=at + ".rule")
     if len(values) != len(kinds):
         raise ParseError(
             f"rule {rule} takes references ({', '.join(kinds)}), "
             f"step cites {len(values)}",
-            location=f"{at}[{i}].refs",
+            location=at + ".refs",
         )
     if gives is None:
-        raise ParseError("gives must be [kind, node]", location=f"{at}[{i}].gives")
-    return Step(rule, tuple(zip(kinds, values)), gives)
+        raise ParseError("gives must be [kind, node]", location=at + ".gives")

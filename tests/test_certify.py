@@ -545,6 +545,39 @@ def test_reject_dropped_final_step():
     assert "final step" in result.reason
 
 
+def _stein_step_on_v1(data):
+    stein = {"rule": "all_minus_one_stein", "refs": ["v1"], "gives": ["stein", "v1"]}
+    data["steps"].insert(len(data["steps"]) - 1, stein)
+
+
+def _drop_tower_8(data):
+    del data["rank_facts"]["-tower(8)"]
+
+
+@pytest.mark.parametrize("mutate, step, reason", [
+    # v1 presents stage 1 with a (+1) pushoff, so it is no Stein presentation.
+    (_stein_step_on_v1, 15, "component c2 carries 1, not -1"),
+    # The last pushforward cites a triangle whose vertex -tower(8) has no fact.
+    (_drop_tower_8, 13, "rank fact for -tower(8) not in the certificate"),
+])
+def test_step_refusals_on_8_7(mutate, step, reason):
+    data = certificate_to_dict(certify_tight(SurgeryCoeff(8, 7)))
+    mutate(data)
+    result = check_certificate(certificate_from_dict(data))
+    assert (result.ok, result.step, result.reason) == (False, step, reason)
+
+
+def test_emitter_refuses_a_root_size_the_verifier_would_not_derive(monkeypatch):
+    # The edge count fixes the root's size for the verifier; an emitter
+    # whose count disagrees raises.  The check is no assert, so it holds
+    # under ``python -O`` as well.
+    size = certify._root_size
+    monkeypatch.setattr(certify, "_root_size", lambda rp, stage, limit: size(rp, stage, limit) + 1)
+    with pytest.raises(CalculusError) as err:
+        certify_tight(SurgeryCoeff(5, 2))
+    assert str(err.value) == "4 edges, but slope 5/2's presentation does not have 4 components"
+
+
 def test_reject_engine_stage_decrement():
     # The stage-1 family leaves -tower(2) unpinned.
     cert = fresh(certify_tight(SurgeryCoeff(5, 2)))

@@ -7,8 +7,10 @@ linking matrices.  ``smith_normal_form`` is
 checked against sympy's, and ``h1`` of a diagram (pushoffs slid over their
 parents, then the sparse phase) against the dense phase alone on the
 unslid linking matrix; ``det_signed`` against sympy's and a dense Bareiss
-reference.  Each test that needs a library is skipped when it
-is missing.
+reference.  The root presentation of every slope r = p/q is checked
+against (Q^-1)_00 = q/p - 2, an identity of this package's presentations
+that the conversion does not compute.  Each test that needs a library is
+skipped when it is missing.
 """
 
 from __future__ import annotations
@@ -17,9 +19,11 @@ import math
 import random
 from collections import Counter
 from dataclasses import replace
+from fractions import Fraction
 
 import pytest
 
+from tightcert import diagrams
 from tightcert.certify import certify_tight, node_presentations
 from tightcert.diagrams import (
     ContactDiagram,
@@ -39,7 +43,7 @@ from tightcert.diagrams import (
     trefoil_surgery_diagram,
 )
 from tightcert.errors import CalculusError
-from tightcert.rationals import SurgeryCoeff
+from tightcert.rationals import NegContinuedFraction, SurgeryCoeff
 from tightcert.topology import (
     HomologyResult,
     _dense_phase,
@@ -556,3 +560,107 @@ def test_h1_matches_dense_paths_on_nested_pushoff_trees():
                 assert h1(v) == dense_group(slid) == expected
                 assert det_signed(v) == reference_det(linking_matrix(v).matrix)
     assert min(depths) >= 20
+
+
+# ---------------------------------------------------------------------------
+# The root's exact slope
+# ---------------------------------------------------------------------------
+
+
+def _root(p, q):
+    return normalize_diagram(trefoil_surgery_diagram(SurgeryCoeff(p, q)))
+
+
+def _corner(root):
+    """(Q^-1)_00 of the root's linking matrix Q, as C_00 / D with D = det Q;
+    None when D = 0.  The cofactor C_00 = det(Q + e_0 e_0^T) - D is the
+    determinant of Q without the trefoil's row and column, which is the
+    linking matrix of the root without the trefoil: ``remove_component``
+    keeps every other linking number and framing, so both determinants
+    are read off slid rows in linear time."""
+    d = det_signed(root)
+    if d == 0:
+        return None
+    return Fraction(det_signed(remove_component(root, root.components[0].cid)), d)
+
+
+def _fixes_slope(root, p, q):
+    return _corner(root) == Fraction(q, p) - 2
+
+
+def test_root_fixes_its_slope_on_every_workload_slope(workloads):
+    # Slope 0 has D = 0, and slope 1 has no root.
+    slopes = {pq for name in workloads.NAMES for pq in workloads.spec(name).pairs}
+    slopes -= {(0, 1), (1, 1)}
+    assert len(slopes) == 1188
+    for p, q in sorted(slopes):
+        assert _fixes_slope(_root(p, q), p, q), f"{p}/{q}"
+
+
+def test_root_fixes_its_slope_on_drawn_slopes():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+
+    @hypothesis.settings(max_examples=60, deadline=None, derandomize=True)
+    @hypothesis.given(st.integers(-500, 500), st.integers(1, 500))
+    def run(p, q):
+        hypothesis.assume(p not in (0, q) and math.gcd(p, q) == 1)
+        assert _fixes_slope(_root(p, q), p, q)
+
+    run()
+
+
+# (term index, move) -> (roots changed, roots whose |H1| is still |p|)
+# over the p/q with |p| <= 13 and q <= 11.  Without the second term's +1
+# move these are the 769 roots and 79 audit passes of ROADMAP's Baseline.
+_BROKEN_ROOTS = {
+    (0, -1): (183, 40),
+    (0, 1): (163, 21),
+    (1, -1): (147, 0),
+    (1, 1): (48, 0),
+    (-1, -1): (183, 9),
+    (-1, 1): (93, 9),
+}
+
+
+@pytest.mark.parametrize("index, delta", list(_BROKEN_ROOTS))
+def test_root_identity_refuses_every_root_of_a_broken_conversion(index, delta, monkeypatch):
+    # A conversion whose continued fraction has one term moved by one,
+    # where the moved expansion is still valid, builds another root for
+    # some slopes.  The identity refuses each of them, also those whose
+    # |H1| is still |p|, which the root's h1 audit passes.
+    expand = diagrams.neg_continued_fraction
+
+    def moved(r):
+        cs = list(expand(r).coeffs)
+        if -len(cs) <= index < len(cs):
+            cs[index] += delta
+            try:
+                return NegContinuedFraction(tuple(cs))
+            except CalculusError:
+                pass
+        return expand(r)
+
+    slopes = [
+        (p, q) for q in range(1, 12) for p in range(-13, 14)
+        if p not in (0, q) and math.gcd(p, q) == 1
+    ]
+    roots = {pq: _root(*pq) for pq in slopes}
+    monkeypatch.setattr(diagrams, "neg_continued_fraction", moved)
+    changed = h1_passed = 0
+    for (p, q), root in roots.items():
+        try:
+            broken = _root(p, q)
+        except CalculusError:
+            continue
+        if linking_matrix(broken) == linking_matrix(root):
+            continue
+        changed += 1
+        rows = [list(row) for row in linking_matrix(broken).matrix]
+        rows[0][0] += 1
+        assert det_signed(rows) - det_signed(broken) == det_signed(
+            remove_component(broken, broken.components[0].cid)
+        )
+        h1_passed += h1(broken).cyclic_order() == abs(p)
+        assert not _fixes_slope(broken, p, q), f"{p}/{q}"
+    assert (changed, h1_passed) == _BROKEN_ROOTS[index, delta]
