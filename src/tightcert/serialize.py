@@ -49,7 +49,7 @@ matching ``*_from_dict`` except the rank table, which is only written):
   root included.
   An inline diagram with more components than any presentation the
   verifier holds for the slope is refused before it is built
-  (``certify.presentation_bound``).
+  (``verify.presentation_bound``).
   "rank_facts" maps manifold names to ranks; each key must be the
   canonical name (``Manifold.text``) of the manifold it parses to, and no
   two keys may name one manifold.  The reader keys
@@ -67,7 +67,7 @@ Reading a certificate or a diagram costs O(input): each inline diagram's
 stored rows are built straight from its entries, with no linking derived
 from a parent's.  A certificate node that names ``s3`` or ``tower(1)``
 and whose diagram JSON equals the form of the verifier's own presentation
-of it (``certify._OWN``) type for type, with the same keys, the same list
+of it (``verify._OWN``) type for type, with the same keys, the same list
 lengths and the same type at every leaf, is given that presentation
 object, built once at import, and its JSON is not read again; ``True`` or
 ``1.0`` in place of ``1``, an extra key or an empty "deviations" list
@@ -98,7 +98,7 @@ from .diagrams import (
 )
 from .topology import FramedLink, Manifold
 from .floer import RankDb, engine_triangles
-from .certify import (
+from .verify import (
     _OWN,
     RULES,
     Certificate,
@@ -521,7 +521,7 @@ def _node_entry(item, at, slope, companion, nodes):
     ``slope_companion`` is ``companion``) is refused before it is built,
     and an id already in ``nodes`` after the node is read.  A diagram whose
     JSON is, type for type, the form of the verifier's own presentation of
-    the node's manifold (``certify._OWN``) is that presentation object, not
+    the node's manifold (``verify._OWN``) is that presentation object, not
     built again."""
     nid = _str(_need(item, "id", at), at + ".id")
     manifold = None

@@ -1,10 +1,10 @@
-"""Earlier derivations of ``tightcert.certify``, kept as references.
+"""Earlier derivations of the verifier and the emitter, kept as references.
 
 ``reference_walk`` is the edge walk as it was before it counted each
 node's readers, a reference for ``node_presentations``.  It performs
 every edge's move on an immutable copy of its source, and lets a
 presentation go, through the ``_LET_GO`` marker, once no later edge starts
-from it.  Like ``certify._walk`` it also returns the manifold each edge
+from it.  Like ``verify._walk`` it also returns the manifold each edge
 gives its target, where it gives one.
 
 ``reference_chain_ids`` reads the (-1)-chain knots' ids off the built
@@ -18,7 +18,7 @@ the stage fixes.
 
 from __future__ import annotations
 
-from tightcert.certify import _DERIVED, _derived_root, _stage
+from tightcert.verify import _DERIVED, _root
 from tightcert.diagrams import (
     PUSHOFF,
     normalize_diagram,
@@ -27,7 +27,7 @@ from tightcert.diagrams import (
 )
 from tightcert.errors import CalculusError
 from tightcert.floer import base_facts, engine_triangles, propagate
-from tightcert.rationals import SurgeryCoeff, pushoff_coeff_from_slope
+from tightcert.rationals import SurgeryCoeff
 
 _MINUS_ONE = SurgeryCoeff(-1)
 
@@ -44,10 +44,9 @@ def reference_walk(cert, keep=None):
     last = {}
     if keep is not None:
         last = {e.src: k for k, e in enumerate(cert.edges.values())}
-    root = cert.conclusion[1]
-    if root in built and built[root] is None:
-        rp = pushoff_coeff_from_slope(cert.slope)
-        built[root] = _derived_root(cert, rp, _stage(rp))
+    root = cert.nodes.get(cert.conclusion[1])
+    if root is not None and root.diagram is None:
+        built[root.nid] = _root(cert, root)[0]
     manifolds = {nid: n.manifold for nid, n in cert.nodes.items()}
     derived = {}
     for k, e in enumerate(cert.edges.values()):

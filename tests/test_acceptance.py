@@ -16,9 +16,9 @@ from itertools import product
 
 import pytest
 
-from tightcert.certify import (
+from tightcert.certify import certify_tight
+from tightcert.verify import (
     VerificationResult,
-    certify_tight,
     check_certificate,
     node_presentations,
 )

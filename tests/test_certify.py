@@ -9,21 +9,23 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import os
 import random
+import subprocess
+import sys
 import time
 from dataclasses import replace
+from pathlib import Path
 
 import pytest
 
-from tightcert import certify
-from tightcert.certify import (
-    Certificate,
+from tightcert import certify, verify
+from tightcert.certify import build_tower_chain, certify_tight
+from tightcert.verify import (
     ContactNode,
     Step,
     SurgeryEdge,
     VerificationResult,
-    build_tower_chain,
-    certify_tight,
     check_certificate,
     node_presentations,
     rules,
@@ -43,8 +45,13 @@ from tightcert.diagrams import (
 )
 from tightcert.errors import CalculusError, ExcludedSlopeError, ParseError
 from tightcert.floer import Interval, engine_triangles
-from tightcert.rationals import SurgeryCoeff
-from tightcert.serialize import certificate_from_dict, certificate_to_dict, diagram_to_dict
+from tightcert.rationals import NegContinuedFraction, SurgeryCoeff
+from tightcert.serialize import (
+    certificate_from_dict,
+    certificate_to_dict,
+    diagram_to_dict,
+    dump_json,
+)
 from tightcert.topology import Manifold, h1
 from tightcert import diagrams, floer, topology
 from reference_certify import (
@@ -268,7 +275,7 @@ def test_relabelled_huge_slope_rejected_quickly(slope, monkeypatch):
     # the presentation is never built.
     cert = fresh(certify_tight(SurgeryCoeff(5, 2)))
     _relabel_to(cert, slope)
-    monkeypatch.setattr(certify, "trefoil_surgery_diagram", None)
+    monkeypatch.setattr(verify, "trefoil_surgery_diagram", None)
     start = time.perf_counter()
     result = check_certificate(cert)
     assert time.perf_counter() - start < 1.0
@@ -285,7 +292,7 @@ def test_relabelled_huge_slope_rejected_quickly_inline_root(slope, monkeypatch):
     cert = fresh(certify_tight(SurgeryCoeff(5, 2)))
     inline_root(cert)
     _relabel_to(cert, slope)
-    monkeypatch.setattr(certify, "trefoil_surgery_diagram", None)
+    monkeypatch.setattr(verify, "trefoil_surgery_diagram", None)
     start = time.perf_counter()
     result = check_certificate(cert)
     assert time.perf_counter() - start < 1.0
@@ -312,7 +319,7 @@ def test_dropped_path_edge_refused_before_the_root_is_built(monkeypatch):
     cert = fresh(certify_tight(SurgeryCoeff(-5, 3)))
     last = [e for e in cert.edges.values() if e.witness.startswith("cancel:")][-1]
     del cert.edges[last.eid], cert.nodes[last.dst]
-    monkeypatch.setattr(certify, "normalize_diagram", None)
+    monkeypatch.setattr(verify, "normalize_diagram", None)
     result = check_certificate(cert)
     assert not result.ok and result.step is None
     n = len(cert.edges)
@@ -461,7 +468,7 @@ def test_reject_via_misuse(mutate, reason, monkeypatch):
     mutate(cert)
     if reason.endswith("at most 2"):
         # The bound is checked before any derived node is built.
-        monkeypatch.setattr(certify, "plus_one_surgery", None)
+        monkeypatch.setattr(verify, "plus_one_surgery", None)
     result = check_certificate(cert)
     assert not result.ok and result.step is None
     assert reason in result.reason
@@ -565,6 +572,56 @@ def test_step_refusals_on_8_7(mutate, step, reason):
     mutate(data)
     result = check_certificate(certificate_from_dict(data))
     assert (result.ok, result.step, result.reason) == (False, step, reason)
+
+
+def test_slope_1_is_refused_by_the_structural_guard():
+    # The slope 1 has no root: the companion coefficient would be 0.
+    data = certificate_to_dict(certify_tight(SurgeryCoeff(8, 7)))
+    data["slope"] = "1"
+    next(n for n in data["nodes"] if n["id"] == "y0")["manifold"] = "trefoil(1)"
+    result = check_certificate(certificate_from_dict(data))
+    assert (result.ok, result.step, result.reason) == (
+        False, None,
+        "structural error: surgery coefficient 1 is excluded: the companion "
+        "coefficient becomes 0, which admits no tight extension",
+    )
+
+
+@pytest.mark.parametrize("group, reason", [
+    ("0:13", "presentation has h1 0:21, certificate says 0:13"),
+    ("0:21", "declared manifold trefoil(13/8) has cyclic h1 of order 13, "
+             "presentation gives 0:21"),
+])
+def test_root_audit_refuses_a_wrong_conversion(group, reason, monkeypatch):
+    # A conversion whose last continued-fraction term is one too low gives
+    # the verifier a 13/8 root with H1 of order 21.  The audit refuses its
+    # group as recorded, and refuses it as the order of trefoil(13/8) when
+    # the audit records that group.  Only the verifier's own conversion can
+    # be wrong this way, so the order refusal guards the verifier's code.
+    data = certificate_to_dict(certify_tight(SurgeryCoeff(13, 8)))
+    data["steps"][2]["refs"] = ["y0", group]
+    expand = diagrams.neg_continued_fraction
+
+    def lowered(r):
+        cs = list(expand(r).coeffs)
+        cs[-1] -= 1
+        return NegContinuedFraction(tuple(cs))
+
+    monkeypatch.setattr(diagrams, "neg_continued_fraction", lowered)
+    result = check_certificate(certificate_from_dict(data))
+    assert (result.ok, result.step, result.reason) == (False, 2, reason)
+
+
+def test_inconsistent_seed_table_is_a_rank_engine_contradiction(monkeypatch):
+    # Only the verifier's own seed table or engine can contradict itself.
+    seed = floer.base_facts()
+    seed.set_fact(Manifold.s1xs2(), Interval.exact(5))
+    monkeypatch.setattr(verify, "_SEED_FACTS", seed)
+    result = check_certificate(fresh(certify_tight(SurgeryCoeff(8, 7))))
+    assert (result.ok, result.step, result.reason) == (
+        False, None,
+        "rank engine contradiction: rank of s3 cannot meet s1xs2 = 5 and s3 = 1 (current 1)",
+    )
 
 
 def test_emitter_refuses_a_root_size_the_verifier_would_not_derive(monkeypatch):
@@ -686,13 +743,13 @@ def test_pushforward_step_on_cited_ranks(ranks, reason):
     cert.rank_facts.update(zip((tri.a, tri.b, tri.c), ranks))
     cert.nodes["v2"] = ContactNode("v2", Manifold.tower(2))
     step = Step("plus_one_pushforward", (("edge", "ev1"), ("triangle", "1")), ("c_nonzero", "v2"))
-    replay = certify._Replay(cert, engine_triangles(cert.engine_stage), {}, {})
-    assert certify._check_step(replay, step, {("c_nonzero", "v1")}) == reason
+    replay = verify._Replay(cert, engine_triangles(cert.engine_stage), {}, {})
+    assert verify._check_step(replay, step, {("c_nonzero", "v1")}) == reason
 
 
 def test_h1_consistency_on_a_path_node_checks_only_the_group():
     cert = fresh(certify_tight(SurgeryCoeff(5, 2)))
-    group = certify._group_text(h1(node_presentations(cert)["y1"]))
+    group = verify._group_text(h1(node_presentations(cert)["y1"]))
     audit = Step("h1_consistency", (("node", "y1"), ("group", group)), ("h1", "y1"))
     _insert_before_last(cert, audit)
     assert check_certificate(cert).ok
@@ -846,7 +903,7 @@ def test_cancel_edge_on_an_inline_parent_listed_after_its_child():
 def test_each_ladder_edge_constructs_one_knot(slope, monkeypatch):
     cert = fresh(certify_tight(SurgeryCoeff.parse(slope)))
     built = count_constructions(monkeypatch)
-    surgery, per_edge = certify.plus_one_surgery, []
+    surgery, per_edge = verify.plus_one_surgery, []
 
     def counted(d, witness):
         before = len(built)
@@ -854,7 +911,7 @@ def test_each_ladder_edge_constructs_one_knot(slope, monkeypatch):
         per_edge.append((witness, len(built) - before))
         return out
 
-    monkeypatch.setattr(certify, "plus_one_surgery", counted)
+    monkeypatch.setattr(verify, "plus_one_surgery", counted)
     node_presentations(cert)
     ladder = [n for witness, n in per_edge if not witness.startswith("cancel:")]
     assert ladder == [1] * (cert.engine_stage + 1)
@@ -891,8 +948,8 @@ def test_only_verify_runs_the_engine(monkeypatch):
         calls.append(len(triangles))
         return propagate(db, triangles)
 
-    propagate = certify.propagate
-    monkeypatch.setattr(certify, "propagate", counted)
+    propagate = verify.propagate
+    monkeypatch.setattr(verify, "propagate", counted)
     text = json.dumps(certificate_to_dict(certify_tight(SurgeryCoeff(40, 39))))
     assert calls == []
     for _ in range(2):
@@ -922,7 +979,7 @@ def test_verify_clones_no_certificate(monkeypatch):
 
     monkeypatch.setattr(ContactNode, "__init__", counted)
     monkeypatch.setattr(dataclasses, "replace", replaced)
-    monkeypatch.setattr(certify, "replace", replaced, raising=False)
+    monkeypatch.setattr(verify, "replace", replaced, raising=False)
     assert check_certificate(cert).ok
     assert calls == []
 
@@ -930,13 +987,13 @@ def test_verify_clones_no_certificate(monkeypatch):
 def test_verify_looks_up_the_engine_family_once(monkeypatch):
     # Once for the rank facts and every triangle index, not once a
     # pushforward step (41 at 40/39).
-    cert, calls, family = _tower_40(), [], certify.engine_triangles
+    cert, calls, family = _tower_40(), [], verify.engine_triangles
 
     def counted(stage):
         calls.append(stage)
         return family(stage)
 
-    monkeypatch.setattr(certify, "engine_triangles", counted)
+    monkeypatch.setattr(verify, "engine_triangles", counted)
     assert check_certificate(cert).ok
     assert calls == [40]
 
@@ -946,7 +1003,7 @@ def test_verify_checks_at_most_one_ladder_knot(monkeypatch):
     # eta edge's unknot is checked (41 knots once).
     cert, checked = _tower_40(), []
     count_constructions(monkeypatch, checked)
-    surgery, ladder = certify.plus_one_surgery, []
+    surgery, ladder = verify.plus_one_surgery, []
 
     def counted(d, witness):
         before = len(checked)
@@ -955,7 +1012,7 @@ def test_verify_checks_at_most_one_ladder_knot(monkeypatch):
             ladder.append(len(checked) - before)
         return out
 
-    monkeypatch.setattr(certify, "plus_one_surgery", counted)
+    monkeypatch.setattr(verify, "plus_one_surgery", counted)
     assert check_certificate(cert).ok
     assert len(ladder) == 41 and sum(ladder) <= 1
 
@@ -967,7 +1024,7 @@ def test_verify_builds_no_constant(monkeypatch):
     def refused(*args):
         raise AssertionError("a constant was built during a verify")
 
-    for module in (certify, diagrams, floer):
+    for module in (verify, diagrams, floer):
         for name in ("empty_diagram", "tower_diagram", "base_facts"):
             if hasattr(module, name):
                 monkeypatch.setattr(module, name, refused)
@@ -1005,13 +1062,13 @@ def test_a_repeated_step_is_checked_once(slope, step, monkeypatch):
     assert step in data["steps"]
     data["steps"][-1:-1] = [step] * 1000
     cert, calls = certificate_from_dict(data), []
-    statement, kinds, check = certify.RULES[step["rule"]]
+    statement, kinds, check = verify.RULES[step["rule"]]
 
     def counted(replay, first, *rest):
         calls.append(getattr(first, "nid", None) or first.eid)
         return check(replay, first, *rest)
 
-    monkeypatch.setitem(certify.RULES, step["rule"], (statement, kinds, counted))
+    monkeypatch.setitem(verify.RULES, step["rule"], (statement, kinds, counted))
     assert check_certificate(cert).ok
     assert calls.count(step["refs"][0]) == 1
 
@@ -1035,8 +1092,8 @@ def test_a_self_pair_compares_nothing(rule, monkeypatch):
     step = {"rule": rule, "refs": ["y0", "y0"], "gives": ["c_nonzero", "y0"]}
     data["steps"][-1:-1] = [step]
     calls = []
-    monkeypatch.setattr(certify, "diagram_iso", lambda a, b: calls.append(a) or True)
-    monkeypatch.setattr(certify, "cancel_pushoff_pairs", lambda d: calls.append(d) or d)
+    monkeypatch.setattr(verify, "diagram_iso", lambda a, b: calls.append(a) or True)
+    monkeypatch.setattr(verify, "cancel_pushoff_pairs", lambda d: calls.append(d) or d)
     assert check_certificate(certificate_from_dict(data)).ok
     assert calls == []
 
@@ -1067,7 +1124,7 @@ def _audit_groups(cert):
     audits = [s for s in cert.steps if s.rule == "h1_consistency"]
     built = node_presentations(cert, [s.ref("node") for s in audits])
     recorded = [s.ref("group") for s in audits]
-    return recorded, [certify._group_text(h1(built[s.ref("node")])) for s in audits]
+    return recorded, [verify._group_text(h1(built[s.ref("node")])) for s in audits]
 
 
 def test_audit_groups_are_the_verifiers_h1_on_every_workload_slope(workloads):
@@ -1096,7 +1153,7 @@ def test_audit_groups_are_the_verifiers_h1_on_drawn_slopes():
 def test_only_the_verifier_runs_smith_normal_form(slope, monkeypatch):
     # The emitter writes each audit group from the node's manifold; the
     # verifier reduces only the root's presentation: the groups of std and
-    # v1, which the reader hands over as ``certify._OWN``'s own objects,
+    # v1, which the reader hands over as ``verify._OWN``'s own objects,
     # were computed at import.
     calls = []
     snf = topology.smith_normal_form
@@ -1114,7 +1171,7 @@ def test_only_the_verifier_runs_smith_normal_form(slope, monkeypatch):
     assert len(calls) == 1
     # The groups read instead are the ones a fresh reduction gives.
     monkeypatch.undo()
-    assert [certify._OWN_REDUCED[id(d)][0] for d in certify._OWN.values()] == [
+    assert [verify._OWN_REDUCED[id(d)][0] for d in verify._OWN.values()] == [
         h1(empty_diagram()), h1(tower_diagram(1))]
 
 
@@ -1181,8 +1238,8 @@ def test_only_stage_0_emission_builds_the_root(slope, monkeypatch):
             counts[_name] += 1
             return _fn(*args, **kwargs)
 
-        monkeypatch.setattr(diagrams, name, counted)
-        monkeypatch.setattr(certify, name, counted)
+        for module in (diagrams, certify, verify):
+            monkeypatch.setattr(module, name, counted)
     cert = certify_tight(SurgeryCoeff.parse(slope))
     emitted = 0 if cert.engine_stage else 1
     assert counts == dict.fromkeys(counts, emitted)
@@ -1191,22 +1248,19 @@ def test_only_stage_0_emission_builds_the_root(slope, monkeypatch):
 
 
 def test_reverses_agrees_with_mirror():
+    # An edge's endpoints that both name a manifold are s3 or a tower stage
+    # at the source and s1xs2 or a tower stage at the target (``_DERIVED``);
+    # a triangle vertex may be any kind.
     kinds = [
         Manifold.s3(), Manifold.s1xs2(), Manifold.poincare(), Manifold.lens(5, 2),
         Manifold.lens(5, 3), Manifold.tower(2), Manifold.tower(3), Manifold.neg_tower(2),
         Manifold.neg_tower(3), Manifold.trefoil_surgery(SurgeryCoeff(5, 4)),
     ]
-
-    def outcome(compare, vertex, m):
-        try:
-            return compare(vertex, m)
-        except CalculusError as exc:
-            return str(exc)
-
-    for m in kinds:
+    endpoints = [Manifold.s3(), Manifold.s1xs2(), Manifold.tower(1), Manifold.tower(2),
+                 Manifold.tower(3)]
+    for m in endpoints:
         for vertex in kinds:
-            want = outcome(lambda v, n: v == n.mirror(), vertex, m)
-            assert outcome(certify._reverses, vertex, m) == want
+            assert verify._reverses(vertex, m) == (vertex == m.mirror())
 
 
 # ---------------------------------------------------------------------------
@@ -1282,7 +1336,7 @@ def test_walk_matches_the_reference_on_edge_mutations(slope, monkeypatch):
             refused += isinstance(got, str)
         verdict = check_certificate(m)
         with monkeypatch.context() as patch:
-            patch.setattr(certify, "_walk", lambda cert, built, keep: reference_walk(cert, keep))
+            patch.setattr(verify, "_walk", lambda cert, built, keep: reference_walk(cert, keep))
             assert check_certificate(m) == verdict
     assert refused > 50
 
@@ -1349,7 +1403,7 @@ def test_padded_cancel_steps_cancel_each_cited_node_at_most_once(monkeypatch):
     # either, and a node's cancelled form is kept for the rest of the
     # verify: so 1000 added cancel_equivalent(v400, v400) steps cancel
     # nothing.  The cancelled forms of std and v1, which the reader hands
-    # over as ``certify._OWN``'s own objects, were computed at import, so
+    # over as ``verify._OWN``'s own objects, were computed at import, so
     # 1000 copies of the emitted (v1, std) step cancel nothing either.
     data = certificate_to_dict(certify_tight(SurgeryCoeff(400, 399)))
     emitted = [s for s in data["steps"] if s["rule"] == "cancel_equivalent"]
@@ -1358,25 +1412,25 @@ def test_padded_cancel_steps_cancel_each_cited_node_at_most_once(monkeypatch):
                "gives": ["c_nonzero", "v400"]}
     data["steps"][-1:-1] = [padding] * 1000 + emitted * 1000
     cert = certificate_from_dict(data)
-    cancelled, cancel = [], certify.cancel_pushoff_pairs
+    cancelled, cancel = [], verify.cancel_pushoff_pairs
 
     def counted(d):
         cancelled.append(len(d))
         return cancel(d)
 
-    monkeypatch.setattr(certify, "cancel_pushoff_pairs", counted)
+    monkeypatch.setattr(verify, "cancel_pushoff_pairs", counted)
     assert check_certificate(cert).ok
     assert cancelled == []
     # The forms read instead are the ones a fresh cancellation gives.
     monkeypatch.undo()
-    assert [certify._OWN_REDUCED[id(d)][1] for d in certify._OWN.values()] == [
+    assert [verify._OWN_REDUCED[id(d)][1] for d in verify._OWN.values()] == [
         cancel_pushoff_pairs(empty_diagram()), cancel_pushoff_pairs(tower_diagram(1))]
 
 
 def test_own_presentations_stay_as_built_after_every_workload_verify(workloads):
     # The reader hands every matching std and v1 node the same two
-    # ``certify._OWN`` objects; no verify may edit them.
-    own = certify._OWN
+    # ``verify._OWN`` objects; no verify may edit them.
+    own = verify._OWN
     for name in ("tower", "grid"):
         for p, q in workloads.spec(name).pairs:
             if p != q:
@@ -1385,8 +1439,8 @@ def test_own_presentations_stay_as_built_after_every_workload_verify(workloads):
                     if node.manifold in own:
                         assert node.diagram is own[node.manifold]
                 assert check_certificate(cert).ok, f"{p}/{q}"
-    assert list(certify._OWN.values()) == [empty_diagram(), tower_diagram(1)]
-    assert [diagram_to_dict(d) for d in certify._OWN.values()] == [
+    assert list(verify._OWN.values()) == [empty_diagram(), tower_diagram(1)]
+    assert [diagram_to_dict(d) for d in verify._OWN.values()] == [
         diagram_to_dict(empty_diagram()), diagram_to_dict(tower_diagram(1))]
 
 
@@ -1399,3 +1453,66 @@ def test_nested_certificate_bytes_grow_linearly():
         return len(json.dumps(certificate_to_dict(cert), indent=2))
 
     assert size(400) <= 2.05 * size(200)
+
+
+# ---------------------------------------------------------------------------
+# The verifier kernel stands apart from the emitter
+# ---------------------------------------------------------------------------
+
+
+# Each defines ``accepted(path)`` for a fresh interpreter: a verify of the
+# certificate file through the reader and the kernel, or through the CLI.
+_FRESH_VERIFY = {
+    "kernel": (
+        "from tightcert import serialize\n"
+        "from tightcert.verify import check_certificate\n"
+        "def accepted(path):\n"
+        "    cert = serialize.certificate_from_dict(serialize.load_json(path))\n"
+        "    return check_certificate(cert).ok\n"
+    ),
+    "cli": (
+        "from tightcert.cli import main\n"
+        "def accepted(path):\n"
+        "    return main(['verify', path]) == 0\n"
+    ),
+}
+
+
+@pytest.mark.parametrize("how", sorted(_FRESH_VERIFY))
+def test_verify_loads_no_emitter(how, tmp_path):
+    paths = []
+    for k, slope in enumerate(("8/7", "-5/3")):
+        path = tmp_path / f"{k}.json"
+        dump_json(certificate_to_dict(certify_tight(SurgeryCoeff.parse(slope))), path)
+        paths.append(str(path))
+    script = _FRESH_VERIFY[how] + (
+        "import sys\n"
+        "print([accepted(p) for p in sys.argv[1:]], 'tightcert.certify' in sys.modules)\n"
+    )
+    src = Path(verify.__file__).resolve().parent.parent
+    env = dict(os.environ, PYTHONPATH=str(src))
+    out = subprocess.run([sys.executable, "-c", script, *paths], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.splitlines()[-1] == "[True, True] False"
+
+
+def test_verify_runs_no_emitter_line():
+    texts = [
+        json.dumps(certificate_to_dict(certify_tight(SurgeryCoeff.parse(slope))))
+        for slope in ("40/39", "13/8", "-5/3", "0", "-1/20", "22501/22351")
+    ]
+    ran = {"tightcert.certify": set(), "tightcert.verify": set()}
+
+    def trace(frame, event, arg):
+        lines = ran.get(frame.f_globals.get("__name__"))
+        if lines is not None:
+            lines.add(frame.f_lineno)
+
+    before = sys.gettrace()
+    sys.settrace(trace)
+    try:
+        verdicts = [check_certificate(certificate_from_dict(json.loads(t))).ok for t in texts]
+    finally:
+        sys.settrace(before)
+    assert verdicts == [True] * len(texts)
+    assert ran["tightcert.verify"] and not ran["tightcert.certify"]

@@ -18,7 +18,7 @@ import pytest
 hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import HealthCheck, given, settings, strategies as st  # noqa: E402
 
-from tightcert.certify import VerificationResult, certify_tight, check_certificate  # noqa: E402
+from tightcert.certify import certify_tight  # noqa: E402
 from tightcert.cli import main  # noqa: E402
 from tightcert.diagrams import (  # noqa: E402
     add_trefoil,
@@ -34,6 +34,7 @@ from tightcert.serialize import (  # noqa: E402
     certificate_to_dict,
     diagram_file_to_dict,
 )
+from tightcert.verify import VerificationResult, check_certificate  # noqa: E402
 
 # Stein, unit-fraction and reduction-path certificates, all small.
 SLOPES = ("0", "1/2", "-5/3", "-3", "2", "5/2", "13/8", "9/4", "4/3")

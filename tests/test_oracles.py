@@ -24,7 +24,7 @@ from fractions import Fraction
 import pytest
 
 from tightcert import diagrams
-from tightcert.certify import certify_tight, node_presentations
+from tightcert.certify import certify_tight
 from tightcert.diagrams import (
     ContactDiagram,
     LegendrianComponent,
@@ -53,6 +53,7 @@ from tightcert.topology import (
     linking_matrix,
     smith_normal_form,
 )
+from tightcert.verify import node_presentations
 
 from reference_diagram import (
     from_linkings,

@@ -10,13 +10,13 @@ from itertools import combinations
 
 import pytest
 
-from tightcert import certify, floer, serialize
-from tightcert.certify import (
+from tightcert import floer, serialize, verify
+from tightcert.certify import certify_tight
+from tightcert.verify import (
     RULES,
     ContactNode,
     Step,
     SurgeryEdge,
-    certify_tight,
     check_certificate,
     node_presentations,
     presentation_bound,
@@ -850,7 +850,7 @@ def test_reader_builds_no_family_the_input_does_not_pay_for(slope, stage, allowe
 
     # ``tower_triangles`` builds each family the cache does not hold.
     monkeypatch.setattr(floer, "tower_triangles", refused)
-    for module in (serialize, certify):
+    for module in (serialize, verify):
         monkeypatch.setattr(module, "engine_triangles", refused)
     result = check_certificate(certificate_from_dict(data))
     assert not result.ok and calls == []
@@ -1075,7 +1075,7 @@ def _v1_as_s3(node, data):
 
 
 # (node, mutation, whether the reader still hands that node
-# ``certify._OWN``'s object).  A leaf of another type than the verifier's
+# ``verify._OWN``'s object).  A leaf of another type than the verifier's
 # form, even one that compares equal to it (True or 1.0 for 1), must take
 # the full read and its error.
 _OWN_FORM_MUTATIONS = [
@@ -1120,10 +1120,10 @@ def test_own_forms_match_type_for_type(slope, nid, mutate, shared):
         return
     slope_, conclusion, stage, nodes, edges, facts, steps = want[1]
     facts = {Manifold.parse(key): value for key, value in facts.items()}
-    reference = certify.Certificate(slope_, conclusion, stage, nodes, edges, facts, steps)
+    reference = verify.Certificate(slope_, conclusion, stage, nodes, edges, facts, steps)
     cert = got[1]
     assert cert.nodes == nodes
-    own = {id(d) for d in certify._OWN.values()}
+    own = {id(d) for d in verify._OWN.values()}
     assert {n for n in ("std", "v1") if id(cert.nodes[n].diagram) in own} == (
         {"std", "v1"} if shared else {"std", "v1"} - {nid})
     assert check_certificate(cert) == check_certificate(reference)
