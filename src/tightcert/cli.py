@@ -2,9 +2,17 @@
 
 Subcommands: convert, h1, det, count, ranks, triangle, certify, verify.
 Exit codes: 0 success, 2 domain or input error (including a file that is
-not readable JSON), 3 verification failure (including a JSON file that is
-not a well-formed certificate).
+not readable JSON and an output path that cannot be written), 3
+verification failure (including a JSON file that is not a well-formed
+certificate).
 All output is deterministic for a given invocation.
+
+This module imports only the base layer (``errors``, ``rationals``) at
+load time; each subcommand imports the layers it runs, so ``count``
+loads ``diagrams``, ``h1`` and ``det`` of a slope add ``topology``,
+``ranks`` and ``triangle`` add ``floer``, and only a file read or written
+loads ``serialize``.  ``verify`` loads the kernel, ``tightcert.verify``,
+and only ``certify`` loads the emitter, ``tightcert.certify``.
 """
 
 from __future__ import annotations
@@ -15,16 +23,6 @@ import sys
 
 from .errors import CalculusError, ParseError
 from .rationals import SurgeryCoeff
-from .diagrams import (
-    ContactDiagram,
-    count_presentations,
-    normalize_diagram,
-    trefoil_surgery_diagram,
-)
-from .topology import FramedLink, det_signed, h1 as _h1
-from .floer import base_facts, engine_triangles, propagate, triangle_solve
-from .verify import check_certificate
-from . import serialize
 
 
 # The map properties ``triangle`` reports, as named on TriangleSolution.
@@ -48,24 +46,33 @@ def _clip(text) -> str:
 
 def _emit(payload, path=None):
     if path:
+        from . import serialize
+
         serialize.dump_json(payload, path)
     else:
         sys.stdout.write(json.dumps(payload, indent=2) + "\n")
 
 
-def _normalized_from_args(args) -> ContactDiagram:
+def _normalized_from_args(args):
+    """The normalized diagram of ``--slope`` or ``--diagram``."""
+    from .diagrams import normalize_diagram, trefoil_surgery_diagram
+
     if args.slope is not None:
         return normalize_diagram(trefoil_surgery_diagram(SurgeryCoeff.parse(args.slope)))
+    from . import serialize
+
     return normalize_diagram(
         serialize.diagram_file_from_dict(serialize.load_json(args.diagram))
     )
 
 
-def _presentation_from_args(args) -> FramedLink | ContactDiagram:
+def _presentation_from_args(args):
     """A link file's framed link, reduced as given, or the normalized
     diagram of a slope or a diagram file, whose pushoffs ``h1`` and
     ``det_signed`` slide over their parents first."""
     if args.link is not None:
+        from . import serialize
+
         return serialize.framed_link_from_dict(serialize.load_json(args.link))
     return _normalized_from_args(args)
 
@@ -76,6 +83,8 @@ def _presentation_from_args(args) -> FramedLink | ContactDiagram:
 
 
 def _cmd_convert(args) -> int:
+    from . import serialize
+
     normalized = _normalized_from_args(args)
     payload = serialize.diagram_file_to_dict(normalized)
     if args.json or args.out:
@@ -93,7 +102,9 @@ def _cmd_convert(args) -> int:
 
 
 def _cmd_h1(args) -> int:
-    group = _h1(_presentation_from_args(args))
+    from .topology import h1
+
+    group = h1(_presentation_from_args(args))
     if args.json:
         _emit(
             {
@@ -111,6 +122,8 @@ def _cmd_h1(args) -> int:
 
 
 def _cmd_det(args) -> int:
+    from .topology import det_signed
+
     value = det_signed(_presentation_from_args(args))
     if args.json:
         _emit({"det": value})
@@ -120,6 +133,8 @@ def _cmd_det(args) -> int:
 
 
 def _cmd_count(args) -> int:
+    from .diagrams import count_presentations
+
     count = count_presentations(SurgeryCoeff.parse(args.coeff))
     if args.json:
         _emit({"coeff": args.coeff, "presentations": count})
@@ -129,8 +144,12 @@ def _cmd_count(args) -> int:
 
 
 def _cmd_ranks(args) -> int:
+    from .floer import base_facts, engine_triangles, propagate
+
     run = propagate(base_facts(), engine_triangles(args.max_k))
-    if args.json:
+    if args.json or args.out:
+        from . import serialize
+
         payload = serialize.rank_table_to_dict(run.db)
         payload["rounds"] = run.rounds
         payload["consistent"] = run.consistent
@@ -148,6 +167,8 @@ def _cmd_ranks(args) -> int:
 
 
 def _cmd_triangle(args) -> int:
+    from .floer import triangle_solve
+
     a, b, c = args.solve
     sol = triangle_solve(a, b, c)
     if args.json:
@@ -168,8 +189,9 @@ def _cmd_triangle(args) -> int:
 
 
 def _cmd_certify(args) -> int:
-    # Imported here, so that ``tightcert verify`` never loads the emitter.
     from .certify import certify_tight
+    from .verify import check_certificate
+    from . import serialize
 
     slopes = [args.r] if args.r is not None else _read_batch(args.batch)
     failures = 0
@@ -242,6 +264,9 @@ def _read_batch(path: str) -> list[str]:
 
 
 def _cmd_verify(args) -> int:
+    from .verify import check_certificate
+    from . import serialize
+
     data = serialize.load_json(args.certificate)
     try:
         cert = serialize.certificate_from_dict(data)

@@ -67,11 +67,18 @@ Reading a certificate or a diagram costs O(input): each inline diagram's
 stored rows are built straight from its entries, with no linking derived
 from a parent's.  A certificate node that names ``s3`` or ``tower(1)``
 and whose diagram JSON equals the form of the verifier's own presentation
-of it (``verify._OWN``) type for type, with the same keys, the same list
-lengths and the same type at every leaf, is given that presentation
-object, built once at import, and its JSON is not read again; ``True`` or
-``1.0`` in place of ``1``, an extra key or an empty "deviations" list
-takes the full read, with its errors at their locations.
+of it (``verify._OWN_FORMS``) type for type, with the same keys, the
+same list lengths and the same type at every leaf, is given that
+presentation object, built once when the kernel is imported, and its JSON
+is not read again; ``True`` or ``1.0`` in place of ``1``, an extra key or
+an empty "deviations" list takes the full read, with its errors at their
+locations.
+
+Importing this module loads neither the verifier kernel
+(``tightcert.verify``) nor the rank engine (``tightcert.floer``): the
+diagram, link and rank-table forms need neither, and
+``certificate_from_dict`` imports the kernel's names once a read.  The
+kernel imports this module's diagram writer for those import-time forms.
 
 A well-formed component, derived node, edge or step is read directly.
 Any other component, edge or step goes to a locator (``_refuse_component``,
@@ -80,12 +87,15 @@ only raises the first error; any other node goes to ``_node_entry``.
 
 ``load_json`` attaches file/line/column positions to malformed input;
 structural errors carry a JSON-path-style location instead, formatted
-only once an error is found.
+only once an error is found.  ``dump_json`` refuses a path it cannot
+write with a ``ParseError`` that names it.
 """
 
 from __future__ import annotations
 
 import json
+from functools import partial
+from typing import TYPE_CHECKING
 
 from .errors import ParseError
 from .rationals import SurgeryCoeff
@@ -97,25 +107,14 @@ from .diagrams import (
     LegendrianComponent,
 )
 from .topology import FramedLink, Manifold
-from .floer import RankDb, engine_triangles
-from .verify import (
-    _OWN,
-    RULES,
-    Certificate,
-    ContactNode,
-    Step,
-    SurgeryEdge,
-    presentation_bound,
-    slope_companion,
-)
+
+if TYPE_CHECKING:
+    from .floer import RankDb
+    from .verify import Certificate, ContactNode
 
 CERTIFICATE_FORMAT = "tightness-certificate"
 DIAGRAM_FORMAT = "contact-diagram"
 FORMAT_VERSION = 9
-
-# Rule id -> the kinds of the references a step citing it carries, in
-# order: a step lists only their values.
-_KINDS = {rule: kinds for rule, (_, kinds, _) in RULES.items()}
 
 
 def load_json(path: str):
@@ -135,9 +134,14 @@ def load_json(path: str):
 
 
 def dump_json(obj, path: str):
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(obj, fh, indent=2, sort_keys=False)
-        fh.write("\n")
+    """Write ``obj`` to ``path`` as indented JSON; a path that cannot be
+    written is refused as ``load_json`` refuses one that cannot be read."""
+    try:
+        with open(path, "w", encoding="utf-8") as fh:
+            json.dump(obj, fh, indent=2, sort_keys=False)
+            fh.write("\n")
+    except OSError as exc:
+        raise ParseError(str(exc)) from None
 
 
 def _need(mapping, key, where):
@@ -413,6 +417,20 @@ def _node_to_dict(n: ContactNode) -> dict:
 
 
 def certificate_from_dict(data: dict) -> Certificate:
+    # The kernel's names, imported once a read, so that importing this
+    # module loads neither the kernel nor the rank engine.
+    from .verify import (
+        _KINDS,
+        _OWN_FORMS,
+        Certificate,
+        ContactNode,
+        Step,
+        SurgeryEdge,
+        engine_triangles,
+        presentation_bound,
+        slope_companion,
+    )
+
     where = "certificate"
     _check_header(data, CERTIFICATE_FORMAT, where)
     slope = coeff_from_str(
@@ -424,6 +442,7 @@ def certificate_from_dict(data: dict) -> Certificate:
     stage = _int(_need(data, "engine_stage", where), where + ".engine_stage")
     # The slope fixes its companion coefficient and the stage it allows.
     companion = slope_companion(slope)
+    bound = partial(presentation_bound, companion)
 
     for list_field in ("nodes", "edges", "steps"):
         if not isinstance(_need(data, list_field, where), list):
@@ -441,7 +460,8 @@ def certificate_from_dict(data: dict) -> Certificate:
         if type(nid) is str and diagram is None and "manifold" not in item and nid not in nodes:
             nodes[nid] = ContactNode(nid)
         else:
-            node = _node_entry(item, f"{at}[{i}]", slope, companion, nodes)
+            fields = _node_entry(item, f"{at}[{i}]", slope, bound, _OWN_FORMS, nodes)
+            node = ContactNode(*fields)
             nodes[node.nid] = node
 
     edges = {}
@@ -489,7 +509,7 @@ def certificate_from_dict(data: dict) -> Certificate:
         kinds = _KINDS.get(rule) if isinstance(rule, str) else None
         if not (kinds is not None and gives is not None and type(values) is list
                 and len(values) == len(kinds) and all(type(v) is str for v in values)):
-            _refuse_step(item, f"{at}[{i}]")
+            _refuse_step(item, f"{at}[{i}]", _KINDS)
         steps.append(Step(rule, tuple(zip(kinds, values)), gives))
 
     return Certificate(
@@ -515,14 +535,15 @@ def _same_json(a, b) -> bool:
     return a == b
 
 
-def _node_entry(item, at, slope, companion, nodes):
-    """The node ``item``, the entry at ``at``, its fields checked in order.
-    An inline diagram larger than any presentation of ``slope`` (whose
-    ``slope_companion`` is ``companion``) is refused before it is built,
-    and an id already in ``nodes`` after the node is read.  A diagram whose
-    JSON is, type for type, the form of the verifier's own presentation of
-    the node's manifold (``verify._OWN``) is that presentation object, not
-    built again."""
+def _node_entry(item, at, slope, bound, own_forms, nodes):
+    """The id, manifold and diagram of the node ``item``, the entry at
+    ``at``, its fields checked in order.  An inline diagram of more
+    components than ``bound(size)``, the most any presentation of
+    ``slope`` has, is refused before it is built, and an id already in
+    ``nodes`` after the node is read.  A diagram whose JSON is, type for
+    type, the form of the verifier's own presentation of the node's
+    manifold (``own_forms``, the kernel's ``_OWN_FORMS``) is that
+    presentation object, not built again."""
     nid = _str(_need(item, "id", at), at + ".id")
     manifold = None
     if "manifold" in item:
@@ -534,25 +555,20 @@ def _node_entry(item, at, slope, companion, nodes):
     if diagram is not None:
         components = diagram.get("components") if isinstance(diagram, dict) else None
         size = len(components) if isinstance(components, list) else 0
-        if presentation_bound(companion, size) < size:
+        if bound(size) < size:
             raise ParseError(
                 f"{size} components, more than any presentation of slope "
                 f"{slope} has",
                 location=at + ".diagram",
             )
-        own = _OWN_FORMS.get(manifold)
+        own = own_forms.get(manifold)
         if own is not None and _same_json(diagram, own[0]):
             diagram = own[1]
         else:
             diagram = diagram_from_dict(diagram, at + ".diagram")
     if nid in nodes:
         raise ParseError(f"duplicate node id {nid!r}", location=at)
-    return ContactNode(nid, manifold, diagram)
-
-
-# The manifold of each of the verifier's own presentations -> its JSON
-# form and the presentation.
-_OWN_FORMS = {m: (diagram_to_dict(d), d) for m, d in _OWN.items()}
+    return nid, manifold, diagram
 
 
 def _refuse_edge(item, at, edges):
@@ -566,16 +582,17 @@ def _refuse_edge(item, at, edges):
         _str(_need(item, key, at), f"{at}.{key}")
 
 
-def _refuse_step(item, at):
+def _refuse_step(item, at, kinds_of):
     """Raise the located error of the step ``item``, the entry at ``at``,
     which the direct read does not take: its fields checked in order, the
-    rule, the reference values and their count, the derived fact."""
+    rule (a key of ``kinds_of``, the kernel's ``_KINDS``), the reference
+    values and their count, the derived fact."""
     rule = _str(_need(item, "rule", at), at + ".rule")
     values = _need(item, "refs", at)
     gives = _str_pair(_need(item, "gives", at))
     if type(values) is not list or not all(type(v) is str for v in values):
         raise ParseError("refs must be a list of strings", location=at + ".refs")
-    kinds = _KINDS.get(rule)
+    kinds = kinds_of.get(rule)
     if kinds is None:
         raise ParseError(f"rule {rule!r} is not in the rule set", location=at + ".rule")
     if len(values) != len(kinds):

@@ -101,6 +101,7 @@ from .floer import (
     propagate,
     triangle_solve,
 )
+from .serialize import diagram_to_dict
 
 _MINUS_ONE = SurgeryCoeff(-1)
 
@@ -111,6 +112,9 @@ _MINUS_ONE = SurgeryCoeff(-1)
 # are kept too, keyed by identity.
 _OWN = {Manifold.s3(): empty_diagram(), Manifold.tower(1): tower_diagram(1)}
 _OWN_REDUCED = {id(d): (h1(d), cancel_pushoff_pairs(d)) for d in _OWN.values()}
+# Each of those manifolds -> its presentation's JSON form and the
+# presentation: the reader's table for matching an inline node.
+_OWN_FORMS = {m: (diagram_to_dict(d), d) for m, d in _OWN.items()}
 _SEED_FACTS = base_facts()
 
 
@@ -315,6 +319,11 @@ RULES = {
         _h1_consistency,
     ),
 }
+
+
+# Rule id -> the kinds of the references a step citing it carries, in
+# order: the reader's table, since a step lists only their values.
+_KINDS = {rule: kinds for rule, (_, kinds, _) in RULES.items()}
 
 
 def rules() -> dict[str, str]:

@@ -5,12 +5,15 @@ from __future__ import annotations
 import hashlib
 import json
 import os
+import subprocess
+import sys
 import time
 import tracemalloc
 
 import pytest
 
-from tightcert import cli
+from tightcert import floer, serialize, topology
+from tightcert.certify import certify_tight
 from tightcert.cli import main
 from tightcert.serialize import (
     FORMAT_VERSION,
@@ -28,7 +31,7 @@ from tightcert.diagrams import (
     trefoil_surgery_diagram,
 )
 from tightcert.rationals import SurgeryCoeff
-from tightcert.topology import FramedLink, linking_matrix
+from tightcert.topology import FramedLink, Manifold, linking_matrix
 from test_acceptance import _UNNAMED_REASONS
 from test_serialize import _full_diagram_dict, framed_link_dict
 
@@ -173,8 +176,8 @@ def test_h1_of_a_slope_prints_the_same_bytes(slope, capsys):
 
 def test_h1_reduces_a_slope_as_a_diagram(monkeypatch, capsys):
     reduced = []
-    real = cli._h1
-    monkeypatch.setattr(cli, "_h1", lambda obj: reduced.append(obj) or real(obj))
+    real = topology.h1
+    monkeypatch.setattr(topology, "h1", lambda obj: reduced.append(obj) or real(obj))
     run_cli(capsys, "h1", "--slope", "5/4")
     assert [type(obj).__name__ for obj in reduced] == ["ContactDiagram"]
 
@@ -260,6 +263,28 @@ def test_ranks_json(capsys, tmp_path):
     assert load_json(str(out_path))["consistent"] is True
 
 
+@pytest.mark.parametrize("consistent", [True, False])
+def test_ranks_out_writes_the_json_table(consistent, tmp_path, monkeypatch, capsys):
+    # ``--out`` without ``--json`` writes the file ``--json --out`` writes,
+    # prints nothing, and still exits 3 on a contradiction.
+    seed = floer.base_facts
+
+    def inconsistent():
+        facts = seed()
+        facts.set_fact(Manifold.s1xs2(), floer.Interval.exact(5))
+        return facts
+
+    if not consistent:
+        monkeypatch.setattr(floer, "base_facts", inconsistent)
+    code = 0 if consistent else 3
+    plain, with_json = tmp_path / "plain.json", tmp_path / "json.json"
+    assert run_cli(capsys, "ranks", "--max-k", "3", "--out", str(plain)) == (code, "", "")
+    assert run_cli(capsys, "ranks", "--max-k", "3", "--json", "--out", str(with_json)) == (
+        code, "", "")
+    assert plain.read_bytes() == with_json.read_bytes()
+    assert load_json(str(plain))["consistent"] is consistent
+
+
 # sha256 of the ``ranks --max-k K`` output, text then --json, as the plain
 # round-robin loop over ``RankDb`` printed it.
 RANKS_SHA256 = {
@@ -336,14 +361,14 @@ def _unreadable_slope(data):
 
 @pytest.mark.parametrize("corrupt", [_bump_rank_fact, _unreadable_slope])
 def test_certify_checks_the_certificate_it_writes(corrupt, tmp_path, monkeypatch, capsys):
-    write = cli.serialize.certificate_to_dict
+    write = serialize.certificate_to_dict
 
     def corrupting(cert):
         data = write(cert)
         corrupt(data)
         return data
 
-    monkeypatch.setattr(cli.serialize, "certificate_to_dict", corrupting)
+    monkeypatch.setattr(serialize, "certificate_to_dict", corrupting)
     path = tmp_path / "cert.json"
     code, out, _ = run_cli(capsys, "certify", "--r", "-5/3", "--emit", str(path))
     assert code == 2 and "verified NO" in out
@@ -762,3 +787,78 @@ def test_output_bytes_deterministic(capsys):
     third = run_cli(capsys, "ranks", "--max-k", "6", "--json")
     fourth = run_cli(capsys, "ranks", "--max-k", "6", "--json")
     assert third == fourth
+
+
+@pytest.mark.parametrize("argv", [
+    ("certify", "--r", "5/2", "--emit", "{missing}"),
+    ("convert", "--slope", "5/2", "--out", "{directory}"),
+    ("ranks", "--max-k", "2", "--json", "--out", "{missing}"),
+])
+def test_unwritable_output_path_exits_2(argv, tmp_path, capsys):
+    # Refused as an unreadable input file is: one located error line, no
+    # traceback, nothing on stdout.
+    paths = {"missing": str(tmp_path / "missing" / "x.json"), "directory": str(tmp_path)}
+    argv = [arg.format(**paths) for arg in argv]
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and err.count("\n") == 1 and argv[-1] in err
+
+
+# ---------------------------------------------------------------------------
+# Start-up: each subcommand loads only the layers it runs
+# ---------------------------------------------------------------------------
+
+
+# Run -> the tightcert modules it loads besides ``tightcert``, ``cli``,
+# ``errors`` and ``rationals``; no arguments is ``import tightcert.cli``.
+_LOADED = {
+    (): "",
+    ("count", "--coeff", "13/8"): "diagrams",
+    ("h1", "--slope", "13/8"): "diagrams topology",
+    ("det", "--slope", "13/8"): "diagrams topology",
+    ("h1", "--slope", "13/8", "--json"): "diagrams topology",
+    ("det", "--slope", "13/8", "--json"): "diagrams topology",
+    ("convert", "--slope", "13/8"): "diagrams topology serialize",
+    ("h1", "--diagram", "{diagram}"): "diagrams topology serialize",
+    ("det", "--diagram", "{diagram}"): "diagrams topology serialize",
+    ("h1", "--link", "{link}"): "diagrams topology serialize",
+    ("det", "--link", "{link}"): "diagrams topology serialize",
+    ("triangle", "--solve", "1", "2", "3"): "diagrams topology floer",
+    ("ranks", "--max-k", "3"): "diagrams topology floer",
+    ("ranks", "--max-k", "3", "--json"): "diagrams topology floer serialize",
+    ("verify", "{certificate}"): "diagrams topology floer serialize verify",
+    ("certify", "--r", "8/7"): "diagrams topology floer serialize verify certify",
+}
+
+_LOADED_SCRIPT = (
+    "import sys\n"
+    "from tightcert import cli\n"
+    "code = cli.main(sys.argv[1:]) if sys.argv[1:] else 0\n"
+    "print(code, *sorted(m for m in sys.modules if m.startswith('tightcert')))\n"
+)
+
+
+@pytest.fixture(scope="module")
+def input_files(tmp_path_factory):
+    root = tmp_path_factory.mktemp("inputs")
+    d = normalize_diagram(trefoil_surgery_diagram(SurgeryCoeff(13, 8)))
+    files = {"diagram": diagram_file_to_dict(d),
+             "link": framed_link_dict(linking_matrix(d)),
+             "certificate": serialize.certificate_to_dict(certify_tight(SurgeryCoeff(8, 7)))}
+    for name, payload in files.items():
+        dump_json(payload, str(root / f"{name}.json"))
+    return {name: str(root / f"{name}.json") for name in files}
+
+
+@pytest.mark.parametrize("run", list(_LOADED), ids=lambda run: " ".join(run) or "import")
+def test_each_command_loads_only_its_layers(run, input_files):
+    # In a fresh interpreter, so that nothing an earlier test imported counts.
+    argv = [arg.format(**input_files) for arg in run]
+    src = os.path.dirname(os.path.dirname(serialize.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run([sys.executable, "-c", _LOADED_SCRIPT, *argv], env=env,
+                         check=True, capture_output=True, text=True).stdout
+    code, *loaded = out.splitlines()[-1].split()
+    expected = ["cli", "errors", "rationals", *_LOADED[run].split()]
+    assert code == "0"
+    assert sorted(loaded) == sorted(["tightcert"] + [f"tightcert.{m}" for m in expected])

@@ -9,14 +9,16 @@ parents, then the sparse phase) against the dense phase alone on the
 unslid linking matrix; ``det_signed`` against sympy's and a dense Bareiss
 reference.  The root presentation of every slope r = p/q is checked
 against (Q^-1)_00 = q/p - 2, an identity of this package's presentations
-that the conversion does not compute.  Each test that needs a library is
-skipped when it is missing.
+that the conversion does not compute, up to the largest slope of each
+``tools/sweep.py`` axis.  Each test that needs a library is skipped when
+it is missing.
 """
 
 from __future__ import annotations
 
 import math
 import random
+import time
 from collections import Counter
 from dataclasses import replace
 from fractions import Fraction
@@ -62,6 +64,7 @@ from reference_diagram import (
     reference_det,
     reference_slid_rows,
 )
+from test_topology import _fib
 
 def shuffled_copy(d, rng, bump=None, reparent=None, shuffle=True):
     """d rebuilt with fresh names in a random order that lists each
@@ -609,6 +612,18 @@ def test_root_fixes_its_slope_on_drawn_slopes():
         assert _fixes_slope(_root(p, q), p, q)
 
     run()
+
+
+@pytest.mark.parametrize("p, q", [
+    (1281, 1280), (-1, 2400), (_fib(2001), _fib(2000)), (_fib(2000), _fib(2001)),
+], ids=["tower", "chain", "nested", "stage0"])
+def test_root_fixes_its_slope_at_each_sweep_axis_largest_size(p, q):
+    # The largest slope of each ``tools/sweep.py`` axis.  1281/1280 takes
+    # the longest: removing the trefoil demotes its 1280 pushoffs to roots,
+    # each written with an explicit row (ROADMAP item 2).
+    start = time.thread_time()
+    assert _fixes_slope(_root(p, q), p, q)
+    assert time.thread_time() - start < 5
 
 
 # (term index, move) -> (roots changed, roots whose |H1| is still |p|)

@@ -788,7 +788,7 @@ def test_family_names_read_as_parsing_every_key(workloads, monkeypatch):
                 names = engine_triangles(cert.engine_stage).names
                 assert all(names[m.text()] is m for m in cert.rank_facts)
             with monkeypatch.context() as patch:
-                patch.setattr(serialize, "engine_triangles", lambda stage: _Unnamed())
+                patch.setattr(verify, "engine_triangles", lambda stage: _Unnamed())
                 assert certificate_from_dict(data) == cert, f"{p}/{q}"
 
 
@@ -850,8 +850,7 @@ def test_reader_builds_no_family_the_input_does_not_pay_for(slope, stage, allowe
 
     # ``tower_triangles`` builds each family the cache does not hold.
     monkeypatch.setattr(floer, "tower_triangles", refused)
-    for module in (serialize, verify):
-        monkeypatch.setattr(module, "engine_triangles", refused)
+    monkeypatch.setattr(verify, "engine_triangles", refused)
     result = check_certificate(certificate_from_dict(data))
     assert not result.ok and calls == []
 
