@@ -48,9 +48,10 @@ fixes.
 The steps read each node's manifold from one map, the inline nodes'
 declared manifolds plus the ones the walk derives (``_Replay``), so the
 certificate is never copied.  The verifier's presentations of the empty
-diagram and of stage 1 (``_OWN``), their groups and cancelled forms, and
-the seed rank table are built once, at import.  The reader hands an
-inline node whose diagram is, type for type, the form of one of these
+diagram and of stage 1 (``_OWN``), their groups, cancelled forms and JSON
+forms (``_OWN_FORMS``, through ``serialize``'s diagram writer), and the
+seed rank table are built once, at import.  The reader hands an inline
+node whose diagram is, type for type, the form of one of these
 presentations that very object, and the ``h1_consistency`` and
 ``cancel_equivalent`` checkers read the import-time group and cancelled
 form of a presentation that is one of them, by identity, so a verify
