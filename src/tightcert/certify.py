@@ -7,10 +7,12 @@ kernel imports nothing from it.  The emitter runs neither the Smith normal
 form nor the rank engine: it writes each ``h1_consistency`` audit group as
 the node's manifold fixes it and each rank fact as the stage fixes it, and
 only the verifier computes them.  Audits are emitted only for the nodes
-that no edge builds: the inline ``std`` and ``v1``, and the root.  At
-stage >= 1 the emitter builds no presentation besides ``std`` and ``v1``:
-the slope fixes the chain knots' ids (``trefoil_chain_ids``), and the
-verifier derives the root and every other node.
+that no edge builds: the inline ``std`` and ``v1``, and the root.  These
+are the only nodes a certificate declares; every other node is named only
+by the edge that builds it.  At stage >= 1 the emitter builds no
+presentation besides ``std`` and ``v1``: the slope fixes the chain knots'
+ids (``trefoil_chain_ids``), and the verifier derives the root and every
+other node.
 """
 
 from __future__ import annotations
@@ -59,11 +61,12 @@ def _pushforward(edge: SurgeryEdge, triangle: int) -> Step:
 
 @dataclass
 class TowerChain:
-    """The tower ladder used by every positive-branch certificate: nodes
-    for the empty presentation, the circle bundle, and tower stages
-    1..max_stage+1; the (+1)-edges between them; the exact rank facts; and
-    the steps deriving a nonzero class at every stage up to max_stage,
-    citing triangles by their index in ``engine_triangles(max_stage)``."""
+    """The tower ladder used by every positive-branch certificate: the
+    inline nodes, the empty presentation and tower stage 1; the (+1)-edges
+    that build the circle bundle and tower stages 2..max_stage; the exact
+    rank facts; and the steps deriving a nonzero class at every stage up
+    to max_stage, citing triangles by their index in
+    ``engine_triangles(max_stage)``."""
 
     stage: int
     nodes: list[ContactNode]
@@ -83,10 +86,11 @@ def build_tower_chain(max_stage: int) -> TowerChain:
     stage is reached by (+1)-surgery on a fresh pushoff of the trefoil,
     with injectivity supplied by the consecutive-stage triangle at exact
     ranks.  The circle-bundle edge from the empty presentation is included
-    as well: it is the template the stage maps follow.  Only the empty
-    presentation and stage 1 are inline; the verifier builds eta and every
-    later stage from the edge into them, in ``node_presentations``, and
-    gives each its manifold, so those nodes name none.
+    as well: it is the template the stage maps follow.  The ladder ends at
+    the top stage, which no step reads past.  Only the empty presentation
+    and stage 1 are declared, inline; the verifier builds eta and every
+    later stage from the edge into it, in ``node_presentations``, and
+    gives each its manifold.
 
     The rank facts are the table the stage fixes, written without running
     the rank engine or a Smith normal form: only the verifier runs
@@ -107,13 +111,12 @@ def build_tower_chain(max_stage: int) -> TowerChain:
 
     nodes = [
         ContactNode("std", Manifold.s3(), empty_diagram()),
-        ContactNode("eta"),
         ContactNode("v1", Manifold.tower(1), tower_diagram(1)),
     ]
     edges = [SurgeryEdge("e_eta", "std", "eta", "unknot")]
-    for k in range(1, max_stage + 1):
-        edges.append(SurgeryEdge(f"ev{k}", f"v{k}", f"v{k + 1}", "pushoff:c1"))
-        nodes.append(ContactNode(f"v{k + 1}"))
+    edges += [
+        SurgeryEdge(f"ev{k}", f"v{k}", f"v{k + 1}", "pushoff:c1") for k in range(1, max_stage)
+    ]
 
     steps = [
         Step("all_minus_one_stein", (("node", "std"),), ("stein", "std")),
@@ -134,15 +137,17 @@ def certify_tight(r) -> Certificate:
     positive ones are split into unit pushoffs, reduced along the
     (-1)-chain, and bridged to the tower ladder.  The root carries its
     presentation inline only at stage 0.  The certificate opens with an
-    ``h1_consistency`` audit of each node that no edge builds, in node
-    order, each recording the cyclic group of the order its manifold
-    fixes (``Manifold.expected_h1_order``).
+    ``h1_consistency`` audit of each declared node, in node order, each
+    recording the cyclic group of the order its manifold fixes
+    (``Manifold.expected_h1_order``).
     """
     r = _coerce_coeff(r)
     rp = pushoff_coeff_from_slope(r)  # raises for the excluded slope 1
     stage = _stage(rp)
-    root = None if stage else normalize_diagram(trefoil_surgery_diagram(r))
-    path = [ContactNode("y0", Manifold.trefoil_surgery(r), root)]
+    root = ContactNode(
+        "y0", Manifold.trefoil_surgery(r),
+        None if stage else normalize_diagram(trefoil_surgery_diagram(r)),
+    )
     path_edges = []
     if stage == 0:
         ladder, ladder_edges, rank_facts = [], [], {}
@@ -156,11 +161,10 @@ def certify_tight(r) -> Certificate:
         # Cancelling the chain knots last to first reduces the root to
         # tower stage k.
         for i, cid in enumerate(reversed(trefoil_chain_ids(rp, stage)), start=1):
-            path.append(ContactNode(f"y{i}"))
             path_edges.append(SurgeryEdge(f"ey{i}", f"y{i - 1}", f"y{i}", f"cancel:{cid}"))
         chain = build_tower_chain(stage)
         ladder, ladder_edges, rank_facts = chain.nodes, chain.edges, chain.rank_facts
-        bottom = path[-1].nid
+        bottom = path_edges[-1].dst if path_edges else root.nid
         steps = chain.steps + [
             Step(
                 "same_diagram",
@@ -174,29 +178,29 @@ def certify_tight(r) -> Certificate:
         ]
     steps.append(Step("nonzero_tight", (("node", "y0"),), ("tight", "y0")))
 
-    # Each audited node names its manifold, whose H1 is cyclic of the
+    # Each declared node names its manifold, whose H1 is cyclic of the
     # order the manifold fixes; the verifier computes the group.
-    audited = [n for n in ladder if n.diagram is not None] + [path[0]]
+    declared = ladder + [root]
     audits = [
         Step(
             "h1_consistency",
             (("node", n.nid), ("group", _cyclic_text(n.manifold.expected_h1_order()))),
             ("h1", n.nid),
         )
-        for n in audited
+        for n in declared
     ]
     edges = ladder_edges + path_edges
     # The verifier's count that lets it derive the root.
-    if stage and len(edges) != _root_size(rp, stage, len(edges)):
+    if stage and len(edges) + 1 != _root_size(rp, stage, len(edges) + 1):
         raise CalculusError(
             f"{len(edges)} edges, but slope {r}'s presentation does not have "
-            f"{len(edges)} components"
+            f"{len(edges) + 1} components"
         )
     return Certificate(
         slope=r,
         conclusion=("tight", "y0"),
         engine_stage=stage,
-        nodes={n.nid: n for n in ladder + path},
+        nodes={n.nid: n for n in declared},
         edges={e.eid: e for e in edges},
         rank_facts=rank_facts,
         steps=tuple(audits + steps),

@@ -24,29 +24,32 @@ matching ``*_from_dict`` except the rank table, which is only written):
   stand; a zero value is read and dropped.
 * diagram file (``convert --out`` writes it, ``--diagram`` reads it):
   {"format": "contact-diagram", "version": 9} and a diagram's keys; any
-  other header is refused.  A certificate's version covers its inline
-  diagrams, which have no header.
+  other header is refused.  The diagram form has not changed since
+  version 9, when files got this header.  A certificate's version covers
+  its inline diagrams, which have no header.
 * framed link: {"n", "matrix" (row-major flat list of n*n ints), "tags"}.
 * rank table: {"facts": [{"manifold", "rank"} or {"manifold", "lo", "hi"}]}
   with "hi" null when unbounded.
-* certificate: {"format": "tightness-certificate", "version": 9, "slope",
-  "conclusion": [kind, node], "engine_stage", "nodes", "edges",
-  "rank_facts", "steps"}.  A node is {"id", "manifold", "diagram"}, or
-  {"id", "diagram"} with "diagram" null when derived: taking the edges in
-  order, each builds its target by the (+1)-surgery it records on the
-  presentation of its source, and the verifier gives a ladder target its
-  manifold from its source's manifold and the witness, so a derived node
-  names none; the reader takes an absent "manifold" as naming none.  The
-  root (the conclusion's node) has "diagram" null at engine stage >= 1:
-  the verifier builds its own presentation of the slope, whose component
-  count must equal the number of edges.  A step is {"rule", "refs",
+* certificate: {"format": "tightness-certificate", "version": 10,
+  "slope", "conclusion": [kind, node], "engine_stage", "nodes", "edges",
+  "rank_facts", "steps"}.  "nodes" lists only the nodes that carry a
+  presentation inline and the root, each as {"id", "manifold",
+  "diagram"}; the reader takes an absent "manifold" as naming none.  A
+  node that an edge builds has no entry: taking the edges in order, each
+  builds its target, an id that no listed node and no earlier edge
+  holds, by the (+1)-surgery it records on the presentation of its
+  source, and the verifier gives a ladder target its manifold from its
+  source's manifold and the witness.  Only the root (the conclusion's
+  node) may have "diagram" null, at engine stage >= 1: the verifier
+  builds its own presentation of the slope, which must have one component
+  more than the certificate has edges.  A step is {"rule", "refs",
   "gives": [kind, node]}, where "refs" lists only the values of its
   references, in the order ``RULES[rule]`` takes them, and the kinds come
   from that table; an unknown rule, or a count of values other than the
   rule takes, is refused at the step.  A "triangle" value is the index i
   into the verifier's own ``engine_triangles(engine_stage)``.  The steps
-  open with an "h1_consistency" audit of each node that no edge builds,
-  root included.
+  open with an "h1_consistency" audit of each listed node, root
+  included.
   An inline diagram with more components than any presentation the
   verifier holds for the slope is refused before it is built
   (``verify.presentation_bound``).
@@ -58,10 +61,11 @@ matching ``*_from_dict`` except the rank table, which is only written):
   (``engine_triangles(engine_stage).names``), built with the memoized
   family, when the slope allows the engine stage and the certificate
   lists at least that many facts; it parses any other key once.
-  Versions 1 to 8, which inlined every diagram, the reduction path or
+  Versions 1 to 9, which inlined every diagram, the reduction path or
   the root, named each node's edge, listed the triangle instances,
   audited every node, listed every nonzero linking and each reference's
-  kind, or named every derived node's manifold, are refused.
+  kind, named every derived node's manifold, or listed every derived
+  node and a ladder stage above the top, are refused.
 
 Reading a certificate or a diagram costs O(input): each inline diagram's
 stored rows are built straight from its entries, with no linking derived
@@ -77,13 +81,15 @@ locations.
 Importing this module loads neither the verifier kernel
 (``tightcert.verify``) nor the rank engine (``tightcert.floer``): the
 diagram, link and rank-table forms need neither, and
-``certificate_from_dict`` imports the kernel's names once a read.  The
-kernel imports this module's diagram writer for those import-time forms.
+``certificate_from_dict`` imports the kernel module once a read and reads
+its names as attributes.  The kernel imports this module's diagram
+writer for those import-time forms.
 
-A well-formed component, derived node, edge or step is read directly.
-Any other component, edge or step goes to a locator (``_refuse_component``,
-``_refuse_edge``, ``_refuse_step``) that checks its fields in order and
-only raises the first error; any other node goes to ``_node_entry``.
+A well-formed component, edge or step is read directly.  Any other goes
+to a locator (``_refuse_component``, ``_refuse_edge``, ``_refuse_step``)
+that checks its fields in order and only raises the first error.  Every
+node, of which an emitted certificate lists at most three, is read by
+``_node_entry``.
 
 ``load_json`` attaches file/line/column positions to malformed input;
 structural errors carry a JSON-path-style location instead, formatted
@@ -114,7 +120,8 @@ if TYPE_CHECKING:
 
 CERTIFICATE_FORMAT = "tightness-certificate"
 DIAGRAM_FORMAT = "contact-diagram"
-FORMAT_VERSION = 9
+FORMAT_VERSION = 10
+DIAGRAM_VERSION = 9
 
 
 def load_json(path: str):
@@ -150,11 +157,11 @@ def _need(mapping, key, where):
     return mapping[key]
 
 
-def _check_header(data, fmt, where):
-    """Refuse ``data`` unless it is of format ``fmt`` and ``FORMAT_VERSION``."""
+def _check_header(data, fmt, version, where):
+    """Refuse ``data`` unless it is of format ``fmt`` and ``version``."""
     if _need(data, "format", where) != fmt:
         raise ParseError(f"not a {fmt.replace('-', ' ')}", location=where + ".format")
-    if _need(data, "version", where) != FORMAT_VERSION:
+    if _need(data, "version", where) != version:
         raise ParseError(
             f"unsupported {where} version {data['version']!r}", location=where + ".version"
         )
@@ -308,13 +315,13 @@ def diagram_from_dict(data: dict, where: str = "diagram") -> ContactDiagram:
 
 def diagram_file_to_dict(d: ContactDiagram) -> dict:
     """A diagram file: the format and version, then ``diagram_to_dict(d)``."""
-    return {"format": DIAGRAM_FORMAT, "version": FORMAT_VERSION, **diagram_to_dict(d)}
+    return {"format": DIAGRAM_FORMAT, "version": DIAGRAM_VERSION, **diagram_to_dict(d)}
 
 
 def diagram_file_from_dict(data) -> ContactDiagram:
     """The diagram of a ``diagram_file_to_dict`` form; a missing or other
     header is refused, so no other version is read as a different diagram."""
-    _check_header(data, DIAGRAM_FORMAT, "diagram")
+    _check_header(data, DIAGRAM_FORMAT, DIAGRAM_VERSION, "diagram")
     return diagram_from_dict(data)
 
 
@@ -417,22 +424,12 @@ def _node_to_dict(n: ContactNode) -> dict:
 
 
 def certificate_from_dict(data: dict) -> Certificate:
-    # The kernel's names, imported once a read, so that importing this
-    # module loads neither the kernel nor the rank engine.
-    from .verify import (
-        _KINDS,
-        _OWN_FORMS,
-        Certificate,
-        ContactNode,
-        Step,
-        SurgeryEdge,
-        engine_triangles,
-        presentation_bound,
-        slope_companion,
-    )
+    # The kernel, imported once a read, so that importing this module
+    # loads neither the kernel nor the rank engine.
+    from . import verify
 
     where = "certificate"
-    _check_header(data, CERTIFICATE_FORMAT, where)
+    _check_header(data, CERTIFICATE_FORMAT, FORMAT_VERSION, where)
     slope = coeff_from_str(
         _str(_need(data, "slope", where), where + ".slope"), where + ".slope"
     )
@@ -441,29 +438,22 @@ def certificate_from_dict(data: dict) -> Certificate:
         raise ParseError("conclusion must be [kind, node]", location=where + ".conclusion")
     stage = _int(_need(data, "engine_stage", where), where + ".engine_stage")
     # The slope fixes its companion coefficient and the stage it allows.
-    companion = slope_companion(slope)
-    bound = partial(presentation_bound, companion)
+    companion = verify.slope_companion(slope)
+    bound = partial(verify.presentation_bound, companion)
 
     for list_field in ("nodes", "edges", "steps"):
         if not isinstance(_need(data, list_field, where), list):
             raise ParseError(f"{list_field} must be a list", location=where)
 
-    # Well-formed ladder items are read directly; any other goes through
-    # ``_node_entry``, ``_refuse_edge`` or ``_refuse_step``.
     nodes = {}
     at = where + ".nodes"
     for i, item in enumerate(data["nodes"]):
-        try:
-            nid, diagram = item["id"], item["diagram"]
-        except (TypeError, KeyError):
-            nid = None
-        if type(nid) is str and diagram is None and "manifold" not in item and nid not in nodes:
-            nodes[nid] = ContactNode(nid)
-        else:
-            fields = _node_entry(item, f"{at}[{i}]", slope, bound, _OWN_FORMS, nodes)
-            node = ContactNode(*fields)
-            nodes[node.nid] = node
+        node = verify.ContactNode(*_node_entry(item, f"{at}[{i}]", slope, bound,
+                                               verify._OWN_FORMS, nodes))
+        nodes[node.nid] = node
 
+    # Well-formed edges and steps are read directly; any other goes
+    # through ``_refuse_edge`` or ``_refuse_step``.
     edges = {}
     at = where + ".edges"
     for i, item in enumerate(data["edges"]):
@@ -474,7 +464,7 @@ def certificate_from_dict(data: dict) -> Certificate:
         if not (type(eid) is str and type(src) is str and type(dst) is str
                 and type(witness) is str and eid not in edges):
             _refuse_edge(item, f"{at}[{i}]", edges)
-        edges[eid] = SurgeryEdge(eid, src, dst, witness)
+        edges[eid] = verify.SurgeryEdge(eid, src, dst, witness)
 
     raw_facts = _need(data, "rank_facts", where)
     if not isinstance(raw_facts, dict):
@@ -488,7 +478,7 @@ def certificate_from_dict(data: dict) -> Certificate:
     # so a second key for a manifold is never one.
     names = {}
     if 1 <= stage <= min(companion[1], len(raw_facts)):
-        names = engine_triangles(stage).names
+        names = verify.engine_triangles(stage).names
     rank_facts = {}
     for key, value in raw_facts.items():
         m = names.get(key)
@@ -506,13 +496,13 @@ def certificate_from_dict(data: dict) -> Certificate:
             rule, values, gives = item["rule"], item["refs"], _str_pair(item["gives"])
         except (TypeError, KeyError):
             rule = None
-        kinds = _KINDS.get(rule) if isinstance(rule, str) else None
+        kinds = verify._KINDS.get(rule) if isinstance(rule, str) else None
         if not (kinds is not None and gives is not None and type(values) is list
                 and len(values) == len(kinds) and all(type(v) is str for v in values)):
-            _refuse_step(item, f"{at}[{i}]", _KINDS)
-        steps.append(Step(rule, tuple(zip(kinds, values)), gives))
+            _refuse_step(item, f"{at}[{i}]", verify._KINDS)
+        steps.append(verify.Step(rule, tuple(zip(kinds, values)), gives))
 
-    return Certificate(
+    return verify.Certificate(
         slope=slope,
         conclusion=conclusion,
         engine_stage=stage,

@@ -131,6 +131,13 @@ class Manifold:
         r = _coerce_coeff(r)
         return cls("trefoil", r.num, r.den)
 
+    def next_stage(self) -> "Manifold":
+        """The stage after this tower stage, of the same kind, built with
+        no ``__post_init__``: the kind is this one's, already checked."""
+        m, p = object.__new__(Manifold), self.p + 1
+        m.__dict__.update(kind=self.kind, p=p, q=0, _hash=hash((self.kind, p, 0)))
+        return m
+
     def text(self) -> str:
         if self.kind in ("s3", "s1xs2", "poincare"):
             return self.kind

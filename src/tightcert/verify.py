@@ -14,40 +14,43 @@ triangle by its index in the verifier's own family
 the verifier looks that family up once a verify, after the stage range
 check, and both the rank-fact check and the triangle references read it.
 
-A node either carries its presentation inline or is *derived*: the one
-edge into it builds its presentation by (+1)-surgery on the presentation of
-the edge's source.  The verifier builds every derived node with
-``node_presentations``, which walks the edges in order; that construction
-is the check of each edge, so every edge builds exactly one node.  It
-counts each node's readers first, the later edges and the steps that cite
-it, so an edge whose source nothing else reads performs its move in place:
-a ladder edge costs O(1) amortized and a cancel edge O(children) on an
-emitted reduction path, and only the presentations a step cites are kept,
-as snapshots that the step checkers read directly.  Only the
-empty presentation and stage 1 are inline, and the root at stage 0; the
-tower ladder and the reduction path are derived.  At stage >= 1 the root
-carries no diagram either: the verifier builds its own presentation of the
-slope (``_root``), once it has counted that this presentation has as many
-components as the certificate has edges (one for eta, one per ladder stage
-and one per chain knot), so the work stays bounded by what the certificate
-holds.
+A certificate declares only the nodes that carry a presentation inline,
+and the root.  Every other node is named only by the one edge that builds
+it: taking the edges in order, each builds its target by the (+1)-surgery
+it records on the presentation of its source.  So an edge's target must
+be an id that no declared node and no earlier edge holds, and a declared
+node other than the root must carry a diagram.  The verifier builds every
+such node with ``node_presentations``; that construction is the check of
+each edge.  It counts each node's readers first, the later edges and the
+steps that cite it, so an edge whose source nothing else reads performs
+its move in place: a ladder edge costs O(1) amortized and a cancel edge
+O(children) on an emitted reduction path, and only the presentations a
+step cites are kept, as snapshots that the step checkers read directly.
+Only the empty presentation and stage 1 are inline, and the root at
+stage 0; the tower ladder, which ends at the top stage S, and the
+reduction path are built.  At stage >= 1 the root carries no diagram
+either: the verifier builds its own presentation of the slope
+(``_root``), once it has counted that this presentation has one component
+more than the certificate has edges (one edge for eta, one per ladder
+stage above the first and one per chain knot), so the work stays bounded
+by what the certificate holds.
 
-Every manifold is bound to a presentation before any step runs.  An
-inline node names its manifold and must carry the verifier's own
-presentation of it.  A node that an edge builds names none: the walk
-gives a ladder node its manifold by the table ``_DERIVED``, keyed on the
-source's manifold and the edge's witness, and a "cancel:" edge gives its
-target none, since the reduction path only cancels (-1)-knots against
-their pushoffs and no rule reads a name for its nodes.  A built node that
-names a manifold is refused, so each manifold is stated once.  An
+Every manifold is bound to a presentation before any step runs.  A
+declared node names its manifold and, but for a root the verifier
+derives, carries the verifier's own presentation of it.  A node that an
+edge builds has no entry to name one in: the walk gives a ladder node its
+manifold by the table ``_DERIVED``, keyed on the source's manifold and the
+edge's witness, and a "cancel:" edge gives its target none, since the
+reduction path only cancels (-1)-knots against their pushoffs and no rule
+reads a name for its nodes.  So each manifold is stated once.  An
 ``h1_consistency`` audit, which no other rule consumes, records a group;
 the verifier checks it against the Smith normal form of the presentation
-and, when the node names a manifold, against the order that manifold
-fixes.
+and, when the node has a manifold, against the order that manifold fixes.
 
-The steps read each node's manifold from one map, the inline nodes'
-declared manifolds plus the ones the walk derives (``_Replay``), so the
-certificate is never copied.  The verifier's presentations of the empty
+The steps read each node's manifold from one map, the declared nodes'
+manifolds plus the ones the walk gives the nodes it builds (``_Replay``),
+so the certificate is never copied; a step's node reference resolves to
+an id of that map.  The verifier's presentations of the empty
 diagram and of stage 1 (``_OWN``), their groups, cancelled forms and JSON
 forms (``_OWN_FORMS``, through ``serialize``'s diagram writer), and the
 seed rank table are built once, at import.  The reader hands an inline
@@ -127,24 +130,30 @@ _SEED_FACTS = base_facts()
 class _Replay:
     """What the steps of one verify read: the certificate, the engine family
     its triangle indexes cite (resolved once, after the stage range check),
-    each node's manifold (the inline nodes' declared ones plus the ones the
-    walk derives, so the certificate is never cloned), the presentations
-    the walk kept for the cited nodes, where ``_cancelled`` also keeps
-    their cancelled forms, and the (premises, fact) of each accepted step
-    by rule and references, so that a repeated step is checked once."""
+    each node's manifold as the walk gives it (the declared nodes' own and
+    the ones the edges give, so the certificate is never cloned), the
+    presentations the walk kept for the cited nodes, where ``_cancelled``
+    also keeps their cancelled forms, and the (premises, fact) of each
+    accepted step by rule and references, so that a repeated step is
+    checked once."""
 
     __slots__ = ("cert", "family", "manifolds", "built", "accepted")
 
-    def __init__(self, cert, family, built, derived):
+    def __init__(self, cert, family, built, manifolds):
         self.cert, self.family, self.built, self.accepted = cert, family, built, {}
-        self.manifolds = {nid: n.manifold for nid, n in cert.nodes.items()}
-        self.manifolds.update(derived)
+        self.manifolds = manifolds
 
 
 def _entry(table, kind, key):
     if key not in table:
         raise CalculusError(f"{kind} {key!r} not present")
     return table[key]
+
+
+def _node(replay, nid):
+    """A declared node's id or an edge's target, as it stands."""
+    _entry(replay.manifolds, "node", nid)
+    return nid
 
 
 def _triangle(replay, text):
@@ -159,16 +168,17 @@ def _triangle(replay, text):
 
 
 # Reference kind -> resolver from the verify's ``_Replay`` and the recorded
-# value.
+# value.  A node resolves to its id, which every checker reads its
+# presentation and manifold by.
 _RESOLVE = {
-    "node": lambda replay, nid: _entry(replay.cert.nodes, "node", nid),
+    "node": _node,
     "edge": lambda replay, eid: _entry(replay.cert.edges, "edge", eid),
     "triangle": _triangle,
     "group": lambda replay, text: text,
 }
 
 
-def _overtwisted_zero(replay, node):
+def _overtwisted_zero(replay, nid):
     raise CalculusError(
         "rule derives a vanishing class; no tightness certificate may use it"
     )
@@ -206,58 +216,58 @@ def _plus_one_pushforward(replay, edge, tri):
     return (("c_nonzero", edge.src),), ("c_nonzero", edge.dst)
 
 
-def _all_minus_one_stein(replay, node):
-    for c in replay.built[node.nid].components:
+def _all_minus_one_stein(replay, nid):
+    for c in replay.built[nid].components:
         if c.coeff != _MINUS_ONE:
             raise CalculusError(f"component {c.cid} carries {c.coeff}, not -1")
-    return (), ("stein", node.nid)
+    return (), ("stein", nid)
 
 
 def _transfer(replay, target, source, cancel=False):
     # A node matches itself, so a self-pair compares nothing; isomorphic
     # presentations cancel to isomorphic forms, so only a pair that
     # differs is cancelled.
-    if target.nid != source.nid:
+    if target != source:
         built = replay.built
-        a, b = built[target.nid], built[source.nid]
+        a, b = built[target], built[source]
         if cancel and not diagram_iso(a, b):
             a, b = _cancelled(built, target), _cancelled(built, source)
         if not diagram_iso(a, b):
             raise CalculusError("presentations do not match")
-    return (("c_nonzero", source.nid),), ("c_nonzero", target.nid)
+    return (("c_nonzero", source),), ("c_nonzero", target)
 
 
-def _cancelled(built, node):
-    """The cancelled form of node's presentation, kept in ``built`` under
-    ("cancelled", node id): each node is cancelled at most once a verify,
+def _cancelled(built, nid):
+    """The cancelled form of node nid's presentation, kept in ``built``
+    under ("cancelled", nid): each node is cancelled at most once a verify,
     and one of ``_OWN``'s presentations not at all, since its cancelled
     form was computed at import."""
-    key = ("cancelled", node.nid)
+    key = ("cancelled", nid)
     if key not in built:
-        diagram = built[node.nid]
+        diagram = built[nid]
         own = _OWN_REDUCED.get(id(diagram))
         built[key] = own[1] if own else cancel_pushoff_pairs(diagram)
     return built[key]
 
 
-def _h1_consistency(replay, node, recorded):
-    """The group of node's presentation, by Smith normal form or, for one
-    of ``_OWN``'s presentations, as computed at import, must be the
+def _h1_consistency(replay, nid, recorded):
+    """The group of node nid's presentation, by Smith normal form or, for
+    one of ``_OWN``'s presentations, as computed at import, must be the
     recorded one and have the order the node's manifold fixes."""
-    diagram = replay.built[node.nid]
+    diagram = replay.built[nid]
     own = _OWN_REDUCED.get(id(diagram))
     group = own[0] if own else h1(diagram)
     if _group_text(group) != recorded:
         raise CalculusError(
             f"presentation has h1 {_group_text(group)}, certificate says {recorded}"
         )
-    m = replay.manifolds[node.nid]
+    m = replay.manifolds[nid]
     if m is not None and group.cyclic_order() != m.expected_h1_order():
         raise CalculusError(
             f"declared manifold {m.text()} has cyclic h1 of "
             f"order {m.expected_h1_order()}, presentation gives {_group_text(group)}"
         )
-    return (), ("h1", node.nid)
+    return (), ("h1", nid)
 
 
 # Rule id -> (statement, reference kinds, checker).  A step citing the rule
@@ -270,7 +280,7 @@ RULES = {
     "stein_nonzero": (
         "a Stein fillable structure has nonvanishing contact class",
         ("node",),
-        lambda replay, node: ((("stein", node.nid),), ("c_nonzero", node.nid)),
+        lambda replay, nid: ((("stein", nid),), ("c_nonzero", nid)),
     ),
     "overtwisted_zero": (
         "an overtwisted structure has vanishing contact class",
@@ -280,7 +290,7 @@ RULES = {
     "nonzero_tight": (
         "a structure whose contact class does not vanish is tight",
         ("node",),
-        lambda replay, node: ((("c_nonzero", node.nid),), ("tight", node.nid)),
+        lambda replay, nid: ((("c_nonzero", nid),), ("tight", nid)),
     ),
     "plus_one_pullback": (
         "a contact (+1)-surgery maps the source class to the result class, "
@@ -339,12 +349,12 @@ def rules() -> dict[str, str]:
 
 @dataclass(frozen=True)
 class ContactNode:
-    """A contact structure under discussion: an id, the manifold it lives
-    on, and an inline surgery presentation of it.  A node that the one
-    edge into it builds has neither: the verifier builds its presentation
-    and derives its manifold, if any (see ``node_presentations``).  The
-    root names its manifold and, when the verifier derives its
-    presentation from the slope, has no diagram."""
+    """A declared contact structure: an id, the manifold it lives on, and
+    an inline surgery presentation of it.  Only the root, when the
+    verifier derives its presentation from the slope, has no diagram.  A
+    node that an edge builds is not declared: the edge names it, and the
+    verifier builds its presentation and gives it its manifold, if any
+    (see ``node_presentations``)."""
 
     nid: str
     manifold: Manifold | None = None
@@ -387,9 +397,10 @@ class Step:
 class Certificate:
     """A self-contained, machine-checkable tightness derivation.
 
-    ``rank_facts`` maps each manifold a cited triangle names to its exact
-    rank; its keys are ``Manifold`` objects, and their names appear only in
-    the JSON form."""
+    ``nodes`` holds the declared nodes: those that carry a presentation
+    inline, and the root.  ``rank_facts`` maps each manifold a cited
+    triangle names to its exact rank; its keys are ``Manifold`` objects,
+    and their names appear only in the JSON form."""
 
     slope: SurgeryCoeff
     conclusion: tuple[str, str]
@@ -423,15 +434,16 @@ def _group_text(group: HomologyResult) -> str:
     return f"{group.free_rank}:{','.join(str(t) for t in group.torsion)}"
 
 
-
 # (kind of the source's manifold, witness) -> the target's manifold, from
-# the source's stage.  A "cancel:<cid>" edge, whatever its source, gives
-# its target no manifold.
+# the source's.  A ladder stage is its source's next stage, built with no
+# check of its name, and eta's circle bundle is one shared object, so a
+# verify validates as many manifolds at every stage.  A "cancel:<cid>"
+# edge, whatever its source, gives its target no manifold.
+_S1XS2 = Manifold.s1xs2()
 _DERIVED = {
-    ("s3", "unknot"): lambda stage: Manifold.s1xs2(),
-    ("tower", "pushoff:c1"): lambda stage: Manifold.tower(stage + 1),
+    ("s3", "unknot"): lambda source: _S1XS2,
+    ("tower", "pushoff:c1"): Manifold.next_stage,
 }
-
 
 
 def _stage(rp: SurgeryCoeff) -> int:
@@ -454,21 +466,23 @@ def _root_size(rp: SurgeryCoeff, stage: int, limit: int) -> int:
     return 1 + stage + sum(1 for _ in islice(neg_cf_terms(residual), limit))
 
 
-
 def _root(cert: Certificate, root: ContactNode) -> tuple[ContactDiagram, int]:
     """The presentation of ``root``, the conclusion's node, and the tower
     stage its slope allows.  The verifier's own presentation of the slope
     is built only once its size, counted no further than the size it must
-    have, matches: the inline root's or, for a root with no diagram, the
-    edge count.  So nothing larger than the certificate is built.  An
+    have, matches: the inline root's or, for a root with no diagram, one
+    more than the edge count, the eta edge, one edge per ladder stage above
+    the first and one per chain knot.  A stage-0 root is inline, so one
+    with no diagram has size 0, which no presentation has.  So nothing
+    larger than the certificate is built.  An
     inline root must be that presentation, ids and order included, and is
     returned as it stands.  Raises CalculusError when the sizes or the
     presentations differ, and ExcludedSlopeError for the slope 1, which
     has no root."""
     rp = pushoff_coeff_from_slope(cert.slope)
     stage = _stage(rp)
-    inline = root.diagram
-    size = len(cert.edges) if inline is None else len(inline)
+    inline, edges = root.diagram, len(cert.edges)
+    size = len(inline) if inline is not None else edges + 1 if stage else 0
     if _root_size(rp, stage, size) == size:
         built = normalize_diagram(trefoil_surgery_diagram(cert.slope))
         if inline is None:
@@ -478,7 +492,7 @@ def _root(cert: Certificate, root: ContactNode) -> tuple[ContactDiagram, int]:
     if inline is not None:
         raise CalculusError("conclusion presentation does not match the declared slope")
     raise CalculusError(
-        f"{size} edges, but slope {cert.slope}'s presentation does not have "
+        f"{edges} edges, but slope {cert.slope}'s presentation does not have "
         f"{size} components"
     )
 
@@ -513,13 +527,14 @@ def check_certificate(cert: Certificate) -> VerificationResult:
 
     Structural checks first (slope binding: an inline root must be the
     verifier's own presentation of the slope, and a root with no diagram
-    gets that presentation, built once the edge count matches its size;
-    the stage bound the slope sets, engine-verified rank facts, the bound
-    on edges the slope and the root set, every edge building its target
-    node, which names no manifold, and giving it the manifold
-    ``_DERIVED`` gives, every inline node naming a manifold and carrying
-    the verifier's own presentation of it), then the steps in order under
-    the premise discipline, then the final conclusion.
+    gets that presentation, built once the edge count is one less than its
+    size; the stage bound the slope sets, engine-verified rank facts, the
+    bound on edges the slope and the root set, every declared node but the
+    root carrying a diagram, every edge building a target that no declared
+    node and no earlier edge holds and giving it the manifold ``_DERIVED``
+    gives, every inline node naming a manifold and carrying the verifier's
+    own presentation of it), then the steps in order under the premise
+    discipline, then the final conclusion.
     """
     try:
         return _check(cert)
@@ -584,21 +599,21 @@ def _check(cert: Certificate) -> VerificationResult:
                     f"rank fact {m.text()} = {value} is not engine-verified (engine: {got})",
                 )
 
-    # At most one edge for eta, each ladder stage and each chain knot of
-    # the root, counted before any edge builds a node.
+    # At most one edge for eta, each ladder stage above the first and each
+    # chain knot of the root, counted before any edge builds a node.
     chain = len(presentation) - 1 - stage
-    limit = cert.engine_stage + 1 + chain
+    limit = cert.engine_stage + chain
     if len(cert.edges) > limit:
         return _fail(None, f"{len(cert.edges)} edges, engine stage {cert.engine_stage} "
                      f"and {chain} chain knots allow at most {limit}")
 
-    # Build every derived node, which checks every edge and gives its
+    # Build every edge's target, which checks every edge and gives its
     # target a manifold, keeping the presentations the steps cite.
     cited = {value for step in cert.steps for kind, value in step.refs if kind == "node"}
     start = {nid: n.diagram for nid, n in cert.nodes.items()}
     start[root.nid] = presentation
     try:
-        built, derived = _walk(cert, start, cited)
+        built, manifolds = _walk(cert, start, cited)
     except CalculusError as exc:
         return _fail(None, str(exc))
 
@@ -614,9 +629,9 @@ def _check(cert: Certificate) -> VerificationResult:
             return _fail(None, f"node {n.nid}: inline presentation is not the "
                          f"verifier's presentation of {n.manifold.text()}")
 
-    # Replay the steps, which read the presentations in ``built`` and the
-    # ladder nodes' manifolds as the walk derived them.
-    replay = _Replay(cert, family, built, derived)
+    # Replay the steps, which read the presentations in ``built`` and each
+    # node's manifold as the walk gave it.
+    replay = _Replay(cert, family, built, manifolds)
     have: set[tuple[str, str]] = set()
     for idx, step in enumerate(cert.steps):
         verdict = _check_step(replay, step, have)
@@ -631,19 +646,19 @@ def _check(cert: Certificate) -> VerificationResult:
 
 def node_presentations(cert: Certificate, keep=None) -> dict[str, ContactDiagram]:
     """The presentations of the nodes in ``keep``, a collection of node
-    ids (default: every node), in its order: the inline diagram; for a
-    root with no diagram the verifier's own presentation of the slope,
-    built only when its size equals the edge count; or for a derived node
-    the (+1)-surgery the edge into it records, performed on the
-    presentation of the edge's source.
+    ids (default: every declared node, then every edge's target), in its
+    order: a declared node's inline diagram; for a root with no diagram the
+    verifier's own presentation of the slope, built only when its size is
+    one more than the edge count; or for an edge's target the (+1)-surgery
+    the edge records, performed on the presentation of the edge's source.
 
-    Edges are taken in order.  An edge's source must already have a
-    presentation, and its target must be a declared node that has none
-    yet and names no manifold.  A "cancel:" edge gives its target no
-    manifold; any other edge must give it one by ``_DERIVED``, from the
-    source's manifold and the witness.  So every edge builds exactly one
-    node.  Every node must end up with a presentation.  Raises
-    CalculusError naming the first edge or node that breaks a rule.
+    Every declared node but the root must carry a diagram.  Edges are
+    taken in order.  An edge's source must already have a presentation,
+    and its target must be an id that no declared node and no earlier edge
+    holds.  A "cancel:" edge gives its target no manifold; any other edge
+    must give it one by ``_DERIVED``, from the source's manifold and the
+    witness.  Raises CalculusError naming the first node or edge that
+    breaks a rule.
 
     Each node's readers are counted first: the later edges from it, and
     ``keep``.  Every built presentation is a ``diagrams._Draft``, which a
@@ -664,39 +679,42 @@ def node_presentations(cert: Certificate, keep=None) -> dict[str, ContactDiagram
     root = cert.nodes.get(cert.conclusion[1])
     if root is not None and root.diagram is None:
         built[root.nid] = _root(cert, root)[0]
-    return _walk(cert, built, cert.nodes if keep is None else keep)[0]
+    if keep is None:
+        keep = [*cert.nodes, *(e.dst for e in cert.edges.values())]
+    return _walk(cert, built, keep)[0]
 
 
 def _walk(cert, built, keep):
-    """``node_presentations`` from ``built``, each node's inline or root
-    presentation or None, and the manifold each edge that gives one gives
-    its target; edits ``built``.  An edge's move edits its source's draft
-    in place when no later reader needs it, else a copy.  A source's
-    manifold is the one it declares or the one an earlier edge gave it;
-    the steps read both kinds from one map (``_Replay``)."""
-    edges, readers, derived = cert.edges.values(), {}, {}
+    """``node_presentations`` from ``built``, each declared node's inline
+    or root presentation, and each node's manifold: the one a declared node
+    names, or the one the edge into it gives (None for a "cancel:" edge),
+    which the steps read (``_Replay``).  Edits ``built``.  An edge's move
+    edits its source's draft in place when no later reader needs it, else
+    a copy."""
+    for nid, diagram in built.items():
+        if diagram is None:
+            raise CalculusError(f"node {nid}: declared with no presentation, "
+                                "but only the root may be")
+    manifolds = {nid: n.manifold for nid, n in cert.nodes.items()}
+    edges, readers = cert.edges.values(), {}
     for e in edges:
         readers[e.src] = readers.get(e.src, 0) + 1
     for nid in keep:
         readers[nid] = readers.get(nid, 0) + 1
     for e in edges:
-        if built.get(e.src) is None:
+        if e.src not in built:
             problem = f"source {e.src!r} has no presentation yet"
-        elif e.dst not in built or built[e.dst] is not None:
-            problem = f"target {e.dst!r} is not a declared node without a presentation"
-        elif cert.nodes[e.dst].manifold is not None:
-            problem = (f"target {e.dst!r} names {cert.nodes[e.dst].manifold.text()}, "
-                       "but a node an edge builds names no manifold")
+        elif e.dst in manifolds:
+            problem = f"target {e.dst!r} is already a node"
         else:
-            source = derived.get(e.src, cert.nodes[e.src].manifold)
+            source = manifolds[e.src]
             make = _DERIVED.get((source and source.kind, e.witness))
             if make is None and not e.witness.startswith("cancel:"):
                 name = source.text() if source else "a node that names no manifold"
                 problem = f"witness {e.witness!r} on {name} gives no manifold"
             else:
-                # A node no later edge or ``keep`` reads is let go: its
-                # entry goes, which refuses a second edge into it as
-                # surely as a presentation would.
+                # A node no later edge or ``keep`` reads is let go; its id
+                # stays in ``manifolds``, which refuses a second edge into it.
                 readers[e.src] -= 1
                 d = built[e.src]
                 if readers[e.src] or type(d) is not _Draft:
@@ -706,24 +724,18 @@ def _walk(cert, built, keep):
                 except CalculusError as exc:
                     problem = str(exc)
                 else:
-                    if make:
-                        derived[e.dst] = make(source.p)
+                    manifolds[e.dst] = make and make(source)
                     if not readers[e.src]:
                         del built[e.src]
                     if readers.get(e.dst):
                         built[e.dst] = d
-                    else:
-                        del built[e.dst]
                     continue
         raise CalculusError(f"edge {e.eid}: {problem}")
-    for nid, diagram in built.items():
-        if diagram is None:
-            raise CalculusError(f"node {nid}: no inline presentation and no edge into it")
     return {
         nid: d.frozen() if isinstance(d, _Draft) else d
         for nid, d in ((nid, built.get(nid)) for nid in keep)
         if d is not None
-    }, derived
+    }, manifolds
 
 
 def _check_step(replay, step, have):

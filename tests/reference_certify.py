@@ -4,8 +4,9 @@
 node's readers, a reference for ``node_presentations``.  It performs
 every edge's move on an immutable copy of its source, and lets a
 presentation go, through the ``_LET_GO`` marker, once no later edge starts
-from it.  Like ``verify._walk`` it also returns the manifold each edge
-gives its target, where it gives one.
+from it.  Like ``verify._walk`` it also returns each node's manifold: the
+one a declared node names, or the one the edge into it gives (None for a
+"cancel:" edge).
 
 ``reference_chain_ids`` reads the (-1)-chain knots' ids off the built
 root, as the emitter did before ``diagrams.trefoil_chain_ids`` read them
@@ -47,18 +48,18 @@ def reference_walk(cert, keep=None):
     root = cert.nodes.get(cert.conclusion[1])
     if root is not None and root.diagram is None:
         built[root.nid] = _root(cert, root)[0]
+    for nid, diagram in built.items():
+        if diagram is None:
+            raise CalculusError(f"node {nid}: declared with no presentation, "
+                                "but only the root may be")
     manifolds = {nid: n.manifold for nid, n in cert.nodes.items()}
-    derived = {}
     for k, e in enumerate(cert.edges.values()):
-        if built.get(e.src) is None:
+        if built.get(e.src, _LET_GO) is _LET_GO:
             problem = f"source {e.src!r} has no presentation yet"
-        elif e.dst not in built or built[e.dst] is not None:
-            problem = f"target {e.dst!r} is not a declared node without a presentation"
-        elif manifolds[e.dst] is not None:
-            problem = (f"target {e.dst!r} names {manifolds[e.dst].text()}, "
-                       "but a node an edge builds names no manifold")
+        elif e.dst in manifolds:
+            problem = f"target {e.dst!r} is already a node"
         else:
-            source = derived.get(e.src, manifolds[e.src])
+            source = manifolds[e.src]
             cancel = e.witness.startswith("cancel:")
             make = None if source is None else _DERIVED.get((source.kind, e.witness))
             if make is None and not cancel:
@@ -70,18 +71,14 @@ def reference_walk(cert, keep=None):
                 except CalculusError as exc:
                     problem = str(exc)
                 else:
-                    if make is not None:
-                        derived[e.dst] = make(source.p)
+                    manifolds[e.dst] = None if make is None else make(source)
                     if last.get(e.src) == k and e.src not in keep:
                         built[e.src] = _LET_GO
                     continue
         raise CalculusError(f"edge {e.eid}: {problem}")
-    for nid, diagram in built.items():
-        if diagram is None:
-            raise CalculusError(f"node {nid}: no inline presentation and no edge into it")
     if keep is None:
-        return built, derived
-    return {nid: built[nid] for nid in keep if nid in built}, derived
+        return built, manifolds
+    return {nid: built[nid] for nid in keep if nid in built}, manifolds
 
 
 def reference_chain_ids(r):

@@ -270,14 +270,22 @@ def _mut_h1_forge(data):
 _MUTATIONS.append(_mut_h1_forge)
 
 
-# Derived nodes: a node with no inline diagram, built by the one edge into
-# it.  Edges are taken in order; each needs a source that already has a
-# presentation and a declared target that has none yet.
+# Built nodes: a node that an edge builds is named only by that edge.
+# Edges are taken in order; each needs a source that already has a
+# presentation and a target that no listed node and no earlier edge holds.
 
 
-def _derived(data):
-    root = data["conclusion"][1]
-    return [n for n in data["nodes"] if n["diagram"] is None and n["id"] != root]
+def _built(data):
+    """The edge targets, in edge order."""
+    return [e["dst"] for e in data["edges"]]
+
+
+def _declare(data, nid, diagram, manifold=None):
+    """List ``nid`` as a node that carries ``diagram``."""
+    node = {"id": nid, "diagram": diagram}
+    if manifold is not None:
+        node = {"id": nid, "manifold": manifold, "diagram": diagram}
+    data["nodes"].append(node)
 
 
 def _mut_edge_from_undeclared(data):
@@ -329,19 +337,20 @@ def _mut_edge_from_itself(data):
 
 
 def _mut_derived_inline_diagram(data):
-    # The inline diagram is the very one the verifier would build.
-    derived = _derived(data)
-    if not derived:
+    # The last edge's target listed, carrying the very diagram the verifier
+    # builds for it.
+    built = _built(data)
+    if not built:
         return False
-    built = node_presentations(certificate_from_dict(data))
-    derived[-1]["diagram"] = diagram_to_dict(built[derived[-1]["id"]])
+    presentations = node_presentations(certificate_from_dict(data))
+    _declare(data, built[-1], diagram_to_dict(presentations[built[-1]]))
     return True
 
 
 def _mut_stage_demote_past_derived(data):
     # Stage 0 has no triangle family or rank facts, and its edge bound
     # leaves no room for the ladder's stage edges.
-    if not _derived(data):
+    if not _built(data):
         return False
     data["engine_stage"] = 0
     data["rank_facts"] = {}
@@ -403,13 +412,12 @@ def _mut_pullback_by_extra_edge(data):
 
 
 def _mut_path_inline_diagram(data):
-    # The first path node carries the very diagram its edge builds.
+    # The first path node listed, carrying the very diagram its edge builds.
     path = _path_edges(data)
     if not path:
         return False
-    node = _node(data, path[0]["dst"])
     built = node_presentations(certificate_from_dict(data))
-    node["diagram"] = diagram_to_dict(built[node["id"]])
+    _declare(data, path[0]["dst"], diagram_to_dict(built[path[0]["dst"]]))
     return True
 
 
@@ -478,13 +486,12 @@ _MUTATIONS += [_stall("same_diagram"), _stall("cancel_equivalent")]
 
 
 def _mut_drop_path_edge(data):
-    # The last path edge and the node it builds: one edge short of the
-    # root's size, so the count refuses it before the root is built.
+    # The last path edge: one edge short of the root's size, so the count
+    # refuses it before the root is built.
     path = _path_edges(data)
     if not path or _node(data, data["conclusion"][1])["diagram"] is not None:
         return False
     data["edges"].remove(path[-1])
-    data["nodes"].remove(_node(data, path[-1]["dst"]))
     return True
 
 
@@ -506,10 +513,10 @@ def _mut_reinlined_root_linking(data):
 _MUTATIONS += [_mut_drop_path_edge, _mut_null_stage0_root, _mut_reinlined_root_linking]
 
 
-# Manifold labels: a derived node names none, the edge into a ladder node
-# gives it its manifold, and an inline node carries the verifier's own
-# presentation of its label.  Each forgery below is refused before any
-# step runs, with the reason ``_LABEL_REASONS`` gives.
+# Manifold labels: a node an edge builds has no entry to name one in, the
+# edge into a ladder node gives it its manifold, and an inline node carries
+# the verifier's own presentation of its label.  Each forgery below is
+# refused before any step runs, with the reason ``_LABEL_REASONS`` gives.
 
 
 def _mut_shift_ladder_labels(data):
@@ -536,9 +543,10 @@ def _mut_v1_is_tower_two(data):
 
 
 def _mut_eta_as_s3(data):
-    if not any(n["id"] == "eta" for n in data["nodes"]):
+    # eta listed as s3, with the empty presentation.
+    if "eta" not in _built(data):
         return False
-    _node(data, "eta")["manifold"] = "s3"
+    _declare(data, "eta", copy.deepcopy(_node(data, "std")["diagram"]), "s3")
     return True
 
 
@@ -546,29 +554,36 @@ _INLINE = "inline presentation is not the verifier's presentation of"
 _LABEL_REASONS = {
     _mut_shift_ladder_labels: f"node v1: {_INLINE} tower(2)",
     _mut_v1_is_tower_two: f"node v1: {_INLINE} tower(1)",
-    _mut_eta_as_s3: "edge e_eta: target 'eta' names s3, but a node an edge builds "
-                    "names no manifold",
+    _mut_eta_as_s3: "edge e_eta: target 'eta' is already a node",
 }
 _MUTATIONS += list(_LABEL_REASONS)
 
 
-# What version 9 refuses because a node an edge builds names no manifold:
-# such a node naming one, an inline node naming none, and a step that
-# reads a path node's manifold.  Each is refused with the reason
-# ``_UNNAMED_REASONS`` starts, at a step or, when it says None, before
-# any step runs.
+# What is refused because a node an edge builds is named only by that
+# edge: such a node listed with the very manifold and presentation the
+# edge gives it, an inline node naming no manifold, a listed node with no
+# presentation, and a step that reads a path node's manifold.  Each is
+# refused with the reason ``_UNNAMED_REASONS`` starts, at a step or, when
+# it says None, before any step runs.
 
 
 def _mut_derived_named(data):
-    # The ladder node names the very manifold its edge gives it.
-    if not any(n["id"] == "v2" for n in data["nodes"]):
+    # The ladder node listed with the manifold and presentation its edge
+    # gives it.
+    if "v2" not in _built(data):
         return False
-    _node(data, "v2")["manifold"] = "tower(2)"
+    _declare(data, "v2", diagram_to_dict(tower_diagram(2)), "tower(2)")
     return True
 
 
 def _mut_inline_unnamed(data):
     data["nodes"].append({"id": "x", "diagram": {"components": [], "linkings": []}})
+    return True
+
+
+def _mut_listed_without_diagram(data):
+    # The circle bundle listed with no presentation: only the root may be.
+    data["nodes"].insert(1, {"id": "w", "manifold": "s1xs2", "diagram": None})
     return True
 
 
@@ -595,9 +610,9 @@ def _mut_h1_on_path(data):
 
 
 _UNNAMED_REASONS = {
-    _mut_derived_named: (None, "edge ev1: target 'v2' names tower(2), but a node an "
-                               "edge builds names no manifold"),
+    _mut_derived_named: (None, "edge ev1: target 'v2' is already a node"),
     _mut_inline_unnamed: (None, "node x: inline presentation names no manifold"),
+    _mut_listed_without_diagram: (None, "node w: declared with no presentation"),
     _mut_pushforward_on_path: (-2, "edge ey1 joins a node that names no manifold"),
     _mut_h1_on_path: (0, "presentation has h1 0:"),
 }

@@ -113,9 +113,11 @@ def test_rule_table():
 
 def test_build_tower_chain_shape():
     chain = build_tower_chain(3)
+    # Only the inline nodes are declared, and the ladder ends at the top.
     assert chain.stage == 3 and chain.top() == "v3"
-    assert [n.nid for n in chain.nodes] == ["std", "eta", "v1", "v2", "v3", "v4"]
-    assert [e.eid for e in chain.edges] == ["e_eta", "ev1", "ev2", "ev3"]
+    assert [n.nid for n in chain.nodes] == ["std", "v1"]
+    assert [e.eid for e in chain.edges] == ["e_eta", "ev1", "ev2"]
+    assert [e.dst for e in chain.edges] == ["eta", "v2", "v3"]
     assert chain.rank_facts[Manifold.neg_tower(3)] == 3
     assert chain.rank_facts[Manifold.s3()] == 1
     assert chain.rank_facts[Manifold.s1xs2()] == 2
@@ -239,13 +241,14 @@ def test_reject_witness_retarget():
 @pytest.mark.parametrize("slope", ["0", "-5/3", "17/16", "5/2", "13/8"])
 def test_emitted_nodes_inline_or_derived_and_audited_in_order(slope):
     # Stein (0, -5/3), unit-fraction (17/16) and general positive branches.
-    # Only the inline nodes are audited, in node order, and nothing else.
+    # Only the inline nodes and the root are declared, and each is audited,
+    # in node order, and nothing else.  No edge leads into a declared node.
     cert = certify_tight(SurgeryCoeff.parse(slope))
     into = [e.dst for e in cert.edges.values()]
     for n in cert.nodes.values():
         derived_root = n.nid == "y0" and cert.engine_stage >= 1
-        assert (n.diagram is None) == (n.nid in into or derived_root), n.nid
-    assert len(set(into)) == len(into)
+        assert (n.diagram is None) == derived_root, n.nid
+    assert len(set(into)) == len(into) and not set(into) & set(cert.nodes)
     inline = [nid for nid, n in cert.nodes.items() if n.diagram is not None]
     assert inline == (["y0"] if cert.engine_stage == 0 else ["std", "v1"])
     # The root is audited whether it is inline or derived from the slope.
@@ -270,7 +273,7 @@ _HUGE = ["-1/1000000", "1000001/1000000", "-1/1000000000"]
 @pytest.mark.parametrize("slope", _HUGE)
 def test_relabelled_huge_slope_rejected_quickly(slope, monkeypatch):
     # The declared slope's presentation would have 10^6 or more components.
-    # A root derived from the slope must have as many components as the
+    # A root derived from the slope must have one component more than the
     # certificate has edges, 4 at 5/2; they are counted no further, and
     # the presentation is never built.
     cert = fresh(certify_tight(SurgeryCoeff(5, 2)))
@@ -281,7 +284,7 @@ def test_relabelled_huge_slope_rejected_quickly(slope, monkeypatch):
     assert time.perf_counter() - start < 1.0
     assert not result.ok and result.step is None
     assert result.reason == (
-        f"4 edges, but slope {slope}'s presentation does not have 4 components"
+        f"3 edges, but slope {slope}'s presentation does not have 4 components"
     )
 
 
@@ -305,7 +308,7 @@ def test_root_derived_at_stage_1_and_accepted_reinlined(slope):
     cert = certify_tight(SurgeryCoeff.parse(slope))
     assert cert.engine_stage >= 1 and cert.nodes["y0"].diagram is None
     own = normalize_diagram(trefoil_surgery_diagram(cert.slope))
-    assert len(own) == len(cert.edges)
+    assert len(own) == len(cert.edges) + 1
     assert root_presentation(cert) == own
     assert check_certificate(fresh(cert)).ok
     inline_root(cert)
@@ -314,16 +317,17 @@ def test_root_derived_at_stage_1_and_accepted_reinlined(slope):
 
 
 def test_dropped_path_edge_refused_before_the_root_is_built(monkeypatch):
-    # -5/3 has a reduction path of two nodes; without its last edge and
-    # node the edge count is one short of the root's size.
+    # -5/3 has a reduction path of two nodes; without its last edge the
+    # edge count is two short of the root's size.
     cert = fresh(certify_tight(SurgeryCoeff(-5, 3)))
     last = [e for e in cert.edges.values() if e.witness.startswith("cancel:")][-1]
-    del cert.edges[last.eid], cert.nodes[last.dst]
+    del cert.edges[last.eid]
     monkeypatch.setattr(verify, "normalize_diagram", None)
     result = check_certificate(cert)
     assert not result.ok and result.step is None
     n = len(cert.edges)
-    assert result.reason == f"{n} edges, but slope -5/3's presentation does not have {n} components"
+    assert result.reason == (
+        f"{n} edges, but slope -5/3's presentation does not have {n + 1} components")
     with pytest.raises(CalculusError, match="presentation does not have"):
         node_presentations(cert)
 
@@ -371,11 +375,12 @@ def test_derived_nodes_are_tower_stages():
     # 5/2 needs stage 2 and one reduction step, which ends at stage 2.
     cert = certify_tight(SurgeryCoeff(5, 2))
     derived = {e.dst: e.eid for e in cert.edges.values()}
-    assert derived == {"eta": "e_eta", "v2": "ev1", "v3": "ev2", "y1": "ey1"}
+    assert derived == {"eta": "e_eta", "v2": "ev1", "y1": "ey1"}
     no_diagram = [nid for nid, n in cert.nodes.items() if n.diagram is None]
-    assert no_diagram == ["eta", "v2", "v3", "y0", "y1"]
+    assert no_diagram == ["y0"]
     built = node_presentations(cert)
-    for k in (1, 2, 3):
+    assert list(built) == ["std", "v1", "y0", "eta", "v2", "y1"]
+    for k in (1, 2):
         assert built[f"v{k}"] == tower_diagram(k)
     assert built["y0"] == normalize_diagram(trefoil_surgery_diagram(cert.slope))
     assert cert.edges["ey1"].witness.startswith("cancel:")
@@ -386,29 +391,24 @@ def test_derived_nodes_are_tower_stages():
 def test_built_presentations_have_the_declared_h1(slope):
     # The verifier no longer audits the nodes it builds; this checks its
     # surgery code against its homology code once, at stage 501 and on a
-    # 300-node reduction path, whose nodes name no manifold.
+    # 300-node reduction path, whose nodes have no manifold.
     cert = certify_tight(SurgeryCoeff.parse(slope))
-    built, derived = reference_walk(cert)
+    built, manifolds = reference_walk(cert)
     checked = 0
     for nid, diagram in built.items():
-        m = derived.get(nid, cert.nodes[nid].manifold)
+        m = manifolds[nid]
         if m is not None:
             assert h1(diagram).cyclic_order() == m.expected_h1_order(), nid
             checked += 1
-    assert checked == {"1001/999": 505, "-1/300": 5}[slope]
+    assert checked == {"1001/999": 504, "-1/300": 4}[slope]
 
 
 def _set_edge(cert, eid, **fields):
     cert.edges[eid] = replace(cert.edges[eid], **fields)
 
 
-def _move_ev2_first(cert):
-    cert.edges = {"ev2": cert.edges["ev2"], **cert.edges}
-
-
-def _inline_v3(cert):
-    v3 = cert.nodes["v3"]
-    cert.nodes["v3"] = replace(v3, diagram=node_presentations(cert)["v3"])
+def _inline_v2(cert):
+    cert.nodes["v2"] = ContactNode("v2", None, node_presentations(cert)["v2"])
 
 
 def _demote_to_stage_0(cert):
@@ -420,9 +420,9 @@ def _cancel_witness(cert, cid):
 
 
 def _pullback_by_edge_into_std(cert):
-    # An edge y0 -> std in place of e_eta, so the edge count stays within
-    # the bound; citing it would give y0 a nonzero class straight from the
-    # empty presentation's.
+    # An edge y0 -> std in place of e_eta, so the edge count stays the
+    # root's size less one; citing it would give y0 a nonzero class
+    # straight from the empty presentation's.
     del cert.edges["e_eta"]
     cert.edges["e_extra"] = SurgeryEdge("e_extra", "y0", "std", "unknot")
     pullback = Step("plus_one_pullback", (("edge", "e_extra"),), ("c_nonzero", "y0"))
@@ -430,28 +430,28 @@ def _pullback_by_edge_into_std(cert):
 
 
 def _inline_y1(cert):
-    y1 = cert.nodes["y1"]
-    cert.nodes["y1"] = replace(y1, diagram=node_presentations(cert)["y1"])
+    cert.nodes["y1"] = ContactNode("y1", None, node_presentations(cert)["y1"])
 
 
-_TAKEN = "is not a declared node without a presentation"
+_TAKEN = "is already a node"
 
 
 # Each edge builds the node it leads to, in edge order: its source must
-# already have a presentation and its target must be a declared node that
-# has none yet.  Every case is rejected before any step is replayed.
+# already have a presentation and its target must be an id that no
+# declared node and no earlier edge holds.  Every case is rejected before
+# any step is replayed.
 @pytest.mark.parametrize(
     "mutate, reason",
     [
-        (lambda c: _set_edge(c, "ev2", src="ghost"), "edge ev2: source 'ghost' has no"),
+        (lambda c: _set_edge(c, "ev1", src="ghost"), "edge ev1: source 'ghost' has no"),
         (lambda c: _set_edge(c, "ey1", dst="y0"), f"edge ey1: target 'y0' {_TAKEN}"),
-        (lambda c: _set_edge(c, "ev2", dst="v2"), f"edge ev2: target 'v2' {_TAKEN}"),
-        (_move_ev2_first, "edge ev2: source 'v2' has no presentation yet"),
-        (lambda c: _set_edge(c, "ev2", src="v3"), "edge ev2: source 'v3' has no"),
-        (_inline_v3, f"edge ev2: target 'v3' {_TAKEN}"),
+        (lambda c: _set_edge(c, "ey1", dst="v2"), f"edge ey1: target 'v2' {_TAKEN}"),
+        (lambda c: _set_edge(c, "ev1", src="y1"), "edge ev1: source 'y1' has no presentation yet"),
+        (lambda c: _set_edge(c, "ev1", src="v2"), "edge ev1: source 'v2' has no"),
+        (_inline_v2, f"edge ev1: target 'v2' {_TAKEN}"),
         (
             _demote_to_stage_0,
-            "4 edges, engine stage 0 and 1 chain knots allow at most 2",
+            "3 edges, engine stage 0 and 1 chain knots allow at most 1",
         ),
         (lambda c: _cancel_witness(c, "c3"), "component c3 carries 1, not -1"),
         (lambda c: _cancel_witness(c, "c9"), "no component 'c9' in diagram"),
@@ -466,12 +466,47 @@ _TAKEN = "is not a declared node without a presentation"
 def test_reject_via_misuse(mutate, reason, monkeypatch):
     cert = fresh(certify_tight(SurgeryCoeff(5, 2)))
     mutate(cert)
-    if reason.endswith("at most 2"):
+    if reason.endswith("at most 1"):
         # The bound is checked before any derived node is built.
         monkeypatch.setattr(verify, "plus_one_surgery", None)
     result = check_certificate(cert)
     assert not result.ok and result.step is None
     assert reason in result.reason
+
+
+def _declare_without_diagram(data):
+    data["nodes"].insert(1, {"id": "w", "manifold": "s1xs2", "diagram": None})
+
+
+def _cite_unknown_node(data):
+    data["steps"].insert(-1, {"rule": "all_minus_one_stein", "refs": ["ghost"],
+                              "gives": ["stein", "ghost"]})
+
+
+def _retarget(eid, dst):
+    def change(data):
+        next(e for e in data["edges"] if e["id"] == eid)["dst"] = dst
+    return change
+
+
+# What a node that an edge builds being named only by that edge refuses,
+# on 5/2 read from its JSON form: an edge into a listed node, two edges
+# into one id, a listed node other than the root with no diagram, and a
+# step citing an id that no node or edge names.
+@pytest.mark.parametrize("mutate, step, reason", [
+    (_retarget("ev1", "std"), None, "edge ev1: target 'std' is already a node"),
+    (_retarget("ey1", "v2"), None, "edge ey1: target 'v2' is already a node"),
+    (_retarget("ey1", "eta"), None, "edge ey1: target 'eta' is already a node"),
+    (_declare_without_diagram, None,
+     "node w: declared with no presentation, but only the root may be"),
+    (_cite_unknown_node, -2, "node 'ghost' not present"),
+], ids=["into_declared", "into_built", "into_eta", "declared_bare", "unknown_id"])
+def test_node_named_only_by_its_edge_refusals(mutate, step, reason):
+    data = certificate_to_dict(certify_tight(SurgeryCoeff(5, 2)))
+    mutate(data)
+    result = check_certificate(certificate_from_dict(data))
+    at = None if step is None else step % len(data["steps"])
+    assert (result.ok, result.step, result.reason) == (False, at, reason)
 
 
 def _relabel(cert, nid, manifold):
@@ -483,26 +518,26 @@ def _add_inline(cert, nid, manifold, diagram):
 
 
 _NOT_OWN = "inline presentation is not the verifier's presentation of"
-_BUILT = "but a node an edge builds names no manifold"
 
 
-# A derived node names no manifold: the edge into it gives a ladder node
-# its manifold from the source's manifold and the witness.  An inline
-# node names its manifold and carries the verifier's own presentation of
-# it.  Every case is rejected before any step.
+# A node that an edge builds has no entry to name a manifold in: the edge
+# into it gives a ladder node its manifold from the source's manifold and
+# the witness, so listing the node, with any manifold, takes its id.  A
+# declared node names its manifold and carries the verifier's own
+# presentation of it.  Every case is rejected before any step.
 @pytest.mark.parametrize(
     "mutate, reason",
     [
-        (lambda c: _relabel(c, "v3", Manifold.tower(4)),
-         f"edge ev2: target 'v3' names tower(4), {_BUILT}"),
-        (lambda c: _relabel(c, "v3", Manifold.tower(3)),
-         f"edge ev2: target 'v3' names tower(3), {_BUILT}"),
-        (lambda c: _relabel(c, "y1", Manifold.tower(2)),
-         f"edge ey1: target 'y1' names tower(2), {_BUILT}"),
+        (lambda c: _add_inline(c, "v2", Manifold.tower(3), tower_diagram(3)),
+         f"edge ev1: target 'v2' {_TAKEN}"),
+        (lambda c: _add_inline(c, "v2", Manifold.tower(2), tower_diagram(2)),
+         f"edge ev1: target 'v2' {_TAKEN}"),
+        (lambda c: _add_inline(c, "y1", Manifold.tower(2), node_presentations(c)["y1"]),
+         f"edge ey1: target 'y1' {_TAKEN}"),
         (lambda c: _set_edge(c, "ev1", witness="pushoff:c2"),
          "edge ev1: witness 'pushoff:c2' on tower(1) gives no manifold"),
-        (lambda c: (inline_root(c), c.edges.pop("ev2")),
-         "node v3: no inline presentation and no edge into it"),
+        (lambda c: _add_inline(c, "v3", Manifold.tower(3), None),
+         "node v3: declared with no presentation, but only the root may be"),
         (lambda c: _relabel(c, "std", Manifold.poincare()),
          "edge e_eta: witness 'unknot' on poincare gives no manifold"),
         (lambda c: _add_inline(c, "x", Manifold.lens(5, 1), tower_diagram(1)),
@@ -632,7 +667,7 @@ def test_emitter_refuses_a_root_size_the_verifier_would_not_derive(monkeypatch):
     monkeypatch.setattr(certify, "_root_size", lambda rp, stage, limit: size(rp, stage, limit) + 1)
     with pytest.raises(CalculusError) as err:
         certify_tight(SurgeryCoeff(5, 2))
-    assert str(err.value) == "4 edges, but slope 5/2's presentation does not have 4 components"
+    assert str(err.value) == "3 edges, but slope 5/2's presentation does not have 4 components"
 
 
 def test_reject_engine_stage_decrement():
@@ -680,7 +715,6 @@ def test_reject_triangle_citation_at_stage_0():
     cert = fresh(certify_tight(SurgeryCoeff(1, 2)))
     assert cert.engine_stage == 0
     cid = cert.nodes["y0"].diagram.components[-1].cid
-    cert.nodes["z"] = ContactNode("z")
     cert.edges["e_z"] = SurgeryEdge("e_z", "y0", "z", f"cancel:{cid}")
     push = Step(
         "plus_one_pushforward", (("edge", "e_z"), ("triangle", "0")), ("c_nonzero", "z")
@@ -692,12 +726,12 @@ def test_reject_triangle_citation_at_stage_0():
 
 
 def test_reject_node_manifold_swap():
+    # eta listed as the sphere it is built from takes the edge's target.
     cert = fresh(certify_tight(SurgeryCoeff(2)))
-    eta = cert.nodes["eta"]
-    cert.nodes["eta"] = ContactNode("eta", Manifold.s3(), eta.diagram)
+    cert.nodes["eta"] = ContactNode("eta", Manifold.s3(), empty_diagram())
     result = check_certificate(cert)
     assert not result.ok and result.step is None
-    assert result.reason == f"edge e_eta: target 'eta' names s3, {_BUILT}"
+    assert result.reason == f"edge e_eta: target 'eta' {_TAKEN}"
 
 
 def _insert_before_last(cert, step):
@@ -706,7 +740,7 @@ def _insert_before_last(cert, step):
 
 
 def test_reject_pushforward_across_a_path_edge():
-    # The path nodes name no manifold, so no triangle vertex can match.
+    # The path nodes have no manifold, so no triangle vertex can match.
     cert = fresh(certify_tight(SurgeryCoeff(5, 2)))
     idx = _insert_before_last(cert, Step(
         "plus_one_pushforward", (("edge", "ey1"), ("triangle", "0")), ("c_nonzero", "y1")
@@ -741,9 +775,9 @@ def test_pushforward_step_on_cited_ranks(ranks, reason):
     cert = fresh(certify_tight(SurgeryCoeff(5, 2)))
     tri = engine_triangles(cert.engine_stage)[1]
     cert.rank_facts.update(zip((tri.a, tri.b, tri.c), ranks))
-    cert.nodes["v2"] = ContactNode("v2", Manifold.tower(2))
+    manifolds = {"v1": Manifold.tower(1), "v2": Manifold.tower(2)}
     step = Step("plus_one_pushforward", (("edge", "ev1"), ("triangle", "1")), ("c_nonzero", "v2"))
-    replay = verify._Replay(cert, engine_triangles(cert.engine_stage), {}, {})
+    replay = verify._Replay(cert, engine_triangles(cert.engine_stage), {}, manifolds)
     assert verify._check_step(replay, step, {("c_nonzero", "v1")}) == reason
 
 
@@ -889,7 +923,6 @@ def test_cancel_edge_on_an_inline_parent_listed_after_its_child():
     at = f"certificate.nodes[{len(data['nodes']) - 1}].diagram.components[0].type"
     assert err.value.location == at
     _add_inline(cert, "x", Manifold.s3(), _child_of_pushoff(1))
-    cert.nodes["x1"] = ContactNode("x1")
     cert.edges["ex"] = SurgeryEdge("ex", "x", "x1", "cancel:X")
     built = node_presentations(cert)["x1"]
     assert built.ids() == ("Y", "C") and built.component("C").parent == "Y"
@@ -914,7 +947,7 @@ def test_each_ladder_edge_constructs_one_knot(slope, monkeypatch):
     monkeypatch.setattr(verify, "plus_one_surgery", counted)
     node_presentations(cert)
     ladder = [n for witness, n in per_edge if not witness.startswith("cancel:")]
-    assert ladder == [1] * (cert.engine_stage + 1)
+    assert ladder == [1] * cert.engine_stage
 
 
 def test_verify_parses_each_manifold_once(monkeypatch):
@@ -932,11 +965,31 @@ def test_verify_parses_each_manifold_once(monkeypatch):
 
         monkeypatch.setattr(cls, "__post_init__", counted)
     assert check_certificate(certificate_from_dict(json.loads(text))).ok
-    # 28 nodes and 27 rank facts are parsed once each; the steps compare
+    # 3 nodes and 27 rank facts are parsed once each; the steps compare
     # vertices by kind and stage and look rank facts up by manifold.
     assert built[Manifold] <= 70
     # Four seed facts and one per vertex the engine registers.
     assert built[Interval] <= 80
+
+
+def test_verify_validates_as_many_manifolds_at_every_stage(monkeypatch):
+    # A ladder stage's manifold is its source's next stage, built with no
+    # check of its name: a verify of 24/23 once ran 25 of its 29 checks
+    # for the ladder edges.  Emission first, so that the memoized engine
+    # families are built before the count starts.
+    texts = [json.dumps(certificate_to_dict(certify_tight(SurgeryCoeff(s, s - 1))))
+             for s in (8, 40)]
+    checks, counts = Manifold.__post_init__, []
+
+    def counted(self):
+        counts[-1] += 1
+        checks(self)
+
+    monkeypatch.setattr(Manifold, "__post_init__", counted)
+    for text in texts:
+        counts.append(0)
+        assert check_certificate(certificate_from_dict(json.loads(text))).ok
+    assert counts[0] == counts[1] <= 4
 
 
 def test_only_verify_runs_the_engine(monkeypatch):
@@ -984,6 +1037,23 @@ def test_verify_clones_no_certificate(monkeypatch):
     assert calls == []
 
 
+def test_verify_copies_no_ladder_stage(monkeypatch):
+    # Only its step reads the top stage, so the ladder is built in one
+    # draft; when an edge still read the top stage, a verify of 40/39
+    # copied its 41 knots.  Only presentations of at most 2 knots, std
+    # and v1 among them, are copied into a draft.
+    cert, copied = _tower_40(), []
+    draft = diagrams._Draft.__init__
+
+    def counted(self, d):
+        copied.append(len(d))
+        draft(self, d)
+
+    monkeypatch.setattr(diagrams._Draft, "__init__", counted)
+    assert check_certificate(cert).ok
+    assert copied and max(copied) <= 2
+
+
 def test_verify_looks_up_the_engine_family_once(monkeypatch):
     # Once for the rank facts and every triangle index, not once a
     # pushforward step (41 at 40/39).
@@ -1000,7 +1070,7 @@ def test_verify_looks_up_the_engine_family_once(monkeypatch):
 
 def test_verify_checks_at_most_one_ladder_knot(monkeypatch):
     # Each pushoff edge appends a copy of the pushoff before it; only the
-    # eta edge's unknot is checked (41 knots once).
+    # eta edge's unknot is checked (40 knots once).
     cert, checked = _tower_40(), []
     count_constructions(monkeypatch, checked)
     surgery, ladder = verify.plus_one_surgery, []
@@ -1014,7 +1084,7 @@ def test_verify_checks_at_most_one_ladder_knot(monkeypatch):
 
     monkeypatch.setattr(verify, "plus_one_surgery", counted)
     assert check_certificate(cert).ok
-    assert len(ladder) == 41 and sum(ladder) <= 1
+    assert len(ladder) == 40 and sum(ladder) <= 1
 
 
 def test_verify_builds_no_constant(monkeypatch):
@@ -1065,7 +1135,7 @@ def test_a_repeated_step_is_checked_once(slope, step, monkeypatch):
     statement, kinds, check = verify.RULES[step["rule"]]
 
     def counted(replay, first, *rest):
-        calls.append(getattr(first, "nid", None) or first.eid)
+        calls.append(first if isinstance(first, str) else first.eid)
         return check(replay, first, *rest)
 
     monkeypatch.setitem(verify.RULES, step["rule"], (statement, kinds, counted))
@@ -1297,11 +1367,11 @@ def test_node_presentations_match_the_reference(slope):
         assert not isinstance(got, str)
 
 
-def _mutated(cert, rng, ids, derived):
-    """A copy of cert with one edge dropped, two swapped, one retargeted,
-    or a new edge branching off a node that a step cites, into a node that
-    now and then names a manifold.  ``derived`` holds the manifolds the
-    edges give."""
+def _mutated(cert, rng, ids, manifolds):
+    """A copy of cert with one edge dropped, two swapped, one pointed at
+    another node, or a new edge branching off a node that a step cites,
+    into a node that now and then is declared as well, with or without a
+    presentation.  ``manifolds`` holds each node's manifold."""
     edges, nodes = list(cert.edges.values()), dict(cert.nodes)
     kind = rng.choice(("drop", "swap", "src", "dst", "branch", "branch"))
     if kind == "drop" and edges:
@@ -1311,14 +1381,17 @@ def _mutated(cert, rng, ids, derived):
         edges[i], edges[j] = edges[j], edges[i]
     elif kind in ("src", "dst") and edges:
         i = rng.randrange(len(edges))
-        edges[i] = replace(edges[i], **{kind: rng.choice(list(nodes))})
+        edges[i] = replace(edges[i], **{kind: rng.choice(sorted(manifolds))})
     else:
-        src = cert.nodes[rng.choice(sorted(_cited(cert)))]
-        m = derived.get(src.nid, src.manifold)
+        src = rng.choice(sorted(_cited(cert)))
+        m = manifolds[src]
         witness = {"tower": "pushoff:c1", "s3": "unknot"}.get(m and m.kind)
         witness = witness or f"cancel:{rng.choice(ids)}"
-        nodes["b"] = ContactNode("b", rng.choice((None, None, Manifold.tower(2))))
-        edges.insert(rng.randrange(len(edges) + 1), SurgeryEdge("eb", src.nid, "b", witness))
+        declared = rng.choice((None, None, None, tower_diagram(2), "bare"))
+        if declared is not None:
+            diagram = None if declared == "bare" else declared
+            nodes["b"] = ContactNode("b", Manifold.tower(2), diagram)
+        edges.insert(rng.randrange(len(edges) + 1), SurgeryEdge("eb", src, "b", witness))
     return replace(cert, nodes=nodes, edges={e.eid: e for e in edges})
 
 
@@ -1326,10 +1399,10 @@ def _mutated(cert, rng, ids, derived):
 def test_walk_matches_the_reference_on_edge_mutations(slope, monkeypatch):
     cert = fresh(certify_tight(SurgeryCoeff.parse(slope)))
     ids = node_presentations(cert)[cert.conclusion[1]].ids()
-    derived = reference_walk(cert)[1]
+    manifolds = reference_walk(cert)[1]
     rng, refused = random.Random(slope), 0
     for _ in range(150):
-        m = _mutated(cert, rng, ids, derived)
+        m = _mutated(cert, rng, ids, manifolds)
         for keep in (None, _cited(m)):
             got = _walk_outcome(node_presentations, m, keep)
             assert got == _walk_outcome(reference_node_presentations, m, keep)
@@ -1442,6 +1515,32 @@ def test_own_presentations_stay_as_built_after_every_workload_verify(workloads):
     assert list(verify._OWN.values()) == [empty_diagram(), tower_diagram(1)]
     assert [diagram_to_dict(d) for d in verify._OWN.values()] == [
         diagram_to_dict(empty_diagram()), diagram_to_dict(tower_diagram(1))]
+
+
+def test_tamper_plan_rejected_at_every_stage_to_40(workloads):
+    # The benchmark's tamper plan reads each listed node's id and diagram,
+    # a linking of an inline node (v1's), each step's gives, the rank
+    # facts and an edge from a ladder node (e_eta at stage 1).  Every
+    # mutation it makes of one certificate per stage is refused.
+    stage_1 = certificate_to_dict(certify_tight(SurgeryCoeff(-3)))
+    assert [n["id"] for n in stage_1["nodes"]] == ["std", "v1", "y0"]
+    assert [e["id"] for e in stage_1["edges"]] == ["e_eta", "ey1"]
+    for stage in range(1, 41):
+        slope = SurgeryCoeff(-3) if stage == 1 else SurgeryCoeff(stage, stage - 1)
+        data = json.loads(json.dumps(certificate_to_dict(certify_tight(slope))))
+        assert data["engine_stage"] == stage
+        assert all(list(n)[:1] == ["id"] and "diagram" in n for n in data["nodes"])
+        v1 = next(n for n in data["nodes"] if n["id"] == "v1")
+        assert v1["diagram"]["linkings"]
+        assert any(e["id"] == "e_eta" and e["src"] == "std" for e in data["edges"])
+        for kind in workloads.TAMPER_KINDS:
+            for subseed in range(10):
+                undo = workloads.tamper(data, kind, subseed)
+                try:
+                    result = check_certificate(certificate_from_dict(data))
+                finally:
+                    undo()
+                assert not result.ok, (stage, kind, subseed)
 
 
 def test_nested_certificate_bytes_grow_linearly():

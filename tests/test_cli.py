@@ -16,8 +16,9 @@ from tightcert import floer, serialize, topology
 from tightcert.certify import certify_tight
 from tightcert.cli import main
 from tightcert.serialize import (
-    FORMAT_VERSION,
+    DIAGRAM_VERSION,
     certificate_from_dict,
+    certificate_to_dict,
     diagram_file_to_dict,
     diagram_to_dict,
     dump_json,
@@ -33,7 +34,7 @@ from tightcert.diagrams import (
 from tightcert.rationals import SurgeryCoeff
 from tightcert.topology import FramedLink, Manifold, linking_matrix
 from test_acceptance import _UNNAMED_REASONS
-from test_serialize import _full_diagram_dict, framed_link_dict
+from test_serialize import _full_diagram_dict, expand_to_v1, framed_link_dict
 
 
 def run_cli(capsys, *argv):
@@ -61,7 +62,7 @@ def test_convert_json_matches_library(capsys):
 
     diagram = diagram_to_dict(normalize_diagram(trefoil_surgery_diagram(SurgeryCoeff(5, 2))))
     data = json.loads(out)
-    assert data == {"format": "contact-diagram", "version": FORMAT_VERSION, **diagram}
+    assert data == {"format": "contact-diagram", "version": DIAGRAM_VERSION, **diagram}
     assert list(data)[:2] == ["format", "version"]
 
 
@@ -430,24 +431,27 @@ def test_verify_derived_node_misuse_rejected_without_traceback(edit, tmp_path, c
     i = next(i for i, e in enumerate(edges) if e["dst"] == "v2")
     if edit == "missing_edge":
         # The root goes inline, so that its size, not the edge count,
-        # bounds the check and the missing edge is what gets refused.
+        # bounds the check, and the step that cites the missing edge is
+        # what gets refused.
         root = next(n for n in nodes if n["id"] == "y0")
         root["diagram"] = diagram_to_dict(
             normalize_diagram(trefoil_surgery_diagram(SurgeryCoeff(5, 2)))
         )
         del edges[i]
-        expected = "edge ev2: source 'v2' has no presentation yet"
+        k = next(k for k, s in enumerate(data["steps"]) if s["refs"][:1] == ["ev1"])
+        expected = f"REJECTED at step {k}: edge 'ev1' not present"
     elif edit == "inline_diagram":
-        j = next(j for j, n in enumerate(nodes) if n["id"] == "v2")
-        nodes[j]["diagram"] = nodes[j - 1]["diagram"]
-        expected = "edge ev1: target 'v2' is not a declared node without a presentation"
+        # v2 listed with the diagram of v1 takes the id its edge builds.
+        nodes.append({"id": "v2", "diagram": nodes[1]["diagram"]})
+        expected = "REJECTED: edge ev1: target 'v2' is already a node"
     else:
-        edges.append(edges.pop(i))
-        expected = "edge ev2: source 'v2' has no presentation yet"
+        # The ladder edge starts from a path node, which a later edge builds.
+        edges[i]["src"] = "y1"
+        expected = "REJECTED: edge ev1: source 'y1' has no presentation yet"
     dump_json(data, str(path))
     code, out, err = run_cli(capsys, "verify", str(path))
     assert code == 3 and err == ""
-    assert f"REJECTED: {expected}" in out
+    assert expected in out
 
 
 @pytest.mark.parametrize("mutate", list(_UNNAMED_REASONS), ids=lambda m: m.__name__[5:])
@@ -464,13 +468,25 @@ def test_verify_unnamed_node_misuse_located_without_traceback(mutate, tmp_path, 
     assert out.startswith(f"certificate for slope 5/2: REJECTED{at}: {reason}")
 
 
+def test_verify_refuses_a_version_9_certificate(tmp_path, capsys):
+    # Version 9 listed every node an edge builds, which version 10 refuses
+    # as an edge into a listed node; the header refuses it first.
+    path = tmp_path / "cert.json"
+    data = certificate_to_dict(certify_tight(SurgeryCoeff(5, 2)))
+    dump_json(expand_to_v1(data, version=9), str(path))
+    code, out, err = run_cli(capsys, "verify", str(path))
+    assert (code, err) == (3, "")
+    assert out == (f"certificate {path}: REJECTED: certificate.version: "
+                   "unsupported certificate version 9\n")
+
+
 @pytest.mark.parametrize("field", ["node", "rank_fact"])
 def test_verify_bad_manifold_name_located(field, tmp_path, capsys):
     path = tmp_path / "cert.json"
     run_cli(capsys, "certify", "--r", "5/2", "--emit", str(path))
     data = load_json(str(path))
     if field == "node":
-        i = next(i for i, n in enumerate(data["nodes"]) if n["id"] == "v2")
+        i = next(i for i, n in enumerate(data["nodes"]) if n["id"] == "v1")
         data["nodes"][i]["manifold"] = "bogus"
         location = f"certificate.nodes[{i}].manifold"
     else:
@@ -690,21 +706,21 @@ def test_v7_style_sibling_linking_refused_by_verify(tmp_path, capsys):
     path = tmp_path / "cert.json"
     run_cli(capsys, "certify", "--r", "5/4", "--emit", str(path))
     data = load_json(str(path))
-    assert data["nodes"][2]["id"] == "v1"
-    data["nodes"][2]["diagram"] = _full_diagram_dict(tower_diagram(2))
-    assert data["nodes"][2]["diagram"]["linkings"][2] == ["c2", "c3", 1]
+    assert data["nodes"][1]["id"] == "v1"
+    data["nodes"][1]["diagram"] = _full_diagram_dict(tower_diagram(2))
+    assert data["nodes"][1]["diagram"]["linkings"][2] == ["c2", "c3", 1]
     dump_json(data, str(path))
     code, out, err = run_cli(capsys, "verify", str(path))
     assert code == 3 and err == ""
     assert out == (
-        f"certificate {path}: REJECTED: certificate.nodes[2].diagram.linkings[2]: "
+        f"certificate {path}: REJECTED: certificate.nodes[1].diagram.linkings[2]: "
         f"{_SIBLING}\n"
     )
 
 
 def test_v7_style_sibling_linking_refused_by_h1(tmp_path, capsys):
     path = tmp_path / "diagram.json"
-    header = {"format": "contact-diagram", "version": FORMAT_VERSION}
+    header = {"format": "contact-diagram", "version": DIAGRAM_VERSION}
     dump_json({**header, **_full_diagram_dict(tower_diagram(2))}, str(path))
     code, out, err = run_cli(capsys, "h1", "--diagram", str(path))
     assert code == 2 and out == ""

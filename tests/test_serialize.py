@@ -27,6 +27,7 @@ from tightcert.diagrams import (
     convert_negative,
     empty_diagram,
     normalize_diagram,
+    plus_one_surgery,
     trefoil_surgery_diagram,
 )
 from tightcert.errors import ParseError
@@ -242,6 +243,26 @@ def _full_diagram_dict(d):
     return {"components": diagram_to_dict(d)["components"], "linkings": linkings}
 
 
+def _v9_form(payload):
+    """The version-9 form of a current payload, which differs from it only
+    by its version, by listing every node an edge builds as {"id",
+    "diagram": null}, right after the node the edge starts from, and by
+    the ladder going one stage above the top: node v(S + 1) and edge evS,
+    listed after the ladder's other edges."""
+    out = copy.deepcopy(payload)
+    out["version"] = 9
+    edges, stage = out["edges"], out["engine_stage"]
+    if stage:
+        top = {"id": f"ev{stage}", "src": f"v{stage}", "dst": f"v{stage + 1}",
+               "witness": "pushoff:c1"}
+        edges.insert(stage, top)
+    nodes = out["nodes"]
+    for edge in edges:
+        at = next(i for i, n in enumerate(nodes) if n["id"] == edge["src"])
+        nodes.insert(at + 1, {"id": edge["dst"], "diagram": None})
+    return out
+
+
 def expand_to_v1(payload, version=1):
     """The version-1 form of a certificate payload: every derived node gets
     the JSON form of the presentation the verifier builds for it, and each
@@ -263,11 +284,19 @@ def expand_to_v1(payload, version=1):
     one only by its version, by each inline diagram listing every nonzero
     linking (``_full_diagram_dict``), and by each reference being a
     [kind, value] pair, as every earlier version does.  With
-    ``version=8``, the version-8 form, which differs from the current one
-    only by its version and by every derived node naming its manifold
-    (``_named_nodes``), as every earlier version does."""
+    ``version=8``, the version-8 form, which differs from the version-9
+    one only by its version and by every derived node naming its manifold
+    (``_named_nodes``), as every earlier version does.  With
+    ``version=9``, the version-9 form (``_v9_form``)."""
     cert = certificate_from_dict(payload)
+    payload = _v9_form(payload)
+    if version == 9:
+        return payload
     built = node_presentations(cert)
+    if cert.engine_stage:
+        top = f"v{cert.engine_stage}"
+        built[f"v{cert.engine_stage + 1}"] = plus_one_surgery(built[top], "pushoff:c1")
+    built = {n["id"]: built[n["id"]] for n in payload["nodes"]}
     out = {}
     for key, value in copy.deepcopy(payload).items():
         out[key] = value
@@ -445,8 +474,9 @@ GOLDEN_V8_SHA256 = {
 }
 
 
-# Version-9 certificate bytes as emitted: the version-8 bytes with no
-# "manifold" on a node an edge builds.
+# Version-9 certificate bytes: the version-8 bytes with no "manifold" on a
+# node an edge builds.  Current certificates are compared after
+# ``expand_to_v1(payload, version=9)``.
 GOLDEN_V9_SHA256 = {
     "5/2": "6843508774c2561cd21985341c71984bda2255ebf8c325dca5a2e92fab843fc9",
     "17/16": "5d7f66f099197f7c3eaf7563015c7c5f9ca81177e1d163c677194d4a77352e55",
@@ -456,6 +486,20 @@ GOLDEN_V9_SHA256 = {
     "-1/20": "cd214ee8973f5890179605bd902da376213a09003ec503d861b0d0dfec4c599f",
     "-4000": "7a1f2fe795d1895f778c5ab07f90c250418ee00725c40da3ca489c95eecb0e8c",
     "233/144": "9564ed3f551cf2f371c87133ef427e3cca0a8a17b21f88bc8512c23cf9d60913",
+}
+
+
+# Version-10 certificate bytes as emitted: the version-9 bytes with only
+# the inline nodes and the root listed, and no ladder stage above the top.
+GOLDEN_V10_SHA256 = {
+    "5/2": "9bdad4d992360d63e1a4e4c71e8b4843bb8a1ad4d3b746da1f6fc94194f6fb9b",
+    "17/16": "6e5e2559bd9d157c80b82753a51608d82e2a27bb3a539f9531f5064e4cf99b6f",
+    "-7/2": "02cb08f79499782f161ad00c655f95dfa1b4eaf9372728f2197036fc5255c522",
+    "13/8": "ab67827ff331b96c1a068b1ba1f52589577024316b345c02d46d729f616d0134",
+    "0": "fe0592804e4a3d6d3396c981a4cab6239959ac9569c7f3f6f9304e378988bf3f",
+    "-1/20": "06c4b22d688f85424b8e25b583041076654bfac37a16e9ddc7dcb70ed33b2867",
+    "-4000": "e18db4b9c1b51c1693bdaa568847d0e15c6bfeca5c8fa28c2a08ade38fd1a0dd",
+    "233/144": "9ae657da752701e3a2b294cdf9765ae1ac80b37dc4dde21d9ee41e10d273f0dc",
 }
 
 
@@ -519,8 +563,15 @@ def test_certificate_v8_golden_bytes(slope, tmp_path):
 @pytest.mark.parametrize("slope", sorted(GOLDEN_V9_SHA256))
 def test_certificate_v9_golden_bytes(slope, tmp_path):
     payload = certificate_to_dict(certify_tight(SurgeryCoeff.parse(slope)))
-    assert payload["version"] == FORMAT_VERSION == 9
-    assert _sha256_of_dump(payload, tmp_path / "cert.json") == GOLDEN_V9_SHA256[slope]
+    expanded = expand_to_v1(payload, version=9)
+    assert _sha256_of_dump(expanded, tmp_path / "cert.json") == GOLDEN_V9_SHA256[slope]
+
+
+@pytest.mark.parametrize("slope", sorted(GOLDEN_V10_SHA256))
+def test_certificate_v10_golden_bytes(slope, tmp_path):
+    payload = certificate_to_dict(certify_tight(SurgeryCoeff.parse(slope)))
+    assert payload["version"] == FORMAT_VERSION == 10
+    assert _sha256_of_dump(payload, tmp_path / "cert.json") == GOLDEN_V10_SHA256[slope]
 
 
 # ---------------------------------------------------------------------------
@@ -661,14 +712,25 @@ def test_certificate_version_8_refused():
     assert "unsupported certificate version 8" in str(err.value)
 
 
+@pytest.mark.parametrize("slope", ["5/2", "8/7", "-5/3", "1/2"])
+def test_certificate_version_9_refused(slope):
+    # Its derived nodes are listed, and an edge into a listed node is
+    # refused since version 10, so it is refused at the header.
+    data = certificate_to_dict(certify_tight(SurgeryCoeff.parse(slope)))
+    with pytest.raises(ParseError) as err:
+        certificate_from_dict(expand_to_v1(data, version=9))
+    assert (err.value.location, err.value.reason) == (
+        "certificate.version", "unsupported certificate version 9")
+
+
 def test_certificate_derived_node_form():
+    # Only std, v1 and the root are listed; an edge names each other node,
+    # and the ladder ends at the top stage, v2.
     data = certificate_to_dict(certify_tight(SurgeryCoeff(5, 2)))
-    by_id = {n["id"]: n for n in data["nodes"]}
-    assert by_id["v2"] == {"id": "v2", "diagram": None}
-    assert by_id["y1"] == {"id": "y1", "diagram": None}
-    assert list(by_id["v1"]) == ["id", "manifold", "diagram"]
-    assert certificate_from_dict(data).nodes["v2"].manifold is None
-    assert [e["dst"] for e in data["edges"]] == ["eta", "v2", "v3", "y1"]
+    assert [n["id"] for n in data["nodes"]] == ["std", "v1", "y0"]
+    assert all(list(n) == ["id", "manifold", "diagram"] for n in data["nodes"])
+    assert [n["diagram"] is None for n in data["nodes"]] == [False, False, True]
+    assert [e["dst"] for e in data["edges"]] == ["eta", "v2", "y1"]
     bad = json.loads(json.dumps(data))
     bad["edges"][1]["dst"] = 7
     with pytest.raises(ParseError) as err:
@@ -716,10 +778,10 @@ def test_certificate_step_and_edge_rejections():
 
 
 @pytest.mark.parametrize("section, i, change, reason, location", [
-    # A derived node, an edge and a step that the reader would take
-    # directly but for one field keep the located errors.
+    # A node, an edge and a step that the reader would take directly but
+    # for one field keep the located errors.
     ("nodes", 1, {"manifold": 5}, "expected a string, got 5", "nodes[1].manifold"),
-    ("nodes", 3, {"id": "v1"}, "duplicate node id 'v1'", "nodes[3]"),
+    ("nodes", 2, {"id": "v1"}, "duplicate node id 'v1'", "nodes[2]"),
     ("edges", 1, {"witness": 5}, "expected a string, got 5", "edges[1].witness"),
     ("edges", 1, {"id": "e_eta", "src": 5}, "duplicate edge id 'e_eta'", "edges[1]"),
     ("steps", 5, {"refs": ["ev1", 1]}, "refs must be a list of strings", "steps[5].refs"),
